@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use ftdes_bench::comm_heavy_problem_with;
 use ftdes_core::moves::MoveTable;
-use ftdes_core::{initial, PolicySpace, Problem};
+use ftdes_core::{initial, OccupancyBackend, PolicySpace, Problem};
 use ftdes_model::time::Time;
 use ftdes_sched::{CostOutcome, CostScratch, PlacementCheckpoints, SchedScratch};
 
@@ -151,7 +151,7 @@ fn main() {
             &problem
                 .clone()
                 .with_comm_lookahead(false)
-                .with_flat_occupancy(),
+                .with_occupancy_backend(OccupancyBackend::Flat),
             "pr2 path ",
         );
         let on = profile(&problem, "this path");

@@ -15,10 +15,7 @@ use ftdes_sched::{
 };
 
 fn main() {
-    ftdes_sched::incremental::metrics::enable();
-    // The certificate is an opt-in (default off); the profiler
-    // enables it so the reconvergence counters below are live.
-    let problem = synthetic_problem(40, 4, 3, Time::from_ms(5), 0).with_reconvergence(true);
+    let problem = synthetic_problem(40, 4, 3, Time::from_ms(5), 0);
     let initial = initial::initial_mpa(&problem, PolicySpace::Mixed).expect("placeable");
     // A steady-state design too: windows deep in the search carry
     // replicated decisions whose moves dirty more nodes, so the
@@ -101,7 +98,6 @@ fn profile_window(problem: &ftdes_core::Problem, design: ftdes_model::design::De
     let mut total_bounded_spliced = 0.0;
     let mut pruned = 0usize;
     let mut spliced_moves = 0usize;
-    let reconv_before = ftdes_sched::incremental::metrics::reconv();
     for mv in &window {
         let prev = d.replace_decision(mv.process, table.decision(*mv).clone());
         total_scratch += time_of(&mut || {
@@ -259,11 +255,5 @@ fn profile_window(problem: &ftdes_core::Problem, design: ftdes_model::design::De
         "  pruned: {pruned}/{}, splice engaged: {spliced_moves}/{}",
         window.len(),
         window.len()
-    );
-    let reconv_after = ftdes_sched::incremental::metrics::reconv();
-    println!(
-        "  reconvergence: {} chains cut, {} cuts failed verification",
-        reconv_after.0 - reconv_before.0,
-        reconv_after.1 - reconv_before.1
     );
 }

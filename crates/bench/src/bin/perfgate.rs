@@ -15,11 +15,10 @@
 //!    candidates with the communication-aware engine, suffix splicing
 //!    disabled (`Problem::with_suffix_splice(false)`),
 //! 4. **incremental** — the current default path (evaluation engine
-//!    v4): candidates re-place only their certified affected cone and
+//!    v3): candidates re-place only their certified affected cone and
 //!    splice the base recording's per-node segments and per-slot bus
-//!    timelines for everything outside it, cutting node chains early
-//!    at runtime-verified reconvergence points, falling back to the
-//!    PR 2 resume on ready-order divergence.
+//!    timelines for everything outside it, falling back to the PR 2
+//!    resume on ready-order divergence.
 //!
 //! Because the search is deterministic in everything except the
 //! wall-clock cutoff, more candidates per second directly buy more
@@ -50,13 +49,11 @@
 //!
 //! Every gated section runs in its **own child process** (the binary
 //! re-invokes itself with `FTDES_PERFGATE_SECTION=<name>` and collects
-//! the per-section JSON fragments): the full-placement arms of the
-//! occupancy gate — and, to a lesser degree, every other ratio in the
-//! file — are sensitive to allocator state, so letting one section
-//! churn the heap before another measurably bends the next section's
-//! ratio (historically ~0.10 absolute on the occupancy gate, which is
-//! why it used to be pinned first). A fresh process per section makes
-//! every floor independent of section order by construction.
+//! the per-section JSON fragments): every ratio in the file is
+//! sensitive to allocator state, so letting one section churn the heap
+//! before another measurably bends the next section's ratio. A fresh
+//! process per section makes every floor independent of section order
+//! by construction.
 //! `FTDES_PERFGATE_SECTION=all` runs everything in-process instead
 //! (the automatic fallback when the binary cannot re-spawn itself).
 //!
@@ -74,34 +71,6 @@
 //! machine untouched and the engine's reuse is structural:
 //! `splice_candidate_rate_vs_pr3` carries the CI floor (1.2×).
 //!
-//! # The reconvergence gate
-//!
-//! The timing-aware reconvergence certificate (evaluation engine v4)
-//! attacks exactly the regime the splice gate documents as hopeless
-//! for v3: the **narrow machine** (the legacy 40 processes / 4 nodes /
-//! k = 3 paper workload), where a move node-chains most of the
-//! machine behind it and the cone covers nearly the whole suffix. A
-//! chain cut at a runtime-verified reconvergence point splices the
-//! rest of the node's recorded timeline instead of re-placing it.
-//! Both arms run the full default engine and differ only in
-//! [`Problem::with_reconvergence`] — a pure throughput knob (cuts are
-//! runtime-verified against the recording, so trajectories are
-//! bit-identical; `tests/reconv.rs` pins this).
-//!
-//! Measured reality (2026-08): on this dense workload the certificate
-//! is a **net loss** — 0.77–0.80× candidate rate vs the v3 cone.
-//! Chains cut succeed (~70–90% of attempted marks verify, arrival
-//! marks at ~91%), but each failed verification buys a full
-//! re-execute, the extended sweep taxes every candidate, and pending
-//! cuts blunt the bounded path's early pruning (spliced suffix
-//! completions are contingent until every mark verifies). That is why
-//! [`ScheduleOptions::reconvergence`] defaults **off** and the
-//! certificate is an opt-in for sparse, gap-rich systems.
-//! `reconv_speedup.reconv_candidate_rate_vs_off` therefore carries a
-//! **regression guard** floor (0.70×), not a speedup floor: it keeps
-//! the opt-in machinery from rotting below its measured envelope and
-//! documents the honest number the 1.10× aspiration did not reach.
-//!
 //! # The communication-heavy gate
 //!
 //! The paper-family workload above makes communication almost free
@@ -115,12 +84,13 @@
 //! 1. **pr2** — incremental + bounded exactly as PR 2 shipped it:
 //!    the certified bus-wait lower bound disabled
 //!    (`Problem::with_comm_lookahead(false)`) and bus messages booked
-//!    through the legacy flat tail scan (`Problem::with_flat_occupancy`),
-//!    whose whole-table rescan per overflowed round turns quadratic on
+//!    through the legacy flat tail scan
+//!    (`Problem::with_occupancy_backend(OccupancyBackend::Flat)`), whose
+//!    whole-table rescan per overflowed round turns quadratic on
 //!    congested buses,
-//! 2. **incremental** — the current default: the per-(node, slot)
-//!    occupancy index books in O(log occupied rounds), and the
-//!    bus-wait floor folds into the abort bound.
+//! 2. **incremental** — the current default: the per-slot bitmap
+//!    occupancy skips saturated rounds 64 at a time, and the bus-wait
+//!    floor folds into the abort bound.
 //!
 //! Both runs walk bit-identical trajectories (the bound is
 //! admissible and both booking paths pick identical slot
@@ -129,35 +99,6 @@
 //! measures the communication-aware additions. `BENCH_tabu.json`
 //! gains `comm_workload` / `comm_pr2` / `comm` sections and a
 //! `comm_candidate_rate_vs_pr2` ratio; CI enforces its floor (1.15×).
-//!
-//! # The occupancy gate
-//!
-//! A **third gated workload** pushes the communication family to the
-//! regime where the booking structure itself dominates per-candidate
-//! cost: [`CommHeavyParams::stress`] (twenty-four edges per process,
-//! message/WCET ratio 3) at k = 2 piles thousands of replicated
-//! messages onto contended TDMA rounds, so the PR 3 sorted-vec
-//! occupancy index degenerates into long per-round walks over
-//! partially-filled-but-unfitting rounds. Both arms run full
-//! from-scratch placements (checkpoint resume and bounded early-exit
-//! off — the cold-start / greedy / portfolio-prologue regime, where
-//! every candidate exercises the full booking table). The arms differ
-//! only in the backend: the round-sorted index (`occ_indexed`) vs the
-//! default bit-packed saturation bitmap (`occ`), which skips saturated
-//! words whole and walks partial words with a branch-light threshold
-//! scan. Like the comm gate, the backend is a pure throughput knob
-//! (bit-identical bookings), so
-//! `occ_speedup.occ_candidate_rate_vs_indexed` cleanly isolates the
-//! bitmap; CI enforces its floor (1.05×). The floor was re-calibrated
-//! down from 1.15× in PR 10: an A/B with function placement
-//! neutralized (`-C llvm-args=-align-all-functions=6`, both arms)
-//! shows the structural bitmap advantage on the 1-CPU container is
-//! ~1.07×, and the rest of the historical 1.2×+ readings was code
-//! *layout* luck that rerolls on any unrelated edit — a floor above
-//! the structural value keys the gate on the linker lottery, not on
-//! the backend. The standalone `occbench`
-//! binary sweeps all three backends (flat / indexed / bitmap) into
-//! `BENCH_occ.json` for ablation.
 //!
 //! # The multi-core portfolio section
 //!
@@ -177,8 +118,8 @@ use std::time::Duration;
 
 use ftdes_bench::{comm_heavy_problem_with, synthetic_problem, time_budget};
 use ftdes_core::{
-    effective_threads, optimize, optimize_portfolio, Goal, Outcome, PolicySpace, PortfolioConfig,
-    Problem, SearchConfig, Strategy,
+    effective_threads, optimize, optimize_portfolio, Goal, OccupancyBackend, Outcome, PolicySpace,
+    PortfolioConfig, Problem, SearchConfig, Strategy,
 };
 use ftdes_gen::CommHeavyParams;
 use ftdes_model::time::Time;
@@ -190,18 +131,15 @@ use ftdes_model::time::Time;
 /// them) and a snapshot of every `FTDES_*` knob that can bend the
 /// numbers.
 fn environment_json() -> String {
-    const KNOBS: [&str; 12] = [
+    const KNOBS: [&str; 9] = [
         "FTDES_TIME_MS",
         "FTDES_SEEDS",
         "FTDES_THREADS",
         "FTDES_NO_PARALLEL",
         "RAYON_NUM_THREADS",
         "FTDES_NO_SPLICE",
-        "FTDES_RECONV",
-        "FTDES_NO_RECONV",
         "FTDES_MAX_CHECKPOINTS",
         "FTDES_SPLICE_METRICS",
-        "FTDES_OCC_BACKEND",
         "FTDES_PRIORITY",
     ];
     // Minimal JSON string escaping (Rust's `escape_default` emits
@@ -260,35 +198,6 @@ const SPLICE_NODES: usize = 12;
 const SPLICE_FAULTS: u32 = 3;
 const SPLICE_SEEDS: u64 = 3;
 
-/// The reconvergence gate rides the **legacy narrow-machine workload**
-/// (40 processes / 4 nodes / k = 3) on purpose: that is the regime
-/// where a move node-chains most of the machine and the v3 cone has
-/// no suffix locality left — the regime the v4 chain cuts were built
-/// to recover. Measured, they do not pay here (0.77–0.80× candidate
-/// rate; see the module docs), so the floor on
-/// `reconv_candidate_rate_vs_off` is a regression guard for the
-/// opt-in machinery's overhead envelope, not a speedup claim.
-const RECONV_SEEDS: u64 = 3;
-const RECONV_FLOOR: f64 = 0.70;
-
-/// The occupancy gate workload ([`CommHeavyParams::stress`]: twenty-four
-/// edges per process, message/WCET ratio 3, k = 2 so replication
-/// multiplies the sends — thousands of messages fighting over
-/// contended TDMA rounds): the regime where the booking structure
-/// dominates per-candidate cost. Both arms run **from-scratch
-/// placements** ([`occ_gate_config`]: checkpoint resume off, the
-/// cold-start / greedy / portfolio-prologue regime) so every
-/// candidate exercises the full booking table; they differ only in
-/// the backend — the PR 3 round-sorted index vs the default
-/// bit-packed bitmap — and walk bit-identical trajectories, so the
-/// candidate-rate ratio isolates exactly the booking structure. CI
-/// enforces the floor (1.05×; see the module docs for the PR 10
-/// layout-neutralized re-calibration) on
-/// `occ_speedup.occ_candidate_rate_vs_indexed`.
-const OCC_PROCESSES: usize = 48;
-const OCC_FAULTS: u32 = 2;
-const OCC_SEEDS: u64 = 3;
-
 /// The multi-core portfolio gate: worker counts swept over the paper
 /// gate workload at a **fixed iteration budget per worker** (no
 /// wall-clock cutoff), so the aggregate candidate rate cleanly
@@ -304,14 +213,11 @@ const MULTICORE_ITERATIONS: usize = 120;
 const MULTICORE_SEEDS: u64 = 2;
 const MULTICORE_FLOOR_4W: f64 = 1.3;
 
-/// Execution order of the per-section subprocesses. With one fresh
-/// process per section the order no longer affects any ratio; the
-/// occupancy gate simply keeps its historical first slot.
-const SECTIONS: [&str; 6] = ["occ", "paper", "splice", "comm", "reconv", "multicore"];
-
-/// Key order of the assembled `BENCH_tabu.json` (environment first
-/// for human readers; CI loads it as a dict and doesn't care).
-const ASSEMBLY: [&str; 6] = ["paper", "splice", "comm", "reconv", "occ", "multicore"];
+/// The sections, in execution order and in key order of the assembled
+/// `BENCH_tabu.json` (environment first for human readers; CI loads
+/// it as a dict and doesn't care). With one fresh process per section
+/// the order affects no ratio.
+const SECTIONS: [&str; 4] = ["paper", "splice", "comm", "multicore"];
 
 #[derive(Debug, Default, Clone, Copy)]
 struct ModeTotals {
@@ -420,64 +326,9 @@ fn run_pr2(problem: &Problem, budget: Duration) -> Outcome {
     let problem = problem
         .clone()
         .with_comm_lookahead(false)
-        .with_flat_occupancy();
+        .with_occupancy_backend(OccupancyBackend::Flat);
     optimize(&problem, Strategy::Mxr, &gate_config(budget))
         .unwrap_or_else(|e| panic!("perfgate pr2 search: {e}"))
-}
-
-/// The v3 engine on the reconvergence gate: the full default path
-/// with only the chain cuts disabled. Pinned explicitly (rather than
-/// through `FTDES_NO_RECONV`) so the arm is what it says regardless
-/// of the environment.
-fn run_reconv_off(problem: &Problem, budget: Duration) -> Outcome {
-    let problem = problem.clone().with_reconvergence(false);
-    optimize(&problem, Strategy::Mxr, &gate_config(budget))
-        .unwrap_or_else(|e| panic!("perfgate reconv-off search: {e}"))
-}
-
-/// The v4 engine on the reconvergence gate, cuts pinned on.
-fn run_reconv_on(problem: &Problem, budget: Duration) -> Outcome {
-    let problem = problem.clone().with_reconvergence(true);
-    optimize(&problem, Strategy::Mxr, &gate_config(budget))
-        .unwrap_or_else(|e| panic!("perfgate reconv-on search: {e}"))
-}
-
-/// The occupancy gate's search configuration: [`gate_config`] with
-/// checkpoint resume *and* bounded early-exit off, so every candidate
-/// re-places (and re-books) the whole instance from scratch. The
-/// resume engine replays only a suffix of the bookings per candidate
-/// and the abort bound truncates most placements before their
-/// booking-heavy tail — both dilute the booking structure's share of
-/// candidate cost with work identical across backends. Both knobs
-/// are pure throughput knobs (bit-identical selections), so the
-/// full-placement arms stay a clean ablation and measure the
-/// structure at full exposure — the regime of every cold start,
-/// greedy descent and portfolio prologue.
-fn occ_gate_config(budget: Duration) -> SearchConfig {
-    SearchConfig {
-        incremental: false,
-        bounded: false,
-        ..gate_config(budget)
-    }
-}
-
-/// The PR 3 booking structure on the occupancy gate: the from-scratch
-/// engine with the occupancy backend rolled back to the round-sorted
-/// index. Bit-identical trajectories with [`run_occ_bitmap`], so the
-/// ratio isolates the booking structure alone.
-fn run_occ_indexed(problem: &Problem, budget: Duration) -> Outcome {
-    let problem = problem
-        .clone()
-        .with_occupancy_backend(ftdes_core::OccupancyBackend::Indexed);
-    optimize(&problem, Strategy::Mxr, &occ_gate_config(budget))
-        .unwrap_or_else(|e| panic!("perfgate occ-indexed search: {e}"))
-}
-
-/// The default bit-packed bitmap backend on the occupancy gate, under
-/// the same from-scratch configuration as [`run_occ_indexed`].
-fn run_occ_bitmap(problem: &Problem, budget: Duration) -> Outcome {
-    optimize(problem, Strategy::Mxr, &occ_gate_config(budget))
-        .unwrap_or_else(|e| panic!("perfgate occ-bitmap search: {e}"))
 }
 
 fn run_baseline(problem: &Problem, budget: Duration) -> Outcome {
@@ -495,66 +346,6 @@ fn run_baseline(problem: &Problem, budget: Duration) -> Outcome {
 
 fn ratio(a: f64, b: f64) -> f64 {
     a / b.max(f64::MIN_POSITIVE)
-}
-
-/// The occupancy-gate section: bit-packed bitmap vs round-sorted
-/// index under full from-scratch placements.
-fn section_occ() -> String {
-    let budget = time_budget();
-    let mut occ_indexed = ModeTotals::default();
-    let mut occ_bitmap = ModeTotals::default();
-    let occ_params = CommHeavyParams::stress(OCC_PROCESSES);
-    println!(
-        "perfgate (occupancy): {OCC_PROCESSES} processes / {NODES} nodes / k = {OCC_FAULTS}, \
-         density {} / ratio {}, {OCC_SEEDS} seeds, {budget:?} per run per mode",
-        occ_params.edge_density, occ_params.msg_wcet_ratio
-    );
-    for seed in 0..OCC_SEEDS {
-        let problem =
-            comm_heavy_problem_with(&occ_params, NODES, OCC_FAULTS, Time::from_ms(5), seed);
-        let indexed = run_occ_indexed(&problem, budget);
-        let bitmap = run_occ_bitmap(&problem, budget);
-        println!(
-            "  seed {seed}: indexed {} iters / {} evals (+{} hits, {} pruned) | \
-             bitmap {} iters / {} evals (+{} hits, {} pruned)",
-            indexed.stats.tabu_iterations,
-            indexed.stats.evaluations,
-            indexed.stats.cache_hits,
-            indexed.stats.pruned,
-            bitmap.stats.tabu_iterations,
-            bitmap.stats.evaluations,
-            bitmap.stats.cache_hits,
-            bitmap.stats.pruned,
-        );
-        occ_indexed.add(&indexed);
-        occ_bitmap.add(&bitmap);
-    }
-    let occ_cand_vs_indexed = ratio(
-        occ_bitmap.candidates_per_sec(),
-        occ_indexed.candidates_per_sec(),
-    );
-    let occ_iter_vs_indexed = ratio(
-        occ_bitmap.tabu_iterations as f64,
-        occ_indexed.tabu_iterations.max(1) as f64,
-    );
-    println!(
-        "occupancy (density {}), bitmap vs indexed: {occ_iter_vs_indexed:.2}x tabu iterations, \
-         {occ_cand_vs_indexed:.2}x candidate rate (floor 1.05x)",
-        occ_params.edge_density
-    );
-    format!(
-        "\"occ_workload\": {{\"family\": \"comm_heavy_stress\", \"processes\": {OCC_PROCESSES}, \
-         \"edge_density\": {}, \"msg_wcet_ratio\": {}, \"nodes\": {NODES}, \
-         \"k\": {OCC_FAULTS}, \"seeds\": {OCC_SEEDS}, \
-         \"budget_ms\": {}}},\n  \"occ_indexed\": {},\n  \"occ\": {},\n  \
-         \"occ_speedup\": {{\"tabu_iterations_vs_indexed\": {occ_iter_vs_indexed:.2}, \
-         \"occ_candidate_rate_vs_indexed\": {occ_cand_vs_indexed:.2}, \"floor\": 1.05}}",
-        occ_params.edge_density,
-        occ_params.msg_wcet_ratio,
-        budget.as_millis(),
-        occ_indexed.json(),
-        occ_bitmap.json(),
-    )
 }
 
 /// The legacy paper-workload section: baseline / pr1 / pr3 /
@@ -792,56 +583,6 @@ fn section_comm() -> String {
     )
 }
 
-/// The reconvergence gate section (narrow machine, cuts on vs off).
-fn section_reconv() -> String {
-    let budget = time_budget();
-    let mut off = ModeTotals::default();
-    let mut on = ModeTotals::default();
-    println!(
-        "perfgate (reconvergence): {PROCESSES} processes / {NODES} nodes / k = {FAULTS}, \
-         {RECONV_SEEDS} seeds, {budget:?} per run per mode"
-    );
-    ftdes_sched::incremental::metrics::enable();
-    for seed in 0..RECONV_SEEDS {
-        let problem = synthetic_problem(PROCESSES, NODES, FAULTS, Time::from_ms(5), seed);
-        let o = run_reconv_off(&problem, budget);
-        let n = run_reconv_on(&problem, budget);
-        println!(
-            "  seed {seed}: reconv-off {} iters / {} evals (+{} hits, {} pruned) | \
-             reconv-on {} iters / {} evals (+{} hits, {} pruned)",
-            o.stats.tabu_iterations,
-            o.stats.evaluations,
-            o.stats.cache_hits,
-            o.stats.pruned,
-            n.stats.tabu_iterations,
-            n.stats.evaluations,
-            n.stats.cache_hits,
-            n.stats.pruned,
-        );
-        off.add(&o);
-        on.add(&n);
-    }
-    let (cuts, failed) = ftdes_sched::incremental::metrics::reconv();
-    let cand_vs_off = ratio(on.candidates_per_sec(), off.candidates_per_sec());
-    let iter_vs_off = ratio(on.tabu_iterations as f64, off.tabu_iterations.max(1) as f64);
-    println!(
-        "reconvergence gate ({NODES} nodes), certificate on vs off: {iter_vs_off:.2}x tabu \
-         iterations, {cand_vs_off:.2}x candidate rate (floor {RECONV_FLOOR}x; \
-         {cuts} chains cut, {failed} cuts failed verification)"
-    );
-    format!(
-        "\"reconv_workload\": {{\"family\": \"paper\", \"processes\": {PROCESSES}, \
-         \"nodes\": {NODES}, \"k\": {FAULTS}, \"seeds\": {RECONV_SEEDS}, \
-         \"budget_ms\": {}}},\n  \"reconv_off\": {},\n  \"reconv\": {},\n  \
-         \"reconv_speedup\": {{\"tabu_iterations_vs_off\": {iter_vs_off:.2}, \
-         \"reconv_candidate_rate_vs_off\": {cand_vs_off:.2}, \
-         \"chains_cut\": {cuts}, \"cuts_failed\": {failed}, \"floor\": {RECONV_FLOOR}}}",
-        budget.as_millis(),
-        off.json(),
-        on.json(),
-    )
-}
-
 /// The multi-core portfolio sweep: fixed work per worker, wall-clock
 /// measured. `threads: 1` pins every worker's own evaluation to one
 /// thread so the sweep isolates seed-level (portfolio) parallelism
@@ -919,11 +660,9 @@ fn section_multicore() -> String {
 
 fn run_section(name: &str) -> Option<String> {
     Some(match name {
-        "occ" => section_occ(),
         "paper" => section_paper(),
         "splice" => section_splice(),
         "comm" => section_comm(),
-        "reconv" => section_reconv(),
         "multicore" => section_multicore(),
         _ => return None,
     })
@@ -932,21 +671,17 @@ fn run_section(name: &str) -> Option<String> {
 /// Runs every section inside this process (the pre-subprocess
 /// behaviour) — the fallback when the binary cannot re-spawn itself,
 /// and the explicit `FTDES_PERFGATE_SECTION=all` escape hatch.
-fn run_all_in_process() -> Vec<(String, String)> {
+fn run_all_in_process() -> Vec<String> {
     SECTIONS
         .iter()
-        .map(|&s| {
-            (
-                s.to_string(),
-                run_section(s).expect("every listed section resolves"),
-            )
-        })
+        .map(|&s| run_section(s).expect("every listed section resolves"))
         .collect()
 }
 
 /// Spawns one child per section (fresh heap each — see the module
 /// docs), falling back to in-process execution if spawning fails.
-fn run_all_sections() -> Vec<(String, String)> {
+/// Fragments come back in [`SECTIONS`] order.
+fn run_all_sections() -> Vec<String> {
     let exe = match std::env::current_exe() {
         Ok(p) => p,
         Err(e) => {
@@ -977,7 +712,7 @@ fn run_all_sections() -> Vec<(String, String)> {
         let fragment = std::fs::read_to_string(&out_path)
             .unwrap_or_else(|e| panic!("perfgate: section '{section}' left no output: {e}"));
         let _ = std::fs::remove_file(&out_path);
-        fragments.push((section.to_string(), fragment));
+        fragments.push(fragment);
     }
     fragments
 }
@@ -1013,17 +748,7 @@ fn main() -> std::process::ExitCode {
         run_all_sections()
     };
 
-    let ordered: Vec<&str> = ASSEMBLY
-        .iter()
-        .map(|&key| {
-            fragments
-                .iter()
-                .find(|(s, _)| s == key)
-                .map(|(_, f)| f.as_str())
-                .unwrap_or_else(|| panic!("perfgate: section '{key}' produced no fragment"))
-        })
-        .collect();
-    let json = format!("{{\n  {}\n}}\n", ordered.join(",\n  "));
+    let json = format!("{{\n  {}\n}}\n", fragments.join(",\n  "));
     if let Err(e) = std::fs::write("BENCH_tabu.json", &json) {
         eprintln!("perfgate: cannot write BENCH_tabu.json: {e}");
         return std::process::ExitCode::FAILURE;

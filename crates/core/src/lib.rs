@@ -55,10 +55,7 @@
 //! | `FTDES_THREADS` | worker threads for candidate evaluation (default: available parallelism; also honours `RAYON_NUM_THREADS`) |
 //! | `FTDES_NO_PARALLEL` | force single-threaded evaluation (overrides everything) |
 //! | `FTDES_NO_SPLICE` | disable the suffix-splicing engine (evaluation engine v3): new [`problem::Problem`]s evaluate candidates through the PR 2/3 checkpoint-resumed path instead. Set to anything but `0`/empty; [`problem::Problem::with_suffix_splice`] overrides per problem. Pure throughput knob — results are bit-identical either way |
-//! | `FTDES_RECONV` | enable the timing-aware reconvergence certificate (evaluation engine v4, default **off**): the splice engine's affected-cone sweep cuts structural node chains at runtime-verified reconvergence points and splices the recorded suffix. Set to anything but `0`/empty; [`problem::Problem::with_reconvergence`] overrides per problem. Pure throughput knob — cuts are runtime-verified against the recording, so results are bit-identical either way; off by default because the cut machinery measures as a net loss on the dense gate workloads (perfgate's reconvergence section) |
-//! | `FTDES_NO_RECONV` | kill switch for the certificate: wins over `FTDES_RECONV`. Set to anything but `0`/empty |
 //! | `FTDES_MAX_CHECKPOINTS` | largest checkpoint count the move generators may assign per re-executable process (the third move axis). Default: `1` (axis off) while the fault model's `χ` is zero, `4` otherwise; [`problem::Problem::with_max_checkpoints`] overrides per problem. **Search-space knob** — unlike the throughput knobs it changes which designs are reachable |
-//! | `FTDES_OCC_BACKEND` | bus-slot occupancy backend for new [`problem::Problem`]s: `bitmap` (default), `indexed` (PR 3 round-sorted index), or `flat` (legacy tail scan); [`problem::Problem::with_occupancy_backend`] overrides per problem. Pure throughput knob — every backend books identical occurrences |
 //! | `FTDES_PRIORITY` | ready-list priority strategy for new [`problem::Problem`]s: `pcp` (partial-critical-path, default) or `mobility` (ALAP − ASAP float); [`problem::Problem::with_priority_strategy`] / [`SearchConfig::priority`] override per problem / per search. **Search-space knob** |
 //!
 //! Resolution order and details: [`parallel::effective_threads`].

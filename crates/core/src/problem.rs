@@ -32,24 +32,6 @@ fn splice_enabled_by_env() -> bool {
     })
 }
 
-/// Whether the timing-aware reconvergence certificate is enabled by
-/// default: off — the cut machinery's sweep and verification overhead
-/// measures as a net loss on the dense gate workloads (see perfgate's
-/// reconvergence section) — unless the `FTDES_RECONV` opt-in is set
-/// (to anything but `0`). The `FTDES_NO_RECONV` kill switch wins over
-/// the opt-in. Read once.
-fn reconv_enabled_by_env() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        let set = |name: &str| {
-            std::env::var(name)
-                .map(|v| v != "0" && !v.is_empty())
-                .unwrap_or(false)
-        };
-        set("FTDES_RECONV") && !set("FTDES_NO_RECONV")
-    })
-}
-
 /// The `FTDES_MAX_CHECKPOINTS` override of the checkpoint move axis
 /// (`None` when unset/unparsable). Read once.
 fn max_checkpoints_env() -> Option<u32> {
@@ -58,19 +40,6 @@ fn max_checkpoints_env() -> Option<u32> {
         std::env::var("FTDES_MAX_CHECKPOINTS")
             .ok()
             .and_then(|v| v.parse().ok())
-    })
-}
-
-/// The default occupancy backend: bitmap, unless the
-/// `FTDES_OCC_BACKEND` knob (`flat` / `indexed` / `bitmap`) overrides
-/// it for ablation runs. Read once.
-fn occupancy_backend_env() -> OccupancyBackend {
-    static VALUE: std::sync::OnceLock<OccupancyBackend> = std::sync::OnceLock::new();
-    *VALUE.get_or_init(|| {
-        std::env::var("FTDES_OCC_BACKEND")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_default()
     })
 }
 
@@ -164,8 +133,6 @@ impl Problem {
             constraints: DesignConstraints::free(n),
             options: ScheduleOptions {
                 suffix_splice: splice_enabled_by_env(),
-                reconvergence: reconv_enabled_by_env(),
-                occupancy: occupancy_backend_env(),
                 priority: priority_strategy_env(),
                 ..ScheduleOptions::default()
             },
@@ -223,22 +190,13 @@ impl Problem {
 
     /// Selects the bus-slot occupancy backend
     /// ([`ScheduleOptions::occupancy`]): the bit-packed saturation
-    /// bitmap (default), the PR 3 round-sorted index, or the legacy
-    /// flat tail scan. Every backend chooses identical slot
-    /// occurrences, so results are bit-identical — a pure perf
-    /// ablation knob, overridable globally with `FTDES_OCC_BACKEND`.
+    /// bitmap (default) or the legacy flat tail scan. Both choose
+    /// identical slot occurrences, so results are bit-identical — a
+    /// pure perf ablation knob.
     #[must_use]
     pub fn with_occupancy_backend(mut self, backend: OccupancyBackend) -> Self {
         self.options.occupancy = backend;
         self
-    }
-
-    /// Books bus messages through the legacy flat tail scan — the
-    /// PR 2 booking path, kept as a perf-ablation shorthand for
-    /// [`Problem::with_occupancy_backend`]`(OccupancyBackend::Flat)`.
-    #[must_use]
-    pub fn with_flat_occupancy(self) -> Self {
-        self.with_occupancy_backend(OccupancyBackend::Flat)
     }
 
     /// Selects the ready-list priority strategy
@@ -269,24 +227,6 @@ impl Problem {
     #[must_use]
     pub fn with_suffix_splice(mut self, enabled: bool) -> Self {
         self.options.suffix_splice = enabled;
-        self
-    }
-
-    /// Toggles the **timing-aware reconvergence certificate**
-    /// (evaluation engine v4, [`ScheduleOptions::reconvergence`],
-    /// default off; `FTDES_RECONV` opts in, `FTDES_NO_RECONV` forces
-    /// off): the splice engine's affected-cone sweep cuts the
-    /// structural node chain wherever a perturbed node's availability
-    /// delta is provably absorbed by a recorded idle gap, and the
-    /// executor verifies each cut against the recording at runtime
-    /// (falling back to the checkpoint replay when a verification
-    /// fails). Pure throughput knob — spliced costs remain
-    /// bit-identical to full placement either way (guarded by
-    /// `tests/reconv.rs`); `false` gives the v3 structural-only cone
-    /// for perf ablations.
-    #[must_use]
-    pub fn with_reconvergence(mut self, enabled: bool) -> Self {
-        self.options.reconvergence = enabled;
         self
     }
 

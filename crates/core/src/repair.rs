@@ -108,7 +108,6 @@ pub fn apply_delta(
     .with_constraints(constraints)
     .with_comm_lookahead(opts.comm_lookahead)
     .with_suffix_splice(opts.suffix_splice)
-    .with_reconvergence(opts.reconvergence)
     .with_occupancy_backend(opts.occupancy)
     .with_priority_strategy(opts.priority);
     Ok((new, applied))

@@ -14,7 +14,9 @@
 //!   off.
 
 use ftdes_core::moves::MoveTable;
-use ftdes_core::{initial, optimize, Goal, PolicySpace, Problem, SearchConfig, Strategy};
+use ftdes_core::{
+    initial, optimize, Goal, OccupancyBackend, PolicySpace, Problem, SearchConfig, Strategy,
+};
 use ftdes_gen::paper_workload;
 use ftdes_model::architecture::Architecture;
 use ftdes_model::fault::FaultModel;
@@ -317,7 +319,7 @@ fn search_results_invariant_under_engines() {
 #[test]
 fn search_results_invariant_under_comm_engine_knobs() {
     // The communication-aware engine's two knobs — the certified
-    // bus-wait lower bound and the per-(node, slot) occupancy index —
+    // bus-wait lower bound and the per-(node, slot) occupancy bitmap —
     // are pure throughput knobs: the bound is admissible (it changes
     // *when* a loser is certified, never *which* candidate wins) and
     // both booking paths pick identical slot occurrences, so whole
@@ -337,10 +339,10 @@ fn search_results_invariant_under_comm_engine_knobs() {
         let reference = run(&base);
         let variants = [
             base.clone().with_comm_lookahead(false),
-            base.clone().with_flat_occupancy(),
+            base.clone().with_occupancy_backend(OccupancyBackend::Flat),
             base.clone()
                 .with_comm_lookahead(false)
-                .with_flat_occupancy(),
+                .with_occupancy_backend(OccupancyBackend::Flat),
         ];
         for (i, variant) in variants.iter().enumerate() {
             let out = run(variant);

@@ -3,20 +3,25 @@
 //! full from-scratch cost evaluation.
 //!
 //! * `spliced_equals_full_for_random_move_sequences`: for random
-//!   problems (paper family and the communication-heavy family, where
-//!   slot perturbation actually propagates), random walks of applied
-//!   moves and every candidate move at every step, a spliced
-//!   evaluation returns bit-identically the full `schedule_cost`
-//!   result — and the engine must actually engage (a splice that
-//!   always falls back would pass parity vacuously).
+//!   problems (paper family including the perfgate gate instance, and
+//!   the communication-heavy family, where slot perturbation actually
+//!   propagates — once under the flat occupancy backend), random walks
+//!   of applied moves and every candidate move at every step, a
+//!   spliced evaluation returns bit-identically the full
+//!   `schedule_cost` result — and the engine must actually engage (a
+//!   splice that always falls back would pass parity vacuously).
 //! * `spliced_bounded_classifies_exactly`: a spliced bounded run
 //!   completes exactly iff the exact cost is within the bound, and an
 //!   aborted run's certified lower bound never exceeds the exact cost.
+//!   Each candidate is also bounded by its own exact cost: a schedule
+//!   that lands exactly on the bound must complete exactly.
 //! * `search_results_invariant_under_suffix_splice`: whole searches
 //!   walk bit-identical trajectories with the engine on or off.
 
 use ftdes_core::moves::MoveTable;
-use ftdes_core::{initial, optimize, Goal, PolicySpace, Problem, SearchConfig, Strategy};
+use ftdes_core::{
+    initial, optimize, Goal, OccupancyBackend, PolicySpace, Problem, SearchConfig, Strategy,
+};
 use ftdes_gen::paper_workload;
 use ftdes_model::architecture::Architecture;
 use ftdes_model::fault::FaultModel;
@@ -106,8 +111,13 @@ fn spliced_equals_full_for_random_move_sequences() {
         (problem(14, 4, 3, 5), "paper/5"),
         (problem(16, 2, 1, 11), "paper/11"),
         (problem(10, 4, 4, 13), "paper/13"),
+        (problem(40, 4, 3, 0), "paper/gate"),
         (comm_problem(12, 4, 2, 7), "comm/7"),
         (comm_problem(14, 3, 1, 15), "comm/15"),
+        (
+            comm_problem(14, 4, 2, 9).with_occupancy_backend(OccupancyBackend::Flat),
+            "comm/9/flat",
+        ),
         (checkpointed_problem(12, 3, 2, 17), "checkpointed/17"),
         (checkpointed_problem(14, 4, 3, 19), "checkpointed/19"),
     ];
@@ -229,21 +239,25 @@ fn spliced_bounded_classifies_exactly() {
         assert!(!window.is_empty());
 
         let mut scratch = CostScratch::default();
-        let bounds = [
-            ScheduleCost {
-                violation: Time::ZERO,
-                length: base_cost.length / 2,
-            },
-            ScheduleCost {
-                violation: Time::ZERO,
-                length: base_cost.length.saturating_sub(Time::from_ms(1)),
-            },
-            base_cost,
-        ];
         for mv in &window {
             let mut cand = design.clone();
             cand.set_decision(mv.process, table.decision(*mv).clone());
             let exact = problem.evaluate_cost(&cand, &mut scratch).unwrap();
+            // The last bound is the candidate's own exact cost: the
+            // exact-gap-fill edge, where the schedule lands precisely
+            // on the bound and must still complete exactly.
+            let bounds = [
+                ScheduleCost {
+                    violation: Time::ZERO,
+                    length: base_cost.length / 2,
+                },
+                ScheduleCost {
+                    violation: Time::ZERO,
+                    length: base_cost.length.saturating_sub(Time::from_ms(1)),
+                },
+                base_cost,
+                exact,
+            ];
             for &bound in &bounds {
                 let Some(outcome) = ftdes_sched::schedule_cost_spliced(
                     problem.graph(),

@@ -5,7 +5,7 @@
 //! WCETs, so a message costs about one ten-thousandth of a process
 //! execution and bus waits never dominate a schedule. That family
 //! cannot exercise the communication-aware side of the bounded
-//! evaluation engine (the certified bus-wait lower bound, the indexed
+//! evaluation engine (the certified bus-wait lower bound, the bitmap
 //! slot occupancy) — almost no candidate ever loses on bus waits.
 //!
 //! [`comm_heavy`] generates the complementary family: dense layered
@@ -83,12 +83,12 @@ impl CommHeavyParams {
         }
     }
 
-    /// The high-density stress preset of the occupancy benchmarks:
-    /// [`CommHeavyParams::dense`] pushed to 24 edges per process and
-    /// a message/WCET cost ratio of 3, so placements are dominated by
-    /// booking thousands of messages into contended TDMA rounds — the
-    /// regime where the booking structure dominates per-candidate
-    /// cost (`occbench`, perfgate's `occupancy` gate).
+    /// The high-density stress preset: [`CommHeavyParams::dense`]
+    /// pushed to 24 edges per process and a message/WCET cost ratio of
+    /// 3, so placements are dominated by booking thousands of messages
+    /// into contended TDMA rounds — the regime where the booking
+    /// structure dominates per-candidate cost (the benchmark's
+    /// `comm_stress` workload, the occupancy parity suite).
     #[must_use]
     pub fn stress(processes: usize) -> Self {
         CommHeavyParams::dense(processes)

@@ -26,6 +26,8 @@
 //! Exit codes are classified sysexits-style: `2` usage, `65` malformed
 //! input (problem file, sweep spec, or corrupt store), `74` I/O
 //! failure, `1` anything else (solver errors, stalled sweeps, ...).
+//! A reader that closes stdout early (`ftdes solve ... | head`) ends
+//! the run quietly with `0`.
 //!
 //! `repair` optimizes the intact problem, applies the composite
 //! delta (`kill-node:N1`, `degrade-node:N1:150`, `rescale-wcet:120`,
@@ -50,6 +52,7 @@
 //! ```
 
 use std::fmt;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -91,6 +94,9 @@ enum CliError {
     Io(String),
     /// Everything else (solver failure, stalled sweep, ...). Exit 1.
     Other(String),
+    /// Writing to stdout failed. Exit 74, except for a closed pipe,
+    /// which ends the run quietly with 0.
+    Stdout(io::Error),
 }
 
 impl CliError {
@@ -98,7 +104,7 @@ impl CliError {
         match self {
             CliError::Usage(_) => 2,
             CliError::Parse(_) => 65,
-            CliError::Io(_) => 74,
+            CliError::Io(_) | CliError::Stdout(_) => 74,
             CliError::Other(_) => 1,
         }
     }
@@ -110,6 +116,7 @@ impl fmt::Display for CliError {
             CliError::Usage(m) | CliError::Parse(m) | CliError::Io(m) | CliError::Other(m) => {
                 f.write_str(m)
             }
+            CliError::Stdout(e) => write!(f, "writing to stdout: {e}"),
         }
     }
 }
@@ -117,6 +124,12 @@ impl fmt::Display for CliError {
 impl From<String> for CliError {
     fn from(message: String) -> Self {
         CliError::Other(message)
+    }
+}
+
+impl From<io::Error> for CliError {
+    fn from(e: io::Error) -> Self {
+        CliError::Stdout(e)
     }
 }
 
@@ -131,12 +144,15 @@ fn store_err(e: StoreError) -> CliError {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut out = io::stdout().lock();
     let result = match args.split_first() {
-        Some((command, rest)) if command == "sweep" => run_sweep(rest),
-        _ => run(&args),
-    };
+        Some((command, rest)) if command == "sweep" => run_sweep(&mut out, rest),
+        _ => run(&mut out, &args),
+    }
+    .and_then(|()| Ok(out.flush()?));
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        Err(CliError::Stdout(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
         Err(error) => {
             eprintln!("error: {error}");
             ExitCode::from(error.exit_code())
@@ -365,7 +381,7 @@ impl Options {
     }
 }
 
-fn run(args: &[String]) -> Result<(), CliError> {
+fn run(out: &mut impl Write, args: &[String]) -> Result<(), CliError> {
     let Some((command, rest)) = args.split_first() else {
         return Err(CliError::Usage(usage()));
     };
@@ -414,7 +430,8 @@ fn run(args: &[String]) -> Result<(), CliError> {
 
     match command.as_str() {
         "info" => {
-            println!(
+            writeln!(
+                out,
                 "processes: {}, edges: {}, nodes: {}, k = {}, mu = {}, chi = {} \
                  (checkpoint levels: {})",
                 problem.process_count(),
@@ -424,14 +441,15 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 problem.fault_model().mu(),
                 problem.fault_model().chi(),
                 problem.max_checkpoints()
-            );
-            println!(
+            )?;
+            writeln!(
+                out,
                 "bus: {} slots of {} ({} bytes each), round {}",
                 problem.bus().slots_per_round(),
                 problem.bus().slot_length(),
                 problem.bus().slot_bytes(),
                 problem.bus().round_length()
-            );
+            )?;
             Ok(())
         }
         "solve" => {
@@ -458,7 +476,8 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 let p = optimize_portfolio(&problem, space, &options.search_config(), &pcfg)
                     .map_err(|e| e.to_string())?;
                 for w in &p.workers {
-                    println!(
+                    writeln!(
+                        out,
                         "worker {} [{}]: best = {}, iterations = {}, lookups = {}, adopted = {}",
                         w.index,
                         w.label,
@@ -467,14 +486,15 @@ fn run(args: &[String]) -> Result<(), CliError> {
                         w.tabu_iterations,
                         w.lookups,
                         w.adopted
-                    );
+                    )?;
                 }
-                println!(
+                writeln!(
+                    out,
                     "portfolio: {} workers, {} epochs, {} elite exchanges",
                     p.workers.len(),
                     p.epochs,
                     p.exchanges
-                );
+                )?;
                 p.outcome
             } else {
                 optimize(&problem, options.strategy, &options.search_config())
@@ -484,35 +504,41 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 let bused = optimize_bus(&problem, &outcome.design, &BusOptConfig::default())
                     .map_err(|e| e.to_string())?;
                 if bused.schedule.cost() < outcome.schedule.cost() {
-                    println!(
+                    writeln!(
+                        out,
                         "bus-access optimization improved delta: {} -> {}",
                         outcome.schedule.length(),
                         bused.schedule.length()
-                    );
+                    )?;
                     outcome.schedule = bused.schedule;
                 }
             }
-            println!(
+            writeln!(
+                out,
                 "{}: delta = {}, schedulable: {}",
                 options.strategy,
                 outcome.length(),
                 outcome.is_schedulable()
-            );
-            print!("{}", render_tables(&outcome.schedule, problem.graph()));
-            print!("{}", render_medl(&outcome.schedule));
+            )?;
+            write!(out, "{}", render_tables(&outcome.schedule, problem.graph()))?;
+            write!(out, "{}", render_medl(&outcome.schedule))?;
             if options.gantt {
-                print!("{}", render_gantt(&outcome.schedule, problem.graph(), 72));
+                write!(
+                    out,
+                    "{}",
+                    render_gantt(&outcome.schedule, problem.graph(), 72)
+                )?;
             }
-            if let Some(out) = &options.json {
+            if let Some(path) = &options.json {
                 let report = solution_report(
                     options.strategy.name(),
                     problem.graph(),
                     &node_names,
                     &outcome,
                 );
-                std::fs::write(out, to_json(&report))
-                    .map_err(|e| CliError::Io(format!("writing {out}: {e}")))?;
-                println!("report written to {out}");
+                std::fs::write(path, to_json(&report))
+                    .map_err(|e| CliError::Io(format!("writing {path}: {e}")))?;
+                writeln!(out, "report written to {path}")?;
             }
             Ok(())
         }
@@ -538,12 +564,13 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 }
                 worst = worst.max(report.realized_length());
             }
-            println!(
+            writeln!(
+                out,
                 "{} scenarios replayed: worst realized length {} <= bound {}",
                 scenarios.len(),
                 worst,
                 outcome.length()
-            );
+            )?;
             Ok(())
         }
         "repair" => {
@@ -565,13 +592,14 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 .map_err(|e| CliError::Parse(e.to_string()))?;
             let outcome = optimize(&problem, options.strategy, &options.search_config())
                 .map_err(|e| e.to_string())?;
-            println!(
+            writeln!(
+                out,
                 "intact {}: delta = {}, schedulable: {}",
                 options.strategy,
                 outcome.length(),
                 outcome.is_schedulable()
-            );
-            println!("applying: {delta}");
+            )?;
+            writeln!(out, "applying: {delta}")?;
             let budget = RepairBudget::from_total(Duration::from_millis(options.repair_ms));
             let repaired = repair(
                 &problem,
@@ -581,29 +609,32 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 &options.search_config(),
             )
             .map_err(|e| e.to_string())?;
-            println!(
+            writeln!(
+                out,
                 "compatibility: {}/{} decisions survive ({} dirty, {} removed)",
                 repaired.report.clean().len(),
                 repaired.report.clean().len() + repaired.report.dirty().len(),
                 repaired.report.dirty().len(),
                 repaired.report.removed().len()
-            );
+            )?;
             for attempt in &repaired.attempts {
                 let length = match attempt.length {
                     Some(l) => format!(", delta = {l}"),
                     None => String::new(),
                 };
-                println!(
+                writeln!(
+                    out,
                     "  {}: {:?} in {:?}{length}",
                     attempt.rung, attempt.status, attempt.elapsed
-                );
+                )?;
             }
-            println!(
+            writeln!(
+                out,
                 "repaired by {}: delta = {}, schedulable: {}",
                 repaired.rung,
                 repaired.length(),
                 repaired.is_schedulable()
-            );
+            )?;
             if !repaired.is_schedulable() {
                 return Err(CliError::Other(
                     "no schedulable repair within the budget".to_owned(),
@@ -627,12 +658,17 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     )));
                 }
             }
-            println!(
+            writeln!(
+                out,
                 "{} scenarios replayed against the repaired schedule: all complete in bound",
                 scenarios.len()
-            );
+            )?;
             if options.gantt {
-                print!("{}", render_gantt(&repaired.schedule, post.graph(), 72));
+                write!(
+                    out,
+                    "{}",
+                    render_gantt(&repaired.schedule, post.graph(), 72)
+                )?;
             }
             Ok(())
         }
@@ -714,7 +750,7 @@ impl SweepOptions {
     }
 }
 
-fn run_sweep(args: &[String]) -> Result<(), CliError> {
+fn run_sweep(out: &mut impl Write, args: &[String]) -> Result<(), CliError> {
     let Some((sub, rest)) = args.split_first() else {
         return Err(CliError::Usage(sweep_usage()));
     };
@@ -730,35 +766,40 @@ fn run_sweep(args: &[String]) -> Result<(), CliError> {
             let spec =
                 parse_sweep(&text).map_err(|e| CliError::Parse(format!("{spec_path}: {e}")))?;
             let jobs = spec.jobs();
-            println!(
+            writeln!(
+                out,
                 "sweep {}: {} jobs -> {}",
                 spec.name(),
                 jobs.len(),
                 o.store()?
-            );
+            )?;
             let (mut store, mut state) =
                 SweepStore::create(std::path::Path::new(o.store()?), spec.name(), &jobs)
                     .map_err(store_err)?;
-            drive_sweep(&o, &mut store, &mut state, false)?;
-            finish_sweep(&o, &state)
+            drive_sweep(out, &o, &mut store, &mut state, false)?;
+            finish_sweep(out, &o, &state)
         }
         "resume" => {
             let (mut store, mut state, report) =
                 SweepStore::open(std::path::Path::new(o.store()?)).map_err(store_err)?;
             if report.dropped_torn_line {
-                println!("recovered from a torn append (dropped the partial line)");
+                writeln!(
+                    out,
+                    "recovered from a torn append (dropped the partial line)"
+                )?;
             }
-            println!(
+            writeln!(
+                out,
                 "resuming sweep {} from {} replayed events",
                 state.sweep, report.events
-            );
-            drive_sweep(&o, &mut store, &mut state, o.takeover)?;
-            finish_sweep(&o, &state)
+            )?;
+            drive_sweep(out, &o, &mut store, &mut state, o.takeover)?;
+            finish_sweep(out, &o, &state)
         }
         "status" => {
             let (_store, state, report) =
                 SweepStore::open(std::path::Path::new(o.store()?)).map_err(store_err)?;
-            print_status(&state, report.events, report.dropped_torn_line);
+            print_status(out, &state, report.events, report.dropped_torn_line)?;
             Ok(())
         }
         other => Err(CliError::Usage(format!(
@@ -772,6 +813,7 @@ fn run_sweep(args: &[String]) -> Result<(), CliError> {
 /// `FTDES_CRASH_AT` forces the single-worker loop (injection is a
 /// single-worker instrument); otherwise `--workers N` fans out.
 fn drive_sweep(
+    out: &mut impl Write,
     o: &SweepOptions,
     store: &mut SweepStore,
     state: &mut SweepState,
@@ -789,31 +831,36 @@ fn drive_sweep(
         ftdes_serve::DriveError::Store(s) => store_err(s),
         other => CliError::Other(other.to_string()),
     })?;
-    println!(
+    writeln!(
+        out,
         "drove sweep: {} executed, {} reclaimed, {} failed attempts, {} quarantined, {} blocked",
         report.executed,
         report.reclaimed,
         report.failed_attempts,
         report.quarantined,
         report.blocked
-    );
+    )?;
     Ok(())
 }
 
 /// Prints the outcome and writes `--out` (deterministic job-order
 /// JSON — the file two independent complete runs must agree on
 /// byte-for-byte).
-fn finish_sweep(o: &SweepOptions, state: &SweepState) -> Result<(), CliError> {
-    print_status(state, 0, false);
-    if let Some(out) = &o.out {
+fn finish_sweep(
+    out: &mut impl Write,
+    o: &SweepOptions,
+    state: &SweepState,
+) -> Result<(), CliError> {
+    print_status(out, state, 0, false)?;
+    if let Some(path) = &o.out {
         if !state.is_complete() {
             return Err(CliError::Other(
                 "sweep settled with unfinished jobs; not writing --out".to_owned(),
             ));
         }
         let json = results_json(state)?;
-        std::fs::write(out, json).map_err(|e| CliError::Io(format!("writing {out}: {e}")))?;
-        println!("results written to {out}");
+        std::fs::write(path, json).map_err(|e| CliError::Io(format!("writing {path}: {e}")))?;
+        writeln!(out, "results written to {path}")?;
     }
     if !state.is_complete() {
         return Err(CliError::Other(
@@ -849,9 +896,15 @@ fn results_json(state: &SweepState) -> Result<String, CliError> {
         .map_err(|e| CliError::Other(format!("encoding results: {e:?}")))
 }
 
-fn print_status(state: &SweepState, events: usize, torn: bool) {
+fn print_status(
+    out: &mut impl Write,
+    state: &SweepState,
+    events: usize,
+    torn: bool,
+) -> io::Result<()> {
     let c = state.counts();
-    println!(
+    writeln!(
+        out,
         "sweep {} [fp {:016x}]: {} done, {} ready, {} waiting, {} claimed, {} failed, \
          {} quarantined{}{}",
         state.sweep,
@@ -868,7 +921,7 @@ fn print_status(state: &SweepState, events: usize, torn: bool) {
             String::new()
         },
         if torn { ", torn line dropped" } else { "" },
-    );
+    )?;
     for job in state.jobs() {
         let line = match &job.status {
             JobStatus::Done { .. } => continue,
@@ -891,8 +944,9 @@ fn print_status(state: &SweepState, events: usize, torn: bool) {
                 job.failures.last().map_or("", String::as_str)
             ),
         };
-        println!("  {}: {line}", job.spec.name);
+        writeln!(out, "  {}: {line}", job.spec.name)?;
     }
+    Ok(())
 }
 
 fn sweep_usage() -> String {

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `ftdes` CLI binary.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn write_problem(name: &str, contents: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("ftdes-cli-tests");
@@ -104,6 +104,39 @@ fn unknown_flag_rejected() {
     let out = ftdes(&["solve", path.to_str().unwrap(), "--warp-speed"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+}
+
+#[test]
+fn closed_stdout_exits_quietly() {
+    // `ftdes solve ... | head -1`: the reader goes away before the
+    // tables are written (the search spends its whole budget first).
+    // The CLI must stop with exit 0, not panic.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ftdes"))
+        .args([
+            "solve",
+            "--family",
+            "paper",
+            "--procs",
+            "30",
+            "--nodes",
+            "3",
+            "--k",
+            "1",
+            "--goal",
+            "length",
+            "--time-ms",
+            "100",
+            "--gantt",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "status {}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
 
 #[test]

@@ -74,7 +74,6 @@ use crate::list::{
     ScheduleOptions,
 };
 use crate::schedule::ScheduleCost;
-use crate::slack::SlackAccount;
 
 /// Reusable working memory of the cone sweep (one per worker, inside
 /// [`crate::list::CostScratch`]).
@@ -101,86 +100,11 @@ pub(crate) struct SpliceScratch {
     /// cleared/prefilled this run (the splice touches only the
     /// senders its cone reads).
     touched: Vec<bool>,
-    /// Reconvergence cut points of the last sweep, in work-list
-    /// order; the executor verifies each one at runtime.
-    marks: Vec<ReconvMark>,
-    /// First position each node's *live* state must be restored to —
-    /// the first-ever dirty position. Unlike `node_dirty` (which a
-    /// reconvergence cut resets), this never moves back up, so the
-    /// executor's restore loop stays correct under cuts.
-    node_restore: Vec<u32>,
-    /// Whether each node's current dirt traces to a structural event
-    /// (a float's vacated slot or landing — a placement that exists
-    /// in only one of the two runs). Structural dirt shifts
-    /// availability by a whole placement, so a cut additionally
-    /// demands a strict recorded idle gap; propagated dirt may
-    /// reconverge exactly and needs none.
-    node_structural: Vec<bool>,
-    /// Upper estimate of each node's availability inflation from
-    /// structural *additions* (exec of instances a float lands or
-    /// relocates on the node). A cut's recorded idle gap can only
-    /// absorb a delta it exceeds, so the sweep declines gambles whose
-    /// gap is smaller — they would fail runtime verification anyway,
-    /// and a failed cut costs a full re-execute.
-    node_delta: Vec<Time>,
-    /// Index into `marks` of each node's currently open cut
-    /// (`u32::MAX` = none): a later re-dirtying closes it by stamping
-    /// the mark's `until`.
-    open_mark: Vec<u32>,
-    /// Structural `(node, position)` events of the candidate's floats
-    /// (vacated slots and landings, both mappings for the moved
-    /// process): a cut before such a position must re-dirty the node
-    /// there — the recorded suffix is invalid past it.
-    structural_events: Vec<(u32, u32)>,
     /// Cone size of the last sweep: processes to re-place.
     pub(crate) n_affected: usize,
     /// Spliced senders whose bookings the last sweep flagged for
     /// replay.
     pub(crate) n_rebook: usize,
-    /// Chain cuts of the last sweep (reconvergence certificate).
-    pub(crate) n_cut: usize,
-}
-
-/// One reconvergence cut: at base position `pos`, the structural node
-/// chain of `node` was cut because the recorded state is provably
-/// reachable again — *provided* the executor's runtime verification
-/// confirms the live node state is observationally equal to the
-/// recording just before `pos` (availability absorbed per the
-/// `strict`/`rec_start` rule, identical contingency frontier,
-/// identical slack-account delay queries for every budget `<= k`).
-/// Verification failure voids the whole splice (the caller falls back
-/// to the checkpoint replay).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ReconvMark {
-    /// Base position of the chained process whose node chain is cut.
-    pos: u32,
-    /// The node whose recorded suffix is spliced from `pos` on.
-    /// `u32::MAX` marks an in-flight dependency check instead: no
-    /// node state is verified — the executor compares the live
-    /// arrival times of every message feeding `order[pos]` against
-    /// the recording (rebooked senders may have landed in different
-    /// bus rounds; equality certifies the spliced placement's
-    /// delivery inputs).
-    node: u32,
-    /// Recorded fault-free start of the cut process's first instance
-    /// on `node`: with a strict recorded gap, any live availability
-    /// `<= rec_start` is absorbed (the start was delivery- or
-    /// release-bound, so the placement reproduces bit-identically).
-    rec_start: Time,
-    /// Recorded availability just before `pos` (the last recorded
-    /// segment of `node` before `pos`; `ZERO` when none): exact live
-    /// equality always passes.
-    prev_avail: Time,
-    /// `rec_start > prev_avail` — the recording shows a strict idle
-    /// gap before the cut placement. Without it only exact
-    /// availability equality is sound (a smaller live availability
-    /// could start the placement earlier).
-    strict: bool,
-    /// First later position the node is re-dirtied at (`u32::MAX` =
-    /// never): the executor fast-forwards the node's live state to
-    /// the recording just before it, so re-placement from there reads
-    /// the candidate's true state.
-    until: u32,
 }
 
 /// `true` when some instance of `consumer` sits off `sender_node` —
@@ -197,14 +121,6 @@ fn reads_remote(expanded: &ExpandedDesign, consumer: ProcessId, sender_node: Nod
 /// bits index the sorted float list in [`SpliceScratch::floats`]
 /// (base positions stay the coordinates of everything else).
 const FLOAT_MARK: u32 = 0x8000_0000;
-
-/// Work-list entries with this bit (and without [`FLOAT_MARK`]) are
-/// reconvergence verification markers: the low bits index
-/// [`SpliceScratch::marks`]. They ride the work list at their cut
-/// position — after any float landing there, before the position's
-/// own entry — so the executor verifies against exactly the live
-/// state a from-scratch run would have at that point.
-const RECONV_MARK: u32 = 0x4000_0000;
 
 /// Computes the certified affected cone of the candidate — the
 /// checkpointed base design with `moved`'s decision replaced, already
@@ -223,7 +139,6 @@ pub(crate) fn compute_cone(
     moved: ProcessId,
     floats: &[FloatMove],
     ckpts: &PlacementCheckpoints,
-    reconv: bool,
     sp: &mut SpliceScratch,
 ) {
     let seg = &ckpts.segments;
@@ -245,22 +160,11 @@ pub(crate) fn compute_cone(
     sp.floated.resize(n, false);
     sp.node_dirty.clear();
     sp.node_dirty.resize(node_count, u32::MAX);
-    sp.node_restore.clear();
-    sp.node_restore.resize(node_count, u32::MAX);
-    sp.node_structural.clear();
-    sp.node_structural.resize(node_count, false);
-    sp.node_delta.clear();
-    sp.node_delta.resize(node_count, Time::ZERO);
-    sp.open_mark.clear();
-    sp.open_mark.resize(node_count, u32::MAX);
     sp.slot_dirty.clear();
     sp.slot_dirty.resize(slots, u32::MAX);
     sp.work.clear();
-    sp.marks.clear();
-    sp.structural_events.clear();
     sp.n_affected = 0;
     sp.n_rebook = 0;
-    sp.n_cut = 0;
 
     // Every floated process re-places: its nodes host a different
     // instance sequence from the first perturbed position on, and its
@@ -283,20 +187,9 @@ pub(crate) fn compute_cone(
             // each side dirties only the slots its own expansion
             // actually books into.
             for (exp, from) in [(base, f.slot), (cand, f.to)] {
-                let lands = std::ptr::eq(exp, cand);
                 for &rid in exp.of_process(moved) {
-                    let inst = exp.instance(rid);
-                    let node = inst.node;
+                    let node = exp.instance(rid).node;
                     sp.node_dirty[node.index()] = sp.node_dirty[node.index()].min(from);
-                    sp.node_restore[node.index()] = sp.node_restore[node.index()].min(from);
-                    sp.node_structural[node.index()] = true;
-                    if lands {
-                        // The landing adds this instance's work to the
-                        // node: downstream availability may inflate by
-                        // up to its exec.
-                        sp.node_delta[node.index()] += inst.exec;
-                    }
-                    sp.structural_events.push((node.index() as u32, from));
                     if graph
                         .outgoing(moved)
                         .iter()
@@ -310,18 +203,8 @@ pub(crate) fn compute_cone(
         } else {
             let from = f.slot.min(f.to);
             for &rid in base.of_process(f.process) {
-                let inst = base.instance(rid);
-                let node = inst.node;
+                let node = base.instance(rid).node;
                 sp.node_dirty[node.index()] = sp.node_dirty[node.index()].min(from);
-                sp.node_restore[node.index()] = sp.node_restore[node.index()].min(from);
-                sp.node_structural[node.index()] = true;
-                // A relocation within the node can delay placements
-                // between its endpoints by up to its own exec.
-                sp.node_delta[node.index()] += inst.exec;
-                // Both endpoints are structural: the vacated slot and
-                // the landing each add/remove a placement on `node`.
-                sp.structural_events.push((node.index() as u32, f.slot));
-                sp.structural_events.push((node.index() as u32, f.to));
                 if graph.outgoing(f.process).iter().any(|&eid| {
                     let to = graph.edge(eid).to;
                     reads_remote(cand, to, node) || reads_remote(base, to, node)
@@ -360,160 +243,36 @@ pub(crate) fn compute_cone(
             // marks; the placement itself rides its float marker.
             continue;
         }
-        // Node chaining: an earlier affected placement on any of p's
-        // nodes perturbs availability / slack / frontier.
-        let mut chain = false;
-        for &rid in base.of_process(p) {
-            if sp.node_dirty[base.instance(rid).node.index()] <= t {
-                chain = true;
-                break;
+        let mut aff = false;
+        {
+            // Node chaining: an earlier affected placement on any of
+            // p's nodes perturbs availability / slack / frontier.
+            for &rid in base.of_process(p) {
+                if sp.node_dirty[base.instance(rid).node.index()] <= t {
+                    aff = true;
+                    break;
+                }
             }
         }
-        let mut aff = chain;
-        // The input-delivery scan normally short-circuits on chain
-        // affectedness; the reconvergence certificate needs it even
-        // then, and needs the *kind* of perturbation: a re-placed
-        // (live) sender genuinely shifts its output and blocks any
-        // cut, while a spliced sender rebooked into a perturbed slot
-        // only *may* shift — its in-flight window is verifiable
-        // against the recording at execution time.
-        if !chain || reconv {
-            // Timing-aware reconvergence gap rule: a chained p may be
-            // cut only when every dirty node of p shows an absorbable
-            // recorded state — structural dirt (an extra or missing
-            // placement from a float endpoint) demands a strict
-            // recorded idle gap before p's placement so a bounded
-            // availability delta is provably soaked up, while
-            // propagated (timing-only) dirt gambles on exact
-            // reconvergence. The rule reads only p's own replicas, so
-            // it runs *before* the input-delivery scan: a chained pop
-            // whose gap fails keeps v3's sweep cost (no edge scan).
-            let mut cut = true;
-            if chain {
-                for &rid in base.of_process(p) {
-                    let inst = base.instance(rid);
-                    let m = inst.node.index();
-                    if sp.node_dirty[m] > t || !sp.node_structural[m] {
-                        continue;
-                    }
-                    let rec_start = seg.times[rid.index()].saturating_sub(inst.exec);
-                    let prev_avail = seg.nodes[m]
-                        .prefix(t)
-                        .last()
-                        .map_or(Time::ZERO, |s| s.avail);
-                    // The gap must exceed the node's worst-case
-                    // structural inflation with margin for knock-on
-                    // shifts (live re-placements cascade past the
-                    // direct float delta), or runtime verification is
-                    // doomed and the gamble just buys a re-execute.
-                    // Pure-removal dirt (zero delta) is declined too:
-                    // the vacated placement usually still sits in the
-                    // recorded contingency frontier, failing the
-                    // equality check.
-                    let delta = sp.node_delta[m];
-                    if delta.is_zero()
-                        || rec_start <= prev_avail
-                        || rec_start.saturating_sub(prev_avail) < delta + delta
-                    {
-                        cut = false;
-                        break;
-                    }
+        if !aff {
+            'edges: for &eid in graph.incoming(p) {
+                let s = graph.edge(eid).from;
+                if sp.affected[s.index()] {
+                    aff = true;
+                    break;
                 }
-            }
-            let mut edge_live = false;
-            let mut edge_rebook = false;
-            if !chain || cut {
-                'edges: for &eid in graph.incoming(p) {
-                    let s = graph.edge(eid).from;
-                    if sp.affected[s.index()] {
-                        edge_live = true;
+                // A producer's booking into a by-then-dirty slot may
+                // land in a different round — its arrival, and hence
+                // every remote reader's start, can shift.
+                let pos_s = ckpts.position[s.index()];
+                for &rid in base.of_process(s) {
+                    let m = base.instance(rid).node;
+                    if sp.slot_dirty[slot_of[m.index()] as usize] <= pos_s
+                        && reads_remote(base, p, m)
+                    {
+                        aff = true;
                         break 'edges;
                     }
-                    // A producer's booking into a by-then-dirty slot may
-                    // land in a different round — its arrival, and hence
-                    // every remote reader's start, can shift.
-                    let pos_s = ckpts.position[s.index()];
-                    for &rid in base.of_process(s) {
-                        let m = base.instance(rid).node;
-                        if sp.slot_dirty[slot_of[m.index()] as usize] <= pos_s
-                            && reads_remote(base, p, m)
-                        {
-                            edge_rebook = true;
-                            if !reconv {
-                                break 'edges;
-                            }
-                            break; // next edge; a live sender still vetoes
-                        }
-                    }
-                }
-            }
-            if edge_live || (edge_rebook && !reconv) {
-                aff = true;
-            } else if cut && (chain || edge_rebook) {
-                // p is affected only through node chaining and/or
-                // rebooked input slots, and the gap rule holds.
-                // Rebooked inputs always gamble (the rebooked rounds
-                // are unknowable until the executor replays them)
-                // behind an in-flight dependency marker. The real
-                // soundness decision is the executor's runtime
-                // verification at the emitted markers; a failed
-                // verification costs one cut-free re-execute, so the
-                // gamble is cheap.
-                {
-                    if edge_rebook {
-                        // In-flight dependency window: p's spliced
-                        // placement assumed recorded delivery times;
-                        // the marker makes the executor compare every
-                        // rebooked input arrival against the
-                        // recording before trusting the splice.
-                        let idx = sp.marks.len() as u32;
-                        sp.work.push(RECONV_MARK | idx);
-                        sp.marks.push(ReconvMark {
-                            pos: t,
-                            node: u32::MAX,
-                            rec_start: Time::ZERO,
-                            prev_avail: Time::ZERO,
-                            strict: false,
-                            until: u32::MAX,
-                        });
-                        sp.n_cut += 1;
-                    }
-                    for &rid in base.of_process(p) {
-                        let inst = base.instance(rid);
-                        let m = inst.node.index();
-                        if sp.node_dirty[m] > t {
-                            continue; // clean, or a replica already cut it
-                        }
-                        let rec_start = seg.times[rid.index()].saturating_sub(inst.exec);
-                        let prev_avail = seg.nodes[m]
-                            .prefix(t)
-                            .last()
-                            .map_or(Time::ZERO, |s| s.avail);
-                        // The recorded suffix is invalid past the next
-                        // structural event on this node (a float
-                        // endpoint after the cut): re-dirty there.
-                        let mut until = u32::MAX;
-                        for &(en, ep) in &sp.structural_events {
-                            if en as usize == m && ep > t {
-                                until = until.min(ep);
-                            }
-                        }
-                        let idx = sp.marks.len() as u32;
-                        sp.work.push(RECONV_MARK | idx);
-                        sp.marks.push(ReconvMark {
-                            pos: t,
-                            node: m as u32,
-                            rec_start,
-                            prev_avail,
-                            strict: rec_start > prev_avail,
-                            until,
-                        });
-                        sp.open_mark[m] = idx;
-                        sp.n_cut += 1;
-                        sp.node_dirty[m] = until;
-                        sp.node_structural[m] = until != u32::MAX;
-                    }
-                    aff = false;
                 }
             }
         }
@@ -523,16 +282,7 @@ pub(crate) fn compute_cone(
             let books = !graph.outgoing(p).is_empty();
             for &rid in cand.of_process(p) {
                 let node = cand.instance(rid).node.index();
-                // A re-dirtied node closes its open reconvergence cut:
-                // the executor fast-forwards the node there and
-                // re-places live from this position on.
-                if sp.open_mark[node] != u32::MAX {
-                    let mark = &mut sp.marks[sp.open_mark[node] as usize];
-                    mark.until = mark.until.min(t);
-                    sp.open_mark[node] = u32::MAX;
-                }
                 sp.node_dirty[node] = sp.node_dirty[node].min(t);
-                sp.node_restore[node] = sp.node_restore[node].min(t);
                 if books {
                     let slot = slot_of[node] as usize;
                     sp.slot_dirty[slot] = sp.slot_dirty[slot].min(t);
@@ -564,12 +314,6 @@ pub(crate) fn compute_cone(
 /// outside the cone from the base recording's final state, and drives
 /// the shared placement primitive over the cone positions only
 /// (floated processes ride their float markers).
-///
-/// Returns `Ok(None)` when a reconvergence cut fails its runtime
-/// verification — the sweep's optimistic chain cut turned out wrong,
-/// the spliced state is unusable, and the caller falls back to the
-/// checkpoint replay (bit-identical costs either way, so the fallback
-/// is invisible to the search).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute(
     graph: &ProcessGraph,
@@ -582,7 +326,7 @@ pub(crate) fn execute(
     sp: &mut SpliceScratch,
     ckpts: &PlacementCheckpoints,
     bound: Option<ScheduleCost>,
-) -> Result<Option<CostOutcome>, SchedError> {
+) -> Result<CostOutcome, SchedError> {
     let seg = &ckpts.segments;
     let base = &ckpts.expanded;
     let order = &ckpts.order;
@@ -640,10 +384,7 @@ pub(crate) fn execute(
         core.nodes.resize_with(node_count, Default::default);
     }
     for node in 0..node_count {
-        // Restore to the *first-ever* dirty position: a reconvergence
-        // cut resets `node_dirty`, but the live prefix before the
-        // first perturbation must still be rebuilt.
-        let dirty = sp.node_restore[node];
+        let dirty = sp.node_dirty[node];
         if dirty == u32::MAX {
             continue; // never touched by the cone
         }
@@ -709,8 +450,6 @@ pub(crate) fn execute(
     for &t in &sp.work {
         let p = if t >= FLOAT_MARK {
             sp.floats[(t & !FLOAT_MARK) as usize].process
-        } else if t & RECONV_MARK != 0 {
-            continue; // verification marker, not a placement
         } else {
             order[t as usize]
         };
@@ -724,74 +463,12 @@ pub(crate) fn execute(
             }
         }
     }
-    // Spliced completions downstream of a reconvergence cut are only
-    // certified once the cut's runtime verification passes: a value
-    // the recording promises but a failed cut would void must never
-    // drive an early exit (the classification would diverge from a
-    // full run). Bounded runs with pending cuts therefore move every
-    // *contingent* completion — spliced work at/after the first cut
-    // position — out of `running` and into the per-node lookahead
-    // floor `cont_sum`: spliced processes keep their base mapping, so
-    // their instances execute on exactly their recorded nodes in the
-    // true candidate whatever the verification outcome, and
-    // `avail + Σ exec` stays a certified floor. The completions are
-    // restored (and the floor retired) as markers verify.
-    core.cont_sum.clear();
-    core.cont_sum.resize(node_count, Time::ZERO);
-    core.cont_tainted.clear();
-    core.cont_tainted.resize(node_count, false);
-    let min_cut_pos = sp.marks.iter().map(|mk| mk.pos).min();
-    if let Some(first) = min_cut_pos {
-        if bound.is_some() {
-            for (off, &p) in order[first as usize..].iter().enumerate() {
-                if sp.affected[p.index()] {
-                    continue;
-                }
-                let t = first + off as u32;
-                core.completion[p.index()] = Time::ZERO;
-                for &sid in base.of_process(p) {
-                    let inst = base.instance(sid);
-                    let m = inst.node.index();
-                    core.cont_sum[m] += inst.exec;
-                    // A contingent placement *inside* the restored
-                    // prefix (or on a never-restored node) makes the
-                    // restored availability itself contingent: floors
-                    // on that node must drop to pure work sums.
-                    // Instances at/after the restore point lie in cut
-                    // ranges and are retired when their marker
-                    // fast-forwards.
-                    if t < sp.node_restore[m] {
-                        core.cont_tainted[m] = true;
-                    }
-                }
-            }
-        }
-    }
     let mut running = accumulate_cost(graph, &core.completion);
-    let lookahead = |core: &SchedScratch, running: ScheduleCost, restore: &[u32]| -> ScheduleCost {
+    let lookahead = |core: &SchedScratch, running: ScheduleCost| -> ScheduleCost {
         let mut look = running.length;
-        for (m, (ns, (&remaining, &cont))) in core.nodes[..node_count]
-            .iter()
-            .zip(core.look_sum.iter().zip(&core.cont_sum))
-            .enumerate()
-        {
-            let total = remaining + cont;
-            if total.is_zero() {
-                continue;
-            }
-            if core.cont_tainted[m] || restore[m] == u32::MAX {
-                // Contingent work inside the restored prefix (or a
-                // never-restored node, whose live scratch state is
-                // stale garbage): the availability is not a certified
-                // floor — fall back to the pure work sum.
-                look = look.max(total);
-            } else if cont.is_zero() {
-                look = look.max(ns.avail + total + ns.delay_k);
-            } else {
-                // With contingent work pending on the node, the
-                // current worst-case recovery delay is not certified
-                // to survive the extra slack registrations.
-                look = look.max(ns.avail + total);
+        for (ns, &remaining) in core.nodes[..node_count].iter().zip(&core.look_sum) {
+            if !remaining.is_zero() {
+                look = look.max(ns.avail + remaining + ns.delay_k);
             }
         }
         ScheduleCost {
@@ -799,32 +476,24 @@ pub(crate) fn execute(
             length: look,
         }
     };
-    let mut pending_cuts = sp.marks.len();
     if let Some(b) = bound {
         if running > b {
-            return Ok(Some(CostOutcome::LowerBound(running)));
+            return Ok(CostOutcome::LowerBound(running));
         }
-        let certified = lookahead(core, running, &sp.node_restore);
+        let certified = lookahead(core, running);
         if certified > b {
-            return Ok(Some(CostOutcome::LowerBound(certified)));
+            return Ok(CostOutcome::LowerBound(certified));
         }
     }
 
     let k = fm.k();
     let mu = fm.mu();
-    let queries = seg.queries;
-    debug_assert!(
-        sp.marks.is_empty() || (queries.record && seg.qd_recorded()),
-        "reconvergence cuts require recorded delay-query tables"
-    );
     let SpliceScratch {
         work,
         floats,
         affected,
         touched,
         slot_dirty,
-        marks,
-        node_restore,
         ..
     } = &mut *sp;
     let prefill_sender = |p: ProcessId, core: &mut SchedScratch, touched: &mut Vec<bool>| {
@@ -838,152 +507,6 @@ pub(crate) fn execute(
         }
     };
     for &t in work.iter() {
-        if t < FLOAT_MARK && t & RECONV_MARK != 0 {
-            // Reconvergence verification marker: the sweep cut this
-            // node's chain at `pos`; confirm the live state really is
-            // observationally equal to the recording just before it —
-            // the only reads any later placement performs are the
-            // availability (absorbed per the recorded-gap rule), the
-            // contingency frontier (compared exactly) and the slack
-            // account's worst-case delay queries for budgets `<= k`
-            // (compared against the recorded tables; equal queries
-            // stay equal under the identical registrations both sides
-            // receive from here on).
-            let mark = &marks[(t & !RECONV_MARK) as usize];
-            let verified = if mark.node == u32::MAX {
-                // In-flight dependency window: the cut process's
-                // spliced placement assumed its recorded delivery
-                // times, but some inputs were rebooked into perturbed
-                // slots. Every rebooked sender precedes this marker
-                // in the work list, so its live arrivals are final —
-                // equality with the recording certifies the splice.
-                // Untouched sender instances kept their recorded
-                // bookings (their slots were never perturbed) and
-                // are bit-identical by construction.
-                let p = order[mark.pos as usize];
-                let mut ok = true;
-                'senders: for &eid in graph.incoming(p) {
-                    let s = graph.edge(eid).from;
-                    for &sid in base.of_process(s) {
-                        let rsid = remap(sid).index();
-                        if !touched[rsid] {
-                            continue;
-                        }
-                        let rec = seg
-                            .arrivals_of(sid.index())
-                            .iter()
-                            .find(|&&(e, _)| e == eid)
-                            .map(|&(_, a)| a);
-                        let live = core.arrivals[rsid]
-                            .iter()
-                            .find(|&&(e, _)| e == eid)
-                            .map(|&(_, a)| a);
-                        if rec != live {
-                            ok = false;
-                            break 'senders;
-                        }
-                    }
-                }
-                ok
-            } else {
-                let m = mark.node as usize;
-                let ns = &mut core.nodes[m];
-                let prev = seg.nodes[m].prefix(mark.pos).last();
-                let avail_ok =
-                    ns.avail == mark.prev_avail || (mark.strict && ns.avail <= mark.rec_start);
-                let frontier_ok =
-                    prev.map_or(ns.frontier.is_empty(), |s| ns.frontier == s.frontier);
-                avail_ok
-                    && frontier_ok
-                    && match prev {
-                        Some(s) => {
-                            s.qd.len() == k as usize + 1
-                                && (0..=k).all(|b| queries.delay(&ns.slack, b) == s.qd[b as usize])
-                        }
-                        None => {
-                            // No recorded placement before the cut:
-                            // the live account must answer like an
-                            // empty one.
-                            let empty = SlackAccount::default();
-                            (0..=k).all(|b| queries.delay(&ns.slack, b) == queries.delay(&empty, b))
-                        }
-                    }
-            };
-            if !verified {
-                return Ok(None);
-            }
-            if crate::incremental::metrics::on() {
-                crate::incremental::metrics::RECONV_CUT
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-            if mark.node != u32::MAX && mark.until != u32::MAX {
-                let m = mark.node as usize;
-                // The node is re-dirtied at `until`: fast-forward the
-                // live state to the recording just before it. The
-                // spliced placements in `[pos, until)` are
-                // bit-identical by the verification, so copying the
-                // recorded node state and *appending* the recorded
-                // registrations to the live account (which may hold
-                // extra, observationally absorbed entries) yields the
-                // candidate's true state for the re-placement.
-                let ff = seg.nodes[m].prefix(mark.until);
-                let last = ff
-                    .last()
-                    .expect("a cut implies a recorded placement at its position");
-                let ns = &mut core.nodes[m];
-                ns.avail = last.avail;
-                ns.last = last.last.map(remap);
-                ns.delay_k = last.delay_k;
-                ns.frontier.clone_from(&last.frontier);
-                for s in ff {
-                    if s.pos >= mark.pos {
-                        ns.slack
-                            .register(remap(s.reg_id), s.reg_recovery, s.reg_budget);
-                    }
-                }
-                if bound.is_some() {
-                    // The fast-forwarded availability now covers the
-                    // range's spliced placements: retire their
-                    // contingent-lookahead contribution so later
-                    // floors don't count them twice.
-                    let mut retired = Time::ZERO;
-                    for s in ff {
-                        if s.pos >= mark.pos {
-                            retired += base.instance(s.reg_id).exec;
-                        }
-                    }
-                    core.cont_sum[m] = core.cont_sum[m].saturating_sub(retired);
-                }
-            }
-            pending_cuts -= 1;
-            if pending_cuts == 0 {
-                if let Some(b) = bound {
-                    // Every cut verified: the contingent spliced
-                    // completions are certified now — restore them
-                    // into the running floor and retire the
-                    // contingent lookahead entirely.
-                    let first = min_cut_pos.expect("pending cuts imply a first cut position");
-                    for &p in &order[first as usize..] {
-                        if !affected[p.index()] {
-                            core.completion[p.index()] = seg.completion[p.index()];
-                        }
-                    }
-                    core.cont_sum.iter_mut().for_each(|c| *c = Time::ZERO);
-                    core.cont_tainted.iter_mut().for_each(|t| *t = false);
-                    let live = accumulate_cost(graph, &core.completion);
-                    running.length = running.length.max(live.length);
-                    running.violation = running.violation.max(live.violation);
-                    if running > b {
-                        return Ok(Some(CostOutcome::LowerBound(running)));
-                    }
-                    let certified = lookahead(core, running, node_restore);
-                    if certified > b {
-                        return Ok(Some(CostOutcome::LowerBound(certified)));
-                    }
-                }
-            }
-            continue;
-        }
         let p = if t >= FLOAT_MARK {
             floats[(t & !FLOAT_MARK) as usize].process
         } else {
@@ -1014,15 +537,12 @@ pub(crate) fn execute(
                 if let Some(d) = graph.process(p).deadline {
                     running.violation = running.violation.max(completion.saturating_sub(d));
                 }
-                // Sound even with pending cuts: contingent spliced
-                // completions are parked in `cont_sum`, so `running`
-                // and the lookahead only carry certified terms.
                 if running > b {
-                    return Ok(Some(CostOutcome::LowerBound(running)));
+                    return Ok(CostOutcome::LowerBound(running));
                 }
-                let certified = lookahead(core, running, node_restore);
+                let certified = lookahead(core, running);
                 if certified > b {
-                    return Ok(Some(CostOutcome::LowerBound(certified)));
+                    return Ok(CostOutcome::LowerBound(certified));
                 }
             }
         } else {
@@ -1068,8 +588,5 @@ pub(crate) fn execute(
         }
     }
 
-    Ok(Some(CostOutcome::Exact(accumulate_cost(
-        graph,
-        &core.completion,
-    ))))
+    Ok(CostOutcome::Exact(accumulate_cost(graph, &core.completion)))
 }

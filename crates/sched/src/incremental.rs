@@ -70,8 +70,6 @@ pub mod metrics {
     pub static ENGAGED: AtomicU64 = AtomicU64::new(0);
     pub static GATE_REJECTED: AtomicU64 = AtomicU64::new(0);
     pub static DIVERGED: AtomicU64 = AtomicU64::new(0);
-    pub static RECONV_CUT: AtomicU64 = AtomicU64::new(0);
-    pub static RECONV_FAILED: AtomicU64 = AtomicU64::new(0);
     pub static SPLICE_NS: AtomicU64 = AtomicU64::new(0);
     pub static PR2_NS: AtomicU64 = AtomicU64::new(0);
     pub static PR2_CALLS: AtomicU64 = AtomicU64::new(0);
@@ -104,17 +102,6 @@ pub mod metrics {
             PREP_NS.load(Ordering::Relaxed),
             CONE_NS.load(Ordering::Relaxed),
             PR2_CALLS.load(Ordering::Relaxed),
-        )
-    }
-
-    /// `(chains cut, cuts that failed runtime verification)` — the
-    /// reconvergence certificate's firing counters. A failed
-    /// verification voids the whole splice (PR 2 fallback), so
-    /// `RECONV_FAILED` counts candidates, `RECONV_CUT` counts nodes.
-    pub fn reconv() -> (u64, u64) {
-        (
-            RECONV_CUT.load(Ordering::Relaxed),
-            RECONV_FAILED.load(Ordering::Relaxed),
         )
     }
 }
@@ -337,8 +324,7 @@ impl PlacementCheckpoints {
         priorities: &Priorities,
         node_count: usize,
         bus: &BusConfig,
-        fm: &FaultModel,
-        options: ScheduleOptions,
+        record_segments: bool,
     ) {
         let topo = priorities.topo();
         self.valid = false;
@@ -365,17 +351,7 @@ impl PlacementCheckpoints {
         self.first_slot_book.resize(self.bus_slots, u32::MAX);
         self.prev_slot_bytes.clear();
         self.prev_slot_bytes.resize(self.bus_slots, 0);
-        self.segments.begin(
-            options.suffix_splice,
-            node_count,
-            bus,
-            crate::segments::DelayQueries {
-                record: options.reconvergence,
-                k: fm.k(),
-                mu: fm.mu(),
-                sharing: options.slack_sharing,
-            },
-        );
+        self.segments.begin(record_segments, node_count, bus);
     }
 
     /// Records one placement (called by the driver after the ready
@@ -1037,14 +1013,13 @@ fn splice_candidate(
         ..
     } = scratch;
     let cone_started = metrics::on().then(std::time::Instant::now);
-    let reconv = options.reconvergence && ckpts.segments.qd_recorded();
-    // A spliced placement costs ~3/8 of a replayed one (no ready-list
-    // selection or bookkeeping), a booking replay ~1/4, plus a fixed
-    // prefill/restore overhead — measured on the perfgate workloads
-    // (`incrprof` reproduces the comparison).
-    let splice_cost = |sp: &crate::delta::SpliceScratch, n: usize| {
-        sp.n_affected * 3 / 8 + sp.n_rebook / 4 + 4 + n / 8
-    };
+    crate::delta::compute_cone(graph, expanded, moved, &float_plan.floats, ckpts, splice);
+    if let Some(st) = cone_started {
+        metrics::CONE_NS.fetch_add(
+            st.elapsed().as_nanos() as u64,
+            std::sync::atomic::Ordering::Relaxed,
+        );
+    }
     if let Some(resume_pos) = gate_resume {
         // Profitability gate: the splice re-places `n_affected`
         // processes and replays `n_rebook` senders' bookings, plus a
@@ -1054,133 +1029,33 @@ fn splice_candidate(
         // can approach the whole suffix — splicing there pays the
         // overhead for nothing, so fall back. Deterministic (a pure
         // function of the candidate), hence trajectory-neutral.
-        //
-        // The gate decides on the *cut* cone directly: reconvergence
-        // cuts (chain absorption and in-flight dependency windows)
-        // shrink the cone precisely on narrow machines, where a move
-        // otherwise node-chains most of the machine. The gamble is
-        // bounded — bound checks stay sound while cuts are pending
-        // (contingent completions ride the lookahead floor), and a
-        // failed verification re-gates the cut-free cone below.
         let n = ckpts.order.len();
         let pr2_replay = n - ckpts.snapshot_floor(resume_pos);
-        crate::delta::compute_cone(
-            graph,
-            expanded,
-            moved,
-            &float_plan.floats,
-            ckpts,
-            reconv,
-            splice,
-        );
-        if splice_cost(splice, n) >= pr2_replay {
+        // A spliced placement costs ~3/8 of a replayed one (no
+        // ready-list selection or bookkeeping), a booking replay
+        // ~1/4, plus a fixed prefill/restore overhead — measured on
+        // the perfgate workloads (`incrprof` reproduces the
+        // comparison).
+        let splice_cost = splice.n_affected * 3 / 8 + splice.n_rebook / 4 + 4 + n / 8;
+        if splice_cost >= pr2_replay {
             if metrics::on() {
                 metrics::GATE_REJECTED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             }
-            if let Some(st) = cone_started {
-                metrics::CONE_NS.fetch_add(
-                    st.elapsed().as_nanos() as u64,
-                    std::sync::atomic::Ordering::Relaxed,
-                );
-            }
             return None;
         }
-    } else if reconv {
-        // No profitability comparison to make (direct/parity
-        // callers): take the cut cone as-is — a failed verification
-        // falls back below.
-        crate::delta::compute_cone(
-            graph,
-            expanded,
-            moved,
-            &float_plan.floats,
-            ckpts,
-            true,
-            splice,
-        );
-    } else {
-        crate::delta::compute_cone(
-            graph,
-            expanded,
-            moved,
-            &float_plan.floats,
-            ckpts,
-            false,
-            splice,
-        );
-    }
-    if let Some(st) = cone_started {
-        metrics::CONE_NS.fetch_add(
-            st.elapsed().as_nanos() as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
     }
     let started = metrics::on().then(std::time::Instant::now);
     let out = crate::delta::execute(
         graph, expanded, moved, bus, fm, options, core, splice, ckpts, bound,
     );
     if let Some(started) = started {
-        if !matches!(out, Ok(None)) {
-            metrics::ENGAGED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
+        metrics::ENGAGED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         metrics::SPLICE_NS.fetch_add(
             started.elapsed().as_nanos() as u64,
             std::sync::atomic::Ordering::Relaxed,
         );
     }
-    match out {
-        // A reconvergence cut failed its runtime verification: the
-        // spliced state is unusable. Retry the splice without cuts —
-        // under a profitability gate only when the cut-free cone
-        // clears the gate on its own (otherwise the candidate falls
-        // back to the PR 2 replay it was destined for). Bit-identical
-        // costs on every path, so either fallback is
-        // trajectory-neutral.
-        Ok(None) => {
-            if metrics::on() {
-                metrics::RECONV_FAILED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-            crate::delta::compute_cone(
-                graph,
-                expanded,
-                moved,
-                &float_plan.floats,
-                ckpts,
-                false,
-                splice,
-            );
-            if let Some(resume_pos) = gate_resume {
-                let n = ckpts.order.len();
-                let pr2_replay = n - ckpts.snapshot_floor(resume_pos);
-                if splice_cost(splice, n) >= pr2_replay {
-                    if metrics::on() {
-                        metrics::GATE_REJECTED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    }
-                    return None;
-                }
-            }
-            let started = metrics::on().then(std::time::Instant::now);
-            let out = crate::delta::execute(
-                graph, expanded, moved, bus, fm, options, core, splice, ckpts, bound,
-            );
-            if let Some(started) = started {
-                metrics::ENGAGED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                metrics::SPLICE_NS.fetch_add(
-                    started.elapsed().as_nanos() as u64,
-                    std::sync::atomic::Ordering::Relaxed,
-                );
-            }
-            match out {
-                // Unreachable with cuts disabled, but fall back
-                // gracefully rather than assert.
-                Ok(None) => None,
-                Ok(Some(o)) => Some(Ok(o)),
-                Err(e) => Some(Err(e)),
-            }
-        }
-        Ok(Some(o)) => Some(Ok(o)),
-        Err(e) => Some(Err(e)),
-    }
+    Some(out)
 }
 
 /// Evaluates a single-move candidate through the **suffix-splicing

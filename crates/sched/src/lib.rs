@@ -56,11 +56,10 @@
 //! Bus bookings go through a selectable [`OccupancyBackend`]
 //! ([`list::ScheduleOptions::occupancy`]): bit-packed per-(node,
 //! slot) saturation bitmaps — saturated words skipped whole, partial
-//! words threshold-scanned (default) — the PR 3 round-sorted
-//! occurrence index, or
-//! the legacy flat tail scan — every backend books identical
-//! occurrences (debug builds assert it per booking), so the older
-//! ones survive as ablations. The ready-list priority function is
+//! words threshold-scanned (default) — or the legacy flat tail scan.
+//! Both book identical occurrences (debug builds assert it per
+//! booking), so the flat scan survives as the parity oracle and an
+//! ablation. The ready-list priority function is
 //! likewise selectable ([`priority::PriorityStrategy`]):
 //! partial-critical-path (paper §5.1, default) or mobility (ALAP −
 //! ASAP float) — unlike the occupancy backend, a genuine

@@ -57,7 +57,7 @@ use crate::slack::SlackAccount;
 /// excludes the local re-execution delay (added per consumer with the
 /// remaining budget), `spent` is the number of faults the adversary
 /// already invested to force this lateness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct FrontierEntry {
     pub(crate) finish: Time,
     pub(crate) spent: u32,
@@ -110,12 +110,11 @@ pub struct ScheduleOptions {
     /// computation-only (PR 2) lookahead.
     pub comm_lookahead: bool,
     /// The bus-slot booking structure: the legacy flat tail scan
-    /// (PR 2), the per-(node, slot) round-sorted index (PR 3), or the
-    /// bit-packed saturation bitmap (default) — see
-    /// [`OccupancyBackend`]. Pure throughput knob — every backend
-    /// chooses identical occurrences (debug builds assert it per
-    /// booking); select older backends to measure the earlier booking
-    /// paths.
+    /// (PR 2) or the bit-packed saturation bitmap (default) — see
+    /// [`OccupancyBackend`]. Pure throughput knob — both backends
+    /// choose identical occurrences (debug builds assert it per
+    /// booking); select the flat scan to measure the earlier booking
+    /// path.
     pub occupancy: OccupancyBackend,
     /// The ready-list priority function: partial-critical-path
     /// (paper §5.1, default) or mobility (ALAP − ASAP float) — see
@@ -138,27 +137,6 @@ pub struct ScheduleOptions {
     /// `ftdes-core`), so search trajectories are invariant; disable
     /// to measure the PR 2/3 resumed path.
     pub suffix_splice: bool,
-    /// Cut the splice engine's structural node chain with the
-    /// **timing-aware reconvergence certificate** (evaluation engine
-    /// v4, default off): the recorder additionally captures each
-    /// placement's slack-account delay queries; the cone sweep then
-    /// cuts a chained process whenever every dirty node it depends on
-    /// shows a recorded idle gap exceeding the node's structural
-    /// inflation estimate, and the executor *verifies* at each cut
-    /// that the live node state observationally equals the recording
-    /// (availability absorbed by the gap, identical contingency
-    /// frontier, identical delay queries for every budget `<= k`; an
-    /// in-flight dependency mark instead compares live message
-    /// arrivals against the recording) before splicing the node's
-    /// recorded suffix. Verification failure falls back to the PR 2
-    /// resumed path, so costs stay bit-identical either way (guarded
-    /// by the `reconv.rs` parity tests in `ftdes-core`). Off by
-    /// default: on the dense gate workloads the extra sweep work,
-    /// verification failures and blunted bound pruning measure as a
-    /// net loss (perfgate's reconvergence section carries the honest
-    /// numbers); opt in (`FTDES_RECONV`, or
-    /// `Problem::with_reconvergence`) on sparse, gap-rich systems.
-    pub reconvergence: bool,
 }
 
 impl Default for ScheduleOptions {
@@ -169,7 +147,6 @@ impl Default for ScheduleOptions {
             occupancy: OccupancyBackend::default(),
             priority: PriorityStrategy::default(),
             suffix_splice: true,
-            reconvergence: false,
         }
     }
 }
@@ -208,8 +185,8 @@ pub struct SchedScratch {
     pub(crate) nodes: Vec<NodeScratch>,
     /// Message arrival times per sender instance (delivery lookups).
     pub(crate) arrivals: Vec<Vec<(EdgeId, Time)>>,
-    /// Indexed bus-slot occupancy (used bytes per occupied slot
-    /// occurrence, one round-sorted list per slot).
+    /// Bus-slot occupancy (used bytes per slot occurrence, through
+    /// the active [`OccupancyBackend`]).
     pub(crate) occupancy: SlotOccupancy,
     /// Whether each process has been placed (bounded runs' lookahead
     /// scans skip placed processes).
@@ -220,20 +197,6 @@ pub struct SchedScratch {
     /// Working state of the certified bus-wait lower bound (bounded
     /// runs with [`ScheduleOptions::comm_lookahead`]).
     pub(crate) comm: CommLookahead,
-    /// Per-node WCET sums of *contingent* spliced work — placements
-    /// downstream of an unverified reconvergence cut, excluded from
-    /// `completion`-driven floors until every marker verifies but
-    /// still counted in the lookahead (spliced processes keep their
-    /// base mapping, so their instances execute on exactly their
-    /// recorded nodes in the true candidate). Appended after `comm`
-    /// so the pre-v4 field offsets stay put.
-    pub(crate) cont_sum: Vec<Time>,
-    /// Nodes whose *restored* prefix contains a contingent spliced
-    /// placement (an arrival-gambled process placed before the node's
-    /// first dirty position): the restored availability is itself
-    /// contingent, so floors on such nodes fall back to pure
-    /// work-sum terms until every cut verifies.
-    pub(crate) cont_tainted: Vec<bool>,
 }
 
 /// The certified bus-wait lower bound of bounded (early-exit) cost
@@ -633,7 +596,13 @@ pub fn list_schedule_recording<W: WcetLookup + ?Sized>(
     let expanded = ExpandedDesign::expand(graph, design, wcet, fm)?;
     let priorities = Priorities::compute(graph, &expanded, bus, options.priority)?;
     if let Some(ckpts) = ckpts.as_deref_mut() {
-        ckpts.begin(&expanded, &priorities, arch.node_count(), bus, fm, options);
+        ckpts.begin(
+            &expanded,
+            &priorities,
+            arch.node_count(),
+            bus,
+            options.suffix_splice,
+        );
     }
     let mut sink = Materialize {
         slots: vec![None; expanded.len()],
@@ -1084,7 +1053,7 @@ struct Scenario {
 
 /// Books `size` bytes from `sender` into the earliest slot occurrence
 /// with spare capacity at/after `earliest` — the `ScheduleMessage`
-/// primitive, against the reusable indexed occupancy table.
+/// primitive, against the reusable occupancy table.
 ///
 /// Both placement front-ends (full and cost-only) book through this
 /// one function, so the two paths cannot diverge from each other.
@@ -1092,7 +1061,7 @@ struct Scenario {
 /// check, earliest feasible occurrence, overflow to the next round);
 /// the `book_scratch_matches_bus_schedule_book` test guards that
 /// mirror, and in debug builds [`SlotOccupancy::book`] replays the
-/// legacy flat tail scan and asserts the indexed answer agrees.
+/// legacy flat tail scan and asserts the bitmap answer agrees.
 pub(crate) fn book_scratch(
     bus: &BusConfig,
     occupancy: &mut SlotOccupancy,

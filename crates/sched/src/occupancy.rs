@@ -3,20 +3,15 @@
 //!
 //! The list scheduler books every inter-node message into the
 //! earliest TDMA slot occurrence of its sender with spare capacity.
-//! Three interchangeable backends implement that query
-//! ([`OccupancyBackend`]), all choosing **identical occurrences**:
+//! Two interchangeable backends implement that query
+//! ([`OccupancyBackend`]), both choosing **identical occurrences**:
 //!
 //! * **Flat** — the original implementation: a flat
 //!   `Vec<(round, slot, used)>` scanned from the tail per booking.
 //!   Fine for tens of messages, O(total bookings) per booking on
 //!   communication-heavy workloads with thousands of them. Kept as
 //!   the PR 2 perf-ablation reference and as the debug-build parity
-//!   oracle both other backends replay against.
-//! * **Indexed** (PR 3) — one round-sorted occurrence list per slot:
-//!   a booking is a binary search plus a short forward walk over
-//!   consecutive full rounds. Kills the flat scan's quadratic term,
-//!   but mid-list inserts still memmove the tail and the full-round
-//!   walk steps one occurrence at a time.
+//!   oracle the bitmap replays against.
 //! * **Bitmap** (default) — per-slot *dense round arrays* with a
 //!   bit-packed saturation bitmap: `used[round]` holds the booked
 //!   bytes of every round up to the slot's horizon, and bit `round`
@@ -26,8 +21,8 @@
 //!   test, the common case on congested slots — and walks partial
 //!   words with a branch-light threshold scan
 //!   (`used[q] <= capacity − size`, which also rejects saturated
-//!   rounds for free). No binary search, no insert memmove; growth
-//!   is chunked so long horizons amortize.
+//!   rounds for free). No tail scan, no insert memmove; growth is
+//!   chunked so long horizons amortize.
 //!   The transfer from the BEE instruction scheduler's `FixedBitSet`
 //!   port-busyness maps (see ROADMAP item 3), generalized from unit
 //!   ports to byte-capacity slots.
@@ -45,16 +40,15 @@
 
 /// Selects which booking structure the slot-occupancy table (the
 /// crate-private `SlotOccupancy`) runs on. Pure
-/// throughput knob: every backend books the identical occurrence
+/// throughput knob: both backends book the identical occurrence
 /// sequence (debug builds assert it per booking; the
 /// `occupancy_parity` property suite asserts it cross-backend), so
 /// costs and search trajectories are bit-identical across backends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OccupancyBackend {
-    /// The legacy flat tail scan (the PR 2 booking path).
+    /// The legacy flat tail scan (the PR 2 booking path and the
+    /// debug-build parity oracle).
     Flat,
-    /// The PR 3 per-slot round-sorted occurrence index.
-    Indexed,
     /// Per-slot dense round arrays + bit-packed saturation bitmap:
     /// saturated words skipped whole, partial words threshold-scanned
     /// (the default).
@@ -63,29 +57,12 @@ pub enum OccupancyBackend {
 }
 
 impl OccupancyBackend {
-    /// The name used by the `FTDES_OCC_BACKEND` knob and bench/CI
-    /// output.
+    /// The name used in bench and test output.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             OccupancyBackend::Flat => "flat",
-            OccupancyBackend::Indexed => "indexed",
             OccupancyBackend::Bitmap => "bitmap",
-        }
-    }
-}
-
-impl std::str::FromStr for OccupancyBackend {
-    type Err = ();
-
-    /// Parses the `FTDES_OCC_BACKEND` values `flat` / `indexed` /
-    /// `bitmap` (case-insensitive).
-    fn from_str(s: &str) -> Result<Self, ()> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "flat" => Ok(OccupancyBackend::Flat),
-            "indexed" => Ok(OccupancyBackend::Indexed),
-            "bitmap" => Ok(OccupancyBackend::Bitmap),
-            _ => Err(()),
         }
     }
 }
@@ -196,12 +173,9 @@ impl DenseSlot {
 /// The active [`OccupancyBackend`] is selected per placement run
 /// ([`SlotOccupancy::set_backend`], from
 /// `ScheduleOptions::occupancy`); the legacy flat table additionally
-/// serves as the debug-build parity reference of both other backends.
+/// serves as the debug-build parity reference of the bitmap.
 #[derive(Debug, Default)]
 pub(crate) struct SlotOccupancy {
-    /// Indexed backend: occupied occurrences per slot, sorted by
-    /// round (one entry per occupied `(round, slot)` pair).
-    per_slot: Vec<Vec<(u64, u32)>>,
     /// Bitmap backend: dense used-bytes arrays + saturation words.
     dense: Vec<DenseSlot>,
     /// Total booked bytes per slot — the cheap per-slot signal the
@@ -220,7 +194,6 @@ pub(crate) struct SlotOccupancy {
 impl Clone for SlotOccupancy {
     fn clone(&self) -> Self {
         SlotOccupancy {
-            per_slot: self.per_slot.clone(),
             dense: self.dense.clone(),
             bytes: self.bytes.clone(),
             flat: self.flat.clone(),
@@ -230,17 +203,10 @@ impl Clone for SlotOccupancy {
 
     /// Buffer-reusing clone: checkpoint snapshots capture and restore
     /// the occupancy through `clone_from` once per resumed candidate
-    /// — the resume hot path — so the per-slot lists must reuse their
+    /// — the resume hot path — so the per-slot arrays must reuse their
     /// allocations instead of falling back to the derive's
     /// reallocating `*self = source.clone()`.
     fn clone_from(&mut self, source: &Self) {
-        self.per_slot.truncate(source.per_slot.len());
-        for (dst, src) in self.per_slot.iter_mut().zip(&source.per_slot) {
-            dst.clone_from(src);
-        }
-        for src in &source.per_slot[self.per_slot.len()..] {
-            self.per_slot.push(src.clone());
-        }
         self.dense.truncate(source.dense.len());
         for (dst, src) in self.dense.iter_mut().zip(&source.dense) {
             dst.clone_from(src);
@@ -256,7 +222,7 @@ impl Clone for SlotOccupancy {
 
 /// Entry ceiling for the debug-build parity oracle: while the flat
 /// reference table is below this many `(round, slot)` entries, every
-/// indexed/bitmap booking is replayed against the legacy scan. The
+/// bitmap booking is replayed against the legacy scan. The
 /// cap keeps the oracle's linear rescans from turning congested debug
 /// evaluations quadratic — at 64 the replay cost disappears into the
 /// noise while the head of every single placement in every debug test
@@ -268,9 +234,6 @@ const ORACLE_CAP: usize = 64;
 impl SlotOccupancy {
     /// Empties the table, keeping every allocation.
     pub(crate) fn clear(&mut self) {
-        for list in &mut self.per_slot {
-            list.clear();
-        }
         for slot in &mut self.dense {
             slot.clear();
         }
@@ -294,9 +257,6 @@ impl SlotOccupancy {
 
     /// Grows the per-slot structures to cover `slots` slots.
     fn ensure_slots(&mut self, slots: usize) {
-        if self.backend == OccupancyBackend::Indexed && self.per_slot.len() < slots {
-            self.per_slot.resize_with(slots, Vec::new);
-        }
         if self.backend == OccupancyBackend::Bitmap && self.dense.len() < slots {
             self.dense.resize_with(slots, DenseSlot::default);
         }
@@ -329,20 +289,6 @@ impl SlotOccupancy {
             OccupancyBackend::Flat => {
                 Self::scanned_book(&mut self.flat, slot, start_round, size, capacity)
             }
-            OccupancyBackend::Indexed => {
-                let round = Self::indexed_book(&mut self.per_slot[slot], round, size, capacity);
-                #[cfg(debug_assertions)]
-                if self.flat.len() < ORACLE_CAP {
-                    let scanned =
-                        Self::scanned_book(&mut self.flat, slot, start_round, size, capacity);
-                    debug_assert_eq!(
-                        scanned, round,
-                        "indexed booking diverged from the flat tail scan \
-                         (slot {slot}, from round {start_round}, {size} bytes)"
-                    );
-                }
-                round
-            }
             OccupancyBackend::Bitmap => {
                 let round = self.dense[slot].book(round, size, capacity);
                 #[cfg(debug_assertions)]
@@ -362,34 +308,10 @@ impl SlotOccupancy {
         round
     }
 
-    /// The indexed algorithm: binary-search the slot's round-sorted
-    /// occurrence list, walk over consecutive full rounds, insert or
-    /// top up.
-    fn indexed_book(list: &mut Vec<(u64, u32)>, mut round: u64, size: u32, capacity: u32) -> u64 {
-        let mut idx = list.partition_point(|&(r, _)| r < round);
-        loop {
-            match list.get_mut(idx) {
-                Some(&mut (r, ref mut used)) if r == round => {
-                    if *used + size <= capacity {
-                        *used += size;
-                        break;
-                    }
-                    round += 1;
-                    idx += 1;
-                }
-                _ => {
-                    list.insert(idx, (round, size));
-                    break;
-                }
-            }
-        }
-        round
-    }
-
     /// The legacy algorithm verbatim: scan the flat table from the
     /// tail for the `(round, slot)` entry, overflow to the next round
     /// while full. The flat backend's booking path, and the parity
-    /// reference the other backends replay in debug builds.
+    /// reference the bitmap replays in debug builds.
     fn scanned_book(
         flat: &mut Vec<(u64, usize, u32)>,
         slot: usize,
@@ -418,8 +340,8 @@ impl SlotOccupancy {
     }
 }
 
-/// Thin wrapper exposing the booking table to the `occbench`
-/// micro-benchmark (see `crate::occ_bench`). Hidden from docs; the
+/// Thin wrapper exposing the booking table to booking
+/// micro-benchmarks (see `crate::occ_bench`). Hidden from docs; the
 /// real API is the backend knob on `ScheduleOptions`.
 #[doc(hidden)]
 #[derive(Debug, Default)]
@@ -446,11 +368,7 @@ impl OccBench {
 mod tests {
     use super::*;
 
-    const ALL_BACKENDS: [OccupancyBackend; 3] = [
-        OccupancyBackend::Flat,
-        OccupancyBackend::Indexed,
-        OccupancyBackend::Bitmap,
-    ];
+    const ALL_BACKENDS: [OccupancyBackend; 2] = [OccupancyBackend::Flat, OccupancyBackend::Bitmap];
 
     fn with_backend(backend: OccupancyBackend) -> SlotOccupancy {
         let mut occ = SlotOccupancy::default();
@@ -556,19 +474,6 @@ mod tests {
         assert_eq!(restored.book(0, 0, 4, 4), 2, "restored to the snapshot");
     }
 
-    #[test]
-    fn backend_names_round_trip() {
-        for backend in ALL_BACKENDS {
-            assert_eq!(backend.name().parse::<OccupancyBackend>(), Ok(backend));
-        }
-        assert_eq!(
-            "BITMAP".parse::<OccupancyBackend>(),
-            Ok(OccupancyBackend::Bitmap)
-        );
-        assert!("".parse::<OccupancyBackend>().is_err());
-        assert!("fancy".parse::<OccupancyBackend>().is_err());
-    }
-
     mod properties {
         use super::*;
         use proptest::collection::vec;
@@ -576,13 +481,13 @@ mod tests {
 
         /// One random booking request: slot, start round, size. Small
         /// ranges force heavy round sharing and saturation runs — the
-        /// regimes where the three scan algorithms could diverge.
+        /// regimes where the two scan algorithms could diverge.
         fn arb_request() -> impl Strategy<Value = (usize, u64, u32)> {
             (0usize..3, 0u64..40, 1u32..5)
         }
 
         proptest! {
-            /// Flat, indexed and bitmap must pick the **same round**
+            /// Flat and bitmap must pick the **same round**
             /// for every request of any random sequence, and agree on
             /// the per-slot byte totals afterwards. (The debug parity
             /// oracle inside `book` re-checks each step against the

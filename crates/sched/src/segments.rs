@@ -67,17 +67,6 @@ pub(crate) struct NodeSegment {
     pub(crate) reg_recovery: Time,
     pub(crate) reg_budget: u32,
     pub(crate) frontier: Vec<FrontierEntry>,
-    /// Worst-case delay queries of the node's slack account right
-    /// after this placement, one per fault budget `0..=k`, under the
-    /// recording's sharing mode — the reconvergence certificate's
-    /// observational fingerprint of the account. Two accounts
-    /// answering identically for every budget `<= k` keep answering
-    /// identically under any sequence of *identical* further
-    /// registrations (the first `k` greedy marginal costs coincide and
-    /// insertions land at the same rank among them), so equality here
-    /// proves every later placement reads the same delays. Empty when
-    /// the recording ran with reconvergence disabled.
-    pub(crate) qd: Vec<Time>,
 }
 
 impl Default for NodeSegment {
@@ -91,7 +80,6 @@ impl Default for NodeSegment {
             reg_recovery: Time::ZERO,
             reg_budget: 0,
             frontier: Vec::new(),
-            qd: Vec::new(),
         }
     }
 }
@@ -117,7 +105,6 @@ impl NodeTimeline {
         reg_id: InstanceId,
         reg_recovery: Time,
         reg_budget: u32,
-        queries: &DelayQueries,
     ) {
         if self.len == self.segs.len() {
             self.segs.push(NodeSegment::default());
@@ -131,11 +118,6 @@ impl NodeTimeline {
         seg.reg_recovery = reg_recovery;
         seg.reg_budget = reg_budget;
         seg.frontier.clone_from(&live.frontier);
-        seg.qd.clear();
-        if queries.record {
-            seg.qd
-                .extend((0..=queries.k).map(|b| queries.delay(&live.slack, b)));
-        }
         self.len += 1;
     }
 
@@ -145,33 +127,6 @@ impl NodeTimeline {
     pub(crate) fn prefix(&self, pos: u32) -> &[NodeSegment] {
         let idx = self.segs[..self.len].partition_point(|s| s.pos < pos);
         &self.segs[..idx]
-    }
-}
-
-/// The delay-query configuration of a recording: which observational
-/// fingerprint [`NodeSegment::qd`] captures. Mirrors the
-/// `delay()` helper in `list.rs` — the *only* way `place_process`
-/// reads a slack account — so the recorded queries are exactly the
-/// values any future placement on the node would read.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct DelayQueries {
-    /// Record `qd` tables at all (reconvergence enabled).
-    pub(crate) record: bool,
-    /// Maximum fault budget of the fault model.
-    pub(crate) k: u32,
-    /// Fault-detection overhead µ.
-    pub(crate) mu: Time,
-    /// Whether the recording ran with transparent slack sharing.
-    pub(crate) sharing: bool,
-}
-
-impl DelayQueries {
-    pub(crate) fn delay(&self, slack: &crate::slack::SlackAccount, budget: u32) -> Time {
-        if self.sharing {
-            slack.worst_delay_surviving(budget, self.mu)
-        } else {
-            slack.unshared_delay_surviving(budget, self.mu)
-        }
     }
 }
 
@@ -200,11 +155,6 @@ pub(crate) struct SegmentStore {
     enabled: bool,
     /// Whether a segment recording ran to completion.
     recorded: bool,
-    /// Delay-query configuration of the current recording (drives
-    /// [`NodeSegment::qd`] capture; `record == false` leaves the
-    /// tables empty and reconvergence cuts disabled against this
-    /// recording).
-    pub(crate) queries: DelayQueries,
     /// Cached `node index -> slot index` map of the recorded bus.
     pub(crate) slot_of: Vec<u32>,
     /// Per-node segment boundaries.
@@ -234,23 +184,10 @@ impl SegmentStore {
         self.recorded
     }
 
-    /// `true` when the completed recording carries `qd` delay-query
-    /// tables — the precondition of reconvergence cuts.
-    pub(crate) fn qd_recorded(&self) -> bool {
-        self.recorded && self.queries.record
-    }
-
     /// Starts (or disables) a recording, reusing every buffer.
-    pub(crate) fn begin(
-        &mut self,
-        enabled: bool,
-        node_count: usize,
-        bus: &BusConfig,
-        queries: DelayQueries,
-    ) {
+    pub(crate) fn begin(&mut self, enabled: bool, node_count: usize, bus: &BusConfig) {
         self.enabled = enabled;
         self.recorded = false;
-        self.queries = queries;
         if !enabled {
             return;
         }
@@ -298,7 +235,6 @@ impl SegmentStore {
                 sid,
                 inst.recovery,
                 inst.budget,
-                &self.queries,
             );
             let slot = self.slot_of[inst.node.index()] as usize;
             for &(edge, _arrival) in &scratch.arrivals[sid.index()] {

@@ -1,15 +1,15 @@
-//! Occupancy-backend parity: the bus-booking backend (flat scan,
-//! round-sorted index, bit-packed bitmap) is a pure **throughput**
-//! knob — switching it must not move a single step of the search.
+//! Occupancy-backend parity: the bus-booking backend (flat scan or
+//! bit-packed bitmap) is a pure **throughput** knob — switching it
+//! must not move a single step of the search.
 //!
 //! Two layers enforce this contract. `ftdes_sched::occupancy` holds
-//! the micro layer (unit + property tests: every backend books any
+//! the micro layer (unit + property tests: both backends book any
 //! request sequence identically, and debug builds replay each
-//! indexed/bitmap booking against the flat scan as an oracle). This
+//! bitmap booking against the flat scan as an oracle). This
 //! test is the macro layer: full searches — greedy + tabu via MXR,
 //! and the multi-worker portfolio — walk **bit-identical
 //! trajectories** (same design, same cost, same
-//! evaluation/hit/prune counters) under all three backends, on both
+//! evaluation/hit/prune counters) under both backends, on both
 //! instance families. A backend that ever booked a different round
 //! would shift a finish time, flip a candidate comparison, and send
 //! the whole search elsewhere, so trajectory equality is a sharp
@@ -23,11 +23,7 @@ use ftdes::gen::{comm_heavy, paper_workload, CommHeavyParams};
 use ftdes::model::prelude::*;
 use ftdes::ttp::BusConfig;
 
-const ALL_BACKENDS: [OccupancyBackend; 3] = [
-    OccupancyBackend::Flat,
-    OccupancyBackend::Indexed,
-    OccupancyBackend::Bitmap,
-];
+const ALL_BACKENDS: [OccupancyBackend; 2] = [OccupancyBackend::Flat, OccupancyBackend::Bitmap];
 
 fn paper_problem(seed: u64) -> Problem {
     let arch = Architecture::with_node_count(3);
@@ -43,8 +39,8 @@ fn paper_problem(seed: u64) -> Problem {
 }
 
 /// A congested comm-heavy instance (the stress preset scaled down):
-/// saturated rounds are where the backends' scan algorithms actually
-/// take different code paths, so parity here is the interesting case.
+/// saturated rounds are where the two scan algorithms actually take
+/// different code paths, so parity here is the interesting case.
 fn comm_problem(seed: u64) -> Problem {
     let arch = Architecture::with_node_count(3);
     let params = CommHeavyParams::stress(10);
