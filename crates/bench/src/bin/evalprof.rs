@@ -21,7 +21,7 @@ fn main() {
     let design = initial::initial_mpa(&problem, PolicySpace::Mixed).expect("placeable");
     let reps = 20_000u32;
 
-    // Full evaluation, fresh allocations (the legacy path).
+    // Full evaluation, fresh allocations.
     let started = Instant::now();
     for _ in 0..reps {
         let s = problem.evaluate(&design).expect("schedules");
@@ -84,9 +84,8 @@ fn main() {
     }
     let priorities = started.elapsed();
 
-    // Cost-only evaluation, from scratch: the PR 1 window path (with
-    // today's dense WCET front-end; the sparse variant shows what the
-    // `BTreeMap` walk used to cost per candidate).
+    // Cost-only evaluation, from scratch: the window path without
+    // checkpoints or bounds.
     let mut cost_scratch = CostScratch::default();
     let started = Instant::now();
     for _ in 0..reps {
@@ -96,16 +95,6 @@ fn main() {
         std::hint::black_box(c);
     }
     let cost_only = started.elapsed();
-
-    let sparse = problem.clone().with_sparse_wcet_lookup();
-    let started = Instant::now();
-    for _ in 0..reps {
-        let c = sparse
-            .evaluate_cost(&design, &mut cost_scratch)
-            .expect("schedules");
-        std::hint::black_box(c);
-    }
-    let cost_sparse = started.elapsed();
 
     // Incremental + bounded single-move evaluation: record the base
     // once, then replay one real neighbourhood move per rep.
@@ -153,8 +142,7 @@ fn main() {
     println!("  memoized (all hits): {:7.2} us", per(memoized));
     println!("  expansion only    : {:8.2} us", per(expansion));
     println!("  priorities only   : {:8.2} us", per(priorities));
-    println!("  cost-only, dense  : {:8.2} us", per(cost_only));
-    println!("  cost-only, sparse : {:8.2} us", per(cost_sparse));
+    println!("  cost-only         : {:8.2} us", per(cost_only));
     println!("  resumed move      : {:8.2} us", per(resumed));
     println!("  resumed + bounded : {:8.2} us", per(resumed_bounded));
 }

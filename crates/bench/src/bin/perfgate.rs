@@ -1,24 +1,19 @@
 //! The performance gate: tracks the optimizer's evaluation throughput
 //! from PR to PR.
 //!
-//! Runs the same fixed-seed MXR search **four** times under the
-//! identical wall-clock budget (`FTDES_TIME_MS`, default 500 ms per
-//! seed):
+//! Its `paper` section runs the same fixed-seed MXR search **twice**
+//! on one evaluation thread under the identical wall-clock budget
+//! (`FTDES_TIME_MS`, default 500 ms per seed):
 //!
-//! 1. **baseline** — the frozen pre-optimization reference
-//!    ([`ftdes_bench::legacy`]): sequential, uncached, one full
-//!    schedule materialization and one design clone per candidate,
-//! 2. **pr1** — the parallel + memoized cost-only path
-//!    (`incremental: false, bounded: false`): scratch-reused
-//!    from-scratch placement per candidate,
-//! 3. **pr3** — the PR 2/3 default: checkpoint-resumed + bounded
-//!    candidates with the communication-aware engine, suffix splicing
-//!    disabled (`Problem::with_suffix_splice(false)`),
-//! 4. **incremental** — the current default path (evaluation engine
+//! 1. **scratch** — the from-scratch path
+//!    (`incremental: false, bounded: false`): memoized cost-only
+//!    evaluation that places every candidate in full — the
+//!    correctness oracle the parity suites compare the engine to,
+//! 2. **incremental** — the current default path (evaluation engine
 //!    v3): candidates re-place only their certified affected cone and
 //!    splice the base recording's per-node segments and per-slot bus
 //!    timelines for everything outside it, falling back to the PR 2
-//!    resume on ready-order divergence.
+//!    resume on ready-order divergence, with bounded early exit.
 //!
 //! Because the search is deterministic in everything except the
 //! wall-clock cutoff, more candidates per second directly buy more
@@ -29,17 +24,11 @@
 //! ```json
 //! {
 //!   "workload": {...},
-//!   "baseline":    {"tabu_iterations": N, "candidates_per_sec": X, ...},
-//!   "pr1":         {...},
-//!   "pr3":         {...},
+//!   "scratch":     {"tabu_iterations": N, "candidates_per_sec": X, ...},
 //!   "incremental": {...},
 //!   "speedup": {
-//!     "tabu_iterations": incremental/baseline,
-//!     "candidate_rate": incremental/baseline,
-//!     "tabu_iterations_vs_pr1": incremental/pr1,
-//!     "candidate_rate_vs_pr1": incremental/pr1,
-//!     "tabu_iterations_vs_pr3": incremental/pr3,
-//!     "candidate_rate_vs_pr3": incremental/pr3,
+//!     "tabu_iterations_vs_scratch": incremental/scratch,
+//!     "candidate_rate_vs_scratch": incremental/scratch,
 //!     "best_length_ratio": informational
 //!   }
 //! }
@@ -59,16 +48,17 @@
 //!
 //! # The suffix-splice gate
 //!
-//! The fourth mode's own CI gate runs on a second **paper-family
-//! workload** at a larger architecture
-//! (96 processes / 12 nodes / k = 3, `splice_workload` in the JSON):
-//! the certified affected cone of a move covers the moved process's
+//! The suffix-splice engine's own CI gate runs on a second
+//! **paper-family workload** at a larger architecture
+//! (96 processes / 12 nodes / k = 3, `splice_workload` in the JSON)
+//! against the **pr3** path: checkpoint-resumed + bounded candidates
+//! with suffix splicing disabled (`Problem::with_suffix_splice(false)`).
+//! The certified affected cone of a move covers the moved process's
 //! replica nodes plus everything node-chained behind them, so on the
-//! legacy 4-node instance a k = 3 move dirties most of the machine
-//! and splicing cannot beat the PR 2 replay it falls back to
-//! (measured ≈ 1.0× there — kept as the informational
-//! `candidate_rate_vs_pr3`). At 12 nodes the cone leaves most of the
-//! machine untouched and the engine's reuse is structural:
+//! 4-node instance a k = 3 move dirties most of the machine and
+//! splicing cannot beat the PR 2 replay it falls back to (measured
+//! ≈ 1.0× there). At 12 nodes the cone leaves most of the machine
+//! untouched and the engine's reuse is structural:
 //! `splice_candidate_rate_vs_pr3` carries the CI floor (1.2×).
 //!
 //! # The communication-heavy gate
@@ -176,6 +166,8 @@ const PROCESSES: usize = 40;
 const NODES: usize = 4;
 const FAULTS: u32 = 3;
 const SEEDS: u64 = 3;
+/// Evaluation threads of the paper section (see [`section_paper`]).
+const PAPER_THREADS: usize = 1;
 
 /// The communication-heavy gate workload: a denser graph (five edges
 /// per process — several hundred bus messages per evaluation), k = 2
@@ -188,11 +180,10 @@ const COMM_SEEDS: u64 = 3;
 /// The suffix-splice gate workload (paper family, larger machine):
 /// the affected cone of a move spans the moved process's replica
 /// nodes plus everything node-chained behind them, so on the 4-node
-/// legacy gate a k = 3 move dirties most of the machine and the
-/// splice has no suffix locality to exploit (measured ~1.0× there —
-/// recorded as the informational `candidate_rate_vs_pr3` of the
-/// legacy gate). At 12 nodes a move leaves most nodes untouched and
-/// the engine's reuse is structural, not incidental.
+/// paper gate a k = 3 move dirties most of the machine and the
+/// splice has no suffix locality to exploit (measured ~1.0× there).
+/// At 12 nodes a move leaves most nodes untouched and the engine's
+/// reuse is structural, not incidental.
 const SPLICE_PROCESSES: usize = 96;
 const SPLICE_NODES: usize = 12;
 const SPLICE_FAULTS: u32 = 3;
@@ -286,33 +277,30 @@ fn gate_config(budget: Duration) -> SearchConfig {
 }
 
 /// The current default path: incremental + bounded evaluation.
-fn run_incremental(problem: &Problem, budget: Duration) -> Outcome {
-    optimize(problem, Strategy::Mxr, &gate_config(budget))
+fn run_incremental(problem: &Problem, cfg: &SearchConfig) -> Outcome {
+    optimize(problem, Strategy::Mxr, cfg)
         .unwrap_or_else(|e| panic!("perfgate incremental search: {e}"))
 }
 
-/// The PR 1 path: parallel + memoized cost-only evaluation, every
-/// candidate placed from scratch over the sparse `BTreeMap` WCET
-/// table (the dense matrix landed with the incremental engine), no
-/// bounds, no checkpoints.
-fn run_pr1(problem: &Problem, budget: Duration) -> Outcome {
+/// The from-scratch path: memoized cost-only evaluation, every
+/// candidate placed in full, no bounds, no checkpoints.
+fn run_scratch(problem: &Problem, cfg: &SearchConfig) -> Outcome {
     let cfg = SearchConfig {
         incremental: false,
         bounded: false,
-        ..gate_config(budget)
+        ..cfg.clone()
     };
-    let problem = problem.clone().with_sparse_wcet_lookup();
-    optimize(&problem, Strategy::Mxr, &cfg).unwrap_or_else(|e| panic!("perfgate pr1 search: {e}"))
+    optimize(problem, Strategy::Mxr, &cfg)
+        .unwrap_or_else(|e| panic!("perfgate scratch search: {e}"))
 }
 
 /// The PR 3 path: everything the previous default had — checkpoint
 /// resume, bounded early-exit, the comm-aware engine — with suffix
 /// splicing disabled. The candidate-rate ratio against this isolates
 /// exactly the splice engine's contribution.
-fn run_pr3(problem: &Problem, budget: Duration) -> Outcome {
+fn run_pr3(problem: &Problem, cfg: &SearchConfig) -> Outcome {
     let problem = problem.clone().with_suffix_splice(false);
-    optimize(&problem, Strategy::Mxr, &gate_config(budget))
-        .unwrap_or_else(|e| panic!("perfgate pr3 search: {e}"))
+    optimize(&problem, Strategy::Mxr, cfg).unwrap_or_else(|e| panic!("perfgate pr3 search: {e}"))
 }
 
 /// The PR 2 path on the communication-heavy workload: incremental +
@@ -322,72 +310,54 @@ fn run_pr3(problem: &Problem, budget: Duration) -> Outcome {
 /// flat tail scan instead of the per-(node, slot) occupancy index.
 /// Both knobs are bit-identical in results, so the candidate-rate
 /// ratio isolates exactly this PR's communication-aware additions.
-fn run_pr2(problem: &Problem, budget: Duration) -> Outcome {
+fn run_pr2(problem: &Problem, cfg: &SearchConfig) -> Outcome {
     let problem = problem
         .clone()
         .with_comm_lookahead(false)
         .with_occupancy_backend(OccupancyBackend::Flat);
-    optimize(&problem, Strategy::Mxr, &gate_config(budget))
-        .unwrap_or_else(|e| panic!("perfgate pr2 search: {e}"))
-}
-
-fn run_baseline(problem: &Problem, budget: Duration) -> Outcome {
-    // The frozen reference also predates the dense WCET matrix.
-    let problem = problem.clone().with_sparse_wcet_lookup();
-    let (design, schedule, stats) =
-        ftdes_bench::legacy::optimize_mxr_reference(&problem, &gate_config(budget))
-            .unwrap_or_else(|e| panic!("perfgate baseline: {e}"));
-    Outcome {
-        design,
-        schedule,
-        stats,
-    }
+    optimize(&problem, Strategy::Mxr, cfg).unwrap_or_else(|e| panic!("perfgate pr2 search: {e}"))
 }
 
 fn ratio(a: f64, b: f64) -> f64 {
     a / b.max(f64::MIN_POSITIVE)
 }
 
-/// The legacy paper-workload section: baseline / pr1 / pr3 /
-/// incremental, plus the environment snapshot.
+/// The paper-workload section: scratch / incremental, plus the
+/// environment snapshot. Both arms evaluate on one thread, so the
+/// ratio measures the engine alone: at two threads every window pays
+/// the pool's wake-up (5–11 µs), which is a large share of a window
+/// of spliced candidates but a small one of from-scratch placements,
+/// and the ratio then read 0.98–1.24× on a 2-CPU host. Window
+/// parallelism has its own section (`multicore`) and `parbench`.
 fn section_paper() -> String {
     let budget = time_budget();
-    let mut baseline = ModeTotals::default();
-    let mut pr1 = ModeTotals::default();
-    let mut pr3 = ModeTotals::default();
+    let cfg = SearchConfig {
+        threads: PAPER_THREADS,
+        ..gate_config(budget)
+    };
+    let mut scratch = ModeTotals::default();
     let mut incremental = ModeTotals::default();
 
     println!(
         "perfgate: {PROCESSES} processes / {NODES} nodes / k = {FAULTS}, \
-         {SEEDS} seeds, {budget:?} per run per mode"
+         {SEEDS} seeds, {budget:?} per run per mode, {PAPER_THREADS} thread"
     );
     for seed in 0..SEEDS {
         let problem = synthetic_problem(PROCESSES, NODES, FAULTS, Time::from_ms(5), seed);
-        let base = run_baseline(&problem, budget);
-        let mid = run_pr1(&problem, budget);
-        let resumed = run_pr3(&problem, budget);
-        let incr = run_incremental(&problem, budget);
+        let full = run_scratch(&problem, &cfg);
+        let incr = run_incremental(&problem, &cfg);
         println!(
-            "  seed {seed}: baseline {} iters / {} evals | pr1 {} iters / {} evals (+{} hits) | \
-             pr3 {} iters / {} evals (+{} hits, {} pruned) | \
+            "  seed {seed}: scratch {} iters / {} evals (+{} hits) | \
              spliced {} iters / {} evals (+{} hits, {} pruned)",
-            base.stats.tabu_iterations,
-            base.stats.evaluations,
-            mid.stats.tabu_iterations,
-            mid.stats.evaluations,
-            mid.stats.cache_hits,
-            resumed.stats.tabu_iterations,
-            resumed.stats.evaluations,
-            resumed.stats.cache_hits,
-            resumed.stats.pruned,
+            full.stats.tabu_iterations,
+            full.stats.evaluations,
+            full.stats.cache_hits,
             incr.stats.tabu_iterations,
             incr.stats.evaluations,
             incr.stats.cache_hits,
             incr.stats.pruned,
         );
-        baseline.add(&base);
-        pr1.add(&mid);
-        pr3.add(&resumed);
+        scratch.add(&full);
         incremental.add(&incr);
     }
 
@@ -395,12 +365,9 @@ fn section_paper() -> String {
         let (engaged, gated, diverged, splice_ns, pr2_ns) =
             ftdes_sched::incremental::metrics::snapshot();
         let (cert_ns, prep_ns, cone_ns, pr2_calls) = ftdes_sched::incremental::metrics::phases();
-        // Note: the pr2-path totals span every mode that resumes
-        // (the pr3 ablation runs included), not just the spliced
-        // mode's fallbacks.
         println!(
             "splice metrics: engaged {engaged} ({:.2} us avg) | gate-rejected {gated} | \
-             diverged {diverged} | pr2-path replays {pr2_calls} ({:.2} us avg, all modes)",
+             diverged {diverged} | pr2-path replays {pr2_calls} ({:.2} us avg)",
             splice_ns as f64 / 1e3 / engaged.max(1) as f64,
             pr2_ns as f64 / 1e3 / pr2_calls.max(1) as f64,
         );
@@ -413,58 +380,37 @@ fn section_paper() -> String {
         );
     }
 
-    let iter_speedup = ratio(
+    let iter_vs_scratch = ratio(
         incremental.tabu_iterations as f64,
-        baseline.tabu_iterations.max(1) as f64,
+        scratch.tabu_iterations.max(1) as f64,
     );
-    let cand_speedup = ratio(
+    let cand_vs_scratch = ratio(
         incremental.candidates_per_sec(),
-        baseline.candidates_per_sec(),
+        scratch.candidates_per_sec(),
     );
-    let iter_vs_pr1 = ratio(
-        incremental.tabu_iterations as f64,
-        pr1.tabu_iterations.max(1) as f64,
-    );
-    let cand_vs_pr1 = ratio(incremental.candidates_per_sec(), pr1.candidates_per_sec());
-    let iter_vs_pr3 = ratio(
-        incremental.tabu_iterations as f64,
-        pr3.tabu_iterations.max(1) as f64,
-    );
-    let cand_vs_pr3 = ratio(incremental.candidates_per_sec(), pr3.candidates_per_sec());
     // Informational only: under a wall-clock budget the modes
     // truncate the trajectory at different points (stage midpoints,
     // cutoffs), so per-seed best lengths can move either way.
     let length_ratio = ratio(
         incremental.best_length_us as f64,
-        baseline.best_length_us.max(1) as f64,
+        scratch.best_length_us.max(1) as f64,
     );
     println!(
-        "vs legacy baseline: {iter_speedup:.2}x tabu iterations, {cand_speedup:.2}x candidate rate"
-    );
-    println!(
-        "vs PR 1 path:       {iter_vs_pr1:.2}x tabu iterations, {cand_vs_pr1:.2}x candidate rate \
-         (best-length ratio {length_ratio:.3})"
-    );
-    println!(
-        "vs PR 3 path:       {iter_vs_pr3:.2}x tabu iterations, {cand_vs_pr3:.2}x candidate rate \
-         (suffix splice on vs off; 4 nodes leave the cone no locality — informational)"
+        "vs from-scratch path: {iter_vs_scratch:.2}x tabu iterations, \
+         {cand_vs_scratch:.2}x candidate rate (best-length ratio {length_ratio:.3})"
     );
     format!(
         "\"environment\": {},\n  \
          \"workload\": {{\"processes\": {PROCESSES}, \"nodes\": {NODES}, \"k\": {FAULTS}, \
-         \"seeds\": {SEEDS}, \"budget_ms\": {}}},\n  \"baseline\": {},\n  \"pr1\": {},\n  \
-         \"pr3\": {},\n  \
-         \"incremental\": {},\n  \"speedup\": {{\"tabu_iterations\": {iter_speedup:.2}, \
-         \"candidate_rate\": {cand_speedup:.2}, \"tabu_iterations_vs_pr1\": {iter_vs_pr1:.2}, \
-         \"candidate_rate_vs_pr1\": {cand_vs_pr1:.2}, \
-         \"tabu_iterations_vs_pr3\": {iter_vs_pr3:.2}, \
-         \"candidate_rate_vs_pr3\": {cand_vs_pr3:.2}, \
+         \"seeds\": {SEEDS}, \"budget_ms\": {}, \"threads\": {PAPER_THREADS}}},\n  \
+         \"scratch\": {},\n  \
+         \"incremental\": {},\n  \"speedup\": {{\
+         \"tabu_iterations_vs_scratch\": {iter_vs_scratch:.2}, \
+         \"candidate_rate_vs_scratch\": {cand_vs_scratch:.2}, \
          \"best_length_ratio\": {length_ratio:.3}}}",
         environment_json(),
         budget.as_millis(),
-        baseline.json(),
-        pr1.json(),
-        pr3.json(),
+        scratch.json(),
         incremental.json(),
     )
 }
@@ -472,6 +418,7 @@ fn section_paper() -> String {
 /// The suffix-splice gate section (paper family, 12 nodes).
 fn section_splice() -> String {
     let budget = time_budget();
+    let cfg = gate_config(budget);
     let mut splice_pr3 = ModeTotals::default();
     let mut splice_incr = ModeTotals::default();
     println!(
@@ -486,8 +433,8 @@ fn section_splice() -> String {
             Time::from_ms(5),
             seed,
         );
-        let resumed = run_pr3(&problem, budget);
-        let incr = run_incremental(&problem, budget);
+        let resumed = run_pr3(&problem, &cfg);
+        let incr = run_incremental(&problem, &cfg);
         println!(
             "  seed {seed}: pr3 {} iters / {} evals (+{} hits, {} pruned) | \
              spliced {} iters / {} evals (+{} hits, {} pruned)",
@@ -530,6 +477,7 @@ fn section_splice() -> String {
 /// The communication-heavy gate section.
 fn section_comm() -> String {
     let budget = time_budget();
+    let cfg = gate_config(budget);
     let mut comm_pr2 = ModeTotals::default();
     let mut comm_incr = ModeTotals::default();
     println!(
@@ -540,8 +488,8 @@ fn section_comm() -> String {
     for seed in 0..COMM_SEEDS {
         let problem =
             comm_heavy_problem_with(&comm_params, NODES, COMM_FAULTS, Time::from_ms(5), seed);
-        let pr2 = run_pr2(&problem, budget);
-        let incr = run_incremental(&problem, budget);
+        let pr2 = run_pr2(&problem, &cfg);
+        let incr = run_incremental(&problem, &cfg);
         println!(
             "  seed {seed}: pr2 {} iters / {} evals (+{} hits, {} pruned) | \
              comm-bound {} iters / {} evals (+{} hits, {} pruned)",

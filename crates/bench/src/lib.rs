@@ -10,7 +10,7 @@
 //! | `... --bin table1c` | Table 1c — overhead vs fault duration µ |
 //! | `... --bin fig10` | Fig. 10 — MX / MR / SFX deviation from MXR |
 //! | `... --bin cruise_control` | the CC case study |
-//! | `... --bin perfgate` | evaluation-throughput gate (paper + comm-heavy workloads) → `BENCH_tabu.json` |
+//! | `... --bin perfgate` | evaluation-throughput gate (paper, 12-node splice and comm-heavy workloads) → `BENCH_tabu.json` |
 //! | `... --bin evalprof` | per-phase profile of one candidate evaluation |
 //! | `... --bin incrprof` | incremental vs from-scratch per-move profile |
 //! | `... --bin commprof` | communication-heavy per-candidate profile (bus-wait bound + occupancy index vs the PR 2 path) |
@@ -48,30 +48,27 @@
 //!   worse than the window incumbent (scored, but far short of a
 //!   full placement),
 //! * `tabu_iterations` — the quantity the budget is spent on,
-//! * for **three** modes: the current incremental + bounded default,
-//!   the PR 1 path (from-scratch cost-only evaluation over the
-//!   sparse WCET table, no bounds or checkpoints) and the frozen
-//!   pre-optimization reference in [`legacy`] (sequential, uncached,
-//!   full materialization per candidate).
+//! * for **two** modes on the paper workload: the current
+//!   incremental + bounded default and the from-scratch path
+//!   (`incremental: false, bounded: false` — every candidate placed
+//!   in full, the correctness oracle of the parity suites).
 //!
 //! Candidate selection uses a total order on `(cost, move index)`,
 //! so for a fixed iteration/cutoff budget the trajectory is
 //! bit-identical across thread counts, cache settings and evaluation
-//! engines, and the legacy reference walks the same trajectory.
-//! Under a *wall-clock* budget the faster mode crosses stage
+//! engines. Under a *wall-clock* budget the faster mode crosses stage
 //! boundaries (the staged-tabu midpoint, per-window cutoffs) at
 //! different trajectory points, so per-seed best lengths can differ
 //! in either direction — iteration counts measure search throughput,
 //! best length stays an informational field. `BENCH_tabu.json`
-//! records all three modes plus the speedup ratios; CI fails if the
-//! tabu-iteration ratio vs legacy drops below 2.0 or the
-//! candidate-rate ratio vs the PR 1 path below 1.25.
+//! records both modes plus the speedup ratios; CI fails if the
+//! candidate-rate ratio vs the from-scratch path drops below its
+//! floor (the `splice` and `comm` sections carry their own floors).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod jobs;
-pub mod legacy;
 
 use std::sync::Arc;
 use std::time::Duration;

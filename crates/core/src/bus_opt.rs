@@ -33,7 +33,6 @@ use ftdes_ttp::config::BusConfig;
 use crate::cache::{EvalOutcome, Evaluator};
 use crate::config::SearchStats;
 use crate::error::OptError;
-use crate::parallel::WorkerPool;
 use crate::problem::Problem;
 
 /// Limits of the bus-access optimization.
@@ -44,11 +43,10 @@ pub struct BusOptConfig {
     /// Capacity multiples of the largest message to try (1 = minimum
     /// legal slot, the paper's initial configuration).
     pub capacity_multiples: Vec<u32>,
-    /// Worker threads for the slot-swap probe sweep (`0` resolves
-    /// like [`crate::config::SearchConfig::threads`]). The sweep
-    /// commits the **first improving probe in pair order**, so the
-    /// result is identical to the sequential sweep for every thread
-    /// count.
+    /// Unused: the slot-swap sweep is sequential, because each
+    /// probe is bounded by the incumbent the previous accepted swap
+    /// set. Kept so existing configurations still compile; every
+    /// value gives the same result.
     pub threads: usize,
     /// Resume slot-swap probes from the incumbent configuration's
     /// recorded placement checkpoints instead of rescheduling from
@@ -105,7 +103,6 @@ pub fn optimize_bus(
     // schedule — costs drive the climb, the winning configuration is
     // materialized once at the end.
     let evaluator = Evaluator::new(problem);
-    let pool = WorkerPool::with_requested(cfg.threads);
     let base = problem.bus();
     let largest = problem.largest_message();
     // Prefix checkpoints of the incumbent configuration's placement:
@@ -140,77 +137,41 @@ pub fn optimize_bus(
             best_cost = current_cost;
         }
 
-        // Hill climbing over slot swaps: probes within a round are
-        // independent until the first improvement, so chunks of them
-        // run concurrently on the pool; the sweep commits the first
-        // improving pair **in pair order** and re-enters the scan
-        // from the next pair against the updated bus — exactly the
-        // sequential sweep's trajectory, for every thread count.
-        // Losing probes are bounded by the climbing incumbent and
-        // abort as soon as they provably cannot improve on it.
-        let pairs: Vec<(usize, usize)> = {
-            let slots = bus.slots_per_round();
-            (0..slots)
-                .flat_map(|a| ((a + 1)..slots).map(move |b| (a, b)))
-                .collect()
-        };
+        // Hill climbing over slot swaps: the sweep commits the first
+        // improving pair and re-enters the scan from the next pair
+        // against the updated bus. Each probe is bounded by the
+        // climbing incumbent and aborts as soon as it provably cannot
+        // improve on it; checkpointed probes resume from the
+        // incumbent's recording — the same facade the neighbourhood
+        // searches score moves through.
+        let slots = bus.slots_per_round();
+        let pairs: Vec<(usize, usize)> = (0..slots)
+            .flat_map(|a| ((a + 1)..slots).map(move |b| (a, b)))
+            .collect();
         for _ in 0..cfg.max_rounds {
             let mut improved = false;
-            let mut idx = 0;
-            while idx < pairs.len() {
-                let chunk_len = pool.threads().max(1).min(pairs.len() - idx);
-                let chunk = &pairs[idx..idx + chunk_len];
-                let current = &bus;
-                // The chunk's shared evaluation context: losing probes
-                // are bounded by the climbing incumbent, checkpointed
-                // probes resume from the incumbent's recording — the
-                // same facade the neighbourhood searches score moves
-                // through.
-                let ceval = evaluator.candidate_eval(
-                    design,
-                    cfg.checkpointed.then_some(&ckpts),
-                    Some(current_cost),
-                );
-                let probes = pool
-                    .try_map_init(
-                        chunk,
-                        || (),
-                        |(), _, &(a, b)| {
-                            let cand_bus = current.swap_slots(a, b);
-                            let probe = ceval.eval_bus_swap(&cand_bus, (a, b), design)?;
-                            Ok(Some((probe, (a, b))))
-                        },
+            for &(a, b) in &pairs {
+                let cand_bus = bus.swap_slots(a, b);
+                let (outcome, hit) = evaluator
+                    .candidate_eval(
+                        design,
+                        cfg.checkpointed.then_some(&ckpts),
+                        Some(current_cost),
                     )
-                    .map_err(|e: ftdes_sched::SchedError| OptError::from(e))?;
-                let mut advanced = chunk.len();
-                let mut accept: Option<(usize, usize, ftdes_sched::ScheduleCost)> = None;
-                for (j, slot) in probes.into_iter().enumerate() {
-                    let Some(((outcome, hit), (a, b))) = slot else {
-                        continue;
-                    };
-                    match outcome {
-                        EvalOutcome::Exact(c) => {
-                            stats.record_eval(hit);
-                            if c < current_cost {
-                                accept = Some((a, b, c));
-                                advanced = j + 1;
-                                // Probes past the accepted pair are
-                                // discarded unrecorded: the stats then
-                                // match the sequential sweep's
-                                // counters for every thread count
-                                // (the wasted concurrent work is the
-                                // price of the parallel scan, not part
-                                // of the search's consumption).
-                                break;
-                            }
-                        }
-                        // Certified worse than the incumbent: can
-                        // never be the first improvement.
-                        EvalOutcome::LowerBound(_) => stats.pruned += 1,
+                    .eval_bus_swap(&cand_bus, (a, b), design)?;
+                let c = match outcome {
+                    EvalOutcome::Exact(c) => {
+                        stats.record_eval(hit);
+                        c
                     }
-                }
-                if let Some((a, b, c)) = accept {
-                    bus = bus.swap_slots(a, b);
+                    // Certified worse than the incumbent.
+                    EvalOutcome::LowerBound(_) => {
+                        stats.pruned += 1;
+                        continue;
+                    }
+                };
+                if c < current_cost {
+                    bus = cand_bus;
                     current_cost = c;
                     improved = true;
                     if cfg.checkpointed {
@@ -227,7 +188,6 @@ pub fn optimize_bus(
                         );
                     }
                 }
-                idx += advanced;
             }
             if !improved {
                 break;

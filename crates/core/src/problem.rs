@@ -92,11 +92,6 @@ pub struct Problem {
     /// the expansion hot path does a multiply-add load per replica
     /// instead of a `BTreeMap` walk.
     dense_wcet: DenseWcet,
-    /// `false` routes the scheduling hot paths through the sparse
-    /// `BTreeMap` table instead of the dense matrix — the faithful
-    /// pre-dense reference for perf ablations (`perfgate`'s PR 1 and
-    /// legacy modes).
-    dense_hot_path: bool,
     fault_model: FaultModel,
     bus: BusConfig,
     constraints: DesignConstraints,
@@ -127,7 +122,6 @@ impl Problem {
             arch,
             wcet,
             dense_wcet,
-            dense_hot_path: true,
             fault_model,
             bus,
             constraints: DesignConstraints::free(n),
@@ -163,16 +157,6 @@ impl Problem {
     #[must_use]
     pub fn max_checkpoints(&self) -> u32 {
         self.max_checkpoints
-    }
-
-    /// Routes every scheduling hot path through the sparse `BTreeMap`
-    /// WCET table instead of the dense matrix — the behaviour of the
-    /// code before the dense front-end landed. Measurement knob for
-    /// perf ablations; results are identical, only slower.
-    #[must_use]
-    pub fn with_sparse_wcet_lookup(mut self) -> Self {
-        self.dense_hot_path = false;
-        self
     }
 
     /// Toggles the certified bus-wait lower bound of bounded
@@ -333,27 +317,15 @@ impl Problem {
     /// Propagates [`SchedError`] for designs inconsistent with the
     /// problem.
     pub fn evaluate(&self, design: &Design) -> Result<Schedule, SchedError> {
-        if self.dense_hot_path {
-            list_schedule_with(
-                &self.graph,
-                &self.arch,
-                &self.dense_wcet,
-                &self.fault_model,
-                &self.bus,
-                design,
-                self.options,
-            )
-        } else {
-            list_schedule_with(
-                &self.graph,
-                &self.arch,
-                &self.wcet,
-                &self.fault_model,
-                &self.bus,
-                design,
-                self.options,
-            )
-        }
+        list_schedule_with(
+            &self.graph,
+            &self.arch,
+            &self.dense_wcet,
+            &self.fault_model,
+            &self.bus,
+            design,
+            self.options,
+        )
     }
 
     /// [`Problem::evaluate`] reusing caller-owned scheduling buffers —
@@ -385,31 +357,17 @@ impl Problem {
         scratch: &mut SchedScratch,
         ckpts: Option<&mut PlacementCheckpoints>,
     ) -> Result<Schedule, SchedError> {
-        if self.dense_hot_path {
-            list_schedule_recording(
-                &self.graph,
-                &self.arch,
-                &self.dense_wcet,
-                &self.fault_model,
-                &self.bus,
-                design,
-                self.options,
-                scratch,
-                ckpts,
-            )
-        } else {
-            list_schedule_recording(
-                &self.graph,
-                &self.arch,
-                &self.wcet,
-                &self.fault_model,
-                &self.bus,
-                design,
-                self.options,
-                scratch,
-                ckpts,
-            )
-        }
+        list_schedule_recording(
+            &self.graph,
+            &self.arch,
+            &self.dense_wcet,
+            &self.fault_model,
+            &self.bus,
+            design,
+            self.options,
+            scratch,
+            ckpts,
+        )
     }
 
     /// Evaluates `design` under an alternative bus configuration
@@ -444,31 +402,17 @@ impl Problem {
         scratch: &mut SchedScratch,
         ckpts: Option<&mut PlacementCheckpoints>,
     ) -> Result<Schedule, SchedError> {
-        if self.dense_hot_path {
-            list_schedule_recording(
-                &self.graph,
-                &self.arch,
-                &self.dense_wcet,
-                &self.fault_model,
-                bus,
-                design,
-                self.options,
-                scratch,
-                ckpts,
-            )
-        } else {
-            list_schedule_recording(
-                &self.graph,
-                &self.arch,
-                &self.wcet,
-                &self.fault_model,
-                bus,
-                design,
-                self.options,
-                scratch,
-                ckpts,
-            )
-        }
+        list_schedule_recording(
+            &self.graph,
+            &self.arch,
+            &self.dense_wcet,
+            &self.fault_model,
+            bus,
+            design,
+            self.options,
+            scratch,
+            ckpts,
+        )
     }
 
     /// Computes only the [`ScheduleCost`] of `design` — the identical
@@ -504,31 +448,17 @@ impl Problem {
         scratch: &mut CostScratch,
         bound: Option<ScheduleCost>,
     ) -> Result<CostOutcome, SchedError> {
-        if self.dense_hot_path {
-            schedule_cost_bounded(
-                &self.graph,
-                &self.arch,
-                &self.dense_wcet,
-                &self.fault_model,
-                &self.bus,
-                design,
-                self.options,
-                scratch,
-                bound,
-            )
-        } else {
-            schedule_cost_bounded(
-                &self.graph,
-                &self.arch,
-                &self.wcet,
-                &self.fault_model,
-                &self.bus,
-                design,
-                self.options,
-                scratch,
-                bound,
-            )
-        }
+        schedule_cost_bounded(
+            &self.graph,
+            &self.arch,
+            &self.dense_wcet,
+            &self.fault_model,
+            &self.bus,
+            design,
+            self.options,
+            scratch,
+            bound,
+        )
     }
 
     /// Evaluates the cost of `design` — the checkpointed base design
@@ -547,35 +477,19 @@ impl Problem {
         ckpts: &PlacementCheckpoints,
         bound: Option<ScheduleCost>,
     ) -> Result<CostOutcome, SchedError> {
-        if self.dense_hot_path {
-            schedule_cost_resumed(
-                &self.graph,
-                &self.arch,
-                &self.dense_wcet,
-                &self.fault_model,
-                &self.bus,
-                design,
-                moved,
-                self.options,
-                scratch,
-                ckpts,
-                bound,
-            )
-        } else {
-            schedule_cost_resumed(
-                &self.graph,
-                &self.arch,
-                &self.wcet,
-                &self.fault_model,
-                &self.bus,
-                design,
-                moved,
-                self.options,
-                scratch,
-                ckpts,
-                bound,
-            )
-        }
+        schedule_cost_resumed(
+            &self.graph,
+            &self.arch,
+            &self.dense_wcet,
+            &self.fault_model,
+            &self.bus,
+            design,
+            moved,
+            self.options,
+            scratch,
+            ckpts,
+            bound,
+        )
     }
 
     /// [`Problem::evaluate_cost`] under an alternative bus
@@ -609,31 +523,17 @@ impl Problem {
         scratch: &mut CostScratch,
         bound: Option<ScheduleCost>,
     ) -> Result<CostOutcome, SchedError> {
-        if self.dense_hot_path {
-            schedule_cost_bounded(
-                &self.graph,
-                &self.arch,
-                &self.dense_wcet,
-                &self.fault_model,
-                bus,
-                design,
-                self.options,
-                scratch,
-                bound,
-            )
-        } else {
-            schedule_cost_bounded(
-                &self.graph,
-                &self.arch,
-                &self.wcet,
-                &self.fault_model,
-                bus,
-                design,
-                self.options,
-                scratch,
-                bound,
-            )
-        }
+        schedule_cost_bounded(
+            &self.graph,
+            &self.arch,
+            &self.dense_wcet,
+            &self.fault_model,
+            bus,
+            design,
+            self.options,
+            scratch,
+            bound,
+        )
     }
 
     /// Evaluates the checkpointed base design under a bus
