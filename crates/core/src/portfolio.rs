@@ -125,6 +125,12 @@ pub struct PortfolioOutcome {
     /// with the summed search statistics of the prologue and every
     /// worker.
     pub outcome: Outcome,
+    /// The ready-list priority strategy `outcome.schedule` was built
+    /// under: the elite worker's resolved strategy (a mobility-axis
+    /// worker schedules differently from the base problem). Replaying
+    /// `outcome.design` through `list_schedule_with` under it
+    /// reproduces `outcome.schedule`'s cost.
+    pub priority: PriorityStrategy,
     /// Per-worker accounting, indexed by worker. Empty when the
     /// shared greedy prologue already satisfied a `MeetDeadline`
     /// goal and no worker ever ran.
@@ -386,6 +392,7 @@ pub fn optimize_portfolio_with_cache(
                 schedule: greedy_schedule,
                 stats: prologue_stats,
             },
+            priority: problem.schedule_options().priority,
             workers: Vec::new(),
             epochs: 0,
             exchanges: 0,
@@ -647,6 +654,16 @@ pub fn optimize_portfolio_with_cache(
         .best
         .clone()
         .expect("elite worker has a best");
+    // A worker's best is either the shared greedy start or a schedule
+    // its own evaluator built; the greedy start never wins for a
+    // worker on a different strategy, because worker 0 (base
+    // strategy, unperturbed start) is never worse and breaks the tie.
+    let priority = preps[elite]
+        .problem
+        .as_ref()
+        .unwrap_or(problem)
+        .schedule_options()
+        .priority;
 
     let mut stats = prologue_stats;
     for f in &collected {
@@ -679,6 +696,7 @@ pub fn optimize_portfolio_with_cache(
             schedule,
             stats,
         },
+        priority,
         workers: summaries,
         epochs,
         exchanges,
@@ -793,7 +811,64 @@ mod tests {
         let out = optimize_portfolio(&problem, PolicySpace::Mixed, &cfg, &pcfg(4)).unwrap();
         assert!(out.workers.is_empty());
         assert_eq!(out.epochs, 0);
+        assert_eq!(out.priority, PriorityStrategy::PartialCriticalPath);
         assert!(out.outcome.schedule.is_schedulable());
+    }
+
+    /// The outcome names the strategy its schedule was built under:
+    /// when the mobility-axis worker wins, a replay of the design
+    /// under the recorded strategy reproduces the returned cost, and
+    /// a replay under the base partial-critical-path order does not.
+    #[test]
+    fn outcome_records_the_elite_workers_priority() {
+        let arch = Architecture::with_node_count(3);
+        let w = ftdes_gen::paper_workload(16, &arch, 2);
+        let bus = BusConfig::initial(&arch, 4, Time::from_us(2_500)).unwrap();
+        let problem = Problem::new(
+            w.graph,
+            arch,
+            w.wcet,
+            FaultModel::new(2, Time::from_ms(5)),
+            bus,
+        );
+        let cfg = SearchConfig {
+            max_tabu_iterations: 20,
+            threads: 1,
+            ..cfg()
+        };
+        let pcfg = PortfolioConfig {
+            workers: 2,
+            epoch_candidates: 200,
+            ..PortfolioConfig::default()
+        };
+        let out = optimize_portfolio(&problem, PolicySpace::Mixed, &cfg, &pcfg).unwrap();
+        assert_eq!(
+            out.priority,
+            PriorityStrategy::Mobility,
+            "the fixture must make the mobility worker win"
+        );
+        let replay = |priority| {
+            ftdes_sched::list_schedule_with(
+                problem.graph(),
+                problem.arch(),
+                problem.wcet(),
+                problem.fault_model(),
+                problem.bus(),
+                &out.outcome.design,
+                ftdes_sched::ScheduleOptions {
+                    priority,
+                    ..problem.schedule_options()
+                },
+            )
+            .unwrap()
+            .cost()
+        };
+        assert_eq!(replay(out.priority), out.outcome.schedule.cost());
+        assert_ne!(
+            replay(PriorityStrategy::PartialCriticalPath),
+            out.outcome.schedule.cost(),
+            "the fixture must tell the strategies apart"
+        );
     }
 
     #[test]

@@ -490,10 +490,11 @@ fn run(out: &mut impl Write, args: &[String]) -> Result<(), CliError> {
                 }
                 writeln!(
                     out,
-                    "portfolio: {} workers, {} epochs, {} elite exchanges",
+                    "portfolio: {} workers, {} epochs, {} elite exchanges, schedule built under {} priority",
                     p.workers.len(),
                     p.epochs,
-                    p.exchanges
+                    p.exchanges,
+                    p.priority
                 )?;
                 p.outcome
             } else {

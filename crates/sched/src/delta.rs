@@ -45,9 +45,13 @@
 //! between the base run and a from-scratch run of the candidate, so
 //! the executor restores each dirty node to its segment just before
 //! `node_dirty`, rebuilds each dirty slot's occupancy up to
-//! `slot_dirty`, prefills times / arrivals / completions from the
-//! base recording, and drives [`crate::list::place_process`] — the
-//! one shared placement primitive — over the cone positions only.
+//! `slot_dirty`, copies times, completions and the flat `(edge,
+//! replica)` arrival table from the base recording, and drives
+//! [`crate::list::place_process`] — the one shared placement
+//! primitive — over the cone positions only. Re-placed producers and
+//! replayed bookings overwrite their arrival entries in place; the
+//! table is keyed by replica, not instance, so it needs no id remap
+//! when the move changes a replica count.
 //! Parity is guarded by the `splice.rs` property tests in
 //! `ftdes-core` (spliced ≡ full bit-identical on random move
 //! sequences).
@@ -61,7 +65,7 @@
 
 use ftdes_model::fault::FaultModel;
 use ftdes_model::graph::ProcessGraph;
-use ftdes_model::ids::{NodeId, ProcessId};
+use ftdes_model::ids::ProcessId;
 use ftdes_model::time::Time;
 use ftdes_ttp::config::BusConfig;
 use ftdes_ttp::medl::MessageTag;
@@ -96,25 +100,11 @@ pub(crate) struct SpliceScratch {
     /// Whether each process is floated (its recorded slot is
     /// vacated).
     floated: Vec<bool>,
-    /// Whether each candidate instance's arrival list has been
-    /// cleared/prefilled this run (the splice touches only the
-    /// senders its cone reads).
-    touched: Vec<bool>,
     /// Cone size of the last sweep: processes to re-place.
     pub(crate) n_affected: usize,
     /// Spliced senders whose bookings the last sweep flagged for
     /// replay.
     pub(crate) n_rebook: usize,
-}
-
-/// `true` when some instance of `consumer` sits off `sender_node` —
-/// i.e. the edge's message is booked on the bus and its arrival is
-/// read by at least one remote consumer instance.
-fn reads_remote(expanded: &ExpandedDesign, consumer: ProcessId, sender_node: NodeId) -> bool {
-    expanded
-        .of_process(consumer)
-        .iter()
-        .any(|&t| expanded.instance(t).node != sender_node)
 }
 
 /// Work-list entries at/above this bit are float markers: the low
@@ -193,7 +183,7 @@ pub(crate) fn compute_cone(
                     if graph
                         .outgoing(moved)
                         .iter()
-                        .any(|&eid| reads_remote(exp, graph.edge(eid).to, node))
+                        .any(|&eid| exp.reads_remote(graph.edge(eid).to, node))
                     {
                         let slot = slot_of[node.index()] as usize;
                         sp.slot_dirty[slot] = sp.slot_dirty[slot].min(from);
@@ -207,7 +197,7 @@ pub(crate) fn compute_cone(
                 sp.node_dirty[node.index()] = sp.node_dirty[node.index()].min(from);
                 if graph.outgoing(f.process).iter().any(|&eid| {
                     let to = graph.edge(eid).to;
-                    reads_remote(cand, to, node) || reads_remote(base, to, node)
+                    cand.reads_remote(to, node) || base.reads_remote(to, node)
                 }) {
                     let slot = slot_of[node.index()] as usize;
                     sp.slot_dirty[slot] = sp.slot_dirty[slot].min(from);
@@ -223,7 +213,7 @@ pub(crate) fn compute_cone(
         let pos_f = ckpts.position[from.index()];
         for &rid in base.of_process(from) {
             let nr = base.instance(rid).node;
-            if reads_remote(base, moved, nr) != reads_remote(cand, moved, nr) {
+            if base.reads_remote(moved, nr) != cand.reads_remote(moved, nr) {
                 let slot = slot_of[nr.index()] as usize;
                 sp.slot_dirty[slot] = sp.slot_dirty[slot].min(pos_f);
                 start = start.min(pos_f);
@@ -268,7 +258,7 @@ pub(crate) fn compute_cone(
                 for &rid in base.of_process(s) {
                     let m = base.instance(rid).node;
                     if sp.slot_dirty[slot_of[m.index()] as usize] <= pos_s
-                        && reads_remote(base, p, m)
+                        && base.reads_remote(p, m)
                     {
                         aff = true;
                         break 'edges;
@@ -310,7 +300,7 @@ pub(crate) fn compute_cone(
 
 /// Executes the splice for the cone last computed by [`compute_cone`]
 /// over the same `(cand, moved, ckpts)`: restores every dirty node
-/// and slot to its last unperturbed segment, prefills everything
+/// and slot to its last unperturbed segment, copies everything
 /// outside the cone from the base recording's final state, and drives
 /// the shared placement primitive over the cone positions only
 /// (floated processes ride their float markers).
@@ -360,24 +350,18 @@ pub(crate) fn execute(
     core.times[new_end..].copy_from_slice(&seg.times[old_end..]);
     // `wc_times` is write-only during the walk (the rebook branch
     // reads request times straight from the recording): size it, skip
-    // the prefill.
+    // the copy.
     core.wc_times.clear();
     core.wc_times.resize(cand.len(), Time::ZERO);
 
     core.completion.clone_from(&seg.completion);
 
-    // Arrival lists are managed cone-selectively *inside* the walk:
-    // the cone reads exactly (a) the spliced (non-affected) producers
-    // of affected consumers — prefilled from the recording, updated
-    // in place by the rebook branch — and (b) re-placed producers,
-    // whose instances push fresh entries and only need clearing.
-    // Everything outside the cone keeps whatever stale entries it
-    // has: never read.
-    if core.arrivals.len() < cand.len() {
-        core.arrivals.resize(cand.len(), Vec::new());
-    }
-    sp.touched.clear();
-    sp.touched.resize(cand.len(), false);
+    // The base run's arrivals: exact for every spliced producer whose
+    // slot the cone leaves alone. Re-placed producers overwrite their
+    // entries as they book, and the rebook branch overwrites the
+    // replayed ones — both before any consumer reads them (producers
+    // precede their consumers in the order).
+    core.arrivals.copy_from(&seg.arrivals);
 
     core.nodes.truncate(node_count);
     if core.nodes.len() < node_count {
@@ -492,20 +476,9 @@ pub(crate) fn execute(
         work,
         floats,
         affected,
-        touched,
         slot_dirty,
         ..
     } = &mut *sp;
-    let prefill_sender = |p: ProcessId, core: &mut SchedScratch, touched: &mut Vec<bool>| {
-        for &sid in base.of_process(p) {
-            let rsid = remap(sid).index();
-            if !touched[rsid] {
-                touched[rsid] = true;
-                core.arrivals[rsid].clear();
-                core.arrivals[rsid].extend_from_slice(seg.arrivals_of(sid.index()));
-            }
-        }
-    };
     for &t in work.iter() {
         let p = if t >= FLOAT_MARK {
             floats[(t & !FLOAT_MARK) as usize].process
@@ -513,19 +486,6 @@ pub(crate) fn execute(
             order[t as usize]
         };
         if affected[p.index()] {
-            for &sid in cand.of_process(p) {
-                let idx = sid.index();
-                if !touched[idx] {
-                    touched[idx] = true;
-                    core.arrivals[idx].clear();
-                }
-            }
-            for &eid in graph.incoming(p) {
-                let s = graph.edge(eid).from;
-                if !affected[s.index()] {
-                    prefill_sender(s, core, touched);
-                }
-            }
             place_process(p, graph, cand, bus, k, mu, options, core, &mut CostOnly)?;
             if let Some(b) = bound {
                 for &sid in cand.of_process(p) {
@@ -551,21 +511,19 @@ pub(crate) fn execute(
             // finish — bit-identical, since the sender is outside the
             // cone). The arrival may shift; every remote reader was
             // marked affected by the sweep.
-            prefill_sender(p, core, touched);
             for &sid in base.of_process(p) {
                 let inst = base.instance(sid);
                 let slot = slot_of[inst.node.index()] as usize;
                 if slot_dirty[slot] > t {
                     continue;
                 }
-                let rsid = remap(sid);
                 let earliest = seg.wc_times[sid.index()];
                 for &eid in graph.outgoing(p) {
                     let edge = graph.edge(eid);
                     // `needs_bus` against the *candidate* expansion: a
                     // predecessor of the moved process may gain or
                     // lose its booking with the new mapping.
-                    if !reads_remote(cand, edge.to, inst.node) {
+                    if !cand.reads_remote(edge.to, inst.node) {
                         continue;
                     }
                     let booked = book_scratch(
@@ -576,13 +534,7 @@ pub(crate) fn execute(
                         edge.message.size,
                         MessageTag::new(eid, inst.replica),
                     )?;
-                    match core.arrivals[rsid.index()]
-                        .iter_mut()
-                        .find(|(e, _)| *e == eid)
-                    {
-                        Some(entry) => entry.1 = booked.arrival,
-                        None => core.arrivals[rsid.index()].push((eid, booked.arrival)),
-                    }
+                    core.arrivals.set(eid, inst.replica, booked.arrival);
                 }
             }
         }

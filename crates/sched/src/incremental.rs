@@ -44,17 +44,20 @@
 //!
 //! Instance ids are dense in process order; a move that changes the
 //! replication level of `q` shifts the ids of every process after
-//! `q`. Snapshots store base-expansion ids, so restoring shifts every
-//! id at or past the end of `q`'s base range by the replica-count
-//! delta. `q` itself is never placed inside a restored prefix (the
-//! resume position never exceeds `q`'s base position), so no id of
-//! `q` can appear in a snapshot.
+//! `q`. Snapshots store base-expansion ids in their per-instance
+//! finish times and node states, so restoring shifts every id at or
+//! past the end of `q`'s base range by the replica-count delta. `q`
+//! itself is never placed inside a restored prefix (the resume
+//! position never exceeds `q`'s base position), so no id of `q` can
+//! appear in a snapshot. Message arrivals are keyed by `(edge,
+//! replica)`, not by instance, so the snapshot's arrival table
+//! restores by plain copy.
 
 use ftdes_model::architecture::Architecture;
 use ftdes_model::design::Design;
 use ftdes_model::fault::FaultModel;
 use ftdes_model::graph::ProcessGraph;
-use ftdes_model::ids::{EdgeId, ProcessId};
+use ftdes_model::ids::ProcessId;
 use ftdes_model::time::Time;
 use ftdes_model::wcet::WcetLookup;
 use ftdes_ttp::config::BusConfig;
@@ -109,7 +112,7 @@ pub mod metrics {
 use crate::error::SchedError;
 use crate::instance::{ExpandedDesign, InstanceId};
 use crate::list::{
-    accumulate_cost, drive_placement, init_placement, CostOnly, CostOutcome, CostScratch,
+    accumulate_cost, drive_placement, init_placement, Arrivals, CostOnly, CostOutcome, CostScratch,
     FrontierEntry, SchedScratch, ScheduleOptions,
 };
 use crate::occupancy::SlotOccupancy;
@@ -187,8 +190,7 @@ struct Snapshot {
     times: Vec<Time>,
     completion: Vec<Time>,
     nodes: Vec<NodeSnap>,
-    /// Flattened message arrivals `(sender instance, edge, arrival)`.
-    arrivals: Vec<(u32, EdgeId, Time)>,
+    arrivals: Arrivals,
     occupancy: SlotOccupancy,
 }
 
@@ -220,12 +222,7 @@ impl Snapshot {
             snap.frontier.clone_from(&live.frontier);
             snap.delay_k = live.delay_k;
         }
-        self.arrivals.clear();
-        for (sid, entries) in scratch.arrivals[..instance_count].iter().enumerate() {
-            for &(edge, time) in entries {
-                self.arrivals.push((sid as u32, edge, time));
-            }
-        }
+        self.arrivals.copy_from(&scratch.arrivals);
         self.occupancy.clone_from(&scratch.occupancy);
     }
 }
@@ -359,6 +356,7 @@ impl PlacementCheckpoints {
     pub(crate) fn note_placed(
         &mut self,
         p: ProcessId,
+        graph: &ProcessGraph,
         scratch: &SchedScratch,
         placed: usize,
         n_processes: usize,
@@ -393,7 +391,7 @@ impl PlacementCheckpoints {
         let PlacementCheckpoints {
             segments, expanded, ..
         } = self;
-        segments.note_placed(expanded.of_process(p), expanded, scratch, pos);
+        segments.note_placed(graph, p, expanded, scratch, pos);
         if placed == n_processes {
             segments.finish(scratch, expanded.len());
         }
@@ -720,12 +718,10 @@ impl PlacementCheckpoints {
     }
 
     /// The first placement position the given move can affect: the
-    /// moved process itself, a direct predecessor whose bus booking
-    /// decision flips, or an earlier ready-selection divergence under
-    /// the candidate's priorities.
-    fn resume_limit(&self, graph: &ProcessGraph, moved: ProcessId, design: &Design) -> usize {
+    /// moved process itself, or a direct predecessor whose bus
+    /// booking decision flips under the candidate expansion `cand`.
+    fn resume_limit(&self, graph: &ProcessGraph, moved: ProcessId, cand: &ExpandedDesign) -> usize {
         let mut limit = self.position[moved.index()] as usize;
-        let new_mapping = &design.decision(moved).mapping;
         for &eid in graph.incoming(moved) {
             let from = graph.edge(eid).from;
             let pos = self.position[from.index()] as usize;
@@ -737,13 +733,7 @@ impl PlacementCheckpoints {
             // flip for any producer instance.
             let flipped = self.expanded.of_process(from).iter().any(|&rid| {
                 let n_r = self.expanded.instance(rid).node;
-                let old_any = self
-                    .expanded
-                    .of_process(moved)
-                    .iter()
-                    .any(|&q| self.expanded.instance(q).node != n_r);
-                let new_any = new_mapping.iter().any(|&n| n != n_r);
-                old_any != new_any
+                self.expanded.reads_remote(moved, n_r) != cand.reads_remote(moved, n_r)
             });
             if flipped {
                 limit = pos;
@@ -858,6 +848,7 @@ pub fn schedule_cost_resumed<W: WcetLookup + ?Sized>(
         None => {
             init_placement(
                 graph,
+                fm,
                 arch.node_count(),
                 &scratch.expanded,
                 &mut scratch.core,
@@ -972,7 +963,7 @@ fn prepare_candidate<W: WcetLookup + ?Sized>(
 
     // The structurally affected prefix: the moved process, or a
     // predecessor whose bus booking flips.
-    Ok(ckpts.resume_limit(graph, moved, design))
+    Ok(ckpts.resume_limit(graph, moved, expanded))
 }
 
 /// The splice-engagement step shared by [`schedule_cost_resumed`] and
@@ -1023,7 +1014,7 @@ fn splice_candidate(
     if let Some(resume_pos) = gate_resume {
         // Profitability gate: the splice re-places `n_affected`
         // processes and replays `n_rebook` senders' bookings, plus a
-        // fixed prefill/restore overhead; the PR 2 path re-places
+        // fixed copy/restore overhead; the resumed path re-places
         // everything from the snapshot at/below its resume position.
         // Deep-search cones (replicated decisions dirty most nodes)
         // can approach the whole suffix — splicing there pays the
@@ -1033,7 +1024,7 @@ fn splice_candidate(
         let pr2_replay = n - ckpts.snapshot_floor(resume_pos);
         // A spliced placement costs ~3/8 of a replayed one (no
         // ready-list selection or bookkeeping), a booking replay
-        // ~1/4, plus a fixed prefill/restore overhead — measured on
+        // ~1/4, plus a fixed copy/restore overhead — measured on
         // the perfgate workloads (`incrprof` reproduces the
         // comparison).
         let splice_cost = splice.n_affected * 3 / 8 + splice.n_rebook / 4 + 4 + n / 8;
@@ -1188,7 +1179,13 @@ pub fn schedule_cost_resumed_bus(
         .find(|s| s.placed <= limit);
     let running = match snap {
         None => {
-            init_placement(graph, arch.node_count(), &ckpts.expanded, &mut scratch.core);
+            init_placement(
+                graph,
+                fm,
+                arch.node_count(),
+                &ckpts.expanded,
+                &mut scratch.core,
+            );
             ScheduleCost {
                 violation: Time::ZERO,
                 length: Time::ZERO,
@@ -1225,7 +1222,8 @@ pub fn schedule_cost_resumed_bus(
 
 /// Restores `snap` into the live scratch, remapping instance ids from
 /// the base expansion to the candidate's (ids past the moved
-/// process's base range shift by the replica-count delta). With
+/// process's base range shift by the replica-count delta; the
+/// `(edge, replica)`-keyed arrivals copy verbatim). With
 /// `moved = None` (bus-configuration probes: same design, same
 /// expansion) the remap is the identity.
 fn restore_snapshot(
@@ -1269,7 +1267,7 @@ fn restore_snapshot(
     core.times[new_end..].copy_from_slice(&snap.times[old_end..]);
 
     // Only read by the segment recorder (full runs) and the splice
-    // prefill (which fills it itself) — but the placement writes it
+    // executor (which sizes it itself) — but the placement writes it
     // per instance, so it must cover the candidate expansion.
     core.wc_times.clear();
     core.wc_times.resize(expanded.len(), Time::ZERO);
@@ -1295,15 +1293,155 @@ fn restore_snapshot(
         core.placed[p.index()] = true;
     }
 
-    if core.arrivals.len() < expanded.len() {
-        core.arrivals.resize(expanded.len(), Vec::new());
-    }
-    for entry in &mut core.arrivals[..expanded.len()] {
-        entry.clear();
-    }
-    for &(sid, edge, time) in &snap.arrivals {
-        core.arrivals[remap(InstanceId::new(sid)).index()].push((edge, time));
-    }
-
+    core.arrivals.copy_from(&snap.arrivals);
     core.occupancy.clone_from(&snap.occupancy);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::list::{list_schedule, list_schedule_recording, schedule_cost, SchedScratch};
+    use ftdes_model::design::ProcessDesign;
+    use ftdes_model::graph::Message;
+    use ftdes_model::ids::NodeId;
+    use ftdes_model::policy::FtPolicy;
+    use ftdes_model::wcet::WcetTable;
+
+    /// A fault budget far above the node count: the arrival table is
+    /// sized by the replica bound `min(k + 1, nodes)`, not by `k`, and
+    /// full, spliced and resumed costs still agree with
+    /// `list_schedule` on every single move — replica-count changes
+    /// included.
+    #[test]
+    fn arrival_stride_is_bounded_by_the_node_count() {
+        const NODES: u32 = 3;
+        let mut g = ProcessGraph::new(0.into());
+        let ps = g.add_processes(8);
+        for (a, b) in [
+            (0, 1),
+            (0, 2),
+            (1, 3),
+            (2, 3),
+            (2, 4),
+            (3, 5),
+            (4, 5),
+            (5, 6),
+            (4, 7),
+        ] {
+            g.add_edge(ps[a], ps[b], Message::new(2 + (a as u32 + b as u32) % 3))
+                .unwrap();
+        }
+        let mut wcet = WcetTable::new();
+        for (i, &p) in ps.iter().enumerate() {
+            for n in 0..NODES {
+                wcet.set(
+                    p,
+                    NodeId::new(n),
+                    Time::from_us(400 + 130 * ((i as u64 + u64::from(n)) % 5)),
+                );
+            }
+        }
+        let arch = Architecture::with_node_count(NODES as usize);
+        let bus = BusConfig::initial(&arch, 4, Time::from_us(50)).unwrap();
+        let fm = FaultModel::new(1_000, Time::from_us(20));
+        let decision = |p: ProcessId, replicas: u32, first: u32| {
+            let mapping = (0..replicas)
+                .map(|r| NodeId::new((first + r) % NODES))
+                .collect();
+            ProcessDesign::new(FtPolicy::new(p, replicas, &fm).unwrap(), mapping).unwrap()
+        };
+        let design = Design::from_decisions(
+            ps.iter()
+                .enumerate()
+                .map(|(i, &p)| decision(p, 1 + (i as u32 % 3), i as u32))
+                .collect(),
+        );
+        let entries = g.edge_count() * NODES as usize;
+        let options = ScheduleOptions::default();
+
+        let mut scratch = CostScratch::default();
+        let full = |d: &Design, scratch: &mut CostScratch| {
+            let cost = schedule_cost(&g, &arch, &wcet, &fm, &bus, d, options, scratch).unwrap();
+            assert_eq!(scratch.core.arrivals.len(), entries);
+            assert_eq!(
+                cost,
+                list_schedule(&g, &arch, &wcet, &fm, &bus, d)
+                    .unwrap()
+                    .cost()
+            );
+            cost
+        };
+        full(&design, &mut scratch);
+
+        let mut core = SchedScratch::default();
+        let mut ckpts = PlacementCheckpoints::new();
+        let base = list_schedule_recording(
+            &g,
+            &arch,
+            &wcet,
+            &fm,
+            &bus,
+            &design,
+            options,
+            &mut core,
+            Some(&mut ckpts),
+        )
+        .unwrap();
+        assert_eq!(base.cost(), full(&design, &mut scratch));
+        assert_eq!(core.arrivals.len(), entries);
+
+        let mut spliced_runs = 0;
+        for &p in &ps {
+            for replicas in 1..=NODES {
+                for first in 0..NODES {
+                    let mut cand = design.clone();
+                    cand.set_decision(p, decision(p, replicas, first));
+                    let exact = full(&cand, &mut scratch);
+                    if let Some(out) = schedule_cost_spliced(
+                        &g,
+                        &arch,
+                        &wcet,
+                        &fm,
+                        &bus,
+                        &cand,
+                        p,
+                        options,
+                        &mut scratch,
+                        &ckpts,
+                        None,
+                    )
+                    .unwrap()
+                    {
+                        spliced_runs += 1;
+                        assert_eq!(
+                            out,
+                            CostOutcome::Exact(exact),
+                            "spliced {p:?} {replicas}@{first}"
+                        );
+                        assert_eq!(scratch.core.arrivals.len(), entries);
+                    }
+                    let resumed = schedule_cost_resumed(
+                        &g,
+                        &arch,
+                        &wcet,
+                        &fm,
+                        &bus,
+                        &cand,
+                        p,
+                        options,
+                        &mut scratch,
+                        &ckpts,
+                        None,
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        resumed,
+                        CostOutcome::Exact(exact),
+                        "resumed {p:?} {replicas}@{first}"
+                    );
+                }
+            }
+        }
+        assert!(spliced_runs > 0, "the splice must engage");
+    }
 }

@@ -121,6 +121,12 @@ impl Instance {
 /// order), so the per-process lookup is two dense arrays instead of
 /// one heap-allocated `Vec` per process — the expansion happens once
 /// per candidate evaluation on the optimizer's hot path.
+///
+/// Every adjacency question the placement core asks — does an edge's
+/// message need the bus, does it cross nodes — reduces to the
+/// per-process **sole node** (the one node all of a process's
+/// instances sit on, if any), kept current by every expansion and
+/// patch, so those questions are O(1).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExpandedDesign {
     instances: Vec<Instance>,
@@ -129,6 +135,16 @@ pub struct ExpandedDesign {
     /// `ids[offsets[p] .. offsets[p + 1]]` are the instances of
     /// process `p`.
     offsets: Vec<u32>,
+    /// Per process: the node all its instances sit on, or `None`
+    /// when they span several nodes.
+    sole: Vec<Option<NodeId>>,
+}
+
+/// The node every item of `nodes` equals, if any (`None` for an empty
+/// or mixed sequence).
+fn sole_of(mut nodes: impl Iterator<Item = NodeId>) -> Option<NodeId> {
+    let first = nodes.next()?;
+    nodes.all(|n| n == first).then_some(first)
 }
 
 impl ExpandedDesign {
@@ -175,6 +191,7 @@ impl ExpandedDesign {
         self.ids.clear();
         self.offsets.clear();
         self.offsets.push(0);
+        self.sole.clear();
         for (process, decision) in design.iter() {
             debug_assert!(
                 decision.policy.replicas() <= fm.max_replicas(),
@@ -197,6 +214,7 @@ impl ExpandedDesign {
                 self.ids.push(id);
             }
             self.offsets.push(self.instances.len() as u32);
+            self.sole.push(sole_of(decision.mapping.iter().copied()));
         }
         Ok(())
     }
@@ -260,6 +278,8 @@ impl ExpandedDesign {
                 .iter()
                 .map(|&o| (i64::from(o) + delta) as u32),
         );
+        self.sole.clone_from(&base.sole);
+        self.sole[process.index()] = sole_of(decision.mapping.iter().copied());
         Ok(())
     }
 
@@ -309,6 +329,7 @@ impl ExpandedDesign {
         let end = self.offsets[process.index() + 1] as usize;
         let delta = saved.len() as i64 - (end - start) as i64;
         self.instances.splice(start..end, saved.iter().copied());
+        self.sole[process.index()] = sole_of(saved.iter().map(|inst| inst.node));
         self.fix_tail(process, start + saved.len(), delta);
     }
 
@@ -337,6 +358,7 @@ impl ExpandedDesign {
                 )
             }),
         );
+        self.sole[process.index()] = sole_of(decision.mapping.iter().copied());
         self.fix_tail(process, start + new_len, delta);
     }
 
@@ -384,6 +406,26 @@ impl ExpandedDesign {
         let start = self.offsets[process.index()] as usize;
         let end = self.offsets[process.index() + 1] as usize;
         &self.ids[start..end]
+    }
+
+    /// The node all of `process`'s instances sit on, or `None` when
+    /// they span several nodes.
+    pub(crate) fn sole_node(&self, process: ProcessId) -> Option<NodeId> {
+        self.sole[process.index()]
+    }
+
+    /// `true` when some instance of `consumer` sits off `sender_node`
+    /// — i.e. a message from a producer instance on `sender_node` is
+    /// booked on the bus (`needs_bus`) and read remotely.
+    pub(crate) fn reads_remote(&self, consumer: ProcessId, sender_node: NodeId) -> bool {
+        self.sole_node(consumer) != Some(sender_node)
+    }
+
+    /// `true` when some instance pair of `from` and `to` sits on
+    /// different nodes — the edge's message crosses the bus.
+    pub(crate) fn crosses(&self, from: ProcessId, to: ProcessId) -> bool {
+        let sole = self.sole_node(from);
+        sole.is_none() || sole != self.sole_node(to)
     }
 
     /// Total number of instances.
@@ -588,6 +630,117 @@ mod more_tests {
             .patch_in_place(ps[1], &bad, &wcet, &fm, &mut saved)
             .is_err());
         assert_eq!(live, base);
+    }
+
+    /// The sole-node table behind `reads_remote` / `crosses` must
+    /// agree with the pairwise replica scans that define them, for every
+    /// process pair and node, after full expansions, patched
+    /// expansions and random in-place patch/unpatch sequences —
+    /// replica-count changes included.
+    mod adjacency {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        const PROCESSES: usize = 6;
+        const NODES: u32 = 4;
+
+        /// Decision number `code` for `process`: 1..=3 replicas
+        /// (k = 2) on a rotated, strided choice of distinct nodes.
+        fn decision(fm: &FaultModel, process: ProcessId, code: u32) -> ProcessDesign {
+            let replicas = 1 + code % 3;
+            let start = (code / 3) % NODES;
+            let step = if (code / 12).is_multiple_of(2) { 1 } else { 3 };
+            let mapping = (0..replicas)
+                .map(|i| NodeId::new((start + i * step) % NODES))
+                .collect();
+            ProcessDesign::new(FtPolicy::new(process, replicas, fm).unwrap(), mapping).unwrap()
+        }
+
+        /// Asserts the O(1) adjacency answers against the pairwise
+        /// instance scans.
+        fn check(exp: &ExpandedDesign) {
+            let nodes_of = |p: ProcessId| -> Vec<NodeId> {
+                exp.of_process(p)
+                    .iter()
+                    .map(|&i| exp.instance(i).node)
+                    .collect()
+            };
+            for a in 0..PROCESSES {
+                let pa = ProcessId::new(a as u32);
+                let na = nodes_of(pa);
+                let sole = na.iter().all(|&n| n == na[0]).then_some(na[0]);
+                assert_eq!(exp.sole_node(pa), sole, "sole node of {pa:?}");
+                for n in 0..NODES {
+                    let n = NodeId::new(n);
+                    assert_eq!(
+                        exp.reads_remote(pa, n),
+                        na.iter().any(|&m| m != n),
+                        "reads_remote({pa:?}, {n:?})"
+                    );
+                }
+                for b in 0..PROCESSES {
+                    let pb = ProcessId::new(b as u32);
+                    let nb = nodes_of(pb);
+                    let pairwise = na.iter().any(|&x| nb.iter().any(|&y| x != y));
+                    assert_eq!(exp.crosses(pa, pb), pairwise, "crosses({pa:?}, {pb:?})");
+                }
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn sole_node_matches_pairwise_scan(
+                start in vec(0u32..24, PROCESSES..PROCESSES + 1),
+                ops in vec((0usize..PROCESSES, 0u32..24, 0u32..3), 1..40),
+            ) {
+                let mut g = ProcessGraph::new(0.into());
+                let ps = g.add_processes(PROCESSES);
+                let mut wcet = WcetTable::new();
+                for &p in &ps {
+                    for n in 0..NODES {
+                        wcet.set(p, NodeId::new(n), Time::from_ms(5 + u64::from(n)));
+                    }
+                }
+                let fm = FaultModel::new(2, Time::from_ms(1));
+                let mut design = Design::from_decisions(
+                    ps.iter()
+                        .zip(&start)
+                        .map(|(&p, &code)| decision(&fm, p, code))
+                        .collect(),
+                );
+                let mut live = ExpandedDesign::default();
+                live.expand_into(&g, &design, &wcet, &fm).unwrap();
+                check(&live);
+                let mut patched = ExpandedDesign::default();
+                let mut saved = Vec::new();
+                for &(p, code, mode) in &ops {
+                    let p = ps[p];
+                    let d = decision(&fm, p, code);
+                    match mode {
+                        // Patch, check, undo: the base must come back.
+                        0 => {
+                            live.patch_in_place(p, &d, &wcet, &fm, &mut saved).unwrap();
+                            check(&live);
+                            live.unpatch(p, &saved);
+                        }
+                        // Patch and keep: the walk moves on.
+                        1 => {
+                            live.patch_in_place(p, &d, &wcet, &fm, &mut saved).unwrap();
+                            design.set_decision(p, d);
+                        }
+                        // A patched copy of the current base.
+                        _ => {
+                            patched.expand_patched(&live, p, &d, &wcet, &fm).unwrap();
+                            check(&patched);
+                        }
+                    }
+                    check(&live);
+                    let full = ExpandedDesign::expand(&g, &design, &wcet, &fm).unwrap();
+                    prop_assert_eq!(&live, &full);
+                }
+            }
+        }
     }
 
     #[test]

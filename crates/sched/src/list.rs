@@ -32,6 +32,14 @@
 //! scratch buffers, returning just the [`ScheduleCost`]. Both paths
 //! share every line of placement logic, so their costs cannot
 //! diverge.
+//!
+//! # Adjacency in O(1)
+//!
+//! Booked message arrivals live in one flat table indexed by
+//! `(edge, sender replica)` (`Arrivals`): a delivery lookup is one
+//! index, and prefix snapshots and splice recordings restore the
+//! table by plain copy. Whether an edge's message needs the bus is
+//! the expansion's O(1) sole-node test ([`ExpandedDesign`]).
 
 use ftdes_model::architecture::Architecture;
 use ftdes_model::design::Design;
@@ -183,8 +191,9 @@ pub struct SchedScratch {
     pub(crate) completion: Vec<Time>,
     /// Per-node placement state.
     pub(crate) nodes: Vec<NodeScratch>,
-    /// Message arrival times per sender instance (delivery lookups).
-    pub(crate) arrivals: Vec<Vec<(EdgeId, Time)>>,
+    /// Message arrival times per (edge, sender replica) (delivery
+    /// lookups).
+    pub(crate) arrivals: Arrivals,
     /// Bus-slot occupancy (used bytes per slot occurrence, through
     /// the active [`OccupancyBackend`]).
     pub(crate) occupancy: SlotOccupancy,
@@ -197,6 +206,68 @@ pub struct SchedScratch {
     /// Working state of the certified bus-wait lower bound (bounded
     /// runs with [`ScheduleOptions::comm_lookahead`]).
     pub(crate) comm: CommLookahead,
+}
+
+/// Booked message arrival times in one flat table keyed by
+/// `(edge, sender replica)`: `times[edge * stride + replica]`.
+///
+/// `stride = min(k + 1, node_count)` bounds the replica index exactly
+/// (a process has at most `k + 1` replicas, on pairwise distinct
+/// nodes), so the table holds `edges × stride` entries however large
+/// a parsed `k` is. An entry is written when its sender instance
+/// books the edge's message and is read only by consumer instances
+/// off the sender's node — exactly the instances that made it book —
+/// so stale entries (unbooked edges, replicas a design no longer has)
+/// are never read. Keys carry no instance ids, so recordings restore
+/// into a candidate with a different replica count by plain copy.
+#[derive(Debug, Default)]
+pub(crate) struct Arrivals {
+    times: Vec<Time>,
+    stride: usize,
+}
+
+impl Arrivals {
+    /// Sizes the table for `graph` under fault model `fm` on
+    /// `node_count` nodes (entries zeroed).
+    fn reset(&mut self, graph: &ProcessGraph, fm: &FaultModel, node_count: usize) {
+        self.stride = (fm.k() as usize).saturating_add(1).min(node_count);
+        self.times.clear();
+        self.times
+            .resize(graph.edge_count() * self.stride, Time::ZERO);
+    }
+
+    /// Number of entries (`edges × stride`).
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.times.len()
+    }
+
+    /// Copies `other` into `self`, reusing the buffer.
+    pub(crate) fn copy_from(&mut self, other: &Arrivals) {
+        self.stride = other.stride;
+        self.times.clone_from(&other.times);
+    }
+
+    fn index(&self, edge: EdgeId, replica: u32) -> usize {
+        debug_assert!(
+            (replica as usize) < self.stride,
+            "replica index within stride"
+        );
+        edge.index() * self.stride + replica as usize
+    }
+
+    /// The arrival of `edge`'s message from the sender's replica
+    /// number `replica`.
+    pub(crate) fn get(&self, edge: EdgeId, replica: u32) -> Time {
+        self.times[self.index(edge, replica)]
+    }
+
+    /// Records the arrival of `edge`'s message from the sender's
+    /// replica number `replica`.
+    pub(crate) fn set(&mut self, edge: EdgeId, replica: u32, arrival: Time) {
+        let at = self.index(edge, replica);
+        self.times[at] = arrival;
+    }
 }
 
 /// The certified bus-wait lower bound of bounded (early-exit) cost
@@ -407,9 +478,7 @@ impl CommLookahead {
         };
         let sender = expanded.instance(*single).node;
         expanded
-            .of_process(edge.to)
-            .iter()
-            .any(|&t| expanded.instance(t).node != sender)
+            .reads_remote(edge.to, sender)
             .then_some((sender, edge.message.size))
     }
 
@@ -610,7 +679,7 @@ pub fn list_schedule_recording<W: WcetLookup + ?Sized>(
         bookings: Bookings::for_instances(expanded.len()),
         bus_bookings: Vec::new(),
     };
-    init_placement(graph, arch.node_count(), &expanded, scratch);
+    init_placement(graph, fm, arch.node_count(), &expanded, scratch);
     let outcome = drive_placement(
         graph,
         &expanded,
@@ -739,6 +808,7 @@ pub fn schedule_cost_bounded<W: WcetLookup + ?Sized>(
         .compute_into(graph, &scratch.expanded, bus, options.priority)?;
     init_placement(
         graph,
+        fm,
         arch.node_count(),
         &scratch.expanded,
         &mut scratch.core,
@@ -785,6 +855,7 @@ impl From<RunCost> for CostOutcome {
 /// (position 0 of the instance order).
 pub(crate) fn init_placement(
     graph: &ProcessGraph,
+    fm: &FaultModel,
     node_count: usize,
     expanded: &ExpandedDesign,
     scratch: &mut SchedScratch,
@@ -807,12 +878,7 @@ pub(crate) fn init_placement(
     for node in &mut scratch.nodes[..node_count] {
         node.reset();
     }
-    if scratch.arrivals.len() < expanded.len() {
-        scratch.arrivals.resize(expanded.len(), Vec::new());
-    }
-    for entry in &mut scratch.arrivals[..expanded.len()] {
-        entry.clear();
-    }
+    scratch.arrivals.reset(graph, fm, node_count);
     scratch.occupancy.clear();
     scratch.placed.clear();
     scratch.placed.resize(n, false);
@@ -910,7 +976,7 @@ pub(crate) fn drive_placement<S: PlacementSink>(
             }
         }
         if let Some(rec) = recorder.as_deref_mut() {
-            rec.note_placed(p, scratch, scheduled, n);
+            rec.note_placed(p, graph, scratch, scheduled, n);
         }
         if let Some(bound) = bound {
             for &sid in expanded.of_process(p) {
@@ -1130,11 +1196,7 @@ pub(crate) fn place_process<S: PlacementSink>(
                 let time = if local {
                     scratch.times[q.index()]
                 } else {
-                    scratch.arrivals[q.index()]
-                        .iter()
-                        .find(|(e, _)| *e == eid)
-                        .expect("remote sender was booked at placement")
-                        .1
+                    scratch.arrivals.get(eid, qi.replica)
                 };
                 // Killing a local sender burns node time: all its
                 // rollback re-runs (the recovery profile's per-fault
@@ -1254,11 +1316,7 @@ pub(crate) fn place_process<S: PlacementSink>(
         // --- Book outgoing messages (transparent timing). ---
         for &eid in graph.outgoing(p) {
             let edge = graph.edge(eid);
-            let needs_bus = expanded
-                .of_process(edge.to)
-                .iter()
-                .any(|&t| expanded.instance(t).node != node);
-            if needs_bus {
+            if expanded.reads_remote(edge.to, node) {
                 let booked = book_scratch(
                     bus,
                     &mut scratch.occupancy,
@@ -1267,7 +1325,7 @@ pub(crate) fn place_process<S: PlacementSink>(
                     edge.message.size,
                     MessageTag::new(eid, inst.replica),
                 )?;
-                scratch.arrivals[sid.index()].push((eid, booked.arrival));
+                scratch.arrivals.set(eid, inst.replica, booked.arrival);
                 sink.message_booked(eid, sid, booked);
             }
         }

@@ -110,18 +110,6 @@ pub struct Priorities {
     strategy: PriorityStrategy,
 }
 
-/// Returns `true` if any replica pair of `from`/`to` sits on
-/// different nodes, forcing bus communication.
-fn crosses_nodes(expanded: &ExpandedDesign, from: ProcessId, to: ProcessId) -> bool {
-    expanded.of_process(from).iter().any(|&q| {
-        let qn = expanded.instance(q).node;
-        expanded
-            .of_process(to)
-            .iter()
-            .any(|&t| expanded.instance(t).node != qn)
-    })
-}
-
 /// The largest fault-free execution time over the replicas of `p` —
 /// WCET plus checkpoint saves (all replicas must complete for the
 /// worst case).
@@ -243,7 +231,7 @@ impl Priorities {
             let mut best = Time::ZERO;
             for &e in graph.outgoing(p) {
                 let edge = graph.edge(e);
-                let remote = crosses_nodes(expanded, p, edge.to);
+                let remote = expanded.crosses(p, edge.to);
                 let cost =
                     self.rank[edge.to.index()] + if remote { comm_estimate } else { Time::ZERO };
                 best = best.max(cost);
@@ -272,7 +260,7 @@ impl Priorities {
             let mut tightest = graph.process(p).deadline.unwrap_or(Time::MAX);
             for &e in graph.outgoing(p) {
                 let edge = graph.edge(e);
-                let remote = crosses_nodes(expanded, p, edge.to);
+                let remote = expanded.crosses(p, edge.to);
                 let cost =
                     self.rank[edge.to.index()] + if remote { comm_estimate } else { Time::ZERO };
                 best = best.max(cost);
@@ -315,7 +303,7 @@ impl Priorities {
             let mut start = graph.process(p).release;
             for &e in graph.incoming(p) {
                 let edge = graph.edge(e);
-                let remote = crosses_nodes(expanded, edge.from, p);
+                let remote = expanded.crosses(edge.from, p);
                 let arrival = self.asap[edge.from.index()]
                     + exec_estimate(expanded, edge.from)
                     + if remote { comm_estimate } else { Time::ZERO };

@@ -24,20 +24,22 @@
 //!   slot's occupancy up to the first booking it perturbs and replay
 //!   only the bookings after it;
 //! * the **final state** of the base run (fault-free and worst-case
-//!   finish per instance, message arrivals, worst-case completion per
-//!   process) — the values spliced verbatim for every process outside
-//!   the candidate's affected cone.
+//!   finish per instance, the flat `(edge, replica)` message-arrival
+//!   table, worst-case completion per process) — the values spliced
+//!   verbatim for every process outside the candidate's affected
+//!   cone.
 //!
 //! [`crate::delta`] consumes all three: it computes the certified
 //! affected cone of a single-move candidate and re-places only the
 //! cone, reading everything outside it from here.
 
-use ftdes_model::ids::EdgeId;
+use ftdes_model::graph::ProcessGraph;
+use ftdes_model::ids::{EdgeId, ProcessId};
 use ftdes_model::time::Time;
 use ftdes_ttp::config::BusConfig;
 
 use crate::instance::{ExpandedDesign, InstanceId};
-use crate::list::{FrontierEntry, NodeScratch, SchedScratch};
+use crate::list::{Arrivals, FrontierEntry, NodeScratch, SchedScratch};
 
 /// One per-node placement segment boundary: the node-local state
 /// right after the instance placed at `pos` finished registering.
@@ -166,13 +168,9 @@ pub(crate) struct SegmentStore {
     pub(crate) times: Vec<Time>,
     /// Final worst-case finish per instance (message request times).
     pub(crate) wc_times: Vec<Time>,
-    /// Final message arrivals in CSR form:
-    /// `arrivals[arrival_off[sid]..arrival_off[sid + 1]]` are sender
-    /// instance `sid`'s booked `(edge, arrival)` pairs in booking
-    /// order — the splice prefills only the senders its cone actually
-    /// reads.
-    pub(crate) arrivals: Vec<(EdgeId, Time)>,
-    pub(crate) arrival_off: Vec<u32>,
+    /// Final message arrivals per (edge, sender replica) — the splice
+    /// starts every candidate from one copy of this table.
+    pub(crate) arrivals: Arrivals,
     /// Final worst-case completion per process.
     pub(crate) completion: Vec<Time>,
 }
@@ -209,17 +207,17 @@ impl SegmentStore {
             (0..node_count)
                 .map(|n| bus.slot_of_node(ftdes_model::ids::NodeId::new(n as u32)) as u32),
         );
-        self.arrivals.clear();
     }
 
-    /// Records the segments of one placement: the post-placement
-    /// state of every node the process's instances landed on, and the
-    /// bookings its instances pushed (read off the per-sender arrival
-    /// lists, which at this point hold exactly this placement's
-    /// entries for these instances).
+    /// Records the segments of one placement of `p`: the
+    /// post-placement state of every node its instances landed on,
+    /// and the bookings its instances pushed — every out-edge whose
+    /// consumer reads remotely from the instance's node, in the
+    /// placement core's booking order.
     pub(crate) fn note_placed(
         &mut self,
-        instances: &[InstanceId],
+        graph: &ProcessGraph,
+        p: ProcessId,
         expanded: &ExpandedDesign,
         scratch: &SchedScratch,
         pos: u32,
@@ -227,7 +225,7 @@ impl SegmentStore {
         if !self.enabled {
             return;
         }
-        for &sid in instances {
+        for &sid in expanded.of_process(p) {
             let inst = expanded.instance(sid);
             self.nodes[inst.node.index()].push(
                 pos,
@@ -237,12 +235,14 @@ impl SegmentStore {
                 inst.budget,
             );
             let slot = self.slot_of[inst.node.index()] as usize;
-            for &(edge, _arrival) in &scratch.arrivals[sid.index()] {
-                self.slots[slot].push(SlotBooking {
-                    pos,
-                    edge,
-                    earliest: scratch.wc_times[sid.index()],
-                });
+            for &edge in graph.outgoing(p) {
+                if expanded.reads_remote(graph.edge(edge).to, inst.node) {
+                    self.slots[slot].push(SlotBooking {
+                        pos,
+                        edge,
+                        earliest: scratch.wc_times[sid.index()],
+                    });
+                }
             }
         }
     }
@@ -258,19 +258,8 @@ impl SegmentStore {
         self.wc_times.clear();
         self.wc_times
             .extend_from_slice(&scratch.wc_times[..instance_count]);
-        self.arrivals.clear();
-        self.arrival_off.clear();
-        for entries in &scratch.arrivals[..instance_count] {
-            self.arrival_off.push(self.arrivals.len() as u32);
-            self.arrivals.extend_from_slice(entries);
-        }
-        self.arrival_off.push(self.arrivals.len() as u32);
+        self.arrivals.copy_from(&scratch.arrivals);
         self.completion.clone_from(&scratch.completion);
         self.recorded = true;
-    }
-
-    /// Sender instance `sid`'s recorded `(edge, arrival)` bookings.
-    pub(crate) fn arrivals_of(&self, sid: usize) -> &[(EdgeId, Time)] {
-        &self.arrivals[self.arrival_off[sid] as usize..self.arrival_off[sid + 1] as usize]
     }
 }
