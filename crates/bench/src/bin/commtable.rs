@@ -19,7 +19,7 @@
 //!   computation, at the gate's density of 5.
 //!
 //! Honours the usual experiment knobs: `FTDES_SEEDS`,
-//! `FTDES_TIME_MS`, `FTDES_THREADS` / `FTDES_NO_PARALLEL`.
+//! `FTDES_TIME_MS`, `FTDES_THREADS`.
 
 use std::sync::Arc;
 

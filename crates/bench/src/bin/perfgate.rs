@@ -118,20 +118,10 @@ use ftdes_model::time::Time;
 /// runs stay comparable across machines: the resolved worker-thread
 /// count (everything so far is measured on 1-CPU containers — a
 /// future multi-core validation run must be distinguishable from
-/// them) and a snapshot of every `FTDES_*` knob that can bend the
-/// numbers.
+/// them) and a snapshot of the `FTDES_*` settings that can bend the
+/// numbers: the bench budgets and the thread count.
 fn environment_json() -> String {
-    const KNOBS: [&str; 9] = [
-        "FTDES_TIME_MS",
-        "FTDES_SEEDS",
-        "FTDES_THREADS",
-        "FTDES_NO_PARALLEL",
-        "RAYON_NUM_THREADS",
-        "FTDES_NO_SPLICE",
-        "FTDES_MAX_CHECKPOINTS",
-        "FTDES_SPLICE_METRICS",
-        "FTDES_PRIORITY",
-    ];
+    const KNOBS: [&str; 3] = ["FTDES_TIME_MS", "FTDES_SEEDS", "FTDES_THREADS"];
     // Minimal JSON string escaping (Rust's `escape_default` emits
     // `\'`/`\u{..}` forms that are not valid JSON).
     fn json_escape(v: &str) -> String {
@@ -359,25 +349,6 @@ fn section_paper() -> String {
         );
         scratch.add(&full);
         incremental.add(&incr);
-    }
-
-    if std::env::var("FTDES_SPLICE_METRICS").is_ok() {
-        let (engaged, gated, diverged, splice_ns, pr2_ns) =
-            ftdes_sched::incremental::metrics::snapshot();
-        let (cert_ns, prep_ns, cone_ns, pr2_calls) = ftdes_sched::incremental::metrics::phases();
-        println!(
-            "splice metrics: engaged {engaged} ({:.2} us avg) | gate-rejected {gated} | \
-             diverged {diverged} | pr2-path replays {pr2_calls} ({:.2} us avg)",
-            splice_ns as f64 / 1e3 / engaged.max(1) as f64,
-            pr2_ns as f64 / 1e3 / pr2_calls.max(1) as f64,
-        );
-        let all = (engaged + gated + diverged).max(1) as f64;
-        println!(
-            "  per eligible candidate: prepare {:.2} us | cert {:.2} us | cone {:.2} us",
-            prep_ns as f64 / 1e3 / all,
-            cert_ns as f64 / 1e3 / all,
-            cone_ns as f64 / 1e3 / (engaged + gated).max(1) as f64,
-        );
     }
 
     let iter_vs_scratch = ratio(
@@ -666,10 +637,6 @@ fn run_all_sections() -> Vec<String> {
 }
 
 fn main() -> std::process::ExitCode {
-    if std::env::var("FTDES_SPLICE_METRICS").is_ok() {
-        ftdes_sched::incremental::metrics::enable();
-    }
-
     // Child mode: run one section, write its JSON fragment where the
     // parent asked, exit.
     if let Ok(section) = std::env::var("FTDES_PERFGATE_SECTION") {

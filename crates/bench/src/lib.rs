@@ -11,24 +11,18 @@
 //! | `... --bin fig10` | Fig. 10 — MX / MR / SFX deviation from MXR |
 //! | `... --bin cruise_control` | the CC case study |
 //! | `... --bin perfgate` | evaluation-throughput gate (paper, 12-node splice and comm-heavy workloads) → `BENCH_tabu.json` |
-//! | `... --bin evalprof` | per-phase profile of one candidate evaluation |
-//! | `... --bin incrprof` | incremental vs from-scratch per-move profile |
-//! | `... --bin commprof` | communication-heavy per-candidate profile (bus-wait bound + occupancy index vs the PR 2 path) |
 //! | `cargo bench -p ftdes-bench` | Criterion micro-benchmarks |
 //!
-//! Scale knobs (environment variables; the runtime `FTDES_*` knobs
-//! are canonically documented in the `ftdes-core` crate docs):
+//! Scale knobs (environment variables; the engine's own,
+//! `FTDES_THREADS`, is documented in the `ftdes-core` crate docs):
 //!
 //! * `FTDES_SEEDS` — applications per configuration (paper: 15,
 //!   default here: 5 to keep runs minutes-scale),
 //! * `FTDES_TIME_MS` — search budget per strategy run in
 //!   milliseconds (default 500; the paper used minutes-to-hours on
 //!   2005 hardware),
-//! * `FTDES_THREADS` / `RAYON_NUM_THREADS` — worker threads for
-//!   candidate evaluation (default: available parallelism),
-//! * `FTDES_NO_PARALLEL` — force single-threaded evaluation,
-//! * `commprof` additionally reads `COMM_RATIO` / `COMM_DENSITY` /
-//!   `COMM_PROCS` to sweep the communication-heavy family.
+//! * `FTDES_THREADS` — worker threads for candidate evaluation
+//!   (default: available parallelism).
 //!
 //! # Evaluations/sec methodology
 //!
@@ -265,7 +259,8 @@ pub fn comm_heavy_problem(processes: usize, nodes: usize, k: u32, mu: Time, seed
 }
 
 /// [`comm_heavy_problem`] with explicit family parameters — the
-/// ratio/density ablations (`commprof`) sweep these.
+/// perfgate `comm` section and the `commtable` density/ratio sweep
+/// set these.
 #[must_use]
 pub fn comm_heavy_problem_with(
     params: &CommHeavyParams,

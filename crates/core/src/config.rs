@@ -56,14 +56,14 @@ pub struct SearchConfig {
     /// large instances; disable for ablation studies.
     pub staged_tabu: bool,
     /// Worker threads for candidate evaluation. `0` (the default)
-    /// resolves at run time: `FTDES_NO_PARALLEL` forces 1, else
-    /// `FTDES_THREADS` / `RAYON_NUM_THREADS`, else the machine's
-    /// available parallelism. Candidates are selected by a total
-    /// order on `(cost, move index)`, so without a wall-clock limit
-    /// the search result is **bit-identical** for every thread count;
-    /// under a `time_limit` the cutoff lands at different trajectory
-    /// points for different speeds (that is the point of going
-    /// faster).
+    /// resolves at run time through
+    /// [`crate::parallel::effective_threads`]: `FTDES_THREADS`, else
+    /// the machine's available parallelism. Candidates are selected
+    /// by a total order on `(cost, move index)`, so without a
+    /// wall-clock limit the search result is **bit-identical** for
+    /// every thread count; under a `time_limit` the cutoff lands at
+    /// different trajectory points for different speeds (that is the
+    /// point of going faster).
     pub threads: usize,
     /// Memoize candidate evaluations across iterations and phases
     /// (see [`crate::cache::Evaluator`]). Disable only to measure the
@@ -85,22 +85,13 @@ pub struct SearchConfig {
     /// the `(cost, move index)` total order behind them) are
     /// bit-identical either way.
     pub bounded: bool,
-    /// Round the neighbourhood window cap up to a multiple of the
-    /// evaluation pool width, so the last parallel chunk of every
-    /// window keeps all workers busy. **This is a search-space knob,
-    /// not a pure throughput knob**: the cap (and therefore the
-    /// trajectory) depends on the resolved thread count, so runs with
-    /// different thread counts are no longer bit-identical. For a
-    /// *fixed* thread count the search stays fully deterministic.
-    /// Off by default; the determinism test matrix runs with it off.
-    pub adaptive_window: bool,
     /// Ready-list priority strategy override for this search:
     /// `Some(s)` re-derives the problem under strategy `s`
     /// (partial-critical-path or mobility), `None` (the default)
     /// inherits whatever the problem was built with
-    /// ([`crate::problem::Problem::with_priority_strategy`] /
-    /// `FTDES_PRIORITY`). The portfolio uses this to run a
-    /// mobility-ordered worker beside the tenure/window variants.
+    /// ([`crate::problem::Problem::with_priority_strategy`]). The
+    /// portfolio uses this to run a mobility-ordered worker beside
+    /// the tenure/window variants.
     pub priority: Option<PriorityStrategy>,
 }
 
@@ -140,7 +131,6 @@ impl Default for SearchConfig {
             eval_cache: true,
             incremental: true,
             bounded: true,
-            adaptive_window: false,
             priority: None,
         }
     }

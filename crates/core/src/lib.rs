@@ -49,15 +49,13 @@
 //!
 //! # Environment variables
 //!
-//! The canonical list of runtime `FTDES_*` knobs (all optional):
+//! The engine reads one environment variable; every other option is
+//! passed in through a [`problem::Problem`] builder or a
+//! [`SearchConfig`] field:
 //!
 //! | variable | effect |
 //! |---|---|
-//! | `FTDES_THREADS` | worker threads for candidate evaluation (default: available parallelism; also honours `RAYON_NUM_THREADS`) |
-//! | `FTDES_NO_PARALLEL` | force single-threaded evaluation (overrides everything) |
-//! | `FTDES_NO_SPLICE` | disable the suffix-splicing engine (evaluation engine v3): new [`problem::Problem`]s evaluate candidates through the PR 2/3 checkpoint-resumed path instead. Set to anything but `0`/empty; [`problem::Problem::with_suffix_splice`] overrides per problem. Pure throughput knob — results are bit-identical either way |
-//! | `FTDES_MAX_CHECKPOINTS` | largest checkpoint count the move generators may assign per re-executable process (the third move axis). Default: `1` (axis off) while the fault model's `χ` is zero, `4` otherwise; [`problem::Problem::with_max_checkpoints`] overrides per problem. **Search-space knob** — unlike the throughput knobs it changes which designs are reachable |
-//! | `FTDES_PRIORITY` | ready-list priority strategy for new [`problem::Problem`]s: `pcp` (partial-critical-path, default) or `mobility` (ALAP − ASAP float); [`problem::Problem::with_priority_strategy`] / [`SearchConfig::priority`] override per problem / per search. **Search-space knob** |
+//! | `FTDES_THREADS` | worker threads for candidate evaluation when [`SearchConfig::threads`] is `0` (default: available parallelism). Throughput only — without a wall-clock limit, results are bit-identical for every thread count |
 //!
 //! Resolution order and details: [`parallel::effective_threads`].
 //! The benchmark harness (`ftdes-bench`) adds `FTDES_SEEDS` and

@@ -9,18 +9,13 @@
 //! interleaving never influences which candidate wins and a parallel
 //! run is bit-identical to a single-threaded one.
 //!
-//! Two execution vehicles share that contract:
-//!
-//! * [`WorkerPool`] — a **persistent** pool of parked worker threads
-//!   living for a whole search (or a whole benchmark harness). Tabu
-//!   iterates thousands of windows per second; spawning scoped
-//!   threads per window made the spawn cost rival the useful work for
-//!   small windows on multi-core machines. Submitting to the pool is
-//!   one mutex/condvar round-trip, and the submitting thread works
-//!   alongside the pool on every job.
-//! * [`try_par_map`] / [`try_par_map_init`] — one-shot
-//!   [`std::thread::scope`] fallbacks with the identical semantics,
-//!   kept for callers without a long-lived pool.
+//! The vehicle is [`WorkerPool`], a **persistent** pool of parked
+//! worker threads living for a whole search (or a whole benchmark
+//! harness). Tabu iterates thousands of windows per second; spawning
+//! scoped threads per window made the spawn cost rival the useful
+//! work for small windows on multi-core machines. Submitting to the
+//! pool is one mutex/condvar round-trip, and the submitting thread
+//! works alongside the pool on every job.
 //!
 //! (The container has no rayon available offline; the index-stealing
 //! loop below is the same shape `par_iter` would compile to for this
@@ -34,136 +29,27 @@ use std::thread::JoinHandle;
 /// Resolves the worker count for a search.
 ///
 /// Priority: an explicit non-zero `requested` (from
-/// `SearchConfig::threads`), then the `FTDES_NO_PARALLEL` kill switch,
-/// then the `FTDES_THREADS` / `RAYON_NUM_THREADS` environment knobs,
-/// then the machine's available parallelism.
+/// `SearchConfig::threads`), then the `FTDES_THREADS` environment
+/// variable, then the machine's available parallelism.
 #[must_use]
 pub fn effective_threads(requested: usize) -> usize {
     if requested > 0 {
         return requested;
     }
-    let no_parallel = std::env::var("FTDES_NO_PARALLEL")
-        .map(|v| v != "0" && !v.is_empty())
-        .unwrap_or(false);
-    if no_parallel {
-        return 1;
-    }
-    for knob in ["FTDES_THREADS", "RAYON_NUM_THREADS"] {
-        if let Some(n) = std::env::var(knob).ok().and_then(|v| v.parse().ok()) {
-            if n >= 1 {
-                return n;
-            }
+    // The engine's one environment read, exempt from the crate's
+    // clippy guard: `FTDES_THREADS` is the CLI's only thread-count
+    // setting. It changes throughput, not which candidate a window
+    // selects (selection is position-indexed).
+    #[allow(clippy::disallowed_methods)]
+    let from_env = std::env::var("FTDES_THREADS").ok();
+    if let Some(n) = from_env.and_then(|v| v.parse().ok()) {
+        if n >= 1 {
+            return n;
         }
     }
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Maps `f` over `items` on up to `threads` workers, preserving input
-/// order in the result.
-///
-/// `f` receives `(index, &item)` and may return `Ok(None)` to skip an
-/// item (the cutoff path). Results arrive as `Vec<Option<R>>` aligned
-/// with `items`. With `threads <= 1` the map runs inline on the
-/// calling thread in input order — the reference behaviour parallel
-/// runs must reproduce.
-///
-/// # Errors
-///
-/// If any invocation fails, the error of the **lowest input index**
-/// is returned — again independent of thread interleaving.
-pub fn try_par_map<T, R, E, F>(items: &[T], threads: usize, f: F) -> Result<Vec<Option<R>>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<Option<R>, E> + Sync,
-{
-    try_par_map_init(items, threads, || (), |(), i, item| f(i, item))
-}
-
-/// [`try_par_map`] with per-worker state: `init` runs once on each
-/// worker and the resulting state is threaded through its
-/// invocations of `f`.
-///
-/// This is what makes zero-clone candidate evaluation possible: each
-/// worker clones the iteration's base design once into its state,
-/// then applies and undoes one move per item instead of cloning the
-/// whole design per candidate.
-///
-/// # Errors
-///
-/// Same contract as [`try_par_map`].
-pub fn try_par_map_init<T, R, E, S, I, F>(
-    items: &[T],
-    threads: usize,
-    init: I,
-    f: F,
-) -> Result<Vec<Option<R>>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> Result<Option<R>, E> + Sync,
-{
-    let n = items.len();
-    let workers = threads.min(n).max(1);
-    if workers == 1 {
-        let mut state = init();
-        let mut out = Vec::with_capacity(n);
-        for (i, item) in items.iter().enumerate() {
-            out.push(f(&mut state, i, item)?);
-        }
-        return Ok(out);
-    }
-
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-    // Lowest errored index so far (usize::MAX = none): items above it
-    // are skipped — their results would be discarded anyway, and only
-    // lower-index errors can still claim precedence.
-    let error_floor = AtomicUsize::new(usize::MAX);
-    let first_error: Mutex<Option<(usize, E)>> = Mutex::new(None);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut state = init();
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    if i > error_floor.load(Ordering::Relaxed) {
-                        continue;
-                    }
-                    match f(&mut state, i, &items[i]) {
-                        Ok(Some(r)) => local.push((i, r)),
-                        Ok(None) => {}
-                        Err(e) => {
-                            error_floor.fetch_min(i, Ordering::Relaxed);
-                            let mut slot = first_error.lock().expect("error slot");
-                            if slot.as_ref().is_none_or(|(j, _)| i < *j) {
-                                *slot = Some((i, e));
-                            }
-                        }
-                    }
-                }
-                let mut out = results.lock().expect("result slots");
-                for (i, r) in local {
-                    out[i] = Some(r);
-                }
-            });
-        }
-    });
-
-    if let Some((_, e)) = first_error.into_inner().expect("error slot") {
-        return Err(e);
-    }
-    Ok(results.into_inner().expect("result slots"))
 }
 
 /// A type-erased unit of work: every pool worker calls `run(ctx)`
@@ -226,8 +112,8 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
-/// A persistent pool of parked worker threads with the same
-/// deterministic mapping contract as [`try_par_map_init`].
+/// A persistent pool of parked worker threads that maps candidate
+/// windows deterministically (see [`WorkerPool::try_map_init`]).
 ///
 /// Created once per search (or harness) and fed one candidate window
 /// at a time: submission publishes a job under a mutex, wakes the
@@ -296,12 +182,6 @@ impl WorkerPool {
         }
     }
 
-    /// A pool sized by [`effective_threads`]`(requested)`.
-    #[must_use]
-    pub fn with_requested(requested: usize) -> Self {
-        WorkerPool::new(effective_threads(requested))
-    }
-
     /// Total workers (including the submitting thread).
     #[must_use]
     pub fn threads(&self) -> usize {
@@ -358,13 +238,24 @@ impl WorkerPool {
         }
     }
 
-    /// [`try_par_map_init`] on the persistent pool: maps `f` over
-    /// `items` with per-worker state, preserving input order in the
-    /// result and returning the error of the lowest input index.
+    /// Maps `f` over `items` on the pool, preserving input order in
+    /// the result.
+    ///
+    /// `f` receives `(&mut state, index, &item)` and may return
+    /// `Ok(None)` to skip an item (the cutoff path). Results arrive as
+    /// `Vec<Option<R>>` aligned with `items`. `init` runs once on each
+    /// participating worker and the resulting state is threaded
+    /// through its invocations of `f`: each worker clones the
+    /// iteration's base design once into its state, then applies and
+    /// undoes one move per item instead of cloning the whole design
+    /// per candidate. Small windows run inline on the calling thread
+    /// in input order — the reference behaviour parallel runs
+    /// reproduce.
     ///
     /// # Errors
     ///
-    /// Same contract as [`try_par_map`].
+    /// If any invocation fails, the error of the **lowest input
+    /// index** is returned — independent of thread interleaving.
     pub fn try_map_init<T, R, E, S, I, F>(
         &self,
         items: &[T],
@@ -406,6 +297,9 @@ impl WorkerPool {
 
         let next = AtomicUsize::new(0);
         let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
+        // Lowest errored index so far (usize::MAX = none): items above it
+        // are skipped — their results would be discarded anyway, and only
+        // lower-index errors can still claim precedence.
         let error_floor = AtomicUsize::new(usize::MAX);
         let first_error: Mutex<Option<(usize, E)>> = Mutex::new(None);
 
@@ -467,19 +361,31 @@ mod tests {
     #[test]
     fn preserves_input_order() {
         let items: Vec<usize> = (0..100).collect();
-        let seq = try_par_map(&items, 1, |i, &v| Ok::<_, ()>(Some(i * 1000 + v))).unwrap();
-        let par = try_par_map(&items, 8, |i, &v| Ok::<_, ()>(Some(i * 1000 + v))).unwrap();
-        assert_eq!(seq, par);
+        let map = |pool: &WorkerPool| {
+            pool.try_map_init(&items, || (), |(), i, &v| Ok::<_, ()>(Some(i * 1000 + v)))
+                .unwrap()
+        };
+        let seq = map(&WorkerPool::new(1));
         assert_eq!(seq[42], Some(42 * 1000 + 42));
+        let pool = WorkerPool::new(8);
+        for _ in 0..3 {
+            // Re-submitting to the same pool must be safe and
+            // identical — that is the whole point of persistence.
+            assert_eq!(map(&pool), seq);
+        }
     }
 
     #[test]
     fn skips_become_none() {
-        let items: Vec<usize> = (0..10).collect();
-        let out = try_par_map(&items, 4, |_, &v| {
-            Ok::<_, ()>(if v % 2 == 0 { Some(v) } else { None })
-        })
-        .unwrap();
+        let items: Vec<usize> = (0..32).collect();
+        let out = WorkerPool::new(8)
+            .try_map_init(
+                &items,
+                || (),
+                |(), _, &v| Ok::<_, ()>(if v % 2 == 0 { Some(v) } else { None }),
+            )
+            .unwrap();
+        assert_eq!(out.len(), 32);
         for (i, slot) in out.iter().enumerate() {
             assert_eq!(*slot, if i % 2 == 0 { Some(i) } else { None });
         }
@@ -487,8 +393,30 @@ mod tests {
 
     #[test]
     fn lowest_index_error_wins() {
+        // Index 10 fails only after index 11 has failed, so a
+        // higher-index error comes first; the lowest index must still
+        // win.
         let items: Vec<usize> = (0..64).collect();
-        let result = try_par_map(&items, 8, |i, _| if i >= 10 { Err(i) } else { Ok(Some(i)) });
+        let eleven_failed = std::sync::atomic::AtomicBool::new(false);
+        let result = WorkerPool::new(8).try_map_init(
+            &items,
+            || (),
+            |(), i, _| {
+                if i == 10 {
+                    while !eleven_failed.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                }
+                if i == 11 {
+                    eleven_failed.store(true, Ordering::SeqCst);
+                }
+                if i >= 10 {
+                    Err(i)
+                } else {
+                    Ok(Some(i))
+                }
+            },
+        );
         assert_eq!(result.unwrap_err(), 10);
     }
 
@@ -496,21 +424,6 @@ mod tests {
     fn thread_resolution_prefers_explicit_request() {
         assert_eq!(effective_threads(3), 3);
         assert!(effective_threads(0) >= 1);
-    }
-
-    #[test]
-    fn pool_matches_scoped_map() {
-        let items: Vec<usize> = (0..257).collect();
-        let scoped = try_par_map(&items, 4, |i, &v| Ok::<_, ()>(Some(i * 1000 + v))).unwrap();
-        let pool = WorkerPool::new(4);
-        for _ in 0..3 {
-            // Re-submitting to the same pool must be safe and
-            // identical — that is the whole point of persistence.
-            let pooled = pool
-                .try_map_init(&items, || (), |(), i, &v| Ok::<_, ()>(Some(i * 1000 + v)))
-                .unwrap();
-            assert_eq!(scoped, pooled);
-        }
     }
 
     #[test]

@@ -19,43 +19,6 @@ use ftdes_sched::{
 };
 use ftdes_ttp::config::BusConfig;
 
-/// Whether the suffix-splicing engine is enabled by default: on,
-/// unless the `FTDES_NO_SPLICE` kill switch is set (to anything but
-/// `0`). Read once — candidate evaluation constructs no problems, but
-/// sweeps construct many.
-fn splice_enabled_by_env() -> bool {
-    static DISABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    !*DISABLED.get_or_init(|| {
-        std::env::var("FTDES_NO_SPLICE")
-            .map(|v| v != "0" && !v.is_empty())
-            .unwrap_or(false)
-    })
-}
-
-/// The `FTDES_MAX_CHECKPOINTS` override of the checkpoint move axis
-/// (`None` when unset/unparsable). Read once.
-fn max_checkpoints_env() -> Option<u32> {
-    static VALUE: std::sync::OnceLock<Option<u32>> = std::sync::OnceLock::new();
-    *VALUE.get_or_init(|| {
-        std::env::var("FTDES_MAX_CHECKPOINTS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-    })
-}
-
-/// The default ready-list priority strategy: partial-critical-path,
-/// unless the `FTDES_PRIORITY` knob (`pcp` / `mobility`) overrides
-/// it. Read once.
-fn priority_strategy_env() -> PriorityStrategy {
-    static VALUE: std::sync::OnceLock<PriorityStrategy> = std::sync::OnceLock::new();
-    *VALUE.get_or_init(|| {
-        std::env::var("FTDES_PRIORITY")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_default()
-    })
-}
-
 /// How many checkpointed segments the search may assign per process
 /// when none is configured explicitly: the axis stays off (`1`) while
 /// the fault model has no checkpointing overhead — with `χ = 0`,
@@ -125,16 +88,12 @@ impl Problem {
             fault_model,
             bus,
             constraints: DesignConstraints::free(n),
-            options: ScheduleOptions {
-                suffix_splice: splice_enabled_by_env(),
-                priority: priority_strategy_env(),
-                ..ScheduleOptions::default()
-            },
-            max_checkpoints: max_checkpoints_env().unwrap_or(if fault_model.chi().is_zero() {
+            options: ScheduleOptions::default(),
+            max_checkpoints: if fault_model.chi().is_zero() {
                 1
             } else {
                 DEFAULT_CHECKPOINT_LEVELS
-            }),
+            },
         }
     }
 
@@ -143,9 +102,8 @@ impl Problem {
     /// neighbourhood (replication level × primary node × checkpoint
     /// count). `1` disables checkpoint moves. The default is derived
     /// from the fault model (`1` when `χ = 0`, since free checkpoints
-    /// degenerate the trade-off; 4 otherwise) and can be overridden
-    /// globally with the `FTDES_MAX_CHECKPOINTS` environment
-    /// variable.
+    /// degenerate the trade-off; 4 otherwise). **Search-space knob**,
+    /// set from the CLI by `--max-checkpoints`.
     #[must_use]
     pub fn with_max_checkpoints(mut self, max_checkpoints: u32) -> Self {
         self.max_checkpoints = max_checkpoints.max(1);
@@ -188,8 +146,8 @@ impl Problem {
     /// (paper §5.1, default) or mobility (ALAP − ASAP float).
     /// **Search-space knob** — strategies legitimately produce
     /// different (both valid) designs, and the strategy participates
-    /// in the evaluator's cache-context fingerprint. Overridable
-    /// globally with `FTDES_PRIORITY`.
+    /// in the evaluator's cache-context fingerprint.
+    /// [`crate::SearchConfig::priority`] overrides it per search.
     #[must_use]
     pub fn with_priority_strategy(mut self, strategy: PriorityStrategy) -> Self {
         self.options.priority = strategy;
@@ -197,8 +155,7 @@ impl Problem {
     }
 
     /// Toggles the **suffix-splicing engine** (evaluation engine v3,
-    /// [`ScheduleOptions::suffix_splice`], default on unless the
-    /// `FTDES_NO_SPLICE` environment variable is set): single-move
+    /// [`ScheduleOptions::suffix_splice`], default on): single-move
     /// candidates re-place only their certified affected cone and
     /// splice the base solution's recorded per-node segments and
     /// per-slot bus timelines for everything outside it, falling back

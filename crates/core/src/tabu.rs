@@ -290,16 +290,8 @@ impl<'e, 'p> TabuSearch<'e, 'p> {
             return Ok(false);
         }
         // Bound the neighbourhood: rotate a deterministic window over
-        // the full move list so every move still gets its turn. With
-        // `adaptive_window` the cap rounds up to a multiple of the
-        // pool width so no evaluation worker idles on the last chunk
-        // (a search-space knob across thread counts — see the
-        // `SearchConfig` docs).
-        let mut cap = cfg.max_moves_per_iteration.max(1);
-        if cfg.adaptive_window {
-            let width = self.pool.threads().max(1);
-            cap = cap.div_ceil(width) * width;
-        }
+        // the full move list so every move still gets its turn.
+        let cap = cfg.max_moves_per_iteration.max(1);
         if self.window.len() > cap {
             let offset = (stats.tabu_iterations.wrapping_sub(1) * cap) % self.window.len();
             self.window.rotate_left(offset);

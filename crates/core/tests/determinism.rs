@@ -1,8 +1,8 @@
 //! Parallel evaluation must not change the search: for a fixed
 //! `ftdes-gen` seed, a single-threaded run (`threads = 1`, the
-//! `FTDES_NO_PARALLEL` / `RAYON_NUM_THREADS=1` behaviour) and a
-//! multi-threaded run must walk the identical trajectory — same best
-//! cost, same iteration counts, same evaluation counts, same design.
+//! `FTDES_THREADS=1` behaviour) and a multi-threaded run must walk
+//! the identical trajectory — same best cost, same iteration counts,
+//! same evaluation counts, same design.
 
 use ftdes_core::{optimize, Goal, Outcome, Problem, SearchConfig, Strategy};
 use ftdes_gen::paper_workload;

@@ -1,5 +1,5 @@
 //! Stress and failure-surfacing tests for the deterministic parallel
-//! layer (`WorkerPool`, `try_par_map_init`).
+//! layer (`WorkerPool`).
 //!
 //! The pool's worst case is many *tiny* windows — each submission is
 //! one mutex/condvar round-trip, so wake-up latency has to stay
@@ -12,7 +12,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use ftdes_core::parallel::{try_par_map_init, WorkerPool};
+use ftdes_core::parallel::WorkerPool;
 
 /// Many tiny windows on a heavily oversubscribed pool: far more
 /// worker threads than the machine has cores forces constant
@@ -112,32 +112,10 @@ fn pool_usable_after_panic() {
     }
 }
 
-/// Seed-parallelism regression: `try_par_map_init` results are in
-/// **input** order, never completion order. Items are delayed in
-/// reverse proportion to their index (late items finish first), so a
-/// completion-ordered implementation would reverse the vector.
-#[test]
-fn par_map_order_is_input_order_not_completion_order() {
-    let items: Vec<usize> = (0..24).collect();
-    let out = try_par_map_init(
-        &items,
-        8,
-        || (),
-        |(), i, &v| {
-            // Index 0 sleeps longest, the tail returns immediately.
-            std::thread::sleep(Duration::from_millis((24 - i) as u64));
-            Ok::<_, ()>(Some((i, v)))
-        },
-    )
-    .expect("delayed map completes");
-    for (i, slot) in out.iter().enumerate() {
-        assert_eq!(*slot, Some((i, i)), "slot {i} holds item {i}");
-    }
-}
-
-/// Same regression on the persistent pool, with per-worker state
-/// proving workers were actually concurrent (more than one state
-/// initialization) while the result order stayed by input index.
+/// Seed-parallelism regression: pool results are in **input** order,
+/// never completion order. Items are delayed in reverse proportion to
+/// their index (late items finish first), so a completion-ordered
+/// implementation would reverse the vector.
 #[test]
 fn pool_order_is_input_order_under_delays() {
     let pool = WorkerPool::new(8);

@@ -2,7 +2,7 @@
 //! arbitrary knob settings, [`ftdes_gen::comm_heavy`] must produce
 //! **connected DAGs** that honour the edge-density, message-size and
 //! msg:WCET-ratio knobs. (The family was previously only exercised
-//! indirectly through the perfgate/commprof bench bins.)
+//! indirectly through the perfgate and commtable bench bins.)
 
 use proptest::prelude::*;
 

@@ -40,6 +40,32 @@ fn info_prints_summary() {
 }
 
 #[test]
+fn engine_ignores_removed_environment_knobs() {
+    // Engine options are passed in, never read from the environment:
+    // none of these variables may change the problem, and none may
+    // bypass the clamp that keeps at least one checkpoint level.
+    let args = [
+        "info", "--family", "paper", "--procs", "30", "--nodes", "4", "--k", "2", "--chi-ms", "2",
+    ];
+    let out = Command::new(env!("CARGO_BIN_EXE_ftdes"))
+        .args(args)
+        .env("FTDES_MAX_CHECKPOINTS", "0")
+        .env("FTDES_PRIORITY", "mobility")
+        .env("FTDES_NO_SPLICE", "1")
+        .env("FTDES_NO_PARALLEL", "1")
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("checkpoint levels: 4"), "stdout: {stdout}");
+    assert_eq!(stdout, String::from_utf8_lossy(&ftdes(&args).stdout));
+}
+
+#[test]
 fn solve_emits_tables_and_json() {
     let path = write_problem("solve.ftd", PIPELINE);
     let json = std::env::temp_dir()

@@ -62,53 +62,6 @@ use ftdes_model::time::Time;
 use ftdes_model::wcet::WcetLookup;
 use ftdes_ttp::config::BusConfig;
 
-#[doc(hidden)]
-pub mod metrics {
-    //! Env-gated engine counters (`FTDES_SPLICE_METRICS=1`): how
-    //! often the splice engages / falls back, and the wall time spent
-    //! on each path. Profiling aid for `incrprof`-style harnesses;
-    //! zero-cost when disabled (one relaxed load per candidate).
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-    pub static ENGAGED: AtomicU64 = AtomicU64::new(0);
-    pub static GATE_REJECTED: AtomicU64 = AtomicU64::new(0);
-    pub static DIVERGED: AtomicU64 = AtomicU64::new(0);
-    pub static SPLICE_NS: AtomicU64 = AtomicU64::new(0);
-    pub static PR2_NS: AtomicU64 = AtomicU64::new(0);
-    pub static PR2_CALLS: AtomicU64 = AtomicU64::new(0);
-    pub static CONE_NS: AtomicU64 = AtomicU64::new(0);
-    pub static PREP_NS: AtomicU64 = AtomicU64::new(0);
-    pub static CERT_NS: AtomicU64 = AtomicU64::new(0);
-    static ENABLED: AtomicBool = AtomicBool::new(false);
-
-    pub fn enable() {
-        ENABLED.store(true, Ordering::Relaxed);
-    }
-
-    pub(crate) fn on() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    pub fn snapshot() -> (u64, u64, u64, u64, u64) {
-        (
-            ENGAGED.load(Ordering::Relaxed),
-            GATE_REJECTED.load(Ordering::Relaxed),
-            DIVERGED.load(Ordering::Relaxed),
-            SPLICE_NS.load(Ordering::Relaxed),
-            PR2_NS.load(Ordering::Relaxed),
-        )
-    }
-
-    pub fn phases() -> (u64, u64, u64, u64) {
-        (
-            CERT_NS.load(Ordering::Relaxed),
-            PREP_NS.load(Ordering::Relaxed),
-            CONE_NS.load(Ordering::Relaxed),
-            PR2_CALLS.load(Ordering::Relaxed),
-        )
-    }
-}
-
 use crate::error::SchedError;
 use crate::instance::{ExpandedDesign, InstanceId};
 use crate::list::{
@@ -782,15 +735,7 @@ pub fn schedule_cost_resumed<W: WcetLookup + ?Sized>(
     debug_assert_eq!(ckpts.node_count, arch.node_count());
     debug_assert_eq!(ckpts.order.len(), graph.process_count());
 
-    let prep_started = metrics::on().then(std::time::Instant::now);
     let limit = prepare_candidate(graph, wcet, fm, bus, design, moved, scratch, ckpts)?;
-    if let Some(st) = prep_started {
-        metrics::PREP_NS.fetch_add(
-            st.elapsed().as_nanos() as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
-    }
-    let cert_started = metrics::on().then(std::time::Instant::now);
     // Certify the candidate's selection order against the recorded
     // one: aligned, a set of independent floats, or a genuine
     // reordering.
@@ -800,12 +745,6 @@ pub fn schedule_cost_resumed<W: WcetLookup + ?Sized>(
         &scratch.changed,
         &mut scratch.float_plan,
     );
-    if let Some(st) = cert_started {
-        metrics::CERT_NS.fetch_add(
-            st.elapsed().as_nanos() as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
-    }
     let div = match cert {
         OrderCert::Splice { div } | OrderCert::Diverged { div } => div as usize,
     };
@@ -817,27 +756,25 @@ pub fn schedule_cost_resumed<W: WcetLookup + ?Sized>(
     // everything else. A genuine reordering fails the independence
     // proof and falls through to the checkpoint-resumed replay below.
     let resume_pos = div.min(limit);
-    if options.suffix_splice && ckpts.segments.is_recorded() {
-        if let OrderCert::Splice { .. } = cert {
-            if let Some(out) = splice_candidate(
-                graph,
-                bus,
-                fm,
-                moved,
-                options,
-                scratch,
-                ckpts,
-                bound,
-                Some(resume_pos),
-            ) {
-                scratch.expanded.unpatch(moved, &scratch.undo_insts);
-                return out;
-            }
-        } else if metrics::on() {
-            metrics::DIVERGED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    if options.suffix_splice
+        && ckpts.segments.is_recorded()
+        && matches!(cert, OrderCert::Splice { .. })
+    {
+        if let Some(out) = splice_candidate(
+            graph,
+            bus,
+            fm,
+            moved,
+            options,
+            scratch,
+            ckpts,
+            bound,
+            Some(resume_pos),
+        ) {
+            scratch.expanded.unpatch(moved, &scratch.undo_insts);
+            return out;
         }
     }
-    let pr2_started = metrics::on().then(std::time::Instant::now);
 
     let snap = ckpts.snaps[..ckpts.snap_len]
         .iter()
@@ -896,13 +833,6 @@ pub fn schedule_cost_resumed<W: WcetLookup + ?Sized>(
     );
     // Always restore the base expansion, error or not.
     scratch.expanded.unpatch(moved, &scratch.undo_insts);
-    if let Some(started) = pr2_started {
-        metrics::PR2_CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        metrics::PR2_NS.fetch_add(
-            started.elapsed().as_nanos() as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
-    }
     let outcome = drive_res?;
     Ok(outcome.into())
 }
@@ -1003,14 +933,7 @@ fn splice_candidate(
         float_plan,
         ..
     } = scratch;
-    let cone_started = metrics::on().then(std::time::Instant::now);
     crate::delta::compute_cone(graph, expanded, moved, &float_plan.floats, ckpts, splice);
-    if let Some(st) = cone_started {
-        metrics::CONE_NS.fetch_add(
-            st.elapsed().as_nanos() as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
-    }
     if let Some(resume_pos) = gate_resume {
         // Profitability gate: the splice re-places `n_affected`
         // processes and replays `n_rebook` senders' bookings, plus a
@@ -1025,28 +948,16 @@ fn splice_candidate(
         // A spliced placement costs ~3/8 of a replayed one (no
         // ready-list selection or bookkeeping), a booking replay
         // ~1/4, plus a fixed copy/restore overhead — measured on
-        // the perfgate workloads (`incrprof` reproduces the
-        // comparison).
+        // the perfgate workloads (`synthbench --trace 1` reproduces
+        // the comparison: `incr.spliced_us` vs `incr.resumed_us`).
         let splice_cost = splice.n_affected * 3 / 8 + splice.n_rebook / 4 + 4 + n / 8;
         if splice_cost >= pr2_replay {
-            if metrics::on() {
-                metrics::GATE_REJECTED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
             return None;
         }
     }
-    let started = metrics::on().then(std::time::Instant::now);
-    let out = crate::delta::execute(
+    Some(crate::delta::execute(
         graph, expanded, moved, bus, fm, options, core, splice, ckpts, bound,
-    );
-    if let Some(started) = started {
-        metrics::ENGAGED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        metrics::SPLICE_NS.fetch_add(
-            started.elapsed().as_nanos() as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
-    }
-    Some(out)
+    ))
 }
 
 /// Evaluates a single-move candidate through the **suffix-splicing

@@ -41,27 +41,12 @@ pub enum PriorityStrategy {
 }
 
 impl PriorityStrategy {
-    /// The name used by the `FTDES_PRIORITY` knob, worker labels and
-    /// bench output.
+    /// The name used by worker labels, CLI reports and bench output.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             PriorityStrategy::PartialCriticalPath => "pcp",
             PriorityStrategy::Mobility => "mobility",
-        }
-    }
-}
-
-impl std::str::FromStr for PriorityStrategy {
-    type Err = ();
-
-    /// Parses the `FTDES_PRIORITY` values `pcp` / `mobility`
-    /// (case-insensitive).
-    fn from_str(s: &str) -> Result<Self, ()> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "pcp" => Ok(PriorityStrategy::PartialCriticalPath),
-            "mobility" => Ok(PriorityStrategy::Mobility),
-            _ => Err(()),
         }
     }
 }
@@ -532,16 +517,13 @@ mod tests {
 
     #[test]
     fn strategy_names_round_trip() {
+        assert_eq!(PriorityStrategy::PartialCriticalPath.name(), "pcp");
+        assert_eq!(PriorityStrategy::Mobility.name(), "mobility");
         for s in [
             PriorityStrategy::PartialCriticalPath,
             PriorityStrategy::Mobility,
         ] {
-            assert_eq!(s.name().parse::<PriorityStrategy>(), Ok(s));
+            assert_eq!(s.to_string(), s.name());
         }
-        assert_eq!(
-            "Mobility".parse::<PriorityStrategy>(),
-            Ok(PriorityStrategy::Mobility)
-        );
-        assert!("critical".parse::<PriorityStrategy>().is_err());
     }
 }
