@@ -27,24 +27,30 @@
 //!   "scratch":     {"tabu_iterations": N, "candidates_per_sec": X, ...},
 //!   "incremental": {...},
 //!   "speedup": {
-//!     "tabu_iterations_vs_scratch": incremental/scratch,
+//!     "tabu_iterations_vs_scratch": incremental/scratch or null,
 //!     "candidate_rate_vs_scratch": incremental/scratch,
 //!     "best_length_ratio": informational
 //!   }
 //! }
 //! ```
 //!
+//! An iteration ratio is `null` (printed `n/a`) when its reference arm
+//! ran no tabu iteration at all: at short budgets the larger workloads
+//! can spend the whole budget in the greedy phase. CI gates only the
+//! candidate-rate ratios.
+//!
 //! # One subprocess per section
 //!
-//! Every gated section runs in its **own child process** (the binary
+//! Every section runs in its **own child process** (the binary
 //! re-invokes itself with `FTDES_PERFGATE_SECTION=<name>` and collects
 //! the per-section JSON fragments): every ratio in the file is
 //! sensitive to allocator state, so letting one section churn the heap
 //! before another measurably bends the next section's ratio. A fresh
 //! process per section makes every floor independent of section order
-//! by construction.
-//! `FTDES_PERFGATE_SECTION=all` runs everything in-process instead
-//! (the automatic fallback when the binary cannot re-spawn itself).
+//! by construction. There is no in-process mode: when the binary
+//! cannot re-spawn itself it exits non-zero with the reason. Setting
+//! `FTDES_PERFGATE_SECTION` to `paper`, `splice` or `comm` by hand
+//! runs that one section and prints its JSON fragment.
 //!
 //! # The suffix-splice gate
 //!
@@ -90,35 +96,23 @@
 //! gains `comm_workload` / `comm_pr2` / `comm` sections and a
 //! `comm_candidate_rate_vs_pr2` ratio; CI enforces its floor (1.15×).
 //!
-//! # The multi-core portfolio section
-//!
-//! A final sweep runs the portfolio engine
-//! ([`ftdes_core::portfolio`]) at 1 / 2 / 4 workers over the paper
-//! gate workload with a **fixed iteration budget per worker** and
-//! single-threaded per-worker evaluation, recording the aggregate and
-//! per-core candidate rates plus the scaling efficiencies
-//! (`rate(w) / rate(1)`) into the `multicore` section of
-//! `BENCH_tabu.json`. The 4-worker floor (1.3×) is **non-gating**: a
-//! 1-CPU container measures ≈ 1.0× by construction, so the floor only
-//! becomes meaningful (and, later, gateable) on a multi-core runner —
-//! `environment.threads` / `multicore.available_parallelism` tell the
-//! two apart.
+//! Multi-core figures are not perfgate's: `synthbench --trace 1`
+//! reports the portfolio's speedup over one worker
+//! (`portfolio.speedup_vs_1w`) and window parallelism
+//! (`parallel.window_speedup_2t`).
 
 use std::time::Duration;
 
 use ftdes_bench::{comm_heavy_problem_with, synthetic_problem, time_budget};
 use ftdes_core::{
-    effective_threads, optimize, optimize_portfolio, Goal, OccupancyBackend, Outcome, PolicySpace,
-    PortfolioConfig, Problem, SearchConfig, Strategy,
+    effective_threads, optimize, Goal, OccupancyBackend, Outcome, Problem, SearchConfig, Strategy,
 };
 use ftdes_gen::CommHeavyParams;
 use ftdes_model::time::Time;
 
 /// The measurement environment, recorded into `BENCH_tabu.json` so
 /// runs stay comparable across machines: the resolved worker-thread
-/// count (everything so far is measured on 1-CPU containers — a
-/// future multi-core validation run must be distinguishable from
-/// them) and a snapshot of the `FTDES_*` settings that can bend the
+/// count and a snapshot of the `FTDES_*` settings that can bend the
 /// numbers: the bench budgets and the thread count.
 fn environment_json() -> String {
     const KNOBS: [&str; 3] = ["FTDES_TIME_MS", "FTDES_SEEDS", "FTDES_THREADS"];
@@ -179,26 +173,11 @@ const SPLICE_NODES: usize = 12;
 const SPLICE_FAULTS: u32 = 3;
 const SPLICE_SEEDS: u64 = 3;
 
-/// The multi-core portfolio gate: worker counts swept over the paper
-/// gate workload at a **fixed iteration budget per worker** (no
-/// wall-clock cutoff), so the aggregate candidate rate cleanly
-/// measures how well extra workers turn into extra throughput.
-/// Scaling efficiency at `w` workers is
-/// `aggregate_rate(w) / aggregate_rate(1)`; the acceptance floor
-/// (1.3× at 4 workers) is recorded **non-gating** — the numbers only
-/// mean something on a multi-core runner (`available_parallelism` in
-/// the environment section tells them apart; a 1-CPU container
-/// measures ≈ 1.0× by construction).
-const MULTICORE_WORKERS: [usize; 3] = [1, 2, 4];
-const MULTICORE_ITERATIONS: usize = 120;
-const MULTICORE_SEEDS: u64 = 2;
-const MULTICORE_FLOOR_4W: f64 = 1.3;
-
 /// The sections, in execution order and in key order of the assembled
 /// `BENCH_tabu.json` (environment first for human readers; CI loads
 /// it as a dict and doesn't care). With one fresh process per section
 /// the order affects no ratio.
-const SECTIONS: [&str; 4] = ["paper", "splice", "comm", "multicore"];
+const SECTIONS: [&str; 3] = ["paper", "splice", "comm"];
 
 #[derive(Debug, Default, Clone, Copy)]
 struct ModeTotals {
@@ -312,13 +291,31 @@ fn ratio(a: f64, b: f64) -> f64 {
     a / b.max(f64::MIN_POSITIVE)
 }
 
+/// `candidate / reference` tabu iterations, or `None` when the
+/// reference arm ran none: a ratio against zero iterations means
+/// nothing (at 300–500 ms budgets the 96-process splice arms often
+/// never leave greedy).
+fn iteration_ratio(candidate: usize, reference: usize) -> Option<f64> {
+    (reference > 0).then(|| candidate as f64 / reference as f64)
+}
+
+/// An optional ratio as a JSON value: two decimals, or `null`.
+fn ratio_json(r: Option<f64>) -> String {
+    r.map_or_else(|| "null".to_owned(), |r| format!("{r:.2}"))
+}
+
+/// An optional ratio for the console: `1.23x`, or `n/a`.
+fn ratio_text(r: Option<f64>) -> String {
+    r.map_or_else(|| "n/a".to_owned(), |r| format!("{r:.2}x"))
+}
+
 /// The paper-workload section: scratch / incremental, plus the
 /// environment snapshot. Both arms evaluate on one thread, so the
 /// ratio measures the engine alone: at two threads every window pays
 /// the pool's wake-up (5–11 µs), which is a large share of a window
 /// of spliced candidates but a small one of from-scratch placements,
-/// and the ratio then read 0.98–1.24× on a 2-CPU host. Window
-/// parallelism has its own section (`multicore`) and `parbench`.
+/// and the ratio then read 0.98–1.24× on a 2-CPU host. synthbench's
+/// `parallel.window_speedup_2t` measures window parallelism.
 fn section_paper() -> String {
     let budget = time_budget();
     let cfg = SearchConfig {
@@ -351,10 +348,7 @@ fn section_paper() -> String {
         incremental.add(&incr);
     }
 
-    let iter_vs_scratch = ratio(
-        incremental.tabu_iterations as f64,
-        scratch.tabu_iterations.max(1) as f64,
-    );
+    let iter_vs_scratch = iteration_ratio(incremental.tabu_iterations, scratch.tabu_iterations);
     let cand_vs_scratch = ratio(
         incremental.candidates_per_sec(),
         scratch.candidates_per_sec(),
@@ -367,8 +361,9 @@ fn section_paper() -> String {
         scratch.best_length_us.max(1) as f64,
     );
     println!(
-        "vs from-scratch path: {iter_vs_scratch:.2}x tabu iterations, \
-         {cand_vs_scratch:.2}x candidate rate (best-length ratio {length_ratio:.3})"
+        "vs from-scratch path: {} tabu iterations, \
+         {cand_vs_scratch:.2}x candidate rate (best-length ratio {length_ratio:.3})",
+        ratio_text(iter_vs_scratch),
     );
     format!(
         "\"environment\": {},\n  \
@@ -376,13 +371,14 @@ fn section_paper() -> String {
          \"seeds\": {SEEDS}, \"budget_ms\": {}, \"threads\": {PAPER_THREADS}}},\n  \
          \"scratch\": {},\n  \
          \"incremental\": {},\n  \"speedup\": {{\
-         \"tabu_iterations_vs_scratch\": {iter_vs_scratch:.2}, \
+         \"tabu_iterations_vs_scratch\": {}, \
          \"candidate_rate_vs_scratch\": {cand_vs_scratch:.2}, \
          \"best_length_ratio\": {length_ratio:.3}}}",
         environment_json(),
         budget.as_millis(),
         scratch.json(),
         incremental.json(),
+        ratio_json(iter_vs_scratch),
     )
 }
 
@@ -425,23 +421,23 @@ fn section_splice() -> String {
         splice_incr.candidates_per_sec(),
         splice_pr3.candidates_per_sec(),
     );
-    let splice_iter_vs_pr3 = ratio(
-        splice_incr.tabu_iterations as f64,
-        splice_pr3.tabu_iterations.max(1) as f64,
-    );
+    let splice_iter_vs_pr3 =
+        iteration_ratio(splice_incr.tabu_iterations, splice_pr3.tabu_iterations);
     println!(
         "splice gate ({SPLICE_NODES} nodes), suffix splice vs PR 3 path: \
-         {splice_iter_vs_pr3:.2}x tabu iterations, {splice_cand_vs_pr3:.2}x candidate rate"
+         {} tabu iterations, {splice_cand_vs_pr3:.2}x candidate rate",
+        ratio_text(splice_iter_vs_pr3),
     );
     format!(
         "\"splice_workload\": {{\"family\": \"paper\", \"processes\": {SPLICE_PROCESSES}, \
          \"nodes\": {SPLICE_NODES}, \"k\": {SPLICE_FAULTS}, \"seeds\": {SPLICE_SEEDS}, \
          \"budget_ms\": {}}},\n  \"splice_pr3\": {},\n  \"splice\": {},\n  \
-         \"splice_speedup\": {{\"tabu_iterations_vs_pr3\": {splice_iter_vs_pr3:.2}, \
+         \"splice_speedup\": {{\"tabu_iterations_vs_pr3\": {}, \
          \"splice_candidate_rate_vs_pr3\": {splice_cand_vs_pr3:.2}}}",
         budget.as_millis(),
         splice_pr3.json(),
         splice_incr.json(),
+        ratio_json(splice_iter_vs_pr3),
     )
 }
 
@@ -480,100 +476,24 @@ fn section_comm() -> String {
         comm_incr.candidates_per_sec(),
         comm_pr2.candidates_per_sec(),
     );
-    let comm_iter_vs_pr2 = ratio(
-        comm_incr.tabu_iterations as f64,
-        comm_pr2.tabu_iterations.max(1) as f64,
-    );
+    let comm_iter_vs_pr2 = iteration_ratio(comm_incr.tabu_iterations, comm_pr2.tabu_iterations);
     println!(
-        "comm-heavy, bus-wait bound vs PR 2 path: {comm_iter_vs_pr2:.2}x tabu iterations, \
-         {comm_cand_vs_pr2:.2}x candidate rate"
+        "comm-heavy, bus-wait bound vs PR 2 path: {} tabu iterations, \
+         {comm_cand_vs_pr2:.2}x candidate rate",
+        ratio_text(comm_iter_vs_pr2),
     );
     format!(
         "\"comm_workload\": {{\"family\": \"comm_heavy\", \"processes\": {COMM_PROCESSES}, \
          \"edge_density\": {COMM_DENSITY}, \"msg_wcet_ratio\": {}, \"nodes\": {NODES}, \
          \"k\": {COMM_FAULTS}, \"seeds\": {COMM_SEEDS}, \
          \"budget_ms\": {}}},\n  \"comm_pr2\": {},\n  \"comm\": {},\n  \
-         \"comm_speedup\": {{\"tabu_iterations_vs_pr2\": {comm_iter_vs_pr2:.2}, \
+         \"comm_speedup\": {{\"tabu_iterations_vs_pr2\": {}, \
          \"comm_candidate_rate_vs_pr2\": {comm_cand_vs_pr2:.2}}}",
         comm_params.msg_wcet_ratio,
         budget.as_millis(),
         comm_pr2.json(),
         comm_incr.json(),
-    )
-}
-
-/// The multi-core portfolio sweep: fixed work per worker, wall-clock
-/// measured. `threads: 1` pins every worker's own evaluation to one
-/// thread so the sweep isolates seed-level (portfolio) parallelism
-/// from window parallelism.
-fn section_multicore() -> String {
-    println!(
-        "perfgate (multicore): {PROCESSES} processes / {NODES} nodes / k = {FAULTS}, \
-         {MULTICORE_SEEDS} seeds, {MULTICORE_ITERATIONS} iterations per worker, \
-         workers {MULTICORE_WORKERS:?}"
-    );
-    let mut mc_elapsed_ms: Vec<u128> = Vec::new();
-    let mut mc_candidates: Vec<usize> = Vec::new();
-    let mut mc_rates: Vec<f64> = Vec::new();
-    for &workers in &MULTICORE_WORKERS {
-        let mut candidates = 0usize;
-        let mut elapsed = Duration::ZERO;
-        for seed in 0..MULTICORE_SEEDS {
-            let problem = synthetic_problem(PROCESSES, NODES, FAULTS, Time::from_ms(5), seed);
-            let cfg = SearchConfig {
-                goal: Goal::MinimizeLength,
-                time_limit: None,
-                max_tabu_iterations: MULTICORE_ITERATIONS,
-                threads: 1,
-                ..SearchConfig::default()
-            };
-            let pcfg = PortfolioConfig {
-                workers,
-                epoch_candidates: 2_048,
-                ..PortfolioConfig::default()
-            };
-            let out = optimize_portfolio(&problem, PolicySpace::Mixed, &cfg, &pcfg)
-                .unwrap_or_else(|e| panic!("perfgate multicore portfolio: {e}"));
-            candidates += out.outcome.stats.candidates();
-            elapsed += out.outcome.stats.elapsed;
-        }
-        let rate = candidates as f64 / elapsed.as_secs_f64().max(f64::MIN_POSITIVE);
-        println!(
-            "  {workers} workers: {candidates} candidates in {} ms -> {rate:.1}/s aggregate",
-            elapsed.as_millis()
-        );
-        mc_elapsed_ms.push(elapsed.as_millis());
-        mc_candidates.push(candidates);
-        mc_rates.push(rate);
-    }
-    let mc_scaling_2w = ratio(mc_rates[1], mc_rates[0]);
-    let mc_scaling_4w = ratio(mc_rates[2], mc_rates[0]);
-    let cores = effective_threads(0);
-    let mc_per_core: Vec<String> = MULTICORE_WORKERS
-        .iter()
-        .zip(&mc_rates)
-        .map(|(&w, &r)| format!("{:.1}", r / w.min(cores).max(1) as f64))
-        .collect();
-    println!(
-        "multicore portfolio ({cores} cores): {mc_scaling_2w:.2}x aggregate candidate rate at \
-         2 workers, {mc_scaling_4w:.2}x at 4 workers \
-         (floor {MULTICORE_FLOOR_4W}x at 4 workers, non-gating)"
-    );
-    format!(
-        "\"multicore\": {{\"available_parallelism\": {cores}, \
-         \"iterations_per_worker\": {MULTICORE_ITERATIONS}, \
-         \"seeds\": {MULTICORE_SEEDS}, \"workers\": {MULTICORE_WORKERS:?}, \
-         \"elapsed_ms\": {mc_elapsed_ms:?}, \"candidates\": {mc_candidates:?}, \
-         \"aggregate_candidate_rate\": [{}], \"per_core_candidate_rate\": [{}], \
-         \"scaling_efficiency_2w\": {mc_scaling_2w:.2}, \
-         \"scaling_efficiency_4w\": {mc_scaling_4w:.2}, \
-         \"floor_4w\": {MULTICORE_FLOOR_4W}, \"gating\": false}}",
-        mc_rates
-            .iter()
-            .map(|r| format!("{r:.1}"))
-            .collect::<Vec<_>>()
-            .join(", "),
-        mc_per_core.join(", "),
+        ratio_json(comm_iter_vs_pr2),
     )
 }
 
@@ -582,87 +502,64 @@ fn run_section(name: &str) -> Option<String> {
         "paper" => section_paper(),
         "splice" => section_splice(),
         "comm" => section_comm(),
-        "multicore" => section_multicore(),
         _ => return None,
     })
 }
 
-/// Runs every section inside this process (the pre-subprocess
-/// behaviour) — the fallback when the binary cannot re-spawn itself,
-/// and the explicit `FTDES_PERFGATE_SECTION=all` escape hatch.
-fn run_all_in_process() -> Vec<String> {
-    SECTIONS
-        .iter()
-        .map(|&s| run_section(s).expect("every listed section resolves"))
-        .collect()
-}
-
 /// Spawns one child per section (fresh heap each — see the module
-/// docs), falling back to in-process execution if spawning fails.
-/// Fragments come back in [`SECTIONS`] order.
-fn run_all_sections() -> Vec<String> {
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("perfgate: cannot locate own binary ({e}); running sections in-process");
-            return run_all_in_process();
-        }
-    };
+/// docs) and collects the fragments in [`SECTIONS`] order.
+///
+/// # Errors
+///
+/// Why a section produced no fragment: the binary cannot locate or
+/// spawn itself, or a child failed or wrote no output.
+fn run_all_sections() -> Result<Vec<String>, String> {
+    let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
     let mut fragments = Vec::new();
     for &section in &SECTIONS {
         let out_path = std::env::temp_dir().join(format!("perfgate_{section}.json"));
         let status = std::process::Command::new(&exe)
             .env("FTDES_PERFGATE_SECTION", section)
             .env("FTDES_PERFGATE_OUT", &out_path)
-            .status();
-        let ok = matches!(&status, Ok(s) if s.success());
-        if !ok {
-            match status {
-                Ok(s) => panic!("perfgate: section '{section}' failed ({s})"),
-                Err(e) => {
-                    eprintln!(
-                        "perfgate: cannot spawn section '{section}' ({e}); \
-                         running all sections in-process"
-                    );
-                    return run_all_in_process();
-                }
-            }
+            .status()
+            .map_err(|e| format!("cannot spawn section '{section}': {e}"))?;
+        if !status.success() {
+            return Err(format!("section '{section}' failed ({status})"));
         }
         let fragment = std::fs::read_to_string(&out_path)
-            .unwrap_or_else(|e| panic!("perfgate: section '{section}' left no output: {e}"));
+            .map_err(|e| format!("section '{section}' left no output: {e}"))?;
         let _ = std::fs::remove_file(&out_path);
         fragments.push(fragment);
     }
-    fragments
+    Ok(fragments)
 }
 
 fn main() -> std::process::ExitCode {
     // Child mode: run one section, write its JSON fragment where the
     // parent asked, exit.
     if let Ok(section) = std::env::var("FTDES_PERFGATE_SECTION") {
-        if section != "all" {
-            let Some(fragment) = run_section(&section) else {
-                eprintln!("perfgate: unknown section '{section}' (valid: {SECTIONS:?}, all)");
+        let Some(fragment) = run_section(&section) else {
+            eprintln!("perfgate: unknown section '{section}' (valid: {SECTIONS:?})");
+            return std::process::ExitCode::FAILURE;
+        };
+        if let Ok(out) = std::env::var("FTDES_PERFGATE_OUT") {
+            if let Err(e) = std::fs::write(&out, &fragment) {
+                eprintln!("perfgate: cannot write section output {out}: {e}");
                 return std::process::ExitCode::FAILURE;
-            };
-            if let Ok(out) = std::env::var("FTDES_PERFGATE_OUT") {
-                if let Err(e) = std::fs::write(&out, &fragment) {
-                    eprintln!("perfgate: cannot write section output {out}: {e}");
-                    return std::process::ExitCode::FAILURE;
-                }
-            } else {
-                println!("{fragment}");
             }
-            return std::process::ExitCode::SUCCESS;
+        } else {
+            println!("{fragment}");
         }
+        return std::process::ExitCode::SUCCESS;
     }
 
-    let fragments = if std::env::var("FTDES_PERFGATE_SECTION").as_deref() == Ok("all") {
-        run_all_in_process()
-    } else {
-        run_all_sections()
+    let fragments = match run_all_sections() {
+        Ok(fragments) => fragments,
+        Err(e) => {
+            eprintln!("perfgate: {e}");
+            return std::process::ExitCode::FAILURE;
+        }
     };
-
     let json = format!("{{\n  {}\n}}\n", fragments.join(",\n  "));
     if let Err(e) = std::fs::write("BENCH_tabu.json", &json) {
         eprintln!("perfgate: cannot write BENCH_tabu.json: {e}");
@@ -670,4 +567,23 @@ fn main() -> std::process::ExitCode {
     }
     println!("\n{json}");
     std::process::ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn iteration_ratio_is_undefined_against_zero_reference_iterations() {
+        // The two readings a 300 ms splice run produced before: every
+        // arm at 0 iterations, and only the reference arm at 0.
+        for candidate in [0, 58] {
+            assert_eq!(iteration_ratio(candidate, 0), None);
+            assert_eq!(ratio_json(iteration_ratio(candidate, 0)), "null");
+            assert_eq!(ratio_text(iteration_ratio(candidate, 0)), "n/a");
+        }
+        assert_eq!(ratio_json(iteration_ratio(0, 4)), "0.00");
+        assert_eq!(ratio_json(iteration_ratio(6, 4)), "1.50");
+        assert_eq!(ratio_text(iteration_ratio(6, 4)), "1.50x");
+    }
 }

@@ -11,7 +11,6 @@
 //! | `... --bin fig10` | Fig. 10 — MX / MR / SFX deviation from MXR |
 //! | `... --bin cruise_control` | the CC case study |
 //! | `... --bin perfgate` | evaluation-throughput gate (paper, 12-node splice and comm-heavy workloads) → `BENCH_tabu.json` |
-//! | `cargo bench -p ftdes-bench` | Criterion micro-benchmarks |
 //!
 //! Scale knobs (environment variables; the engine's own,
 //! `FTDES_THREADS`, is documented in the `ftdes-core` crate docs):
@@ -396,34 +395,6 @@ pub fn overhead_samples(
         let nft = run_strategy_cached(&problem, Strategy::Nft, cfg, &cache);
         ftdes_core::overhead_percent(&mxr, &nft)
     })
-}
-
-/// Average percentage deviation of `strategy`'s schedule length from
-/// MXR's over the seeds of one configuration (paper Fig. 10).
-#[must_use]
-pub fn deviation_from_mxr(
-    processes: usize,
-    nodes: usize,
-    k: u32,
-    mu: Time,
-    strategy: Strategy,
-    cfg: &SearchConfig,
-) -> f64 {
-    let samples = par_seed_map(cfg, |seed, cfg| {
-        let problem = synthetic_problem(processes, nodes, k, mu, seed);
-        let cache = Arc::new(EvalCache::default());
-        let mxr = run_strategy_cached(&problem, Strategy::Mxr, cfg, &cache);
-        let other = run_strategy_cached(&problem, strategy, cfg, &cache);
-        let d_mxr = mxr.length().as_us() as f64;
-        let d_other = other.length().as_us() as f64;
-        (d_mxr > 0.0).then(|| 100.0 * (d_other - d_mxr) / d_mxr)
-    });
-    let samples: Vec<f64> = samples.into_iter().flatten().collect();
-    if samples.is_empty() {
-        0.0
-    } else {
-        samples.iter().sum::<f64>() / samples.len() as f64
-    }
 }
 
 /// Prints a three-column overhead table row.

@@ -48,14 +48,6 @@ pub struct BusOptConfig {
     /// set. Kept so existing configurations still compile; every
     /// value gives the same result.
     pub threads: usize,
-    /// Resume slot-swap probes from the incumbent configuration's
-    /// recorded placement checkpoints instead of rescheduling from
-    /// scratch (default on). Pure throughput knob: resumed and
-    /// from-scratch probes classify identically (guarded by the
-    /// `bus_resumed_equals_full` parity test), so the optimized bus,
-    /// its cost and the climb trajectory are the same either way —
-    /// disable for perf ablations.
-    pub checkpointed: bool,
 }
 
 impl Default for BusOptConfig {
@@ -64,7 +56,6 @@ impl Default for BusOptConfig {
             max_rounds: 8,
             capacity_multiples: vec![1, 2],
             threads: 0,
-            checkpointed: true,
         }
     }
 }
@@ -120,18 +111,13 @@ pub fn optimize_bus(
             .expect("base order stays valid");
 
         // Evaluate the capacity change itself — never resumable (the
-        // slot length changes every slot's timing), but with
-        // checkpointed probes enabled this full run doubles as the
-        // recording the upcoming swap sweep resumes from.
-        let mut current_cost = if cfg.checkpointed {
-            let incumbent = evaluator.schedule_with_bus_recording(&bus, design, &mut ckpts)?;
-            stats.record_eval(false);
-            incumbent.cost()
-        } else {
-            let (cost, hit) = evaluator.evaluate_with_bus(&bus, design)?;
-            stats.record_eval(hit);
-            cost
-        };
+        // slot length changes every slot's timing), but this full run
+        // doubles as the recording the upcoming swap sweep resumes
+        // from.
+        let mut current_cost = evaluator
+            .schedule_with_bus_recording(&bus, design, &mut ckpts)?
+            .cost();
+        stats.record_eval(false);
         if current_cost < best_cost {
             best_bus = bus.clone();
             best_cost = current_cost;
@@ -141,9 +127,9 @@ pub fn optimize_bus(
         // improving pair and re-enters the scan from the next pair
         // against the updated bus. Each probe is bounded by the
         // climbing incumbent and aborts as soon as it provably cannot
-        // improve on it; checkpointed probes resume from the
-        // incumbent's recording — the same facade the neighbourhood
-        // searches score moves through.
+        // improve on it, and resumes from the incumbent's recording —
+        // the same facade the neighbourhood searches score moves
+        // through.
         let slots = bus.slots_per_round();
         let pairs: Vec<(usize, usize)> = (0..slots)
             .flat_map(|a| ((a + 1)..slots).map(move |b| (a, b)))
@@ -153,11 +139,7 @@ pub fn optimize_bus(
             for &(a, b) in &pairs {
                 let cand_bus = bus.swap_slots(a, b);
                 let (outcome, hit) = evaluator
-                    .candidate_eval(
-                        design,
-                        cfg.checkpointed.then_some(&ckpts),
-                        Some(current_cost),
-                    )
+                    .candidate_eval(design, Some(&ckpts), Some(current_cost))
                     .eval_bus_swap(&cand_bus, (a, b), design)?;
                 let c = match outcome {
                     EvalOutcome::Exact(c) => {
@@ -174,19 +156,17 @@ pub fn optimize_bus(
                     bus = cand_bus;
                     current_cost = c;
                     improved = true;
-                    if cfg.checkpointed {
-                        // The incumbent changed: re-record so further
-                        // probes resume against the new slot order.
-                        // One full run per *accepted* swap — probes
-                        // vastly outnumber acceptances.
-                        let incumbent =
-                            evaluator.schedule_with_bus_recording(&bus, design, &mut ckpts)?;
-                        debug_assert_eq!(
-                            incumbent.cost(),
-                            c,
-                            "resumed probe cost must match the full run"
-                        );
-                    }
+                    // The incumbent changed: re-record so further
+                    // probes resume against the new slot order. One
+                    // full run per *accepted* swap — probes vastly
+                    // outnumber acceptances.
+                    let incumbent =
+                        evaluator.schedule_with_bus_recording(&bus, design, &mut ckpts)?;
+                    debug_assert_eq!(
+                        incumbent.cost(),
+                        c,
+                        "resumed probe cost must match the full run"
+                    );
                 }
             }
             if !improved {

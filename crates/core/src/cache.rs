@@ -328,7 +328,7 @@ pub struct Evaluator<'p> {
     /// Combined problem + fault-model + default-bus key seed.
     base_fp: u64,
     /// Problem + fault-model seed without the bus (mixed with an
-    /// alternative bus fingerprint by `evaluate_with_bus`).
+    /// alternative bus fingerprint to key bus-configuration probes).
     context_fp: u64,
 }
 
@@ -395,32 +395,21 @@ impl<'p> Evaluator<'p> {
     /// Propagates [`SchedError`] for designs inconsistent with the
     /// problem.
     pub fn evaluate(&self, design: &Design) -> Result<(ScheduleCost, bool), SchedError> {
-        self.evaluate_keyed(design, None)
+        let (outcome, hit) = self.cached_bounded(self.key_of(design, None), |scratch| {
+            self.problem.evaluate_cost_bounded(design, scratch, None)
+        })?;
+        match outcome {
+            EvalOutcome::Exact(cost) => Ok((cost, hit)),
+            EvalOutcome::LowerBound(_) => unreachable!("unbounded runs always complete"),
+        }
     }
 
     /// The cost of `design` with `process`'s decision temporarily
     /// replaced by `decision` — the apply/evaluate/undo primitive of
-    /// window evaluation. The original decision is restored before
-    /// returning (also on error), so one worker-owned design serves a
-    /// whole window without per-candidate clones.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SchedError`].
-    pub fn evaluate_move(
-        &self,
-        design: &mut Design,
-        process: ProcessId,
-        decision: &ProcessDesign,
-    ) -> Result<(ScheduleCost, bool), SchedError> {
-        let previous = design.replace_decision(process, decision.clone());
-        let result = self.evaluate(design);
-        design.set_decision(process, previous);
-        result
-    }
-
-    /// [`Evaluator::evaluate_move`] through the incremental + bounded
-    /// engine:
+    /// window evaluation — through the incremental + bounded engine.
+    /// The original decision is restored before returning (also on
+    /// error), so one worker-owned design serves a whole window
+    /// without per-candidate clones.
     ///
     /// * with recorded `ckpts` of the base design, the candidate is
     ///   replayed from the latest prefix checkpoint the move cannot
@@ -538,42 +527,6 @@ impl<'p> Evaluator<'p> {
         Ok((outcome, false))
     }
 
-    /// [`Evaluator::evaluate`] under an alternative bus configuration
-    /// (the bus-access optimization probes many of them for one
-    /// design); cached under the (design, bus) pair.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SchedError`], e.g. a message exceeding the
-    /// candidate slot capacity.
-    pub fn evaluate_with_bus(
-        &self,
-        bus: &BusConfig,
-        design: &Design,
-    ) -> Result<(ScheduleCost, bool), SchedError> {
-        self.evaluate_keyed(design, Some(bus))
-    }
-
-    /// [`Evaluator::evaluate_with_bus`] with an incumbent bound: a
-    /// probe provably worse than the hill-climbing incumbent aborts
-    /// mid-placement with [`EvalOutcome::LowerBound`]. Pruned probes are
-    /// not cached.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Evaluator::evaluate_with_bus`].
-    pub fn evaluate_with_bus_bounded(
-        &self,
-        bus: &BusConfig,
-        design: &Design,
-        bound: Option<ScheduleCost>,
-    ) -> Result<(EvalOutcome, bool), SchedError> {
-        self.cached_bounded(self.key_of(design, Some(bus)), |scratch| {
-            self.problem
-                .evaluate_cost_with_bus_bounded(bus, design, scratch, bound)
-        })
-    }
-
     /// Materializes the full schedule of `design` (the candidate the
     /// search keeps). Reuses the thread-local scratch and feeds the
     /// cost back into the cache.
@@ -654,20 +607,23 @@ impl<'p> Evaluator<'p> {
         Ok(Arc::new(schedule))
     }
 
-    /// [`Evaluator::evaluate_with_bus_bounded`] for a candidate bus
-    /// that differs from the checkpointed incumbent by the single
-    /// slot swap `swapped`: the probe resumes from the last booking
-    /// the swap provably cannot affect (see
-    /// [`ftdes_sched::schedule_cost_resumed_bus`]) instead of
-    /// re-placing from scratch. Falls back to the from-scratch
-    /// bounded run when `ckpts` is `None` or not yet recorded.
-    /// Results — cost, classification, cache behaviour — are
-    /// identical to [`Evaluator::evaluate_with_bus_bounded`] on the
-    /// same `(bus, design, bound)`.
+    /// The cost of `design` under a candidate bus that differs from
+    /// the checkpointed incumbent by the single slot swap `swapped`,
+    /// cached under the (design, bus) pair. With an incumbent `bound`
+    /// a probe provably worse than the hill-climbing incumbent aborts
+    /// mid-placement with [`EvalOutcome::LowerBound`] (not cached).
+    /// The probe resumes from the last booking the swap provably
+    /// cannot affect (see [`ftdes_sched::schedule_cost_resumed_bus`])
+    /// instead of re-placing from scratch, and falls back to the
+    /// from-scratch bounded run
+    /// ([`Problem::evaluate_cost_with_bus_bounded`]) when `ckpts` is
+    /// `None` or not yet recorded; both give the same cost,
+    /// classification and cache behaviour.
     ///
     /// # Errors
     ///
-    /// Same as [`Evaluator::evaluate_with_bus`].
+    /// Propagates [`SchedError`], e.g. a message exceeding the
+    /// candidate slot capacity.
     pub fn evaluate_with_bus_swap_bounded(
         &self,
         bus: &BusConfig,
@@ -727,30 +683,6 @@ impl<'p> Evaluator<'p> {
             };
             design_fingerprint(design, seed)
         })
-    }
-
-    fn evaluate_keyed(
-        &self,
-        design: &Design,
-        bus: Option<&BusConfig>,
-    ) -> Result<(ScheduleCost, bool), SchedError> {
-        let key = self.key_of(design, bus);
-        if let (Some(cache), Some(key)) = (self.cache.as_ref(), key) {
-            if let Some(cost) = cache.get(key) {
-                return Ok((cost, true));
-            }
-        }
-        let cost = SCRATCH.with(|scratch| {
-            let scratch = &mut scratch.borrow_mut();
-            match bus {
-                Some(bus) => self.problem.evaluate_cost_with_bus(bus, design, scratch),
-                None => self.problem.evaluate_cost(design, scratch),
-            }
-        })?;
-        if let (Some(cache), Some(key)) = (self.cache.as_ref(), key) {
-            cache.insert(key, cost);
-        }
-        Ok((cost, false))
     }
 
     fn schedule_keyed(
@@ -848,7 +780,7 @@ impl CandidateEval<'_, '_> {
     ///
     /// # Errors
     ///
-    /// Same as [`Evaluator::evaluate_with_bus_bounded`].
+    /// Same as [`Evaluator::evaluate_with_bus_swap_bounded`].
     pub fn eval_bus_swap(
         &self,
         bus: &BusConfig,
@@ -933,9 +865,10 @@ mod tests {
         let (problem, design) = tiny();
         let eval = Evaluator::new(&problem);
         let swapped = problem.bus().swap_slots(0, 1);
+        let probe = eval.candidate_eval(&design, None, None);
         let (_, hit0) = eval.evaluate(&design).unwrap();
-        let (_, hit1) = eval.evaluate_with_bus(&swapped, &design).unwrap();
-        let (_, hit2) = eval.evaluate_with_bus(&swapped, &design).unwrap();
+        let (_, hit1) = probe.eval_bus_swap(&swapped, (0, 1), &design).unwrap();
+        let (_, hit2) = probe.eval_bus_swap(&swapped, (0, 1), &design).unwrap();
         assert!(!hit0 && !hit1, "different bus misses");
         assert!(hit2, "same (design, bus) hits");
         assert_ne!(bus_fingerprint(problem.bus()), bus_fingerprint(&swapped));

@@ -271,7 +271,7 @@ impl WorkerPool {
     {
         let n = items.len();
         // Tiny windows run inline: waking parked workers costs
-        // ~5–11 µs per submission (measured by `parbench`) while a
+        // ~5–11 µs per submission (synthbench `parallel.submit_us`) while a
         // handful of cached evaluations complete in well under that,
         // so below the threshold the submitting thread is faster on
         // its own. The threshold scales with the pool: under two

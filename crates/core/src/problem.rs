@@ -194,16 +194,6 @@ impl Problem {
         }
     }
 
-    /// Returns a copy with a different bus configuration (used by the
-    /// bus-access optimization).
-    #[must_use]
-    pub fn with_bus(&self, bus: BusConfig) -> Self {
-        Problem {
-            bus,
-            ..self.clone()
-        }
-    }
-
     /// The merged application graph Γ.
     #[must_use]
     pub fn graph(&self) -> &ProcessGraph {
@@ -449,26 +439,9 @@ impl Problem {
         )
     }
 
-    /// [`Problem::evaluate_cost`] under an alternative bus
-    /// configuration.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Problem::evaluate`].
-    pub fn evaluate_cost_with_bus(
-        &self,
-        bus: &BusConfig,
-        design: &Design,
-        scratch: &mut CostScratch,
-    ) -> Result<ScheduleCost, SchedError> {
-        match self.evaluate_cost_with_bus_bounded(bus, design, scratch, None)? {
-            CostOutcome::Exact(cost) => Ok(cost),
-            CostOutcome::LowerBound(_) => unreachable!("unbounded runs always complete"),
-        }
-    }
-
-    /// [`Problem::evaluate_cost_with_bus`] with an incumbent bound
-    /// (the bus-access optimization prunes losing probes with it).
+    /// [`Problem::evaluate_cost_bounded`] under an alternative bus
+    /// configuration (the bus-access optimization prunes losing
+    /// probes with the bound).
     ///
     /// # Errors
     ///

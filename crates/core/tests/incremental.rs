@@ -12,13 +12,18 @@
 //! * `search_results_invariant_under_engines`: whole searches produce
 //!   bit-identical designs/costs/trajectories with the engines on or
 //!   off.
+//! * `bus_opt_matches_a_from_scratch_climb`: the bus-access
+//!   optimization's resumed, bounded slot-swap sweep ends on the same
+//!   bus and cost as the same hill climb scored from scratch.
 
 use ftdes_core::moves::MoveTable;
 use ftdes_core::{
-    initial, optimize, Goal, OccupancyBackend, PolicySpace, Problem, SearchConfig, Strategy,
+    initial, optimize, optimize_bus, BusOptConfig, Goal, OccupancyBackend, PolicySpace, Problem,
+    SearchConfig, Strategy,
 };
 use ftdes_gen::paper_workload;
 use ftdes_model::architecture::Architecture;
+use ftdes_model::design::Design;
 use ftdes_model::fault::FaultModel;
 use ftdes_model::time::Time;
 use ftdes_sched::{CostOutcome, CostScratch, PlacementCheckpoints, ScheduleCost, ScheduleOptions};
@@ -443,4 +448,99 @@ fn bus_resumed_equals_full_for_slot_swaps() {
             }
         }
     }
+}
+
+/// The exact cost of `design` under `bus`, placed from scratch.
+fn scratch_cost(problem: &Problem, bus: &BusConfig, design: &Design) -> ScheduleCost {
+    let mut scratch = CostScratch::default();
+    match problem
+        .evaluate_cost_with_bus_bounded(bus, design, &mut scratch, None)
+        .unwrap()
+    {
+        CostOutcome::Exact(c) => c,
+        CostOutcome::LowerBound(_) => unreachable!("unbounded runs are exact"),
+    }
+}
+
+/// `optimize_bus`'s hill climb with every probe scored from scratch:
+/// no cache, no resume, no bound. Returns the winning bus, its cost
+/// and the number of accepted swaps.
+fn from_scratch_climb(
+    problem: &Problem,
+    design: &Design,
+    cfg: &BusOptConfig,
+) -> (BusConfig, ScheduleCost, usize) {
+    let base = problem.bus();
+    let mut best_bus = base.clone();
+    let mut best_cost = scratch_cost(problem, base, design);
+    let mut accepted = 0;
+    for &multiple in &cfg.capacity_multiples {
+        let capacity = problem.largest_message() * multiple.max(1);
+        let mut bus =
+            BusConfig::with_order(base.slot_order().to_vec(), capacity, base.byte_time()).unwrap();
+        let mut current = scratch_cost(problem, &bus, design);
+        if current < best_cost {
+            best_bus = bus.clone();
+            best_cost = current;
+        }
+        let slots = bus.slots_per_round();
+        for _ in 0..cfg.max_rounds {
+            let mut improved = false;
+            for a in 0..slots {
+                for b in (a + 1)..slots {
+                    let cand = bus.swap_slots(a, b);
+                    let c = scratch_cost(problem, &cand, design);
+                    if c < current {
+                        bus = cand;
+                        current = c;
+                        improved = true;
+                        accepted += 1;
+                    }
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+        if current < best_cost {
+            best_bus = bus;
+            best_cost = current;
+        }
+    }
+    (best_bus, best_cost, accepted)
+}
+
+#[test]
+fn bus_opt_matches_a_from_scratch_climb() {
+    // `optimize_bus` scores slot-swap probes resumed from the
+    // incumbent's recording and bounded by the incumbent; a probe
+    // resumed from the wrong booking, or pruned when it improves,
+    // changes the climb and shows up here as a different bus or cost.
+    let cfg = BusOptConfig::default();
+    let search = SearchConfig {
+        goal: Goal::MinimizeLength,
+        time_limit: None,
+        max_tabu_iterations: 10,
+        ..SearchConfig::default()
+    };
+    let mut accepted = 0;
+    for (problem, label) in [
+        (problem(14, 4, 2, 6), "paper/6"),
+        (comm_problem(12, 4, 2, 5), "comm/5"),
+        (comm_problem(16, 5, 1, 9), "comm/9"),
+    ] {
+        let initial = initial::initial_mpa(&problem, PolicySpace::Mixed).unwrap();
+        let searched = optimize(&problem, Strategy::Mxr, &search).unwrap().design;
+        for (design, which) in [(initial, "initial"), (searched, "mxr")] {
+            let out = optimize_bus(&problem, &design, &cfg).unwrap();
+            let (bus, cost, swaps) = from_scratch_climb(&problem, &design, &cfg);
+            assert_eq!(out.bus, bus, "{label} {which}: optimized bus differs");
+            assert_eq!(out.schedule.cost(), cost, "{label} {which}: cost differs");
+            accepted += swaps;
+        }
+    }
+    assert!(
+        accepted > 0,
+        "no swap was accepted: the climb went untested"
+    );
 }

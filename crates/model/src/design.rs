@@ -180,17 +180,6 @@ impl Design {
         self.decisions[p.index()] = d;
     }
 
-    /// Replaces the decision for process `p`, returning the previous
-    /// one — the apply/undo primitive of in-place neighbourhood
-    /// evaluation (no full-design clone per candidate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of range.
-    pub fn replace_decision(&mut self, p: ProcessId, d: ProcessDesign) -> ProcessDesign {
-        std::mem::replace(&mut self.decisions[p.index()], d)
-    }
-
     /// Swaps the decision for process `p` with `other` in place — the
     /// allocation-free apply/undo primitive of window evaluation
     /// (call once to apply a candidate decision held in a reusable
