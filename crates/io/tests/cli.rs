@@ -96,6 +96,32 @@ fn solve_emits_tables_and_json() {
 }
 
 #[test]
+fn solve_past_the_booking_horizon_fails_cleanly() {
+    // Well-formed, but x's 10¹² ms WCET puts its message to a remote
+    // y ~2·10¹¹ TDMA rounds out: the booking table refuses it with a
+    // classified error instead of allocating rounds without bound.
+    let problem = "
+architecture A B
+fault_model k=1 mu=10ms
+graph period=100ms
+process x
+process y
+edge x y bytes=2
+wcet x * 1000000000000ms
+wcet y * 1ms
+";
+    let path = write_problem("horizon.ftd", problem);
+    let out = ftdes(&["solve", path.to_str().unwrap(), "--time-ms", "200"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    let limit = ftdes_sched::BOOKING_HORIZON_ROUNDS;
+    assert!(
+        stderr.contains(&format!("past the booking horizon of {limit} rounds")),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
 fn inject_validates_schedule() {
     let path = write_problem("inject.ftd", PIPELINE);
     let out = ftdes(&[

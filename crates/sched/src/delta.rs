@@ -68,13 +68,12 @@ use ftdes_model::graph::ProcessGraph;
 use ftdes_model::ids::ProcessId;
 use ftdes_model::time::Time;
 use ftdes_ttp::config::BusConfig;
-use ftdes_ttp::medl::MessageTag;
 
 use crate::error::SchedError;
 use crate::incremental::{FloatMove, PlacementCheckpoints};
 use crate::instance::{ExpandedDesign, InstanceId};
 use crate::list::{
-    accumulate_cost, book_scratch, place_process, CostOnly, CostOutcome, SchedScratch,
+    accumulate_cost, book_sender, place_process, CostOnly, CostOutcome, SchedScratch,
     ScheduleOptions,
 };
 use crate::schedule::ScheduleCost;
@@ -394,6 +393,9 @@ pub(crate) fn execute(
         }
     }
 
+    // Each dirty slot rebuilds its unperturbed prefix by booking every
+    // recorded message at the round it landed in: the prefix state is
+    // the base run's, so each first-fit scan accepts at once.
     core.occupancy.clear();
     core.occupancy.set_backend(options.occupancy);
     let capacity = bus.slot_bytes();
@@ -402,15 +404,16 @@ pub(crate) fn execute(
         if dirty == u32::MAX || dirty == 0 {
             continue;
         }
-        let node = bus.slot_order()[slot];
+        let mut table = core.occupancy.slot(slot, capacity);
         for b in &seg.slots[slot] {
             if b.pos >= dirty {
                 break; // position-sorted: the perturbed tail is replayed live
             }
-            let size = graph.edge(b.edge).message.size;
-            let (round, s2) = bus.next_slot_at(node, b.earliest);
-            debug_assert_eq!(s2, slot, "a node always books into its own slot");
-            core.occupancy.book(slot, round, size, capacity);
+            let round = table.book(b.round, graph.edge(b.edge).message.size)?;
+            debug_assert_eq!(
+                round, b.round,
+                "a restored booking lands in its recorded round"
+            );
         }
     }
 
@@ -510,32 +513,27 @@ pub(crate) fn execute(
             // slot at the recorded request time (its base worst-case
             // finish — bit-identical, since the sender is outside the
             // cone). The arrival may shift; every remote reader was
-            // marked affected by the sweep.
+            // marked affected by the sweep. Remote readers are judged
+            // against the *candidate* expansion: a predecessor of the
+            // moved process may gain or lose its booking with the new
+            // mapping.
             for &sid in base.of_process(p) {
                 let inst = base.instance(sid);
                 let slot = slot_of[inst.node.index()] as usize;
                 if slot_dirty[slot] > t {
                     continue;
                 }
-                let earliest = seg.wc_times[sid.index()];
-                for &eid in graph.outgoing(p) {
-                    let edge = graph.edge(eid);
-                    // `needs_bus` against the *candidate* expansion: a
-                    // predecessor of the moved process may gain or
-                    // lose its booking with the new mapping.
-                    if !cand.reads_remote(edge.to, inst.node) {
-                        continue;
-                    }
-                    let booked = book_scratch(
-                        bus,
-                        &mut core.occupancy,
-                        inst.node,
-                        earliest,
-                        edge.message.size,
-                        MessageTag::new(eid, inst.replica),
-                    )?;
-                    core.arrivals.set(eid, inst.replica, booked.arrival);
-                }
+                book_sender(
+                    graph,
+                    cand,
+                    bus,
+                    sid,
+                    inst,
+                    seg.wc_times[sid.index()],
+                    &mut core.occupancy,
+                    &mut core.arrivals,
+                    &mut CostOnly,
+                )?;
             }
         }
     }

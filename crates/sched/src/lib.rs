@@ -132,7 +132,7 @@ pub use list::{
     list_schedule, list_schedule_recording, list_schedule_scratch, list_schedule_with,
     schedule_cost, schedule_cost_bounded, CostOutcome, CostScratch, SchedScratch, ScheduleOptions,
 };
-pub use occupancy::OccupancyBackend;
+pub use occupancy::{OccupancyBackend, BOOKING_HORIZON_ROUNDS};
 pub use priority::PriorityStrategy;
 pub use schedule::{Bookings, Schedule, ScheduleCost, ScheduledInstance, StartBinding, WcBinding};
 pub use stats::{NodeLoad, ScheduleStats};

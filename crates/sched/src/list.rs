@@ -49,12 +49,13 @@ use ftdes_model::ids::{EdgeId, NodeId, ProcessId};
 use ftdes_model::time::Time;
 use ftdes_model::wcet::WcetLookup;
 use ftdes_ttp::config::BusConfig;
+use ftdes_ttp::error::TtpError;
 use ftdes_ttp::medl::{BookedMessage, BusSchedule, MessageTag};
 
 use crate::error::SchedError;
 use crate::incremental::PlacementCheckpoints;
 use crate::instance::{ExpandedDesign, Instance, InstanceId};
-use crate::occupancy::{OccupancyBackend, SlotOccupancy};
+use crate::occupancy::{OccupancyBackend, SlotOccupancy, SlotTable};
 use crate::priority::{Priorities, PriorityStrategy};
 use crate::schedule::{
     Bookings, Schedule, ScheduleCost, ScheduledInstance, StartBinding, WcBinding,
@@ -1117,44 +1118,118 @@ struct Scenario {
     local_kill_delay: Time,
 }
 
-/// Books `size` bytes from `sender` into the earliest slot occurrence
-/// with spare capacity at/after `earliest` — the `ScheduleMessage`
+/// One sender instance's booking session — the `ScheduleMessage`
 /// primitive, against the reusable occupancy table.
 ///
-/// Both placement front-ends (full and cost-only) book through this
-/// one function, so the two paths cannot diverge from each other.
-/// Semantics mirror `ftdes_ttp::medl::BusSchedule::book` (capacity
-/// check, earliest feasible occurrence, overflow to the next round);
-/// the `book_scratch_matches_bus_schedule_book` test guards that
-/// mirror, and in debug builds [`SlotOccupancy::book`] replays the
-/// legacy flat tail scan and asserts the bitmap answer agrees.
-pub(crate) fn book_scratch(
-    bus: &BusConfig,
-    occupancy: &mut SlotOccupancy,
+/// A node owns exactly one slot per round and every message of an
+/// instance is requested at the same time (its worst-case finish), so
+/// [`SenderBooking::open`] does the per-instance work once: it finds
+/// the first slot occurrence starting at/after the request
+/// ([`BusConfig::next_slot_at`], the one division of the booking
+/// path), resolves the slot's occupancy table and backend, and
+/// precomputes the slot-end offset each arrival is derived from. Each
+/// [`SenderBooking::book`] then runs only the first-fit scan from
+/// that occurrence — exactly what one `BusSchedule::book` call per
+/// message does: a later, smaller message may still back-fill an
+/// earlier round an earlier message overflowed.
+///
+/// Both placement front-ends (full and cost-only) and the splice's
+/// booking replay book through this one type, so the paths cannot
+/// diverge from each other. Semantics mirror
+/// `ftdes_ttp::medl::BusSchedule::book` (capacity check, earliest
+/// feasible occurrence, overflow to the next round); the
+/// `sender_booking_matches_bus_schedule_book` test guards that
+/// mirror, and in debug builds [`SlotTable::book`] replays the legacy
+/// flat tail scan and asserts the bitmap answer agrees.
+pub(crate) struct SenderBooking<'a> {
+    table: SlotTable<'a>,
     sender: NodeId,
-    earliest: Time,
-    size: u32,
-    tag: MessageTag,
-) -> Result<BookedMessage, SchedError> {
-    if size > bus.slot_bytes() {
-        return Err(SchedError::Ttp(
-            ftdes_ttp::error::TtpError::MessageExceedsSlot {
-                size,
-                capacity: bus.slot_bytes(),
-            },
-        ));
+    slot: usize,
+    /// The first occurrence of the sender's slot at/after the request.
+    first: u64,
+    round_len: Time,
+    slot_len: Time,
+    /// End of the slot's round-0 occurrence: a booking into round `r`
+    /// arrives at `end_off + r · round_len`.
+    end_off: Time,
+}
+
+impl<'a> SenderBooking<'a> {
+    /// Opens a session for messages `sender` requests at `earliest`.
+    pub(crate) fn open(
+        bus: &BusConfig,
+        occupancy: &'a mut SlotOccupancy,
+        sender: NodeId,
+        earliest: Time,
+    ) -> Self {
+        let (first, slot) = bus.next_slot_at(sender, earliest);
+        SenderBooking {
+            table: occupancy.slot(slot, bus.slot_bytes()),
+            sender,
+            slot,
+            first,
+            round_len: bus.round_length(),
+            slot_len: bus.slot_length(),
+            end_off: bus.slot_end(0, slot),
+        }
     }
-    let (round, slot) = bus.next_slot_at(sender, earliest);
-    let round = occupancy.book(slot, round, size, bus.slot_bytes());
-    Ok(BookedMessage {
-        tag,
-        size,
-        sender,
-        round,
-        slot,
-        start: bus.slot_start(round, slot),
-        arrival: bus.slot_end(round, slot),
-    })
+
+    /// Books `size` bytes into the earliest occurrence of the slot
+    /// with spare capacity at/after the session's first occurrence.
+    pub(crate) fn book(&mut self, size: u32, tag: MessageTag) -> Result<BookedMessage, SchedError> {
+        let capacity = self.table.capacity();
+        if size > capacity {
+            return Err(TtpError::MessageExceedsSlot { size, capacity }.into());
+        }
+        let round = self.table.book(self.first, size)?;
+        let arrival = self.end_off + self.round_len * round;
+        Ok(BookedMessage {
+            tag,
+            size,
+            sender: self.sender,
+            round,
+            slot: self.slot,
+            start: arrival - self.slot_len,
+            arrival,
+        })
+    }
+}
+
+/// Books every message of sender instance `sid` (`inst`) that a
+/// consumer reads remotely under `expanded`, requested at `earliest`,
+/// through one [`SenderBooking`]: records each arrival in `arrivals`
+/// and reports each booking to `sink`. Instances with no remote
+/// reader open no session.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn book_sender<S: PlacementSink>(
+    graph: &ProcessGraph,
+    expanded: &ExpandedDesign,
+    bus: &BusConfig,
+    sid: InstanceId,
+    inst: &Instance,
+    earliest: Time,
+    occupancy: &mut SlotOccupancy,
+    arrivals: &mut Arrivals,
+    sink: &mut S,
+) -> Result<(), SchedError> {
+    let out = graph.outgoing(inst.process);
+    let remote = |eid: EdgeId| expanded.reads_remote(graph.edge(eid).to, inst.node);
+    let Some(first) = out.iter().position(|&eid| remote(eid)) else {
+        return Ok(());
+    };
+    let mut session = SenderBooking::open(bus, occupancy, inst.node, earliest);
+    for &eid in &out[first..] {
+        if !remote(eid) {
+            continue;
+        }
+        let booked = session.book(
+            graph.edge(eid).message.size,
+            MessageTag::new(eid, inst.replica),
+        )?;
+        arrivals.set(eid, inst.replica, booked.arrival);
+        sink.message_booked(eid, sid, booked);
+    }
+    Ok(())
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1189,8 +1264,26 @@ pub(crate) fn place_process<S: PlacementSink>(
 
         for &eid in graph.incoming(p) {
             let edge = graph.edge(eid);
+            let senders = expanded.of_process(edge.from);
+            if let [q] = *senders {
+                // One replica: one delivery, no contingency scenario.
+                let qi = expanded.instance(q);
+                let time = if qi.node == node {
+                    scratch.times[q.index()]
+                } else {
+                    scratch.arrivals.get(eid, qi.replica)
+                };
+                if time > s_ff {
+                    s_ff = time;
+                    start_binding = StartBinding::Input {
+                        edge: eid,
+                        sender: q,
+                    };
+                }
+                continue;
+            }
             scratch.deliveries.clear();
-            for &q in expanded.of_process(edge.from) {
+            for &q in senders {
                 let qi = expanded.instance(q);
                 let local = qi.node == node;
                 let time = if local {
@@ -1314,21 +1407,17 @@ pub(crate) fn place_process<S: PlacementSink>(
         });
 
         // --- Book outgoing messages (transparent timing). ---
-        for &eid in graph.outgoing(p) {
-            let edge = graph.edge(eid);
-            if expanded.reads_remote(edge.to, node) {
-                let booked = book_scratch(
-                    bus,
-                    &mut scratch.occupancy,
-                    node,
-                    f_wc,
-                    edge.message.size,
-                    MessageTag::new(eid, inst.replica),
-                )?;
-                scratch.arrivals.set(eid, inst.replica, booked.arrival);
-                sink.message_booked(eid, sid, booked);
-            }
-        }
+        book_sender(
+            graph,
+            expanded,
+            bus,
+            sid,
+            &inst,
+            f_wc,
+            &mut scratch.occupancy,
+            &mut scratch.arrivals,
+            sink,
+        )?;
     }
     Ok(())
 }
@@ -1637,42 +1726,64 @@ mod tests {
         assert_eq!(cp, vec![a, b]);
     }
 
-    /// The scratch-table booking primitive must mirror
+    /// The per-sender booking session must mirror
     /// [`BusSchedule::book`] exactly — the scheduler books through
-    /// the former, the `ftdes-ttp` API exposes the latter.
+    /// the former, the `ftdes-ttp` API exposes the latter — under both
+    /// occupancy backends: one session per sender instance books the
+    /// same rounds as one `BusSchedule::book` call per message.
     #[test]
-    fn book_scratch_matches_bus_schedule_book() {
+    fn sender_booking_matches_bus_schedule_book() {
         let arch = Architecture::with_node_count(3);
+        // 10 ms slots, 30 ms rounds; node 2's slot starts 20 ms in.
         let bus = BusConfig::initial(&arch, 4, Time::from_us(2_500)).unwrap();
-        let mut reference = BusSchedule::new(bus.clone());
-        let mut occupancy = SlotOccupancy::default();
-        // A congested mix: repeated senders, shared frames, forced
-        // overflow to later rounds, out-of-order request times.
-        let requests: [(u32, u64, u32); 12] = [
-            (0, 0, 2),
-            (0, 0, 2),
-            (0, 0, 1),
-            (1, 5, 4),
-            (1, 5, 4),
-            (2, 100, 3),
-            (2, 0, 2),
-            (0, 40, 4),
-            (1, 40, 1),
-            (1, 41, 4),
-            (2, 15, 1),
-            (0, 3, 4),
+        // One entry per sender instance: node, request time (ms) and
+        // message sizes in booking order. A congested mix: repeated
+        // senders, shared frames, forced overflow to later rounds,
+        // out-of-order request times. The last three leave rounds 6
+        // and 7 of node 2's slot partly filled (1 and 2 bytes free),
+        // then one instance books 4, 2, 1 and 3 bytes from round 6:
+        // the 4 overflows to round 8, the later, smaller 2 and 1
+        // back-fill rounds 7 and 6, and the 3 overflows to round 9.
+        let senders: [(u32, u64, &[u32]); 12] = [
+            (0, 0, &[2, 2, 1]),
+            (1, 5, &[4, 4]),
+            (2, 100, &[3]),
+            (2, 0, &[2]),
+            (0, 40, &[4]),
+            (1, 40, &[1]),
+            (1, 41, &[4]),
+            (2, 15, &[1]),
+            (0, 3, &[4, 1, 3]),
+            (2, 200, &[3]),
+            (2, 230, &[2]),
+            (2, 200, &[4, 2, 1, 3]),
         ];
-        for (i, &(node, earliest_ms, size)) in requests.iter().enumerate() {
-            let node = NodeId::new(node);
-            let earliest = Time::from_ms(earliest_ms);
-            let tag = MessageTag::new(EdgeId::new(i as u32), 0);
-            let ours = book_scratch(&bus, &mut occupancy, node, earliest, size, tag).unwrap();
-            let theirs = reference.book(node, earliest, size, tag).unwrap();
-            assert_eq!(ours, theirs, "request {i} diverged");
+        for backend in [OccupancyBackend::Flat, OccupancyBackend::Bitmap] {
+            let mut reference = BusSchedule::new(bus.clone());
+            let mut occupancy = SlotOccupancy::default();
+            occupancy.set_backend(backend);
+            let mut edge = 0;
+            let mut rounds = Vec::new();
+            for (i, &(node, earliest_ms, sizes)) in senders.iter().enumerate() {
+                let node = NodeId::new(node);
+                let earliest = Time::from_ms(earliest_ms);
+                let mut session = SenderBooking::open(&bus, &mut occupancy, node, earliest);
+                rounds.clear();
+                for &size in sizes {
+                    let tag = MessageTag::new(EdgeId::new(edge), 0);
+                    edge += 1;
+                    let ours = session.book(size, tag).unwrap();
+                    let theirs = reference.book(node, earliest, size, tag).unwrap();
+                    assert_eq!(ours, theirs, "{backend}: sender {i} diverged");
+                    rounds.push(ours.round);
+                }
+            }
+            assert_eq!(rounds, [8, 7, 6, 9], "{backend}: back-fill rounds");
+            // Oversized messages fail identically.
+            let tag = MessageTag::new(EdgeId::new(99), 0);
+            let mut session = SenderBooking::open(&bus, &mut occupancy, NodeId::new(0), Time::ZERO);
+            assert!(session.book(5, tag).is_err(), "{backend}");
+            assert!(reference.book(NodeId::new(0), Time::ZERO, 5, tag).is_err());
         }
-        // Oversized messages fail identically.
-        let tag = MessageTag::new(EdgeId::new(99), 0);
-        assert!(book_scratch(&bus, &mut occupancy, NodeId::new(0), Time::ZERO, 5, tag).is_err());
-        assert!(reference.book(NodeId::new(0), Time::ZERO, 5, tag).is_err());
     }
 }

@@ -27,6 +27,17 @@
 //!   port-busyness maps (see ROADMAP item 3), generalized from unit
 //!   ports to byte-capacity slots.
 //!
+//! Bookings go through a [`SlotTable`]: one slot of the table with
+//! its backend resolved, opened once per sender instance by the
+//! placement core's per-sender booking (a node owns exactly one slot,
+//! so all of an instance's messages land in it).
+//!
+//! Both backends refuse a booking that would land at or past
+//! [`BOOKING_HORIZON_ROUNDS`] with [`TtpError::HorizonExceeded`],
+//! checked on the booked round before anything grows: the bitmap's
+//! arrays are dense in rounds, so an unbounded horizon would be an
+//! unbounded allocation.
+//!
 //! The per-slot byte totals ([`SlotOccupancy::slot_bytes`]) double as
 //! the cheap signal the checkpoint recorder diffs to attribute
 //! bookings to placement positions — the resume limit of
@@ -37,6 +48,32 @@
 //! flat vector and assert that the chosen backend agrees with the
 //! flat tail scan (`debug_assertions` only — the guard is stripped in
 //! release).
+
+use ftdes_ttp::error::TtpError;
+
+/// The booking horizon of the occupancy table, in TDMA rounds: no
+/// message is booked into round `BOOKING_HORIZON_ROUNDS` or later.
+///
+/// A fixed bound, not a tuning knob. It sits four orders of
+/// magnitude above the slot horizons real schedules reach (the
+/// benchmark workloads' slots end after 55–92 rounds on average) and
+/// caps the bitmap backend's dense arrays at about 4 MiB per slot. A
+/// schedule that needs more rounds — computation times many orders of
+/// magnitude above the bus round — fails with
+/// [`TtpError::HorizonExceeded`] instead of allocating without bound.
+pub const BOOKING_HORIZON_ROUNDS: u64 = 1 << 20;
+
+/// Rejects a booking into `round` at or past the horizon.
+fn within_horizon(round: u64) -> Result<u64, TtpError> {
+    if round < BOOKING_HORIZON_ROUNDS {
+        Ok(round)
+    } else {
+        Err(TtpError::HorizonExceeded {
+            round,
+            limit: BOOKING_HORIZON_ROUNDS,
+        })
+    }
+}
 
 /// Selects which booking structure the slot-occupancy table (the
 /// crate-private `SlotOccupancy`) runs on. Pure
@@ -124,11 +161,12 @@ impl DenseSlot {
     /// saturation-bit scan would degrade to one recheck per round.
     ///
     /// Soundness note: the placement core validates `size <=
-    /// capacity` before any booking ([`crate::list::book_scratch`]),
+    /// capacity` before any booking ([`crate::list::SenderBooking`]),
     /// so an empty round (`used == 0 <= limit`) always accepts — the
     /// scan can never run past the first fully-free round, which
-    /// bounds it by the horizon.
-    fn book(&mut self, round: u64, size: u32, capacity: u32) -> u64 {
+    /// bounds it by the horizon. A round at or past
+    /// [`BOOKING_HORIZON_ROUNDS`] is refused before the arrays grow.
+    fn book(&mut self, round: u64, size: u32, capacity: u32) -> Result<u64, TtpError> {
         let mut q = usize::try_from(round).expect("round index fits usize");
         let horizon = self.used.len();
         let limit = capacity - size;
@@ -147,12 +185,13 @@ impl DenseSlot {
                 q += 1;
             }
         }
+        within_horizon(q as u64)?;
         self.ensure_round(q);
         self.used[q] += size;
         if self.used[q] == capacity {
             self.sat[q / 64] |= 1u64 << (q % 64);
         }
-        q as u64
+        Ok(q as u64)
     }
 
     fn clear(&mut self) {
@@ -270,42 +309,40 @@ impl SlotOccupancy {
         self.bytes.get(slot).copied().unwrap_or(0)
     }
 
+    /// Opens `slot` for booking: grows the per-slot structures and
+    /// resolves the active backend once, so a sender instance's
+    /// messages all book through one handle.
+    pub(crate) fn slot(&mut self, slot: usize, capacity: u32) -> SlotTable<'_> {
+        self.ensure_slots(slot + 1);
+        let SlotOccupancy {
+            dense,
+            bytes,
+            flat,
+            backend,
+        } = self;
+        SlotTable {
+            dense: match backend {
+                OccupancyBackend::Flat => None,
+                OccupancyBackend::Bitmap => Some(&mut dense[slot]),
+            },
+            flat,
+            bytes: &mut bytes[slot],
+            slot,
+            capacity,
+        }
+    }
+
     /// Books `size` bytes into the earliest occurrence of `slot` at
     /// or after `round` with spare capacity, and returns the round
-    /// chosen — through the active backend.
-    ///
-    /// Debug builds replay each booking against the legacy flat scan
-    /// as a parity oracle — but only while the oracle's own table is
-    /// below [`ORACLE_CAP`] entries: the flat scan is linear per
-    /// booking, and replaying it unconditionally turns every
-    /// congested debug evaluation quadratic (the oracle would
-    /// dominate the whole test suite's runtime). Once a placement run
-    /// crosses the cap the oracle disarms until the next `clear()`;
-    /// dedicated parity tests cover large tables in release mode.
-    pub(crate) fn book(&mut self, slot: usize, round: u64, size: u32, capacity: u32) -> u64 {
-        self.ensure_slots(slot + 1);
-        let start_round = round;
-        let round = match self.backend {
-            OccupancyBackend::Flat => {
-                Self::scanned_book(&mut self.flat, slot, start_round, size, capacity)
-            }
-            OccupancyBackend::Bitmap => {
-                let round = self.dense[slot].book(round, size, capacity);
-                #[cfg(debug_assertions)]
-                if self.flat.len() < ORACLE_CAP {
-                    let scanned =
-                        Self::scanned_book(&mut self.flat, slot, start_round, size, capacity);
-                    debug_assert_eq!(
-                        scanned, round,
-                        "bitmap booking diverged from the flat tail scan \
-                         (slot {slot}, from round {start_round}, {size} bytes)"
-                    );
-                }
-                round
-            }
-        };
-        self.bytes[slot] += u64::from(size);
-        round
+    /// chosen (see [`SlotTable::book`]).
+    pub(crate) fn book(
+        &mut self,
+        slot: usize,
+        round: u64,
+        size: u32,
+        capacity: u32,
+    ) -> Result<u64, TtpError> {
+        self.slot(slot, capacity).book(round, size)
     }
 
     /// The legacy algorithm verbatim: scan the flat table from the
@@ -318,7 +355,7 @@ impl SlotOccupancy {
         mut round: u64,
         size: u32,
         capacity: u32,
-    ) -> u64 {
+    ) -> Result<u64, TtpError> {
         loop {
             match flat
                 .iter_mut()
@@ -331,12 +368,73 @@ impl SlotOccupancy {
                 }
                 Some(_) => round += 1,
                 None => {
-                    flat.push((round, slot, size));
+                    flat.push((within_horizon(round)?, slot, size));
                     break;
                 }
             }
         }
-        round
+        Ok(round)
+    }
+}
+
+/// One slot of a [`SlotOccupancy`] with its backend resolved
+/// ([`SlotOccupancy::slot`]).
+#[derive(Debug)]
+pub(crate) struct SlotTable<'a> {
+    /// The slot's dense arrays under the bitmap backend; `None` under
+    /// the flat backend.
+    dense: Option<&'a mut DenseSlot>,
+    /// The flat table: the flat backend's booking path, the bitmap's
+    /// debug-build parity reference.
+    flat: &'a mut Vec<(u64, usize, u32)>,
+    /// The slot's booked-bytes total.
+    bytes: &'a mut u64,
+    slot: usize,
+    capacity: u32,
+}
+
+impl SlotTable<'_> {
+    /// The slot's frame capacity in bytes.
+    pub(crate) fn capacity(&self) -> u32 {
+        self.capacity
+    }
+
+    /// Books `size` bytes (`<= capacity`) into the earliest
+    /// occurrence at or after `round` with spare capacity, and returns
+    /// the round chosen. A round at or past
+    /// [`BOOKING_HORIZON_ROUNDS`] is refused with
+    /// [`TtpError::HorizonExceeded`] by both backends.
+    ///
+    /// Debug builds replay each bitmap booking against the legacy
+    /// flat scan as a parity oracle — but only while the oracle's own
+    /// table is below [`ORACLE_CAP`] entries: the flat scan is linear
+    /// per booking, and replaying it unconditionally turns every
+    /// congested debug evaluation quadratic (the oracle would
+    /// dominate the whole test suite's runtime). Once a placement run
+    /// crosses the cap the oracle disarms until the next `clear()`;
+    /// dedicated parity tests cover large tables in release mode.
+    pub(crate) fn book(&mut self, round: u64, size: u32) -> Result<u64, TtpError> {
+        let (slot, capacity) = (self.slot, self.capacity);
+        let booked = match self.dense.as_deref_mut() {
+            None => SlotOccupancy::scanned_book(self.flat, slot, round, size, capacity)?,
+            Some(dense) => {
+                let booked = dense.book(round, size, capacity)?;
+                #[cfg(debug_assertions)]
+                if self.flat.len() < ORACLE_CAP {
+                    let scanned =
+                        SlotOccupancy::scanned_book(self.flat, slot, round, size, capacity);
+                    debug_assert_eq!(
+                        scanned,
+                        Ok(booked),
+                        "bitmap booking diverged from the flat tail scan \
+                         (slot {slot}, from round {round}, {size} bytes)"
+                    );
+                }
+                booked
+            }
+        };
+        *self.bytes += u64::from(size);
+        Ok(booked)
     }
 }
 
@@ -359,8 +457,14 @@ impl OccBench {
         self.0.clear();
     }
 
+    /// # Panics
+    ///
+    /// Panics when the booking lands at or past the booking horizon
+    /// (`round` from a schedule the scheduler built never does).
     pub fn book(&mut self, slot: usize, round: u64, size: u32, capacity: u32) -> u64 {
-        self.0.book(slot, round, size, capacity)
+        self.0
+            .book(slot, round, size, capacity)
+            .expect("booking within the booking horizon")
     }
 }
 
@@ -381,12 +485,12 @@ mod tests {
         for backend in ALL_BACKENDS {
             let mut occ = with_backend(backend);
             // Capacity 4: two 2-byte messages share, the third overflows.
-            assert_eq!(occ.book(0, 3, 2, 4), 3, "{backend}");
-            assert_eq!(occ.book(0, 3, 2, 4), 3, "{backend}");
-            assert_eq!(occ.book(0, 3, 2, 4), 4, "{backend}");
+            assert_eq!(occ.book(0, 3, 2, 4), Ok(3), "{backend}");
+            assert_eq!(occ.book(0, 3, 2, 4), Ok(3), "{backend}");
+            assert_eq!(occ.book(0, 3, 2, 4), Ok(4), "{backend}");
             assert_eq!(occ.slot_bytes(0), 6, "{backend}");
             // An earlier round with free space is still usable.
-            assert_eq!(occ.book(0, 1, 4, 4), 1, "{backend}");
+            assert_eq!(occ.book(0, 1, 4, 4), Ok(1), "{backend}");
         }
     }
 
@@ -394,13 +498,13 @@ mod tests {
     fn later_booking_can_fill_an_earlier_gap() {
         for backend in ALL_BACKENDS {
             let mut occ = with_backend(backend);
-            occ.book(1, 0, 4, 4);
-            occ.book(1, 2, 2, 4);
+            occ.book(1, 0, 4, 4).unwrap();
+            occ.book(1, 2, 2, 4).unwrap();
             // Round 1 was skipped: a new request from round 0 overflows
             // round 0 (full) and lands in the round-1 gap.
-            assert_eq!(occ.book(1, 0, 3, 4), 1, "{backend}");
+            assert_eq!(occ.book(1, 0, 3, 4), Ok(1), "{backend}");
             // Round 2 still has 2 spare bytes for a small message.
-            assert_eq!(occ.book(1, 2, 2, 4), 2, "{backend}");
+            assert_eq!(occ.book(1, 2, 2, 4), Ok(2), "{backend}");
         }
     }
 
@@ -440,38 +544,67 @@ mod tests {
         // one DENSE_CHUNK boundary), then request from round 0: the
         // word scan must land exactly at the first free round.
         for r in 0..300u64 {
-            assert_eq!(occ.book(0, r, 4, 4), r);
+            assert_eq!(occ.book(0, r, 4, 4), Ok(r));
         }
-        assert_eq!(occ.book(0, 0, 1, 4), 300);
+        assert_eq!(occ.book(0, 0, 1, 4), Ok(300));
         // A partially-used round inside the run still accepts a fit.
-        assert_eq!(occ.book(0, 300, 3, 4), 300);
-        assert_eq!(occ.book(0, 0, 2, 4), 301);
+        assert_eq!(occ.book(0, 300, 3, 4), Ok(300));
+        assert_eq!(occ.book(0, 0, 2, 4), Ok(301));
     }
 
     #[test]
     fn clear_keeps_allocations_and_resets_bytes() {
         for backend in ALL_BACKENDS {
             let mut occ = with_backend(backend);
-            occ.book(0, 0, 4, 4);
-            occ.book(2, 5, 1, 4);
+            occ.book(0, 0, 4, 4).unwrap();
+            occ.book(2, 5, 1, 4).unwrap();
             occ.clear();
             assert_eq!(occ.slot_bytes(0), 0, "{backend}");
             assert_eq!(occ.slot_bytes(2), 0, "{backend}");
-            assert_eq!(occ.book(0, 0, 4, 4), 0, "{backend}: table empty again");
+            assert_eq!(occ.book(0, 0, 4, 4), Ok(0), "{backend}: table empty again");
         }
     }
 
     #[test]
     fn clone_from_restores_bitmap_state() {
         let mut occ = with_backend(OccupancyBackend::Bitmap);
-        occ.book(0, 0, 4, 4);
-        occ.book(0, 1, 4, 4);
+        occ.book(0, 0, 4, 4).unwrap();
+        occ.book(0, 1, 4, 4).unwrap();
         let snap = occ.clone();
-        occ.book(0, 0, 4, 4); // lands at 2
+        occ.book(0, 0, 4, 4).unwrap(); // lands at 2
         let mut restored = with_backend(OccupancyBackend::Bitmap);
         restored.clone_from(&snap);
         assert_eq!(restored.slot_bytes(0), 8);
-        assert_eq!(restored.book(0, 0, 4, 4), 2, "restored to the snapshot");
+        assert_eq!(restored.book(0, 0, 4, 4), Ok(2), "restored to the snapshot");
+    }
+
+    #[test]
+    fn bookings_stop_at_the_horizon() {
+        let last = BOOKING_HORIZON_ROUNDS - 1;
+        let refused = |round| {
+            Err(TtpError::HorizonExceeded {
+                round,
+                limit: BOOKING_HORIZON_ROUNDS,
+            })
+        };
+        for backend in ALL_BACKENDS {
+            let mut occ = with_backend(backend);
+            // The horizon's last round still books; a message that
+            // overflows it, or a request far past it, is refused.
+            assert_eq!(occ.book(0, last, 4, 4), Ok(last), "{backend}");
+            assert_eq!(
+                occ.book(0, last, 1, 4),
+                refused(BOOKING_HORIZON_ROUNDS),
+                "{backend}"
+            );
+            assert_eq!(
+                occ.book(1, u64::MAX / 2, 1, 4),
+                refused(u64::MAX / 2),
+                "{backend}"
+            );
+            assert_eq!(occ.slot_bytes(0), 4, "{backend}: refusals book nothing");
+            assert_eq!(occ.slot_bytes(1), 0, "{backend}: refusals book nothing");
+        }
     }
 
     mod properties {
@@ -530,7 +663,7 @@ mod tests {
                 for backend in ALL_BACKENDS {
                     let mut occ = with_backend(backend);
                     for &(slot, round, size) in &requests {
-                        let got = occ.book(slot, round, size, 4);
+                        let got = occ.book(slot, round, size, 4).unwrap();
                         prop_assert!(
                             got >= round,
                             "{} booked round {} before requested round {}",

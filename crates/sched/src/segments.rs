@@ -19,10 +19,11 @@
 //!   any node to the exact state it had just before the first
 //!   position the candidate perturbs *on that node*;
 //! * **per-(node, slot) bus timelines** ([`SlotBooking`]): every
-//!   message booking, keyed by (slot, placement position, sender
-//!   instance, request time) — so a candidate can rebuild any TDMA
-//!   slot's occupancy up to the first booking it perturbs and replay
-//!   only the bookings after it;
+//!   message booking, keyed by (slot, placement position, edge,
+//!   booked round) — so a candidate can rebuild any TDMA slot's
+//!   occupancy up to the first booking it perturbs, each booking
+//!   straight into its recorded round, and replay only the bookings
+//!   after it;
 //! * the **final state** of the base run (fault-free and worst-case
 //!   finish per instance, the flat `(edge, replica)` message-arrival
 //!   table, worst-case completion per process) — the values spliced
@@ -141,8 +142,10 @@ pub(crate) struct SlotBooking {
     /// The edge whose message was booked (its size is the booked
     /// payload).
     pub(crate) edge: EdgeId,
-    /// The request time (the sender's worst-case finish).
-    pub(crate) earliest: Time,
+    /// The TDMA round the message landed in. Replayed onto the slot's
+    /// unperturbed prefix, a booking requested at this round lands in
+    /// it at once: no slot arithmetic, an empty first-fit scan.
+    pub(crate) round: u64,
 }
 
 /// The segment-structured recording of one base placement.
@@ -159,6 +162,10 @@ pub(crate) struct SegmentStore {
     recorded: bool,
     /// Cached `node index -> slot index` map of the recorded bus.
     pub(crate) slot_of: Vec<u32>,
+    /// Round length and per-slot round-0 slot end of the recorded bus:
+    /// the recorder reads each booking's round back from its arrival.
+    round_len: Time,
+    slot_end: Vec<Time>,
     /// Per-node segment boundaries.
     pub(crate) nodes: Vec<NodeTimeline>,
     /// Per-slot booking timelines, position-sorted (bookings are
@@ -207,6 +214,10 @@ impl SegmentStore {
             (0..node_count)
                 .map(|n| bus.slot_of_node(ftdes_model::ids::NodeId::new(n as u32)) as u32),
         );
+        self.round_len = bus.round_length();
+        self.slot_end.clear();
+        self.slot_end
+            .extend((0..slot_count).map(|slot| bus.slot_end(0, slot)));
     }
 
     /// Records the segments of one placement of `p`: the
@@ -237,11 +248,11 @@ impl SegmentStore {
             let slot = self.slot_of[inst.node.index()] as usize;
             for &edge in graph.outgoing(p) {
                 if expanded.reads_remote(graph.edge(edge).to, inst.node) {
-                    self.slots[slot].push(SlotBooking {
-                        pos,
-                        edge,
-                        earliest: scratch.wc_times[sid.index()],
-                    });
+                    // The arrival just booked is `slot_end + round ·
+                    // round_len`.
+                    let arrival = scratch.arrivals.get(edge, inst.replica);
+                    let round = (arrival - self.slot_end[slot]) / self.round_len;
+                    self.slots[slot].push(SlotBooking { pos, edge, round });
                 }
             }
         }

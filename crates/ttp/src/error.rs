@@ -33,6 +33,15 @@ pub enum TtpError {
         /// Slot capacity in bytes.
         capacity: u32,
     },
+    /// A message would land in a TDMA round at or past the booking
+    /// horizon of the scheduler's occupancy table: the schedule spans
+    /// more rounds than the table covers.
+    HorizonExceeded {
+        /// The round the message would be booked into.
+        round: u64,
+        /// The number of rounds the booking table covers.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for TtpError {
@@ -50,6 +59,12 @@ impl fmt::Display for TtpError {
                 write!(
                     f,
                     "message of {size} bytes exceeds slot capacity of {capacity} bytes"
+                )
+            }
+            TtpError::HorizonExceeded { round, limit } => {
+                write!(
+                    f,
+                    "message needs TDMA round {round}, past the booking horizon of {limit} rounds"
                 )
             }
         }
