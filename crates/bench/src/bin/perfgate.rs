@@ -71,30 +71,27 @@
 //!
 //! The paper-family workload above makes communication almost free
 //! (1–4 byte messages against 10–100 ms WCETs), so it cannot see the
-//! communication-aware engine at all. A **second gated workload**
+//! bus-booking path at all. A **second gated workload**
 //! ([`ftdes_bench::comm_heavy_problem_with`]: five edges per process,
 //! 4–16 byte messages, a bus where an average transfer costs half an
 //! average WCET — several hundred bookings per evaluation) is
 //! therefore run two ways:
 //!
-//! 1. **pr2** — incremental + bounded exactly as PR 2 shipped it:
-//!    the certified bus-wait lower bound disabled
-//!    (`Problem::with_comm_lookahead(false)`) and bus messages booked
-//!    through the legacy flat tail scan
+//! 1. **pr2** — the default engine with bus messages booked through
+//!    the legacy flat tail scan
 //!    (`Problem::with_occupancy_backend(OccupancyBackend::Flat)`), whose
 //!    whole-table rescan per overflowed round turns quadratic on
 //!    congested buses,
 //! 2. **incremental** — the current default: the per-slot bitmap
-//!    occupancy skips saturated rounds 64 at a time, and the bus-wait
-//!    floor folds into the abort bound.
+//!    occupancy skips saturated rounds 64 at a time.
 //!
-//! Both runs walk bit-identical trajectories (the bound is
-//! admissible and both booking paths pick identical slot
-//! occurrences — it changes *how fast* a candidate is scored, never
-//! *which* candidate wins), so the candidate-rate ratio cleanly
-//! measures the communication-aware additions. `BENCH_tabu.json`
-//! gains `comm_workload` / `comm_pr2` / `comm` sections and a
-//! `comm_candidate_rate_vs_pr2` ratio; CI enforces its floor (1.15×).
+//! Both runs walk bit-identical trajectories (both booking paths pick
+//! identical slot occurrences — the backend changes *how fast* a
+//! candidate is scored, never *which* candidate wins), so the
+//! candidate-rate ratio cleanly measures the bitmap occupancy.
+//! `BENCH_tabu.json` gains `comm_workload` / `comm_pr2` / `comm`
+//! sections and a `comm_candidate_rate_vs_pr2` ratio; CI enforces its
+//! floor (1.15×).
 //!
 //! Multi-core figures are not perfgate's: `synthbench --trace 1`
 //! reports the portfolio's speedup over one worker
@@ -264,7 +261,7 @@ fn run_scratch(problem: &Problem, cfg: &SearchConfig) -> Outcome {
 }
 
 /// The PR 3 path: everything the previous default had — checkpoint
-/// resume, bounded early-exit, the comm-aware engine — with suffix
+/// resume, bounded early-exit, the bitmap occupancy — with suffix
 /// splicing disabled. The candidate-rate ratio against this isolates
 /// exactly the splice engine's contribution.
 fn run_pr3(problem: &Problem, cfg: &SearchConfig) -> Outcome {
@@ -272,17 +269,15 @@ fn run_pr3(problem: &Problem, cfg: &SearchConfig) -> Outcome {
     optimize(&problem, Strategy::Mxr, cfg).unwrap_or_else(|e| panic!("perfgate pr3 search: {e}"))
 }
 
-/// The PR 2 path on the communication-heavy workload: incremental +
-/// bounded exactly as PR 2 shipped it — the certified bus-wait lower
-/// bound disabled (the abort bound falls back to the computation-only
-/// per-node lookahead) and bus messages booked through the legacy
-/// flat tail scan instead of the per-(node, slot) occupancy index.
-/// Both knobs are bit-identical in results, so the candidate-rate
-/// ratio isolates exactly this PR's communication-aware additions.
+/// The reference arm of the communication-heavy gate (`comm_pr2` in
+/// `BENCH_tabu.json`): the default engine with bus messages booked
+/// through the legacy flat tail scan instead of the per-(node, slot)
+/// occupancy bitmap. Both
+/// backends are bit-identical in results, so the candidate-rate ratio
+/// isolates exactly the bitmap's contribution.
 fn run_pr2(problem: &Problem, cfg: &SearchConfig) -> Outcome {
     let problem = problem
         .clone()
-        .with_comm_lookahead(false)
         .with_occupancy_backend(OccupancyBackend::Flat);
     optimize(&problem, Strategy::Mxr, cfg).unwrap_or_else(|e| panic!("perfgate pr2 search: {e}"))
 }
@@ -459,7 +454,7 @@ fn section_comm() -> String {
         let incr = run_incremental(&problem, &cfg);
         println!(
             "  seed {seed}: pr2 {} iters / {} evals (+{} hits, {} pruned) | \
-             comm-bound {} iters / {} evals (+{} hits, {} pruned)",
+             bitmap {} iters / {} evals (+{} hits, {} pruned)",
             pr2.stats.tabu_iterations,
             pr2.stats.evaluations,
             pr2.stats.cache_hits,
@@ -478,7 +473,7 @@ fn section_comm() -> String {
     );
     let comm_iter_vs_pr2 = iteration_ratio(comm_incr.tabu_iterations, comm_pr2.tabu_iterations);
     println!(
-        "comm-heavy, bus-wait bound vs PR 2 path: {} tabu iterations, \
+        "comm-heavy, bitmap vs flat occupancy: {} tabu iterations, \
          {comm_cand_vs_pr2:.2}x candidate rate",
         ratio_text(comm_iter_vs_pr2),
     );

@@ -249,9 +249,8 @@ pub fn synthetic_problem(processes: usize, nodes: usize, k: u32, mu: Time, seed:
 /// DAGs, 4–16 byte messages and a per-byte bus time chosen so an
 /// average message transfer costs half an average WCET — the workload
 /// where bus waits, not computation, decide schedule length, and
-/// where the certified bus-wait lower bound and the bitmap slot
-/// occupancy earn their keep. `perfgate`'s second gated entry runs
-/// on exactly this instance.
+/// where the bitmap slot occupancy earns its keep. `perfgate`'s
+/// second gated entry runs on exactly this instance.
 #[must_use]
 pub fn comm_heavy_problem(processes: usize, nodes: usize, k: u32, mu: Time, seed: u64) -> Problem {
     comm_heavy_problem_with(&CommHeavyParams::dense(processes), nodes, k, mu, seed)

@@ -13,21 +13,14 @@
 //!
 //! Every candidate configuration is scored by scheduling the *given*
 //! design under it, so the pass composes with any strategy result.
-//! Slot-swap probes do not reschedule from scratch: the incumbent
-//! configuration's placement is recorded once
-//! ([`Evaluator::schedule_with_bus_recording`]) and each probe
-//! resumes from the last booking the swap provably cannot affect
-//! ([`ftdes_sched::schedule_cost_resumed_bus`]) — placement-prefix
-//! checkpoints keyed on *moves* don't apply here because a slot-order
-//! change shifts slot timing globally, so the resume limit is the
-//! first **booking** into either swapped slot instead. Capacity-sweep
-//! candidates change the slot length (and every slot's timing with
-//! it), so they are never resumable and always run from scratch.
+//! A slot-swap probe shifts slot timing globally, so it is placed
+//! from scratch ([`Evaluator::evaluate_with_bus_bounded`]), memoized
+//! per (design, bus) and bounded by the climbing incumbent.
 
 use std::sync::Arc;
 
 use ftdes_model::design::Design;
-use ftdes_sched::{PlacementCheckpoints, Schedule};
+use ftdes_sched::Schedule;
 use ftdes_ttp::config::BusConfig;
 
 use crate::cache::{EvalOutcome, Evaluator};
@@ -96,10 +89,6 @@ pub fn optimize_bus(
     let evaluator = Evaluator::new(problem);
     let base = problem.bus();
     let largest = problem.largest_message();
-    // Prefix checkpoints of the incumbent configuration's placement:
-    // re-recorded whenever the incumbent bus changes (capacity step
-    // or accepted swap), resumed from by every slot-swap probe.
-    let mut ckpts = PlacementCheckpoints::new();
 
     let mut best_bus = base.clone();
     let (mut best_cost, start_hit) = evaluator.evaluate(design)?;
@@ -110,13 +99,8 @@ pub fn optimize_bus(
         let mut bus = BusConfig::with_order(base.slot_order().to_vec(), capacity, base.byte_time())
             .expect("base order stays valid");
 
-        // Evaluate the capacity change itself — never resumable (the
-        // slot length changes every slot's timing), but this full run
-        // doubles as the recording the upcoming swap sweep resumes
-        // from.
-        let mut current_cost = evaluator
-            .schedule_with_bus_recording(&bus, design, &mut ckpts)?
-            .cost();
+        // Evaluate the capacity change itself.
+        let mut current_cost = evaluator.schedule_with_bus(&bus, design)?.cost();
         stats.record_eval(false);
         if current_cost < best_cost {
             best_bus = bus.clone();
@@ -127,9 +111,7 @@ pub fn optimize_bus(
         // improving pair and re-enters the scan from the next pair
         // against the updated bus. Each probe is bounded by the
         // climbing incumbent and aborts as soon as it provably cannot
-        // improve on it, and resumes from the incumbent's recording —
-        // the same facade the neighbourhood searches score moves
-        // through.
+        // improve on it.
         let slots = bus.slots_per_round();
         let pairs: Vec<(usize, usize)> = (0..slots)
             .flat_map(|a| ((a + 1)..slots).map(move |b| (a, b)))
@@ -138,9 +120,8 @@ pub fn optimize_bus(
             let mut improved = false;
             for &(a, b) in &pairs {
                 let cand_bus = bus.swap_slots(a, b);
-                let (outcome, hit) = evaluator
-                    .candidate_eval(design, Some(&ckpts), Some(current_cost))
-                    .eval_bus_swap(&cand_bus, (a, b), design)?;
+                let (outcome, hit) =
+                    evaluator.evaluate_with_bus_bounded(&cand_bus, design, Some(current_cost))?;
                 let c = match outcome {
                     EvalOutcome::Exact(c) => {
                         stats.record_eval(hit);
@@ -156,17 +137,6 @@ pub fn optimize_bus(
                     bus = cand_bus;
                     current_cost = c;
                     improved = true;
-                    // The incumbent changed: re-record so further
-                    // probes resume against the new slot order. One
-                    // full run per *accepted* swap — probes vastly
-                    // outnumber acceptances.
-                    let incumbent =
-                        evaluator.schedule_with_bus_recording(&bus, design, &mut ckpts)?;
-                    debug_assert_eq!(
-                        incumbent.cost(),
-                        c,
-                        "resumed probe cost must match the full run"
-                    );
                 }
             }
             if !improved {

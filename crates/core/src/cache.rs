@@ -578,84 +578,37 @@ impl<'p> Evaluator<'p> {
         self.schedule_keyed(design, Some(bus))
     }
 
-    /// [`Evaluator::schedule_with_bus`] that additionally records the
-    /// placement's prefix checkpoints into `ckpts` — the bus-access
-    /// optimization materializes its incumbent `(design, bus)` this
-    /// way so that slot-swap probes resume through
-    /// [`Evaluator::evaluate_with_bus_swap_bounded`] instead of
-    /// re-placing the whole order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SchedError`].
-    pub fn schedule_with_bus_recording(
-        &self,
-        bus: &BusConfig,
-        design: &Design,
-        ckpts: &mut PlacementCheckpoints,
-    ) -> Result<Arc<Schedule>, SchedError> {
-        let schedule = SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            let scratch = scratch.core_mut();
-            self.problem
-                .evaluate_with_bus_recording(bus, design, scratch, Some(ckpts))
-        })?;
-        if let (Some(cache), Some(key)) = (self.cache.as_ref(), self.key_of(design, Some(bus))) {
-            cache.insert(key, schedule.cost());
-        }
-        ckpts.tag = design_fingerprint(design, self.base_fp);
-        Ok(Arc::new(schedule))
-    }
-
-    /// The cost of `design` under a candidate bus that differs from
-    /// the checkpointed incumbent by the single slot swap `swapped`,
-    /// cached under the (design, bus) pair. With an incumbent `bound`
-    /// a probe provably worse than the hill-climbing incumbent aborts
-    /// mid-placement with [`EvalOutcome::LowerBound`] (not cached).
-    /// The probe resumes from the last booking the swap provably
-    /// cannot affect (see [`ftdes_sched::schedule_cost_resumed_bus`])
-    /// instead of re-placing from scratch, and falls back to the
-    /// from-scratch bounded run
-    /// ([`Problem::evaluate_cost_with_bus_bounded`]) when `ckpts` is
-    /// `None` or not yet recorded; both give the same cost,
-    /// classification and cache behaviour.
+    /// The cost of `design` under the candidate bus configuration
+    /// `bus`, placed from scratch and cached under the (design, bus)
+    /// pair — the bus-access optimization's slot-swap probe. With an
+    /// incumbent `bound` a probe provably worse than the
+    /// hill-climbing incumbent aborts mid-placement with
+    /// [`EvalOutcome::LowerBound`] (not cached).
     ///
     /// # Errors
     ///
     /// Propagates [`SchedError`], e.g. a message exceeding the
     /// candidate slot capacity.
-    pub fn evaluate_with_bus_swap_bounded(
+    pub fn evaluate_with_bus_bounded(
         &self,
         bus: &BusConfig,
-        swapped: (usize, usize),
         design: &Design,
-        ckpts: Option<&PlacementCheckpoints>,
         bound: Option<ScheduleCost>,
     ) -> Result<(EvalOutcome, bool), SchedError> {
-        debug_assert!(
-            ckpts
-                .is_none_or(|c| !c.is_valid() || c.tag == design_fingerprint(design, self.base_fp)),
-            "checkpoints must belong to the probed design"
-        );
-        self.cached_bounded(self.key_of(design, Some(bus)), |scratch| match ckpts {
-            Some(ckpts) if ckpts.is_valid() => self
-                .problem
-                .evaluate_cost_bus_swapped(bus, swapped, scratch, ckpts, bound),
-            _ => self
-                .problem
-                .evaluate_cost_with_bus_bounded(bus, design, scratch, bound),
+        self.cached_bounded(self.key_of(design, Some(bus)), |scratch| {
+            self.problem
+                .evaluate_cost_with_bus_bounded(bus, design, scratch, bound)
         })
     }
 
     /// Opens the candidate-evaluation context of one neighbourhood
-    /// window (or bus-probe sweep): the base design's O(n) cache key
-    /// (each candidate key is then O(1) by XOR decomposition), the
-    /// base solution's recorded placement checkpoints, and the
-    /// incumbent bound — bundled behind one [`CandidateEval`] facade
-    /// so every search phase (greedy, both tabu stages, the bus-access
-    /// optimization) scores candidates through the same stack:
-    /// memoization → suffix splice → checkpoint resume → bounded
-    /// early-exit.
+    /// window: the base design's O(n) cache key (each candidate key is
+    /// then O(1) by XOR decomposition), the base solution's recorded
+    /// placement checkpoints, and the incumbent bound — bundled behind
+    /// one [`CandidateEval`] facade so every neighbourhood search phase
+    /// (greedy, both tabu stages) scores candidates through the same
+    /// stack: memoization → suffix splice → checkpoint resume →
+    /// bounded early-exit.
     #[must_use]
     pub fn candidate_eval<'e>(
         &'e self,
@@ -771,25 +724,6 @@ impl CandidateEval<'_, '_> {
             bound,
         )
     }
-
-    /// Scores a bus-configuration probe differing from the recorded
-    /// incumbent by the single slot swap `swapped` (the bus-access
-    /// optimization's elementary move), resuming from the last
-    /// booking the swap provably cannot affect when checkpoints are
-    /// held.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Evaluator::evaluate_with_bus_swap_bounded`].
-    pub fn eval_bus_swap(
-        &self,
-        bus: &BusConfig,
-        swapped: (usize, usize),
-        design: &Design,
-    ) -> Result<(EvalOutcome, bool), SchedError> {
-        self.evaluator
-            .evaluate_with_bus_swap_bounded(bus, swapped, design, self.ckpts, self.bound)
-    }
 }
 
 #[cfg(test)]
@@ -865,10 +799,13 @@ mod tests {
         let (problem, design) = tiny();
         let eval = Evaluator::new(&problem);
         let swapped = problem.bus().swap_slots(0, 1);
-        let probe = eval.candidate_eval(&design, None, None);
         let (_, hit0) = eval.evaluate(&design).unwrap();
-        let (_, hit1) = probe.eval_bus_swap(&swapped, (0, 1), &design).unwrap();
-        let (_, hit2) = probe.eval_bus_swap(&swapped, (0, 1), &design).unwrap();
+        let (_, hit1) = eval
+            .evaluate_with_bus_bounded(&swapped, &design, None)
+            .unwrap();
+        let (_, hit2) = eval
+            .evaluate_with_bus_bounded(&swapped, &design, None)
+            .unwrap();
         assert!(!hit0 && !hit1, "different bus misses");
         assert!(hit2, "same (design, bus) hits");
         assert_ne!(bus_fingerprint(problem.bus()), bus_fingerprint(&swapped));

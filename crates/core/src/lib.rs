@@ -29,15 +29,14 @@
 //!   keyed by XOR-decomposable design fingerprints, shareable across
 //!   `optimize` calls via [`strategy::optimize_with_cache`]),
 //!   incremental checkpoint-resumed evaluation, bounded early-exit
-//!   runs, and the checkpointed bus-swap probes of
+//!   runs, and the from-scratch bounded bus-swap probes of
 //!   [`bus_opt::optimize_bus`].
 //! * [`parallel::WorkerPool`] — deterministic window parallelism:
 //!   results indexed by input position plus `(cost, move index)`
 //!   selection make parallel runs bit-identical to sequential ones.
 //! * The engine toggles live on [`SearchConfig`]
 //!   (`incremental` / `bounded`) and [`problem::Problem`]
-//!   ([`problem::Problem::with_comm_lookahead`],
-//!   [`problem::Problem::with_occupancy_backend`],
+//!   ([`problem::Problem::with_occupancy_backend`],
 //!   [`problem::Problem::with_suffix_splice`]) — every one of them
 //!   is a pure throughput knob, bit-identical by the parity tests in
 //!   `tests/incremental.rs`, `tests/splice.rs` and

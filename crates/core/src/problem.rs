@@ -13,8 +13,8 @@ use ftdes_model::ids::ProcessId;
 use ftdes_model::time::Time;
 use ftdes_model::wcet::{DenseWcet, WcetTable};
 use ftdes_sched::{
-    list_schedule_recording, list_schedule_with, schedule_cost_bounded, schedule_cost_resumed,
-    schedule_cost_resumed_bus, CostOutcome, CostScratch, OccupancyBackend, PlacementCheckpoints,
+    list_schedule_recording, list_schedule_scratch, list_schedule_with, schedule_cost_bounded,
+    schedule_cost_resumed, CostOutcome, CostScratch, OccupancyBackend, PlacementCheckpoints,
     PriorityStrategy, SchedError, SchedScratch, Schedule, ScheduleCost, ScheduleOptions,
 };
 use ftdes_ttp::config::BusConfig;
@@ -59,7 +59,7 @@ pub struct Problem {
     bus: BusConfig,
     constraints: DesignConstraints,
     /// Scheduler switches every evaluation of this problem runs with
-    /// (slack sharing, the certified bus-wait lookahead, …).
+    /// (slack sharing, the occupancy backend, …).
     options: ScheduleOptions,
     /// Largest checkpoint count the move generators may assign to a
     /// re-executable process (the third move axis). `1` disables the
@@ -115,19 +115,6 @@ impl Problem {
     #[must_use]
     pub fn max_checkpoints(&self) -> u32 {
         self.max_checkpoints
-    }
-
-    /// Toggles the certified bus-wait lower bound of bounded
-    /// (early-exit) candidate evaluation
-    /// ([`ScheduleOptions::comm_lookahead`], default on). Pure
-    /// throughput knob: the bound is admissible, so costs, pruning
-    /// classification and search trajectories are bit-identical
-    /// either way — `false` gives the computation-only (PR 2)
-    /// lookahead for perf ablations.
-    #[must_use]
-    pub fn with_comm_lookahead(mut self, enabled: bool) -> Self {
-        self.options.comm_lookahead = enabled;
-        self
     }
 
     /// Selects the bus-slot occupancy backend
@@ -330,26 +317,7 @@ impl Problem {
         design: &Design,
         scratch: &mut SchedScratch,
     ) -> Result<Schedule, SchedError> {
-        self.evaluate_with_bus_recording(bus, design, scratch, None)
-    }
-
-    /// [`Problem::evaluate_with_bus_scratch`] that additionally
-    /// records the placement's prefix checkpoints — the bus-access
-    /// optimization records its incumbent configuration this way so
-    /// slot-swap probes can resume instead of re-placing from scratch
-    /// (see [`ftdes_sched::schedule_cost_resumed_bus`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Problem::evaluate`].
-    pub fn evaluate_with_bus_recording(
-        &self,
-        bus: &BusConfig,
-        design: &Design,
-        scratch: &mut SchedScratch,
-        ckpts: Option<&mut PlacementCheckpoints>,
-    ) -> Result<Schedule, SchedError> {
-        list_schedule_recording(
+        list_schedule_scratch(
             &self.graph,
             &self.arch,
             &self.dense_wcet,
@@ -358,7 +326,6 @@ impl Problem {
             design,
             self.options,
             scratch,
-            ckpts,
         )
     }
 
@@ -440,8 +407,8 @@ impl Problem {
     }
 
     /// [`Problem::evaluate_cost_bounded`] under an alternative bus
-    /// configuration (the bus-access optimization prunes losing
-    /// probes with the bound).
+    /// configuration (the bus-access optimization scores its slot-swap
+    /// probes this way and prunes losing ones with the bound).
     ///
     /// # Errors
     ///
@@ -462,39 +429,6 @@ impl Problem {
             design,
             self.options,
             scratch,
-            bound,
-        )
-    }
-
-    /// Evaluates the checkpointed base design under a bus
-    /// configuration differing from the recorded one by the single
-    /// slot swap `swapped`, resuming from the last booking the swap
-    /// cannot affect (see
-    /// [`ftdes_sched::schedule_cost_resumed_bus`]) — the fast path of
-    /// the bus-access optimization's probe sweep. The design is the
-    /// one `ckpts` was recorded for; no WCET lookups happen (the
-    /// recorded expansion already carries them).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Problem::evaluate`].
-    pub fn evaluate_cost_bus_swapped(
-        &self,
-        bus: &BusConfig,
-        swapped: (usize, usize),
-        scratch: &mut CostScratch,
-        ckpts: &PlacementCheckpoints,
-        bound: Option<ScheduleCost>,
-    ) -> Result<CostOutcome, SchedError> {
-        schedule_cost_resumed_bus(
-            &self.graph,
-            &self.arch,
-            &self.fault_model,
-            bus,
-            swapped,
-            self.options,
-            scratch,
-            ckpts,
             bound,
         )
     }

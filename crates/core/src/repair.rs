@@ -106,7 +106,6 @@ pub fn apply_delta(
     )
     .with_max_checkpoints(problem.max_checkpoints())
     .with_constraints(constraints)
-    .with_comm_lookahead(opts.comm_lookahead)
     .with_suffix_splice(opts.suffix_splice)
     .with_occupancy_backend(opts.occupancy)
     .with_priority_strategy(opts.priority);

@@ -4,9 +4,9 @@
 //! 1–4 byte messages over a 2.5 µs/byte TDMA bus against 10–100 ms
 //! WCETs, so a message costs about one ten-thousandth of a process
 //! execution and bus waits never dominate a schedule. That family
-//! cannot exercise the communication-aware side of the bounded
-//! evaluation engine (the certified bus-wait lower bound, the bitmap
-//! slot occupancy) — almost no candidate ever loses on bus waits.
+//! cannot exercise the communication side of the evaluation engine
+//! (the bitmap slot occupancy, the booking path) — almost no
+//! candidate ever loses on bus waits.
 //!
 //! [`comm_heavy`] generates the complementary family: dense layered
 //! DAGs (configurable mean edges per process instead of the paper's
@@ -16,8 +16,8 @@
 //! `ratio = 0.5` means transferring an average message occupies the
 //! bus for half an average process execution, so communication-heavy
 //! designs genuinely lose their time on the bus. Benchmarks
-//! (`perfgate`'s second gated workload) and the bus-wait
-//! admissibility property test both draw their instances from here.
+//! (`perfgate`'s second gated workload) and the comm-heavy parity
+//! and admissibility tests draw their instances from here.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

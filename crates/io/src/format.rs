@@ -39,6 +39,7 @@ use ftdes_model::merge::MergedApplication;
 use ftdes_model::policy::{MappingConstraint, PolicyConstraint};
 use ftdes_model::time::Time;
 use ftdes_model::wcet::WcetTable;
+use ftdes_sched::BOOKING_HORIZON_ROUNDS;
 use ftdes_ttp::config::BusConfig;
 
 use crate::error::{ErrorKind, ParseProblemError};
@@ -68,13 +69,20 @@ impl ProblemSpec {
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseProblemError`] (line 0, kind
-    /// [`ErrorKind::Structure`]) when the model is structurally
-    /// invalid: cyclic graphs, deadline beyond period, or a process
-    /// with no WCET entry on any node (unmappable).
+    /// Returns a [`ParseProblemError`] at line 0: kind
+    /// [`ErrorKind::Structure`] when the model is structurally
+    /// invalid (cyclic graphs, deadline beyond period, or a process
+    /// with no WCET entry on any node), kind [`ErrorKind::Overflow`]
+    /// when the hyperperiod does not fit in a `Time` or the
+    /// worst-case schedule horizon exceeds `u64::MAX / 4` µs.
     pub fn into_problem(self) -> Result<(Problem, MergedApplication), ParseProblemError> {
-        let merged = MergedApplication::merge(&self.application)
-            .map_err(|e| ParseProblemError::with_kind(0, ErrorKind::Structure, e.to_string()))?;
+        let merged = MergedApplication::merge(&self.application).map_err(|e| {
+            let kind = match e {
+                ftdes_model::error::ModelError::HyperperiodOverflow => ErrorKind::Overflow,
+                _ => ErrorKind::Structure,
+            };
+            ParseProblemError::with_kind(0, kind, e.to_string())
+        })?;
         let wcet = merged.remap_wcet(&self.wcet);
         // A process nobody can execute would only surface as a solver
         // failure (or worse) much later; reject it here, by name.
@@ -112,8 +120,71 @@ impl ProblemSpec {
             self.bus,
         )
         .with_constraints(constraints);
+        if horizon_budget(&problem, &merged).is_none_or(|us| us > HORIZON_HEADROOM_US) {
+            return Err(ParseProblemError::with_kind(
+                0,
+                ErrorKind::Overflow,
+                format!(
+                    "worst-case schedule horizon overflows its budget of {HORIZON_HEADROOM_US} us: \
+                     the hyperperiod, k + 1 = {} worst-case executions of every process and \
+                     {BOOKING_HORIZON_ROUNDS} TDMA rounds must fit in it",
+                    u64::from(problem.fault_model().k()) + 1,
+                ),
+            ));
+        }
         Ok((problem, merged))
     }
+}
+
+/// The largest worst-case schedule horizon, in microseconds, a problem
+/// file may describe: a quarter of the `u64` range. The scheduler adds
+/// up to three horizon-sized times (a node's availability, its
+/// remaining work and its slack delay), so a problem within this
+/// budget cannot wrap [`Time`] arithmetic.
+const HORIZON_HEADROOM_US: u64 = u64::MAX / 4;
+
+/// An upper bound, in microseconds, on the worst-case schedule
+/// horizon of `problem` — `None` when the bound itself overflows
+/// `u64`. The sum of
+///
+/// * the hyperperiod (or the latest release, if later);
+/// * per process, `k + 1` executions of its largest WCET, each with
+///   the recovery overhead µ and the saves of every checkpoint level
+///   the problem allows (`χ · (levels − 1)`) — every instance's
+///   worst case, placed back to back;
+/// * [`BOOKING_HORIZON_ROUNDS`] TDMA rounds, past which no message is
+///   ever booked.
+fn horizon_budget(problem: &Problem, merged: &MergedApplication) -> Option<u64> {
+    let graph = problem.graph();
+    let fm = problem.fault_model();
+    let executions = u64::from(fm.k()) + 1;
+    let saves = u64::from(problem.max_checkpoints() - 1);
+    let overhead = fm
+        .mu()
+        .as_us()
+        .checked_add(fm.chi().as_us().checked_mul(saves)?)?;
+    let mut total = graph
+        .processes()
+        .iter()
+        .map(|p| p.release)
+        .fold(merged.hyperperiod(), Time::max)
+        .as_us();
+    for p in graph.processes() {
+        let wcet = problem
+            .wcet()
+            .eligible_nodes(p.id)
+            .map(|(_, t)| t.as_us())
+            .max()
+            .unwrap_or(0);
+        total = total.checked_add(executions.checked_mul(wcet.checked_add(overhead)?)?)?;
+    }
+    let bus = problem.bus();
+    let round = bus
+        .byte_time()
+        .as_us()
+        .checked_mul(u64::from(bus.slot_bytes()))?
+        .checked_mul(bus.slots_per_round() as u64)?;
+    total.checked_add(round.checked_mul(BOOKING_HORIZON_ROUNDS)?)
 }
 
 /// Parses a problem file.

@@ -122,6 +122,49 @@ wcet y * 1ms
 }
 
 #[test]
+fn solve_rejects_a_wrapping_worst_case() {
+    // Three executions (k = 2) of a 9.2·10¹⁸ µs WCET do not fit in
+    // u64: the file is rejected as data, not solved with a wrapped δ.
+    let problem = "
+architecture A
+fault_model k=2 mu=10ms
+graph period=100ms
+process x
+wcet x * 9200000000000000ms
+";
+    let path = write_problem("wrap.ftd", problem);
+    let out = ftdes(&["solve", path.to_str().unwrap(), "--time-ms", "200"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(65), "stderr: {stderr}");
+    assert!(
+        stderr.contains("worst-case schedule horizon overflows"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
+fn info_rejects_an_unrepresentable_hyperperiod() {
+    let problem = "
+architecture A
+fault_model k=1 mu=1ms
+graph period=5000000029ms
+process x
+graph period=5000000039ms
+process y
+wcet x * 1ms
+wcet y * 1ms
+";
+    let path = write_problem("hyperperiod.ftd", problem);
+    let out = ftdes(&["info", path.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(65), "stderr: {stderr}");
+    assert!(
+        stderr.contains("hyperperiod (LCM of the graph periods) overflows"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
 fn inject_validates_schedule() {
     let path = write_problem("inject.ftd", PIPELINE);
     let out = ftdes(&[

@@ -179,6 +179,46 @@ wcet y * 1ms
 }
 
 #[test]
+fn rejects_a_worst_case_horizon_past_the_budget() {
+    // Each WCET fits in u64 microseconds, but three executions of it
+    // (k = 2) do not: the worst case would wrap `Time`.
+    let text = "
+architecture A
+fault_model k=2 mu=10ms
+graph period=100ms
+process x
+wcet x * 9200000000000000ms
+";
+    let err = parse_err(text);
+    assert_eq!(err.kind, ErrorKind::Overflow, "{err}");
+    assert_eq!(err.line, 0, "{err}");
+    assert!(
+        err.message
+            .contains("worst-case schedule horizon overflows"),
+        "{err}"
+    );
+}
+
+#[test]
+fn rejects_an_unrepresentable_hyperperiod() {
+    // Coprime periods: the LCM, ~2.5·10²² µs, does not fit in u64.
+    let text = "
+architecture A
+fault_model k=1 mu=1ms
+graph period=5000000029ms
+process x
+graph period=5000000039ms
+process y
+wcet x * 1ms
+wcet y * 1ms
+";
+    let err = parse_err(text);
+    assert_eq!(err.kind, ErrorKind::Overflow, "{err}");
+    assert_eq!(err.line, 0, "{err}");
+    assert!(err.message.contains("hyperperiod"), "{err}");
+}
+
+#[test]
 fn rejects_syntax_garbage() {
     for text in [
         "flux_capacitor on",

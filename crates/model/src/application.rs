@@ -95,15 +95,21 @@ impl Application {
     ///
     /// # Panics
     ///
-    /// Panics if the application is empty or a period is zero; call
-    /// [`Application::validate`] first.
+    /// Panics if the application is empty, a period is zero or the LCM
+    /// does not fit in a [`Time`]; call [`Application::validate`]
+    /// first.
     #[must_use]
     pub fn hyperperiod(&self) -> Time {
-        self.specs
-            .iter()
-            .map(|s| s.period)
-            .reduce(crate::time::lcm)
-            .expect("hyperperiod of empty application")
+        self.checked_hyperperiod()
+            .expect("hyperperiod of an empty application, or past the time range")
+    }
+
+    /// The hyper-period, or `None` when the application is empty or
+    /// the LCM of its periods does not fit in a [`Time`].
+    fn checked_hyperperiod(&self) -> Option<Time> {
+        let mut periods = self.specs.iter().map(|s| s.period);
+        let first = periods.next()?;
+        periods.try_fold(first, crate::time::lcm)
     }
 
     /// Validates every graph and the period/deadline relations.
@@ -111,7 +117,8 @@ impl Application {
     /// # Errors
     ///
     /// Returns the first [`ModelError`] found: empty application,
-    /// cyclic graphs, or `DGi > TGi`.
+    /// cyclic graphs, `DGi > TGi`, or a hyper-period past the time
+    /// range ([`ModelError::HyperperiodOverflow`]).
     pub fn validate(&self) -> Result<(), ModelError> {
         if self.specs.is_empty() {
             return Err(ModelError::Empty {
@@ -130,6 +137,9 @@ impl Application {
                     what: "period (zero)",
                 });
             }
+        }
+        if self.checked_hyperperiod().is_none() {
+            return Err(ModelError::HyperperiodOverflow);
         }
         Ok(())
     }
@@ -187,6 +197,17 @@ mod tests {
         ));
         assert!(app.validate().is_ok());
         assert_eq!(app.hyperperiod(), Time::from_ms(60));
+    }
+
+    #[test]
+    fn unrepresentable_hyperperiod_rejected() {
+        // Coprime periods: the LCM, ~2.5·10²² µs, does not fit in u64.
+        let mut app = Application::new();
+        for (id, period) in [(0, 5_000_000_029), (1, 5_000_000_039)] {
+            let period = Time::from_ms(period);
+            app.push(GraphSpec::new(chain(id, 1), period, period));
+        }
+        assert_eq!(app.validate(), Err(ModelError::HyperperiodOverflow));
     }
 
     #[test]

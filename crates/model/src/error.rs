@@ -77,6 +77,9 @@ pub enum ModelError {
         /// What was empty.
         what: &'static str,
     },
+    /// The hyper-period (LCM of the graph periods) does not fit in a
+    /// [`crate::time::Time`]: merging the application would wrap it.
+    HyperperiodOverflow,
     /// A [`crate::delta::ProblemDelta`] op is malformed (zero scale
     /// percent, arithmetic overflow, ...).
     InvalidDelta {
@@ -117,6 +120,11 @@ impl fmt::Display for ModelError {
                 )
             }
             ModelError::Empty { what } => write!(f, "model has no {what}"),
+            ModelError::HyperperiodOverflow => write!(
+                f,
+                "hyperperiod (LCM of the graph periods) overflows the {} us time range",
+                u64::MAX
+            ),
             ModelError::InvalidDelta { reason } => {
                 write!(f, "invalid problem delta: {reason}")
             }

@@ -201,18 +201,20 @@ impl fmt::Display for Time {
     }
 }
 
-/// Computes the least common multiple of two times.
+/// Computes the least common multiple of two times, or `None` when it
+/// does not fit in a [`Time`].
 ///
 /// Used to derive the hyper-period of an application with processes
-/// of different periods (paper §3).
+/// of different periods (paper §3): two coprime periods of a few
+/// months each already have an LCM past `u64` microseconds.
 ///
 /// # Panics
 ///
 /// Panics if either argument is zero.
 #[must_use]
-pub fn lcm(a: Time, b: Time) -> Time {
+pub fn lcm(a: Time, b: Time) -> Option<Time> {
     assert!(!a.is_zero() && !b.is_zero(), "lcm of zero period");
-    Time(a.0 / gcd_u64(a.0, b.0) * b.0)
+    (a.0 / gcd_u64(a.0, b.0)).checked_mul(b.0).map(Time)
 }
 
 fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
@@ -283,8 +285,19 @@ mod tests {
 
     #[test]
     fn lcm_of_periods() {
-        assert_eq!(lcm(Time::from_ms(20), Time::from_ms(30)), Time::from_ms(60));
-        assert_eq!(lcm(Time::from_ms(7), Time::from_ms(7)), Time::from_ms(7));
+        assert_eq!(
+            lcm(Time::from_ms(20), Time::from_ms(30)),
+            Some(Time::from_ms(60))
+        );
+        assert_eq!(
+            lcm(Time::from_ms(7), Time::from_ms(7)),
+            Some(Time::from_ms(7))
+        );
+        // Coprime periods whose product overflows u64 microseconds.
+        assert_eq!(
+            lcm(Time::from_ms(5_000_000_029), Time::from_ms(5_000_000_039)),
+            None
+        );
     }
 
     #[test]

@@ -73,8 +73,8 @@ use crate::error::SchedError;
 use crate::incremental::{FloatMove, PlacementCheckpoints};
 use crate::instance::{ExpandedDesign, InstanceId};
 use crate::list::{
-    accumulate_cost, book_sender, place_process, CostOnly, CostOutcome, SchedScratch,
-    ScheduleOptions,
+    accumulate_cost, book_sender, certified_lookahead, place_process, CostOnly, CostOutcome,
+    SchedScratch, ScheduleOptions,
 };
 use crate::schedule::ScheduleCost;
 
@@ -451,23 +451,11 @@ pub(crate) fn execute(
         }
     }
     let mut running = accumulate_cost(graph, &core.completion);
-    let lookahead = |core: &SchedScratch, running: ScheduleCost| -> ScheduleCost {
-        let mut look = running.length;
-        for (ns, &remaining) in core.nodes[..node_count].iter().zip(&core.look_sum) {
-            if !remaining.is_zero() {
-                look = look.max(ns.avail + remaining + ns.delay_k);
-            }
-        }
-        ScheduleCost {
-            violation: running.violation,
-            length: look,
-        }
-    };
     if let Some(b) = bound {
         if running > b {
             return Ok(CostOutcome::LowerBound(running));
         }
-        let certified = lookahead(core, running);
+        let certified = certified_lookahead(core, running);
         if certified > b {
             return Ok(CostOutcome::LowerBound(certified));
         }
@@ -503,7 +491,7 @@ pub(crate) fn execute(
                 if running > b {
                     return Ok(CostOutcome::LowerBound(running));
                 }
-                let certified = lookahead(core, running);
+                let certified = certified_lookahead(core, running);
                 if certified > b {
                     return Ok(CostOutcome::LowerBound(certified));
                 }

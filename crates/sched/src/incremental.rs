@@ -228,22 +228,6 @@ pub struct PlacementCheckpoints {
     /// Scratch predecessor counters of the `finish` replay.
     replay_preds: Vec<usize>,
     pub(crate) node_count: usize,
-    /// First placement position that booked a message into each bus
-    /// slot (`u32::MAX` = the base run never books into that slot) —
-    /// the resume limit of bus-configuration probes: a slot-order
-    /// swap cannot affect any placement before the first booking
-    /// into either swapped slot.
-    first_slot_book: Vec<u32>,
-    /// Recorder scratch: booked bytes per slot at the previous
-    /// `note_placed`, diffed to attribute bookings to positions.
-    prev_slot_bytes: Vec<u64>,
-    /// Parameters of the recorded bus configuration, asserted by
-    /// [`schedule_cost_resumed_bus`]: a resumable probe must keep the
-    /// slot count, the slot capacity and hence the round timing of
-    /// every unaffected slot.
-    bus_slots: usize,
-    bus_slot_bytes: u32,
-    bus_byte_time: Time,
     /// The segment-structured recording of the suffix-splicing engine
     /// (per-node placement segments, per-slot bus timelines, final
     /// state — see [`crate::segments`]). Captured alongside the
@@ -266,8 +250,7 @@ impl PlacementCheckpoints {
     }
 
     /// Starts a recording: clears previous state and captures the
-    /// base expansion, priorities, topological order and the bus
-    /// parameters bus-probe resumes validate against.
+    /// base expansion, priorities and topological order.
     pub(crate) fn begin(
         &mut self,
         expanded: &ExpandedDesign,
@@ -294,13 +277,6 @@ impl PlacementCheckpoints {
         self.topo.clear();
         self.topo.extend_from_slice(topo);
         self.node_count = node_count;
-        self.bus_slots = bus.slots_per_round();
-        self.bus_slot_bytes = bus.slot_bytes();
-        self.bus_byte_time = bus.byte_time();
-        self.first_slot_book.clear();
-        self.first_slot_book.resize(self.bus_slots, u32::MAX);
-        self.prev_slot_bytes.clear();
-        self.prev_slot_bytes.resize(self.bus_slots, 0);
         self.segments.begin(record_segments, node_count, bus);
     }
 
@@ -317,18 +293,6 @@ impl PlacementCheckpoints {
         let pos = self.order.len() as u32;
         self.position[p.index()] = pos;
         self.order.push(p);
-        // Attribute this position's bookings to their slots: the
-        // per-slot byte totals only grow, so a diff against the
-        // previous note pinpoints the slots just booked into.
-        for (slot, prev) in self.prev_slot_bytes.iter_mut().enumerate() {
-            let now = scratch.occupancy.slot_bytes(slot);
-            if now > *prev {
-                *prev = now;
-                if self.first_slot_book[slot] == u32::MAX {
-                    self.first_slot_book[slot] = pos;
-                }
-            }
-        }
         if placed.is_multiple_of(self.stride) && placed < n_processes {
             if self.snap_len == self.snaps.len() {
                 self.snaps.push(Snapshot::default());
@@ -796,13 +760,7 @@ pub fn schedule_cost_resumed<W: WcetLookup + ?Sized>(
             }
         }
         Some(snap) => {
-            restore_snapshot(
-                snap,
-                ckpts,
-                Some(moved),
-                &scratch.expanded,
-                &mut scratch.core,
-            );
+            restore_snapshot(snap, ckpts, moved, &scratch.expanded, &mut scratch.core);
             accumulate_cost(graph, &scratch.core.completion)
         }
     };
@@ -1025,137 +983,22 @@ pub fn schedule_cost_spliced<W: WcetLookup + ?Sized>(
     }
 }
 
-/// Computes the cost of the checkpointed base **design** under a
-/// candidate bus configuration that differs from the recorded one by
-/// the single slot swap `swapped` — the elementary probe of the
-/// bus-access optimization — by resuming from the latest checkpoint
-/// before the first booking the swap can affect.
-///
-/// # Why this is sound
-///
-/// A pairwise slot swap keeps the round length, the slot capacity and
-/// the timing of every *other* slot; the scheduler's priorities read
-/// the bus only through its round length, so the candidate's
-/// placement order and every placement decision are identical to the
-/// base run **until the first message booked into either swapped
-/// slot** (recorded per slot while the base run materialized). The
-/// restored prefix therefore contains no affected booking, every
-/// restored arrival and availability is valid under the candidate
-/// bus, and driving the remaining placement with the candidate bus
-/// returns exactly the from-scratch [`crate::schedule_cost_bounded`]
-/// classification — guarded by the `bus_resumed_equals_full` parity
-/// test in `ftdes-core`.
-///
-/// Capacity-sweep probes change the slot length (and with it every
-/// slot's timing and the priorities), so they are **not** resumable;
-/// callers fall back to the from-scratch path for those.
-///
-/// # Errors
-///
-/// Same as [`crate::schedule_cost`].
-///
-/// # Panics
-///
-/// Debug builds assert `ckpts.is_valid()` and that `bus` matches the
-/// recorded slot count, capacity and byte time (i.e. it really is a
-/// slot-order permutation of the recorded configuration).
-#[allow(clippy::too_many_arguments)]
-pub fn schedule_cost_resumed_bus(
-    graph: &ProcessGraph,
-    arch: &Architecture,
-    fm: &FaultModel,
-    bus: &BusConfig,
-    swapped: (usize, usize),
-    options: ScheduleOptions,
-    scratch: &mut CostScratch,
-    ckpts: &PlacementCheckpoints,
-    bound: Option<ScheduleCost>,
-) -> Result<CostOutcome, SchedError> {
-    debug_assert!(ckpts.is_valid(), "resume requires recorded checkpoints");
-    debug_assert_eq!(ckpts.node_count, arch.node_count());
-    debug_assert_eq!(ckpts.bus_slots, bus.slots_per_round());
-    debug_assert_eq!(ckpts.bus_slot_bytes, bus.slot_bytes());
-    debug_assert_eq!(ckpts.bus_byte_time, bus.byte_time());
-
-    // The first placement a booking into either swapped slot rode on:
-    // everything strictly before is bit-identical under both buses.
-    let (a, b) = swapped;
-    let limit = ckpts.first_slot_book[a]
-        .min(ckpts.first_slot_book[b])
-        .min(ckpts.order.len() as u32) as usize;
-
-    let snap = ckpts.snaps[..ckpts.snap_len]
-        .iter()
-        .rev()
-        .find(|s| s.placed <= limit);
-    let running = match snap {
-        None => {
-            init_placement(
-                graph,
-                fm,
-                arch.node_count(),
-                &ckpts.expanded,
-                &mut scratch.core,
-            );
-            ScheduleCost {
-                violation: Time::ZERO,
-                length: Time::ZERO,
-            }
-        }
-        Some(snap) => {
-            restore_snapshot(snap, ckpts, None, &ckpts.expanded, &mut scratch.core);
-            accumulate_cost(graph, &scratch.core.completion)
-        }
-    };
-    let placed = snap.map_or(0, |s| s.placed);
-    if let Some(b) = bound {
-        if running > b {
-            return Ok(CostOutcome::LowerBound(running));
-        }
-    }
-
-    drive_placement(
-        graph,
-        &ckpts.expanded,
-        &ckpts.base_priorities,
-        bus,
-        fm,
-        options,
-        &mut scratch.core,
-        &mut CostOnly,
-        placed,
-        running,
-        bound,
-        None,
-    )
-    .map(CostOutcome::from)
-}
-
 /// Restores `snap` into the live scratch, remapping instance ids from
 /// the base expansion to the candidate's (ids past the moved
 /// process's base range shift by the replica-count delta; the
-/// `(edge, replica)`-keyed arrivals copy verbatim). With
-/// `moved = None` (bus-configuration probes: same design, same
-/// expansion) the remap is the identity.
+/// `(edge, replica)`-keyed arrivals copy verbatim).
 fn restore_snapshot(
     snap: &Snapshot,
     ckpts: &PlacementCheckpoints,
-    moved: Option<ProcessId>,
+    moved: ProcessId,
     expanded: &ExpandedDesign,
     core: &mut SchedScratch,
 ) {
-    let old_start = moved.map_or(ckpts.expanded.len(), |moved| {
-        ckpts.expanded.of_process(moved).first().map_or_else(
-            || {
-                // Zero base replicas cannot happen (every decision maps
-                // at least one replica), but fall back to a no-shift
-                // remap.
-                ckpts.expanded.len()
-            },
-            |id| id.index(),
-        )
-    });
-    let old_end = old_start + moved.map_or(0, |moved| ckpts.expanded.of_process(moved).len());
+    let base = ckpts.expanded.of_process(moved);
+    // Zero base replicas cannot happen (every decision maps at least
+    // one replica), but fall back to a no-shift remap.
+    let old_start = base.first().map_or(ckpts.expanded.len(), |id| id.index());
+    let old_end = old_start + base.len();
     let delta = expanded.len() as i64 - ckpts.expanded.len() as i64;
     let remap = |id: InstanceId| -> InstanceId {
         if id.index() < old_end && id.index() >= old_start {

@@ -30,11 +30,8 @@
 //! * [`schedule_cost_bounded`] — cost-only with an incumbent bound:
 //!   the run aborts with a **certified lower bound** as soon as the
 //!   placement state proves the candidate cannot beat the incumbent.
-//!   Certificates combine the running worst-case completions, an
-//!   O(nodes) remaining-computation lookahead, and the certified
-//!   **bus-wait lower bound** (aggregate TDMA slot serialization of
-//!   the candidate's single-replica remote messages — see
-//!   [`list::ScheduleOptions::comm_lookahead`]).
+//!   Certificates combine the running worst-case completions and an
+//!   O(nodes) remaining-computation lookahead.
 //! * [`schedule_cost_resumed`] — single-move candidates first try the
 //!   **suffix-splicing engine** (evaluation engine v3): the recorder
 //!   additionally captures per-node placement segments and
@@ -48,10 +45,10 @@
 //!   cannot affect) when the independence proof fails or the cone
 //!   approaches the whole suffix. [`schedule_cost_spliced`] pins the
 //!   splice engine for tests and profilers.
-//! * [`schedule_cost_resumed_bus`] — the bus-configuration analogue:
-//!   slot-swap probes of the bus-access optimization resume from the
-//!   last *booking* the swap cannot affect (placement-prefix
-//!   checkpoints do not apply when slot timing shifts globally).
+//!
+//! A bus-configuration probe (a slot swap of the bus-access
+//! optimization) shifts slot timing globally, so it runs
+//! [`schedule_cost_bounded`] from scratch under the candidate bus.
 //!
 //! Bus bookings go through a selectable [`OccupancyBackend`]
 //! ([`list::ScheduleOptions::occupancy`]): bit-packed per-(node,
@@ -124,9 +121,7 @@ pub mod occ_bench {
     pub use crate::occupancy::OccBench;
 }
 
-pub use incremental::{
-    schedule_cost_resumed, schedule_cost_resumed_bus, schedule_cost_spliced, PlacementCheckpoints,
-};
+pub use incremental::{schedule_cost_resumed, schedule_cost_spliced, PlacementCheckpoints};
 pub use instance::{ExpandedDesign, Instance, InstanceId};
 pub use list::{
     list_schedule, list_schedule_recording, list_schedule_scratch, list_schedule_with,

@@ -106,18 +106,6 @@ pub struct ScheduleOptions {
     /// paper improves on; worst-case lengths grow, soundness is
     /// preserved.
     pub slack_sharing: bool,
-    /// Fold the certified **bus-wait lower bound** into bounded
-    /// (early-exit) cost runs: the single-replica remote messages a
-    /// candidate must push through each TDMA slot lower-bound the
-    /// last arrival out of that slot by aggregate serialization
-    /// (`CommLookahead`), so candidates whose mapping congests one
-    /// slot abort at the entry check instead of dragging their
-    /// placement through the congested bus. Pure throughput knob —
-    /// the bound is admissible and a pure function of the candidate,
-    /// so exact costs, pruning classification and search trajectories
-    /// are identical with it on or off; disable to measure the
-    /// computation-only (PR 2) lookahead.
-    pub comm_lookahead: bool,
     /// The bus-slot booking structure: the legacy flat tail scan
     /// (PR 2) or the bit-packed saturation bitmap (default) — see
     /// [`OccupancyBackend`]. Pure throughput knob — both backends
@@ -152,7 +140,6 @@ impl Default for ScheduleOptions {
     fn default() -> Self {
         ScheduleOptions {
             slack_sharing: true,
-            comm_lookahead: true,
             occupancy: OccupancyBackend::default(),
             priority: PriorityStrategy::default(),
             suffix_splice: true,
@@ -204,9 +191,6 @@ pub struct SchedScratch {
     /// Per-node sums of unplaced instances' WCETs, maintained by
     /// bounded runs for the O(nodes) lookahead check.
     pub(crate) look_sum: Vec<Time>,
-    /// Working state of the certified bus-wait lower bound (bounded
-    /// runs with [`ScheduleOptions::comm_lookahead`]).
-    pub(crate) comm: CommLookahead,
 }
 
 /// Booked message arrival times in one flat table keyed by
@@ -268,243 +252,6 @@ impl Arrivals {
     pub(crate) fn set(&mut self, edge: EdgeId, replica: u32, arrival: Time) {
         let at = self.index(edge, replica);
         self.times[at] = arrival;
-    }
-}
-
-/// The certified bus-wait lower bound of bounded (early-exit) cost
-/// runs: a per-candidate floor derived from **aggregate TDMA slot
-/// serialization**.
-///
-/// Every inter-node message is broadcast from its sender's slot, one
-/// occurrence per round, at most `slot_bytes` bytes per occurrence.
-/// For an edge whose producer has a **single** replica, the sender
-/// node — and hence the slot — is fixed by the candidate's expansion
-/// alone, and every remote consumer instance of that edge starts no
-/// earlier than its message's broadcast arrival (a single replica is
-/// the only delivery option; replicated producers are excluded
-/// precisely because another replica might deliver earlier). If the
-/// single-replica remote edges sent from node `s` total `B` bytes,
-/// they occupy at least `⌈B / slot_bytes⌉` distinct occurrences of
-/// slot `s` by pigeonhole — messages from replicated producers
-/// interleaved into the same slot only push them later — so the last
-/// of them arrives no earlier than the end of occurrence
-/// `⌈B / slot_bytes⌉ − 1`, and its remote consumer finishes no
-/// earlier than that arrival plus the smallest instance WCET of the
-/// expansion. The floor is the maximum over sender nodes.
-///
-/// This is an *aggregate* bound with a static and a dynamic part,
-/// both pure functions of the candidate and its placement state —
-/// which is what keeps resumed and from-scratch bounded runs
-/// classifying identically:
-///
-/// * the **static floor**, computed once per bounded run from the
-///   expansion and bus alone: all single-replica remote bytes of a
-///   slot, counted from round zero — the entry check aborts
-///   candidates whose mapping congests one slot before a single
-///   placement;
-/// * the **dynamic floor**, evaluated per placement in O(nodes):
-///   messages whose producers are still *unplaced* are requested no
-///   earlier than their sender node's current availability (a
-///   producer starts at/after `avail`, and its message leaves at its
-///   worst-case finish), so those bytes occupy occurrences of the
-///   sender's slot **at/after `avail`** — as placement drags a
-///   candidate's availabilities out, the tail of bus work it still
-///   must serialize slides out with them, and communication-heavy
-///   losers get certified mid-placement instead of at the end.
-///
-/// Arming costs one O(edges) pass (comparable to a priority
-/// computation); the remaining-bytes table is maintained per
-/// placement like the computation lookahead's WCET sums.
-#[derive(Debug, Default)]
-pub(crate) struct CommLookahead {
-    /// Remaining single-replica remote message bytes per sender node
-    /// (unplaced producers only), maintained by
-    /// [`CommLookahead::note_placed`].
-    rem_bytes: Vec<u64>,
-    /// All single-replica remote message bytes per sender node
-    /// (arming scratch for the static floor).
-    all_bytes: Vec<u64>,
-    /// Per process: its single replica's node index and the total
-    /// bytes of its single-replica remote out-edges (`bytes == 0`
-    /// for replicated or bus-silent processes) — makes
-    /// [`CommLookahead::note_placed`] O(1).
-    proc_out: Vec<(u32, u32)>,
-    /// The static all-messages floor of the armed candidate.
-    static_floor: Time,
-    /// Smallest fault-free instance execution time (`exec`) of the
-    /// armed expansion — the remote consumer of the last message
-    /// still executes at least this.
-    min_wcet: Time,
-    /// Per node: the availability below which the node's dynamic
-    /// term provably cannot exceed the armed bound — the O(1)
-    /// per-placement precheck. Conservative (a false *hot* only
-    /// costs one exact evaluation; a node is never falsely cold), so
-    /// abort positions and certificates are bit-identical to eager
-    /// evaluation.
-    thresh: Vec<Time>,
-    /// Grid constants of the armed bus (for O(1) threshold updates
-    /// in [`CommLookahead::note_placed`]): the round length and each
-    /// node's first-occurrence slot end.
-    round_len: Time,
-    end_off: Vec<Time>,
-    /// `bound.length − min_wcet`: the last-arrival level a node's
-    /// term must exceed to matter.
-    bound_len: Time,
-    /// The armed slot capacity in bytes.
-    capacity: u64,
-    /// Whether a bounded run armed the bound.
-    armed: bool,
-}
-
-impl CommLookahead {
-    /// Disarms the bound (unbounded runs, or the bound disabled).
-    fn clear(&mut self) {
-        self.static_floor = Time::ZERO;
-        self.armed = false;
-    }
-
-    /// Arms the bound for one candidate `(expansion, bus, bound)`:
-    /// computes the static floor (all single-replica remote bytes per
-    /// slot, pigeonholed from round zero), the per-node
-    /// remaining-bytes table over the not-yet-placed producers
-    /// (resumed runs enter with the prefix's producers already
-    /// excluded), and the per-node hot thresholds against the
-    /// caller's bound.
-    fn arm(
-        &mut self,
-        graph: &ProcessGraph,
-        expanded: &ExpandedDesign,
-        bus: &BusConfig,
-        node_count: usize,
-        placed: &[bool],
-        bound: ScheduleCost,
-    ) {
-        self.armed = true;
-        self.static_floor = Time::ZERO;
-        self.rem_bytes.clear();
-        self.rem_bytes.resize(node_count, 0);
-        self.all_bytes.clear();
-        self.all_bytes.resize(node_count, 0);
-        self.proc_out.clear();
-        self.proc_out.resize(graph.process_count(), (0, 0));
-        for edge in graph.edges() {
-            let Some((sender, size)) = Self::single_remote(expanded, edge) else {
-                continue;
-            };
-            self.all_bytes[sender.index()] += u64::from(size);
-            let out = &mut self.proc_out[edge.from.index()];
-            *out = (sender.index() as u32, out.1 + size);
-            if !placed[edge.from.index()] {
-                self.rem_bytes[sender.index()] += u64::from(size);
-            }
-        }
-        self.min_wcet = expanded
-            .instances()
-            .iter()
-            .map(|i| i.exec)
-            .min()
-            .unwrap_or(Time::ZERO);
-        self.capacity = u64::from(bus.slot_bytes().max(1));
-        self.round_len = bus.round_length();
-        self.bound_len = bound.length.saturating_sub(self.min_wcet);
-        self.end_off.clear();
-        self.end_off.extend(
-            (0..node_count).map(|n| bus.slot_end(0, bus.slot_of_node(NodeId::new(n as u32)))),
-        );
-        self.thresh.clear();
-        self.thresh.resize(node_count, Time::MAX);
-        for node in 0..node_count {
-            if self.all_bytes[node] == 0 {
-                continue;
-            }
-            let occurrences = self.all_bytes[node].div_ceil(self.capacity);
-            let last_arrival = self.end_off[node] + self.round_len * (occurrences - 1);
-            self.static_floor = self.static_floor.max(last_arrival + self.min_wcet);
-            self.update_thresh(node);
-        }
-    }
-
-    /// Removes the just-placed process `p`'s messages from the
-    /// remaining-bytes table (they are booked now — the booking tail
-    /// and the node availabilities carry their weight from here on).
-    /// O(1) via the arming pass's per-process totals.
-    fn note_placed(&mut self, p: ProcessId) {
-        let (node, bytes) = self.proc_out[p.index()];
-        if bytes > 0 {
-            self.rem_bytes[node as usize] -= u64::from(bytes);
-            self.update_thresh(node as usize);
-        }
-    }
-
-    /// Recomputes one node's hot threshold: the availability level
-    /// below which its dynamic term — `F·round + end_off +
-    /// (occurrences − 1)·round + min_wcet` for the first slot
-    /// occurrence `F` at/after the availability — provably stays
-    /// within the armed bound. Solved once per remaining-bytes
-    /// change; conservative by one round (`F ≤ ⌊avail/round⌋ + 1`),
-    /// so a hot node may still evaluate within the bound, but a cold
-    /// node can never have exceeded it — skipped terms are ≤ the
-    /// bound's length and can neither flip the abort predicate nor
-    /// change an abort certificate's value.
-    fn update_thresh(&mut self, node: usize) {
-        let bytes = self.rem_bytes[node];
-        if bytes == 0 {
-            self.thresh[node] = Time::MAX;
-            return;
-        }
-        let occurrences = bytes.div_ceil(self.capacity);
-        let round = self.round_len.as_us().max(1);
-        let tail = self.end_off[node].as_us() + (occurrences - 1).saturating_mul(round);
-        let bound = self.bound_len.as_us();
-        let f_min = if bound >= tail {
-            (bound - tail) / round + 1
-        } else {
-            0
-        };
-        self.thresh[node] = Time::from_us(f_min.saturating_sub(1).saturating_mul(round));
-    }
-
-    /// The sender node and size of `edge`'s message if its producer
-    /// has exactly one replica and some consumer instance is off that
-    /// replica's node — the messages whose slot, and whose binding on
-    /// their remote consumers' starts, the expansion alone fixes.
-    /// Replicated producers are excluded because another replica
-    /// might deliver earlier.
-    fn single_remote(
-        expanded: &ExpandedDesign,
-        edge: &ftdes_model::graph::Edge,
-    ) -> Option<(NodeId, u32)> {
-        let [single] = expanded.of_process(edge.from) else {
-            return None;
-        };
-        let sender = expanded.instance(*single).node;
-        expanded
-            .reads_remote(edge.to, sender)
-            .then_some((sender, edge.message.size))
-    }
-
-    /// The certified bus-wait floor at the current placement state:
-    /// the static floor, plus per sender node the last occurrence its
-    /// remaining bytes can reach given that they are all requested
-    /// at/after the node's current availability. O(nodes) with one
-    /// comparison per cold node — the exact slot-grid evaluation runs
-    /// only for nodes past their hot threshold.
-    fn floor(&self, bus: &BusConfig, nodes: &[NodeScratch]) -> Time {
-        if !self.armed {
-            return Time::ZERO;
-        }
-        let mut floor = self.static_floor;
-        for (node, ns) in nodes.iter().enumerate().take(self.thresh.len()) {
-            if ns.avail < self.thresh[node] {
-                continue;
-            }
-            let id = NodeId::new(node as u32);
-            let (first, slot) = bus.next_slot_at(id, ns.avail);
-            let occurrences = self.rem_bytes[node].div_ceil(self.capacity);
-            let last_arrival = bus.slot_end(first + occurrences - 1, slot);
-            floor = floor.max(last_arrival + self.min_wcet);
-        }
-        floor
     }
 }
 
@@ -869,9 +616,8 @@ pub(crate) fn init_placement(
     scratch.completion.clear();
     scratch.completion.resize(n, Time::ZERO);
     // Truncate too: bounded runs derive the node count from this
-    // buffer (remaining-work sums, the comm bound's per-slot tables),
-    // and a worker's scratch survives across problems of different
-    // sizes.
+    // buffer (remaining-work sums), and a worker's scratch survives
+    // across problems of different sizes.
     scratch.nodes.truncate(node_count);
     if scratch.nodes.len() < node_count {
         scratch.nodes.resize_with(node_count, NodeScratch::default);
@@ -944,22 +690,10 @@ pub(crate) fn drive_placement<S: PlacementSink>(
                 scratch.look_sum[inst.node.index()] += inst.exec;
             }
         }
-        if options.comm_lookahead {
-            scratch.comm.arm(
-                graph,
-                expanded,
-                bus,
-                scratch.nodes.len(),
-                &scratch.placed,
-                bound,
-            );
-        } else {
-            scratch.comm.clear();
-        }
         // Entry check: a resumed prefix (or an outright hopeless
         // candidate) can already certify the overrun before a single
         // further placement.
-        let certified = certified_lookahead(bus, scratch, running);
+        let certified = certified_lookahead(scratch, running);
         if certified > bound {
             return Ok(RunCost::Aborted(certified));
         }
@@ -984,12 +718,6 @@ pub(crate) fn drive_placement<S: PlacementSink>(
                 let inst = expanded.instance(sid);
                 scratch.look_sum[inst.node.index()] -= inst.exec;
             }
-            if options.comm_lookahead {
-                // `p`'s messages are booked now — their weight moves
-                // from the remaining-bytes table to the booking tail
-                // and the availabilities.
-                scratch.comm.note_placed(p);
-            }
             let completion = scratch.completion[p.index()];
             running.length = running.length.max(completion);
             if let Some(d) = graph.process(p).deadline {
@@ -998,10 +726,10 @@ pub(crate) fn drive_placement<S: PlacementSink>(
             if running > bound {
                 return Ok(RunCost::Aborted(running));
             }
-            // Lookahead (computation + communication): certified
-            // lower bounds on the final cost from the current
-            // placement state — see [`certified_lookahead`].
-            let certified = certified_lookahead(bus, scratch, running);
+            // Lookahead: a certified lower bound on the final cost
+            // from the current placement state — see
+            // [`certified_lookahead`].
+            let certified = certified_lookahead(scratch, running);
             if certified > bound {
                 return Ok(RunCost::Aborted(certified));
             }
@@ -1021,41 +749,26 @@ pub(crate) fn drive_placement<S: PlacementSink>(
     )))
 }
 
-/// The certified lookahead of bounded runs: a lower bound on the
-/// final `(violation, length)` cost derivable from the current
-/// placement state, combining
-///
-/// * **computation** — a node's unplaced instances all still execute
-///   on it serially at least once fault-free, so its last worst-case
-///   finish is at least the current availability plus the sum of
-///   their WCETs plus the node's current full-budget slack delay
-///   (O(nodes) per placement thanks to the maintained sums);
-/// * **communication** — the aggregate slot-serialization floor of
-///   [`CommLookahead`]: each sender node's single-replica remote
-///   bytes force a last slot occurrence (statically from round zero,
-///   dynamically from the node's current availability for the
-///   not-yet-booked remainder), and the last message's remote
-///   consumer still executes after that arrival — O(nodes) here,
-///   [`Time::ZERO`] unless [`ScheduleOptions::comm_lookahead`] armed
-///   it.
+/// The certified computation lookahead of bounded runs: a lower
+/// bound on the final `(violation, length)` cost derivable from the
+/// current placement state. A node's unplaced instances all still
+/// execute on it serially at least once fault-free, so its last
+/// worst-case finish is at least the current availability plus the
+/// sum of their WCETs plus the node's current full-budget slack delay
+/// (O(nodes) per placement thanks to the maintained sums).
 ///
 /// Every term is a lower bound on its final-schedule counterpart, so
 /// exceeding the caller's bound here certifies the final cost does
 /// too — and the whole value is a pure function of the candidate and
 /// its placement state, so resumed and from-scratch bounded runs
 /// classify identically.
-pub(crate) fn certified_lookahead(
-    bus: &BusConfig,
-    scratch: &SchedScratch,
-    running: ScheduleCost,
-) -> ScheduleCost {
+pub(crate) fn certified_lookahead(scratch: &SchedScratch, running: ScheduleCost) -> ScheduleCost {
     let mut look = running.length;
     for (ns, &remaining) in scratch.nodes.iter().zip(&scratch.look_sum) {
         if !remaining.is_zero() {
             look = look.max(ns.avail + remaining + ns.delay_k);
         }
     }
-    look = look.max(scratch.comm.floor(bus, &scratch.nodes));
     ScheduleCost {
         violation: running.violation,
         length: look,

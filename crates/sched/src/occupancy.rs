@@ -38,12 +38,6 @@
 //! arrays are dense in rounds, so an unbounded horizon would be an
 //! unbounded allocation.
 //!
-//! The per-slot byte totals ([`SlotOccupancy::slot_bytes`]) double as
-//! the cheap signal the checkpoint recorder diffs to attribute
-//! bookings to placement positions — the resume limit of
-//! checkpointed bus-configuration probes
-//! ([`crate::schedule_cost_resumed_bus`]).
-//!
 //! Debug builds additionally mirror every insertion into the legacy
 //! flat vector and assert that the chosen backend agrees with the
 //! flat tail scan (`debug_assertions` only — the guard is stripped in
@@ -217,11 +211,6 @@ impl DenseSlot {
 pub(crate) struct SlotOccupancy {
     /// Bitmap backend: dense used-bytes arrays + saturation words.
     dense: Vec<DenseSlot>,
-    /// Total booked bytes per slot — the cheap per-slot signal the
-    /// checkpoint recorder diffs to attribute bookings to placement
-    /// positions, and the byte totals of the certified bus-wait
-    /// bound. Maintained by every backend.
-    bytes: Vec<u64>,
     /// Legacy flat table `(round, slot, used)`: the booking path of
     /// the flat backend, and the tail-scan reference the parity
     /// assertion replays in debug builds otherwise.
@@ -234,7 +223,6 @@ impl Clone for SlotOccupancy {
     fn clone(&self) -> Self {
         SlotOccupancy {
             dense: self.dense.clone(),
-            bytes: self.bytes.clone(),
             flat: self.flat.clone(),
             backend: self.backend,
         }
@@ -253,7 +241,6 @@ impl Clone for SlotOccupancy {
         for src in &source.dense[self.dense.len()..] {
             self.dense.push(src.clone());
         }
-        self.bytes.clone_from(&source.bytes);
         self.flat.clone_from(&source.flat);
         self.backend = source.backend;
     }
@@ -276,9 +263,6 @@ impl SlotOccupancy {
         for slot in &mut self.dense {
             slot.clear();
         }
-        for b in &mut self.bytes {
-            *b = 0;
-        }
         self.flat.clear();
     }
 
@@ -288,7 +272,8 @@ impl SlotOccupancy {
     /// the same options it resumes with).
     pub(crate) fn set_backend(&mut self, backend: OccupancyBackend) {
         debug_assert!(
-            backend == self.backend || (self.flat.is_empty() && self.bytes.iter().all(|&b| b == 0)),
+            backend == self.backend
+                || (self.flat.is_empty() && self.dense.iter().all(|d| d.used.is_empty())),
             "occupancy backend switched on a non-empty table"
         );
         self.backend = backend;
@@ -299,14 +284,24 @@ impl SlotOccupancy {
         if self.backend == OccupancyBackend::Bitmap && self.dense.len() < slots {
             self.dense.resize_with(slots, DenseSlot::default);
         }
-        if self.bytes.len() < slots {
-            self.bytes.resize(slots, 0);
-        }
     }
 
-    /// Total booked bytes in `slot` (0 for never-extended slots).
-    pub(crate) fn slot_bytes(&self, slot: usize) -> u64 {
-        self.bytes.get(slot).copied().unwrap_or(0)
+    /// Total booked bytes in `slot` under the active backend (0 for
+    /// never-extended slots).
+    #[cfg(test)]
+    fn slot_bytes(&self, slot: usize) -> u64 {
+        match self.backend {
+            OccupancyBackend::Flat => self
+                .flat
+                .iter()
+                .filter(|&&(_, s, _)| s == slot)
+                .map(|&(_, _, used)| u64::from(used))
+                .sum(),
+            OccupancyBackend::Bitmap => self
+                .dense
+                .get(slot)
+                .map_or(0, |d| d.used.iter().map(|&used| u64::from(used)).sum()),
+        }
     }
 
     /// Opens `slot` for booking: grows the per-slot structures and
@@ -316,7 +311,6 @@ impl SlotOccupancy {
         self.ensure_slots(slot + 1);
         let SlotOccupancy {
             dense,
-            bytes,
             flat,
             backend,
         } = self;
@@ -326,7 +320,6 @@ impl SlotOccupancy {
                 OccupancyBackend::Bitmap => Some(&mut dense[slot]),
             },
             flat,
-            bytes: &mut bytes[slot],
             slot,
             capacity,
         }
@@ -387,8 +380,6 @@ pub(crate) struct SlotTable<'a> {
     /// The flat table: the flat backend's booking path, the bitmap's
     /// debug-build parity reference.
     flat: &'a mut Vec<(u64, usize, u32)>,
-    /// The slot's booked-bytes total.
-    bytes: &'a mut u64,
     slot: usize,
     capacity: u32,
 }
@@ -415,8 +406,8 @@ impl SlotTable<'_> {
     /// dedicated parity tests cover large tables in release mode.
     pub(crate) fn book(&mut self, round: u64, size: u32) -> Result<u64, TtpError> {
         let (slot, capacity) = (self.slot, self.capacity);
-        let booked = match self.dense.as_deref_mut() {
-            None => SlotOccupancy::scanned_book(self.flat, slot, round, size, capacity)?,
+        match self.dense.as_deref_mut() {
+            None => SlotOccupancy::scanned_book(self.flat, slot, round, size, capacity),
             Some(dense) => {
                 let booked = dense.book(round, size, capacity)?;
                 #[cfg(debug_assertions)]
@@ -430,11 +421,9 @@ impl SlotTable<'_> {
                          (slot {slot}, from round {round}, {size} bytes)"
                     );
                 }
-                booked
+                Ok(booked)
             }
-        };
-        *self.bytes += u64::from(size);
-        Ok(booked)
+        }
     }
 }
 
