@@ -1,7 +1,8 @@
 //! Paper-Table-1-style fault-tolerance overhead sweep on the
 //! **communication-heavy** family, with the bus-access optimization
 //! enabled — the workload direction the comm-aware engine (PR 3)
-//! opened and its checkpointed slot-swap probes make affordable.
+//! opened. Every slot-swap probe is a cached, bounded from-scratch
+//! evaluation under the candidate bus.
 //!
 //! For each configuration the sweep solves every seed twice — MXR
 //! under the `(k, µ)` fault model and NFT as the fault-free reference

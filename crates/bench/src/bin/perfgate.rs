@@ -12,8 +12,8 @@
 //! 2. **incremental** — the current default path (evaluation engine
 //!    v3): candidates re-place only their certified affected cone and
 //!    splice the base recording's per-node segments and per-slot bus
-//!    timelines for everything outside it, falling back to the PR 2
-//!    resume on ready-order divergence, with bounded early exit.
+//!    timelines for everything outside it, placing from position 0 on
+//!    ready-order divergence, with bounded early exit.
 //!
 //! Because the search is deterministic in everything except the
 //! wall-clock cutoff, more candidates per second directly buy more
@@ -57,15 +57,16 @@
 //! The suffix-splice engine's own CI gate runs on a second
 //! **paper-family workload** at a larger architecture
 //! (96 processes / 12 nodes / k = 3, `splice_workload` in the JSON)
-//! against the **pr3** path: checkpoint-resumed + bounded candidates
-//! with suffix splicing disabled (`Problem::with_suffix_splice(false)`).
-//! The certified affected cone of a move covers the moved process's
-//! replica nodes plus everything node-chained behind them, so on the
-//! 4-node instance a k = 3 move dirties most of the machine and
-//! splicing cannot beat the PR 2 replay it falls back to (measured
-//! ≈ 1.0× there). At 12 nodes the cone leaves most of the machine
-//! untouched and the engine's reuse is structural:
-//! `splice_candidate_rate_vs_pr3` carries the CI floor (1.2×).
+//! against the **splice-off** path (`splice_pr3` in the JSON, named
+//! for the PR that introduced it): incremental + bounded candidates
+//! with suffix splicing disabled (`Problem::with_suffix_splice(false)`),
+//! so every candidate is placed from position 0 on its patched
+//! expansion. The certified affected cone of a move covers the moved
+//! process's replica nodes plus everything node-chained behind them,
+//! so on a 4-node instance a k = 3 move dirties most of the machine.
+//! At 12 nodes the cone leaves most of the machine untouched and the
+//! engine's reuse is structural: `splice_candidate_rate_vs_pr3`
+//! carries the CI floor (1.2×).
 //!
 //! # The communication-heavy gate
 //!
@@ -260,13 +261,15 @@ fn run_scratch(problem: &Problem, cfg: &SearchConfig) -> Outcome {
         .unwrap_or_else(|e| panic!("perfgate scratch search: {e}"))
 }
 
-/// The PR 3 path: everything the previous default had — checkpoint
-/// resume, bounded early-exit, the bitmap occupancy — with suffix
-/// splicing disabled. The candidate-rate ratio against this isolates
-/// exactly the splice engine's contribution.
-fn run_pr3(problem: &Problem, cfg: &SearchConfig) -> Outcome {
+/// The splice-off path: the default engine — incremental priorities,
+/// bounded early-exit, the bitmap occupancy — with suffix splicing
+/// disabled, so every candidate is placed from position 0. The
+/// candidate-rate ratio against this isolates exactly the splice
+/// engine's contribution.
+fn run_splice_off(problem: &Problem, cfg: &SearchConfig) -> Outcome {
     let problem = problem.clone().with_suffix_splice(false);
-    optimize(&problem, Strategy::Mxr, cfg).unwrap_or_else(|e| panic!("perfgate pr3 search: {e}"))
+    optimize(&problem, Strategy::Mxr, cfg)
+        .unwrap_or_else(|e| panic!("perfgate splice-off search: {e}"))
 }
 
 /// The reference arm of the communication-heavy gate (`comm_pr2` in
@@ -395,21 +398,21 @@ fn section_splice() -> String {
             Time::from_ms(5),
             seed,
         );
-        let resumed = run_pr3(&problem, &cfg);
+        let unspliced = run_splice_off(&problem, &cfg);
         let incr = run_incremental(&problem, &cfg);
         println!(
-            "  seed {seed}: pr3 {} iters / {} evals (+{} hits, {} pruned) | \
+            "  seed {seed}: splice off {} iters / {} evals (+{} hits, {} pruned) | \
              spliced {} iters / {} evals (+{} hits, {} pruned)",
-            resumed.stats.tabu_iterations,
-            resumed.stats.evaluations,
-            resumed.stats.cache_hits,
-            resumed.stats.pruned,
+            unspliced.stats.tabu_iterations,
+            unspliced.stats.evaluations,
+            unspliced.stats.cache_hits,
+            unspliced.stats.pruned,
             incr.stats.tabu_iterations,
             incr.stats.evaluations,
             incr.stats.cache_hits,
             incr.stats.pruned,
         );
-        splice_pr3.add(&resumed);
+        splice_pr3.add(&unspliced);
         splice_incr.add(&incr);
     }
     let splice_cand_vs_pr3 = ratio(
@@ -419,7 +422,7 @@ fn section_splice() -> String {
     let splice_iter_vs_pr3 =
         iteration_ratio(splice_incr.tabu_iterations, splice_pr3.tabu_iterations);
     println!(
-        "splice gate ({SPLICE_NODES} nodes), suffix splice vs PR 3 path: \
+        "splice gate ({SPLICE_NODES} nodes), suffix splice vs splice off: \
          {} tabu iterations, {splice_cand_vs_pr3:.2}x candidate rate",
         ratio_text(splice_iter_vs_pr3),
     );

@@ -411,9 +411,11 @@ impl<'p> Evaluator<'p> {
     /// error), so one worker-owned design serves a whole window
     /// without per-candidate clones.
     ///
-    /// * with recorded `ckpts` of the base design, the candidate is
-    ///   replayed from the latest prefix checkpoint the move cannot
-    ///   have affected instead of re-placed from scratch;
+    /// * with recorded `ckpts` of the base design, a candidate whose
+    ///   order certificate holds re-places only its affected cone and
+    ///   splices the recording for everything else; any other
+    ///   candidate is placed from position 0 on its patched
+    ///   expansion;
     /// * with an incumbent `bound`, a candidate provably worse than
     ///   the incumbent aborts mid-placement and returns
     ///   [`EvalOutcome::LowerBound`] with its certified lower bound.
@@ -425,8 +427,9 @@ impl<'p> Evaluator<'p> {
     /// including ones below the base design's cost, as the resolution
     /// pass uses (it bounds by the window winner) — the exact/pruned
     /// classification is always "exact iff cost <= bound"; only the
-    /// carried lower-bound *value* of a resumed run may differ from a
-    /// from-scratch one when the bound undercuts the restored prefix.
+    /// carried lower-bound *value* of a spliced run may differ from a
+    /// from-scratch one (its spliced completions are charged before
+    /// the first placement).
     ///
     /// # Errors
     ///
@@ -539,10 +542,9 @@ impl<'p> Evaluator<'p> {
     }
 
     /// [`Evaluator::schedule`] that additionally records the
-    /// placement's resumable prefix checkpoints into `ckpts` — the
-    /// search materializes each iteration's winner anyway, so the
-    /// next window's incremental evaluation gets its base recording
-    /// for free.
+    /// placement into `ckpts` — the search materializes each
+    /// iteration's winner anyway, so the next window's incremental
+    /// evaluation gets its base recording for free.
     ///
     /// # Errors
     ///
@@ -607,8 +609,7 @@ impl<'p> Evaluator<'p> {
     /// placement checkpoints, and the incumbent bound — bundled behind
     /// one [`CandidateEval`] facade so every neighbourhood search phase
     /// (greedy, both tabu stages) scores candidates through the same
-    /// stack: memoization → suffix splice → checkpoint resume →
-    /// bounded early-exit.
+    /// stack: memoization → suffix splice → bounded placement.
     #[must_use]
     pub fn candidate_eval<'e>(
         &'e self,
@@ -684,7 +685,7 @@ impl CandidateEval<'_, '_> {
 
     /// Scores the single-move candidate `(process, decision)` against
     /// the window base held in `design`, through the full evaluation
-    /// stack (cache → splice → resume → bounded early-exit). The
+    /// stack (cache → splice → bounded placement). The
     /// design is restored before returning; the `bool` is `true` on a
     /// cache hit.
     ///

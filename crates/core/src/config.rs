@@ -69,13 +69,13 @@ pub struct SearchConfig {
     /// (see [`crate::cache::Evaluator`]). Disable only to measure the
     /// uncached baseline; results are identical either way.
     pub eval_cache: bool,
-    /// Evaluate window candidates incrementally: resume each
-    /// single-move candidate from the prefix checkpoints recorded
-    /// while the base solution was materialized, instead of
-    /// re-placing the whole instance order (see
-    /// [`ftdes_sched::incremental`]). Pure throughput knob — costs
-    /// are bit-identical either way; disable to measure the
-    /// from-scratch (PR 1) evaluation path.
+    /// Evaluate window candidates incrementally: score each
+    /// single-move candidate against the placement recorded while the
+    /// base solution was materialized (patched expansion, incremental
+    /// priorities and the suffix splice), instead of rebuilding it
+    /// from scratch (see [`ftdes_sched::incremental`]). Pure
+    /// throughput knob — costs are bit-identical either way; disable
+    /// to measure the from-scratch evaluation path.
     pub incremental: bool,
     /// Bounded (early-exit) candidate evaluation: abort a candidate
     /// as soon as its accumulated worst-case completion provably

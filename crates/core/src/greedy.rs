@@ -92,7 +92,7 @@ pub fn greedy_mpa_with(
             None
         };
         // The window's shared evaluation context (cache → splice →
-        // resume → bounded), one O(n) base key per window.
+        // bounded placement), one O(n) base key per window.
         let ceval = evaluator.candidate_eval(&design, cfg.incremental.then_some(&ckpts), bound);
         let evaluated = pool
             .try_map_init(

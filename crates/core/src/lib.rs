@@ -28,8 +28,9 @@
 //!   score candidates through: memoization (48-byte cost entries
 //!   keyed by XOR-decomposable design fingerprints, shareable across
 //!   `optimize` calls via [`strategy::optimize_with_cache`]),
-//!   incremental checkpoint-resumed evaluation, bounded early-exit
-//!   runs, and the from-scratch bounded bus-swap probes of
+//!   incremental evaluation against the winner's recorded placement
+//!   (the suffix splice), bounded early-exit runs, and the
+//!   from-scratch bounded bus-swap probes of
 //!   [`bus_opt::optimize_bus`].
 //! * [`parallel::WorkerPool`] — deterministic window parallelism:
 //!   results indexed by input position plus `(cost, move index)`

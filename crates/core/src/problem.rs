@@ -145,13 +145,13 @@ impl Problem {
     /// [`ScheduleOptions::suffix_splice`], default on): single-move
     /// candidates re-place only their certified affected cone and
     /// splice the base solution's recorded per-node segments and
-    /// per-slot bus timelines for everything outside it, falling back
-    /// to the PR 2 checkpoint-resumed replay when the independence
-    /// proof fails. Pure throughput knob — spliced costs are
-    /// bit-identical to full placement, so exact costs, pruning
-    /// classification and search trajectories are invariant (guarded
-    /// by `tests/splice.rs`); `false` gives the PR 3 evaluation path
-    /// for perf ablations.
+    /// per-slot bus timelines for everything outside it; a candidate
+    /// whose order certificate fails is placed from position 0. Pure
+    /// throughput knob — spliced costs are bit-identical to full
+    /// placement, so exact costs, pruning classification and search
+    /// trajectories are invariant (guarded by `tests/splice.rs`);
+    /// `false` places every candidate from position 0 and skips the
+    /// segment recording — the splice gate's reference arm.
     #[must_use]
     pub fn with_suffix_splice(mut self, enabled: bool) -> Self {
         self.options.suffix_splice = enabled;
@@ -278,9 +278,9 @@ impl Problem {
     }
 
     /// [`Problem::evaluate_scratch`] that additionally records the
-    /// placement's resumable prefix checkpoints into `ckpts` — the
-    /// incremental engine replays single-move candidates from them
-    /// (see [`ftdes_sched::incremental`]).
+    /// placement into `ckpts` — the base recording the incremental
+    /// engine scores single-move candidates against (see
+    /// [`ftdes_sched::incremental`]).
     ///
     /// # Errors
     ///
@@ -376,9 +376,10 @@ impl Problem {
     }
 
     /// Evaluates the cost of `design` — the checkpointed base design
-    /// with `moved`'s decision replaced — by resuming the placement
-    /// from the recorded prefix checkpoints instead of re-placing
-    /// from scratch (see [`ftdes_sched::schedule_cost_resumed`]).
+    /// with `moved`'s decision replaced — against the recorded base
+    /// placement: through the suffix splice when the candidate's order
+    /// certificate holds, from position 0 on the patched expansion
+    /// otherwise (see [`ftdes_sched::schedule_cost_resumed`]).
     ///
     /// # Errors
     ///

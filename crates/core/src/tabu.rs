@@ -119,7 +119,7 @@ pub struct TabuSearch<'e, 'p> {
     wait: Vec<usize>,
     window: Vec<MoveRef>,
     candidates: Vec<Candidate>,
-    // Prefix checkpoints of the current solution's placement: empty
+    // The recorded placement of the current solution: empty
     // for the first window (the start schedule was materialized
     // elsewhere), then refreshed for free by every winner
     // materialization.
@@ -211,7 +211,7 @@ impl<'e, 'p> TabuSearch<'e, 'p> {
     /// Adopts `design` as the current solution (the portfolio's elite
     /// exchange): materializes its schedule (recording placement
     /// checkpoints when the incremental engine is on, so subsequent
-    /// windows resume from it), replaces the working solution, and
+    /// windows score against it), replaces the working solution, and
     /// updates the best-so-far when the elite is strictly better.
     /// Tabu tenures and waiting times are deliberately kept — they
     /// describe the worker's own move history, which is what keeps a
@@ -309,8 +309,8 @@ impl<'e, 'p> TabuSearch<'e, 'p> {
         };
         // The window's shared evaluation context: one O(n) base key
         // (per-candidate keys are then O(1)), the base solution's
-        // checkpoints, the bound — the whole cache → splice → resume
-        // → bounded stack behind one facade.
+        // checkpoints, the bound — the whole cache → splice → bounded
+        // placement stack behind one facade.
         let ceval = self.evaluator.candidate_eval(
             &self.now_design,
             cfg.incremental.then_some(&self.ckpts),

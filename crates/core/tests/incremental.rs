@@ -1,6 +1,6 @@
-//! Incremental-vs-full parity: the resumed-from-checkpoint and
-//! bounded evaluation engines must be **observationally identical** to
-//! the from-scratch cost function.
+//! Incremental-vs-full parity: the incremental
+//! (`schedule_cost_resumed`) and bounded evaluation engines must be
+//! **observationally identical** to the from-scratch cost function.
 //!
 //! * `resumed_equals_full`: for random problems, random walks of
 //!   applied moves and every candidate move at every step, a resumed
@@ -65,7 +65,8 @@ impl Rng {
 /// checkpoint move axis open (`max_checkpoints = 3`): the walks below
 /// then contain checkpoint-count moves — candidates whose expansion
 /// keeps every node but changes the primary's recovery profile, which
-/// the restored snapshots' slack accounts must reproduce exactly.
+/// the spliced segments' slack registrations and the placements from
+/// position 0 must both reproduce exactly.
 fn checkpointed_problem(processes: usize, nodes: usize, k: u32, seed: u64) -> Problem {
     let arch = Architecture::with_node_count(nodes);
     let w = paper_workload(processes, &arch, seed);

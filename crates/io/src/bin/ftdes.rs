@@ -24,8 +24,10 @@
 //! fault point) for exactly that drill.
 //!
 //! Exit codes are classified sysexits-style: `2` usage, `65` malformed
-//! input (problem file, sweep spec, or corrupt store), `74` I/O
-//! failure, `1` anything else (solver errors, stalled sweeps, ...).
+//! input (problem file, sweep spec, or corrupt store — and any problem
+//! whose worst-case horizon overflows its budget once the flags are
+//! applied), `74` I/O failure, `1` anything else (solver errors,
+//! stalled sweeps, ...).
 //! A reader that closes stdout early (`ftdes solve ... | head`) ends
 //! the run quietly with `0`.
 //!
@@ -65,7 +67,7 @@ use ftdes_core::{
 use ftdes_faultsim::{adversarial_scenario, random_scenarios, simulate};
 use ftdes_gen::{comm_heavy, paper_workload, CommHeavyParams};
 use ftdes_io::delta::parse_delta_with;
-use ftdes_io::format::parse_problem;
+use ftdes_io::format::{check_horizon, parse_problem};
 use ftdes_io::report::{solution_report, to_json};
 use ftdes_io::sweep::parse_sweep;
 use ftdes_model::architecture::Architecture;
@@ -160,6 +162,18 @@ fn main() -> ExitCode {
     }
 }
 
+/// Parses a whole number of milliseconds for `flag`, refusing one
+/// past the microsecond [`Time`] range.
+fn parse_ms(flag: &str, v: &str) -> Result<Time, String> {
+    let ms: u64 = v.parse().map_err(|_| format!("invalid {flag}"))?;
+    ms.checked_mul(1_000).map(Time::from_us).ok_or_else(|| {
+        format!(
+            "invalid {flag}: {ms} ms overflows the {} us time range",
+            u64::MAX
+        )
+    })
+}
+
 /// A generated-instance request (`--family …`) in place of a problem
 /// file.
 struct FamilyOptions {
@@ -167,8 +181,8 @@ struct FamilyOptions {
     procs: usize,
     nodes: usize,
     k: u32,
-    mu_ms: u64,
-    chi_ms: u64,
+    mu: Time,
+    chi: Time,
     density: f64,
     msg_wcet_ratio: f64,
 }
@@ -181,8 +195,8 @@ impl Default for FamilyOptions {
             procs: 50,
             nodes: 4,
             k: 2,
-            mu_ms: 5,
-            chi_ms: 0,
+            mu: Time::from_ms(5),
+            chi: Time::ZERO,
             density: dense.edge_density,
             msg_wcet_ratio: dense.msg_wcet_ratio,
         }
@@ -193,8 +207,7 @@ impl FamilyOptions {
     /// Builds the generated problem instance.
     fn into_problem(self, seed: u64) -> Result<Problem, String> {
         let arch = Architecture::with_node_count(self.nodes);
-        let fm = FaultModel::new(self.k, Time::from_ms(self.mu_ms))
-            .with_checkpoint_overhead(Time::from_ms(self.chi_ms));
+        let fm = FaultModel::new(self.k, self.mu).with_checkpoint_overhead(self.chi);
         let (workload, byte_time) = match self.family.as_str() {
             "comm-heavy" => {
                 let params = CommHeavyParams::dense(self.procs)
@@ -339,14 +352,12 @@ impl Options {
                         .map_err(|_| "invalid --k".to_owned())?;
                 }
                 "--mu-ms" => {
-                    o.family.get_or_insert_with(Default::default).mu_ms = value("--mu-ms")?
-                        .parse()
-                        .map_err(|_| "invalid --mu-ms".to_owned())?;
+                    o.family.get_or_insert_with(Default::default).mu =
+                        parse_ms("--mu-ms", &value("--mu-ms")?)?;
                 }
                 "--chi-ms" => {
-                    o.family.get_or_insert_with(Default::default).chi_ms = value("--chi-ms")?
-                        .parse()
-                        .map_err(|_| "invalid --chi-ms".to_owned())?;
+                    o.family.get_or_insert_with(Default::default).chi =
+                        parse_ms("--chi-ms", &value("--chi-ms")?)?;
                 }
                 "--max-checkpoints" => {
                     o.max_checkpoints = Some(
@@ -392,16 +403,16 @@ fn run(out: &mut impl Write, args: &[String]) -> Result<(), CliError> {
         _ => (None, rest),
     };
     let mut options = Options::parse(flags).map_err(CliError::Usage)?;
-    let (problem, node_names) = match (path, options.family.take()) {
+    let (problem, node_names, hyperperiod) = match (path, options.family.take()) {
         (Some(path), None) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| CliError::Io(format!("reading {path}: {e}")))?;
             let spec = parse_problem(&text).map_err(|e| CliError::Parse(format!("{path}: {e}")))?;
             let names: Vec<String> = spec.arch.nodes().iter().map(|n| n.name.clone()).collect();
-            let (problem, _merged) = spec
+            let (problem, merged) = spec
                 .into_problem()
                 .map_err(|e| CliError::Parse(e.to_string()))?;
-            (problem, names)
+            (problem, names, merged.hyperperiod())
         }
         (None, Some(family)) => {
             if family.family.is_empty() {
@@ -413,7 +424,7 @@ fn run(out: &mut impl Write, args: &[String]) -> Result<(), CliError> {
             let names = (0..problem.arch().node_count())
                 .map(|i| format!("N{i}"))
                 .collect();
-            (problem, names)
+            (problem, names, Time::ZERO)
         }
         (Some(_), Some(_)) => {
             return Err(CliError::Usage(
@@ -426,6 +437,10 @@ fn run(out: &mut impl Write, args: &[String]) -> Result<(), CliError> {
         Some(n) => problem.with_max_checkpoints(n),
         None => problem,
     };
+    // The budget again, on the problem the commands actually run:
+    // `--max-checkpoints` raises the checkpoint levels it bounds, and
+    // generated instances never passed it.
+    check_horizon(&problem, hyperperiod).map_err(|e| CliError::Parse(e.to_string()))?;
     let options = options;
 
     match command.as_str() {

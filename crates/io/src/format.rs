@@ -32,6 +32,7 @@ use ftdes_core::problem::Problem;
 use ftdes_model::application::{Application, GraphSpec};
 use ftdes_model::architecture::Architecture;
 use ftdes_model::design::DesignConstraints;
+use ftdes_model::error::ModelError;
 use ftdes_model::fault::FaultModel;
 use ftdes_model::graph::{Message, ProcessGraph};
 use ftdes_model::ids::{GraphId, NodeId, ProcessId};
@@ -73,12 +74,17 @@ impl ProblemSpec {
     /// [`ErrorKind::Structure`] when the model is structurally
     /// invalid (cyclic graphs, deadline beyond period, or a process
     /// with no WCET entry on any node), kind [`ErrorKind::Overflow`]
-    /// when the hyperperiod does not fit in a `Time` or the
-    /// worst-case schedule horizon exceeds `u64::MAX / 4` µs.
+    /// when the hyperperiod or a release does not fit in a `Time`, the
+    /// merged graph would exceed
+    /// [`ftdes_model::merge::MAX_MERGED_PROCESSES`] processes, or the
+    /// worst-case schedule horizon exceeds `u64::MAX / 4` µs (see
+    /// [`check_horizon`]).
     pub fn into_problem(self) -> Result<(Problem, MergedApplication), ParseProblemError> {
         let merged = MergedApplication::merge(&self.application).map_err(|e| {
             let kind = match e {
-                ftdes_model::error::ModelError::HyperperiodOverflow => ErrorKind::Overflow,
+                ModelError::HyperperiodOverflow
+                | ModelError::MergedGraphTooLarge { .. }
+                | ModelError::ReleaseOverflow { .. } => ErrorKind::Overflow,
                 _ => ErrorKind::Structure,
             };
             ParseProblemError::with_kind(0, kind, e.to_string())
@@ -89,7 +95,7 @@ impl ProblemSpec {
         let ids = (0..merged.process_count()).map(|i| ProcessId::new(i as u32));
         wcet.validate(ids, &self.arch).map_err(|e| {
             let message = match e {
-                ftdes_model::error::ModelError::Unmappable { process } => format!(
+                ModelError::Unmappable { process } => format!(
                     "process {:?} has no WCET entry on any node",
                     merged.graph().process(process).name
                 ),
@@ -120,20 +126,40 @@ impl ProblemSpec {
             self.bus,
         )
         .with_constraints(constraints);
-        if horizon_budget(&problem, &merged).is_none_or(|us| us > HORIZON_HEADROOM_US) {
-            return Err(ParseProblemError::with_kind(
-                0,
-                ErrorKind::Overflow,
-                format!(
-                    "worst-case schedule horizon overflows its budget of {HORIZON_HEADROOM_US} us: \
-                     the hyperperiod, k + 1 = {} worst-case executions of every process and \
-                     {BOOKING_HORIZON_ROUNDS} TDMA rounds must fit in it",
-                    u64::from(problem.fault_model().k()) + 1,
-                ),
-            ));
-        }
+        check_horizon(&problem, merged.hyperperiod())?;
         Ok((problem, merged))
     }
+}
+
+/// Checks `problem` against the worst-case horizon budget: an upper
+/// bound on its schedule horizon must stay within `u64::MAX / 4` µs,
+/// so no scheduler arithmetic on it can wrap [`Time`].
+/// `hyperperiod` is the merged application's (`Time::ZERO` for a
+/// generated instance, which has none; its releases still count).
+///
+/// [`ProblemSpec::into_problem`] runs it with the problem's default
+/// checkpoint levels. A caller that raises them
+/// ([`Problem::with_max_checkpoints`]) must run it again on the
+/// final problem, as the CLI does.
+///
+/// # Errors
+///
+/// A [`ParseProblemError`] of kind [`ErrorKind::Overflow`] at line 0
+/// when the bound exceeds the budget or overflows `u64` itself.
+pub fn check_horizon(problem: &Problem, hyperperiod: Time) -> Result<(), ParseProblemError> {
+    if horizon_budget(problem, hyperperiod).is_none_or(|us| us > HORIZON_HEADROOM_US) {
+        return Err(ParseProblemError::with_kind(
+            0,
+            ErrorKind::Overflow,
+            format!(
+                "worst-case schedule horizon overflows its budget of {HORIZON_HEADROOM_US} us: \
+                 the hyperperiod, k + 1 = {} worst-case executions of every process and \
+                 {BOOKING_HORIZON_ROUNDS} TDMA rounds must fit in it",
+                u64::from(problem.fault_model().k()) + 1,
+            ),
+        ));
+    }
+    Ok(())
 }
 
 /// The largest worst-case schedule horizon, in microseconds, a problem
@@ -154,7 +180,7 @@ const HORIZON_HEADROOM_US: u64 = u64::MAX / 4;
 ///   worst case, placed back to back;
 /// * [`BOOKING_HORIZON_ROUNDS`] TDMA rounds, past which no message is
 ///   ever booked.
-fn horizon_budget(problem: &Problem, merged: &MergedApplication) -> Option<u64> {
+fn horizon_budget(problem: &Problem, hyperperiod: Time) -> Option<u64> {
     let graph = problem.graph();
     let fm = problem.fault_model();
     let executions = u64::from(fm.k()) + 1;
@@ -167,7 +193,7 @@ fn horizon_budget(problem: &Problem, merged: &MergedApplication) -> Option<u64> 
         .processes()
         .iter()
         .map(|p| p.release)
-        .fold(merged.hyperperiod(), Time::max)
+        .fold(hyperperiod, Time::max)
         .as_us();
     for p in graph.processes() {
         let wcet = problem

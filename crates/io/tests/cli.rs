@@ -165,6 +165,97 @@ wcet y * 1ms
 }
 
 #[test]
+fn info_rejects_a_merge_past_the_process_cap() {
+    let problem = "
+architecture A
+fault_model k=1 mu=1ms
+bus slot_bytes=4 byte_time=1us
+graph period=1ms
+process a
+graph period=1000000007ms
+process b
+wcet a * 1us
+wcet b * 1us
+";
+    let path = write_problem("merge-cap.ftd", problem);
+    let out = ftdes(&["info", path.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(65), "stderr: {stderr}");
+    assert!(
+        stderr.contains("merging the graphs over their hyperperiod builds more than"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
+fn max_checkpoints_flag_is_held_to_the_horizon_budget() {
+    // The file passes the budget at its default checkpoint levels, so
+    // it solves. A million levels add χ·(10⁶ − 1) of saves per
+    // execution, which no longer fits: the flag must not bypass the
+    // budget and solve a wrapped δ.
+    let problem = "
+architecture A B
+fault_model k=2 mu=10ms chi=1000000000000ms
+bus slot_bytes=4 byte_time=1ms
+graph period=100ms
+process x
+wcet x * 1000000000000000ms
+";
+    let path = write_problem("max-checkpoints.ftd", problem);
+    let path = path.to_str().unwrap();
+    let out = ftdes(&["solve", path, "--time-ms", "200"]);
+    assert!(out.status.success(), "{out:?}");
+    let out = ftdes(&[
+        "solve",
+        path,
+        "--time-ms",
+        "200",
+        "--max-checkpoints",
+        "1000000",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(65), "stderr: {stderr}");
+    assert!(
+        stderr.contains("worst-case schedule horizon overflows"),
+        "stderr: {stderr}"
+    );
+}
+
+/// `ftdes info` on a generated paper instance with one extra flag.
+fn family_info(flag: &str, value: &str) -> std::process::Output {
+    ftdes(&[
+        "info", "--family", "paper", "--procs", "4", "--nodes", "2", flag, value,
+    ])
+}
+
+#[test]
+fn family_millisecond_flags_past_the_time_range_are_usage_errors() {
+    // 18446744073709552 ms is one millisecond past u64::MAX µs.
+    for flag in ["--chi-ms", "--mu-ms"] {
+        let out = family_info(flag, "18446744073709552");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!("invalid {flag}: 18446744073709552 ms overflows")),
+            "{flag}: stderr: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn family_instances_are_held_to_the_horizon_budget() {
+    // A representable χ whose saves overflow the budget: generated
+    // instances get the same check as problem files.
+    let out = family_info("--chi-ms", "18446744073709551");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(65), "stderr: {stderr}");
+    assert!(
+        stderr.contains("worst-case schedule horizon overflows"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
 fn inject_validates_schedule() {
     let path = write_problem("inject.ftd", PIPELINE);
     let out = ftdes(&[

@@ -219,6 +219,32 @@ wcet y * 1ms
 }
 
 #[test]
+fn rejects_a_merged_graph_past_the_process_cap() {
+    // The ~10⁹ ms hyperperiod is representable, but it instantiates
+    // the 1 ms graph ~10⁹ times: refused before the merge allocates.
+    let text = "
+architecture A
+fault_model k=1 mu=1ms
+bus slot_bytes=4 byte_time=1us
+graph period=1ms
+process a
+graph period=1000000007ms
+process b
+wcet a * 1us
+wcet b * 1us
+";
+    let err = parse_err(text);
+    assert_eq!(err.kind, ErrorKind::Overflow, "{err}");
+    assert_eq!(err.line, 0, "{err}");
+    let limit = ftdes_model::merge::MAX_MERGED_PROCESSES;
+    assert!(
+        err.message
+            .contains(&format!("builds more than {limit} processes")),
+        "{err}"
+    );
+}
+
+#[test]
 fn rejects_syntax_garbage() {
     for text in [
         "flux_capacitor on",

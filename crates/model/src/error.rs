@@ -80,6 +80,19 @@ pub enum ModelError {
     /// The hyper-period (LCM of the graph periods) does not fit in a
     /// [`crate::time::Time`]: merging the application would wrap it.
     HyperperiodOverflow,
+    /// Merging the application would build a graph Γ of more than
+    /// `limit` processes ([`crate::merge::MAX_MERGED_PROCESSES`]).
+    MergedGraphTooLarge {
+        /// The largest merged process count.
+        limit: usize,
+    },
+    /// An activation of the graph would be released past the
+    /// [`crate::time::Time`] range: its offset within the
+    /// hyper-period plus a process's release overflows.
+    ReleaseOverflow {
+        /// The graph whose release overflows.
+        graph: GraphId,
+    },
     /// A [`crate::delta::ProblemDelta`] op is malformed (zero scale
     /// percent, arithmetic overflow, ...).
     InvalidDelta {
@@ -123,6 +136,16 @@ impl fmt::Display for ModelError {
             ModelError::HyperperiodOverflow => write!(
                 f,
                 "hyperperiod (LCM of the graph periods) overflows the {} us time range",
+                u64::MAX
+            ),
+            ModelError::MergedGraphTooLarge { limit } => write!(
+                f,
+                "merging the graphs over their hyperperiod builds more than {limit} processes"
+            ),
+            ModelError::ReleaseOverflow { graph } => write!(
+                f,
+                "a release of graph {graph} overflows the {} us time range in its last \
+                 activation of the hyperperiod",
                 u64::MAX
             ),
             ModelError::InvalidDelta { reason } => {

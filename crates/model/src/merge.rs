@@ -9,6 +9,12 @@
 //! After merging, releases and deadlines are absolute offsets within
 //! the hyper-period attached to the merged processes; downstream
 //! crates (scheduler, optimizer) only ever see the merged graph.
+//!
+//! A representable hyper-period can still be far too long for Γ: two
+//! coprime periods of 1 ms and ~10⁶ s instantiate the first graph ~10⁹
+//! times. [`MergedApplication::merge`] therefore counts Γ's processes
+//! with checked arithmetic before it allocates anything, and refuses a
+//! count past [`MAX_MERGED_PROCESSES`].
 
 use serde::{Deserialize, Serialize};
 
@@ -18,6 +24,16 @@ use crate::graph::ProcessGraph;
 use crate::ids::{GraphId, ProcessId};
 use crate::time::Time;
 use crate::wcet::WcetTable;
+
+/// The largest merged graph Γ, in processes, that
+/// [`MergedApplication::merge`] builds: 2¹⁶.
+///
+/// A fixed bound, not a tuning knob. It sits more than two orders of
+/// magnitude above the paper's largest applications (100 processes)
+/// and keeps every activation number within `u32`. Past it, merging
+/// fails with [`ModelError::MergedGraphTooLarge`] instead of
+/// allocating without bound.
+pub const MAX_MERGED_PROCESSES: usize = 1 << 16;
 
 /// Where a merged process came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -44,9 +60,43 @@ impl MergedApplication {
     /// # Errors
     ///
     /// Propagates validation errors from [`Application::validate`].
+    /// Returns [`ModelError::MergedGraphTooLarge`] when Γ would have
+    /// more than [`MAX_MERGED_PROCESSES`] processes, and
+    /// [`ModelError::ReleaseOverflow`] when an activation's release
+    /// does not fit in a [`Time`].
     pub fn merge(app: &Application) -> Result<Self, ModelError> {
         app.validate()?;
         let hyperperiod = app.hyperperiod();
+        // Size Γ before allocating it. Graphs are non-empty once
+        // validated, so the count also bounds every activation number
+        // by the cap, and the latest activation's offset plus the
+        // latest release bounds every release the loop below adds.
+        let mut count = 0usize;
+        for spec in app.specs() {
+            let activations = hyperperiod / spec.period;
+            count = usize::try_from(activations)
+                .ok()
+                .and_then(|a| a.checked_mul(spec.graph.process_count()))
+                .and_then(|n| n.checked_add(count))
+                .filter(|&n| n <= MAX_MERGED_PROCESSES)
+                .ok_or(ModelError::MergedGraphTooLarge {
+                    limit: MAX_MERGED_PROCESSES,
+                })?;
+            let latest_release = spec
+                .graph
+                .processes()
+                .iter()
+                .map(|p| p.release)
+                .fold(Time::ZERO, Time::max);
+            if (spec.period * (activations - 1))
+                .checked_add(latest_release)
+                .is_none()
+            {
+                return Err(ModelError::ReleaseOverflow {
+                    graph: spec.graph.id(),
+                });
+            }
+        }
         let mut graph = ProcessGraph::new(GraphId::new(u32::MAX));
         let mut origins = Vec::new();
 
@@ -60,7 +110,8 @@ impl MergedApplication {
                     let gid = graph.add_process();
                     origins.push(ProcessOrigin {
                         graph_index,
-                        activation: activation as u32,
+                        activation: u32::try_from(activation)
+                            .expect("activations are bounded by the process cap"),
                         local: local.id,
                     });
                     let p = graph.process_mut(gid);
@@ -71,10 +122,11 @@ impl MergedApplication {
                     };
                     p.release = offset + local.release;
                     // The graph deadline applies to every process of the
-                    // activation; an individual deadline tightens it.
+                    // activation; an individual deadline tightens it
+                    // (one past the time range cannot).
                     let graph_dl = offset + spec.deadline;
                     p.deadline = Some(match local.deadline {
-                        Some(d) => graph_dl.min(offset + d),
+                        Some(d) => offset.checked_add(d).map_or(graph_dl, |d| graph_dl.min(d)),
                         None => graph_dl,
                     });
                     global.push(gid);
@@ -219,6 +271,86 @@ mod tests {
         assert_eq!(
             merged.graph().process(first).deadline,
             Some(Time::from_ms(10))
+        );
+    }
+
+    /// Two one-process graphs whose periods are `short` and `long`.
+    fn two_periods(short: Time, long: Time) -> Application {
+        let mut app = Application::new();
+        app.push(GraphSpec::new(chain(0, 1), short, short));
+        app.push(GraphSpec::new(chain(1, 1), long, long));
+        app
+    }
+
+    #[test]
+    fn merged_graph_size_is_capped_before_allocation() {
+        // A representable ~10⁹ ms hyperperiod would instantiate the
+        // 1 ms graph ~10⁹ times: refused before anything is built.
+        let app = two_periods(Time::from_ms(1), Time::from_ms(1_000_000_007));
+        assert_eq!(
+            MergedApplication::merge(&app),
+            Err(ModelError::MergedGraphTooLarge {
+                limit: MAX_MERGED_PROCESSES
+            })
+        );
+        // The cap is inclusive: 2¹⁶ − 1 activations plus one process
+        // merge, one more activation does not.
+        let cap = MAX_MERGED_PROCESSES as u64;
+        let at_cap = two_periods(Time::from_ms(1), Time::from_ms(cap - 1));
+        assert_eq!(
+            MergedApplication::merge(&at_cap).unwrap().process_count(),
+            MAX_MERGED_PROCESSES
+        );
+        let past_cap = two_periods(Time::from_ms(1), Time::from_ms(cap));
+        assert!(matches!(
+            MergedApplication::merge(&past_cap),
+            Err(ModelError::MergedGraphTooLarge { .. })
+        ));
+    }
+
+    #[test]
+    fn release_past_the_time_range_is_refused() {
+        // Graph 0 activates twice in the 2 ms hyperperiod. Its second
+        // activation starts at 1 ms, where a release 1 µs short of the
+        // time range no longer fits.
+        let mut late = chain(0, 1);
+        late.process_mut(ProcessId::new(0)).release = Time::from_us(u64::MAX - 1);
+        let mut app = Application::new();
+        app.push(GraphSpec::new(late, Time::from_ms(1), Time::from_ms(1)));
+        app.push(GraphSpec::new(
+            chain(1, 1),
+            Time::from_ms(2),
+            Time::from_ms(2),
+        ));
+        assert_eq!(
+            MergedApplication::merge(&app),
+            Err(ModelError::ReleaseOverflow {
+                graph: GraphId::new(0)
+            })
+        );
+    }
+
+    #[test]
+    fn deadline_past_the_time_range_keeps_the_graph_deadline() {
+        let mut g = chain(0, 1);
+        g.process_mut(ProcessId::new(0)).deadline = Some(Time::MAX);
+        let mut app = Application::new();
+        app.push(GraphSpec::new(g, Time::from_ms(10), Time::from_ms(8)));
+        app.push(GraphSpec::new(
+            chain(1, 1),
+            Time::from_ms(20),
+            Time::from_ms(20),
+        ));
+        let merged = MergedApplication::merge(&app).unwrap();
+        // The second activation (offset 10 ms) keeps its 18 ms graph
+        // deadline instead of a wrapped individual one.
+        let second = (0..merged.process_count())
+            .map(|i| ProcessId::new(i as u32))
+            .find(|&p| merged.origin(p).graph_index == 0 && merged.origin(p).activation == 1)
+            .unwrap();
+        assert_eq!(
+            merged.graph().process(second).deadline,
+            Some(Time::from_ms(18))
         );
     }
 

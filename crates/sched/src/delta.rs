@@ -1,12 +1,9 @@
 //! Affected-cone candidate evaluation: the **suffix-splicing engine**
 //! (evaluation engine v3).
 //!
-//! The PR 2 resumed path replays *everything* after the first
-//! placement position a move can touch. Moves target critical-path
-//! processes — which the list scheduler places first — so that replay
-//! still re-places ~80% of the order on the paper-family gate
-//! workload, even though most of it lands on nodes and bus slots the
-//! move never perturbs. This module removes that redundancy: it
+//! A from-scratch candidate run re-places the whole order, even
+//! though most of it lands on nodes and bus slots a single move never
+//! perturbs. This module removes that redundancy: it
 //! computes a certified **affected cone** of a single-move candidate
 //! and re-places only the cone, splicing the base recording's
 //! per-node segments and per-slot bus timelines
@@ -14,11 +11,12 @@
 //!
 //! # The cone
 //!
-//! The engine first verifies (via the incremental engine's ready-list
-//! divergence scan, extended over the *whole* order) that the
-//! candidate's priority-driven selection sequence equals the recorded
-//! base order — any divergence fails the independence proof and falls
-//! back to the PR 2 resumed path. With the order pinned, a placement
+//! The engine first verifies (through the incremental engine's order
+//! certificate) that the candidate's priority-driven selection
+//! sequence equals the recorded base order, up to certified floats —
+//! any other divergence fails the independence proof, and the
+//! candidate is placed from position 0 instead. With the order
+//! pinned, a placement
 //! can differ from the base run only through four channels, each
 //! tracked by a forward sweep over the recorded order:
 //!
@@ -99,11 +97,6 @@ pub(crate) struct SpliceScratch {
     /// Whether each process is floated (its recorded slot is
     /// vacated).
     floated: Vec<bool>,
-    /// Cone size of the last sweep: processes to re-place.
-    pub(crate) n_affected: usize,
-    /// Spliced senders whose bookings the last sweep flagged for
-    /// replay.
-    pub(crate) n_rebook: usize,
 }
 
 /// Work-list entries at/above this bit are float markers: the low
@@ -119,9 +112,8 @@ const FLOAT_MARK: u32 = 0x8000_0000;
 /// its `to` position; the moved process always appears, degenerately
 /// when its own slot stands).
 ///
-/// Fills `sp` (affected set, per-node / per-slot dirty positions and
-/// the work list) and its `n_affected` / `n_rebook` counters — the
-/// inputs of the caller's profitability gate against the PR 2 replay.
+/// Fills `sp`: the affected set, the per-node / per-slot dirty
+/// positions and the work list.
 pub(crate) fn compute_cone(
     graph: &ProcessGraph,
     cand: &ExpandedDesign,
@@ -152,8 +144,6 @@ pub(crate) fn compute_cone(
     sp.slot_dirty.clear();
     sp.slot_dirty.resize(slots, u32::MAX);
     sp.work.clear();
-    sp.n_affected = 0;
-    sp.n_rebook = 0;
 
     // Every floated process re-places: its nodes host a different
     // instance sequence from the first perturbed position on, and its
@@ -168,7 +158,6 @@ pub(crate) fn compute_cone(
     for f in &sp.floats {
         sp.affected[f.process.index()] = true;
         sp.floated[f.process.index()] = true;
-        sp.n_affected += 1;
         start = start.min(f.slot).min(f.to);
         if f.process == moved {
             // The old mapping's bookings vanish from its recorded
@@ -267,7 +256,6 @@ pub(crate) fn compute_cone(
         }
         if aff {
             sp.affected[p.index()] = true;
-            sp.n_affected += 1;
             let books = !graph.outgoing(p).is_empty();
             for &rid in cand.of_process(p) {
                 let node = cand.instance(rid).node.index();
@@ -287,7 +275,6 @@ pub(crate) fn compute_cone(
             // A spliced sender whose slot history was perturbed: its
             // placement stands, but its bookings must be replayed to
             // keep the slot occupancy exact for later bookings.
-            sp.n_rebook += 1;
             sp.work.push(t);
         }
     }

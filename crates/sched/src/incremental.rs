@@ -1,98 +1,51 @@
-//! Incremental candidate evaluation: prefix checkpoints and resumed
-//! cost runs.
+//! Incremental candidate evaluation: the base recording and the
+//! single-move cost entry points.
 //!
 //! Neighbourhood search scores thousands of single-move variations of
 //! one base design per second. A move replaces one process's
 //! decision, yet a from-scratch [`crate::schedule_cost`] re-places
-//! every instance — including the long prefix of the instance order
-//! that the move provably cannot influence. This module removes that
-//! redundancy:
+//! every instance — including every node and bus slot the move
+//! provably cannot influence. This module, with the suffix-splicing
+//! engine behind it (the `delta` and `segments` modules), removes
+//! that redundancy:
 //!
 //! * while the search **materializes** a base solution (one full run
 //!   per accepted iteration it performs anyway), the placement core
-//!   records [`PlacementCheckpoints`]: the placement order plus
-//!   resumable snapshots of the complete scheduler state every
-//!   `stride` positions;
+//!   records [`PlacementCheckpoints`]: the placement order, the
+//!   ready-set evolution, reachability bitsets, the base expansion
+//!   and priorities, and the segment store (per-node placement
+//!   segments, per-slot bus timelines and the final state);
 //! * a candidate move on process `q` is then evaluated by
-//!   [`schedule_cost_resumed`]: it patches the base expansion
-//!   ([`ExpandedDesign::expand_patched`]), recomputes priorities
-//!   (they depend on the design through replica WCETs and bus
-//!   crossings), determines the first placement position the move can
-//!   affect, restores the latest snapshot at or before it, and
-//!   re-places only the suffix.
+//!   [`schedule_cost_resumed`]: it patches the base expansion in
+//!   place ([`ExpandedDesign::patch_in_place`]), recomputes the
+//!   priorities of `q` and its ancestors (ranks flow backwards, so no
+//!   other rank can change), and certifies the candidate's selection
+//!   order against the recorded one. A certified candidate re-places
+//!   only its affected cone and splices the recording for everything
+//!   else. Any other candidate runs the ordinary placement loop from
+//!   position 0 on the patched expansion and priorities.
 //!
-//! # What bounds the resume position
-//!
-//! Three things can invalidate the base prefix for a candidate:
-//!
-//! 1. the moved process itself being placed (its instances differ);
-//! 2. a *direct predecessor* of the moved process whose outgoing
-//!    message gains or loses its bus booking (`needs_bus` reads the
-//!    consumer's mapping at the producer's placement);
-//! 3. a priority shift reordering the ready-list selection *before*
-//!    either of the above — the new priorities are simulated over the
-//!    recorded order and the first divergence found caps the resume
-//!    position.
-//!
-//! The prefix up to the computed position is **provably identical**
-//! between the base run and a from-scratch run of the candidate, so a
-//! resumed run returns bit-identical costs to
-//! [`crate::schedule_cost`] — guarded by the
-//! `resumed_equals_full` property test in `ftdes-core`.
-//!
-//! # Instance-id remapping
-//!
-//! Instance ids are dense in process order; a move that changes the
-//! replication level of `q` shifts the ids of every process after
-//! `q`. Snapshots store base-expansion ids in their per-instance
-//! finish times and node states, so restoring shifts every id at or
-//! past the end of `q`'s base range by the replica-count delta. `q`
-//! itself is never placed inside a restored prefix (the resume
-//! position never exceeds `q`'s base position), so no id of `q` can
-//! appear in a snapshot. Message arrivals are keyed by `(edge,
-//! replica)`, not by instance, so the snapshot's arrival table
-//! restores by plain copy.
+//! Both paths return bit-identical costs to [`crate::schedule_cost`]
+//! — guarded by the `resumed_equals_full` and `spliced_equals_full`
+//! property tests in `ftdes-core`.
 
 use ftdes_model::architecture::Architecture;
 use ftdes_model::design::Design;
 use ftdes_model::fault::FaultModel;
 use ftdes_model::graph::ProcessGraph;
 use ftdes_model::ids::ProcessId;
-use ftdes_model::time::Time;
 use ftdes_model::wcet::WcetLookup;
 use ftdes_ttp::config::BusConfig;
 
 use crate::error::SchedError;
-use crate::instance::{ExpandedDesign, InstanceId};
+use crate::instance::ExpandedDesign;
 use crate::list::{
-    accumulate_cost, drive_placement, init_placement, Arrivals, CostOnly, CostOutcome, CostScratch,
-    FrontierEntry, SchedScratch, ScheduleOptions,
+    drive_placement, init_placement, CostOnly, CostOutcome, CostScratch, SchedScratch,
+    ScheduleOptions,
 };
-use crate::occupancy::SlotOccupancy;
 use crate::priority::Priorities;
 use crate::schedule::ScheduleCost;
 use crate::segments::SegmentStore;
-use crate::slack::SlackAccount;
-
-/// How a candidate's selection order relates to the recorded base
-/// order — the independence certificate of the suffix-splicing
-/// engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum OrderCert {
-    /// Every selection change is certified: the candidate's order is
-    /// the recorded one with each process in the caller's
-    /// [`FloatPlan`] removed from its recorded slot and re-inserted
-    /// just before its landing position — every third party keeps
-    /// its slot. An empty plan means the orders agree bit for bit.
-    /// `div` is the first position the raw selection differs at (the
-    /// PR 2 fallback's resume cap when the splice is gated off;
-    /// `order.len()` when aligned).
-    Splice { div: u32 },
-    /// The reordering could not be certified as independent floats:
-    /// the splice is impossible; the PR 2 replay resumes at/below
-    /// `div`.
-    Diverged { div: u32 },
-}
 
 /// One certified float: `process` vacates its recorded slot and is
 /// re-inserted just before base position `to` (which may equal the
@@ -123,65 +76,9 @@ pub struct FloatPlan {
     windows: Vec<(u32, u32, u32)>,
 }
 
-/// Captured per-node placement state.
-#[derive(Debug, Default)]
-struct NodeSnap {
-    avail: Time,
-    last: Option<InstanceId>,
-    slack: SlackAccount,
-    frontier: Vec<FrontierEntry>,
-    delay_k: Time,
-}
-
-/// The complete scheduler state after `placed` placements of the base
-/// run.
-#[derive(Debug, Default)]
-struct Snapshot {
-    placed: usize,
-    remaining_preds: Vec<usize>,
-    ready: Vec<ProcessId>,
-    times: Vec<Time>,
-    completion: Vec<Time>,
-    nodes: Vec<NodeSnap>,
-    arrivals: Arrivals,
-    occupancy: SlotOccupancy,
-}
-
-impl Snapshot {
-    /// Fills this snapshot from the live scratch state, reusing every
-    /// buffer.
-    fn capture(
-        &mut self,
-        scratch: &SchedScratch,
-        placed: usize,
-        instance_count: usize,
-        node_count: usize,
-    ) {
-        self.placed = placed;
-        self.remaining_preds.clone_from(&scratch.remaining_preds);
-        self.ready.clone_from(&scratch.ready);
-        self.times.clear();
-        self.times
-            .extend_from_slice(&scratch.times[..instance_count]);
-        self.completion.clone_from(&scratch.completion);
-        if self.nodes.len() < node_count {
-            self.nodes.resize_with(node_count, NodeSnap::default);
-        }
-        self.nodes.truncate(node_count);
-        for (snap, live) in self.nodes.iter_mut().zip(&scratch.nodes[..node_count]) {
-            snap.avail = live.avail;
-            snap.last = live.last;
-            snap.slack.clone_from_account(&live.slack);
-            snap.frontier.clone_from(&live.frontier);
-            snap.delay_k = live.delay_k;
-        }
-        self.arrivals.copy_from(&scratch.arrivals);
-        self.occupancy.clone_from(&scratch.occupancy);
-    }
-}
-
-/// Resumable prefix checkpoints of one base solution's placement,
-/// recorded by [`crate::list_schedule_recording`].
+/// The base recording of one solution's placement, recorded by
+/// [`crate::list_schedule_recording`]: what the incremental engine
+/// scores single-move candidates against.
 ///
 /// Reused across iterations: re-recording clears and refills every
 /// buffer in place.
@@ -192,15 +89,10 @@ pub struct PlacementCheckpoints {
     /// evaluator stores the design fingerprint here and asserts it on
     /// resume in debug builds).
     pub tag: u128,
-    stride: usize,
     /// Placement order of the base run.
     pub(crate) order: Vec<ProcessId>,
     /// Position of each process in `order`.
     pub(crate) position: Vec<u32>,
-    /// Snapshots at positions `stride, 2·stride, …` (`snap_len` of
-    /// the buffers are live).
-    snaps: Vec<Snapshot>,
-    snap_len: usize,
     /// The base design's expansion.
     pub(crate) expanded: ExpandedDesign,
     /// The base design's priorities (candidates copy them and
@@ -230,8 +122,8 @@ pub struct PlacementCheckpoints {
     pub(crate) node_count: usize,
     /// The segment-structured recording of the suffix-splicing engine
     /// (per-node placement segments, per-slot bus timelines, final
-    /// state — see [`crate::segments`]). Captured alongside the
-    /// prefix snapshots when [`ScheduleOptions::suffix_splice`] is on.
+    /// state — see the `segments` module). Captured only when
+    /// [`ScheduleOptions::suffix_splice`] is on.
     pub(crate) segments: SegmentStore,
 }
 
@@ -263,15 +155,9 @@ impl PlacementCheckpoints {
         self.valid = false;
         self.tag = 0;
         let n = topo.len();
-        // ~6 snapshots across the order: dense enough that a resume
-        // wastes at most stride/2 redundant placements on average,
-        // sparse enough that recording stays a small fraction of the
-        // one full run it rides on.
-        self.stride = (n / 6).max(4);
         self.order.clear();
         self.position.clear();
         self.position.resize(n, 0);
-        self.snap_len = 0;
         self.expanded.clone_from(expanded);
         self.base_priorities.clone_from(priorities);
         self.topo.clear();
@@ -280,36 +166,25 @@ impl PlacementCheckpoints {
         self.segments.begin(record_segments, node_count, bus);
     }
 
-    /// Records one placement (called by the driver after the ready
-    /// list was updated for position `placed`).
+    /// Records the placement of `p` (called by `drive_placement`
+    /// after the ready list was updated).
     pub(crate) fn note_placed(
         &mut self,
         p: ProcessId,
         graph: &ProcessGraph,
         scratch: &SchedScratch,
-        placed: usize,
-        n_processes: usize,
     ) {
         let pos = self.order.len() as u32;
         self.position[p.index()] = pos;
         self.order.push(p);
-        if placed.is_multiple_of(self.stride) && placed < n_processes {
-            if self.snap_len == self.snaps.len() {
-                self.snaps.push(Snapshot::default());
-            }
-            self.snaps[self.snap_len].capture(
-                scratch,
-                placed,
-                self.expanded.len(),
-                self.node_count,
-            );
-            self.snap_len += 1;
-        }
         let PlacementCheckpoints {
-            segments, expanded, ..
+            segments,
+            expanded,
+            order,
+            ..
         } = self;
         segments.note_placed(graph, p, expanded, scratch, pos);
-        if placed == n_processes {
+        if order.len() == graph.process_count() {
             segments.finish(scratch, expanded.len());
         }
     }
@@ -382,18 +257,6 @@ impl PlacementCheckpoints {
         self.valid = true;
     }
 
-    /// The position of the latest recorded snapshot at or below
-    /// `pos` (0 when none): how far back the PR 2 replay of a resume
-    /// at `pos` actually starts — the comparison base of the splice
-    /// profitability gate.
-    fn snapshot_floor(&self, pos: usize) -> usize {
-        self.snaps[..self.snap_len]
-            .iter()
-            .rev()
-            .find(|s| s.placed <= pos)
-            .map_or(0, |s| s.placed)
-    }
-
     /// `true` when `q` is reachable from `p` (`p` included) — i.e.
     /// `p` is an ancestor of `q` or `q` itself.
     fn reaches(&self, p: ProcessId, q: ProcessId) -> bool {
@@ -408,16 +271,21 @@ impl PlacementCheckpoints {
     }
 
     /// Certifies the candidate's selection order against the recorded
-    /// one (see [`OrderCert`]), filling `plan` with the certified
-    /// float set.
+    /// one, filling `plan` with the certified float set. `true` means
+    /// every selection change is certified: the candidate's order is
+    /// the recorded one with each process in `plan` removed from its
+    /// recorded slot and re-inserted just before its landing position
+    /// — every third party keeps its slot. An empty plan means the
+    /// orders agree bit for bit. `false` means the reordering could
+    /// not be certified as independent floats; the certificate
+    /// returns at the first float it cannot certify.
     ///
     /// Selection diverges only through a comparison involving a
     /// priority-**changed** process, and only while that process is
     /// in the ready set — its in-flight window `[ready_pos,
     /// position)` of the recorded evolution. So instead of
-    /// re-simulating the ready list (O(n · width) per candidate, the
-    /// PR 2/3 engine's dominant fixed cost), check per changed
-    /// process `p`:
+    /// re-simulating the ready list (O(n · width) per candidate),
+    /// check per changed process `p`:
     ///
     /// 1. `p` must not preempt any base selection inside its window
     ///    (one comparison per window position);
@@ -446,38 +314,29 @@ impl PlacementCheckpoints {
         priorities: &Priorities,
         changed: &[ProcessId],
         plan: &mut FloatPlan,
-    ) -> OrderCert {
-        let n = self.order.len();
+    ) -> bool {
         plan.floats.clear();
         plan.windows.clear();
-        let mut div = n;
-        let mut certified = true;
         for &p in changed {
             let entry = self.ready_pos[p.index()] as usize;
             let exit = self.position[p.index()] as usize;
             let key_p = priorities.key(p);
-            let mut viol = None;
-            for pos in entry..exit {
-                if key_p < priorities.key(self.order[pos]) {
-                    viol = Some(pos);
-                    break;
-                }
-            }
-            if let Some(d) = viol {
-                div = div.min(d);
-                certified =
-                    certified && self.certify_float_early(graph, priorities, changed, p, d, plan);
+            let certified = if let Some(d) =
+                (entry..exit).find(|&pos| key_p < priorities.key(self.order[pos]))
+            {
+                self.certify_float_early(graph, priorities, changed, p, d, plan)
             } else if self
                 .ready_set(exit)
                 .iter()
                 .any(|&r| r != p && priorities.key(r) < key_p)
             {
-                div = div.min(exit);
-                certified = certified && self.certify_float_late(priorities, changed, p, plan);
+                self.certify_float_late(priorities, changed, p, plan)
+            } else {
+                true
+            };
+            if !certified {
+                return false;
             }
-        }
-        if !certified {
-            return OrderCert::Diverged { div: div as u32 };
         }
         // Floats compose only when their perturbed intervals are
         // pairwise disjoint…
@@ -486,7 +345,7 @@ impl PlacementCheckpoints {
             for g in &plan.floats[i + 1..] {
                 let (glo, ghi) = g.span();
                 if flo <= ghi && glo <= fhi {
-                    return OrderCert::Diverged { div: div as u32 };
+                    return false;
                 }
             }
         }
@@ -497,11 +356,11 @@ impl PlacementCheckpoints {
             for (i, f) in plan.floats.iter().enumerate() {
                 let (flo, fhi) = f.span();
                 if i as u32 != owner && flo < hi && lo <= fhi {
-                    return OrderCert::Diverged { div: div as u32 };
+                    return false;
                 }
             }
         }
-        OrderCert::Splice { div: div as u32 }
+        true
     }
 
     /// `p` loses its recorded slot (its priority dropped): find the
@@ -633,45 +492,21 @@ impl PlacementCheckpoints {
         });
         true
     }
-
-    /// The first placement position the given move can affect: the
-    /// moved process itself, or a direct predecessor whose bus
-    /// booking decision flips under the candidate expansion `cand`.
-    fn resume_limit(&self, graph: &ProcessGraph, moved: ProcessId, cand: &ExpandedDesign) -> usize {
-        let mut limit = self.position[moved.index()] as usize;
-        for &eid in graph.incoming(moved) {
-            let from = graph.edge(eid).from;
-            let pos = self.position[from.index()] as usize;
-            if pos >= limit {
-                continue;
-            }
-            // `needs_bus` at the producer's placement asks: does any
-            // consumer instance sit on a different node? Detect a
-            // flip for any producer instance.
-            let flipped = self.expanded.of_process(from).iter().any(|&rid| {
-                let n_r = self.expanded.instance(rid).node;
-                self.expanded.reads_remote(moved, n_r) != cand.reads_remote(moved, n_r)
-            });
-            if flipped {
-                limit = pos;
-            }
-        }
-        limit
-    }
 }
 
 /// Computes the cost of `design` — the base design of `ckpts` with
-/// `moved`'s decision replaced — by resuming the placement from the
-/// latest checkpoint before the first position the move can affect.
+/// `moved`'s decision replaced — against the base recording: through
+/// the suffix splice when the candidate's order certificate holds
+/// (and [`ScheduleOptions::suffix_splice`] is on), otherwise by
+/// placing the patched expansion from position 0.
 ///
 /// Returns the same *classification* as
 /// [`crate::schedule_cost_bounded`] for the same `(design, bound)`:
 /// the exact cost when it is `<= bound` (or no bound was given), a
-/// certified lower bound otherwise. With a bound tighter than the
-/// checkpointed base's cost, the carried lower bound may differ from
-/// the from-scratch run's (the restored prefix is charged at once
-/// instead of placement by placement) — both are certified, and the
-/// exact/pruned classification is identical.
+/// certified lower bound otherwise. A spliced run may carry a
+/// different lower bound than the from-scratch run (its spliced
+/// completions are charged before the first placement) — both are
+/// certified, and the exact/pruned classification is identical.
 ///
 /// # Errors
 ///
@@ -699,108 +534,53 @@ pub fn schedule_cost_resumed<W: WcetLookup + ?Sized>(
     debug_assert_eq!(ckpts.node_count, arch.node_count());
     debug_assert_eq!(ckpts.order.len(), graph.process_count());
 
-    let limit = prepare_candidate(graph, wcet, fm, bus, design, moved, scratch, ckpts)?;
-    // Certify the candidate's selection order against the recorded
-    // one: aligned, a set of independent floats, or a genuine
-    // reordering.
-    let cert = ckpts.order_certificate(
-        graph,
-        &scratch.priorities,
-        &scratch.changed,
-        &mut scratch.float_plan,
-    );
-    let div = match cert {
-        OrderCert::Splice { div } | OrderCert::Diverged { div } => div as usize,
-    };
-
+    prepare_candidate(graph, wcet, fm, bus, design, moved, scratch, ckpts)?;
     // The suffix-splicing engine (see `delta`): when every third
     // party provably keeps its recorded slot — the order is aligned,
     // or differs exactly by the certified floats — re-place only the
     // certified affected cone and splice the base recording for
-    // everything else. A genuine reordering fails the independence
-    // proof and falls through to the checkpoint-resumed replay below.
-    let resume_pos = div.min(limit);
-    if options.suffix_splice
+    // everything else. A genuine reordering (or the splice switched
+    // off) runs the ordinary placement loop from position 0 on the
+    // patched expansion and priorities.
+    let outcome = if options.suffix_splice
         && ckpts.segments.is_recorded()
-        && matches!(cert, OrderCert::Splice { .. })
-    {
-        if let Some(out) = splice_candidate(
+        && ckpts.order_certificate(
             graph,
+            &scratch.priorities,
+            &scratch.changed,
+            &mut scratch.float_plan,
+        ) {
+        splice_candidate(graph, bus, fm, moved, options, scratch, ckpts, bound)
+    } else {
+        init_placement(
+            graph,
+            fm,
+            arch.node_count(),
+            &scratch.expanded,
+            &mut scratch.core,
+        );
+        drive_placement(
+            graph,
+            &scratch.expanded,
+            &scratch.priorities,
             bus,
             fm,
-            moved,
             options,
-            scratch,
-            ckpts,
+            &mut scratch.core,
+            &mut CostOnly,
             bound,
-            Some(resume_pos),
-        ) {
-            scratch.expanded.unpatch(moved, &scratch.undo_insts);
-            return out;
-        }
-    }
-
-    let snap = ckpts.snaps[..ckpts.snap_len]
-        .iter()
-        .rev()
-        .find(|s| s.placed <= resume_pos);
-
-    let running = match snap {
-        None => {
-            init_placement(
-                graph,
-                fm,
-                arch.node_count(),
-                &scratch.expanded,
-                &mut scratch.core,
-            );
-            ScheduleCost {
-                violation: Time::ZERO,
-                length: Time::ZERO,
-            }
-        }
-        Some(snap) => {
-            restore_snapshot(snap, ckpts, moved, &scratch.expanded, &mut scratch.core);
-            accumulate_cost(graph, &scratch.core.completion)
-        }
+            None,
+        )
+        .map(CostOutcome::from)
     };
-    let placed = snap.map_or(0, |s| s.placed);
-    // A bound tighter than the restored prefix (possible when the
-    // caller bounds by a window winner better than the base) aborts
-    // immediately — the prefix cost already certifies the overrun.
-    if let Some(b) = bound {
-        if running > b {
-            scratch.expanded.unpatch(moved, &scratch.undo_insts);
-            return Ok(CostOutcome::LowerBound(running));
-        }
-    }
-
-    let drive_res = drive_placement(
-        graph,
-        &scratch.expanded,
-        &scratch.priorities,
-        bus,
-        fm,
-        options,
-        &mut scratch.core,
-        &mut CostOnly,
-        placed,
-        running,
-        bound,
-        None,
-    );
     // Always restore the base expansion, error or not.
     scratch.expanded.unpatch(moved, &scratch.undo_insts);
-    let outcome = drive_res?;
-    Ok(outcome.into())
+    outcome
 }
 
-/// Brings the worker's expansion to the window base and patches the
-/// moved process's decision in place, updates the priorities
-/// incrementally (the moved process and its ancestors — the only
-/// ranks a decision change can reach, since ranks flow backwards and
-/// effective deadlines are design-independent), and returns the
-/// structural resume limit.
+/// Brings the worker's expansion to the window base, patches the
+/// moved process's decision in place and updates the priorities
+/// incrementally.
 ///
 /// The caller owns the unpatch.
 #[allow(clippy::too_many_arguments)]
@@ -813,7 +593,7 @@ fn prepare_candidate<W: WcetLookup + ?Sized>(
     moved: ProcessId,
     scratch: &mut CostScratch,
     ckpts: &PlacementCheckpoints,
-) -> Result<usize, SchedError> {
+) -> Result<(), SchedError> {
     // Bring the worker's expansion to the window base (once per
     // worker per window), then patch only the moved process's range
     // in place — undone after the run, so the next candidate of the
@@ -848,22 +628,15 @@ fn prepare_candidate<W: WcetLookup + ?Sized>(
         |p| ckpts.reaches(p, moved),
         changed,
     );
-
-    // The structurally affected prefix: the moved process, or a
-    // predecessor whose bus booking flips.
-    Ok(ckpts.resume_limit(graph, moved, expanded))
+    Ok(())
 }
 
-/// The splice-engagement step shared by [`schedule_cost_resumed`] and
+/// The splice step shared by [`schedule_cost_resumed`] and
 /// [`schedule_cost_spliced`], entered once the order certificate
 /// produced a float plan: routes the moved process through the float
 /// machinery (degenerately when its own slot stands), computes the
-/// affected cone, applies the profitability gate when the caller
-/// passes the PR 2 fallback's resume position, and executes the
-/// splice.
-///
-/// Returns `None` when the gate rejects (the caller falls back to the
-/// checkpoint replay — and owns the expansion unpatch either way).
+/// affected cone and executes the splice. The caller owns the
+/// expansion unpatch.
 #[allow(clippy::too_many_arguments)]
 fn splice_candidate(
     graph: &ProcessGraph,
@@ -874,8 +647,7 @@ fn splice_candidate(
     scratch: &mut CostScratch,
     ckpts: &PlacementCheckpoints,
     bound: Option<ScheduleCost>,
-    gate_resume: Option<usize>,
-) -> Option<Result<CostOutcome, SchedError>> {
+) -> Result<CostOutcome, SchedError> {
     if !scratch.float_plan.floats.iter().any(|f| f.process == moved) {
         let slot = ckpts.position[moved.index()];
         scratch.float_plan.floats.push(FloatMove {
@@ -892,30 +664,9 @@ fn splice_candidate(
         ..
     } = scratch;
     crate::delta::compute_cone(graph, expanded, moved, &float_plan.floats, ckpts, splice);
-    if let Some(resume_pos) = gate_resume {
-        // Profitability gate: the splice re-places `n_affected`
-        // processes and replays `n_rebook` senders' bookings, plus a
-        // fixed copy/restore overhead; the resumed path re-places
-        // everything from the snapshot at/below its resume position.
-        // Deep-search cones (replicated decisions dirty most nodes)
-        // can approach the whole suffix — splicing there pays the
-        // overhead for nothing, so fall back. Deterministic (a pure
-        // function of the candidate), hence trajectory-neutral.
-        let n = ckpts.order.len();
-        let pr2_replay = n - ckpts.snapshot_floor(resume_pos);
-        // A spliced placement costs ~3/8 of a replayed one (no
-        // ready-list selection or bookkeeping), a booking replay
-        // ~1/4, plus a fixed copy/restore overhead — measured on
-        // the perfgate workloads (`synthbench --trace 1` reproduces
-        // the comparison: `incr.spliced_us` vs `incr.resumed_us`).
-        let splice_cost = splice.n_affected * 3 / 8 + splice.n_rebook / 4 + 4 + n / 8;
-        if splice_cost >= pr2_replay {
-            return None;
-        }
-    }
-    Some(crate::delta::execute(
+    crate::delta::execute(
         graph, expanded, moved, bus, fm, options, core, splice, ckpts, bound,
-    ))
+    )
 }
 
 /// Evaluates a single-move candidate through the **suffix-splicing
@@ -928,10 +679,10 @@ fn splice_candidate(
 /// candidate's ready order diverges from the recorded order, or the
 /// checkpoints carry no segment recording
 /// ([`ScheduleOptions::suffix_splice`] was off while they were
-/// recorded) — in which case the caller falls back to
-/// [`schedule_cost_resumed`]'s checkpoint replay (which itself tries
-/// the splice first, so callers normally just call that). Exposed
-/// separately so parity tests and profilers can pin the engine.
+/// recorded) — in which case [`schedule_cost_resumed`] places the
+/// candidate from position 0 (it tries the splice first, so callers
+/// normally just call that). Exposed separately so parity tests and
+/// profilers can pin the engine.
 ///
 /// A `Some` outcome carries the same classification contract as
 /// [`schedule_cost_resumed`]: the exact cost when it is within
@@ -964,91 +715,17 @@ pub fn schedule_cost_spliced<W: WcetLookup + ?Sized>(
     if !ckpts.segments.is_recorded() {
         return Ok(None);
     }
-    let _limit = prepare_candidate(graph, wcet, fm, bus, design, moved, scratch, ckpts)?;
-    let cert = ckpts.order_certificate(
-        graph,
-        &scratch.priorities,
-        &scratch.changed,
-        &mut scratch.float_plan,
-    );
-    let result = if let OrderCert::Splice { .. } = cert {
-        splice_candidate(graph, bus, fm, moved, options, scratch, ckpts, bound, None)
-    } else {
-        None
-    };
+    prepare_candidate(graph, wcet, fm, bus, design, moved, scratch, ckpts)?;
+    let result = ckpts
+        .order_certificate(
+            graph,
+            &scratch.priorities,
+            &scratch.changed,
+            &mut scratch.float_plan,
+        )
+        .then(|| splice_candidate(graph, bus, fm, moved, options, scratch, ckpts, bound));
     scratch.expanded.unpatch(moved, &scratch.undo_insts);
-    match result {
-        Some(r) => r.map(Some),
-        None => Ok(None),
-    }
-}
-
-/// Restores `snap` into the live scratch, remapping instance ids from
-/// the base expansion to the candidate's (ids past the moved
-/// process's base range shift by the replica-count delta; the
-/// `(edge, replica)`-keyed arrivals copy verbatim).
-fn restore_snapshot(
-    snap: &Snapshot,
-    ckpts: &PlacementCheckpoints,
-    moved: ProcessId,
-    expanded: &ExpandedDesign,
-    core: &mut SchedScratch,
-) {
-    let base = ckpts.expanded.of_process(moved);
-    // Zero base replicas cannot happen (every decision maps at least
-    // one replica), but fall back to a no-shift remap.
-    let old_start = base.first().map_or(ckpts.expanded.len(), |id| id.index());
-    let old_end = old_start + base.len();
-    let delta = expanded.len() as i64 - ckpts.expanded.len() as i64;
-    let remap = |id: InstanceId| -> InstanceId {
-        if id.index() < old_end && id.index() >= old_start {
-            unreachable!("the moved process is never placed inside a restored prefix");
-        }
-        if id.index() < old_start {
-            id
-        } else {
-            InstanceId::new((id.index() as i64 + delta) as u32)
-        }
-    };
-
-    core.remaining_preds.clone_from(&snap.remaining_preds);
-    core.ready.clone_from(&snap.ready);
-
-    core.times.clear();
-    core.times.resize(expanded.len(), Time::ZERO);
-    core.times[..old_start].copy_from_slice(&snap.times[..old_start]);
-    let new_end = (old_end as i64 + delta) as usize;
-    core.times[new_end..].copy_from_slice(&snap.times[old_end..]);
-
-    // Only read by the segment recorder (full runs) and the splice
-    // executor (which sizes it itself) — but the placement writes it
-    // per instance, so it must cover the candidate expansion.
-    core.wc_times.clear();
-    core.wc_times.resize(expanded.len(), Time::ZERO);
-
-    core.completion.clone_from(&snap.completion);
-
-    core.nodes.truncate(ckpts.node_count);
-    if core.nodes.len() < ckpts.node_count {
-        core.nodes.resize_with(ckpts.node_count, Default::default);
-    }
-    for (live, saved) in core.nodes[..ckpts.node_count].iter_mut().zip(&snap.nodes) {
-        live.avail = saved.avail;
-        live.last = saved.last.map(remap);
-        live.slack.clone_from_account(&saved.slack);
-        live.slack.remap_ids(remap);
-        live.frontier.clone_from(&saved.frontier);
-        live.delay_k = saved.delay_k;
-    }
-
-    core.placed.clear();
-    core.placed.resize(ckpts.order.len(), false);
-    for &p in &ckpts.order[..snap.placed] {
-        core.placed[p.index()] = true;
-    }
-
-    core.arrivals.copy_from(&snap.arrivals);
-    core.occupancy.clone_from(&snap.occupancy);
+    result.transpose()
 }
 
 #[cfg(test)]
@@ -1059,6 +736,7 @@ mod tests {
     use ftdes_model::graph::Message;
     use ftdes_model::ids::NodeId;
     use ftdes_model::policy::FtPolicy;
+    use ftdes_model::time::Time;
     use ftdes_model::wcet::WcetTable;
 
     /// A fault budget far above the node count: the arrival table is

@@ -32,19 +32,18 @@
 //!   placement state proves the candidate cannot beat the incumbent.
 //!   Certificates combine the running worst-case completions and an
 //!   O(nodes) remaining-computation lookahead.
-//! * [`schedule_cost_resumed`] — single-move candidates first try the
-//!   **suffix-splicing engine** (evaluation engine v3): the recorder
-//!   additionally captures per-node placement segments and
+//! * [`schedule_cost_resumed`] — single-move candidates scored
+//!   against the winner's [`incremental::PlacementCheckpoints`]
+//!   through the **suffix-splicing engine** (evaluation engine v3):
+//!   the recorder captures per-node placement segments and
 //!   per-(node, slot) bus timelines, an order certificate proves the
 //!   candidate replays the recorded selection order (possibly with
 //!   priority-changed processes *floating* to certified landing
 //!   slots), and only the certified **affected cone** is re-placed —
-//!   everything else splices from the recording. Falls back to the
-//!   PR 2 checkpoint-resumed replay (latest
-//!   [`incremental::PlacementCheckpoints`] prefix the move provably
-//!   cannot affect) when the independence proof fails or the cone
-//!   approaches the whole suffix. [`schedule_cost_spliced`] pins the
-//!   splice engine for tests and profilers.
+//!   everything else splices from the recording. A candidate whose
+//!   certificate fails is placed from position 0 on its patched
+//!   expansion. [`schedule_cost_spliced`] pins the splice engine for
+//!   tests and profilers.
 //!
 //! A bus-configuration probe (a slot swap of the bus-access
 //! optimization) shifts slot timing globally, so it runs

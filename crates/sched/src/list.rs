@@ -37,8 +37,7 @@
 //!
 //! Booked message arrivals live in one flat table indexed by
 //! `(edge, sender replica)` (`Arrivals`): a delivery lookup is one
-//! index, and prefix snapshots and splice recordings restore the
-//! table by plain copy. Whether an edge's message needs the bus is
+//! index, and the splice recording restores the table by plain copy. Whether an edge's message needs the bus is
 //! the expansion's O(1) sole-node test ([`ExpandedDesign`]).
 
 use ftdes_model::architecture::Architecture;
@@ -126,13 +125,14 @@ pub struct ScheduleOptions {
     /// timelines (the `segments` module); a candidate then computes
     /// its certified **affected cone** (the `delta` module) and
     /// re-places only the cone, splicing the base recording's
-    /// segments for every node and slot outside it. Falls back to the
-    /// PR 2 checkpoint-resumed replay whenever the independence proof
-    /// fails (ready-order divergence, or no segments recorded). Pure
+    /// segments for every node and slot outside it. A candidate whose
+    /// order certificate fails (or any candidate, with the knob off)
+    /// re-places from position 0 on its patched expansion. Pure
     /// throughput knob — spliced costs are bit-identical to full
     /// placement (guarded by the `splice.rs` parity tests in
     /// `ftdes-core`), so search trajectories are invariant; disable
-    /// to measure the PR 2/3 resumed path.
+    /// to measure the splice's gain (off, recording also skips the
+    /// segments).
     pub suffix_splice: bool,
 }
 
@@ -185,9 +185,6 @@ pub struct SchedScratch {
     /// Bus-slot occupancy (used bytes per slot occurrence, through
     /// the active [`OccupancyBackend`]).
     pub(crate) occupancy: SlotOccupancy,
-    /// Whether each process has been placed (bounded runs' lookahead
-    /// scans skip placed processes).
-    pub(crate) placed: Vec<bool>,
     /// Per-node sums of unplaced instances' WCETs, maintained by
     /// bounded runs for the O(nodes) lookahead check.
     pub(crate) look_sum: Vec<Time>,
@@ -389,10 +386,9 @@ pub fn list_schedule_scratch<W: WcetLookup + ?Sized>(
     list_schedule_recording(graph, arch, wcet, fm, bus, design, options, scratch, None)
 }
 
-/// [`list_schedule_scratch`] that additionally records resumable
-/// prefix checkpoints of the placement into `ckpts` (when given) —
-/// the incremental evaluation engine replays single-move candidates
-/// from these instead of re-placing the whole instance order (see
+/// [`list_schedule_scratch`] that additionally records the placement
+/// into `ckpts` (when given) — the base recording the incremental
+/// evaluation engine scores single-move candidates against (see
 /// [`crate::incremental`]).
 ///
 /// # Errors
@@ -437,11 +433,6 @@ pub fn list_schedule_recording<W: WcetLookup + ?Sized>(
         options,
         scratch,
         &mut sink,
-        0,
-        ScheduleCost {
-            violation: Time::ZERO,
-            length: Time::ZERO,
-        },
         None,
         ckpts.as_deref_mut(),
     )?;
@@ -570,11 +561,6 @@ pub fn schedule_cost_bounded<W: WcetLookup + ?Sized>(
         options,
         &mut scratch.core,
         &mut CostOnly,
-        0,
-        ScheduleCost {
-            violation: Time::ZERO,
-            length: Time::ZERO,
-        },
         bound,
         None,
     )?;
@@ -627,8 +613,6 @@ pub(crate) fn init_placement(
     }
     scratch.arrivals.reset(graph, fm, node_count);
     scratch.occupancy.clear();
-    scratch.placed.clear();
-    scratch.placed.resize(n, false);
 
     // Ready-list management at process granularity: a process is
     // ready once every predecessor process is fully scheduled.
@@ -644,17 +628,15 @@ pub(crate) fn init_placement(
     );
 }
 
-/// The shared placement loop: places every remaining instance from
-/// the state in `scratch` (position `already_placed` of the order),
-/// feeds the sink, and returns the cost accumulated from worst-case
-/// completions.
+/// The shared placement loop: places every instance from the empty
+/// state [`init_placement`] left in `scratch`, feeds the sink, and
+/// returns the cost accumulated from worst-case completions.
 ///
-/// `running` must be the cost accumulated over the already-placed
-/// prefix (zero for a fresh start); when `bound` is given the run
-/// aborts with [`RunCost::Aborted`] as soon as `running` strictly
-/// exceeds it. `recorder` captures resumable prefix checkpoints along
-/// the way (full runs only — never combined with a bound or a resumed
-/// start).
+/// When `bound` is given the run aborts with [`RunCost::Aborted`] as
+/// soon as the accumulated cost, or the certified lookahead on top of
+/// it, strictly exceeds the bound. `recorder` captures the base
+/// recording of the incremental engine along the way (full runs only
+/// — never combined with a bound).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive_placement<S: PlacementSink>(
     graph: &ProcessGraph,
@@ -665,19 +647,21 @@ pub(crate) fn drive_placement<S: PlacementSink>(
     options: ScheduleOptions,
     scratch: &mut SchedScratch,
     sink: &mut S,
-    already_placed: usize,
-    mut running: ScheduleCost,
     bound: Option<ScheduleCost>,
     mut recorder: Option<&mut PlacementCheckpoints>,
 ) -> Result<RunCost, SchedError> {
     debug_assert!(
-        recorder.is_none() || (bound.is_none() && already_placed == 0),
+        recorder.is_none() || bound.is_none(),
         "checkpoints are recorded on full unbounded runs only"
     );
     let k = fm.k();
     let mu = fm.mu();
     let n = graph.process_count();
-    let mut scheduled = already_placed;
+    let mut scheduled = 0;
+    let mut running = ScheduleCost {
+        violation: Time::ZERO,
+        length: Time::ZERO,
+    };
     scratch.occupancy.set_backend(options.occupancy);
 
     if let Some(bound) = bound {
@@ -686,13 +670,10 @@ pub(crate) fn drive_placement<S: PlacementSink>(
         scratch.look_sum.clear();
         scratch.look_sum.resize(scratch.nodes.len(), Time::ZERO);
         for inst in expanded.instances() {
-            if !scratch.placed[inst.process.index()] {
-                scratch.look_sum[inst.node.index()] += inst.exec;
-            }
+            scratch.look_sum[inst.node.index()] += inst.exec;
         }
-        // Entry check: a resumed prefix (or an outright hopeless
-        // candidate) can already certify the overrun before a single
-        // further placement.
+        // Entry check: an outright hopeless candidate certifies the
+        // overrun before a single placement.
         let certified = certified_lookahead(scratch, running);
         if certified > bound {
             return Ok(RunCost::Aborted(certified));
@@ -702,7 +683,6 @@ pub(crate) fn drive_placement<S: PlacementSink>(
     while let Some(pos) = select_best(&scratch.ready, priorities) {
         let p = scratch.ready.swap_remove(pos);
         place_process(p, graph, expanded, bus, k, mu, options, scratch, sink)?;
-        scratch.placed[p.index()] = true;
         scheduled += 1;
         for s in graph.successors_of(p) {
             scratch.remaining_preds[s.index()] -= 1;
@@ -711,7 +691,7 @@ pub(crate) fn drive_placement<S: PlacementSink>(
             }
         }
         if let Some(rec) = recorder.as_deref_mut() {
-            rec.note_placed(p, graph, scratch, scheduled, n);
+            rec.note_placed(p, graph, scratch);
         }
         if let Some(bound) = bound {
             for &sid in expanded.of_process(p) {
@@ -759,9 +739,7 @@ pub(crate) fn drive_placement<S: PlacementSink>(
 ///
 /// Every term is a lower bound on its final-schedule counterpart, so
 /// exceeding the caller's bound here certifies the final cost does
-/// too — and the whole value is a pure function of the candidate and
-/// its placement state, so resumed and from-scratch bounded runs
-/// classify identically.
+/// too.
 pub(crate) fn certified_lookahead(scratch: &SchedScratch, running: ScheduleCost) -> ScheduleCost {
     let mut look = running.length;
     for (ns, &remaining) in scratch.nodes.iter().zip(&scratch.look_sum) {
@@ -776,9 +754,9 @@ pub(crate) fn certified_lookahead(scratch: &SchedScratch, running: ScheduleCost)
 }
 
 /// The exact `(violation, length)` cost of the completions
-/// accumulated so far — also used to re-derive the running cost of a
-/// restored checkpoint prefix (unplaced processes contribute their
-/// zero completion, i.e. nothing).
+/// accumulated so far — also the splice's cost of its spliced
+/// completions (unplaced processes contribute their zero completion,
+/// i.e. nothing).
 pub(crate) fn accumulate_cost(graph: &ProcessGraph, completion: &[Time]) -> ScheduleCost {
     let mut violation = Time::ZERO;
     let mut length = Time::ZERO;

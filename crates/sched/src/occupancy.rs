@@ -112,7 +112,7 @@ impl std::fmt::Display for OccupancyBackend {
 /// the round is saturated (`used == capacity`); bits at/above the
 /// horizon are kept zero, so the inverted-word scan naturally treats
 /// them as bookable.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct DenseSlot {
     used: Vec<u32>,
     sat: Vec<u64>,
@@ -121,11 +121,9 @@ struct DenseSlot {
 /// Horizon growth quantum of the bitmap backend: extending a slot's
 /// dense arrays rounds the new horizon up to a multiple of this, so
 /// long schedules grow in a few chunked reallocations instead of one
-/// per booked round. One saturation word per chunk keeps the quantum
-/// small: the dense arrays are memcpy'd into every placement
-/// checkpoint and restored once per resumed candidate, so slack
-/// between the horizon and the last booked round is pure copy
-/// overhead on the engine's hottest resume path.
+/// per booked round. One chunk is one saturation word, so a slot
+/// carries less than a word's worth of unbooked rounds past its last
+/// booking.
 const DENSE_CHUNK: usize = 64;
 
 impl DenseSlot {
@@ -192,11 +190,6 @@ impl DenseSlot {
         self.used.clear();
         self.sat.clear();
     }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.used.clone_from(&source.used);
-        self.sat.clone_from(&source.sat);
-    }
 }
 
 /// Per-(node, slot) occupancy of the TDMA bus, reused across
@@ -217,33 +210,6 @@ pub(crate) struct SlotOccupancy {
     flat: Vec<(u64, usize, u32)>,
     /// The active booking structure.
     backend: OccupancyBackend,
-}
-
-impl Clone for SlotOccupancy {
-    fn clone(&self) -> Self {
-        SlotOccupancy {
-            dense: self.dense.clone(),
-            flat: self.flat.clone(),
-            backend: self.backend,
-        }
-    }
-
-    /// Buffer-reusing clone: checkpoint snapshots capture and restore
-    /// the occupancy through `clone_from` once per resumed candidate
-    /// — the resume hot path — so the per-slot arrays must reuse their
-    /// allocations instead of falling back to the derive's
-    /// reallocating `*self = source.clone()`.
-    fn clone_from(&mut self, source: &Self) {
-        self.dense.truncate(source.dense.len());
-        for (dst, src) in self.dense.iter_mut().zip(&source.dense) {
-            dst.clone_from(src);
-        }
-        for src in &source.dense[self.dense.len()..] {
-            self.dense.push(src.clone());
-        }
-        self.flat.clone_from(&source.flat);
-        self.backend = source.backend;
-    }
 }
 
 /// Entry ceiling for the debug-build parity oracle: while the flat
@@ -267,9 +233,8 @@ impl SlotOccupancy {
     }
 
     /// Selects the booking backend. Called at the start of every
-    /// placement run; switching backends on a non-empty table is not
-    /// supported (a resumed run restores a snapshot recorded under
-    /// the same options it resumes with).
+    /// placement run, after the table was cleared; switching backends
+    /// on a non-empty table is not supported.
     pub(crate) fn set_backend(&mut self, backend: OccupancyBackend) {
         debug_assert!(
             backend == self.backend
@@ -552,19 +517,6 @@ mod tests {
             assert_eq!(occ.slot_bytes(2), 0, "{backend}");
             assert_eq!(occ.book(0, 0, 4, 4), Ok(0), "{backend}: table empty again");
         }
-    }
-
-    #[test]
-    fn clone_from_restores_bitmap_state() {
-        let mut occ = with_backend(OccupancyBackend::Bitmap);
-        occ.book(0, 0, 4, 4).unwrap();
-        occ.book(0, 1, 4, 4).unwrap();
-        let snap = occ.clone();
-        occ.book(0, 0, 4, 4).unwrap(); // lands at 2
-        let mut restored = with_backend(OccupancyBackend::Bitmap);
-        restored.clone_from(&snap);
-        assert_eq!(restored.slot_bytes(0), 8);
-        assert_eq!(restored.book(0, 0, 4, 4), Ok(2), "restored to the snapshot");
     }
 
     #[test]

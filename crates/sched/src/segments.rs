@@ -1,16 +1,12 @@
 //! Segment-structured recordings of one base placement: the data the
 //! suffix-splicing engine reuses.
 //!
-//! The PR 2 incremental engine records *horizontal* prefix snapshots
-//! (the complete scheduler state every `stride` positions) and
-//! replays the whole suffix of a candidate from the latest snapshot
-//! the move cannot affect. That bounds reuse by the resume *position*
-//! — and moves target critical-path processes, which the list
-//! scheduler places first, so the resumable prefix averages only
-//! ~20% of the order on the paper-family gate workload.
-//!
-//! This module records the complementary *vertical* decomposition
-//! while the search materializes each iteration's winner anyway:
+//! Reuse bounded by a resume *position* pays little: moves target
+//! critical-path processes, which the list scheduler places first, so
+//! the unchanged prefix of a candidate averages only ~20% of the
+//! order on the paper-family gate workload. This module records a
+//! *vertical* decomposition of the base run instead, while the search
+//! materializes each iteration's winner anyway:
 //!
 //! * **per-node placement segments** ([`NodeTimeline`]): for every
 //!   node, the node-local scheduler state (availability, slack
@@ -151,7 +147,7 @@ pub(crate) struct SlotBooking {
 /// The segment-structured recording of one base placement.
 ///
 /// Lives inside [`crate::incremental::PlacementCheckpoints`] and is
-/// filled by the same `begin` / `note_placed` hooks, gated by
+/// filled by its `begin` / `note_placed` hooks, gated by
 /// [`crate::list::ScheduleOptions::suffix_splice`] so the ablation
 /// knob also removes the recording overhead.
 #[derive(Debug, Default)]

@@ -162,24 +162,6 @@ impl SlackAccount {
     pub fn instance_count(&self) -> u64 {
         self.instance_count
     }
-
-    /// Copies `other`'s state into `self`, reusing the entry buffer —
-    /// checkpoint capture/restore of the incremental engine.
-    pub(crate) fn clone_from_account(&mut self, other: &Self) {
-        self.entries.clone_from(&other.entries);
-        self.total_budget = other.total_budget;
-        self.instance_count = other.instance_count;
-    }
-
-    /// Rewrites every registered instance id through `f` — restoring
-    /// a checkpoint into an expansion whose ids are shifted past the
-    /// moved process. Entry order (and therefore every delay query)
-    /// is untouched.
-    pub(crate) fn remap_ids(&mut self, f: impl Fn(InstanceId) -> InstanceId) {
-        for e in &mut self.entries {
-            e.2 = f(e.2);
-        }
-    }
 }
 
 #[cfg(test)]
