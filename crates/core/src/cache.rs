@@ -364,8 +364,8 @@ impl<'p> Evaluator<'p> {
         // sharing produce different costs for the same design, so a
         // shared cache (sweeps, the portfolio's diversified workers)
         // must never alias their entries. Pure throughput knobs
-        // (occupancy backend, lookaheads, splicing) deliberately stay
-        // out — their costs are bit-identical by contract.
+        // (occupancy backend, splicing) deliberately stay out — their
+        // costs are bit-identical by contract.
         let opts = problem.schedule_options();
         ctx.mix(u64::from(opts.slack_sharing) | (opts.priority as u64) << 1);
         let context_fp = ctx.finish() as u64;

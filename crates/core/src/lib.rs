@@ -39,9 +39,8 @@
 //!   (`incremental` / `bounded`) and [`problem::Problem`]
 //!   ([`problem::Problem::with_occupancy_backend`],
 //!   [`problem::Problem::with_suffix_splice`]) — every one of them
-//!   is a pure throughput knob, bit-identical by the parity tests in
-//!   `tests/incremental.rs`, `tests/splice.rs` and
-//!   `tests/determinism.rs`.
+//!   is a pure throughput knob, bit-identical by the workspace's
+//!   engine parity suite (`tests/engine_parity/`).
 //!   [`problem::Problem::with_priority_strategy`] (and
 //!   [`SearchConfig::priority`]) select the ready-list priority
 //!   function instead — a **search-space knob** whose strategies

@@ -67,19 +67,10 @@ pub fn candidate_decisions(
     if eligible.is_empty() {
         return Vec::new();
     }
-    // Levels beyond the number of eligible nodes fall back to the
-    // largest feasible level (re-executed replicas make up the
-    // budget), mirroring `initial_mpa`.
-    let mut levels: Vec<u32> = space
-        .allowed_levels(fm)
-        .into_iter()
-        .map(|r| r.min(eligible.len() as u32))
-        .collect();
-    levels.sort_unstable();
-    levels.dedup();
-
+    // Levels are capped at the eligible node count, mirroring
+    // `initial_mpa`.
     let mut out = Vec::new();
-    for r in levels {
+    for r in space.allowed_levels(fm, eligible.len() as u32) {
         let base_policy = match FtPolicy::new(process, r, fm) {
             Ok(p) => p,
             Err(_) => continue,
@@ -89,9 +80,6 @@ pub fn candidate_decisions(
             PolicyConstraint::Reexecution if base_policy.replicas() == 1 => {}
             PolicyConstraint::Replication if base_policy.replicas() == fm.max_replicas() => {}
             _ => continue,
-        }
-        if (r as usize) > eligible.len() {
-            continue; // not enough distinct eligible nodes
         }
         // The checkpoint axis: a budgeted primary may roll back at
         // n ∈ 1..=max_checkpoints segments; without a budget only

@@ -149,9 +149,10 @@ impl Problem {
     /// whose order certificate fails is placed from position 0. Pure
     /// throughput knob — spliced costs are bit-identical to full
     /// placement, so exact costs, pruning classification and search
-    /// trajectories are invariant (guarded by `tests/splice.rs`);
-    /// `false` places every candidate from position 0 and skips the
-    /// segment recording — the splice gate's reference arm.
+    /// trajectories are invariant (guarded by the workspace's
+    /// `tests/splice.rs`); `false` places every candidate from
+    /// position 0 and skips the segment recording — the splice gate's
+    /// reference arm.
     #[must_use]
     pub fn with_suffix_splice(mut self, enabled: bool) -> Self {
         self.options.suffix_splice = enabled;

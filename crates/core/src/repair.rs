@@ -68,9 +68,9 @@ use crate::tabu::tabu_search_mpa_with;
 /// the unchanged architecture and bus, with designer constraints
 /// remapped to the new id space (a mapping constraint pinning a
 /// process to a node that died is dropped — keeping it would make the
-/// process unplaceable by decree) and the engine knobs
-/// (checkpoint range, splice/lookahead/occupancy toggles) carried
-/// over.
+/// process unplaceable by decree) and the engine knobs (checkpoint
+/// range, splice switch, occupancy backend and priority strategy)
+/// carried over.
 ///
 /// # Errors
 ///

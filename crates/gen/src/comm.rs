@@ -88,7 +88,7 @@ impl CommHeavyParams {
     /// 3, so placements are dominated by booking thousands of messages
     /// into contended TDMA rounds — the regime where the booking
     /// structure dominates per-candidate cost (the benchmark's
-    /// `comm_stress` workload, the occupancy parity suite).
+    /// `comm_stress` workload, the engine parity suite).
     #[must_use]
     pub fn stress(processes: usize) -> Self {
         CommHeavyParams::dense(processes)

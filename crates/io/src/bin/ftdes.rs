@@ -347,9 +347,13 @@ impl Options {
                         .map_err(|_| "invalid --nodes".to_owned())?;
                 }
                 "--k" => {
-                    o.family.get_or_insert_with(Default::default).k = value("--k")?
+                    let k: u32 = value("--k")?
                         .parse()
                         .map_err(|_| "invalid --k".to_owned())?;
+                    if k > FaultModel::MAX_K {
+                        return Err(format!("invalid --k: {k} (at most {})", FaultModel::MAX_K));
+                    }
+                    o.family.get_or_insert_with(Default::default).k = k;
                 }
                 "--mu-ms" => {
                     o.family.get_or_insert_with(Default::default).mu =

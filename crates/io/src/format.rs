@@ -328,13 +328,22 @@ impl<'a> Parser<'a> {
             let (key, value) = split_kv(ln, tok)?;
             match key {
                 "k" => {
-                    k = Some(value.parse::<u32>().map_err(|_| {
-                        ParseProblemError::with_kind(
-                            ln,
-                            ErrorKind::InvalidValue,
-                            format!("invalid fault count {value:?}"),
-                        )
-                    })?);
+                    k = Some(
+                        value
+                            .parse::<u32>()
+                            .ok()
+                            .filter(|&k| k <= FaultModel::MAX_K)
+                            .ok_or_else(|| {
+                                ParseProblemError::with_kind(
+                                    ln,
+                                    ErrorKind::InvalidValue,
+                                    format!(
+                                        "invalid fault count {value:?} (at most {})",
+                                        FaultModel::MAX_K
+                                    ),
+                                )
+                            })?,
+                    );
                 }
                 "mu" => mu = Some(parse_time(ln, value)?),
                 "chi" => chi = Some(parse_time(ln, value)?),

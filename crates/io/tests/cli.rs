@@ -121,6 +121,75 @@ wcet y * 1ms
     );
 }
 
+/// The largest accepted fault count, `FaultModel::MAX_K`.
+const MAX_K: &str = "4294967294";
+
+/// A two-node pipeline tolerating `k` faults.
+fn fault_count_problem(k: &str) -> String {
+    format!(
+        "
+architecture A B
+fault_model k={k} mu=1ms
+bus slot_bytes=4 byte_time=1us
+graph period=100ms
+process x
+process y
+edge x y bytes=2
+wcet x * 1ms
+wcet y * 1ms
+"
+    )
+}
+
+#[test]
+fn solve_with_the_largest_fault_count_fails_cleanly() {
+    // Replication levels stop at the node count, so k + 1 = 2³² − 1
+    // allocates nothing per level; the re-execution budget pushes x's
+    // message past the booking horizon, a classified error.
+    let path = write_problem("max-k.ftd", &fault_count_problem(MAX_K));
+    let file = ["solve", path.to_str().unwrap(), "--time-ms", "200"];
+    let family = [
+        "solve",
+        "--family",
+        "paper",
+        "--procs",
+        "4",
+        "--nodes",
+        "2",
+        "--k",
+        MAX_K,
+        "--time-ms",
+        "200",
+    ];
+    for args in [&file[..], &family[..]] {
+        let out = ftdes(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.code() == Some(0)
+                || (out.status.code() == Some(1) && stderr.contains("past the booking horizon")),
+            "{args:?}: {:?}, stderr: {stderr}",
+            out.status
+        );
+    }
+}
+
+#[test]
+fn a_fault_count_without_a_replica_count_is_rejected() {
+    // k + 1 replicas must fit a u32.
+    let path = write_problem("over-k.ftd", &fault_count_problem("4294967295"));
+    let out = ftdes(&["solve", path.to_str().unwrap(), "--time-ms", "200"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(65), "stderr: {stderr}");
+    assert!(stderr.contains("\"4294967295\""), "stderr: {stderr}");
+    let out = family_info("--k", "4294967295");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains(&format!("invalid --k: 4294967295 (at most {MAX_K})")),
+        "stderr: {stderr}"
+    );
+}
+
 #[test]
 fn solve_rejects_a_wrapping_worst_case() {
     // Three executions (k = 2) of a 9.2·10¹⁸ µs WCET do not fit in

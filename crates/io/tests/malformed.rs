@@ -80,6 +80,17 @@ fn rejects_negative_counts() {
 }
 
 #[test]
+fn rejects_a_fault_count_past_the_replica_range() {
+    // k + 1 replicas must fit a u32: the largest k parses, one more
+    // is rejected by value.
+    let text = VALID.replace("k=1", "k=4294967294");
+    parse_problem(&text).expect("the largest k is accepted");
+    let err = parse_err(&VALID.replace("k=1", "k=4294967295"));
+    assert_eq!(err.kind, ErrorKind::InvalidValue, "{err}");
+    assert!(err.message.contains("4294967295"), "{err}");
+}
+
+#[test]
 fn rejects_duplicate_node_ids() {
     let err = parse_err("architecture A B A\n");
     assert_eq!(err.kind, ErrorKind::Duplicate);

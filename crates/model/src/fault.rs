@@ -62,10 +62,18 @@ pub struct FaultModel {
 }
 
 impl FaultModel {
+    /// The largest supported fault count: `k + 1` replicas
+    /// ([`FaultModel::max_replicas`]) must fit a `u32`. Input
+    /// front-ends reject a larger `k`.
+    pub const MAX_K: u32 = u32::MAX - 1;
+
     /// Creates a fault model tolerating `k` transient faults of
     /// worst-case duration `mu` each. The checkpointing overhead `χ`
     /// defaults to zero; set it with
     /// [`FaultModel::with_checkpoint_overhead`].
+    ///
+    /// `k` must not exceed [`FaultModel::MAX_K`]: a larger count
+    /// overflows [`FaultModel::max_replicas`].
     #[must_use]
     pub const fn new(k: u32, mu: Time) -> Self {
         FaultModel {

@@ -50,9 +50,8 @@
 //! replayed bookings overwrite their arrival entries in place; the
 //! table is keyed by replica, not instance, so it needs no id remap
 //! when the move changes a replica count.
-//! Parity is guarded by the `splice.rs` property tests in
-//! `ftdes-core` (spliced ≡ full bit-identical on random move
-//! sequences).
+//! Parity is guarded by the workspace's `tests/splice.rs` (spliced ≡
+//! full bit-identical on random move sequences).
 //!
 //! Bounded runs classify identically to
 //! [`crate::schedule_cost_bounded`] ("exact iff cost ≤ bound"): the

@@ -26,8 +26,8 @@
 //!   position 0 on the patched expansion and priorities.
 //!
 //! Both paths return bit-identical costs to [`crate::schedule_cost`]
-//! — guarded by the `resumed_equals_full` and `spliced_equals_full`
-//! property tests in `ftdes-core`.
+//! — guarded by the workspace's `tests/splice.rs` and
+//! `tests/incremental.rs`.
 
 use ftdes_model::architecture::Architecture;
 use ftdes_model::design::Design;

@@ -129,10 +129,9 @@ pub struct ScheduleOptions {
     /// order certificate fails (or any candidate, with the knob off)
     /// re-places from position 0 on its patched expansion. Pure
     /// throughput knob — spliced costs are bit-identical to full
-    /// placement (guarded by the `splice.rs` parity tests in
-    /// `ftdes-core`), so search trajectories are invariant; disable
-    /// to measure the splice's gain (off, recording also skips the
-    /// segments).
+    /// placement (guarded by the workspace's `tests/splice.rs`), so
+    /// search trajectories are invariant; disable to measure the
+    /// splice's gain (off, recording also skips the segments).
     pub suffix_splice: bool,
 }
 

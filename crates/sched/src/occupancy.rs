@@ -72,8 +72,8 @@ fn within_horizon(round: u64) -> Result<u64, TtpError> {
 /// Selects which booking structure the slot-occupancy table (the
 /// crate-private `SlotOccupancy`) runs on. Pure
 /// throughput knob: both backends book the identical occurrence
-/// sequence (debug builds assert it per booking; the
-/// `occupancy_parity` property suite asserts it cross-backend), so
+/// sequence (debug builds assert it per booking; the workspace's
+/// engine parity suite asserts it cross-backend), so
 /// costs and search trajectories are bit-identical across backends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OccupancyBackend {

@@ -1,8 +1,8 @@
 //! Golden costs: the exact `(violation, length)` of seeded random
 //! designs, pinned as constants.
 //!
-//! Every engine parity suite compares a fast path (resumed, spliced,
-//! bounded, bus-resumed) against `list_schedule` — which runs the
+//! The engine parity suite compares every fast path (resumed,
+//! spliced, bounded, cached) against `list_schedule` — which runs the
 //! same placement core as the paths it checks. A placement-core error
 //! that is consistent across paths passes all of them. This suite
 //! pins the costs themselves: the full materialization
