@@ -10,10 +10,11 @@
 //! | `... --bin table1c` | Table 1c — overhead vs fault duration µ |
 //! | `... --bin fig10` | Fig. 10 — MX / MR / SFX deviation from MXR |
 //! | `... --bin cruise_control` | the CC case study |
-//! | `... --bin perfgate` | evaluation-throughput gate (paper, 12-node splice and comm-heavy workloads) → `BENCH_tabu.json` |
+//! | `... --bin perfgate` | the engine's speedup over three ablations at equal work (paper, 12-node splice and comm-heavy workloads) → `BENCH_tabu.json` |
 //!
-//! Scale knobs (environment variables; the engine's own,
-//! `FTDES_THREADS`, is documented in the `ftdes-core` crate docs):
+//! Scale knobs of the table and sweep bins (environment variables;
+//! `perfgate` reads none, and the engine's own, `FTDES_THREADS`, is
+//! documented in the `ftdes-core` crate docs):
 //!
 //! * `FTDES_SEEDS` — applications per configuration (paper: 15,
 //!   default here: 5 to keep runs minutes-scale),
@@ -27,36 +28,34 @@
 //!
 //! All of the paper's experiments run the search under a wall-clock
 //! budget ("the shortest schedule within an imposed time limit"), so
-//! **candidate evaluations per second directly determine solution
-//! quality**: more evaluations buy more tabu iterations buy shorter
-//! schedules. The perf gate (`perfgate`) therefore measures, on a
-//! fixed-seed workload and identical budgets:
+//! **candidates scored per second decide solution quality**: more
+//! candidates buy more tabu iterations buy shorter schedules. The
+//! engine's throughput knobs — incremental and bounded evaluation
+//! (`SearchConfig::{incremental, bounded}`), the suffix splice and the
+//! bitmap occupancy — earn their place by the time they save, and
+//! `perfgate` measures exactly that, at **equal work**:
 //!
-//! * `evaluations` — `ListScheduling` runs actually computed
-//!   (cost-only window passes plus one full materialization per
-//!   accepted iteration),
-//! * `cache_hits` — candidate costs served by the memoization cache
-//!   ([`ftdes_core::cache::Evaluator`]) without scheduling at all,
-//! * `pruned` — candidates whose bounded run aborted once provably
-//!   worse than the window incumbent (scored, but far short of a
-//!   full placement),
-//! * `tabu_iterations` — the quantity the budget is spent on,
-//! * for **two** modes on the paper workload: the current
-//!   incremental + bounded default and the from-scratch path
-//!   (`incremental: false, bounded: false` — every candidate placed
-//!   in full, the correctness oracle of the parity suites).
+//! * Candidate selection uses a total order on `(cost, move index)`,
+//!   and every knob is trajectory-invariant, so a fixed-iteration
+//!   search ([`iteration_config`], no wall-clock limit) selects the
+//!   same moves with the knob on or off.
+//! * Each gate therefore runs the default engine and one ablation of
+//!   it as the same fixed-iteration solve on the same instances, on
+//!   one evaluation thread, and fails unless both return the same
+//!   design, cost, `tabu_iterations` and `greedy_steps` for every
+//!   instance. Only the resolution pass's evaluation counts may
+//!   differ.
+//! * The timed quantity is each solve's `SearchStats::elapsed`. The
+//!   arms alternate which runs first over five repetitions, and
+//!   `BENCH_tabu.json` records per arm the median and min seconds,
+//!   and per gate the median, min and max of the per-repetition
+//!   time ratio. CI gates the median ratio of each gate against its
+//!   floor.
 //!
-//! Candidate selection uses a total order on `(cost, move index)`,
-//! so for a fixed iteration/cutoff budget the trajectory is
-//! bit-identical across thread counts, cache settings and evaluation
-//! engines. Under a *wall-clock* budget the faster mode crosses stage
-//! boundaries (the staged-tabu midpoint, per-window cutoffs) at
-//! different trajectory points, so per-seed best lengths can differ
-//! in either direction — iteration counts measure search throughput,
-//! best length stays an informational field. `BENCH_tabu.json`
-//! records both modes plus the speedup ratios; CI fails if the
-//! candidate-rate ratio vs the from-scratch path drops below its
-//! floor (the `splice` and `comm` sections carry their own floors).
+//! A wall-clock window would compare unlike work: the faster arm
+//! crosses the staged-tabu midpoint and the greedy/tabu boundary at
+//! different points, so its candidates mix greedy and tabu windows
+//! in different proportions and its best length differs.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -250,7 +249,8 @@ pub fn synthetic_problem(processes: usize, nodes: usize, k: u32, mu: Time, seed:
 /// average message transfer costs half an average WCET — the workload
 /// where bus waits, not computation, decide schedule length, and
 /// where the bitmap slot occupancy earns its keep. `perfgate`'s
-/// second gated entry runs on exactly this instance.
+/// `comm` gate runs this family at five edges per process
+/// ([`comm_heavy_problem_with`]).
 #[must_use]
 pub fn comm_heavy_problem(processes: usize, nodes: usize, k: u32, mu: Time, seed: u64) -> Problem {
     comm_heavy_problem_with(&CommHeavyParams::dense(processes), nodes, k, mu, seed)

@@ -54,7 +54,7 @@
 //!
 //! | variable | effect |
 //! |---|---|
-//! | `FTDES_THREADS` | worker threads for candidate evaluation when [`SearchConfig::threads`] is `0` (default: available parallelism). Throughput only — without a wall-clock limit, results are bit-identical for every thread count |
+//! | `FTDES_THREADS` | worker threads for candidate evaluation when [`SearchConfig::threads`] is `0` (default: available parallelism), clamped like explicit requests to [`parallel::MAX_THREADS`] (256). Throughput only — without a wall-clock limit, results are bit-identical for every thread count |
 //!
 //! Resolution order and details: [`parallel::effective_threads`].
 //! The benchmark harness (`ftdes-bench`) adds `FTDES_SEEDS` and
@@ -114,7 +114,7 @@ pub mod prelude {
     pub use crate::cache::{CachePool, CandidateEval, EvalCache, EvalOutcome, Evaluator};
     pub use crate::config::{Goal, SearchConfig, SearchStats};
     pub use crate::error::OptError;
-    pub use crate::parallel::{effective_threads, WorkerPool};
+    pub use crate::parallel::{effective_threads, WorkerPool, MAX_THREADS};
     pub use crate::portfolio::{
         optimize_portfolio, optimize_portfolio_with_cache, PortfolioConfig, PortfolioOutcome,
         WorkerSummary,
@@ -135,7 +135,7 @@ pub use cache::{CachePool, CandidateEval, EvalCache, EvalOutcome, Evaluator};
 pub use config::{Goal, SearchConfig, SearchStats};
 pub use error::OptError;
 pub use ftdes_sched::{OccupancyBackend, PriorityStrategy};
-pub use parallel::{effective_threads, WorkerPool};
+pub use parallel::{effective_threads, WorkerPool, MAX_THREADS};
 pub use portfolio::{
     optimize_portfolio, optimize_portfolio_with_cache, PortfolioConfig, PortfolioOutcome,
     WorkerSummary,

@@ -26,13 +26,24 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// Resolves the worker count for a search.
+/// The most worker threads [`effective_threads`] resolves to. Larger
+/// requests, explicit or through `FTDES_THREADS`, are clamped to it:
+/// the thread count only affects throughput, so clamping changes no
+/// result, and a pool never spawns more than `MAX_THREADS - 1`
+/// threads.
+pub const MAX_THREADS: usize = 256;
+
+/// Resolves the worker count for a search, at most [`MAX_THREADS`].
 ///
 /// Priority: an explicit non-zero `requested` (from
 /// `SearchConfig::threads`), then the `FTDES_THREADS` environment
 /// variable, then the machine's available parallelism.
 #[must_use]
 pub fn effective_threads(requested: usize) -> usize {
+    resolve_threads(requested).min(MAX_THREADS)
+}
+
+fn resolve_threads(requested: usize) -> usize {
     if requested > 0 {
         return requested;
     }
@@ -423,7 +434,13 @@ mod tests {
     #[test]
     fn thread_resolution_prefers_explicit_request() {
         assert_eq!(effective_threads(3), 3);
-        assert!(effective_threads(0) >= 1);
+        assert!((1..=MAX_THREADS).contains(&effective_threads(0)));
+    }
+
+    #[test]
+    fn thread_requests_past_the_maximum_are_clamped() {
+        assert_eq!(effective_threads(MAX_THREADS), MAX_THREADS);
+        assert_eq!(effective_threads(MAX_THREADS + 1), MAX_THREADS);
     }
 
     #[test]

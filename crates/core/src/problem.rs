@@ -16,6 +16,7 @@ use ftdes_sched::{
     list_schedule_recording, list_schedule_scratch, list_schedule_with, schedule_cost_bounded,
     schedule_cost_resumed, CostOutcome, CostScratch, OccupancyBackend, PlacementCheckpoints,
     PriorityStrategy, SchedError, SchedScratch, Schedule, ScheduleCost, ScheduleOptions,
+    BOOKING_HORIZON_ROUNDS,
 };
 use ftdes_ttp::config::BusConfig;
 
@@ -25,6 +26,22 @@ use ftdes_ttp::config::BusConfig;
 /// more segments are a free win and the "trade-off" degenerates —
 /// and opens to 4 levels once `χ > 0` gives rollbacks a real price.
 const DEFAULT_CHECKPOINT_LEVELS: u32 = 4;
+
+/// The largest processes × nodes product a problem file or a
+/// generated instance may describe: 2²⁰. [`Problem::new`] builds a
+/// dense processes × nodes WCET matrix, so the parser and the CLI
+/// refuse larger inputs before allocating it. With
+/// [`ftdes_model::merge::MAX_MERGED_PROCESSES`], it keeps an edgeless
+/// graph at both caps (2¹⁴ processes on 64 nodes) solvable in a few
+/// hundred MB.
+pub const MAX_PROCESS_NODE_PAIRS: usize = 1 << 20;
+
+/// The largest worst-case schedule horizon, in microseconds, a problem
+/// may describe ([`Problem::fits_horizon_budget`]): a quarter of the
+/// `u64` range. The scheduler adds up to three horizon-sized times (a
+/// node's availability, its remaining work and its slack delay), so a
+/// problem within this budget cannot wrap [`Time`] arithmetic.
+pub const HORIZON_HEADROOM_US: u64 = u64::MAX / 4;
 
 /// A complete problem instance.
 ///
@@ -433,6 +450,61 @@ impl Problem {
             scratch,
             bound,
         )
+    }
+
+    /// Whether the problem fits the worst-case horizon budget: an upper
+    /// bound on its schedule horizon stays within
+    /// [`HORIZON_HEADROOM_US`] (and does not overflow `u64` itself).
+    /// The bound is the sum of
+    ///
+    /// * `start` or the latest release, whichever is later (the
+    ///   problem-file parser passes the merged hyperperiod,
+    ///   [`crate::repair::apply_delta`] `Time::ZERO`);
+    /// * per process, `k + 1` executions of its largest WCET, each with
+    ///   the recovery overhead µ and the saves of every checkpoint
+    ///   level the problem allows (`χ · (levels − 1)`) — every
+    ///   instance's worst case, placed back to back;
+    /// * [`BOOKING_HORIZON_ROUNDS`] TDMA rounds, past which no message
+    ///   is ever booked.
+    #[must_use]
+    pub fn fits_horizon_budget(&self, start: Time) -> bool {
+        self.horizon_budget(start)
+            .is_some_and(|us| us <= HORIZON_HEADROOM_US)
+    }
+
+    /// The bound of [`Problem::fits_horizon_budget`] in microseconds,
+    /// or `None` when it overflows `u64`.
+    fn horizon_budget(&self, start: Time) -> Option<u64> {
+        let fm = &self.fault_model;
+        let executions = u64::from(fm.k()) + 1;
+        let saves = u64::from(self.max_checkpoints - 1);
+        let overhead = fm
+            .mu()
+            .as_us()
+            .checked_add(fm.chi().as_us().checked_mul(saves)?)?;
+        let mut total = self
+            .graph
+            .processes()
+            .iter()
+            .map(|p| p.release)
+            .fold(start, Time::max)
+            .as_us();
+        for p in self.graph.processes() {
+            let wcet = self
+                .wcet
+                .eligible_nodes(p.id)
+                .map(|(_, t)| t.as_us())
+                .max()
+                .unwrap_or(0);
+            total = total.checked_add(executions.checked_mul(wcet.checked_add(overhead)?)?)?;
+        }
+        let round = self
+            .bus
+            .byte_time()
+            .as_us()
+            .checked_mul(u64::from(self.bus.slot_bytes()))?
+            .checked_mul(self.bus.slots_per_round() as u64)?;
+        total.checked_add(round.checked_mul(BOOKING_HORIZON_ROUNDS)?)
     }
 
     /// The sum over processes of the average WCET — a scale for

@@ -76,7 +76,10 @@ use crate::tabu::tabu_search_mpa_with;
 ///
 /// Propagates every [`ProblemDelta::apply`] error — including
 /// [`ModelError::Unmappable`] when the platform degraded beyond what
-/// any repair can absorb.
+/// any repair can absorb — and returns [`ModelError::InvalidDelta`]
+/// when the post-delta problem overflows the horizon budget
+/// ([`Problem::fits_horizon_budget`], from its latest release: a
+/// problem carries no hyperperiod).
 pub fn apply_delta(
     problem: &Problem,
     delta: &ProblemDelta,
@@ -109,6 +112,11 @@ pub fn apply_delta(
     .with_suffix_splice(opts.suffix_splice)
     .with_occupancy_backend(opts.occupancy)
     .with_priority_strategy(opts.priority);
+    if !new.fits_horizon_budget(Time::ZERO) {
+        return Err(ModelError::InvalidDelta {
+            reason: "the post-delta worst-case schedule horizon overflows its budget",
+        });
+    }
     Ok((new, applied))
 }
 

@@ -13,14 +13,17 @@ use proptest::prelude::*;
 use ftdes_core::cache::EvalCache;
 use ftdes_core::config::SearchConfig;
 use ftdes_core::problem::Problem;
-use ftdes_core::repair::{repair_with_cache, RepairBudget};
+use ftdes_core::repair::{apply_delta, repair_with_cache, RepairBudget};
 use ftdes_core::strategy::Strategy;
 use ftdes_gen::paper_workload;
 use ftdes_model::architecture::Architecture;
 use ftdes_model::delta::{DeltaOp, NewProcess, ProblemDelta};
+use ftdes_model::error::ModelError;
 use ftdes_model::fault::FaultModel;
+use ftdes_model::graph::ProcessGraph;
 use ftdes_model::ids::{NodeId, ProcessId};
 use ftdes_model::time::Time;
+use ftdes_model::wcet::WcetTable;
 use ftdes_ttp::config::BusConfig;
 
 fn small_problem(processes: usize, nodes: usize, seed: u64) -> Problem {
@@ -84,6 +87,41 @@ fn cfg() -> SearchConfig {
         time_limit: Some(Duration::from_millis(150)),
         ..SearchConfig::default()
     }
+}
+
+/// A WCET rescale whose post-delta horizon overflows `u64` is
+/// rejected instead of building a problem whose schedule wraps
+/// [`Time`]: three independent 1.8·10¹⁵ µs processes on one node with
+/// k = 100 fit the budget, and scaled to 10000 % they do not.
+#[test]
+fn apply_delta_holds_the_post_delta_problem_to_the_horizon_budget() {
+    let mut graph = ProcessGraph::new(0.into());
+    let processes: Vec<_> = (0..3).map(|_| graph.add_process()).collect();
+    let wcet: WcetTable = processes
+        .iter()
+        .map(|&p| (p, NodeId::new(0), Time::from_ms(1_800_000_000_000)))
+        .collect();
+    let arch = Architecture::with_node_count(1);
+    let bus = BusConfig::initial(&arch, 1, Time::from_us(2_500)).expect("non-empty arch");
+    let fm = FaultModel::new(100, Time::from_ms(1));
+    let problem = Problem::new(graph, arch, wcet, fm, bus);
+    assert!(problem.fits_horizon_budget(Time::ZERO));
+
+    let rescale = |percent| {
+        let mut delta = ProblemDelta::new();
+        delta.push(DeltaOp::RescaleWcet {
+            process: None,
+            percent,
+        });
+        delta
+    };
+    let (doubled, _) = apply_delta(&problem, &rescale(200)).expect("2x still fits the budget");
+    assert!(doubled.fits_horizon_budget(Time::ZERO));
+    let err = apply_delta(&problem, &rescale(10_000)).expect_err("100x overflows the budget");
+    assert!(
+        matches!(err, ModelError::InvalidDelta { .. }),
+        "unexpected error: {err}"
+    );
 }
 
 proptest! {

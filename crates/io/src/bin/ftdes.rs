@@ -23,6 +23,13 @@
 //! arms the crash-injection harness (real `abort()` at a registered
 //! fault point) for exactly that drill.
 //!
+//! Count flags have documented maxima: `--scenarios` 100000,
+//! `--portfolio` and `sweep --workers` 256 (the engine's thread
+//! maximum, `MAX_THREADS`), `--procs` 16384 (`MAX_MERGED_PROCESSES`)
+//! and `--procs` × `--nodes` 2²⁰ (`MAX_PROCESS_NODE_PAIRS`, which
+//! problem files are held to as well). A value past its maximum is a
+//! usage error.
+//!
 //! Exit codes are classified sysexits-style: `2` usage, `65` malformed
 //! input (problem file, sweep spec, or corrupt store — and any problem
 //! whose worst-case horizon overflows its budget once the flags are
@@ -59,10 +66,11 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use ftdes_bench::jobs::SweepExec;
+use ftdes_core::problem::MAX_PROCESS_NODE_PAIRS;
 use ftdes_core::repair::{repair, RepairBudget};
 use ftdes_core::{
     optimize, optimize_bus, optimize_portfolio, BusOptConfig, Goal, PolicySpace, PortfolioConfig,
-    Problem, SearchConfig, Strategy,
+    Problem, SearchConfig, Strategy, MAX_THREADS,
 };
 use ftdes_faultsim::{adversarial_scenario, random_scenarios, simulate};
 use ftdes_gen::{comm_heavy, paper_workload, CommHeavyParams};
@@ -72,6 +80,7 @@ use ftdes_io::report::{solution_report, to_json};
 use ftdes_io::sweep::parse_sweep;
 use ftdes_model::architecture::Architecture;
 use ftdes_model::fault::FaultModel;
+use ftdes_model::merge::MAX_MERGED_PROCESSES;
 use ftdes_model::time::Time;
 use ftdes_sched::render::{render_gantt, render_medl, render_tables};
 use ftdes_serve::{
@@ -160,6 +169,19 @@ fn main() -> ExitCode {
             ExitCode::from(error.exit_code())
         }
     }
+}
+
+/// The most fault scenarios `inject` and `repair` replay
+/// (`--scenarios`); they are drawn up front, one allocation each.
+const MAX_SCENARIOS: usize = 100_000;
+
+/// Parses a count for `flag`, refusing one past `max`.
+fn parse_count(flag: &str, v: &str, max: usize) -> Result<usize, String> {
+    let n: usize = v.parse().map_err(|_| format!("invalid {flag}"))?;
+    if n > max {
+        return Err(format!("invalid {flag}: {n} (at most {max})"));
+    }
+    Ok(n)
 }
 
 /// Parses a whole number of milliseconds for `flag`, refusing one
@@ -311,9 +333,7 @@ impl Options {
                 "--gantt" => o.gantt = true,
                 "--bus-opt" => o.bus_opt = true,
                 "--portfolio" => {
-                    o.portfolio = value("--portfolio")?
-                        .parse()
-                        .map_err(|_| "invalid --portfolio".to_owned())?;
+                    o.portfolio = parse_count("--portfolio", &value("--portfolio")?, MAX_THREADS)?;
                 }
                 "--epoch-candidates" => {
                     o.epoch_candidates = value("--epoch-candidates")?
@@ -322,9 +342,8 @@ impl Options {
                         .max(1);
                 }
                 "--scenarios" => {
-                    o.scenarios = value("--scenarios")?
-                        .parse()
-                        .map_err(|_| "invalid --scenarios".to_owned())?;
+                    o.scenarios =
+                        parse_count("--scenarios", &value("--scenarios")?, MAX_SCENARIOS)?;
                 }
                 "--seed" => {
                     o.seed = value("--seed")?
@@ -337,14 +356,12 @@ impl Options {
                     o.family = Some(fam);
                 }
                 "--procs" => {
-                    o.family.get_or_insert_with(Default::default).procs = value("--procs")?
-                        .parse()
-                        .map_err(|_| "invalid --procs".to_owned())?;
+                    o.family.get_or_insert_with(Default::default).procs =
+                        parse_count("--procs", &value("--procs")?, MAX_MERGED_PROCESSES)?;
                 }
                 "--nodes" => {
-                    o.family.get_or_insert_with(Default::default).nodes = value("--nodes")?
-                        .parse()
-                        .map_err(|_| "invalid --nodes".to_owned())?;
+                    o.family.get_or_insert_with(Default::default).nodes =
+                        parse_count("--nodes", &value("--nodes")?, MAX_PROCESS_NODE_PAIRS)?;
                 }
                 "--k" => {
                     let k: u32 = value("--k")?
@@ -382,6 +399,15 @@ impl Options {
                             .map_err(|_| "invalid --msg-wcet-ratio".to_owned())?;
                 }
                 other => return Err(format!("unknown flag {other:?}")),
+            }
+        }
+        if let Some(f) = &o.family {
+            if f.procs.saturating_mul(f.nodes) > MAX_PROCESS_NODE_PAIRS {
+                return Err(format!(
+                    "invalid --procs {} with --nodes {}: at most {MAX_PROCESS_NODE_PAIRS} \
+                     process-node pairs",
+                    f.procs, f.nodes
+                ));
             }
         }
         Ok(o)
@@ -737,7 +763,10 @@ impl SweepOptions {
                 "--spec" => o.spec = Some(value("--spec")?),
                 "--out" => o.out = Some(value("--out")?),
                 "--takeover" => o.takeover = true,
-                "--workers" => o.workers = number("--workers", value("--workers")?)? as usize,
+                "--workers" => {
+                    o.workers = parse_count("--workers", &value("--workers")?, MAX_THREADS)
+                        .map_err(CliError::Usage)?;
+                }
                 "--lease-ms" => o.lease_ms = number("--lease-ms", value("--lease-ms")?)?,
                 "--max-attempts" => {
                     o.max_attempts = number("--max-attempts", value("--max-attempts")?)? as u32;
@@ -980,15 +1009,17 @@ fn sweep_usage() -> String {
 }
 
 fn usage() -> String {
-    "usage: ftdes <solve|inject|repair|info|sweep> <problem.ftd | --family comm-heavy|paper> [flags]\n\
+    format!(
+        "usage: ftdes <solve|inject|repair|info|sweep> <problem.ftd | --family comm-heavy|paper> [flags]\n\
      flags: --strategy mxr|mx|mr|sfx|nft  --time-ms N  --goal deadline|length\n\
-     \x20      --json out.json  --gantt  --bus-opt  --scenarios N  --seed S\n\
-     \x20      --portfolio N (diversified parallel tabu workers, mxr|mx|mr only)\n\
+     \x20      --json out.json  --gantt  --bus-opt  --scenarios N (at most {MAX_SCENARIOS})  --seed S\n\
+     \x20      --portfolio N (diversified parallel tabu workers, mxr|mx|mr only; at most {MAX_THREADS})\n\
      \x20      --epoch-candidates N (candidates per worker between elite exchanges)\n\
      repair: --delta kill-node:N1|degrade-node:N1:150|rescale-wcet:120|remove-process:P2\n\
      \x20      --delta add-process:name:N0=10ms,...  (repeatable)  --repair-ms N\n\
-     generated instances: --family comm-heavy|paper  --procs N  --nodes N  --k N  --mu-ms N\n\
+     generated instances: --family comm-heavy|paper  --procs N (at most {MAX_MERGED_PROCESSES})\n\
+     \x20      --nodes N (procs × nodes at most {MAX_PROCESS_NODE_PAIRS})  --k N  --mu-ms N\n\
      \x20      --chi-ms N (checkpoint overhead)  --max-checkpoints N (move axis cap)\n\
      \x20      comm-heavy knobs: --density F (mean edges/process)  --msg-wcet-ratio F"
-        .to_owned()
+    )
 }

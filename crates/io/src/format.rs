@@ -28,7 +28,7 @@
 
 use std::collections::HashMap;
 
-use ftdes_core::problem::Problem;
+use ftdes_core::problem::{Problem, HORIZON_HEADROOM_US, MAX_PROCESS_NODE_PAIRS};
 use ftdes_model::application::{Application, GraphSpec};
 use ftdes_model::architecture::Architecture;
 use ftdes_model::design::DesignConstraints;
@@ -76,8 +76,9 @@ impl ProblemSpec {
     /// with no WCET entry on any node), kind [`ErrorKind::Overflow`]
     /// when the hyperperiod or a release does not fit in a `Time`, the
     /// merged graph would exceed
-    /// [`ftdes_model::merge::MAX_MERGED_PROCESSES`] processes, or the
-    /// worst-case schedule horizon exceeds `u64::MAX / 4` µs (see
+    /// [`ftdes_model::merge::MAX_MERGED_PROCESSES`] processes, its
+    /// processes × nodes would exceed [`MAX_PROCESS_NODE_PAIRS`], or the
+    /// worst-case schedule horizon exceeds [`HORIZON_HEADROOM_US`] (see
     /// [`check_horizon`]).
     pub fn into_problem(self) -> Result<(Problem, MergedApplication), ParseProblemError> {
         let merged = MergedApplication::merge(&self.application).map_err(|e| {
@@ -89,6 +90,7 @@ impl ProblemSpec {
             };
             ParseProblemError::with_kind(0, kind, e.to_string())
         })?;
+        check_pairs(merged.process_count(), self.arch.node_count())?;
         let wcet = merged.remap_wcet(&self.wcet);
         // A process nobody can execute would only surface as a solver
         // failure (or worse) much later; reject it here, by name.
@@ -131,11 +133,12 @@ impl ProblemSpec {
     }
 }
 
-/// Checks `problem` against the worst-case horizon budget: an upper
-/// bound on its schedule horizon must stay within `u64::MAX / 4` µs,
-/// so no scheduler arithmetic on it can wrap [`Time`].
-/// `hyperperiod` is the merged application's (`Time::ZERO` for a
-/// generated instance, which has none; its releases still count).
+/// Checks `problem` against the worst-case horizon budget
+/// ([`Problem::fits_horizon_budget`]): an upper bound on its schedule
+/// horizon must stay within [`HORIZON_HEADROOM_US`], so no scheduler
+/// arithmetic on it can wrap [`Time`]. `hyperperiod` is the merged
+/// application's (`Time::ZERO` for a generated instance, which has
+/// none; its releases still count).
 ///
 /// [`ProblemSpec::into_problem`] runs it with the problem's default
 /// checkpoint levels. A caller that raises them
@@ -147,7 +150,7 @@ impl ProblemSpec {
 /// A [`ParseProblemError`] of kind [`ErrorKind::Overflow`] at line 0
 /// when the bound exceeds the budget or overflows `u64` itself.
 pub fn check_horizon(problem: &Problem, hyperperiod: Time) -> Result<(), ParseProblemError> {
-    if horizon_budget(problem, hyperperiod).is_none_or(|us| us > HORIZON_HEADROOM_US) {
+    if !problem.fits_horizon_budget(hyperperiod) {
         return Err(ParseProblemError::with_kind(
             0,
             ErrorKind::Overflow,
@@ -162,62 +165,32 @@ pub fn check_horizon(problem: &Problem, hyperperiod: Time) -> Result<(), ParsePr
     Ok(())
 }
 
-/// The largest worst-case schedule horizon, in microseconds, a problem
-/// file may describe: a quarter of the `u64` range. The scheduler adds
-/// up to three horizon-sized times (a node's availability, its
-/// remaining work and its slack delay), so a problem within this
-/// budget cannot wrap [`Time`] arithmetic.
-const HORIZON_HEADROOM_US: u64 = u64::MAX / 4;
-
-/// An upper bound, in microseconds, on the worst-case schedule
-/// horizon of `problem` — `None` when the bound itself overflows
-/// `u64`. The sum of
-///
-/// * the hyperperiod (or the latest release, if later);
-/// * per process, `k + 1` executions of its largest WCET, each with
-///   the recovery overhead µ and the saves of every checkpoint level
-///   the problem allows (`χ · (levels − 1)`) — every instance's
-///   worst case, placed back to back;
-/// * [`BOOKING_HORIZON_ROUNDS`] TDMA rounds, past which no message is
-///   ever booked.
-fn horizon_budget(problem: &Problem, hyperperiod: Time) -> Option<u64> {
-    let graph = problem.graph();
-    let fm = problem.fault_model();
-    let executions = u64::from(fm.k()) + 1;
-    let saves = u64::from(problem.max_checkpoints() - 1);
-    let overhead = fm
-        .mu()
-        .as_us()
-        .checked_add(fm.chi().as_us().checked_mul(saves)?)?;
-    let mut total = graph
-        .processes()
-        .iter()
-        .map(|p| p.release)
-        .fold(hyperperiod, Time::max)
-        .as_us();
-    for p in graph.processes() {
-        let wcet = problem
-            .wcet()
-            .eligible_nodes(p.id)
-            .map(|(_, t)| t.as_us())
-            .max()
-            .unwrap_or(0);
-        total = total.checked_add(executions.checked_mul(wcet.checked_add(overhead)?)?)?;
+/// Refuses `processes` × `nodes` past [`MAX_PROCESS_NODE_PAIRS`],
+/// before anything dense is built over them.
+fn check_pairs(processes: usize, nodes: usize) -> Result<(), ParseProblemError> {
+    if processes
+        .checked_mul(nodes)
+        .is_some_and(|pairs| pairs <= MAX_PROCESS_NODE_PAIRS)
+    {
+        return Ok(());
     }
-    let bus = problem.bus();
-    let round = bus
-        .byte_time()
-        .as_us()
-        .checked_mul(u64::from(bus.slot_bytes()))?
-        .checked_mul(bus.slots_per_round() as u64)?;
-    total.checked_add(round.checked_mul(BOOKING_HORIZON_ROUNDS)?)
+    Err(ParseProblemError::with_kind(
+        0,
+        ErrorKind::Overflow,
+        format!(
+            "{processes} processes on {nodes} nodes exceed the cap of \
+             {MAX_PROCESS_NODE_PAIRS} process-node pairs"
+        ),
+    ))
 }
 
 /// Parses a problem file.
 ///
 /// # Errors
 ///
-/// Returns a [`ParseProblemError`] pointing at the offending line.
+/// Returns a [`ParseProblemError`] pointing at the offending line, or
+/// at line 0 (kind [`ErrorKind::Overflow`]) when the graphs' processes
+/// × nodes exceed [`MAX_PROCESS_NODE_PAIRS`].
 pub fn parse_problem(input: &str) -> Result<ProblemSpec, ParseProblemError> {
     Parser::new(input).run()
 }
@@ -573,6 +546,12 @@ impl<'a> Parser<'a> {
         if self.graphs.is_empty() {
             return Err(ParseProblemError::new(0, "missing graph directive"));
         }
+
+        // A `wcet <process> *` line fills a row of every node: bound
+        // the rows before expanding them (merging only adds processes,
+        // so `into_problem` checks the merged graph again).
+        let processes = self.graphs.iter().map(|d| d.graph.process_count()).sum();
+        check_pairs(processes, arch.node_count())?;
 
         // WCET tables per graph.
         let mut wcet: Vec<WcetTable> = self.graphs.iter().map(|_| WcetTable::new()).collect();

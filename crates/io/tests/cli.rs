@@ -312,6 +312,80 @@ fn family_millisecond_flags_past_the_time_range_are_usage_errors() {
 }
 
 #[test]
+fn count_flags_past_their_maximum_are_usage_errors() {
+    // Each maximum + 1 only: a missing check must not be able to
+    // allocate without bound or spawn thousands of threads.
+    let path = write_problem("counts.ftd", PIPELINE);
+    let path = path.to_str().unwrap();
+    let usage_error = |args: &[&str], expected: &str| {
+        let out = ftdes(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {stderr}");
+        assert!(stderr.contains(expected), "{args:?}: stderr: {stderr}");
+    };
+    let max_u64 = u64::MAX.to_string();
+    for v in ["100001", &max_u64] {
+        usage_error(
+            &["inject", path, "--scenarios", v],
+            &format!("invalid --scenarios: {v} (at most 100000)"),
+        );
+    }
+    let threads = ftdes_core::MAX_THREADS;
+    let past = (threads + 1).to_string();
+    let expected = format!("(at most {threads})");
+    usage_error(&["solve", path, "--portfolio", &past], &expected);
+    usage_error(
+        &["sweep", "status", "--store", path, "--workers", &past],
+        &expected,
+    );
+
+    let procs = ftdes_model::merge::MAX_MERGED_PROCESSES;
+    let pairs = ftdes_core::problem::MAX_PROCESS_NODE_PAIRS;
+    for (flag, max) in [("--procs", procs), ("--nodes", pairs)] {
+        let out = family_info(flag, &(max + 1).to_string());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: stderr: {stderr}");
+        let expected = format!("invalid {flag}: {} (at most {max})", max + 1);
+        assert!(stderr.contains(&expected), "{flag}: stderr: {stderr}");
+    }
+    // Each flag within its cap, the pair past theirs.
+    let procs = procs.to_string();
+    usage_error(
+        &[
+            "info", "--family", "paper", "--procs", &procs, "--nodes", "65",
+        ],
+        &format!("at most {pairs} process-node pairs"),
+    );
+}
+
+#[test]
+fn info_rejects_a_wide_architecture_past_the_process_caps() {
+    // 65,536 nodes and two one-process graphs that merge to 32,769
+    // processes: refused before the dense processes × nodes WCET
+    // matrix (34 GB) is allocated.
+    let nodes: Vec<String> = (0..1 << 16).map(|i| format!("N{i}")).collect();
+    let problem = format!(
+        "architecture {}
+fault_model k=1 mu=1ms
+bus slot_bytes=4 byte_time=1us
+graph period=2ms
+process a
+graph period=65536ms
+process b
+wcet a N0 1us
+wcet b N0 1us
+",
+        nodes.join(" ")
+    );
+    let path = write_problem("wide.ftd", &problem);
+    for command in ["info", "solve"] {
+        let out = ftdes(&[command, path.to_str().unwrap(), "--time-ms", "200"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(65), "{command}: stderr: {stderr}");
+    }
+}
+
+#[test]
 fn family_instances_are_held_to_the_horizon_budget() {
     // A representable χ whose saves overflow the budget: generated
     // instances get the same check as problem files.
@@ -438,6 +512,39 @@ fn repair_kills_a_node_and_replays() {
     assert!(stdout.contains("applying: kill-node N2 + rescale-wcet to 110%"));
     assert!(stdout.contains("repaired by rung"), "stdout: {stdout}");
     assert!(stdout.contains("scenarios replayed against the repaired schedule"));
+}
+
+#[test]
+fn repair_rejects_a_delta_past_the_horizon_budget() {
+    // The file fits the budget; scaled to 10000 %, 101 executions of
+    // three 1.8·10¹⁷ µs WCETs do not fit in u64. The post-delta
+    // problem is rejected instead of repaired with a wrapped δ.
+    let problem = "
+architecture A
+fault_model k=100 mu=1ms
+graph period=100ms deadline=100ms
+  process a
+  process b
+  process c
+wcet a * 1800000000000ms
+wcet b * 1800000000000ms
+wcet c * 1800000000000ms
+";
+    let path = write_problem("repair-horizon.ftd", problem);
+    let out = ftdes(&[
+        "repair",
+        path.to_str().unwrap(),
+        "--time-ms",
+        "200",
+        "--delta",
+        "rescale-wcet:10000",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("delta rejected: invalid problem delta: the post-delta worst-case"),
+        "stderr: {stderr}"
+    );
 }
 
 #[test]

@@ -255,6 +255,52 @@ wcet b * 1us
     );
 }
 
+/// A file of `graphs` on 65,536 nodes: 2¹⁶ nodes times 16 processes
+/// is the process-node cap, 2²⁰.
+fn wide_file(graphs: &str) -> String {
+    let nodes: Vec<String> = (0..1 << 16).map(|i| format!("N{i}")).collect();
+    format!(
+        "architecture {}\nfault_model k=1 mu=1ms\nbus slot_bytes=4 byte_time=1us\n{graphs}",
+        nodes.join(" ")
+    )
+}
+
+/// `n` one-process graphs `g<i>` of period 100 ms, each with a WCET on
+/// `wcet_node` (`*` fills a row of every node).
+fn processes(n: usize, wcet_node: &str) -> String {
+    (0..n)
+        .map(|i| format!("graph period=100ms\nprocess g{i}\nwcet g{i} {wcet_node} 1us\n"))
+        .collect()
+}
+
+#[test]
+fn rejects_process_node_pairs_past_the_cap() {
+    let cap = ftdes_core::problem::MAX_PROCESS_NODE_PAIRS;
+    assert_eq!(cap, 16 << 16);
+    let (problem, _) = parse_problem(&wide_file(&processes(16, "N0")))
+        .and_then(ftdes_io::ProblemSpec::into_problem)
+        .expect("16 processes on 2^16 nodes fit the cap");
+    assert_eq!(problem.process_count() * problem.arch().node_count(), cap);
+
+    // One process more is refused before its `*` row is expanded.
+    let err = parse_err(&wide_file(&processes(17, "*")));
+    // Two source processes that merge to 17 (periods 1 ms and 16 ms)
+    // are refused before the dense WCET matrix is built.
+    let merged = parse_err(&wide_file(
+        "graph period=1ms\nprocess a\ngraph period=16ms\nprocess b\nwcet a N0 1us\nwcet b N0 1us\n",
+    ));
+    for err in [err, merged] {
+        assert_eq!(err.kind, ErrorKind::Overflow, "{err}");
+        assert_eq!(err.line, 0, "{err}");
+        assert!(
+            err.message.contains(&format!(
+                "17 processes on 65536 nodes exceed the cap of {cap} process-node pairs"
+            )),
+            "{err}"
+        );
+    }
+}
+
 #[test]
 fn rejects_syntax_garbage() {
     for text in [

@@ -26,14 +26,17 @@ use crate::time::Time;
 use crate::wcet::WcetTable;
 
 /// The largest merged graph Γ, in processes, that
-/// [`MergedApplication::merge`] builds: 2¹⁶.
+/// [`MergedApplication::merge`] builds: 2¹⁴.
 ///
 /// A fixed bound, not a tuning knob. It sits more than two orders of
 /// magnitude above the paper's largest applications (100 processes)
-/// and keeps every activation number within `u32`. Past it, merging
-/// fails with [`ModelError::MergedGraphTooLarge`] instead of
-/// allocating without bound.
-pub const MAX_MERGED_PROCESSES: usize = 1 << 16;
+/// and keeps every activation number within `u32`. It also bounds the
+/// scheduler's quadratic state: a recorded placement keeps the ready
+/// set of every position, up to n²/2 entries for an edgeless graph
+/// (512 MiB at 2¹⁴ processes, 2 GiB at 2¹⁵). Past it, merging fails
+/// with [`ModelError::MergedGraphTooLarge`] instead of allocating
+/// without bound.
+pub const MAX_MERGED_PROCESSES: usize = 1 << 14;
 
 /// Where a merged process came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -293,7 +296,7 @@ mod tests {
                 limit: MAX_MERGED_PROCESSES
             })
         );
-        // The cap is inclusive: 2¹⁶ − 1 activations plus one process
+        // The cap is inclusive: 2¹⁴ − 1 activations plus one process
         // merge, one more activation does not.
         let cap = MAX_MERGED_PROCESSES as u64;
         let at_cap = two_periods(Time::from_ms(1), Time::from_ms(cap - 1));
