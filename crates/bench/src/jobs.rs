@@ -1,21 +1,35 @@
 //! Sweep job adapters: the bridge between `ftdes-serve`'s generic
-//! crash-safe job graph and this crate's experiment harness.
+//! crash-safe job graph and this crate's experiment harness. They are
+//! the one implementation of the repo's two extension studies, which
+//! `ftdes sweep run` executes.
 //!
 //! A [`SweepSpec`] expands into a DAG of [`JobSpec`]s
 //! (generate → optimize → faultsim/repair → aggregate) via
 //! [`SweepSpec::jobs`], and [`SweepExec`] executes them. Two sweep
 //! shapes are supported:
 //!
-//! * [`ChiSweep`] — the cptable-style checkpoint-overhead trade-off:
-//!   per seed, a `generate` job fingerprints the workload, `optimize`
-//!   jobs solve MX/MR references and per-χ MCX/MCXR cells, a
-//!   `faultsim` job Monte-Carlo-validates the MX reference design
+//! * [`ChiSweep`] — the TVLSI-style checkpoint-overhead trade-off
+//!   (`BENCH_cptable.json`). Per seed, a `generate` job fingerprints
+//!   the workload, and `optimize` jobs solve the χ-independent
+//!   references and one cell per χ row:
+//!   - **MX**, pure re-execution with the checkpoint axis off;
+//!   - **MR**, pure replication;
+//!   - **MCX**, re-execution with the checkpoint axis open
+//!     (rollbacks re-run one segment, at χ per interior save);
+//!   - **MCXR**, the full mixed space.
+//!
+//!   A `faultsim` job Monte-Carlo-validates the MX reference design
 //!   against its analytic bound, and one `aggregate` folds everything
-//!   into the table rows;
-//! * [`RepairSweep`] — the repairbench-style degrade-and-repair
-//!   study: per (family, seed), `generate` → `optimize` (intact
-//!   MXR solve) → `repair` (kill the most-loaded node, ladder repair,
-//!   from-scratch reference) → `aggregate`.
+//!   into the table rows. The expected shape: MCX/MX < 1 at small χ,
+//!   rising toward 1 as the saves eat the rollback gain.
+//! * [`RepairSweep`] — the node-kill repair study
+//!   (`BENCH_repair.json`). Per (family, seed): `generate` →
+//!   `optimize` (intact MXR solve) → `repair` → `aggregate`. The
+//!   repair job runs [`degrade_and_repair_adversarial`]: it kills the
+//!   most-loaded node, repairs through the escalation ladder and
+//!   replays fault scenarios against the repaired schedule. It then
+//!   re-solves the degraded problem from scratch as the quality
+//!   reference.
 //!
 //! **Determinism contract.** Every job runs under
 //! [`iteration_config`] — no wall-clock
@@ -29,11 +43,10 @@
 
 use std::time::Duration;
 
-use ftdes_core::repair::{apply_delta, repair_with_cache, RepairBudget};
+use ftdes_core::repair::RepairBudget;
 use ftdes_core::{optimize_with_cache, CachePool, Problem, Strategy};
-use ftdes_faultsim::{length_distribution, most_loaded_node};
+use ftdes_faultsim::{degrade_and_repair_adversarial, length_distribution};
 use ftdes_gen::WorkloadParams;
-use ftdes_model::delta::ProblemDelta;
 use ftdes_model::design::{Design, ProcessDesign};
 use ftdes_model::ids::NodeId;
 use ftdes_model::policy::FtPolicy;
@@ -43,7 +56,7 @@ use serde::Value;
 
 use crate::{comm_heavy_problem, iteration_config, synthetic_problem, PolicyMix};
 
-/// The cptable-style checkpoint-overhead (χ) sweep.
+/// The checkpoint-overhead (χ) trade-off sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChiSweep {
     /// Processes per synthetic application.
@@ -67,7 +80,7 @@ pub struct ChiSweep {
     pub faultsim_samples: u64,
 }
 
-/// The repairbench-style degrade-and-repair sweep.
+/// The node-kill degrade-and-repair sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepairSweep {
     /// Processes per paper-family application.
@@ -467,6 +480,11 @@ fn decode_design(value: &Value, problem: &Problem) -> Result<Design, String> {
 /// is set far beyond what the iteration caps allow the search to use.
 const UNLIMITED: Duration = Duration::from_secs(24 * 60 * 60);
 
+/// Random fault scenarios each repair job replays against the
+/// repaired schedule, after the adversarial one. Seeded by the job's
+/// seed, so the replay is part of the job's deterministic result.
+const REPAIR_SCENARIOS: usize = 16;
+
 impl SweepExec {
     fn run_generate(&self, params: &Value) -> Result<Value, String> {
         let problem = build_problem(params)?;
@@ -556,8 +574,7 @@ impl SweepExec {
         let schedule = problem
             .evaluate(&design)
             .map_err(|e| format!("re-evaluating intact design: {e}"))?;
-        let victim = most_loaded_node(&schedule).ok_or("intact schedule is empty")?;
-        let delta = ProblemDelta::kill_node(victim);
+        let seed = get_u64(params, "seed")?;
         let cfg = iteration_config(get_u64(params, "max_iterations")? as usize);
         let budget = RepairBudget {
             localized: UNLIMITED,
@@ -565,21 +582,34 @@ impl SweepExec {
             scratch: UNLIMITED,
         };
         let cache = self.pool.for_problem(&problem);
-        let repaired = repair_with_cache(&problem, &design, &delta, &budget, &cfg, &cache)
-            .map_err(|e| format!("repair failed: {e}"))?;
-        let (degraded, _) =
-            apply_delta(&problem, &delta).map_err(|e| format!("apply_delta failed: {e}"))?;
-        let scratch_cache = self.pool.for_problem(&degraded);
-        let scratch = optimize_with_cache(&degraded, Strategy::Mxr, &cfg, &scratch_cache)
+        let report = degrade_and_repair_adversarial(
+            &problem,
+            &design,
+            &schedule,
+            &budget,
+            &cfg,
+            &cache,
+            REPAIR_SCENARIOS,
+            seed,
+        )
+        .map_err(|e| e.to_string())?;
+        let repaired = &report.outcome;
+        let scratch_cache = self.pool.for_problem(&repaired.problem);
+        let scratch = optimize_with_cache(&repaired.problem, Strategy::Mxr, &cfg, &scratch_cache)
             .map_err(|e| format!("scratch re-solve failed: {e}"))?;
         let repair_len = repaired.length().as_us();
         let scratch_len = scratch.length().as_us();
         Ok(obj(vec![
             ("family", Value::Str(get_str(params, "family")?.to_owned())),
-            ("seed", Value::U64(get_u64(params, "seed")?)),
-            ("killed", Value::Str(victim.to_string())),
+            ("seed", Value::U64(seed)),
+            ("killed", Value::Str(report.killed.to_string())),
             ("rung", Value::Str(repaired.rung.to_string())),
             ("schedulable", Value::Bool(repaired.is_schedulable())),
+            ("verified", Value::Bool(report.verified)),
+            (
+                "scenarios_replayed",
+                Value::U64(report.scenarios_replayed as u64),
+            ),
             ("repair_length_us", Value::U64(repair_len)),
             ("scratch_length_us", Value::U64(scratch_len)),
             (
@@ -713,6 +743,7 @@ fn aggregate_repair(deps: &[DepResult]) -> Result<Value, String> {
     let mut runs = Vec::new();
     let mut worst_ratio = 0.0f64;
     let mut all_schedulable = true;
+    let mut all_verified = true;
     for d in deps.iter().filter(|d| d.kind == "repair") {
         let ratio = match &d.result["length_ratio"] {
             Value::F64(r) => *r,
@@ -722,6 +753,7 @@ fn aggregate_repair(deps: &[DepResult]) -> Result<Value, String> {
         };
         worst_ratio = worst_ratio.max(ratio);
         all_schedulable &= d.result["schedulable"] == Value::Bool(true);
+        all_verified &= d.result["verified"] == Value::Bool(true);
         runs.push(d.result.clone());
     }
     if runs.is_empty() {
@@ -732,6 +764,7 @@ fn aggregate_repair(deps: &[DepResult]) -> Result<Value, String> {
         ("runs", Value::Array(runs)),
         ("worst_length_ratio", Value::F64(worst_ratio)),
         ("all_schedulable", Value::Bool(all_schedulable)),
+        ("all_verified", Value::Bool(all_verified)),
     ]))
 }
 
@@ -785,6 +818,49 @@ mod tests {
         // Per (seed, family): generate + optimize + repair; plus agg.
         assert_eq!(jobs.len(), 2 * 2 * 3 + 1);
         assert_eq!(jobs.last().unwrap().deps.len(), 4);
+    }
+
+    #[test]
+    fn repair_sweep_verifies_every_repair() {
+        let spec = SweepSpec::Repair(RepairSweep {
+            processes: 8,
+            comm_processes: 6,
+            nodes: 3,
+            faults: 1,
+            mu_ms: 5,
+            seeds: 1,
+            max_iterations: 4,
+        });
+        // The DAG lists every job after its dependencies.
+        let exec = SweepExec::new();
+        let mut done: Vec<DepResult> = Vec::new();
+        for job in spec.jobs() {
+            let deps: Vec<DepResult> = done
+                .iter()
+                .filter(|d| job.deps.contains(&d.id))
+                .cloned()
+                .collect();
+            let result = exec.execute(&job, &deps).unwrap();
+            done.push(DepResult {
+                id: job.id,
+                name: job.name,
+                kind: job.kind,
+                result,
+            });
+        }
+        let agg = &done.last().unwrap().result;
+        assert_eq!(agg["all_verified"], Value::Bool(true), "{agg:?}");
+        let Value::Array(runs) = &agg["runs"] else {
+            panic!("aggregate has no runs: {agg:?}");
+        };
+        assert_eq!(runs.len(), 2);
+        for run in runs {
+            assert_eq!(
+                run["scenarios_replayed"].as_u64(),
+                Some(REPAIR_SCENARIOS as u64 + 1),
+                "the adversarial scenario plus the random batch: {run:?}"
+            );
+        }
     }
 
     #[test]

@@ -12,9 +12,15 @@
 //! | `... --bin cruise_control` | the CC case study |
 //! | `... --bin perfgate` | the engine's speedup over three ablations at equal work (paper, 12-node splice and comm-heavy workloads) → `BENCH_tabu.json` |
 //!
-//! Scale knobs of the table and sweep bins (environment variables;
-//! `perfgate` reads none, and the engine's own, `FTDES_THREADS`, is
-//! documented in the `ftdes-core` crate docs):
+//! The two extension studies — the χ (checkpointing overhead)
+//! trade-off and the node-kill repair study — are fixed-iteration
+//! sweeps: [`jobs`] expands them into crash-safe job graphs that
+//! `ftdes sweep run` executes (`BENCH_cptable.json` and
+//! `BENCH_repair.json` are its `--out` files).
+//!
+//! Scale knobs of the table bins (environment variables; `perfgate`
+//! and the sweeps read none, and the engine's own, `FTDES_THREADS`,
+//! is documented in the `ftdes-core` crate docs):
 //!
 //! * `FTDES_SEEDS` — applications per configuration (paper: 15,
 //!   default here: 5 to keep runs minutes-scale),
@@ -99,23 +105,16 @@ pub fn time_budget() -> Duration {
     Duration::from_millis(env_usize("FTDES_TIME_MS", 500) as u64)
 }
 
-/// The search configuration of the experiments: minimize δ within
-/// the time budget (the paper "derived the shortest schedule within
-/// an imposed time limit").
+/// The search configuration of the table bins: minimize δ, stop at
+/// `FTDES_TIME_MS` or 10,000 tabu iterations, whichever comes first
+/// (the paper "derived the shortest schedule within an imposed time
+/// limit").
 #[must_use]
 pub fn experiment_config() -> SearchConfig {
-    budgeted_config(10_000)
-}
-
-/// The wall-clock-budgeted configuration every table/bench bin shares:
-/// minimize δ, stop at `FTDES_TIME_MS` or `max_iterations`, whichever
-/// comes first.
-#[must_use]
-pub fn budgeted_config(max_iterations: usize) -> SearchConfig {
     SearchConfig {
         goal: Goal::MinimizeLength,
         time_limit: Some(time_budget()),
-        max_tabu_iterations: max_iterations,
+        max_tabu_iterations: 10_000,
         ..SearchConfig::default()
     }
 }
@@ -135,20 +134,9 @@ pub fn iteration_config(max_iterations: usize) -> SearchConfig {
     }
 }
 
-/// Mean worst-case schedule length of a set of outcomes, in µs.
-#[must_use]
-pub fn mean_length_us(outcomes: &[Outcome]) -> f64 {
-    outcomes
-        .iter()
-        .map(|o| o.length().as_us() as f64)
-        .sum::<f64>()
-        / outcomes.len().max(1) as f64
-}
-
 /// The per-process fault-tolerance technique mix of a set of designs:
 /// how often the optimizer chose each technique (paper §6 discusses
-/// the mix MXR settles on; the cptable sweep tracks how it shifts
-/// with χ).
+/// the mix MXR settles on; the χ sweep tracks how it shifts with χ).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PolicyMix {
     /// Pure re-execution decisions (no checkpoints).
@@ -177,35 +165,6 @@ impl PolicyMix {
                 self.mixed += 1;
             }
         }
-    }
-
-    /// The mix across a set of outcomes.
-    #[must_use]
-    pub fn from_outcomes(outcomes: &[Outcome]) -> Self {
-        let mut mix = PolicyMix::default();
-        for o in outcomes {
-            mix.add_design(&o.design);
-        }
-        mix
-    }
-
-    /// The JSON object fragment every artifact writer embeds.
-    #[must_use]
-    pub fn json(&self) -> String {
-        format!(
-            "{{\"reexec\": {}, \"checkpointed\": {}, \"replicated\": {}, \"mixed\": {}}}",
-            self.reexec, self.checkpointed, self.replicated, self.mixed
-        )
-    }
-}
-
-impl std::fmt::Display for PolicyMix {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}/{}/{}/{}",
-            self.reexec, self.checkpointed, self.replicated, self.mixed
-        )
     }
 }
 

@@ -127,7 +127,7 @@ impl EvalCache {
 /// sweep-orchestration layer.
 ///
 /// Sweep jobs that re-solve the same problem under different fault
-/// hypotheses or strategies (the cptable χ sweep, repair benches)
+/// hypotheses or strategies (the `ftdes sweep` χ and repair studies)
 /// fetch their cache through one pool, so a re-run — in particular a
 /// job re-executed after a crash — warm-starts from every evaluation
 /// its siblings already paid for. Cost entries are keyed by problem
@@ -216,8 +216,8 @@ pub fn bus_fingerprint(bus: &BusConfig) -> u64 {
 
 /// A stable 64-bit identity of a fault model — part of the cache key
 /// so one [`EvalCache`] can be shared across `optimize` calls with
-/// different fault hypotheses (`sweep_k`, fig10's NFT/SFX references)
-/// without aliasing their costs.
+/// different fault hypotheses (Table 1b's `k` rows, fig10's NFT/SFX
+/// references) without aliasing their costs.
 #[must_use]
 pub fn fault_fingerprint(fm: &FaultModel) -> u64 {
     let mut fp = Fingerprint::new(0xfa17);
@@ -347,10 +347,10 @@ impl<'p> Evaluator<'p> {
     }
 
     /// Creates an evaluator over a cache shared with other searches —
-    /// sweeps (`sweep_k`, fig10) re-solve overlapping problems, and a
-    /// shared cache lets them reuse each other's cost entries. Keys
-    /// include the problem structure and fault model, so sharing
-    /// across arbitrary problems is sound.
+    /// the table bins re-solve overlapping problems, and a shared
+    /// cache lets them reuse each other's cost entries. Keys include
+    /// the problem structure and fault model, so sharing across
+    /// arbitrary problems is sound.
     #[must_use]
     pub fn with_shared_cache(problem: &'p Problem, cache: Arc<EvalCache>) -> Self {
         Evaluator::build(problem, Some(cache))

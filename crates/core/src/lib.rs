@@ -105,7 +105,6 @@ pub mod problem;
 pub mod repair;
 pub mod space;
 pub mod strategy;
-pub mod sweep;
 pub mod tabu;
 
 /// Convenience re-exports of the optimization entry points.
@@ -126,7 +125,6 @@ pub mod prelude {
     };
     pub use crate::space::PolicySpace;
     pub use crate::strategy::{optimize, optimize_with_cache, overhead_percent, Outcome, Strategy};
-    pub use crate::sweep::{sweep_fault_models, sweep_k, Sweep, SweepPoint};
     pub use crate::{OccupancyBackend, PriorityStrategy};
 }
 
@@ -147,4 +145,3 @@ pub use repair::{
 };
 pub use space::PolicySpace;
 pub use strategy::{optimize, optimize_with_cache, overhead_percent, Outcome, Strategy};
-pub use sweep::{sweep_fault_models, sweep_k, Sweep, SweepPoint};

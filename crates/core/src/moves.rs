@@ -7,7 +7,8 @@
 //! and — for levels that carry a re-execution budget — all admissible
 //! checkpoint counts (`1..=`[`Problem::max_checkpoints`], the third
 //! move axis); the remaining replicas are greedily placed on the
-//! fastest other eligible nodes.
+//! fastest other eligible nodes. [`MoveTable::window`] is the one
+//! neighbourhood enumerator the search phases use.
 
 use ftdes_model::design::{Design, ProcessDesign};
 use ftdes_model::ids::{NodeId, ProcessId};
@@ -15,25 +16,6 @@ use ftdes_model::policy::{FtPolicy, MappingConstraint, PolicyConstraint};
 
 use crate::problem::Problem;
 use crate::space::PolicySpace;
-
-/// One neighbourhood move: replace the decision of `process`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Move {
-    /// The process whose decision changes.
-    pub process: ProcessId,
-    /// The replacement decision.
-    pub decision: ProcessDesign,
-}
-
-impl Move {
-    /// Applies the move to a design, returning the modified copy.
-    #[must_use]
-    pub fn apply(&self, design: &Design) -> Design {
-        let mut next = design.clone();
-        next.set_decision(self.process, self.decision.clone());
-        next
-    }
-}
 
 /// Enumerates the admissible decisions for `process`.
 ///
@@ -125,35 +107,10 @@ pub fn candidate_decisions(
     out
 }
 
-/// Generates the neighbourhood of `design`: all decision changes for
-/// the processes in `critical_path` (paper Fig. 9 line 7,
-/// `GenerateMoves(CP)`), excluding no-ops.
-#[must_use]
-pub fn generate_moves(
-    problem: &Problem,
-    space: PolicySpace,
-    design: &Design,
-    critical_path: &[ProcessId],
-) -> Vec<Move> {
-    let mut moves = Vec::new();
-    for &p in critical_path {
-        let current = design.decision(p);
-        for decision in candidate_decisions(problem, space, p) {
-            if &decision != current {
-                moves.push(Move {
-                    process: p,
-                    decision,
-                });
-            }
-        }
-    }
-    moves
-}
-
 /// A reference into a [`MoveTable`]: replace `process`'s decision by
 /// entry `decision` of its precomputed candidate list. Two words —
-/// the neighbourhood window carries these instead of owned
-/// [`Move`]s, so building a window allocates nothing per move.
+/// the neighbourhood window carries these instead of owned decisions,
+/// so building a window allocates nothing per move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MoveRef {
     /// The process whose decision changes.
@@ -197,9 +154,10 @@ impl MoveTable {
     }
 
     /// Fills `out` with the neighbourhood of `design` for the
-    /// processes in `critical_path` — all decision changes excluding
-    /// no-ops, in table order (the same order `generate_moves`
-    /// produces).
+    /// processes in `critical_path` (paper Fig. 9 line 7,
+    /// `GenerateMoves(CP)`): every decision change excluding no-ops,
+    /// process by process in path order, each process's decisions in
+    /// [`candidate_decisions`] order.
     pub fn window(&self, design: &Design, critical_path: &[ProcessId], out: &mut Vec<MoveRef>) {
         out.clear();
         for &p in critical_path {
@@ -308,14 +266,25 @@ mod tests {
             ProcessDesign::new(FtPolicy::reexecution(&fm), vec![NodeId::new(0)]).unwrap(),
             ProcessDesign::new(FtPolicy::reexecution(&fm), vec![NodeId::new(0)]).unwrap(),
         ]);
-        let moves = generate_moves(&p, PolicySpace::Mixed, &design, &[ProcessId::new(0)]);
+        let table = MoveTable::new(&p, PolicySpace::Mixed);
+        let mut moves = Vec::new();
+        table.window(&design, &[ProcessId::new(0)], &mut moves);
         assert!(moves
             .iter()
-            .all(|m| m.decision != *design.decision(m.process)));
+            .all(|&m| table.decision(m) != design.decision(m.process)));
         // r=1 on N1, r=2 primary N0, r=2 primary N1 -> 3 moves.
-        assert_eq!(moves.len(), 3);
+        let shape: Vec<(u32, NodeId)> = moves
+            .iter()
+            .map(|&m| {
+                let d = table.decision(m);
+                (d.policy.replicas(), d.primary_node())
+            })
+            .collect();
+        let n = NodeId::new;
+        assert_eq!(shape, [(1, n(1)), (2, n(0)), (2, n(1))]);
         // Applying a move changes exactly that process.
-        let next = moves[0].apply(&design);
+        let mut next = design.clone();
+        next.set_decision(moves[0].process, table.decision(moves[0]).clone());
         assert_ne!(
             next.decision(ProcessId::new(0)),
             design.decision(ProcessId::new(0))

@@ -118,10 +118,10 @@ pub fn optimize(
 
 /// [`optimize`] over a caller-owned [`EvalCache`], so the memoized
 /// candidate costs survive this call and serve the caller's next
-/// searches — sweeps (`sweep_k`, fig10) re-solve overlapping problems
-/// and reuse each other's entries. Keys cover the problem structure
-/// and the fault model, so sharing one cache across any mix of
-/// problems and strategies is sound.
+/// searches — the table bins and sweep jobs re-solve overlapping
+/// problems and reuse each other's entries. Keys cover the problem
+/// structure and the fault model, so sharing one cache across any mix
+/// of problems and strategies is sound.
 ///
 /// # Errors
 ///
@@ -409,6 +409,62 @@ mod tests {
             .design
             .iter()
             .all(|(_, d)| d.policy.is_pure_reexecution()));
+    }
+
+    /// Table 1b/1c's study in miniature: MXR under each fault model
+    /// against one NFT reference, every solve over one shared cache.
+    fn overhead_sweep(models: &[FaultModel]) -> (Outcome, Vec<(Outcome, f64)>) {
+        let problem = problem();
+        let cfg = fast_cfg();
+        let cache = Arc::new(EvalCache::default());
+        let nft = optimize_with_cache(&problem, Strategy::Nft, &cfg, &cache).unwrap();
+        let points = models
+            .iter()
+            .map(|&fm| {
+                let p = problem.with_fault_model(fm);
+                let mxr = optimize_with_cache(&p, Strategy::Mxr, &cfg, &cache).unwrap();
+                let overhead = overhead_percent(&mxr, &nft);
+                (mxr, overhead)
+            })
+            .collect();
+        (nft, points)
+    }
+
+    #[test]
+    fn overheads_grow_with_k() {
+        let models: Vec<FaultModel> = (1..=3)
+            .map(|k| FaultModel::new(k, Time::from_ms(5)))
+            .collect();
+        let (_, points) = overhead_sweep(&models);
+        let curve: Vec<(u32, f64)> = models
+            .iter()
+            .zip(&points)
+            .map(|(fm, (_, overhead))| (fm.k(), *overhead))
+            .collect();
+        assert_eq!(curve.len(), 3);
+        assert_eq!(curve[0].0, 1);
+        for w in curve.windows(2) {
+            assert!(
+                w[1].1 >= w[0].1 - 1e-9,
+                "overhead must not shrink with more faults: {curve:?}"
+            );
+        }
+        assert!(curve[0].1 >= 0.0, "fault tolerance is never free");
+    }
+
+    #[test]
+    fn sweep_shares_the_nft_reference() {
+        let models = [
+            FaultModel::new(1, Time::from_ms(5)),
+            FaultModel::new(1, Time::from_ms(20)),
+        ];
+        let (nft, points) = overhead_sweep(&models);
+        assert_eq!(points.len(), 2);
+        assert!(
+            points[1].1 >= points[0].1,
+            "longer faults cost at least as much"
+        );
+        assert!(nft.length() <= points[0].0.length());
     }
 
     #[test]

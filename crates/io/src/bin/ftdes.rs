@@ -441,7 +441,7 @@ fn run(out: &mut impl Write, args: &[String]) -> Result<(), CliError> {
             let names: Vec<String> = spec.arch.nodes().iter().map(|n| n.name.clone()).collect();
             let (problem, merged) = spec
                 .into_problem()
-                .map_err(|e| CliError::Parse(e.to_string()))?;
+                .map_err(|e| CliError::Parse(format!("{path}: {e}")))?;
             (problem, names, merged.hyperperiod())
         }
         (None, Some(family)) => {
@@ -769,7 +769,10 @@ impl SweepOptions {
                 }
                 "--lease-ms" => o.lease_ms = number("--lease-ms", value("--lease-ms")?)?,
                 "--max-attempts" => {
-                    o.max_attempts = number("--max-attempts", value("--max-attempts")?)? as u32;
+                    let n = number("--max-attempts", value("--max-attempts")?)?;
+                    o.max_attempts = u32::try_from(n).map_err(|_| {
+                        CliError::Usage(format!("--max-attempts {n} exceeds {}", u32::MAX))
+                    })?;
                 }
                 other => {
                     return Err(CliError::Usage(format!(

@@ -1,8 +1,9 @@
 //! Sweep-specification parsing for `ftdes sweep`.
 //!
 //! A sweep spec is a small line-oriented text file selecting one of
-//! the predefined experiment sweeps (`ftdes_bench::jobs`) and
-//! overriding its knobs. Grammar:
+//! the predefined experiment sweeps (`ftdes_bench::jobs`: the χ
+//! trade-off and the node-kill repair study) and overriding its
+//! knobs. Grammar:
 //!
 //! ```text
 //! # comment
@@ -18,9 +19,11 @@
 //! Keys for `sweep repair`: `processes`, `comm_processes`, `nodes`,
 //! `faults`, `mu_ms`, `seeds`, `max_iterations`.
 //!
-//! Every key is optional — omitted knobs take the defaults of the
-//! corresponding benchmark binaries (`cptable` / `repairbench`). All
-//! values are unsigned integers.
+//! Every key is optional — omitted knobs take the defaults below
+//! (`default_chi` / `default_repair`). All values are unsigned
+//! integers. CI runs both sweeps with `max_iterations 300`, the χ
+//! sweep at `seeds 2`, and publishes their `--out` files as
+//! `BENCH_cptable.json` and `BENCH_repair.json`.
 //!
 //! Malformed input comes back as a structured [`ParseSweepError`]
 //! carrying the same [`ErrorKind`] taxonomy as the problem-file
@@ -89,7 +92,9 @@ impl fmt::Display for ParseSweepError {
 
 impl Error for ParseSweepError {}
 
-/// The `cptable` defaults, as a parser baseline for `sweep chi`.
+/// The `sweep chi` defaults: the paper family at 24 processes on 4
+/// nodes with k = 2, six χ rows from 1 % to 50 % of the mean WCET,
+/// and a checkpoint axis of up to 4 segments for the MCX/MCXR cells.
 fn default_chi() -> ChiSweep {
     ChiSweep {
         processes: 24,
@@ -104,7 +109,9 @@ fn default_chi() -> ChiSweep {
     }
 }
 
-/// The `repairbench` defaults, as a parser baseline for `sweep repair`.
+/// The `sweep repair` defaults: per seed, a 15-process paper
+/// application and a 12-process communication-heavy one, each on 4
+/// nodes with k = 1.
 fn default_repair() -> RepairSweep {
     RepairSweep {
         processes: 15,

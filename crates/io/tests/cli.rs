@@ -247,9 +247,15 @@ wcet a * 1us
 wcet b * 1us
 ";
     let path = write_problem("merge-cap.ftd", problem);
-    let out = ftdes(&["info", path.to_str().unwrap()]);
+    let path = path.to_str().unwrap();
+    let out = ftdes(&["info", path]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(65), "stderr: {stderr}");
+    // Whole-file errors name the file, as parse errors do.
+    assert!(
+        stderr.starts_with(&format!("error: {path}: line 0: ")),
+        "stderr: {stderr}"
+    );
     assert!(
         stderr.contains("merging the graphs over their hyperperiod builds more than"),
         "stderr: {stderr}"

@@ -189,6 +189,17 @@ fn exit_codes_classify_failures() {
         vec!["sweep", "conduct"],
         vec!["sweep", "run", "--warp-speed"],
         vec!["sweep", "run", "--store", "x.jsonl"], // missing --spec
+        // Past u32: rejected, not truncated to 0 attempts.
+        vec![
+            "sweep",
+            "run",
+            "--spec",
+            "x.spec",
+            "--store",
+            "x.jsonl",
+            "--max-attempts",
+            "4294967296",
+        ],
     ] {
         let out = ftdes(&args, None);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));

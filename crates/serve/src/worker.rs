@@ -167,7 +167,7 @@ fn step(
             worker: cfg.worker.clone(),
             attempt,
             at_ms: now,
-            expires_ms: now + cfg.lease_ms,
+            expires_ms: now.saturating_add(cfg.lease_ms),
         },
     )?;
     if reclaim {
@@ -288,7 +288,7 @@ fn commit_outcome(
                         attempt,
                         at_ms: now,
                         error,
-                        retry_ms: now + backoff,
+                        retry_ms: now.saturating_add(backoff),
                     },
                 )?;
                 report.failed_attempts += 1;
@@ -453,7 +453,7 @@ fn parallel_loop(
                     worker: cfg.worker.clone(),
                     attempt,
                     at_ms: now,
-                    expires_ms: now + cfg.lease_ms,
+                    expires_ms: now.saturating_add(cfg.lease_ms),
                 },
             )?;
             if reclaim {

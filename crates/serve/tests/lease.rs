@@ -377,6 +377,38 @@ fn parallel_drive_counts_are_exact_across_repeated_runs() {
 }
 
 #[test]
+fn a_lease_past_the_clock_range_never_expires() {
+    // Regression: `now + lease_ms` wrapped to `now - 1` in release
+    // (and panicked in debug), so every claim was expired when
+    // written and sibling workers re-ran jobs still in flight. The
+    // expiry saturates at u64::MAX instead: a lease nobody can
+    // outlive.
+    for workers in [1, 2] {
+        let path = tmp(&format!("endless-lease-{workers}.jsonl"));
+        let mut jobs: Vec<JobSpec> = (1..=8).map(|i| job(i, "double", vec![])).collect();
+        jobs.push(job(9, "sum", (1..=8).collect()));
+        let (mut store, mut state) = SweepStore::create(&path, "lease", &jobs).unwrap();
+        let clock = SweepClock::virtual_at(1_000);
+        let cfg = WorkerConfig {
+            lease_ms: u64::MAX,
+            ..worker("pool")
+        };
+        let report = ftdes_serve::drive_parallel(
+            &mut store,
+            &mut state,
+            &Toy::default(),
+            &clock,
+            &cfg,
+            workers,
+        )
+        .unwrap();
+        assert_eq!(report.executed, 9, "{workers} workers: one run per job");
+        assert_eq!(report.reclaimed, 0, "{workers} workers: no lease expired");
+        assert_eq!(state.result(9), Some(&Value::U64(720)));
+    }
+}
+
+#[test]
 fn parallel_takeover_covers_dead_leases_but_never_live_siblings() {
     let path = tmp("parallel-takeover.jsonl");
     let mut jobs: Vec<JobSpec> = (1..=4).map(|i| job(i, "double", vec![])).collect();
