@@ -1,6 +1,7 @@
 //! The crash matrix over the *real* sweep adapters: for every
-//! registered fault point, crash a sweep mid-run, reopen, resume —
-//! and require byte-identical aggregate results.
+//! registered fault point, at its 1st and its 2nd hit, at one worker
+//! and at two, crash a sweep mid-run, reopen, resume — and require
+//! byte-identical aggregate results.
 //!
 //! This is the end-to-end form of the property the `ftdes-serve` toy
 //! matrix isolates: the optimizer jobs are iteration-bounded (no
@@ -40,13 +41,12 @@ fn tiny_chi() -> SweepSpec {
     })
 }
 
-fn cfg(worker: &str, takeover: bool) -> WorkerConfig {
+fn cfg(worker: &str, workers: usize) -> WorkerConfig {
     WorkerConfig {
         worker: worker.into(),
-        lease_ms: 1_000,
+        workers,
         max_attempts: 2,
         backoff_base_ms: 10,
-        takeover,
     }
 }
 
@@ -76,7 +76,7 @@ fn run_uncrashed(spec: &SweepSpec, path: &Path) -> String {
         &SweepExec::new(),
         &clock,
         &mut Injector::none(),
-        &cfg("base", false),
+        &cfg("base", 1),
     )
     .unwrap();
     assert!(state.is_complete(), "uncrashed sweep completes fully");
@@ -92,52 +92,62 @@ fn chi_sweep_resumes_bit_identically_after_every_crash_point() {
     // never fire — drive then completes uncrashed, which is the
     // correct degenerate case (crash-at-point ≡ no-crash when the
     // point is never reached).
-    for &point in FAULT_POINTS {
-        let path = tmp(&format!("chi-{}.jsonl", point.replace('.', "-")));
-        let (mut store, mut state) = SweepStore::create(&path, spec.name(), &spec.jobs()).unwrap();
-        let clock = SweepClock::virtual_at(0);
-        let mut injector = Injector::at(point, 1, CrashMode::Error).unwrap();
-        let crashed = drive(
-            &mut store,
-            &mut state,
-            &SweepExec::new(),
-            &clock,
-            &mut injector,
-            &cfg("victim", false),
-        );
-        match crashed {
-            Err(DriveError::InjectedCrash { point: p }) => assert_eq!(p, point),
-            Ok(_) => assert!(
-                point.starts_with("fail.") || point.starts_with("quarantine."),
-                "[{point}] only failure points may go unfired on a healthy sweep"
-            ),
-            Err(other) => panic!("[{point}] unexpected error {other:?}"),
-        }
-        drop(store);
+    for workers in [1, 2] {
+        for nth in [1, 2] {
+            for &point in FAULT_POINTS {
+                let at = format!("[{point}:{nth}, {workers} workers]");
+                let path = tmp(&format!(
+                    "chi-{}-{nth}-{workers}w.jsonl",
+                    point.replace('.', "-")
+                ));
+                let (mut store, mut state) =
+                    SweepStore::create(&path, spec.name(), &spec.jobs()).unwrap();
+                let clock = SweepClock::virtual_at(0);
+                let mut injector = Injector::at(point, nth, CrashMode::Error).unwrap();
+                let crashed = drive(
+                    &mut store,
+                    &mut state,
+                    &SweepExec::new(),
+                    &clock,
+                    &mut injector,
+                    &cfg("victim", workers),
+                );
+                match crashed {
+                    Err(DriveError::InjectedCrash { point: p }) => assert_eq!(p, point),
+                    Ok(_) => assert!(
+                        point.starts_with("fail.") || point.starts_with("quarantine."),
+                        "{at} only failure points may go unfired on a healthy sweep"
+                    ),
+                    Err(other) => panic!("{at} unexpected error {other:?}"),
+                }
+                drop(store);
 
-        // A fresh executor simulates the fresh process of a real
-        // resume: empty cache pool, no carried state.
-        let (mut store, mut state, report) = SweepStore::open(&path).unwrap();
-        assert_eq!(
-            report.dropped_torn_line,
-            point == "done.torn_append",
-            "[{point}] torn-line detection"
-        );
-        drive(
-            &mut store,
-            &mut state,
-            &SweepExec::new(),
-            &clock,
-            &mut Injector::none(),
-            &cfg("rescuer", true),
-        )
-        .unwrap();
-        assert!(state.is_complete(), "[{point}] resumed sweep completes");
-        assert_eq!(
-            results_bytes(&state),
-            baseline,
-            "[{point}] resumed results differ from the uncrashed run"
-        );
+                // A fresh executor simulates the fresh process of a
+                // real resume: empty cache pool, no carried state.
+                let (mut store, mut state, report) = SweepStore::open(&path).unwrap();
+                assert_eq!(
+                    report.dropped_torn_line,
+                    point == "done.torn_append",
+                    "{at} torn-line detection"
+                );
+                drive(
+                    &mut store,
+                    &mut state,
+                    &SweepExec::new(),
+                    &clock,
+                    &mut Injector::none(),
+                    &cfg("rescuer", workers),
+                )
+                .unwrap();
+                assert!(state.is_complete(), "{at} resumed sweep completes");
+                assert_eq!(clock.now_ms(), 0, "{at} nothing waited on the clock");
+                assert_eq!(
+                    results_bytes(&state),
+                    baseline,
+                    "{at} resumed results differ from the uncrashed run"
+                );
+            }
+        }
     }
 }
 
@@ -169,7 +179,7 @@ fn repair_sweep_crash_resume_is_bit_identical() {
         &SweepExec::new(),
         &clock,
         &mut injector,
-        &cfg("victim", false),
+        &cfg("victim", 1),
     )
     .unwrap_err();
     drop(store);
@@ -181,7 +191,7 @@ fn repair_sweep_crash_resume_is_bit_identical() {
         &SweepExec::new(),
         &clock,
         &mut Injector::none(),
-        &cfg("rescuer", true),
+        &cfg("rescuer", 1),
     )
     .unwrap();
     assert!(state.is_complete());

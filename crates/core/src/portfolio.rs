@@ -73,18 +73,9 @@ pub struct PortfolioConfig {
     /// iterations between elite exchanges. Larger epochs mean less
     /// synchronization and more independent exploration.
     pub epoch_candidates: usize,
-    /// Upper bound on exchange epochs (a safety net on top of the
-    /// per-worker iteration and wall-clock limits).
-    pub max_epochs: usize,
     /// Seed for the deterministic start-perturbation stream (worker
     /// `w` applies `w` seeded decision changes to the greedy start).
     pub seed: u64,
-    /// Diversify worker configurations along the strategy-ablation
-    /// axes (mobility-ordered ready list, tenure ×2, window ÷2,
-    /// tenure ÷2 without diversification, window ×2, cycling by
-    /// worker index). With `false` every worker runs the base
-    /// configuration and only the start perturbation differs.
-    pub diversify: bool,
 }
 
 impl Default for PortfolioConfig {
@@ -92,9 +83,7 @@ impl Default for PortfolioConfig {
         PortfolioConfig {
             workers: 0,
             epoch_candidates: 4_096,
-            max_epochs: usize::MAX,
             seed: 0x5EED_F7DE_5000_0001,
-            diversify: true,
         }
     }
 }
@@ -241,8 +230,9 @@ fn perturb(
 
 /// Derives worker `w`'s configuration from the base `cfg`: worker 0
 /// runs the pristine base; higher workers cycle through the
-/// strategy-ablation axes (when [`PortfolioConfig::diversify`] is on)
-/// and perturb their start solution by `w` seeded decision changes.
+/// strategy-ablation axes (mobility-ordered ready list, tenure ×2,
+/// window ÷2, tenure ÷2 without diversification, window ×2) and
+/// perturb their start solution by `w` seeded decision changes.
 fn worker_prep(
     problem: &Problem,
     space: PolicySpace,
@@ -259,7 +249,7 @@ fn worker_prep(
         ..base.clone()
     };
     let mut axis = "base";
-    if w > 0 && pcfg.diversify {
+    if w > 0 {
         match (w - 1) % 5 {
             0 => {
                 // First in the cycle so even a 2-worker portfolio
@@ -552,7 +542,6 @@ pub fn optimize_portfolio_with_cache(
                         let mut t = tally.lock().expect("portfolio tally");
                         t.0 += 1;
                         let stop = elite.is_none()
-                            || t.0 >= pcfg.max_epochs
                             || cutoff.is_some_and(|c| Instant::now() >= c)
                             || (cfg.goal == Goal::MeetDeadline && elite_schedulable)
                             || (all_finished && adopters == 0)

@@ -506,17 +506,6 @@ impl Problem {
             .checked_mul(self.bus.slots_per_round() as u64)?;
         total.checked_add(round.checked_mul(BOOKING_HORIZON_ROUNDS)?)
     }
-
-    /// The sum over processes of the average WCET — a scale for
-    /// relative comparisons in reports.
-    #[must_use]
-    pub fn total_average_wcet(&self) -> Time {
-        self.graph
-            .processes()
-            .iter()
-            .filter_map(|p| self.wcet.average(p.id))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -561,7 +550,6 @@ mod tests {
     fn largest_message_and_scale() {
         let p = tiny_problem();
         assert_eq!(p.largest_message(), 3);
-        assert_eq!(p.total_average_wcet(), Time::from_ms(30));
     }
 
     #[test]

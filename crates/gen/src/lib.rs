@@ -26,10 +26,8 @@ pub mod cc;
 pub mod comm;
 pub mod params;
 pub mod random;
-pub mod stats;
 
 pub use cc::{cruise_controller, cruise_controller_multirate, CruiseController, MultiRateCc};
 pub use comm::{comm_heavy, CommHeavyParams};
 pub use params::{GraphStructure, WcetDistribution, WorkloadParams};
 pub use random::{generate, paper_workload, Workload};
-pub use stats::WorkloadStats;

@@ -9,19 +9,21 @@
 //!                            [--repair-ms N] [--strategy ...] [--scenarios N]
 //! ftdes info  <problem.ftd>
 //! ftdes sweep run    --spec <sweep.txt> --store <log.jsonl> [--out results.json]
-//!                    [--workers N] [--lease-ms N] [--max-attempts N]
-//! ftdes sweep resume --store <log.jsonl> [--takeover] [--out results.json] [--workers N]
+//!                    [--workers N] [--max-attempts N]
+//! ftdes sweep resume --store <log.jsonl> [--out results.json] [--workers N]
 //! ftdes sweep status --store <log.jsonl>
 //! ```
 //!
 //! `sweep` drives a whole experiment sweep (a χ trade-off table or a
 //! degrade-and-repair study — see [`ftdes_io::sweep`] for the spec
 //! format) as a crash-safe job DAG over an append-only event log
-//! (`ftdes-serve`). Kill the process at any instant and `sweep
-//! resume --takeover` continues from the log; the final results are
-//! bit-identical to an uncrashed run. `FTDES_CRASH_AT=<point>[:<n>]`
-//! arms the crash-injection harness (real `abort()` at a registered
-//! fault point) for exactly that drill.
+//! (`ftdes-serve`). `run` and `resume` lock the store, so a second
+//! driver on it exits 74; `status` only reads it. Kill the process at
+//! any instant and `sweep resume` continues from the log at once; the
+//! final results are bit-identical to an uncrashed run.
+//! `FTDES_CRASH_AT=<point>[:<n>]` arms the crash-injection harness
+//! (real `abort()` at a registered fault point, at any worker count)
+//! for exactly that drill.
 //!
 //! Count flags have documented maxima: `--scenarios` 100000,
 //! `--portfolio` and `sweep --workers` 256 (the engine's thread
@@ -84,8 +86,7 @@ use ftdes_model::merge::MAX_MERGED_PROCESSES;
 use ftdes_model::time::Time;
 use ftdes_sched::render::{render_gantt, render_medl, render_tables};
 use ftdes_serve::{
-    drive, drive_parallel, Injector, JobStatus, StoreError, SweepClock, SweepState, SweepStore,
-    WorkerConfig,
+    drive, Injector, JobStatus, StoreError, SweepClock, SweepState, SweepStore, WorkerConfig,
 };
 use ftdes_ttp::config::BusConfig;
 use serde::Value;
@@ -516,7 +517,6 @@ fn run(out: &mut impl Write, args: &[String]) -> Result<(), CliError> {
                     workers: options.portfolio,
                     epoch_candidates: options.epoch_candidates,
                     seed: options.seed ^ PortfolioConfig::default().seed,
-                    ..PortfolioConfig::default()
                 };
                 let p = optimize_portfolio(&problem, space, &options.search_config(), &pcfg)
                     .map_err(|e| e.to_string())?;
@@ -731,8 +731,6 @@ struct SweepOptions {
     spec: Option<String>,
     out: Option<String>,
     workers: usize,
-    takeover: bool,
-    lease_ms: u64,
     max_attempts: u32,
 }
 
@@ -743,8 +741,6 @@ impl SweepOptions {
             spec: None,
             out: None,
             workers: 1,
-            takeover: false,
-            lease_ms: 60_000,
             max_attempts: 3,
         };
         let mut it = args.iter();
@@ -754,22 +750,19 @@ impl SweepOptions {
                     .cloned()
                     .ok_or_else(|| CliError::Usage(format!("{name} needs a value")))
             };
-            let number = |name: &str, v: String| {
-                v.parse::<u64>()
-                    .map_err(|_| CliError::Usage(format!("invalid {name}: {v:?}")))
-            };
             match flag.as_str() {
                 "--store" => o.store = Some(value("--store")?),
                 "--spec" => o.spec = Some(value("--spec")?),
                 "--out" => o.out = Some(value("--out")?),
-                "--takeover" => o.takeover = true,
                 "--workers" => {
                     o.workers = parse_count("--workers", &value("--workers")?, MAX_THREADS)
                         .map_err(CliError::Usage)?;
                 }
-                "--lease-ms" => o.lease_ms = number("--lease-ms", value("--lease-ms")?)?,
                 "--max-attempts" => {
-                    let n = number("--max-attempts", value("--max-attempts")?)?;
+                    let v = value("--max-attempts")?;
+                    let n = v
+                        .parse::<u64>()
+                        .map_err(|_| CliError::Usage(format!("invalid --max-attempts: {v:?}")))?;
                     o.max_attempts = u32::try_from(n).map_err(|_| {
                         CliError::Usage(format!("--max-attempts {n} exceeds {}", u32::MAX))
                     })?;
@@ -791,12 +784,11 @@ impl SweepOptions {
             .ok_or_else(|| CliError::Usage("sweep needs --store <log.jsonl>".to_owned()))
     }
 
-    fn worker_config(&self, takeover: bool) -> WorkerConfig {
+    fn worker_config(&self) -> WorkerConfig {
         WorkerConfig {
             worker: format!("cli-{}", std::process::id()),
-            lease_ms: self.lease_ms,
+            workers: self.workers,
             max_attempts: self.max_attempts,
-            takeover,
             ..WorkerConfig::default()
         }
     }
@@ -828,7 +820,7 @@ fn run_sweep(out: &mut impl Write, args: &[String]) -> Result<(), CliError> {
             let (mut store, mut state) =
                 SweepStore::create(std::path::Path::new(o.store()?), spec.name(), &jobs)
                     .map_err(store_err)?;
-            drive_sweep(out, &o, &mut store, &mut state, false)?;
+            drive_sweep(out, &o, &mut store, &mut state)?;
             finish_sweep(out, &o, &state)
         }
         "resume" => {
@@ -845,12 +837,12 @@ fn run_sweep(out: &mut impl Write, args: &[String]) -> Result<(), CliError> {
                 "resuming sweep {} from {} replayed events",
                 state.sweep, report.events
             )?;
-            drive_sweep(out, &o, &mut store, &mut state, o.takeover)?;
+            drive_sweep(out, &o, &mut store, &mut state)?;
             finish_sweep(out, &o, &state)
         }
         "status" => {
-            let (_store, state, report) =
-                SweepStore::open(std::path::Path::new(o.store()?)).map_err(store_err)?;
+            let (state, report) =
+                SweepStore::replay(std::path::Path::new(o.store()?)).map_err(store_err)?;
             print_status(out, &state, report.events, report.dropped_torn_line)?;
             Ok(())
         }
@@ -861,24 +853,24 @@ fn run_sweep(out: &mut impl Write, args: &[String]) -> Result<(), CliError> {
     }
 }
 
-/// Drives the sweep to a settled state. A crash injector armed via
-/// `FTDES_CRASH_AT` forces the single-worker loop (injection is a
-/// single-worker instrument); otherwise `--workers N` fans out.
+/// Drives the sweep to a settled state with `--workers N` workers,
+/// under the crash injector `FTDES_CRASH_AT` arms.
 fn drive_sweep(
     out: &mut impl Write,
     o: &SweepOptions,
     store: &mut SweepStore,
     state: &mut SweepState,
-    takeover: bool,
 ) -> Result<(), CliError> {
     let mut injector = Injector::from_env().map_err(CliError::Usage)?;
-    let exec = SweepExec::new();
-    let cfg = o.worker_config(takeover);
-    let report = if o.workers > 1 && injector.armed_point().is_none() {
-        drive_parallel(store, state, &exec, &SweepClock::Wall, &cfg, o.workers)
-    } else {
-        drive(store, state, &exec, &SweepClock::Wall, &mut injector, &cfg)
-    }
+    let cfg = o.worker_config();
+    let report = drive(
+        store,
+        state,
+        &SweepExec::new(),
+        &SweepClock::Wall,
+        &mut injector,
+        &cfg,
+    )
     .map_err(|e| match e {
         ftdes_serve::DriveError::Store(s) => store_err(s),
         other => CliError::Other(other.to_string()),
@@ -972,7 +964,7 @@ fn print_status(
         } else {
             String::new()
         },
-        if torn { ", torn line dropped" } else { "" },
+        if torn { ", torn line skipped" } else { "" },
     )?;
     for job in state.jobs() {
         let line = match &job.status {
@@ -982,11 +974,9 @@ fn print_status(
                 "blocked (dependency quarantined)".to_owned()
             }
             JobStatus::Ready => "waiting on dependencies".to_owned(),
-            JobStatus::Claimed {
-                worker,
-                attempt,
-                expires_ms,
-            } => format!("claimed by {worker} (attempt {attempt}, lease to {expires_ms})"),
+            JobStatus::Claimed { worker, attempt } => {
+                format!("claimed by {worker} (attempt {attempt}, no outcome yet)")
+            }
             JobStatus::Failed { attempt, retry_ms } => {
                 format!("failed attempt {attempt}, retry at {retry_ms}")
             }
@@ -1003,11 +993,11 @@ fn print_status(
 
 fn sweep_usage() -> String {
     "usage: ftdes sweep run    --spec <sweep.txt> --store <log.jsonl> [--out results.json]\n\
-     \x20                     [--workers N] [--lease-ms N] [--max-attempts N]\n\
-     \x20      ftdes sweep resume --store <log.jsonl> [--takeover] [--out results.json] [--workers N]\n\
+     \x20                     [--workers N] [--max-attempts N]\n\
+     \x20      ftdes sweep resume --store <log.jsonl> [--out results.json] [--workers N]\n\
      \x20      ftdes sweep status --store <log.jsonl>\n\
-     crash drills: FTDES_CRASH_AT=<fault-point>[:<n>] aborts the worker at a registered\n\
-     durability boundary; `sweep resume --takeover` then continues from the log"
+     crash drills: FTDES_CRASH_AT=<fault-point>[:<n>] aborts the driver at a registered\n\
+     durability boundary; `sweep resume` then continues from the log"
         .to_owned()
 }
 

@@ -5,14 +5,15 @@
 //! The in-process crash matrices (`ftdes-serve` and `ftdes-bench`)
 //! check the same property with `CrashMode::Error`; this suite closes
 //! the loop at the process boundary: `FTDES_CRASH_AT` kills the
-//! worker for real, and a fresh `ftdes sweep resume --takeover`
-//! process recovers from nothing but the log file. It also pins the
-//! CLI's classified exit codes (usage 2, data 65, I/O 74).
+//! driver for real, and a fresh `ftdes sweep resume` process recovers
+//! from nothing but the log file. It also pins the store lock (one
+//! driver per store, `status` read-only beside it) and the CLI's
+//! classified exit codes (usage 2, data 65, I/O 74).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use ftdes_serve::FAULT_POINTS;
+use ftdes_serve::{SweepStore, FAULT_POINTS};
 
 /// A sweep small enough for the full fault-point loop to run in
 /// seconds, with every job kind present.
@@ -61,11 +62,12 @@ fn stderr(out: &Output) -> String {
 }
 
 /// One uncrashed run's `--out` bytes — the identity every crashed
-/// variant must reproduce.
-fn baseline() -> Vec<u8> {
-    let spec = write_spec("baseline.spec", TINY_CHI);
-    let store = fresh("baseline.jsonl");
-    let out = fresh("baseline.json");
+/// variant must reproduce. `tag` keeps the files of concurrent tests
+/// apart.
+fn baseline(tag: &str) -> Vec<u8> {
+    let spec = write_spec(&format!("baseline-{tag}.spec"), TINY_CHI);
+    let store = fresh(&format!("baseline-{tag}.jsonl"));
+    let out = fresh(&format!("baseline-{tag}.json"));
     let run = ftdes(
         &[
             "sweep",
@@ -83,67 +85,194 @@ fn baseline() -> Vec<u8> {
     std::fs::read(&out).expect("baseline results")
 }
 
+fn utf8(path: &Path) -> &str {
+    path.to_str().expect("utf8 path")
+}
+
+/// `sweep resume --store <store> --out <out>`, uncrashed.
+fn resume(store: &Path, out: &Path) -> Output {
+    ftdes(
+        &[
+            "sweep",
+            "resume",
+            "--store",
+            utf8(store),
+            "--out",
+            utf8(out),
+        ],
+        None,
+    )
+}
+
 #[test]
 fn killed_at_every_fault_point_resume_reproduces_the_baseline_bytes() {
-    let want = baseline();
+    let want = baseline("matrix");
     let spec = write_spec("matrix.spec", TINY_CHI);
 
-    for &point in FAULT_POINTS {
-        let tag = point.replace('.', "-");
-        let store = fresh(&format!("matrix-{tag}.jsonl"));
-        let out = fresh(&format!("matrix-{tag}.json"));
-        let run = ftdes(
-            &[
-                "sweep",
-                "run",
-                "--spec",
-                spec.to_str().expect("utf8 path"),
-                "--store",
-                store.to_str().expect("utf8 path"),
-            ],
-            Some(point),
-        );
-        if run.status.success() {
-            // A healthy sweep never reaches the failure-path points;
-            // completing uncrashed is the correct degenerate case.
-            assert!(
-                point.starts_with("fail.") || point.starts_with("quarantine."),
-                "[{point}] only failure points may go unfired"
-            );
-        } else {
-            // SIGABRT, not a clean exit: the harness really killed us.
-            assert_eq!(
-                run.status.code(),
-                None,
-                "[{point}] expected a signal kill, got exit {:?} ({})",
-                run.status.code(),
-                stderr(&run)
-            );
-        }
+    for workers in ["1", "2"] {
+        for nth in [1, 2] {
+            for &point in FAULT_POINTS {
+                let at = format!("[{point}:{nth}, {workers} workers]");
+                let tag = format!("{}-{nth}-{workers}w", point.replace('.', "-"));
+                let store = fresh(&format!("matrix-{tag}.jsonl"));
+                let out = fresh(&format!("matrix-{tag}.json"));
+                let run = ftdes(
+                    &[
+                        "sweep",
+                        "run",
+                        "--spec",
+                        utf8(&spec),
+                        "--store",
+                        utf8(&store),
+                        "--workers",
+                        workers,
+                    ],
+                    Some(&format!("{point}:{nth}")),
+                );
+                if run.status.success() {
+                    // A healthy sweep never reaches the failure-path
+                    // points; completing uncrashed is the correct
+                    // degenerate case.
+                    assert!(
+                        point.starts_with("fail.") || point.starts_with("quarantine."),
+                        "{at} only failure points may go unfired"
+                    );
+                } else {
+                    // SIGABRT, not a clean exit: the harness really
+                    // killed us.
+                    assert_eq!(
+                        run.status.code(),
+                        None,
+                        "{at} expected a signal kill, got exit {:?} ({})",
+                        run.status.code(),
+                        stderr(&run)
+                    );
+                }
 
-        let resume = ftdes(
-            &[
-                "sweep",
-                "resume",
-                "--store",
-                store.to_str().expect("utf8 path"),
-                "--takeover",
-                "--out",
-                out.to_str().expect("utf8 path"),
-            ],
-            None,
-        );
-        assert!(
-            resume.status.success(),
-            "[{point}] resume: {}",
-            stderr(&resume)
-        );
-        let got = std::fs::read(&out).expect("resumed results");
-        assert_eq!(
-            got, want,
-            "[{point}] resumed results differ from the uncrashed run"
-        );
+                let resumed = resume(&store, &out);
+                assert!(
+                    resumed.status.success(),
+                    "{at} resume: {}",
+                    stderr(&resumed)
+                );
+                let got = std::fs::read(&out).expect("resumed results");
+                assert_eq!(
+                    got, want,
+                    "{at} resumed results differ from the uncrashed run"
+                );
+            }
+        }
     }
+}
+
+#[test]
+fn a_store_with_lease_expiries_resumes_to_the_baseline_bytes() {
+    // Written by the binary before the store lock: killed at the 3rd
+    // `done.before_append`, its claims carry an `expires_ms` 60 s past
+    // their `at_ms`. The dead claim re-runs at once.
+    let want = baseline("lease-era");
+    let store = fresh("lease-era.jsonl");
+    std::fs::copy(
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/claims_with_lease_expiry.jsonl"
+        ),
+        &store,
+    )
+    .expect("copy fixture");
+    let out = fresh("lease-era.json");
+    let resumed = resume(&store, &out);
+    assert!(resumed.status.success(), "resume: {}", stderr(&resumed));
+    let text = String::from_utf8_lossy(&resumed.stdout).into_owned();
+    assert!(text.contains("1 reclaimed"), "stdout: {text}");
+    assert_eq!(std::fs::read(&out).expect("results"), want);
+}
+
+#[test]
+fn a_second_driver_is_refused_and_leaves_the_store_untouched() {
+    let spec = write_spec("locked.spec", TINY_CHI);
+    let store = fresh("locked.jsonl");
+    let run = ftdes(
+        &[
+            "sweep",
+            "run",
+            "--spec",
+            utf8(&spec),
+            "--store",
+            utf8(&store),
+        ],
+        Some("done.before_append:3"),
+    );
+    assert!(!run.status.success(), "crash drill must kill the run");
+
+    // This process drives the store now; nothing below may write it.
+    let held = SweepStore::open(&store).expect("the killed driver let go");
+    let before = std::fs::read(&store).expect("read store");
+    let out = fresh("locked.json");
+    let second = resume(&store, &out);
+    assert_eq!(second.status.code(), Some(74), "{}", stderr(&second));
+    assert!(stderr(&second).contains("lock"), "{}", stderr(&second));
+    let again = ftdes(
+        &[
+            "sweep",
+            "run",
+            "--spec",
+            utf8(&spec),
+            "--store",
+            utf8(&store),
+        ],
+        None,
+    );
+    assert_eq!(again.status.code(), Some(74), "{}", stderr(&again));
+    let status = ftdes(&["sweep", "status", "--store", utf8(&store)], None);
+    assert!(status.status.success(), "status: {}", stderr(&status));
+    assert_eq!(std::fs::read(&store).expect("read store"), before);
+    assert!(!out.exists(), "the refused resume wrote no results");
+    drop(held);
+}
+
+#[test]
+fn status_leaves_a_torn_store_to_the_next_driver() {
+    let spec = write_spec("torn.spec", TINY_CHI);
+    let store = fresh("torn.jsonl");
+    let run = ftdes(
+        &[
+            "sweep",
+            "run",
+            "--spec",
+            utf8(&spec),
+            "--store",
+            utf8(&store),
+        ],
+        Some("done.torn_append:2"),
+    );
+    assert_eq!(
+        run.status.code(),
+        None,
+        "killed mid-append: {}",
+        stderr(&run)
+    );
+    let torn = std::fs::read(&store).expect("read store");
+    assert_ne!(torn.last(), Some(&b'\n'), "the kill tore the final line");
+
+    let status = ftdes(&["sweep", "status", "--store", utf8(&store)], None);
+    assert!(status.status.success(), "status: {}", stderr(&status));
+    let text = String::from_utf8_lossy(&status.stdout).into_owned();
+    assert!(text.contains("torn line skipped"), "stdout: {text}");
+    assert_eq!(
+        std::fs::read(&store).expect("read store"),
+        torn,
+        "status wrote"
+    );
+
+    let out = fresh("torn.json");
+    let resumed = resume(&store, &out);
+    assert!(resumed.status.success(), "resume: {}", stderr(&resumed));
+    let text = String::from_utf8_lossy(&resumed.stdout).into_owned();
+    assert!(
+        text.contains("recovered from a torn append (dropped the partial line)"),
+        "stdout: {text}"
+    );
 }
 
 #[test]
@@ -170,7 +299,7 @@ fn status_reports_progress_without_driving() {
     assert!(status.status.success(), "status: {}", stderr(&status));
     let text = String::from_utf8_lossy(&status.stdout).into_owned();
     assert!(text.contains("sweep chi"), "stdout: {text}");
-    assert!(text.contains("claimed by"), "dead lease visible: {text}");
+    assert!(text.contains("claimed by"), "dead claim visible: {text}");
 
     // Status must not have advanced the sweep: a second call sees the
     // identical picture.

@@ -107,7 +107,6 @@ pub mod render;
 pub mod schedule;
 mod segments;
 pub mod slack;
-pub mod stats;
 pub mod validate;
 
 pub use error::SchedError;
@@ -129,4 +128,3 @@ pub use list::{
 pub use occupancy::{OccupancyBackend, BOOKING_HORIZON_ROUNDS};
 pub use priority::PriorityStrategy;
 pub use schedule::{Bookings, Schedule, ScheduleCost, ScheduledInstance, StartBinding, WcBinding};
-pub use stats::{NodeLoad, ScheduleStats};

@@ -1,11 +1,12 @@
-//! Time sources for lease expiry and retry backoff.
+//! Time sources for retry backoff.
 //!
 //! Nothing in the store or the scheduler reads the wall clock: every
 //! operation takes an explicit `now` in milliseconds, and the worker
-//! loop obtains it from a [`SweepClock`]. Tests drive a deterministic
-//! [`SweepClock::virtual_at`] clock that only moves when the loop has
-//! nothing runnable — lease expiry and exponential backoff then
-//! become exact, repeatable state transitions instead of races.
+//! loop obtains it from a [`SweepClock`]. Backoff is the only wait;
+//! tests drive a deterministic [`SweepClock::virtual_at`] clock that
+//! only moves when the loop has nothing runnable and nothing in
+//! flight, so backoff becomes an exact, repeatable state transition
+//! instead of a race.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,9 +16,8 @@ use std::time::{Duration, SystemTime};
 /// advanced counter for tests.
 #[derive(Debug, Clone)]
 pub enum SweepClock {
-    /// Milliseconds since the Unix epoch. Claims made by a crashed
-    /// process carry absolute expiry times, so a later resume in a
-    /// fresh process observes their leases expiring in real time.
+    /// Milliseconds since the Unix epoch, so a retry time logged by a
+    /// crashed process still holds for the resume in a fresh one.
     Wall,
     /// A shared virtual counter; [`SweepClock::wait_until`] jumps it
     /// forward instantly.
@@ -44,7 +44,7 @@ impl SweepClock {
     }
 
     /// Blocks (wall) or jumps (virtual) until `target_ms`. Wall
-    /// waits are chunked so a long lease never sleeps unbounded in
+    /// waits are chunked so a long backoff never sleeps unbounded in
     /// one call.
     pub fn wait_until(&self, target_ms: u64) {
         match self {

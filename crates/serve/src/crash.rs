@@ -9,9 +9,9 @@
 //! * aborts the process ([`CrashMode::Abort`] — the real-kill mode
 //!   behind the `FTDES_CRASH_AT` environment variable), or
 //! * returns [`DriveError::InjectedCrash`] ([`CrashMode::Error`]),
-//!   which the worker propagates without touching the store again —
-//!   observationally identical to a kill for everything the log can
-//!   see, and usable in-process by tests and benches.
+//!   which stops every worker of the drive without touching the store
+//!   again — observationally identical to a kill for everything the
+//!   log can see, and usable in-process by tests and benches.
 //!
 //! The recovery property the registry exists to check: **for every
 //! fault point, crash → reopen → resume produces aggregate results
@@ -21,21 +21,22 @@
 
 use crate::error::DriveError;
 
-/// Every registered fault point, in worker-loop order.
+/// Every registered fault point, in worker-loop order. Every worker
+/// of a drive passes them under the store mutex, so a crash at any
+/// worker count stops the drive before another event reaches the log.
 ///
 /// * `claim.before_append` — a job was selected, nothing logged yet.
-/// * `claim.after_append` — the claim is durable; the worker dies
-///   holding the lease (recovery must wait it out or take over).
+/// * `claim.after_append` — the claim is durable; the driver dies
+///   with the job unfinished, and the next driver re-runs it at once.
 /// * `done.before_append` — the job ran to completion but the result
-///   was never committed; the job re-runs after reclaim.
+///   was never committed; the job re-runs on resume.
 /// * `done.torn_append` — the crash hit *mid-write*: a prefix of the
 ///   `Done` line reaches the file with no newline. Replay must drop
 ///   the torn line and behave exactly like `done.before_append`.
 /// * `done.after_append` — the result is durable; the crash costs
 ///   only the jobs that never started.
-/// * `fail.before_append` — a job failed and the worker died before
-///   recording it; the attempt is invisible and repeats after lease
-///   expiry.
+/// * `fail.before_append` — a job failed and the driver died before
+///   recording it; the attempt is invisible and repeats on resume.
 /// * `quarantine.before_append` — the final failure was observed but
 ///   the quarantine never committed; recovery re-runs the poison job
 ///   once more and quarantines it then.
@@ -130,12 +131,6 @@ impl Injector {
         }
     }
 
-    /// The armed fault point, if any.
-    #[must_use]
-    pub fn armed_point(&self) -> Option<&str> {
-        self.point.as_deref()
-    }
-
     /// Reports reaching `point`. Returns `Err` (or aborts) when the
     /// armed point's countdown hits zero.
     ///
@@ -143,31 +138,39 @@ impl Injector {
     ///
     /// [`DriveError::InjectedCrash`] in [`CrashMode::Error`].
     pub fn hit(&mut self, point: &str) -> Result<(), DriveError> {
+        if self.fires(point) {
+            Err(self.crash(point))
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Counts one pass of `point`; true when this pass is the armed
+    /// one. The worker uses it for the torn-append point, which must
+    /// write half a line before it [`crash`](Injector::crash)es.
+    pub(crate) fn fires(&mut self, point: &str) -> bool {
         debug_assert!(FAULT_POINTS.contains(&point), "unregistered point {point}");
-        if self.point.as_deref() != Some(point) {
-            return Ok(());
+        if self.point.as_deref() != Some(point) || self.hits_remaining == 0 {
+            return false;
         }
-        self.hits_remaining = self.hits_remaining.saturating_sub(1);
-        if self.hits_remaining > 0 {
-            return Ok(());
-        }
+        self.hits_remaining -= 1;
+        self.hits_remaining == 0
+    }
+
+    /// The crash at `point`: aborts the process in
+    /// [`CrashMode::Abort`], returns [`DriveError::InjectedCrash`] in
+    /// [`CrashMode::Error`].
+    #[must_use]
+    pub(crate) fn crash(&self, point: &str) -> DriveError {
         match self.mode {
             CrashMode::Abort => {
                 eprintln!("ftdes-serve: injected crash at fault point {point:?}");
                 std::process::abort();
             }
-            CrashMode::Error => Err(DriveError::InjectedCrash {
+            CrashMode::Error => DriveError::InjectedCrash {
                 point: point.to_owned(),
-            }),
+            },
         }
-    }
-
-    /// True when `point` is armed and its countdown would fire on the
-    /// next hit — used by the worker for the torn-append point, which
-    /// needs special handling (write half a line, then crash).
-    #[must_use]
-    pub fn fires_next(&self, point: &str) -> bool {
-        self.point.as_deref() == Some(point) && self.hits_remaining == 1
     }
 }
 
@@ -186,13 +189,22 @@ mod tests {
         let mut inj = Injector::at("done.before_append", 2, CrashMode::Error).unwrap();
         assert!(inj.hit("claim.before_append").is_ok(), "other points pass");
         assert!(inj.hit("done.before_append").is_ok(), "first hit survives");
-        assert!(inj.fires_next("done.before_append"));
         match inj.hit("done.before_append") {
             Err(DriveError::InjectedCrash { point }) => {
                 assert_eq!(point, "done.before_append");
             }
             other => panic!("expected injected crash, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn torn_append_counts_every_pass() {
+        // The worker asks `fires` on every Done commit: the countdown
+        // moves on each pass, so `done.torn_append:2` tears the second.
+        let mut inj = Injector::at("done.torn_append", 2, CrashMode::Error).unwrap();
+        assert!(!inj.fires("done.torn_append"), "first pass survives");
+        assert!(inj.fires("done.torn_append"), "second pass tears");
+        assert!(!inj.fires("done.torn_append"), "a fired point stays quiet");
     }
 
     #[test]

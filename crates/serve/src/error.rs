@@ -64,20 +64,12 @@ pub enum DriveError {
     /// A store append or replay failed.
     Store(StoreError),
     /// An [`Injector`](crate::crash::Injector) in
-    /// [`CrashMode::Error`](crate::crash::CrashMode) fired: the run
-    /// stops exactly where a process kill would have stopped it —
-    /// nothing after the fault point reaches the log.
+    /// [`CrashMode::Error`](crate::crash::CrashMode) fired: every
+    /// worker stops exactly where a process kill would have stopped
+    /// it — nothing after the fault point reaches the log.
     InjectedCrash {
         /// The registered fault point that fired.
         point: String,
-    },
-    /// No job is ready, none can become ready (no lease to expire, no
-    /// retry pending), yet unfinished jobs remain — their
-    /// dependencies are quarantined.
-    Stalled {
-        /// Jobs that can never run because a (transitive) dependency
-        /// is quarantined.
-        blocked: Vec<u64>,
     },
 }
 
@@ -88,11 +80,6 @@ impl fmt::Display for DriveError {
             DriveError::InjectedCrash { point } => {
                 write!(f, "injected crash at fault point {point:?}")
             }
-            DriveError::Stalled { blocked } => write!(
-                f,
-                "sweep stalled: {} job(s) blocked behind quarantined dependencies",
-                blocked.len()
-            ),
         }
     }
 }

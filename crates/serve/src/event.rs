@@ -52,7 +52,10 @@ pub enum Event {
         /// The job definition.
         spec: JobSpec,
     },
-    /// A worker took a lease on a ready job.
+    /// A worker of the live driver started a job. A claim with no
+    /// outcome after it belongs to a driver that is gone, and the next
+    /// driver re-runs the job. (Logs written before claims lost their
+    /// lease expiry carry an `expires_ms` field; replay ignores it.)
     Claim {
         /// The claimed job.
         id: u64,
@@ -62,9 +65,6 @@ pub enum Event {
         attempt: u32,
         /// Claim time (clock milliseconds; informational).
         at_ms: u64,
-        /// Absolute lease expiry: past this instant the job counts
-        /// as abandoned and may be re-claimed.
-        expires_ms: u64,
     },
     /// A claimed job finished; `result` is the committed value its
     /// dependents (and the final aggregate) read.
@@ -103,21 +103,6 @@ pub enum Event {
         /// Every recorded error, in attempt order.
         failures: Vec<String>,
     },
-}
-
-impl Event {
-    /// The job this event concerns, if any.
-    #[must_use]
-    pub fn job_id(&self) -> Option<u64> {
-        match self {
-            Event::Init { .. } => None,
-            Event::Job { spec } => Some(spec.id),
-            Event::Claim { id, .. }
-            | Event::Done { id, .. }
-            | Event::Fail { id, .. }
-            | Event::Quarantine { id, .. } => Some(*id),
-        }
-    }
 }
 
 /// FNV-1a over `bytes` — the store's spec fingerprint. Not
@@ -171,7 +156,6 @@ mod tests {
                 worker: "w0".into(),
                 attempt: 1,
                 at_ms: 10,
-                expires_ms: 110,
             },
             Event::Done {
                 id: 1,

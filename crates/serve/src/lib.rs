@@ -14,23 +14,25 @@
 //!
 //! Robustness machinery:
 //!
-//! * **lease-based claims** — a claim carries an absolute expiry;
-//!   a crashed worker's jobs become claimable again when their lease
-//!   runs out (or immediately under `takeover`, when the caller knows
-//!   no other worker survives). Lease arithmetic takes explicit
-//!   `now` values — a deterministic [`SweepClock::virtual_at`] clock
-//!   drives expiry in tests, no wall-clock dependence anywhere in the
-//!   store or scheduler;
+//! * **one locked driver per store** — [`SweepStore::create`] and
+//!   [`SweepStore::open`] take an exclusive file lock, which the OS
+//!   releases when the driver dies. A second driver is refused, so a
+//!   claim without an outcome in a replayed log belongs to a dead
+//!   driver and re-runs at once. [`drive`] runs one claim → execute →
+//!   commit loop for 1..N workers over the locked store;
 //! * **bounded retries with exponential backoff** — failures are
 //!   events too; after `max_attempts` the job is **quarantined** with
 //!   its full failure chain, and dependents are reported as
-//!   permanently blocked instead of spinning;
+//!   permanently blocked instead of spinning. Backoff takes explicit
+//!   `now` values from a [`SweepClock`], which tests drive as a
+//!   deterministic virtual clock;
 //! * **crash-injection harness** — every durability boundary of the
 //!   worker loop is a registered fault point ([`FAULT_POINTS`]);
-//!   [`Injector`] kills the worker there (for real via
-//!   `FTDES_CRASH_AT`, or in-process as an error), and the
-//!   crash-matrix suites check that *resume after any crash produces
-//!   aggregate results bit-identical to the uncrashed run*.
+//!   [`Injector`] kills the driver there (for real via
+//!   `FTDES_CRASH_AT`, or in-process as an error) at any worker
+//!   count, and the crash-matrix suites check that *resume after any
+//!   crash produces aggregate results bit-identical to the uncrashed
+//!   run*.
 //!
 //! The `ftdes sweep run|resume|status` CLI (in `ftdes-io`) drives
 //! full experiment sweeps through this store; `ftdes-bench::jobs`
@@ -54,4 +56,4 @@ pub use error::{DriveError, StoreError};
 pub use event::{fingerprint, jobs_fingerprint, Event, JobSpec};
 pub use state::{JobState, JobStatus, StatusCounts, SweepState};
 pub use store::{ReplayReport, SweepStore};
-pub use worker::{drive, drive_parallel, DepResult, DriveReport, JobExec, WorkerConfig};
+pub use worker::{drive, DepResult, DriveReport, JobExec, WorkerConfig};

@@ -8,7 +8,7 @@
 //!            claim                done
 //!   Ready ─────────► Claimed ──────────► Done (terminal, result kept)
 //!     ▲                │  │
-//!     │ lease expiry   │  │ fail (attempt < max)
+//!     │ driver died    │  │ fail (attempt < max)
 //!     └────────────────┘  ▼
 //!                       Failed ──► (backoff) ──► claimable again
 //!                          │
@@ -16,8 +16,12 @@
 //!                          ▼
 //!                      Quarantined (terminal, failure chain kept)
 //! ```
+//!
+//! The store lock admits one live driver, so a `Claimed` job that the
+//! driver is not running itself was left by a dead one and is
+//! claimable at once.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use serde::Value;
 
@@ -27,18 +31,15 @@ use crate::event::{Event, JobSpec};
 /// Where a job is in its lifecycle.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobStatus {
-    /// Never claimed (or its last claim produced no outcome event
-    /// and the lease governs re-claims).
+    /// Never claimed.
     Ready,
-    /// Under an active (or expired — the state cannot tell without a
-    /// clock) lease.
+    /// Claimed with no outcome yet: in flight under the live driver,
+    /// or left by a dead one.
     Claimed {
-        /// The worker holding the lease.
+        /// The worker that claimed it.
         worker: String,
-        /// The attempt this lease belongs to.
+        /// The attempt this claim belongs to.
         attempt: u32,
-        /// Absolute lease expiry in clock milliseconds.
-        expires_ms: u64,
     },
     /// Finished; the committed result.
     Done {
@@ -96,7 +97,7 @@ pub struct StatusCounts {
     pub ready: usize,
     /// Jobs waiting on incomplete dependencies.
     pub waiting: usize,
-    /// Jobs under a lease.
+    /// Jobs claimed without an outcome.
     pub claimed: usize,
     /// Finished jobs.
     pub done: usize,
@@ -130,7 +131,7 @@ impl SweepState {
 
     /// Applies one event. Replay is strict about structure (events
     /// must reference declared jobs) but last-wins about claims —
-    /// the log legitimately contains superseded leases.
+    /// the log legitimately contains claims of dead drivers.
     pub fn apply(&mut self, event: &Event) -> Result<(), StoreError> {
         match event {
             Event::Init { .. } => Err(StoreError::Invalid {
@@ -149,7 +150,6 @@ impl SweepState {
                 id,
                 worker,
                 attempt,
-                expires_ms,
                 ..
             } => {
                 let job = self.job_mut(*id)?;
@@ -160,7 +160,6 @@ impl SweepState {
                     job.status = JobStatus::Claimed {
                         worker: worker.clone(),
                         attempt: *attempt,
-                        expires_ms: *expires_ms,
                     };
                 }
                 Ok(())
@@ -318,32 +317,31 @@ impl SweepState {
     }
 
     /// The lowest-id job claimable at `now_ms`: dependencies done and
-    /// either never claimed, retry backoff elapsed, or lease expired
-    /// (`takeover` treats every outstanding lease as expired — sound
-    /// when the caller knows no other worker process is alive).
+    /// either never claimed, retry backoff elapsed, or claimed and not
+    /// in `in_flight` (the jobs the live driver is running) — a claim
+    /// left by a dead driver.
     #[must_use]
-    pub fn next_ready(&self, now_ms: u64, takeover: bool) -> Option<u64> {
+    pub fn next_ready(&self, now_ms: u64, in_flight: &BTreeSet<u64>) -> Option<u64> {
         self.jobs
             .values()
             .filter(|job| self.deps_done(job.spec.id))
             .find(|job| match &job.status {
                 JobStatus::Ready => true,
-                JobStatus::Claimed { expires_ms, .. } => takeover || *expires_ms <= now_ms,
+                JobStatus::Claimed { .. } => !in_flight.contains(&job.spec.id),
                 JobStatus::Failed { retry_ms, .. } => *retry_ms <= now_ms,
                 JobStatus::Done { .. } | JobStatus::Quarantined => false,
             })
             .map(|job| job.spec.id)
     }
 
-    /// The earliest future instant at which a currently blocked job
-    /// becomes claimable (lease expiry or retry time), if any.
+    /// The earliest future instant at which a job waiting out its
+    /// retry backoff becomes claimable, if any.
     #[must_use]
     pub fn next_wakeup(&self, now_ms: u64) -> Option<u64> {
         self.jobs
             .values()
             .filter(|job| self.deps_done(job.spec.id))
             .filter_map(|job| match &job.status {
-                JobStatus::Claimed { expires_ms, .. } => Some(*expires_ms),
                 JobStatus::Failed { retry_ms, .. } => Some(*retry_ms),
                 _ => None,
             })

@@ -2,28 +2,35 @@
 //!
 //! Durability contract:
 //!
+//! * one live driver per store: [`SweepStore::create`] and
+//!   [`SweepStore::open`] take an exclusive lock on the file before
+//!   they replay or truncate anything, and hold it until the store is
+//!   dropped. The OS releases it when the process dies, so a second
+//!   driver is refused while the first runs and admitted once it is
+//!   gone. [`SweepStore::replay`] reads without the lock and writes
+//!   nothing;
 //! * every event is one line, appended with a single `write_all`
 //!   followed by `sync_data` — an acknowledged append survives a
 //!   process kill;
 //! * a crash *during* an append leaves at most one torn final line
 //!   (a prefix of the intended bytes, missing its `\n` — the newline
 //!   is the last byte written, so a torn line can never carry one).
-//!   Replay detects the missing newline, drops the fragment, and
-//!   truncates the file back to the last good line so the next
-//!   append starts clean;
+//!   Replay detects the missing newline and drops the fragment;
+//!   [`SweepStore::open`] also truncates the file back to the last
+//!   good line so the next append starts clean;
 //! * a malformed *newline-terminated* line anywhere — including the
 //!   last — cannot result from a crash and is reported as
 //!   [`StoreError::Corrupt`].
 
-use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::fs::{File, OpenOptions, TryLockError};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use crate::error::StoreError;
 use crate::event::{jobs_fingerprint, Event, JobSpec};
 use crate::state::SweepState;
 
-/// What replay found while opening a store.
+/// What replay found in a store.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayReport {
     /// Events successfully replayed.
@@ -32,7 +39,7 @@ pub struct ReplayReport {
     pub dropped_torn_line: bool,
 }
 
-/// An open sweep store: the append handle plus the path.
+/// An open sweep store: the locked append handle plus the path.
 #[derive(Debug)]
 pub struct SweepStore {
     path: PathBuf,
@@ -45,9 +52,9 @@ impl SweepStore {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] when the file exists or cannot be written;
-    /// [`StoreError::Invalid`] on a malformed job graph (duplicate
-    /// ids, unknown dependency, cycle).
+    /// [`StoreError::Io`] when the file exists, cannot be locked or
+    /// cannot be written; [`StoreError::Invalid`] on a malformed job
+    /// graph (duplicate ids, unknown dependency, cycle).
     pub fn create(
         path: &Path,
         sweep: &str,
@@ -59,6 +66,7 @@ impl SweepStore {
             .append(true)
             .open(path)
             .map_err(|e| io_err(path, "create", &e))?;
+        lock(&file, path)?;
         let mut store = SweepStore {
             path: path.to_path_buf(),
             file,
@@ -78,53 +86,52 @@ impl SweepStore {
         Ok((store, state))
     }
 
-    /// Opens an existing store and reconstructs its state by replay.
+    /// Opens an existing store for driving: locks it, reconstructs its
+    /// state by replay, and truncates a torn final line.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] when the file cannot be read;
+    /// [`StoreError::Io`] when the file cannot be opened or read, or
+    /// another driver holds its lock (`op: "lock"`);
     /// [`StoreError::Corrupt`] on a malformed non-final line;
     /// [`StoreError::Invalid`] when the stream is structurally
     /// inconsistent (missing header, unknown job references, ...).
     pub fn open(path: &Path) -> Result<(Self, SweepState, ReplayReport), StoreError> {
-        let bytes = std::fs::read(path).map_err(|e| io_err(path, "read", &e))?;
-        let (events, good_len, report) = replay_lines(&bytes)?;
-        let mut iter = events.into_iter();
-        let Some(Event::Init {
-            sweep,
-            spec_fp,
-            jobs,
-        }) = iter.next()
-        else {
-            return Err(StoreError::Invalid {
-                message: "first event is not an Init header".into(),
-            });
-        };
-        let mut state = SweepState::new(sweep, spec_fp, jobs);
-        for event in iter {
-            state.apply(&event)?;
-        }
-        state.validate_graph()?;
+        let mut file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .open(path)
+            .map_err(|e| io_err(path, "open", &e))?;
+        lock(&file, path)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)
+            .map_err(|e| io_err(path, "read", &e))?;
+        let (state, good_len, report) = replay_bytes(&bytes)?;
         if report.dropped_torn_line {
             // Truncate the torn tail so the next append starts at a
             // line boundary.
-            let file = OpenOptions::new()
-                .write(true)
-                .open(path)
-                .map_err(|e| io_err(path, "open", &e))?;
             file.set_len(good_len as u64)
                 .map_err(|e| io_err(path, "truncate", &e))?;
             file.sync_data().map_err(|e| io_err(path, "sync", &e))?;
         }
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| io_err(path, "open", &e))?;
         let store = SweepStore {
             path: path.to_path_buf(),
             file,
         };
         Ok((store, state, report))
+    }
+
+    /// Reconstructs a store's state without locking or writing it, so
+    /// it is safe beside a live driver. A torn final line is skipped,
+    /// not truncated: only a driver drops it from the file.
+    ///
+    /// # Errors
+    ///
+    /// As [`SweepStore::open`], except that a lock is never taken.
+    pub fn replay(path: &Path) -> Result<(SweepState, ReplayReport), StoreError> {
+        let bytes = std::fs::read(path).map_err(|e| io_err(path, "read", &e))?;
+        let (state, _, report) = replay_bytes(&bytes)?;
+        Ok((state, report))
     }
 
     /// Appends `event` durably and applies it to `state`. The state
@@ -180,6 +187,19 @@ fn encode(event: &Event) -> Result<String, StoreError> {
     })
 }
 
+/// Takes the store's exclusive lock without waiting: a store another
+/// driver holds is refused, not queued behind it.
+fn lock(file: &File, path: &Path) -> Result<(), StoreError> {
+    file.try_lock().map_err(|e| StoreError::Io {
+        path: path.display().to_string(),
+        op: "lock",
+        message: match e {
+            TryLockError::WouldBlock => "another driver holds this store".to_owned(),
+            TryLockError::Error(e) => e.to_string(),
+        },
+    })
+}
+
 fn io_err(path: &Path, op: &'static str, e: &std::io::Error) -> StoreError {
     StoreError::Io {
         path: path.display().to_string(),
@@ -188,8 +208,31 @@ fn io_err(path: &Path, op: &'static str, e: &std::io::Error) -> StoreError {
     }
 }
 
+/// Replays the log into its state, returning the byte length of the
+/// good prefix (for truncation) and the replay report.
+fn replay_bytes(bytes: &[u8]) -> Result<(SweepState, usize, ReplayReport), StoreError> {
+    let (events, good_len, report) = replay_lines(bytes)?;
+    let mut iter = events.into_iter();
+    let Some(Event::Init {
+        sweep,
+        spec_fp,
+        jobs,
+    }) = iter.next()
+    else {
+        return Err(StoreError::Invalid {
+            message: "first event is not an Init header".into(),
+        });
+    };
+    let mut state = SweepState::new(sweep, spec_fp, jobs);
+    for event in iter {
+        state.apply(&event)?;
+    }
+    state.validate_graph()?;
+    Ok((state, good_len, report))
+}
+
 /// Splits the log into parsed events, returning the byte length of
-/// the good prefix (for truncation) and the replay report.
+/// the good prefix and the replay report.
 fn replay_lines(bytes: &[u8]) -> Result<(Vec<Event>, usize, ReplayReport), StoreError> {
     let text = String::from_utf8_lossy(bytes);
     let mut events = Vec::new();
@@ -276,6 +319,7 @@ mod tests {
                 },
             )
             .unwrap();
+        drop(store);
         let (_store, replayed, report) = SweepStore::open(&path).unwrap();
         assert_eq!(report.events, 4);
         assert!(!report.dropped_torn_line);
@@ -314,9 +358,52 @@ mod tests {
                 },
             )
             .unwrap();
+        drop(store);
         let (_s, replayed, report) = SweepStore::open(&path).unwrap();
         assert!(!report.dropped_torn_line);
         assert_eq!(replayed.result(1), Some(&Value::U64(10)));
+    }
+
+    #[test]
+    fn replay_skips_a_torn_tail_without_writing() {
+        let path = tmp("torn-replay.jsonl");
+        let (mut store, _state) = SweepStore::create(&path, "s", &[job(1, vec![])]).unwrap();
+        store
+            .append_torn(&Event::Done {
+                id: 1,
+                attempt: 1,
+                at_ms: 5,
+                result: Value::U64(9),
+            })
+            .unwrap();
+        let before = std::fs::read(&path).unwrap();
+        // Beside the live driver, and twice: the bytes never change.
+        for _ in 0..2 {
+            let (state, report) = SweepStore::replay(&path).unwrap();
+            assert!(report.dropped_torn_line);
+            assert_eq!(state.result(1), None);
+            assert_eq!(std::fs::read(&path).unwrap(), before);
+        }
+    }
+
+    #[test]
+    fn a_second_driver_is_refused_until_the_first_is_gone() {
+        let path = tmp("locked.jsonl");
+        let (store, _state) = SweepStore::create(&path, "s", &[job(1, vec![])]).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        match SweepStore::open(&path) {
+            Err(StoreError::Io { op: "lock", .. }) => {}
+            other => panic!("expected a lock refusal, got {other:?}"),
+        }
+        assert!(SweepStore::replay(&path).is_ok(), "replay takes no lock");
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        drop(store);
+        let (reopened, _state, _report) = SweepStore::open(&path).unwrap();
+        assert!(matches!(
+            SweepStore::open(&path),
+            Err(StoreError::Io { op: "lock", .. })
+        ));
+        drop(reopened);
     }
 
     #[test]
@@ -341,7 +428,7 @@ mod tests {
     fn interior_corruption_is_an_error() {
         let path = tmp("corrupt.jsonl");
         let jobs = vec![job(1, vec![])];
-        let (_store, _state) = SweepStore::create(&path, "s", &jobs).unwrap();
+        SweepStore::create(&path, "s", &jobs).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         // Damage the first line, keep the rest.
         bytes[2] = b'#';

@@ -1,6 +1,7 @@
-//! The crash matrix: for every registered fault point, crash the
-//! worker there, reopen the store, resume — and require the final
-//! aggregate results to be **bit-identical** to an uncrashed run.
+//! The crash matrix: for every registered fault point, at its 1st and
+//! its 2nd hit, at one worker and at two, crash the drive there,
+//! reopen the store, resume — and require the final aggregate results
+//! to be **bit-identical** to an uncrashed run.
 //!
 //! The executor here is a toy (pure arithmetic over `Value`), which
 //! isolates the property to the orchestration layer itself; the
@@ -12,8 +13,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use ftdes_serve::{
-    drive, CrashMode, DepResult, DriveError, Injector, JobExec, JobSpec, JobStatus, SweepClock,
-    SweepState, SweepStore, WorkerConfig, FAULT_POINTS,
+    drive, CrashMode, DepResult, DriveError, Event, Injector, JobExec, JobSpec, JobStatus,
+    SweepClock, SweepState, SweepStore, WorkerConfig, FAULT_POINTS,
 };
 use serde::Value;
 
@@ -25,9 +26,9 @@ fn tmp(name: &str) -> PathBuf {
     path
 }
 
-/// The matrix DAG exercises every event type: three pure jobs, one
-/// transient failure (fails its first call per process), one poison
-/// job, and an aggregate over the survivors.
+/// The matrix DAG passes every fault point at least twice: three pure
+/// jobs, one transient failure (fails its first call per process), two
+/// poison jobs, and an aggregate over the survivors.
 fn matrix_jobs() -> Vec<JobSpec> {
     let mut jobs: Vec<JobSpec> = (1..=3)
         .map(|id| JobSpec {
@@ -45,15 +46,17 @@ fn matrix_jobs() -> Vec<JobSpec> {
         params: Value::U64(0),
         deps: vec![],
     });
+    for id in [5, 6] {
+        jobs.push(JobSpec {
+            id,
+            name: format!("poison-{id}"),
+            kind: "poison".into(),
+            params: Value::Null,
+            deps: vec![],
+        });
+    }
     jobs.push(JobSpec {
-        id: 5,
-        name: "poison".into(),
-        kind: "poison".into(),
-        params: Value::Null,
-        deps: vec![],
-    });
-    jobs.push(JobSpec {
-        id: 6,
+        id: 7,
         name: "aggregate".into(),
         kind: "sum".into(),
         params: Value::Null,
@@ -97,13 +100,12 @@ impl JobExec for Toy {
     }
 }
 
-fn cfg(worker: &str, takeover: bool) -> WorkerConfig {
+fn cfg(worker: &str, workers: usize) -> WorkerConfig {
     WorkerConfig {
         worker: worker.into(),
-        lease_ms: 1_000,
+        workers,
         max_attempts: 3,
         backoff_base_ms: 50,
-        takeover,
     }
 }
 
@@ -130,75 +132,119 @@ fn run_uncrashed(path: &Path) -> String {
         &Toy::default(),
         &clock,
         &mut Injector::none(),
-        &cfg("base", false),
+        &cfg("base", 1),
     )
     .unwrap();
     assert!(state.is_settled());
     results_bytes(&state)
 }
 
+/// How many events of the type `point` guards the log holds once the
+/// `nth` pass of `point` fired: the passes before it appended theirs,
+/// an `after_append` point's own pass appended it too, and nothing
+/// appends after the crash.
+fn expected_count(point: &str, nth: usize) -> usize {
+    if point.ends_with("after_append") {
+        nth
+    } else {
+        nth - 1
+    }
+}
+
+/// The complete events of the raw log whose type `point` guards.
+fn events_of(path: &Path, point: &str) -> usize {
+    let text = std::fs::read_to_string(path).unwrap();
+    text.split_inclusive('\n')
+        .filter(|line| line.ends_with('\n'))
+        .map(|line| serde_json::from_str::<Event>(line.trim_end()).unwrap())
+        .filter(|event| match point.split('.').next().unwrap() {
+            "claim" => matches!(event, Event::Claim { .. }),
+            "done" => matches!(event, Event::Done { .. }),
+            "fail" => matches!(event, Event::Fail { .. }),
+            _ => matches!(event, Event::Quarantine { .. }),
+        })
+        .count()
+}
+
 #[test]
 fn resume_after_any_crash_is_bit_identical_to_the_uncrashed_run() {
     let baseline = run_uncrashed(&tmp("baseline.jsonl"));
-    assert!(baseline.contains("6="), "aggregate committed in baseline");
+    assert!(baseline.contains("7="), "aggregate committed in baseline");
 
-    for &point in FAULT_POINTS {
-        let path = tmp(&format!("crash-{}.jsonl", point.replace('.', "-")));
-        let (mut store, mut state) = SweepStore::create(&path, "matrix", &matrix_jobs()).unwrap();
-        let clock = SweepClock::virtual_at(0);
+    for workers in [1, 2] {
+        for nth in [1, 2] {
+            for &point in FAULT_POINTS {
+                let at = format!("[{point}:{nth}, {workers} workers]");
+                let path = tmp(&format!(
+                    "crash-{}-{nth}-{workers}w.jsonl",
+                    point.replace('.', "-")
+                ));
+                let (mut store, mut state) =
+                    SweepStore::create(&path, "matrix", &matrix_jobs()).unwrap();
+                let clock = SweepClock::virtual_at(0);
 
-        // Crash exactly at `point`. Each simulated process gets a
-        // fresh Toy, like a real kill would.
-        let mut injector = Injector::at(point, 1, CrashMode::Error).unwrap();
-        let err = drive(
-            &mut store,
-            &mut state,
-            &Toy::default(),
-            &clock,
-            &mut injector,
-            &cfg("victim", false),
-        )
-        .unwrap_err();
-        match err {
-            DriveError::InjectedCrash { point: p } => assert_eq!(p, point),
-            other => panic!("[{point}] expected injected crash, got {other:?}"),
+                // Crash exactly at the nth pass of `point`. Each
+                // simulated process gets a fresh Toy, like a real kill
+                // would.
+                let mut injector = Injector::at(point, nth as u64, CrashMode::Error).unwrap();
+                let err = drive(
+                    &mut store,
+                    &mut state,
+                    &Toy::default(),
+                    &clock,
+                    &mut injector,
+                    &cfg("victim", workers),
+                )
+                .unwrap_err();
+                match err {
+                    DriveError::InjectedCrash { point: p } => assert_eq!(p, point, "{at}"),
+                    other => panic!("{at} expected injected crash, got {other:?}"),
+                }
+                drop(store);
+                assert_eq!(
+                    events_of(&path, point),
+                    expected_count(point, nth),
+                    "{at} no event of the point's type reaches the log after the crash"
+                );
+
+                // Reopen (replay) and resume, as a plain `sweep resume`
+                // would: the dead claims re-run at once.
+                let (mut store, mut state, report) = SweepStore::open(&path).unwrap();
+                assert_eq!(
+                    report.dropped_torn_line,
+                    point == "done.torn_append",
+                    "{at} torn line detected iff the crash tore an append"
+                );
+                drive(
+                    &mut store,
+                    &mut state,
+                    &Toy::default(),
+                    &clock,
+                    &mut Injector::none(),
+                    &cfg("rescuer", workers),
+                )
+                .unwrap();
+                assert!(state.is_settled(), "{at} resumed run settles");
+                for poison in [5, 6] {
+                    assert!(
+                        matches!(state.job(poison).unwrap().status, JobStatus::Quarantined),
+                        "{at} the poison jobs still quarantine"
+                    );
+                }
+                assert_eq!(
+                    results_bytes(&state),
+                    baseline,
+                    "{at} resumed aggregate differs from uncrashed run"
+                );
+                drop(store);
+
+                // The recovered log itself replays to the same results
+                // — a third process sees the same sweep.
+                let (replayed, report) = SweepStore::replay(&path).unwrap();
+                assert!(!report.dropped_torn_line, "{at} log is clean now");
+                assert_eq!(results_bytes(&replayed), baseline);
+            }
         }
-        drop(store);
-
-        // Reopen (replay) and resume with takeover, as the CLI's
-        // `sweep resume --takeover` would.
-        let (mut store, mut state, report) = SweepStore::open(&path).unwrap();
-        assert_eq!(
-            report.dropped_torn_line,
-            point == "done.torn_append",
-            "[{point}] torn line detected iff the crash tore an append"
-        );
-        drive(
-            &mut store,
-            &mut state,
-            &Toy::default(),
-            &clock,
-            &mut Injector::none(),
-            &cfg("rescuer", true),
-        )
-        .unwrap();
-        assert!(state.is_settled(), "[{point}] resumed run settles");
-        assert!(
-            matches!(state.job(5).unwrap().status, JobStatus::Quarantined),
-            "[{point}] the poison job still quarantines"
-        );
-
-        let resumed = results_bytes(&state);
-        assert_eq!(
-            resumed, baseline,
-            "[{point}] resumed aggregate differs from uncrashed run"
-        );
-
-        // The recovered log itself replays to the same results — a
-        // third process sees the same sweep.
-        let (_s, replayed, report) = SweepStore::open(&path).unwrap();
-        assert!(!report.dropped_torn_line, "[{point}] log is clean now");
-        assert_eq!(results_bytes(&replayed), baseline);
     }
 }
 
@@ -227,7 +273,7 @@ fn repeated_crashes_on_the_same_store_still_converge() {
             &Toy::default(),
             &clock,
             &mut injector,
-            &cfg("victim", true),
+            &cfg("victim", 1),
         );
     }
 
@@ -238,7 +284,7 @@ fn repeated_crashes_on_the_same_store_still_converge() {
         &Toy::default(),
         &clock,
         &mut Injector::none(),
-        &cfg("rescuer", true),
+        &cfg("rescuer", 1),
     )
     .unwrap();
     assert!(state.is_settled());

@@ -1,18 +1,18 @@
-//! Lease expiry, reclaim, retry backoff and quarantine under the
-//! deterministic virtual clock.
+//! Claims, re-runs of dead claims, retry backoff and quarantine under
+//! the deterministic virtual clock, at one worker and at several.
 //!
-//! No test here sleeps or reads the wall clock: every time-dependent
-//! transition (lease running out, backoff elapsing) is driven by
+//! No test here sleeps or reads the wall clock: the only
+//! time-dependent transition, retry backoff elapsing, is driven by
 //! explicit `SweepClock::virtual_at` advances, so the schedules below
 //! are exact and repeatable.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 
 use ftdes_serve::{
-    drive, CrashMode, DepResult, DriveError, Event, Injector, JobSpec, JobStatus, SweepClock,
-    SweepState, SweepStore, WorkerConfig,
+    drive, CrashMode, DepResult, DriveError, Event, Injector, JobExec, JobSpec, JobStatus,
+    SweepClock, SweepState, SweepStore, WorkerConfig,
 };
 use serde::Value;
 
@@ -42,7 +42,7 @@ struct Toy {
     calls: Mutex<HashMap<u64, u32>>,
 }
 
-impl ftdes_serve::JobExec for Toy {
+impl JobExec for Toy {
     fn execute(&self, spec: &JobSpec, deps: &[DepResult]) -> Result<Value, String> {
         let mut calls = self.calls.lock().unwrap();
         let n = calls.entry(spec.id).or_insert(0);
@@ -73,21 +73,30 @@ impl ftdes_serve::JobExec for Toy {
 fn worker(name: &str) -> WorkerConfig {
     WorkerConfig {
         worker: name.into(),
-        lease_ms: 1_000,
+        workers: 1,
         max_attempts: 3,
         backoff_base_ms: 100,
-        takeover: false,
     }
 }
 
+fn pool(workers: usize) -> WorkerConfig {
+    WorkerConfig {
+        workers,
+        ..worker("pool")
+    }
+}
+
+/// A claim with no outcome after it belongs to a driver that is gone
+/// (the store lock admits one live driver), so the next driver takes
+/// it over at once: it never waits on the clock.
 #[test]
-fn crashed_workers_lease_expires_and_job_is_reclaimed() {
-    let path = tmp("reclaim.jsonl");
+fn takeover_reclaims_immediately_without_waiting_out_the_lease() {
+    let path = tmp("takeover.jsonl");
     let jobs = vec![job(1, "double", vec![]), job(2, "sum", vec![1])];
     let (mut store, mut state) = SweepStore::create(&path, "lease", &jobs).unwrap();
     let clock = SweepClock::virtual_at(0);
 
-    // Worker A claims job 1 and "dies" right after the claim lands.
+    // Driver A claims job 1 and "dies" right after the claim lands.
     let mut crash = Injector::at("claim.after_append", 1, CrashMode::Error).unwrap();
     let err = drive(
         &mut store,
@@ -99,22 +108,14 @@ fn crashed_workers_lease_expires_and_job_is_reclaimed() {
     )
     .unwrap_err();
     assert!(matches!(err, DriveError::InjectedCrash { .. }));
-    let held = state.job(1).unwrap();
     assert!(
-        matches!(
-            held.status,
-            JobStatus::Claimed {
-                expires_ms: 1_000,
-                ..
-            }
-        ),
-        "job 1 holds A's lease: {:?}",
-        held.status
+        matches!(state.job(1).unwrap().status, JobStatus::Claimed { .. }),
+        "job 1 holds A's claim: {:?}",
+        state.job(1).unwrap().status
     );
+    drop(store);
 
-    // Worker B resumes in a fresh process (reopen the store). At
-    // t = 0 nothing is claimable — the drive loop must *advance the
-    // virtual clock to the lease expiry* and then reclaim.
+    // Driver B resumes in a fresh process (reopen the store).
     let (mut store, mut state, report) = SweepStore::open(&path).unwrap();
     assert!(!report.dropped_torn_line);
     let report = drive(
@@ -128,49 +129,13 @@ fn crashed_workers_lease_expires_and_job_is_reclaimed() {
     .unwrap();
     assert_eq!(report.executed, 2);
     assert_eq!(report.reclaimed, 1, "job 1 was taken over from A");
-    assert!(clock.now_ms() >= 1_000, "the clock advanced past expiry");
+    assert_eq!(clock.now_ms(), 0, "nothing waited on the clock");
     assert_eq!(state.result(1), Some(&Value::U64(20)));
     assert_eq!(state.result(2), Some(&Value::U64(20)));
 
-    // The second claim of job 1 is attempt 2 by worker b.
+    // The second claim of job 1 is attempt 2 by driver b.
     let claims: Vec<(String, u32)> = replay_claims(&path, 1);
-    assert_eq!(claims, vec![("a".into(), 1), ("b".into(), 2)]);
-}
-
-#[test]
-fn takeover_reclaims_immediately_without_waiting_out_the_lease() {
-    let path = tmp("takeover.jsonl");
-    let jobs = vec![job(1, "double", vec![])];
-    let (mut store, mut state) = SweepStore::create(&path, "lease", &jobs).unwrap();
-    let clock = SweepClock::virtual_at(0);
-    let mut crash = Injector::at("claim.after_append", 1, CrashMode::Error).unwrap();
-    drive(
-        &mut store,
-        &mut state,
-        &Toy::default(),
-        &clock,
-        &mut crash,
-        &worker("a"),
-    )
-    .unwrap_err();
-
-    let (mut store, mut state, _) = SweepStore::open(&path).unwrap();
-    let cfg = WorkerConfig {
-        takeover: true,
-        ..worker("b")
-    };
-    let report = drive(
-        &mut store,
-        &mut state,
-        &Toy::default(),
-        &clock,
-        &mut Injector::none(),
-        &cfg,
-    )
-    .unwrap();
-    assert_eq!(report.reclaimed, 1);
-    assert_eq!(clock.now_ms(), 0, "takeover never touches the clock");
-    assert_eq!(state.result(1), Some(&Value::U64(20)));
+    assert_eq!(claims, vec![("a-0".into(), 1), ("b-0".into(), 2)]);
 }
 
 #[test]
@@ -243,7 +208,7 @@ fn poison_jobs_quarantine_with_their_failure_chain_and_block_dependents() {
     assert!(!state.is_complete());
 
     // The chain survives replay from the log alone.
-    let (_s, replayed, _r) = SweepStore::open(&path).unwrap();
+    let (replayed, _r) = SweepStore::replay(&path).unwrap();
     assert_eq!(replayed.job(1).unwrap().failures.len(), 3);
     assert!(matches!(
         replayed.job(1).unwrap().status,
@@ -251,45 +216,46 @@ fn poison_jobs_quarantine_with_their_failure_chain_and_block_dependents() {
     ));
 }
 
+/// Appends claims of `ids` by a dead two-worker driver, as its log
+/// holds them after a kill.
+fn dead_claims(store: &mut SweepStore, state: &mut SweepState, ids: &[u64]) {
+    for (w, &id) in ids.iter().enumerate() {
+        store
+            .append(
+                state,
+                &Event::Claim {
+                    id,
+                    worker: format!("dead-{w}"),
+                    attempt: 1,
+                    at_ms: 0,
+                },
+            )
+            .unwrap();
+    }
+}
+
 #[test]
 fn takeover_covers_every_lease_left_by_the_dead_process() {
     let path = tmp("takeover-multi.jsonl");
     let jobs = vec![job(1, "double", vec![]), job(2, "double", vec![])];
     let (mut store, mut state) = SweepStore::create(&path, "lease", &jobs).unwrap();
-    // A parallel process died holding BOTH leases.
-    for (id, w) in [(1u64, "dead-0"), (2u64, "dead-1")] {
-        store
-            .append(
-                &mut state,
-                &Event::Claim {
-                    id,
-                    worker: w.into(),
-                    attempt: 1,
-                    at_ms: 0,
-                    expires_ms: 1_000,
-                },
-            )
-            .unwrap();
-    }
+    // A parallel process died holding BOTH claims.
+    dead_claims(&mut store, &mut state, &[1, 2]);
     drop(store);
 
     let (mut store, mut state, _) = SweepStore::open(&path).unwrap();
     let clock = SweepClock::virtual_at(0);
-    let cfg = WorkerConfig {
-        takeover: true,
-        ..worker("b")
-    };
     let report = drive(
         &mut store,
         &mut state,
         &Toy::default(),
         &clock,
         &mut Injector::none(),
-        &cfg,
+        &worker("b"),
     )
     .unwrap();
-    assert_eq!(report.reclaimed, 2, "both dead leases taken over");
-    assert_eq!(clock.now_ms(), 0, "neither lease was waited out");
+    assert_eq!(report.reclaimed, 2, "both dead claims taken over");
+    assert_eq!(clock.now_ms(), 0, "neither claim was waited out");
     assert_eq!(state.result(1), Some(&Value::U64(20)));
     assert_eq!(state.result(2), Some(&Value::U64(40)));
 }
@@ -329,7 +295,7 @@ fn stale_fail_after_done_is_ignored() {
         JobStatus::Done { .. }
     ));
     assert!(state.job(1).unwrap().failures.is_empty());
-    let (_s, replayed, _r) = SweepStore::open(&path).unwrap();
+    let (replayed, _r) = SweepStore::replay(&path).unwrap();
     assert!(replayed.job(1).unwrap().failures.is_empty());
 }
 
@@ -340,10 +306,15 @@ fn parallel_drive_settles_the_graph() {
     jobs.push(job(9, "sum", (1..=8).collect()));
     let (mut store, mut state) = SweepStore::create(&path, "lease", &jobs).unwrap();
     let clock = SweepClock::virtual_at(0);
-    let toy = Toy::default();
-    let report =
-        ftdes_serve::drive_parallel(&mut store, &mut state, &toy, &clock, &worker("pool"), 4)
-            .unwrap();
+    let report = drive(
+        &mut store,
+        &mut state,
+        &Toy::default(),
+        &clock,
+        &mut Injector::none(),
+        &pool(4),
+    )
+    .unwrap();
     assert_eq!(report.executed, 9);
     // sum of 2·10i for i in 1..=8 = 2·10·36 = 720.
     assert_eq!(state.result(9), Some(&Value::U64(720)));
@@ -351,59 +322,32 @@ fn parallel_drive_settles_the_graph() {
 
 #[test]
 fn parallel_drive_counts_are_exact_across_repeated_runs() {
-    // Regression: an idle worker once observed in_flight == 0 before
+    // Regression: an idle worker once observed no job in flight before
     // a finished job's outcome was committed, computed a wakeup from
-    // that stale view, leapt the virtual clock past the live lease
-    // and re-executed the job (executed 10 instead of 9,
-    // intermittently). The counts below must be exact every time.
+    // that stale view, leapt the virtual clock and re-executed the job
+    // (executed 10 instead of 9, intermittently). Siblings never
+    // re-claim each other's jobs: the counts must be exact every time.
     for round in 0..25 {
         let path = tmp(&format!("parallel-exact-{round}.jsonl"));
         let mut jobs: Vec<JobSpec> = (1..=8).map(|i| job(i, "double", vec![])).collect();
         jobs.push(job(9, "sum", (1..=8).collect()));
         let (mut store, mut state) = SweepStore::create(&path, "lease", &jobs).unwrap();
         let clock = SweepClock::virtual_at(0);
-        let toy = Toy::default();
-        let report =
-            ftdes_serve::drive_parallel(&mut store, &mut state, &toy, &clock, &worker("pool"), 4)
-                .unwrap();
-        assert_eq!(report.executed, 9, "round {round}: one execution per job");
-        assert_eq!(
-            report.reclaimed, 0,
-            "round {round}: no live lease was leapt"
-        );
-        assert_eq!(clock.now_ms(), 0, "round {round}: the clock never advanced");
-        assert_eq!(state.result(9), Some(&Value::U64(720)));
-    }
-}
-
-#[test]
-fn a_lease_past_the_clock_range_never_expires() {
-    // Regression: `now + lease_ms` wrapped to `now - 1` in release
-    // (and panicked in debug), so every claim was expired when
-    // written and sibling workers re-ran jobs still in flight. The
-    // expiry saturates at u64::MAX instead: a lease nobody can
-    // outlive.
-    for workers in [1, 2] {
-        let path = tmp(&format!("endless-lease-{workers}.jsonl"));
-        let mut jobs: Vec<JobSpec> = (1..=8).map(|i| job(i, "double", vec![])).collect();
-        jobs.push(job(9, "sum", (1..=8).collect()));
-        let (mut store, mut state) = SweepStore::create(&path, "lease", &jobs).unwrap();
-        let clock = SweepClock::virtual_at(1_000);
-        let cfg = WorkerConfig {
-            lease_ms: u64::MAX,
-            ..worker("pool")
-        };
-        let report = ftdes_serve::drive_parallel(
+        let report = drive(
             &mut store,
             &mut state,
             &Toy::default(),
             &clock,
-            &cfg,
-            workers,
+            &mut Injector::none(),
+            &pool(4),
         )
         .unwrap();
-        assert_eq!(report.executed, 9, "{workers} workers: one run per job");
-        assert_eq!(report.reclaimed, 0, "{workers} workers: no lease expired");
+        assert_eq!(report.executed, 9, "round {round}: one execution per job");
+        assert_eq!(
+            report.reclaimed, 0,
+            "round {round}: no sibling's job was taken"
+        );
+        assert_eq!(clock.now_ms(), 0, "round {round}: the clock never advanced");
         assert_eq!(state.result(9), Some(&Value::U64(720)));
     }
 }
@@ -414,39 +358,93 @@ fn parallel_takeover_covers_dead_leases_but_never_live_siblings() {
     let mut jobs: Vec<JobSpec> = (1..=4).map(|i| job(i, "double", vec![])).collect();
     jobs.push(job(5, "sum", (1..=4).collect()));
     let (mut store, mut state) = SweepStore::create(&path, "lease", &jobs).unwrap();
-    // A 2-worker process died holding leases on jobs 1 and 2.
-    for (id, w) in [(1u64, "dead-0"), (2u64, "dead-1")] {
-        store
-            .append(
-                &mut state,
-                &Event::Claim {
-                    id,
-                    worker: w.into(),
-                    attempt: 1,
-                    at_ms: 0,
-                    expires_ms: 1_000,
-                },
-            )
-            .unwrap();
-    }
+    // A 2-worker process died holding claims on jobs 1 and 2.
+    dead_claims(&mut store, &mut state, &[1, 2]);
     drop(store);
 
     let (mut store, mut state, _) = SweepStore::open(&path).unwrap();
     let clock = SweepClock::virtual_at(0);
-    let toy = Toy::default();
-    let cfg = WorkerConfig {
-        takeover: true,
-        ..worker("rescue")
-    };
-    let report =
-        ftdes_serve::drive_parallel(&mut store, &mut state, &toy, &clock, &cfg, 2).unwrap();
-    // Exactly the two dead leases are taken over; the threads never
-    // steal each other's just-created live leases, and nothing waits
-    // out (or leaps) a lease on the clock.
+    let report = drive(
+        &mut store,
+        &mut state,
+        &Toy::default(),
+        &clock,
+        &mut Injector::none(),
+        &pool(2),
+    )
+    .unwrap();
+    // Exactly the two dead claims are taken over; the workers never
+    // take each other's live claims, and nothing waits on the clock.
     assert_eq!(report.executed, 5);
     assert_eq!(report.reclaimed, 2);
     assert_eq!(clock.now_ms(), 0);
     assert_eq!(state.result(5), Some(&Value::U64(200)));
+}
+
+/// Holds every job at a two-party barrier, so both workers are in
+/// flight when the first of them commits; `fail` jobs fail and
+/// `poison` jobs fail for good.
+struct Gate(Barrier);
+
+impl JobExec for Gate {
+    fn execute(&self, spec: &JobSpec, _deps: &[DepResult]) -> Result<Value, String> {
+        self.0.wait();
+        match spec.kind.as_str() {
+            "double" => Ok(Value::U64(spec.params.as_u64().unwrap_or(0) * 2)),
+            kind => Err(format!("{kind} {}", spec.id)),
+        }
+    }
+}
+
+#[test]
+fn an_injected_crash_stops_the_sibling_in_flight() {
+    // Two jobs in flight at once; the first commit crashes. The other
+    // worker's outcome must never reach the log, at every commit-side
+    // fault point.
+    for (point, kind, max_attempts, kept) in [
+        ("done.before_append", "double", 3, 0),
+        ("done.torn_append", "double", 3, 0),
+        ("done.after_append", "double", 3, 1),
+        ("fail.before_append", "fail", 3, 0),
+        ("quarantine.before_append", "poison", 1, 0),
+    ] {
+        let path = tmp(&format!("sibling-{}.jsonl", point.replace('.', "-")));
+        let jobs = vec![job(1, kind, vec![]), job(2, kind, vec![])];
+        let (mut store, mut state) = SweepStore::create(&path, "lease", &jobs).unwrap();
+        let cfg = WorkerConfig {
+            max_attempts,
+            ..pool(2)
+        };
+        let err = drive(
+            &mut store,
+            &mut state,
+            &Gate(Barrier::new(2)),
+            &SweepClock::virtual_at(0),
+            &mut Injector::at(point, 1, CrashMode::Error).unwrap(),
+            &cfg,
+        )
+        .unwrap_err();
+        assert!(matches!(err, DriveError::InjectedCrash { .. }), "[{point}]");
+        drop(store);
+        let (replayed, report) = SweepStore::replay(&path).unwrap();
+        assert_eq!(report.dropped_torn_line, point == "done.torn_append");
+        let events = raw_events(&path);
+        let outcomes = events
+            .iter()
+            .filter(|e| {
+                !matches!(
+                    e,
+                    Event::Init { .. } | Event::Job { .. } | Event::Claim { .. }
+                )
+            })
+            .count();
+        assert_eq!(outcomes, kept, "[{point}] outcomes in the log: {events:?}");
+        assert_eq!(
+            replay_claims(&path, 1).len() + replay_claims(&path, 2).len(),
+            2
+        );
+        assert_eq!(replayed.counts().claimed, 2 - kept, "[{point}]");
+    }
 }
 
 /// Panics on its first `boom` call, succeeds after — the panic must
@@ -456,7 +454,7 @@ struct Panicky {
     calls: Mutex<u32>,
 }
 
-impl ftdes_serve::JobExec for Panicky {
+impl JobExec for Panicky {
     fn execute(&self, spec: &JobSpec, _deps: &[DepResult]) -> Result<Value, String> {
         if spec.kind == "boom" {
             let mut calls = self.calls.lock().unwrap_or_else(|e| e.into_inner());
@@ -471,22 +469,31 @@ impl ftdes_serve::JobExec for Panicky {
 
 #[test]
 fn parallel_panicking_executor_becomes_a_failed_attempt_not_a_hang() {
-    let path = tmp("parallel-panic.jsonl");
-    let jobs = vec![job(1, "boom", vec![]), job(2, "double", vec![])];
-    let (mut store, mut state) = SweepStore::create(&path, "lease", &jobs).unwrap();
-    let clock = SweepClock::virtual_at(0);
-    let exec = Panicky::default();
-    let report =
-        ftdes_serve::drive_parallel(&mut store, &mut state, &exec, &clock, &worker("pool"), 2)
-            .unwrap();
-    assert_eq!(report.failed_attempts, 1, "the panic is one failed attempt");
-    assert_eq!(report.executed, 2, "both jobs still complete");
-    assert_eq!(state.result(1), Some(&Value::U64(20)));
-    assert!(
-        state.job(1).unwrap().failures[0].contains("executor panicked"),
-        "panic text lands in the failure chain: {:?}",
-        state.job(1).unwrap().failures
-    );
+    for workers in [1, 2] {
+        let path = tmp(&format!("parallel-panic-{workers}.jsonl"));
+        let jobs = vec![job(1, "boom", vec![]), job(2, "double", vec![])];
+        let (mut store, mut state) = SweepStore::create(&path, "lease", &jobs).unwrap();
+        let report = drive(
+            &mut store,
+            &mut state,
+            &Panicky::default(),
+            &SweepClock::virtual_at(0),
+            &mut Injector::none(),
+            &pool(workers),
+        )
+        .unwrap();
+        assert_eq!(
+            report.failed_attempts, 1,
+            "{workers} workers: the panic is one failed attempt"
+        );
+        assert_eq!(report.executed, 2, "{workers} workers: both jobs complete");
+        assert_eq!(state.result(1), Some(&Value::U64(20)));
+        assert!(
+            state.job(1).unwrap().failures[0].contains("executor panicked"),
+            "panic text lands in the failure chain: {:?}",
+            state.job(1).unwrap().failures
+        );
+    }
 }
 
 /// Replays the raw log, returning `(worker, attempt)` per claim of
@@ -520,11 +527,13 @@ fn replay_retries(path: &PathBuf, id: u64) -> Vec<u64> {
         .collect()
 }
 
+/// The complete lines of the raw log, parsed (a torn tail is skipped).
 fn raw_events(path: &PathBuf) -> Vec<Event> {
     std::fs::read_to_string(path)
         .unwrap()
-        .lines()
-        .map(|l| serde_json::from_str(l).unwrap())
+        .split_inclusive('\n')
+        .filter(|l| l.ends_with('\n'))
+        .map(|l| serde_json::from_str(l.trim_end()).unwrap())
         .collect()
 }
 

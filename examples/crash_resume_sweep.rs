@@ -16,12 +16,13 @@
 //!    where a `kill -9` would leave the log, including a *torn*
 //!    mid-append write,
 //! 4. reopen each crashed store (replay detects and drops the torn
-//!    line), resume with a takeover worker and a cold cache, and
-//!    assert the final results are **bit-identical** to the baseline.
+//!    line), resume with a cold cache — the dead driver's claims re-run
+//!    at once — and assert the final results are **bit-identical** to
+//!    the baseline.
 //!
 //! The same drill works from the command line against a real process:
-//! `FTDES_CRASH_AT=<point> ftdes sweep run ...` aborts the worker at
-//! the boundary, and `ftdes sweep resume --takeover` recovers.
+//! `FTDES_CRASH_AT=<point> ftdes sweep run ...` aborts the driver at
+//! the boundary, and `ftdes sweep resume` recovers.
 //!
 //! Run with: `cargo run --release --example crash_resume_sweep`
 
@@ -77,12 +78,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let clock = SweepClock::virtual_at(0);
-    let cfg = |worker: &str, takeover: bool| WorkerConfig {
+    let cfg = |worker: &str| WorkerConfig {
         worker: worker.into(),
-        lease_ms: 1_000,
         max_attempts: 2,
         backoff_base_ms: 10,
-        takeover,
+        ..WorkerConfig::default()
     };
 
     // 2. The uncrashed baseline.
@@ -94,7 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &SweepExec::new(),
         &clock,
         &mut Injector::none(),
-        &cfg("baseline", false),
+        &cfg("baseline"),
     )?;
     assert!(state.is_complete(), "baseline completes");
     let baseline = results_bytes(&state);
@@ -111,7 +111,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &SweepExec::new(),
             &clock,
             &mut injector,
-            &cfg("victim", false),
+            &cfg("victim"),
         );
         let fired = match outcome {
             Err(DriveError::InjectedCrash { .. }) => true,
@@ -132,7 +132,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &SweepExec::new(), // fresh executor: cold cache, no carried state
             &clock,
             &mut Injector::none(),
-            &cfg("rescuer", true),
+            &cfg("rescuer"),
         )?;
         assert!(state.is_complete(), "[{point}] resumed sweep completes");
         assert_eq!(
@@ -142,7 +142,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         println!(
             "  {point:<26} crashed: {}, torn line: {}, re-executed {:>2} job(s), \
-             reclaimed {} lease(s) -> bit-identical",
+             reclaimed {} dead claim(s) -> bit-identical",
             if fired { "yes" } else { "unfired" },
             if report.dropped_torn_line {
                 "dropped"

@@ -28,7 +28,7 @@
 //! * [`gen`] — synthetic workload generation and the 32-process
 //!   cruise-controller case study,
 //! * [`serve`] — crash-safe sweep orchestration: experiment DAGs over
-//!   an append-only event log, lease-based claims, bounded retries
+//!   an append-only event log with one locked driver, bounded retries
 //!   with quarantine, and a crash-injection harness whose contract is
 //!   *resume ≡ uncrashed, bit-identical*,
 //! * [`mod@bench`] — the experiment harness regenerating the paper's
