@@ -138,6 +138,66 @@ fn takeover_reclaims_immediately_without_waiting_out_the_lease() {
     assert_eq!(claims, vec![("a-0".into(), 1), ("b-0".into(), 2)]);
 }
 
+/// A claim's lease ends with the driver that holds it: a driver that
+/// dies mid-run leaves its in-flight claim for the next driver, which
+/// re-runs that job alone and keeps what the dead driver finished.
+#[test]
+fn crashed_workers_lease_expires_and_job_is_reclaimed() {
+    let path = tmp("reclaim.jsonl");
+    let jobs = vec![job(1, "double", vec![]), job(2, "sum", vec![1])];
+    let (mut store, mut state) = SweepStore::create(&path, "lease", &jobs).unwrap();
+    let clock = SweepClock::virtual_at(5_000);
+
+    // Driver A finishes job 1, then dies right after its claim of
+    // job 2 lands.
+    let mut crash = Injector::at("claim.after_append", 2, CrashMode::Error).unwrap();
+    let err = drive(
+        &mut store,
+        &mut state,
+        &Toy::default(),
+        &clock,
+        &mut crash,
+        &worker("a"),
+    )
+    .unwrap_err();
+    assert!(matches!(err, DriveError::InjectedCrash { .. }));
+    assert_eq!(state.result(1), Some(&Value::U64(20)));
+    assert!(
+        matches!(state.job(2).unwrap().status, JobStatus::Claimed { .. }),
+        "job 2 holds A's claim: {:?}",
+        state.job(2).unwrap().status
+    );
+    drop(store);
+
+    // Driver B resumes in a fresh process and re-runs job 2 only.
+    let (mut store, mut state, report) = SweepStore::open(&path).unwrap();
+    assert!(!report.dropped_torn_line);
+    let toy = Toy::default();
+    let report = drive(
+        &mut store,
+        &mut state,
+        &toy,
+        &clock,
+        &mut Injector::none(),
+        &worker("b"),
+    )
+    .unwrap();
+    assert_eq!(report.executed, 1, "only the dead claim re-runs");
+    assert_eq!(report.reclaimed, 1, "job 2 was taken over from A");
+    assert_eq!(clock.now_ms(), 5_000, "nothing waited on the clock");
+    assert_eq!(toy.calls.lock().unwrap().get(&1), None, "job 1 kept");
+    assert_eq!(state.result(1), Some(&Value::U64(20)));
+    assert_eq!(state.result(2), Some(&Value::U64(20)));
+    assert!(state.is_complete());
+
+    // Job 1 was claimed once; job 2's second claim is attempt 2 by b.
+    assert_eq!(replay_claims(&path, 1), vec![("a-0".into(), 1)]);
+    assert_eq!(
+        replay_claims(&path, 2),
+        vec![("a-0".into(), 1), ("b-0".into(), 2)]
+    );
+}
+
 #[test]
 fn transient_failures_retry_with_exponential_backoff() {
     let path = tmp("backoff.jsonl");
