@@ -182,17 +182,29 @@ pub fn comm_heavy(params: &CommHeavyParams, arch: &Architecture, seed: u64) -> W
     let ps = g.add_processes(n);
 
     let message = |rng: &mut StdRng| Message::new(rng.gen_range(params.msg_min..=params.msg_max));
+    // The `from × n + to` bit is set once the pair has an edge, so a
+    // duplicate pick costs one bit test instead of the graph's scan of
+    // the sender's out-edges.
+    let mut linked = vec![0u64; (n * n).div_ceil(64)];
+    let mut link = |from: usize, to: usize| {
+        let bit = from * n + to;
+        let fresh = linked[bit / 64] & (1 << (bit % 64)) == 0;
+        linked[bit / 64] |= 1 << (bit % 64);
+        fresh
+    };
 
     // Connectivity backbone: one parent per non-root process.
     for i in 1..n {
         let parent = rng.gen_range(0..i);
+        link(parent, i);
         g.add_edge(ps[parent], ps[i], message(&mut rng))
             .expect("backbone edges are unique and forward");
     }
     // Densify with forward edges (from a lower to a higher process
-    // index, so acyclicity is free). Duplicate picks are rejected by
-    // the graph; bound the attempts so degenerate parameter choices
-    // (density beyond the complete DAG) still terminate.
+    // index, so acyclicity is free). Duplicate picks are skipped, but
+    // still draw their message so the random stream stays the same;
+    // bound the attempts so degenerate parameter choices (density
+    // beyond the complete DAG) still terminate.
     let target = ((params.edge_density * n as f64).round() as usize).max(n - 1);
     let mut attempts = 8 * target;
     while g.edge_count() < target && attempts > 0 && n > 1 {
@@ -200,7 +212,10 @@ pub fn comm_heavy(params: &CommHeavyParams, arch: &Architecture, seed: u64) -> W
         let from = rng.gen_range(0..n - 1);
         let to = rng.gen_range(from + 1..n);
         let msg = message(&mut rng);
-        let _ = g.add_edge(ps[from], ps[to], msg);
+        if link(from, to) {
+            g.add_edge(ps[from], ps[to], msg)
+                .expect("densify edges are fresh and forward");
+        }
     }
 
     let wcet = sample_wcet(&params.wcet_params(), &g, arch, &mut rng);

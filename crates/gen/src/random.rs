@@ -63,11 +63,11 @@ fn random_dag(params: &WorkloadParams, rng: &mut StdRng) -> ProcessGraph {
         .map(|i| if i == 0 { 0 } else { rng.gen_range(1..layers) })
         .collect();
 
+    let mut candidates: Vec<usize> = Vec::with_capacity(n);
     for i in 1..n {
         let my_layer = layer_of[i];
-        let candidates: Vec<usize> = (0..n)
-            .filter(|&j| j != i && layer_of[j] < my_layer)
-            .collect();
+        candidates.clear();
+        candidates.extend((0..n).filter(|&j| j != i && layer_of[j] < my_layer));
         if candidates.is_empty() {
             // Fall back to the root so the graph stays connected.
             let _ = g.add_edge(ps[0], ps[i], message(params, rng));

@@ -566,14 +566,11 @@ fn run(out: &mut impl Write, args: &[String]) -> Result<(), CliError> {
                 outcome.length(),
                 outcome.is_schedulable()
             )?;
-            write!(out, "{}", render_tables(&outcome.schedule, problem.graph()))?;
-            write!(out, "{}", render_medl(&outcome.schedule))?;
+            let (graph, arch) = (problem.graph(), problem.arch());
+            write!(out, "{}", render_tables(&outcome.schedule, graph, arch))?;
+            write!(out, "{}", render_medl(&outcome.schedule, arch))?;
             if options.gantt {
-                write!(
-                    out,
-                    "{}",
-                    render_gantt(&outcome.schedule, problem.graph(), 72)
-                )?;
+                write!(out, "{}", render_gantt(&outcome.schedule, graph, arch, 72))?;
             }
             if let Some(path) = &options.json {
                 let report = solution_report(
@@ -713,7 +710,7 @@ fn run(out: &mut impl Write, args: &[String]) -> Result<(), CliError> {
                 write!(
                     out,
                     "{}",
-                    render_gantt(&repaired.schedule, post.graph(), 72)
+                    render_gantt(&repaired.schedule, post.graph(), post.arch(), 72)
                 )?;
             }
             Ok(())
@@ -810,6 +807,10 @@ fn run_sweep(out: &mut impl Write, args: &[String]) -> Result<(), CliError> {
             let spec =
                 parse_sweep(&text).map_err(|e| CliError::Parse(format!("{spec_path}: {e}")))?;
             let jobs = spec.jobs();
+            // Announce the sweep only once its store exists.
+            let (mut store, mut state) =
+                SweepStore::create(std::path::Path::new(o.store()?), spec.name(), &jobs)
+                    .map_err(store_err)?;
             writeln!(
                 out,
                 "sweep {}: {} jobs -> {}",
@@ -817,9 +818,6 @@ fn run_sweep(out: &mut impl Write, args: &[String]) -> Result<(), CliError> {
                 jobs.len(),
                 o.store()?
             )?;
-            let (mut store, mut state) =
-                SweepStore::create(std::path::Path::new(o.store()?), spec.name(), &jobs)
-                    .map_err(store_err)?;
             drive_sweep(out, &o, &mut store, &mut state)?;
             finish_sweep(out, &o, &state)
         }

@@ -24,8 +24,11 @@
 //! ```
 //!
 //! Times accept `ms` and `us` suffixes (a bare number means
-//! milliseconds).
+//! milliseconds). Each (process, node) pair takes one WCET: a second
+//! `wcet` line for a pair, by node name or through `*`, is rejected as
+//! [`ErrorKind::Duplicate`], like a repeated node or process name.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use ftdes_core::problem::{Problem, HORIZON_HEADROOM_US, MAX_PROCESS_NODE_PAIRS};
@@ -34,7 +37,7 @@ use ftdes_model::architecture::Architecture;
 use ftdes_model::design::DesignConstraints;
 use ftdes_model::error::ModelError;
 use ftdes_model::fault::FaultModel;
-use ftdes_model::graph::{Message, ProcessGraph};
+use ftdes_model::graph::{Message, Process, ProcessGraph};
 use ftdes_model::ids::{GraphId, NodeId, ProcessId};
 use ftdes_model::merge::MergedApplication;
 use ftdes_model::policy::{MappingConstraint, PolicyConstraint};
@@ -192,43 +195,37 @@ fn check_pairs(processes: usize, nodes: usize) -> Result<(), ParseProblemError> 
 /// at line 0 (kind [`ErrorKind::Overflow`]) when the graphs' processes
 /// × nodes exceed [`MAX_PROCESS_NODE_PAIRS`].
 pub fn parse_problem(input: &str) -> Result<ProblemSpec, ParseProblemError> {
-    Parser::new(input).run()
+    Parser::new().run(input)
 }
 
-struct GraphDraft {
+/// The names of a graph's processes map to their ids; every name and
+/// node reference the parser keeps borrows the input.
+struct GraphDraft<'a> {
     graph: ProcessGraph,
     period: Time,
     deadline: Time,
-    names: HashMap<String, ProcessId>,
+    names: HashMap<&'a str, ProcessId>,
 }
 
+/// A `wcet` line: its number, process, node (`None` for `*`) and time.
+type WcetLine<'a> = (usize, &'a str, Option<&'a str>, Time);
+
 struct Parser<'a> {
-    lines: Vec<(usize, &'a str)>,
-    node_names: HashMap<String, NodeId>,
+    node_names: HashMap<&'a str, NodeId>,
     arch: Option<Architecture>,
     fault_model: Option<FaultModel>,
     bus_slot_bytes: u32,
     bus_byte_time: Time,
     bus_order: Option<Vec<NodeId>>,
-    graphs: Vec<GraphDraft>,
-    wcet_lines: Vec<(usize, String, Option<String>, Time)>,
-    fixed_mappings: Vec<(usize, String, String)>,
-    fixed_policies: Vec<(usize, String, String)>,
+    graphs: Vec<GraphDraft<'a>>,
+    wcet_lines: Vec<WcetLine<'a>>,
+    fixed_mappings: Vec<(usize, &'a str, &'a str)>,
+    fixed_policies: Vec<(usize, &'a str, &'a str)>,
 }
 
 impl<'a> Parser<'a> {
-    fn new(input: &'a str) -> Self {
-        let lines = input
-            .lines()
-            .enumerate()
-            .map(|(i, l)| {
-                let body = l.split('#').next().unwrap_or("").trim();
-                (i + 1, body)
-            })
-            .filter(|(_, l)| !l.is_empty())
-            .collect();
+    fn new() -> Self {
         Parser {
-            lines,
             node_names: HashMap::new(),
             arch: None,
             fault_model: None,
@@ -242,12 +239,18 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn run(mut self) -> Result<ProblemSpec, ParseProblemError> {
-        let lines = std::mem::take(&mut self.lines);
-        for (ln, line) in lines {
-            let mut tokens = line.split_whitespace();
-            let directive = tokens.next().expect("non-empty line");
-            let rest: Vec<&str> = tokens.collect();
+    fn run(mut self, input: &'a str) -> Result<ProblemSpec, ParseProblemError> {
+        // One token buffer serves every line.
+        let mut rest: Vec<&'a str> = Vec::new();
+        for (i, line) in input.lines().enumerate() {
+            let body = line.split_once('#').map_or(line, |(body, _)| body);
+            let mut tokens = body.split_whitespace();
+            let Some(directive) = tokens.next() else {
+                continue;
+            };
+            rest.clear();
+            rest.extend(tokens);
+            let ln = i + 1;
             match directive {
                 "architecture" => self.architecture(ln, &rest)?,
                 "fault_model" => self.fault_model(ln, &rest)?,
@@ -269,17 +272,17 @@ impl<'a> Parser<'a> {
         self.finish()
     }
 
-    fn architecture(&mut self, ln: usize, rest: &[&str]) -> Result<(), ParseProblemError> {
+    fn architecture(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseProblemError> {
         if rest.is_empty() {
             return Err(ParseProblemError::new(
                 ln,
                 "architecture needs at least one node name",
             ));
         }
-        for (i, name) in rest.iter().enumerate() {
+        for (i, &name) in rest.iter().enumerate() {
             if self
                 .node_names
-                .insert((*name).to_owned(), NodeId::new(i as u32))
+                .insert(name, NodeId::new(i as u32))
                 .is_some()
             {
                 return Err(ParseProblemError::with_kind(
@@ -293,7 +296,7 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn fault_model(&mut self, ln: usize, rest: &[&str]) -> Result<(), ParseProblemError> {
+    fn fault_model(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseProblemError> {
         let mut k = None;
         let mut mu = None;
         let mut chi = None;
@@ -331,7 +334,7 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn bus(&mut self, ln: usize, rest: &[&str]) -> Result<(), ParseProblemError> {
+    fn bus(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseProblemError> {
         for tok in rest {
             let (key, value) = split_kv(ln, tok)?;
             match key {
@@ -358,7 +361,7 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn graph(&mut self, ln: usize, rest: &[&str]) -> Result<(), ParseProblemError> {
+    fn graph(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseProblemError> {
         let mut period = None;
         let mut deadline = None;
         for tok in rest {
@@ -380,14 +383,14 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn current_graph(&mut self, ln: usize) -> Result<&mut GraphDraft, ParseProblemError> {
+    fn current_graph(&mut self, ln: usize) -> Result<&mut GraphDraft<'a>, ParseProblemError> {
         self.graphs
             .last_mut()
             .ok_or_else(|| ParseProblemError::new(ln, "directive before any graph"))
     }
 
-    fn process(&mut self, ln: usize, rest: &[&str]) -> Result<(), ParseProblemError> {
-        let Some((name, opts)) = rest.split_first() else {
+    fn process(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseProblemError> {
+        let Some((&name, opts)) = rest.split_first() else {
             return Err(ParseProblemError::new(ln, "process needs a name"));
         };
         let mut release = Time::ZERO;
@@ -400,25 +403,26 @@ impl<'a> Parser<'a> {
                 _ => return Err(ParseProblemError::new(ln, format!("unknown key {key:?}"))),
             }
         }
-        let name = (*name).to_owned();
         let draft = self.current_graph(ln)?;
-        if draft.names.contains_key(&name) {
+        let Entry::Vacant(slot) = draft.names.entry(name) else {
             return Err(ParseProblemError::with_kind(
                 ln,
                 ErrorKind::Duplicate,
                 format!("duplicate process {name:?}"),
             ));
-        }
-        let id = draft.graph.add_process();
-        let p = draft.graph.process_mut(id);
-        p.name.clone_from(&name);
-        p.release = release;
-        p.deadline = deadline;
-        draft.names.insert(name, id);
+        };
+        let id = ProcessId::new(draft.graph.process_count() as u32);
+        slot.insert(id);
+        draft.graph.push_process(Process {
+            id,
+            name: name.to_owned(),
+            release,
+            deadline,
+        });
         Ok(())
     }
 
-    fn edge(&mut self, ln: usize, rest: &[&str]) -> Result<(), ParseProblemError> {
+    fn edge(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseProblemError> {
         let [from, to, opts @ ..] = rest else {
             return Err(ParseProblemError::new(ln, "edge needs <from> <to>"));
         };
@@ -460,44 +464,38 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn wcet(&mut self, ln: usize, rest: &[&str]) -> Result<(), ParseProblemError> {
-        let [process, node, time] = rest else {
+    fn wcet(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseProblemError> {
+        let &[process, node, time] = rest else {
             return Err(ParseProblemError::new(
                 ln,
                 "wcet needs <process> <node|*> <time>",
             ));
         };
         let t = parse_time(ln, time)?;
-        let node = if *node == "*" {
-            None
-        } else {
-            Some((*node).to_owned())
-        };
-        self.wcet_lines.push((ln, (*process).to_owned(), node, t));
+        let node = (node != "*").then_some(node);
+        self.wcet_lines.push((ln, process, node, t));
         Ok(())
     }
 
-    fn fix_mapping(&mut self, ln: usize, rest: &[&str]) -> Result<(), ParseProblemError> {
-        let [process, node] = rest else {
+    fn fix_mapping(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseProblemError> {
+        let &[process, node] = rest else {
             return Err(ParseProblemError::new(
                 ln,
                 "fix_mapping needs <process> <node>",
             ));
         };
-        self.fixed_mappings
-            .push((ln, (*process).to_owned(), (*node).to_owned()));
+        self.fixed_mappings.push((ln, process, node));
         Ok(())
     }
 
-    fn fix_policy(&mut self, ln: usize, rest: &[&str]) -> Result<(), ParseProblemError> {
-        let [process, policy] = rest else {
+    fn fix_policy(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseProblemError> {
+        let &[process, policy] = rest else {
             return Err(ParseProblemError::new(
                 ln,
                 "fix_policy needs <process> <policy>",
             ));
         };
-        self.fixed_policies
-            .push((ln, (*process).to_owned(), (*policy).to_owned()));
+        self.fixed_policies.push((ln, process, policy));
         Ok(())
     }
 
@@ -535,10 +533,10 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn finish(self) -> Result<ProblemSpec, ParseProblemError> {
+    fn finish(mut self) -> Result<ProblemSpec, ParseProblemError> {
         let arch = self
             .arch
-            .clone()
+            .take()
             .ok_or_else(|| ParseProblemError::new(0, "missing architecture directive"))?;
         let fault_model = self
             .fault_model
@@ -553,17 +551,43 @@ impl<'a> Parser<'a> {
         let processes = self.graphs.iter().map(|d| d.graph.process_count()).sum();
         check_pairs(processes, arch.node_count())?;
 
-        // WCET tables per graph.
+        // WCET tables per graph. Writers group the lines of a process,
+        // so each run of lines naming one process resolves it once.
         let mut wcet: Vec<WcetTable> = self.graphs.iter().map(|_| WcetTable::new()).collect();
-        for (ln, process, node, t) in &self.wcet_lines {
-            let (gi, p) = self.resolve(*ln, process)?;
+        let mut resolved: Option<(&str, usize, ProcessId)> = None;
+        for &(ln, process, node, t) in &self.wcet_lines {
+            let (gi, p) = match resolved {
+                Some((name, gi, p)) if name == process => (gi, p),
+                _ => {
+                    let (gi, p) = self.resolve(ln, process)?;
+                    resolved = Some((process, gi, p));
+                    (gi, p)
+                }
+            };
+            // A pair gets one WCET: a second line for it, by name or
+            // through `*`, is a duplicate rather than an override.
+            let duplicate = |n: NodeId| {
+                ParseProblemError::with_kind(
+                    ln,
+                    ErrorKind::Duplicate,
+                    format!(
+                        "duplicate wcet for process {process:?} on node {:?}",
+                        arch.node(n).name
+                    ),
+                )
+            };
             match node {
                 Some(name) => {
-                    wcet[gi].set(p, self.node(*ln, name)?, *t);
+                    let n = self.node(ln, name)?;
+                    if wcet[gi].set(p, n, t).is_some() {
+                        return Err(duplicate(n));
+                    }
                 }
                 None => {
                     for n in arch.node_ids() {
-                        wcet[gi].set(p, n, *t);
+                        if wcet[gi].set(p, n, t).is_some() {
+                            return Err(duplicate(n));
+                        }
                     }
                 }
             }
@@ -589,27 +613,27 @@ impl<'a> Parser<'a> {
         } else {
             self.bus_byte_time
         };
-        let bus = match &self.bus_order {
-            Some(order) => BusConfig::with_order(order.clone(), slot_bytes, byte_time),
+        let bus = match self.bus_order.take() {
+            Some(order) => BusConfig::with_order(order, slot_bytes, byte_time),
             None => BusConfig::initial(&arch, slot_bytes, byte_time),
         }
         .map_err(|e| ParseProblemError::with_kind(0, ErrorKind::Structure, e.to_string()))?;
 
         // Constraints.
         let mut fixed_mappings = Vec::new();
-        for (ln, process, node) in &self.fixed_mappings {
-            let (gi, p) = self.resolve(*ln, process)?;
-            fixed_mappings.push((gi, p, self.node(*ln, node)?));
+        for &(ln, process, node) in &self.fixed_mappings {
+            let (gi, p) = self.resolve(ln, process)?;
+            fixed_mappings.push((gi, p, self.node(ln, node)?));
         }
         let mut fixed_policies = Vec::new();
-        for (ln, process, policy) in &self.fixed_policies {
-            let (gi, p) = self.resolve(*ln, process)?;
-            let c = match policy.as_str() {
+        for &(ln, process, policy) in &self.fixed_policies {
+            let (gi, p) = self.resolve(ln, process)?;
+            let c = match policy {
                 "reexecution" => PolicyConstraint::Reexecution,
                 "replication" => PolicyConstraint::Replication,
                 other => {
                     return Err(ParseProblemError::with_kind(
-                        *ln,
+                        ln,
                         ErrorKind::InvalidValue,
                         format!("unknown policy {other:?} (use reexecution or replication)"),
                     ))

@@ -4,7 +4,8 @@
 //! suite:
 //!
 //! * [`mod@format`] — a TGFF-style text format describing an
-//!   architecture, a fault model, periodic process graphs, WCETs and
+//!   architecture, a fault model, periodic process graphs, WCETs (one
+//!   per process-node pair; a repeated pair is a duplicate error) and
 //!   designer constraints (see the module docs for the grammar),
 //! * [`mod@delta`] — `--delta` spec parsing for the `repair` command,
 //! * [`report`] — stable JSON serialization of optimization results,

@@ -18,84 +18,73 @@ use crate::format::ProblemSpec;
 /// `wcet` lines by name).
 #[must_use]
 pub fn write_problem(spec: &ProblemSpec) -> String {
+    // Every line is written in place, names borrowed. The per-process,
+    // per-edge and per-WCET lines bypass `write!`'s formatting
+    // machinery, which took two thirds of the writer's time.
     let mut out = String::new();
-    let node_name = |i: usize| spec.arch.nodes()[i].name.clone();
+    let node_names: Vec<&str> = spec.arch.nodes().iter().map(|n| n.name.as_str()).collect();
 
-    let names: Vec<String> = spec.arch.nodes().iter().map(|n| n.name.clone()).collect();
-    let _ = writeln!(out, "architecture {}", names.join(" "));
-    if spec.fault_model.chi().is_zero() {
-        let _ = writeln!(
-            out,
-            "fault_model k={} mu={}",
-            spec.fault_model.k(),
-            fmt_time(spec.fault_model.mu())
-        );
-    } else {
-        let _ = writeln!(
-            out,
-            "fault_model k={} mu={} chi={}",
-            spec.fault_model.k(),
-            fmt_time(spec.fault_model.mu()),
-            fmt_time(spec.fault_model.chi())
-        );
+    let _ = writeln!(out, "architecture {}", node_names.join(" "));
+    let fm = &spec.fault_model;
+    let _ = write!(out, "fault_model k={} mu={}", fm.k(), fm.mu());
+    if !fm.chi().is_zero() {
+        let _ = write!(out, " chi={}", fm.chi());
     }
-    let order: Vec<String> = spec
-        .bus
-        .slot_order()
-        .iter()
-        .map(|n| node_name(n.index()))
-        .collect();
-    let _ = writeln!(
+    let _ = write!(
         out,
-        "bus slot_bytes={} byte_time={} order={}",
+        "\nbus slot_bytes={} byte_time={} order=",
         spec.bus.slot_bytes(),
-        fmt_time(spec.bus.byte_time()),
-        order.join(",")
+        spec.bus.byte_time()
     );
+    for (i, node) in spec.bus.slot_order().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(node_names[node.index()]);
+    }
+    out.push('\n');
 
     for (gi, g) in spec.application.specs().iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "\ngraph period={} deadline={}",
-            fmt_time(g.period),
-            fmt_time(g.deadline)
-        );
+        let _ = writeln!(out, "\ngraph period={} deadline={}", g.period, g.deadline);
         for p in g.graph.processes() {
-            let _ = write!(out, "  process {}", p.name);
+            out.push_str("  process ");
+            out.push_str(&p.name);
             if !p.release.is_zero() {
-                let _ = write!(out, " release={}", fmt_time(p.release));
+                out.push_str(" release=");
+                push_time(&mut out, p.release);
             }
             if let Some(d) = p.deadline {
-                let _ = write!(out, " deadline={}", fmt_time(d));
+                out.push_str(" deadline=");
+                push_time(&mut out, d);
             }
-            let _ = writeln!(out);
+            out.push('\n');
         }
         for e in g.graph.edges() {
-            let _ = writeln!(
-                out,
-                "  edge {} {} bytes={}",
-                g.graph.process(e.from).name,
-                g.graph.process(e.to).name,
-                e.message.size
-            );
+            out.push_str("  edge ");
+            out.push_str(&g.graph.process(e.from).name);
+            out.push(' ');
+            out.push_str(&g.graph.process(e.to).name);
+            out.push_str(" bytes=");
+            push_u64(&mut out, u64::from(e.message.size));
+            out.push('\n');
         }
-        let _ = writeln!(out);
+        out.push('\n');
         for p in g.graph.processes() {
             for (node, c) in spec.wcet[gi].eligible_nodes(p.id) {
-                let _ = writeln!(
-                    out,
-                    "wcet {} {} {}",
-                    p.name,
-                    node_name(node.index()),
-                    fmt_time(c)
-                );
+                out.push_str("wcet ");
+                out.push_str(&p.name);
+                out.push(' ');
+                out.push_str(node_names[node.index()]);
+                out.push(' ');
+                push_time(&mut out, c);
+                out.push('\n');
             }
         }
     }
 
     for &(gi, p, node) in &spec.fixed_mappings {
         let name = &spec.application.specs()[gi].graph.process(p).name;
-        let _ = writeln!(out, "fix_mapping {} {}", name, node_name(node.index()));
+        let _ = writeln!(out, "fix_mapping {name} {}", node_names[node.index()]);
     }
     for &(gi, p, c) in &spec.fixed_policies {
         let name = &spec.application.specs()[gi].graph.process(p).name;
@@ -109,12 +98,33 @@ pub fn write_problem(spec: &ProblemSpec) -> String {
     out
 }
 
-fn fmt_time(t: Time) -> String {
-    if t.as_us().is_multiple_of(1_000) {
-        format!("{}ms", t.as_ms())
+/// Appends `t` exactly as `Time`'s `Display` renders it (`<n>ms` for
+/// whole milliseconds, `<n>us` otherwise), the spelling
+/// [`crate::format::parse_problem`] reads back.
+fn push_time(out: &mut String, t: Time) {
+    let us = t.as_us();
+    if us.is_multiple_of(1_000) {
+        push_u64(out, us / 1_000);
+        out.push_str("ms");
     } else {
-        format!("{}us", t.as_us())
+        push_u64(out, us);
+        out.push_str("us");
     }
+}
+
+/// Appends `v` in decimal.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[i..].iter().map(|&d| char::from(d)));
 }
 
 #[cfg(test)]
@@ -156,6 +166,17 @@ fix_policy b reexecution
         let a = &spec.application.specs()[0].graph;
         let b = &reparsed.application.specs()[0].graph;
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn times_render_like_display() {
+        let max = u64::MAX;
+        for us in [0, 1, 9, 10, 999, 1_000, 1_500, 2_000_000, max - 615, max] {
+            let t = Time::from_us(us);
+            let mut out = String::new();
+            push_time(&mut out, t);
+            assert_eq!(out, t.to_string(), "{us} us");
+        }
     }
 
     #[test]

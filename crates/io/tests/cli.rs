@@ -96,6 +96,29 @@ fn solve_emits_tables_and_json() {
 }
 
 #[test]
+fn schedules_name_nodes_as_declared() {
+    let named = PIPELINE.replace("architecture A B", "architecture ECU1 ECU2");
+    let path = write_problem("named.ftd", &named);
+    let out = ftdes(&[
+        "solve",
+        path.to_str().unwrap(),
+        "--time-ms",
+        "100",
+        "--gantt",
+    ]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("ECU1:"), "stdout: {stdout}");
+    assert!(stdout.contains("ECU1 |"), "gantt row: {stdout}");
+    assert!(!stdout.contains("N0"), "stdout: {stdout}");
+    assert!(!stdout.contains("N1"), "stdout: {stdout}");
+}
+
+#[test]
 fn solve_past_the_booking_horizon_fails_cleanly() {
     // Well-formed, but x's 10¹² ms WCET puts its message to a remote
     // y ~2·10¹¹ TDMA rounds out: the booking table refuses it with a
@@ -389,6 +412,51 @@ wcet b N0 1us
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(65), "{command}: stderr: {stderr}");
     }
+}
+
+/// The largest accepted input: 16,384 processes on 64 nodes (2²⁰
+/// process-node pairs), one `wcet` line per pair, about 20 MB. `info`
+/// must read it under a 1 GB address-space limit. Run it in release:
+/// `cargo test --release -p ftdes-io --test cli -- --ignored`.
+#[test]
+#[ignore = "writes a 20 MB file; CI runs it in release"]
+fn info_reads_the_largest_accepted_file_in_bounded_memory() {
+    let processes = ftdes_model::merge::MAX_MERGED_PROCESSES;
+    let nodes = ftdes_core::problem::MAX_PROCESS_NODE_PAIRS / processes;
+    assert_eq!((processes, nodes), (16_384, 64));
+    let mut text = String::from("architecture");
+    for n in 0..nodes {
+        text.push_str(&format!(" N{n}"));
+    }
+    text.push_str("\nfault_model k=1 mu=1ms\nbus slot_bytes=4 byte_time=1us\ngraph period=100ms\n");
+    for p in 0..processes {
+        text.push_str(&format!("  process p{p}\n"));
+    }
+    for p in 0..processes {
+        for n in 0..nodes {
+            text.push_str(&format!("wcet p{p} N{n} {}us\n", 1 + (p + n) % 7));
+        }
+    }
+    let path = write_problem("largest.ftd", &text);
+    let out = Command::new("sh")
+        .arg("-c")
+        .arg(r#"ulimit -v 1000000; exec "$0" info "$1""#)
+        .arg(env!("CARGO_BIN_EXE_ftdes"))
+        .arg(&path)
+        .output()
+        .expect("shell runs");
+    let _ = std::fs::remove_file(&path);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.contains(&format!("processes: {processes}, edges: 0, nodes: {nodes}")),
+        "stdout: {stdout}"
+    );
 }
 
 #[test]

@@ -112,6 +112,44 @@ process x
 }
 
 #[test]
+fn rejects_a_repeated_wcet_pair() {
+    // One WCET per (process, node) pair: a second line for a pair, by
+    // name or through `*`, is a duplicate, never an override.
+    let head =
+        "architecture N1 N2\nfault_model k=1 mu=10ms\ngraph period=100ms\nprocess x\nprocess y\n";
+    for (wcet, line, process, node) in [
+        (
+            "wcet x * 20ms\nwcet y N1 10ms\nwcet y N1 90ms\n",
+            8,
+            "y",
+            "N1",
+        ),
+        (
+            "wcet x * 20ms\nwcet x N1 30ms\nwcet y * 10ms\n",
+            7,
+            "x",
+            "N1",
+        ),
+        (
+            "wcet x N2 30ms\nwcet x * 20ms\nwcet y * 10ms\n",
+            7,
+            "x",
+            "N2",
+        ),
+    ] {
+        let text = format!("{head}{wcet}");
+        let err = parse_problem(&text).expect_err(&text);
+        assert_eq!(err.kind, ErrorKind::Duplicate, "{text}{err}");
+        assert_eq!(err.line, line, "points at the second line: {err}");
+        assert!(
+            err.message
+                .contains(&format!("process {process:?} on node {node:?}")),
+            "names the pair: {err}"
+        );
+    }
+}
+
+#[test]
 fn rejects_ambiguous_cross_graph_references() {
     let text = "
 architecture A

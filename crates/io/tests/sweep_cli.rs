@@ -232,6 +232,32 @@ fn a_second_driver_is_refused_and_leaves_the_store_untouched() {
 }
 
 #[test]
+fn run_on_an_existing_store_announces_nothing() {
+    let spec = write_spec("existing.spec", TINY_CHI);
+    let store = fresh("existing.jsonl");
+    let args = [
+        "sweep",
+        "run",
+        "--spec",
+        utf8(&spec),
+        "--store",
+        utf8(&store),
+    ];
+    let first = ftdes(&args, None);
+    assert!(first.status.success(), "{}", stderr(&first));
+    let before = std::fs::read(&store).expect("read store");
+
+    let again = ftdes(&args, None);
+    assert_eq!(again.status.code(), Some(74), "{}", stderr(&again));
+    assert!(
+        again.stdout.is_empty(),
+        "a sweep that never starts is not announced: {}",
+        String::from_utf8_lossy(&again.stdout)
+    );
+    assert_eq!(std::fs::read(&store).expect("read store"), before);
+}
+
+#[test]
 fn status_leaves_a_torn_store_to_the_next_driver() {
     let spec = write_spec("torn.spec", TINY_CHI);
     let store = fresh("torn.jsonl");

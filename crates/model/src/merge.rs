@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::application::Application;
 use crate::error::ModelError;
-use crate::graph::ProcessGraph;
+use crate::graph::{Process, ProcessGraph};
 use crate::ids::{GraphId, ProcessId};
 use crate::time::Time;
 use crate::wcet::WcetTable;
@@ -110,27 +110,29 @@ impl MergedApplication {
                 // Map local ids to fresh global ids for this activation.
                 let mut global = Vec::with_capacity(spec.graph.process_count());
                 for local in spec.graph.processes() {
-                    let gid = graph.add_process();
+                    let gid = ProcessId::new(graph.process_count() as u32);
                     origins.push(ProcessOrigin {
                         graph_index,
                         activation: u32::try_from(activation)
                             .expect("activations are bounded by the process cap"),
                         local: local.id,
                     });
-                    let p = graph.process_mut(gid);
-                    p.name = if activations > 1 {
-                        format!("{}@{}", local.name, activation)
-                    } else {
-                        local.name.clone()
-                    };
-                    p.release = offset + local.release;
                     // The graph deadline applies to every process of the
                     // activation; an individual deadline tightens it
                     // (one past the time range cannot).
                     let graph_dl = offset + spec.deadline;
-                    p.deadline = Some(match local.deadline {
-                        Some(d) => offset.checked_add(d).map_or(graph_dl, |d| graph_dl.min(d)),
-                        None => graph_dl,
+                    graph.push_process(Process {
+                        id: gid,
+                        name: if activations > 1 {
+                            format!("{}@{}", local.name, activation)
+                        } else {
+                            local.name.clone()
+                        },
+                        release: offset + local.release,
+                        deadline: Some(match local.deadline {
+                            Some(d) => offset.checked_add(d).map_or(graph_dl, |d| graph_dl.min(d)),
+                            None => graph_dl,
+                        }),
                     });
                     global.push(gid);
                 }
@@ -190,14 +192,12 @@ impl MergedApplication {
     /// graphs.
     #[must_use]
     pub fn remap_wcet(&self, tables: &[WcetTable]) -> WcetTable {
-        let mut merged = WcetTable::new();
-        for (idx, origin) in self.origins.iter().enumerate() {
-            let global = ProcessId::new(idx as u32);
-            for (node, c) in tables[origin.graph_index].eligible_nodes(origin.local) {
-                merged.set(global, node, c);
-            }
-        }
-        merged
+        WcetTable::from_rows(
+            self.origins
+                .iter()
+                .map(|origin| tables[origin.graph_index].row(origin.local).to_vec())
+                .collect(),
+        )
     }
 }
 

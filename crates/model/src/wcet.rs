@@ -6,8 +6,6 @@
 //! entries of the paper's tables (e.g. Fig. 5 where `P1` cannot run
 //! on `N2`).
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::architecture::Architecture;
@@ -18,7 +16,14 @@ use crate::time::Time;
 /// The WCET table `C: (process, node) -> time`.
 ///
 /// Sparse: missing entries mean the process cannot execute on that
-/// node.
+/// node. Stored as one node-sorted row per process, so a row is
+/// filled by appending when entries arrive in node order (as every
+/// generator, the parser and the merge write them) and is read as a
+/// slice. Rows are dense by process index: the table holds a row,
+/// possibly empty, for every process up to the largest one set.
+///
+/// Equality is semantic: a cleared entry compares equal to one that
+/// never existed.
 ///
 /// # Examples
 ///
@@ -33,9 +38,11 @@ use crate::time::Time;
 /// assert_eq!(wcet.get(0.into(), 0.into()), Some(Time::from_ms(40)));
 /// assert_eq!(wcet.eligible_nodes(0.into()).count(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct WcetTable {
-    entries: BTreeMap<(ProcessId, NodeId), Time>,
+    /// `rows[p]`: the `(node, wcet)` entries of process `p`, sorted
+    /// by node, each node at most once.
+    rows: Vec<Vec<(NodeId, Time)>>,
 }
 
 impl WcetTable {
@@ -45,43 +52,78 @@ impl WcetTable {
         Self::default()
     }
 
+    /// A table of the given rows, indexed by process.
+    ///
+    /// Each row must be sorted by node, without repeats.
+    pub(crate) fn from_rows(rows: Vec<Vec<(NodeId, Time)>>) -> Self {
+        debug_assert!(rows.iter().all(|r| r.windows(2).all(|w| w[0].0 < w[1].0)));
+        WcetTable { rows }
+    }
+
+    /// The `(node, wcet)` entries of `process`, sorted by node.
+    pub(crate) fn row(&self, process: ProcessId) -> &[(NodeId, Time)] {
+        self.rows.get(process.index()).map_or(&[], Vec::as_slice)
+    }
+
     /// Sets the WCET of `process` on `node`, replacing any previous
     /// entry. Returns the previous value, if any.
     pub fn set(&mut self, process: ProcessId, node: NodeId, wcet: Time) -> Option<Time> {
-        self.entries.insert((process, node), wcet)
+        let p = process.index();
+        if p >= self.rows.len() {
+            self.rows.resize_with(p + 1, Vec::new);
+        }
+        let row = &mut self.rows[p];
+        // Entries arrive in node order almost always: append in O(1).
+        if row.last().is_none_or(|&(last, _)| last < node) {
+            row.push((node, wcet));
+            return None;
+        }
+        match row.binary_search_by_key(&node, |&(n, _)| n) {
+            Ok(i) => Some(std::mem::replace(&mut row[i].1, wcet)),
+            Err(i) => {
+                row.insert(i, (node, wcet));
+                None
+            }
+        }
     }
 
-    /// Removes eligibility of `process` on `node`.
+    /// Removes eligibility of `process` on `node`. Returns the removed
+    /// value, if any.
     pub fn clear(&mut self, process: ProcessId, node: NodeId) -> Option<Time> {
-        self.entries.remove(&(process, node))
+        let row = self.rows.get_mut(process.index())?;
+        let i = row.binary_search_by_key(&node, |&(n, _)| n).ok()?;
+        Some(row.remove(i).1)
     }
 
     /// Returns the WCET of `process` on `node`, or `None` if the
     /// process cannot run there.
     #[must_use]
     pub fn get(&self, process: ProcessId, node: NodeId) -> Option<Time> {
-        self.entries.get(&(process, node)).copied()
+        let row = self.row(process);
+        let i = row.binary_search_by_key(&node, |&(n, _)| n).ok()?;
+        Some(row[i].1)
     }
 
     /// Returns `true` if `process` may execute on `node`.
     #[must_use]
     pub fn is_eligible(&self, process: ProcessId, node: NodeId) -> bool {
-        self.entries.contains_key(&(process, node))
+        self.get(process, node).is_some()
     }
 
     /// Iterates over the nodes `process` may execute on, with the
     /// corresponding WCETs, in node order.
     pub fn eligible_nodes(&self, process: ProcessId) -> impl Iterator<Item = (NodeId, Time)> + '_ {
-        self.entries
-            .range((process, NodeId::new(0))..=(process, NodeId::new(u32::MAX)))
-            .map(|(&(_, n), &t)| (n, t))
+        self.row(process).iter().copied()
     }
 
     /// Iterates over every `(process, node, wcet)` entry in key
     /// order — the whole-table view problem deltas (node kills,
     /// degradations, rescales) transform.
     pub fn entries(&self) -> impl Iterator<Item = (ProcessId, NodeId, Time)> + '_ {
-        self.entries.iter().map(|(&(p, n), &t)| (p, n, t))
+        self.rows.iter().enumerate().flat_map(|(p, row)| {
+            let p = ProcessId::new(p as u32);
+            row.iter().map(move |&(n, t)| (p, n, t))
+        })
     }
 
     /// The average WCET of `process` over its eligible nodes — the
@@ -113,13 +155,13 @@ impl WcetTable {
     /// Number of entries in the table.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.rows.iter().map(Vec::len).sum()
     }
 
     /// Returns `true` if the table has no entries.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.rows.iter().all(Vec::is_empty)
     }
 
     /// Checks that every process in `processes` has at least one
@@ -133,7 +175,7 @@ impl WcetTable {
         processes: impl IntoIterator<Item = ProcessId>,
         arch: &Architecture,
     ) -> Result<(), ModelError> {
-        for &(_, node) in self.entries.keys() {
+        for (_, node, _) in self.entries() {
             if !arch.contains(node) {
                 return Err(ModelError::UnknownNode { node });
             }
@@ -146,6 +188,16 @@ impl WcetTable {
         Ok(())
     }
 }
+
+impl PartialEq for WcetTable {
+    fn eq(&self, other: &Self) -> bool {
+        // Rows left empty by `clear`, or past the other table's last
+        // process, hold no entries: compare the entries, not the rows.
+        self.entries().eq(other.entries())
+    }
+}
+
+impl Eq for WcetTable {}
 
 impl FromIterator<(ProcessId, NodeId, Time)> for WcetTable {
     fn from_iter<I: IntoIterator<Item = (ProcessId, NodeId, Time)>>(iter: I) -> Self {
@@ -186,12 +238,12 @@ impl WcetLookup for WcetTable {
 
 /// A dense `n_processes × n_nodes` WCET matrix.
 ///
-/// [`WcetTable`] stores entries in a `BTreeMap` keyed by
-/// `(ProcessId, NodeId)` — ideal for sparse mutation and ordered
-/// iteration, but every lookup walks the tree. Design expansion asks
-/// for one entry per replica instance on the optimizer's hot path, so
-/// the search front-loads the table into this row-major matrix once
-/// per problem: a lookup becomes one multiply-add and one load.
+/// [`WcetTable`] stores one sparse node-sorted row per process — ideal
+/// for mutation and ordered iteration, but every lookup searches a
+/// row. Design expansion asks for one entry per replica instance on
+/// the optimizer's hot path, so the search front-loads the table into
+/// this row-major matrix once per problem: a lookup becomes one
+/// multiply-add and one load.
 ///
 /// Entries outside the matrix dimensions (processes or nodes the
 /// problem does not know) answer `None`, exactly like a missing
@@ -208,9 +260,11 @@ impl DenseWcet {
     #[must_use]
     pub fn from_table(table: &WcetTable, processes: usize, nodes: usize) -> Self {
         let mut cells = vec![None; processes * nodes];
-        for (&(p, n), &t) in &table.entries {
-            if p.index() < processes && n.index() < nodes {
-                cells[p.index() * nodes + n.index()] = Some(t);
+        for (cells, row) in cells.chunks_exact_mut(nodes.max(1)).zip(&table.rows) {
+            for &(n, t) in row {
+                if n.index() < nodes {
+                    cells[n.index()] = Some(t);
+                }
             }
         }
         DenseWcet {

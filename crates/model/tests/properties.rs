@@ -1,5 +1,7 @@
 //! Property-based tests of the model crate's invariants.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use ftdes_model::prelude::*;
@@ -132,5 +134,57 @@ proptest! {
         let json = serde_json::to_string(&fm).unwrap();
         let back: FaultModel = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(back, fm);
+    }
+
+    /// `WcetTable` against a `BTreeMap` model: random `set` / `clear`
+    /// sequences on a small grid (so steps often hit an existing entry
+    /// and arrive out of node order) agree on every return value and
+    /// every read. Equality is semantic: the edited table equals one
+    /// built from the surviving entries alone, in any order.
+    #[test]
+    fn wcet_table_matches_a_btreemap_model(
+        ops in proptest::collection::vec((0u32..4, 0u32..6, 0u32..5, 1u64..50), 0..80)
+    ) {
+        let mut table = WcetTable::new();
+        let mut model: BTreeMap<(ProcessId, NodeId), Time> = BTreeMap::new();
+        for (op, p, n, us) in ops {
+            let (p, n) = (ProcessId::new(p), NodeId::new(n));
+            if op == 0 {
+                prop_assert_eq!(table.clear(p, n), model.remove(&(p, n)));
+            } else {
+                let t = Time::from_us(us);
+                prop_assert_eq!(table.set(p, n, t), model.insert((p, n), t));
+            }
+
+            for p in (0..8).map(ProcessId::new) {
+                for n in (0..7).map(NodeId::new) {
+                    prop_assert_eq!(table.get(p, n), model.get(&(p, n)).copied());
+                    prop_assert_eq!(table.is_eligible(p, n), model.contains_key(&(p, n)));
+                }
+                let row: Vec<(NodeId, Time)> = model
+                    .range((p, NodeId::new(0))..=(p, NodeId::new(u32::MAX)))
+                    .map(|(&(_, n), &t)| (n, t))
+                    .collect();
+                prop_assert_eq!(table.eligible_nodes(p).collect::<Vec<_>>(), row);
+            }
+            let entries: Vec<(ProcessId, NodeId, Time)> =
+                model.iter().map(|(&(p, n), &t)| (p, n, t)).collect();
+            prop_assert_eq!(table.entries().collect::<Vec<_>>(), entries.clone());
+            prop_assert_eq!(table.len(), model.len());
+            prop_assert_eq!(table.is_empty(), model.is_empty());
+
+            let rebuilt: WcetTable = entries.iter().rev().copied().collect();
+            prop_assert_eq!(&table, &rebuilt);
+            let mut longer = rebuilt.clone();
+            longer.set(ProcessId::new(9), NodeId::new(0), Time::from_us(1));
+            prop_assert_ne!(&table, &longer);
+            longer.clear(ProcessId::new(9), NodeId::new(0));
+            prop_assert_eq!(&table, &longer);
+            if let Some(&(p, n, t)) = entries.first() {
+                let mut changed = rebuilt.clone();
+                changed.set(p, n, t + Time::from_us(1));
+                prop_assert_ne!(&table, &changed);
+            }
+        }
     }
 }

@@ -1,9 +1,10 @@
 //! Human-readable rendering of schedules: per-node tables, the bus
 //! MEDL, and an ASCII Gantt chart in the style of the paper's
-//! figures.
+//! figures. Nodes appear under the names the architecture declares.
 
 use std::fmt::Write as _;
 
+use ftdes_model::architecture::Architecture;
 use ftdes_model::graph::ProcessGraph;
 use ftdes_model::ids::NodeId;
 use ftdes_model::time::Time;
@@ -15,11 +16,11 @@ use crate::schedule::Schedule;
 /// Each line shows the instance (process name / replica), its
 /// fault-free window and its worst-case finish.
 #[must_use]
-pub fn render_tables(schedule: &Schedule, graph: &ProcessGraph) -> String {
+pub fn render_tables(schedule: &Schedule, graph: &ProcessGraph, arch: &Architecture) -> String {
     let mut out = String::new();
     for node in 0..schedule.node_count() {
         let node = NodeId::new(node as u32);
-        let _ = writeln!(out, "{node}:");
+        let _ = writeln!(out, "{}:", arch.node(node).name);
         for &iid in schedule.node_table(node) {
             let s = schedule.slot(iid);
             let name = &graph.process(s.instance.process).name;
@@ -39,7 +40,7 @@ pub fn render_tables(schedule: &Schedule, graph: &ProcessGraph) -> String {
 /// Renders the MEDL as text: one line per frame with the packed
 /// messages.
 #[must_use]
-pub fn render_medl(schedule: &Schedule) -> String {
+pub fn render_medl(schedule: &Schedule, arch: &Architecture) -> String {
     let mut out = String::new();
     for entry in schedule.bus().medl() {
         let msgs: Vec<String> = entry
@@ -52,7 +53,7 @@ pub fn render_medl(schedule: &Schedule) -> String {
             "round {:>3} slot {} ({}) [{:>8} .. {:>8}]: {}",
             entry.round,
             entry.slot,
-            entry.sender,
+            arch.node(entry.sender).name,
             entry.start.to_string(),
             entry.end.to_string(),
             msgs.join(", ")
@@ -68,9 +69,21 @@ pub fn render_medl(schedule: &Schedule) -> String {
 /// Execution is drawn with the first letter of the process name (`#`
 /// for unnamed), re-execution slack implicitly shows as the gap
 /// between the last fault-free finish and the chart's right edge.
+/// Row labels are right-aligned to the longest node name (at least
+/// four columns).
 #[must_use]
-pub fn render_gantt(schedule: &Schedule, graph: &ProcessGraph, width: usize) -> String {
+pub fn render_gantt(
+    schedule: &Schedule,
+    graph: &ProcessGraph,
+    arch: &Architecture,
+    width: usize,
+) -> String {
     let width = width.max(10);
+    let label = arch
+        .nodes()
+        .iter()
+        .map(|n| n.name.chars().count())
+        .fold(4, usize::max);
     let horizon = schedule.length().max(Time::from_us(1));
     let col = |t: Time| -> usize {
         ((t.as_us() as u128 * width as u128) / horizon.as_us() as u128) as usize
@@ -93,7 +106,8 @@ pub fn render_gantt(schedule: &Schedule, graph: &ProcessGraph, width: usize) -> 
                 *cell = c;
             }
         }
-        let _ = writeln!(out, "{node:>4} |{}|", String::from_utf8_lossy(&row));
+        let name = &arch.node(node).name;
+        let _ = writeln!(out, "{name:>label$} |{}|", String::from_utf8_lossy(&row));
     }
     // Bus row: frames marked with '='.
     let mut row = vec![b'.'; width];
@@ -103,10 +117,11 @@ pub fn render_gantt(schedule: &Schedule, graph: &ProcessGraph, width: usize) -> 
             *cell = b'=';
         }
     }
-    let _ = writeln!(out, " bus |{}|", String::from_utf8_lossy(&row));
+    let _ = writeln!(out, "{:>label$} |{}|", "bus", String::from_utf8_lossy(&row));
     let _ = writeln!(
         out,
-        "      0{:>w$}",
+        "{:label$}  0{:>w$}",
+        "",
         schedule.length().to_string(),
         w = width
     );
@@ -126,7 +141,7 @@ mod tests {
     use ftdes_model::wcet::WcetTable;
     use ftdes_ttp::config::BusConfig;
 
-    fn sample() -> (ProcessGraph, Schedule) {
+    fn sample() -> (ProcessGraph, Architecture, Schedule) {
         let mut g = ProcessGraph::new(0.into());
         let a = g.add_process();
         let b = g.add_process();
@@ -139,7 +154,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let arch = Architecture::with_node_count(2);
+        let arch = Architecture::with_names(["ECU1", "ECU2"]);
         let fm = FaultModel::new(1, Time::from_ms(5));
         let bus = BusConfig::initial(&arch, 4, Time::from_us(2_500)).unwrap();
         let design = Design::from_decisions(vec![
@@ -147,14 +162,19 @@ mod tests {
             ProcessDesign::new(FtPolicy::reexecution(&fm), vec![NodeId::new(1)]).unwrap(),
         ]);
         let s = list_schedule(&g, &arch, &wcet, &fm, &bus, &design).unwrap();
-        (g, s)
+        (g, arch, s)
     }
 
     #[test]
     fn tables_mention_names_and_nodes() {
-        let (g, s) = sample();
-        let text = render_tables(&s, &g);
-        assert!(text.contains("N0:"));
+        let (g, arch, s) = sample();
+        let text = render_tables(&s, &g, &arch);
+        assert!(text.contains("ECU1:"));
+        assert!(text.contains("ECU2:"));
+        assert!(
+            !text.contains("N0"),
+            "nodes go by their declared names: {text}"
+        );
         assert!(text.contains("acq/1"));
         assert!(text.contains("ctl/1"));
         assert!(text.contains("wc"));
@@ -162,27 +182,44 @@ mod tests {
 
     #[test]
     fn medl_lists_frames() {
-        let (_, s) = sample();
-        let text = render_medl(&s);
+        let (_, arch, s) = sample();
+        let text = render_medl(&s, &arch);
         assert!(text.contains("round"));
+        assert!(text.contains("(ECU1)"), "sender by name: {text}");
         assert!(text.contains("m0/1"));
     }
 
     #[test]
     fn gantt_has_one_row_per_node_plus_bus() {
-        let (g, s) = sample();
-        let text = render_gantt(&s, &g, 60);
+        let (g, arch, s) = sample();
+        let text = render_gantt(&s, &g, &arch, 60);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2 + 1 + 1, "two nodes, bus, axis");
+        assert!(lines[0].starts_with("ECU1 |"), "{text}");
+        assert!(lines[1].starts_with("ECU2 |"), "{text}");
         assert!(lines[0].contains('a'), "acq drawn with its initial");
+        assert!(lines[2].starts_with(" bus |"), "{text}");
         assert!(lines[2].contains('='), "bus frame drawn");
+        assert!(
+            lines[3].starts_with("      0"),
+            "axis under the chart: {text}"
+        );
+    }
+
+    #[test]
+    fn gantt_aligns_rows_under_long_node_names() {
+        let (g, _, s) = sample();
+        let arch = Architecture::with_names(["gateway", "ECU2"]);
+        let text = render_gantt(&s, &g, &arch, 60);
+        let bars: Vec<usize> = text.lines().take(3).map(|l| l.find('|').unwrap()).collect();
+        assert_eq!(bars, vec![8, 8, 8], "{text}");
     }
 
     #[test]
     fn gantt_handles_tiny_width() {
-        let (g, s) = sample();
+        let (g, arch, s) = sample();
         // Degenerate widths are clamped, not panicking.
-        let text = render_gantt(&s, &g, 0);
+        let text = render_gantt(&s, &g, &arch, 0);
         assert!(!text.is_empty());
     }
 }
