@@ -65,7 +65,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use ftdes_bench::{comm_heavy_problem_with, iteration_config, synthetic_problem, write_artifact};
+use ftdes_bench::{comm_heavy_problem_with, iteration_config, synthetic_problem};
 use ftdes_core::{optimize, OccupancyBackend, Outcome, Problem, SearchConfig, Strategy};
 use ftdes_gen::CommHeavyParams;
 use ftdes_model::time::Time;
@@ -379,7 +379,8 @@ fn main() -> ExitCode {
         Err(_) => run_all_gates().and_then(|fragments| {
             let json = format!("{{\n  {}\n}}\n", fragments.join(",\n  "));
             println!("\n{json}");
-            write_artifact("BENCH_tabu.json", &json)
+            std::fs::write("BENCH_tabu.json", &json)
+                .map_err(|e| format!("cannot write BENCH_tabu.json: {e}"))
         }),
     };
     match result {

@@ -1,13 +1,21 @@
 //! Sweep job adapters: the bridge between `ftdes-serve`'s generic
 //! crash-safe job graph and this crate's experiment harness. They are
-//! the one implementation of the repo's two extension studies, which
-//! `ftdes sweep run` executes.
+//! the one implementation of the paper's overhead tables and of the
+//! repo's two extension studies, which `ftdes sweep run` executes.
 //!
 //! A [`SweepSpec`] expands into a DAG of [`JobSpec`]s
 //! (generate → optimize → faultsim/repair → aggregate) via
-//! [`SweepSpec::jobs`], and [`SweepExec`] executes them. Two sweep
+//! [`SweepSpec::jobs`], and [`SweepExec`] executes them. Three sweep
 //! shapes are supported:
 //!
+//! * [`OverheadSweep`] — the paper's evaluation (§6): Table 1a–c, the
+//!   MXR overhead over NFT as size, k and µ grow, and Fig. 10, the
+//!   MX, MR and SFX deviation from MXR. Per (row, seed), a `generate`
+//!   job fingerprints the workload and one `optimize` job per
+//!   strategy, the reference included, solves it. One `aggregate`
+//!   reports, per row and strategy, the sample count, the mean
+//!   lengths and the max, avg and min of
+//!   `100·(δ_s − δ_ref)/δ_ref` over the seeds.
 //! * [`ChiSweep`] — the TVLSI-style checkpoint-overhead trade-off
 //!   (`BENCH_cptable.json`). Per seed, a `generate` job fingerprints
 //!   the workload, and `optimize` jobs solve the χ-independent
@@ -43,18 +51,108 @@
 
 use std::time::Duration;
 
+use ftdes_core::problem::MAX_PROCESS_NODE_PAIRS;
 use ftdes_core::repair::RepairBudget;
 use ftdes_core::{optimize_with_cache, CachePool, Problem, Strategy};
 use ftdes_faultsim::{degrade_and_repair_adversarial, length_distribution};
-use ftdes_gen::WorkloadParams;
+use ftdes_gen::{CommHeavyParams, WorkloadParams};
 use ftdes_model::design::{Design, ProcessDesign};
+use ftdes_model::fault::FaultModel;
 use ftdes_model::ids::NodeId;
+use ftdes_model::merge::MAX_MERGED_PROCESSES;
 use ftdes_model::policy::FtPolicy;
 use ftdes_model::time::Time;
 use ftdes_serve::{DepResult, JobExec, JobSpec};
 use serde::Value;
 
-use crate::{comm_heavy_problem, iteration_config, synthetic_problem, PolicyMix};
+use crate::{comm_heavy_problem_with, iteration_config, synthetic_problem, PolicyMix};
+
+/// The most jobs one sweep may expand into. The store writes one `Job`
+/// event per job and replays them all into memory, so
+/// [`SweepSpec::validate`] bounds the expansion before it is built.
+pub const MAX_SWEEP_JOBS: u64 = 1 << 16;
+
+/// The most Monte-Carlo scenarios one faultsim job may draw, the cap
+/// of `ftdes inject --scenarios` as well.
+pub const MAX_FAULTSIM_SAMPLES: u64 = 100_000;
+
+/// The paper's overhead sweep (Table 1a–c, Fig. 10): every strategy's
+/// schedule length against the reference's, per row and seed.
+///
+/// The four list keys give the rows: they are zipped, and a list of
+/// one value applies to every row ([`OverheadSweep::rows`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OverheadSweep {
+    /// Processes per synthetic application, per row.
+    pub processes: Vec<u64>,
+    /// Computation nodes, per row.
+    pub nodes: Vec<u64>,
+    /// Transient faults tolerated per cycle (`k`), per row.
+    pub faults: Vec<u64>,
+    /// Fault detection overhead µ in milliseconds, per row.
+    pub mu_ms: Vec<u64>,
+    /// Random applications per row (seeds 0..seeds).
+    pub seeds: u64,
+    /// Tabu iteration budget per optimize job.
+    pub max_iterations: u64,
+    /// The strategy the others are measured against.
+    pub reference: Strategy,
+    /// The strategies measured against the reference.
+    pub strategies: Vec<Strategy>,
+}
+
+/// One row of an [`OverheadSweep`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OverheadRow {
+    /// Processes per synthetic application.
+    pub processes: u64,
+    /// Computation nodes.
+    pub nodes: u64,
+    /// Transient faults tolerated per cycle (`k`).
+    pub faults: u64,
+    /// Fault detection overhead µ in milliseconds.
+    pub mu_ms: u64,
+}
+
+impl OverheadSweep {
+    /// The list keys in row order, by name.
+    fn lists(&self) -> [(&'static str, &[u64]); 4] {
+        [
+            ("processes", &self.processes),
+            ("nodes", &self.nodes),
+            ("faults", &self.faults),
+            ("mu_ms", &self.mu_ms),
+        ]
+    }
+
+    /// The rows: the list keys zipped, a one-value list repeated on
+    /// every row. Empty when a list is empty.
+    #[must_use]
+    pub fn rows(&self) -> Vec<OverheadRow> {
+        let lists = self.lists();
+        let count = if lists.iter().any(|(_, l)| l.is_empty()) {
+            0
+        } else {
+            lists.iter().map(|(_, l)| l.len()).max().unwrap_or(0)
+        };
+        (0..count)
+            .map(|row| {
+                let [processes, nodes, faults, mu_ms] = lists.map(|(_, l)| l[row.min(l.len() - 1)]);
+                OverheadRow {
+                    processes,
+                    nodes,
+                    faults,
+                    mu_ms,
+                }
+            })
+            .collect()
+    }
+
+    /// The reference first, then the measured strategies.
+    fn solved(&self) -> impl Iterator<Item = Strategy> + '_ {
+        std::iter::once(self.reference).chain(self.strategies.iter().copied())
+    }
+}
 
 /// The checkpoint-overhead (χ) trade-off sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,6 +200,8 @@ pub struct RepairSweep {
 /// A parsed sweep specification (see `ftdes-io` for the text format).
 #[derive(Debug, Clone, PartialEq)]
 pub enum SweepSpec {
+    /// The paper's overhead tables (Table 1a–c, Fig. 10).
+    Overhead(OverheadSweep),
     /// Checkpoint-overhead trade-off sweep.
     Chi(ChiSweep),
     /// Degrade-and-repair sweep.
@@ -113,35 +213,114 @@ impl SweepSpec {
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
+            SweepSpec::Overhead(_) => "overhead",
             SweepSpec::Chi(_) => "chi",
             SweepSpec::Repair(_) => "repair",
         }
     }
 
-    /// Sanity-checks the parameter ranges.
+    /// Checks every knob, so that each job builds its problem without
+    /// wrapping a number or allocating without bound: processes to
+    /// [`MAX_MERGED_PROCESSES`], processes × nodes to
+    /// [`MAX_PROCESS_NODE_PAIRS`], faults to [`FaultModel::MAX_K`],
+    /// µ and χ to the `u64` microsecond range, the expanded job count
+    /// to [`MAX_SWEEP_JOBS`] and the faultsim samples to
+    /// [`MAX_FAULTSIM_SAMPLES`].
     ///
     /// # Errors
     ///
-    /// A message naming the offending field.
+    /// A message naming the offending key.
     pub fn validate(&self) -> Result<(), String> {
-        let (seeds, iterations) = match self {
+        let (seeds, iterations, jobs_per_seed) = match self {
+            SweepSpec::Overhead(s) => {
+                let rows = s.rows();
+                let lists = s.lists();
+                let (longest, most) = lists
+                    .iter()
+                    .max_by_key(|(_, l)| l.len())
+                    .unwrap_or(&lists[0]);
+                for (key, list) in lists {
+                    if list.is_empty() || (list.len() > 1 && list.len() != most.len()) {
+                        return Err(format!(
+                            "{key} has {} values but {longest} has {}: a list key takes one \
+                             value, or one per row",
+                            list.len(),
+                            most.len()
+                        ));
+                    }
+                }
+                if s.strategies.is_empty() {
+                    return Err("strategies needs at least one value".into());
+                }
+                for (i, &strategy) in s.strategies.iter().enumerate() {
+                    if s.solved().take(i + 1).any(|earlier| earlier == strategy) {
+                        return Err(format!(
+                            "strategies: {} is solved twice (as the reference or an \
+                             earlier strategy)",
+                            strategy_key(strategy)
+                        ));
+                    }
+                }
+                for (i, row) in rows.iter().enumerate() {
+                    check_workload("processes", row.processes, row.nodes, row.faults, row.mu_ms)?;
+                    // Pure replication needs k + 1 distinct nodes.
+                    if row.faults >= row.nodes && s.solved().any(|st| st == Strategy::Mr) {
+                        return Err(format!(
+                            "faults: mr needs faults + 1 <= nodes, but row {i} has faults {} \
+                             on {} nodes",
+                            row.faults, row.nodes
+                        ));
+                    }
+                }
+                // Per (row, seed): a generate and an optimize per
+                // solved strategy.
+                let per_seed = (rows.len() as u64).checked_mul(s.strategies.len() as u64 + 2);
+                (s.seeds, s.max_iterations, per_seed)
+            }
             SweepSpec::Chi(s) => {
+                check_workload("processes", s.processes, s.nodes, s.faults, s.mu_ms)?;
                 if s.chi_permille.is_empty() {
-                    return Err("chi sweep needs at least one chi row".into());
+                    return Err("chi_permille needs at least one value".into());
                 }
-                if s.max_checkpoints == 0 {
-                    return Err("max_checkpoints must be at least 1".into());
+                if let Some(p) = s
+                    .chi_permille
+                    .iter()
+                    .find(|&&p| chi_us(s.processes, p).is_none())
+                {
+                    return Err(format!(
+                        "chi_permille: {p} overflows a time in microseconds"
+                    ));
                 }
-                if s.processes == 0 || s.nodes == 0 {
-                    return Err("processes and nodes must be positive".into());
+                if s.max_checkpoints == 0 || u32::try_from(s.max_checkpoints).is_err() {
+                    return Err(format!(
+                        "max_checkpoints must be between 1 and {}, not {}",
+                        u32::MAX,
+                        s.max_checkpoints
+                    ));
                 }
-                (s.seeds, s.max_iterations)
+                if s.faultsim_samples > MAX_FAULTSIM_SAMPLES {
+                    return Err(format!(
+                        "faultsim_samples must be at most {MAX_FAULTSIM_SAMPLES}, not {}",
+                        s.faultsim_samples
+                    ));
+                }
+                // Per seed: a generate, two references, two cells per
+                // χ row and a faultsim.
+                let per_seed = (s.chi_permille.len() as u64).checked_mul(2);
+                (s.seeds, s.max_iterations, per_seed.map(|cells| cells + 4))
             }
             SweepSpec::Repair(s) => {
-                if s.processes == 0 || s.comm_processes == 0 || s.nodes == 0 {
-                    return Err("process and node counts must be positive".into());
-                }
-                (s.seeds, s.max_iterations)
+                check_workload("processes", s.processes, s.nodes, s.faults, s.mu_ms)?;
+                check_workload(
+                    "comm_processes",
+                    s.comm_processes,
+                    s.nodes,
+                    s.faults,
+                    s.mu_ms,
+                )?;
+                // Per seed and family: a generate, an optimize and a
+                // repair.
+                (s.seeds, s.max_iterations, Some(6))
             }
         };
         if seeds == 0 {
@@ -150,6 +329,15 @@ impl SweepSpec {
         if iterations == 0 {
             return Err("max_iterations must be at least 1".into());
         }
+        // Plus the aggregate.
+        let jobs = jobs_per_seed
+            .and_then(|n| n.checked_mul(seeds)?.checked_add(1))
+            .filter(|&n| n <= MAX_SWEEP_JOBS);
+        if jobs.is_none() {
+            return Err(format!(
+                "seeds: {seeds} seeds expand past the cap of {MAX_SWEEP_JOBS} jobs"
+            ));
+        }
         Ok(())
     }
 
@@ -157,17 +345,69 @@ impl SweepSpec {
     #[must_use]
     pub fn jobs(&self) -> Vec<JobSpec> {
         match self {
+            SweepSpec::Overhead(s) => overhead_jobs(s),
             SweepSpec::Chi(s) => chi_jobs(s),
             SweepSpec::Repair(s) => repair_jobs(s),
         }
     }
 }
 
-/// χ of one permille row, in µs against the paper family's mean WCET.
-fn chi_us(spec: &ChiSweep, permille: u64) -> u64 {
-    let p = WorkloadParams::paper(spec.processes as usize);
+/// Holds one workload's knobs to what a generated problem can take:
+/// `processes_key` names the process count in messages.
+fn check_workload(
+    processes_key: &str,
+    processes: u64,
+    nodes: u64,
+    faults: u64,
+    mu_ms: u64,
+) -> Result<(), String> {
+    if processes == 0 || processes > MAX_MERGED_PROCESSES as u64 {
+        return Err(format!(
+            "{processes_key} must be between 1 and {MAX_MERGED_PROCESSES}, not {processes}"
+        ));
+    }
+    if nodes == 0 {
+        return Err("nodes must be at least 1".into());
+    }
+    if processes
+        .checked_mul(nodes)
+        .is_none_or(|pairs| pairs > MAX_PROCESS_NODE_PAIRS as u64)
+    {
+        return Err(format!(
+            "nodes: {processes} {processes_key} on {nodes} nodes exceed the cap of \
+             {MAX_PROCESS_NODE_PAIRS} process-node pairs"
+        ));
+    }
+    if u32::try_from(faults).map_or(true, |k| k > FaultModel::MAX_K) {
+        return Err(format!(
+            "faults must be at most {}, not {faults}",
+            FaultModel::MAX_K
+        ));
+    }
+    if ms_time(mu_ms).is_none() {
+        return Err(format!("mu_ms: {mu_ms} overflows a time in microseconds"));
+    }
+    Ok(())
+}
+
+/// `ms` milliseconds, or `None` past the `u64` microsecond range
+/// ([`Time::from_ms`] wraps there in release builds).
+fn ms_time(ms: u64) -> Option<Time> {
+    ms.checked_mul(1_000).map(Time::from_us)
+}
+
+/// χ of one permille row, in µs against the paper family's mean WCET,
+/// or `None` when it overflows.
+fn chi_us(processes: u64, permille: u64) -> Option<u64> {
+    let p = WorkloadParams::paper(usize::try_from(processes).ok()?);
     let mean_wcet_us = (p.wcet_min.as_us() + p.wcet_max.as_us()) / 2;
-    mean_wcet_us * permille / 1000
+    Some(mean_wcet_us.checked_mul(permille)? / 1000)
+}
+
+/// The spec and job-parameter spelling of a strategy, which
+/// [`parse_strategy`] reads back.
+fn strategy_key(strategy: Strategy) -> String {
+    strategy.name().to_ascii_lowercase()
 }
 
 fn obj(entries: Vec<(&str, Value)>) -> Value {
@@ -221,6 +461,105 @@ fn workload_params(
     ]
 }
 
+/// An optimize job's parameters: the workload, the strategy, the
+/// aggregate's `role` for it, χ and the checkpoint axis.
+fn optimize_params(
+    base: &[(&'static str, Value)],
+    role: &str,
+    strategy: &str,
+    chi_us: u64,
+    max_checkpoints: u64,
+    max_iterations: u64,
+) -> Value {
+    let mut params = base.to_vec();
+    params.extend([
+        ("role", Value::Str(role.to_owned())),
+        ("strategy", Value::Str(strategy.to_owned())),
+        ("chi_us", Value::U64(chi_us)),
+        ("max_checkpoints", Value::U64(max_checkpoints)),
+        ("max_iterations", Value::U64(max_iterations)),
+    ]);
+    obj(params)
+}
+
+/// The aggregate role of one strategy's optimize jobs on row `row`.
+fn overhead_role(row: usize, strategy: &str) -> String {
+    format!("r{row}/{strategy}")
+}
+
+fn overhead_jobs(spec: &OverheadSweep) -> Vec<JobSpec> {
+    let mut dag = DagBuilder::new();
+    let mut agg_deps = Vec::new();
+    let rows = spec.rows();
+    for (r, row) in rows.iter().enumerate() {
+        for seed in 0..spec.seeds {
+            let base = workload_params(
+                "paper",
+                seed,
+                row.processes,
+                row.nodes,
+                row.faults,
+                row.mu_ms,
+            );
+            let gen = dag.push(
+                format!("gen/r{r}/s{seed}"),
+                "generate",
+                obj(base.clone()),
+                vec![],
+            );
+            for strategy in spec.solved() {
+                let key = strategy_key(strategy);
+                let params = optimize_params(
+                    &base,
+                    &overhead_role(r, &key),
+                    &key,
+                    0,
+                    1,
+                    spec.max_iterations,
+                );
+                agg_deps.push(dag.push(
+                    format!("opt/r{r}/s{seed}/{key}"),
+                    "optimize",
+                    params,
+                    vec![gen],
+                ));
+            }
+        }
+    }
+    let row_params = rows
+        .iter()
+        .map(|row| {
+            obj(vec![
+                ("processes", Value::U64(row.processes)),
+                ("nodes", Value::U64(row.nodes)),
+                ("faults", Value::U64(row.faults)),
+                ("mu_ms", Value::U64(row.mu_ms)),
+            ])
+        })
+        .collect();
+    dag.push(
+        "agg".into(),
+        "aggregate",
+        obj(vec![
+            ("sweep", Value::Str("overhead".into())),
+            ("seeds", Value::U64(spec.seeds)),
+            ("reference", Value::Str(strategy_key(spec.reference))),
+            (
+                "strategies",
+                Value::Array(
+                    spec.strategies
+                        .iter()
+                        .map(|&s| Value::Str(strategy_key(s)))
+                        .collect(),
+                ),
+            ),
+            ("rows", Value::Array(row_params)),
+        ]),
+        agg_deps,
+    );
+    dag.jobs
+}
+
 fn chi_jobs(spec: &ChiSweep) -> Vec<JobSpec> {
     let mut dag = DagBuilder::new();
     let mut agg_deps = Vec::new();
@@ -240,28 +579,22 @@ fn chi_jobs(spec: &ChiSweep) -> Vec<JobSpec> {
             vec![],
         );
         let opt = |role: &str, strategy: &str, chi: u64, ckpts: u64, dag: &mut DagBuilder| {
-            let mut params = base.clone();
-            params.extend([
-                ("role", Value::Str(role.to_owned())),
-                ("strategy", Value::Str(strategy.to_owned())),
-                ("chi_us", Value::U64(chi)),
-                ("max_checkpoints", Value::U64(ckpts)),
-                ("max_iterations", Value::U64(spec.max_iterations)),
-            ]);
+            let params = optimize_params(&base, role, strategy, chi, ckpts, spec.max_iterations);
             let name = if chi == 0 && ckpts == 1 {
                 format!("opt/s{seed}/{role}")
             } else {
                 format!("opt/s{seed}/chi{chi}/{role}")
             };
-            dag.push(name, "optimize", obj(params), vec![gen])
+            dag.push(name, "optimize", params, vec![gen])
         };
         // χ-independent references.
         let mx = opt("mx", "mx", 0, 1, &mut dag);
         agg_deps.push(mx);
         agg_deps.push(opt("mr", "mr", 0, 1, &mut dag));
-        // Per-χ cells.
+        // Per-χ cells. `validate` rejects an overflowing χ; saturated,
+        // it would fail every job's horizon budget.
         for &permille in &spec.chi_permille {
-            let chi = chi_us(spec, permille);
+            let chi = chi_us(spec.processes, permille).unwrap_or(u64::MAX);
             agg_deps.push(opt("mcx", "mx", chi, spec.max_checkpoints, &mut dag));
             agg_deps.push(opt("mcxr", "mxr", chi, spec.max_checkpoints, &mut dag));
         }
@@ -309,18 +642,10 @@ fn repair_jobs(spec: &RepairSweep) -> Vec<JobSpec> {
                 obj(base.clone()),
                 vec![],
             );
-            let mut opt_params = base.clone();
-            opt_params.extend([
-                ("role", Value::Str("intact".to_owned())),
-                ("strategy", Value::Str("mxr".to_owned())),
-                ("chi_us", Value::U64(0)),
-                ("max_checkpoints", Value::U64(1)),
-                ("max_iterations", Value::U64(spec.max_iterations)),
-            ]);
             let intact = dag.push(
                 format!("opt/{family}/s{seed}"),
                 "optimize",
-                obj(opt_params),
+                optimize_params(&base, "intact", "mxr", 0, 1, spec.max_iterations),
                 vec![gen],
             );
             let mut rep_params = base.clone();
@@ -378,38 +703,71 @@ fn get_str<'v>(params: &'v Value, key: &str) -> Result<&'v str, String> {
         .ok_or_else(|| format!("job params missing string field {key:?}"))
 }
 
+fn get_usize(params: &Value, key: &str) -> Result<usize, String> {
+    usize::try_from(get_u64(params, key)?).map_err(|_| format!("job field {key:?} exceeds usize"))
+}
+
 /// Rebuilds the problem a job's parameters describe. Generation is
 /// deterministic per seed, so every job of a seed reconstructs the
 /// identical workload — the generate job's fingerprint pins that down.
+///
+/// A problem whose worst-case horizon overflows its budget
+/// ([`Problem::fits_horizon_budget`]) fails the job instead of
+/// scheduling on a wrapped [`Time`].
 fn build_problem(params: &Value) -> Result<Problem, String> {
     let family = get_str(params, "family")?;
     let seed = get_u64(params, "seed")?;
-    let processes = get_u64(params, "processes")? as usize;
-    let nodes = get_u64(params, "nodes")? as usize;
-    let faults = get_u64(params, "faults")? as u32;
-    let mu = Time::from_ms(get_u64(params, "mu_ms")?);
+    let processes = get_usize(params, "processes")?;
+    let nodes = get_usize(params, "nodes")?;
+    let faults = u32::try_from(get_u64(params, "faults")?)
+        .map_err(|_| "job field \"faults\" exceeds u32".to_owned())?;
+    let mu_ms = get_u64(params, "mu_ms")?;
+    let mu =
+        ms_time(mu_ms).ok_or_else(|| format!("mu_ms {mu_ms} overflows a time in microseconds"))?;
     let base = match family {
         "paper" => synthetic_problem(processes, nodes, faults, mu, seed),
-        "comm_heavy" => comm_heavy_problem(processes, nodes, faults, mu, seed),
+        "comm_heavy" => {
+            comm_heavy_problem_with(&CommHeavyParams::dense(processes), nodes, faults, mu, seed)
+        }
         other => return Err(format!("unknown workload family {other:?}")),
     };
     let chi = Time::from_us(params.get("chi_us").and_then(Value::as_u64).unwrap_or(0));
-    let ckpts = params
-        .get("max_checkpoints")
-        .and_then(Value::as_u64)
-        .unwrap_or(1) as u32;
+    let ckpts = u32::try_from(
+        params
+            .get("max_checkpoints")
+            .and_then(Value::as_u64)
+            .unwrap_or(1),
+    )
+    .map_err(|_| "job field \"max_checkpoints\" exceeds u32".to_owned())?;
     let fm = base.fault_model().with_checkpoint_overhead(chi);
-    Ok(base.with_fault_model(fm).with_max_checkpoints(ckpts))
+    let problem = base.with_fault_model(fm).with_max_checkpoints(ckpts);
+    if !problem.fits_horizon_budget(Time::ZERO) {
+        return Err(format!(
+            "worst-case schedule horizon overflows its budget: {processes} processes, \
+             k + 1 = {} executions of each at mu = {mu_ms} ms and chi = {} us",
+            u64::from(faults) + 1,
+            chi.as_us()
+        ));
+    }
+    Ok(problem)
 }
 
-fn parse_strategy(name: &str) -> Result<Strategy, String> {
+/// Reads a strategy name as specs and job parameters spell it:
+/// `mxr`, `mx`, `mr`, `sfx` or `nft`.
+///
+/// # Errors
+///
+/// A message naming an unknown strategy.
+pub fn parse_strategy(name: &str) -> Result<Strategy, String> {
     match name {
         "mxr" => Ok(Strategy::Mxr),
         "mx" => Ok(Strategy::Mx),
         "mr" => Ok(Strategy::Mr),
         "sfx" => Ok(Strategy::Sfx),
         "nft" => Ok(Strategy::Nft),
-        other => Err(format!("unknown strategy {other:?}")),
+        other => Err(format!(
+            "unknown strategy {other:?} (mxr | mx | mr | sfx | nft)"
+        )),
     }
 }
 
@@ -505,7 +863,7 @@ impl SweepExec {
     fn run_optimize(&self, params: &Value) -> Result<Value, String> {
         let problem = build_problem(params)?;
         let strategy = parse_strategy(get_str(params, "strategy")?)?;
-        let cfg = iteration_config(get_u64(params, "max_iterations")? as usize);
+        let cfg = iteration_config(get_usize(params, "max_iterations")?);
         let cache = self.pool.for_problem(&problem);
         let outcome = optimize_with_cache(&problem, strategy, &cfg, &cache)
             .map_err(|e| format!("{strategy} search failed: {e}"))?;
@@ -542,7 +900,7 @@ impl SweepExec {
         let schedule = problem
             .evaluate(&design)
             .map_err(|e| format!("re-evaluating optimized design: {e}"))?;
-        let samples = get_u64(params, "samples")?.max(1) as usize;
+        let samples = get_usize(params, "samples")?.max(1);
         let seed = get_u64(params, "seed")?;
         let dist = length_distribution(
             &schedule,
@@ -575,7 +933,7 @@ impl SweepExec {
             .evaluate(&design)
             .map_err(|e| format!("re-evaluating intact design: {e}"))?;
         let seed = get_u64(params, "seed")?;
-        let cfg = iteration_config(get_u64(params, "max_iterations")? as usize);
+        let cfg = iteration_config(get_usize(params, "max_iterations")?);
         let budget = RepairBudget {
             localized: UNLIMITED,
             warm: UNLIMITED,
@@ -621,6 +979,7 @@ impl SweepExec {
 
     fn run_aggregate(&self, params: &Value, deps: &[DepResult]) -> Result<Value, String> {
         match get_str(params, "sweep")? {
+            "overhead" => aggregate_overhead(params, deps),
             "chi" => aggregate_chi(deps),
             "repair" => aggregate_repair(deps),
             other => Err(format!("unknown sweep kind {other:?}")),
@@ -668,6 +1027,72 @@ fn mix_of(deps: &[DepResult], role: &str, chi: u64) -> [u64; 4] {
         }
     }
     total
+}
+
+/// The `(seed, length_us)` pairs of the optimize results of `role`.
+fn seed_lengths(deps: &[DepResult], role: &str) -> Vec<(u64, u64)> {
+    deps.iter()
+        .filter(|d| d.kind == "optimize" && d.result["role"] == *role)
+        .filter_map(|d| Some((d.result["seed"].as_u64()?, d.result["length_us"].as_u64()?)))
+        .collect()
+}
+
+fn aggregate_overhead(params: &Value, deps: &[DepResult]) -> Result<Value, String> {
+    let reference = get_str(params, "reference")?;
+    let (Value::Array(strategies), Value::Array(rows)) = (&params["strategies"], &params["rows"])
+    else {
+        return Err("overhead aggregate needs strategies and rows".into());
+    };
+    let mut out = Vec::new();
+    for (r, row) in rows.iter().enumerate() {
+        let Value::Object(row_fields) = row else {
+            return Err(format!("overhead row {r} is not an object"));
+        };
+        let ref_role = overhead_role(r, reference);
+        let ref_lengths = seed_lengths(deps, &ref_role);
+        for strategy in strategies {
+            let name = strategy
+                .as_str()
+                .ok_or("overhead strategy is not a string")?;
+            let role = overhead_role(r, name);
+            // 100·(δ_s − δ_ref)/δ_ref per seed, the paper's columns.
+            let percents: Vec<f64> = seed_lengths(deps, &role)
+                .into_iter()
+                .filter_map(|(seed, len)| {
+                    let &(_, base) = ref_lengths.iter().find(|(s, _)| *s == seed)?;
+                    (base > 0).then(|| 100.0 * (len as f64 - base as f64) / base as f64)
+                })
+                .collect();
+            if percents.is_empty() {
+                return Err(format!("row {r}, strategy {name}: no samples"));
+            }
+            let max = percents.iter().copied().fold(f64::MIN, f64::max);
+            let min = percents.iter().copied().fold(f64::MAX, f64::min);
+            let avg = percents.iter().sum::<f64>() / percents.len() as f64;
+            let mut fields = row_fields.clone();
+            fields.extend(
+                [
+                    ("strategy", Value::Str(name.to_owned())),
+                    ("samples", Value::U64(percents.len() as u64)),
+                    (
+                        "ref_len_us",
+                        Value::F64(mean_lengths(deps, &ref_role, None)),
+                    ),
+                    ("len_us", Value::F64(mean_lengths(deps, &role, None))),
+                    ("max_pct", Value::F64(max)),
+                    ("avg_pct", Value::F64(avg)),
+                    ("min_pct", Value::F64(min)),
+                ]
+                .map(|(k, v)| (k.to_owned(), v)),
+            );
+            out.push(Value::Object(fields));
+        }
+    }
+    Ok(obj(vec![
+        ("sweep", Value::Str("overhead".into())),
+        ("reference", Value::Str(reference.to_owned())),
+        ("rows", Value::Array(out)),
+    ]))
 }
 
 fn aggregate_chi(deps: &[DepResult]) -> Result<Value, String> {
@@ -820,17 +1245,9 @@ mod tests {
         assert_eq!(jobs.last().unwrap().deps.len(), 4);
     }
 
-    #[test]
-    fn repair_sweep_verifies_every_repair() {
-        let spec = SweepSpec::Repair(RepairSweep {
-            processes: 8,
-            comm_processes: 6,
-            nodes: 3,
-            faults: 1,
-            mu_ms: 5,
-            seeds: 1,
-            max_iterations: 4,
-        });
+    /// Runs every job of `spec` in DAG order, in-process, and returns
+    /// the aggregate's result.
+    fn run_in_process(spec: &SweepSpec) -> Value {
         // The DAG lists every job after its dependencies.
         let exec = SweepExec::new();
         let mut done: Vec<DepResult> = Vec::new();
@@ -848,7 +1265,210 @@ mod tests {
                 result,
             });
         }
-        let agg = &done.last().unwrap().result;
+        done.pop().unwrap().result
+    }
+
+    fn tiny_overhead() -> OverheadSweep {
+        OverheadSweep {
+            processes: vec![6, 8],
+            nodes: vec![3],
+            faults: vec![1, 2],
+            mu_ms: vec![5],
+            seeds: 2,
+            max_iterations: 3,
+            reference: Strategy::Mxr,
+            strategies: vec![Strategy::Mr, Strategy::Nft],
+        }
+    }
+
+    #[test]
+    fn overhead_dag_has_expected_shape() {
+        let spec = SweepSpec::Overhead(tiny_overhead());
+        let jobs = spec.jobs();
+        // Per (row, seed): 1 generate + 3 optimizes (the reference
+        // first); plus the aggregate.
+        assert_eq!(jobs.len(), 2 * 2 * 4 + 1);
+        assert_eq!(jobs[0].name, "gen/r0/s0");
+        let names: Vec<&str> = jobs[1..4].iter().map(|j| j.name.as_str()).collect();
+        assert_eq!(names, ["opt/r0/s0/mxr", "opt/r0/s0/mr", "opt/r0/s0/nft"]);
+        assert!(jobs[1..4].iter().all(|j| j.deps == [jobs[0].id]));
+        // The second row zips processes 8 with faults 2 and broadcasts
+        // nodes and mu_ms.
+        let row1 = jobs.iter().find(|j| j.name == "gen/r1/s0").unwrap();
+        assert_eq!(
+            [
+                row1.params["processes"].as_u64(),
+                row1.params["nodes"].as_u64(),
+                row1.params["faults"].as_u64(),
+                row1.params["mu_ms"].as_u64()
+            ],
+            [Some(8), Some(3), Some(2), Some(5)]
+        );
+        let agg = jobs.last().unwrap();
+        assert_eq!(agg.kind, "aggregate");
+        assert_eq!(agg.deps.len(), 2 * 2 * 3, "every optimize, no generate");
+        assert_eq!(
+            jobs_fingerprint(&jobs),
+            jobs_fingerprint(&SweepSpec::Overhead(tiny_overhead()).jobs())
+        );
+    }
+
+    #[test]
+    fn overhead_sweep_reports_every_row_and_strategy() {
+        let spec = tiny_overhead();
+        let agg = run_in_process(&SweepSpec::Overhead(spec.clone()));
+        assert_eq!(agg["reference"].as_str(), Some("mxr"));
+        let Value::Array(rows) = &agg["rows"] else {
+            panic!("aggregate has no rows: {agg:?}");
+        };
+        // One record per spec row and measured strategy, in order.
+        assert_eq!(rows.len(), spec.rows().len() * spec.strategies.len());
+        for (i, record) in rows.iter().enumerate() {
+            let row = spec.rows()[i / 2];
+            assert_eq!(record["processes"].as_u64(), Some(row.processes));
+            assert_eq!(record["faults"].as_u64(), Some(row.faults));
+            assert_eq!(
+                record["strategy"].as_str(),
+                Some(["mr", "nft"][i % 2]),
+                "{record:?}"
+            );
+            assert_eq!(record["samples"].as_u64(), Some(spec.seeds), "{record:?}");
+            let pct = |key: &str| match record[key] {
+                Value::F64(v) => v,
+                ref other => panic!("{key} is not a number: {other:?}"),
+            };
+            assert!(pct("max_pct") >= pct("avg_pct"), "{record:?}");
+            assert!(pct("avg_pct") >= pct("min_pct"), "{record:?}");
+            // NFT never pays for fault tolerance, MR always does.
+            if i % 2 == 1 {
+                assert!(pct("max_pct") < 0.0, "NFT is shorter than MXR: {record:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn overhead_validation_rejects_inconsistent_specs() {
+        let check = |edit: fn(&mut OverheadSweep), key: &str| {
+            let mut spec = tiny_overhead();
+            edit(&mut spec);
+            let err = SweepSpec::Overhead(spec).validate().expect_err(key);
+            assert!(err.contains(key), "{key}: {err}");
+        };
+        check(|s| s.faults = vec![1, 1, 1], "faults");
+        check(|s| s.processes.clear(), "processes");
+        check(|s| s.strategies.clear(), "strategies");
+        check(|s| s.strategies.push(Strategy::Mxr), "the reference");
+        check(|s| s.strategies.push(Strategy::Mr), "twice");
+        // MR needs faults + 1 <= nodes: k = 2 on 2 nodes, on row 1.
+        check(|s| s.nodes = vec![3, 2], "row 1");
+        // ... also as the reference.
+        check(
+            |s| {
+                s.nodes = vec![2];
+                s.reference = Strategy::Mr;
+                s.strategies = vec![Strategy::Mxr];
+            },
+            "mr",
+        );
+        assert!(SweepSpec::Overhead(tiny_overhead()).validate().is_ok());
+    }
+
+    #[test]
+    fn validation_holds_knobs_to_their_caps() {
+        let chi = |edit: fn(&mut ChiSweep)| {
+            let SweepSpec::Chi(mut s) = tiny_chi() else {
+                unreachable!()
+            };
+            edit(&mut s);
+            SweepSpec::Chi(s).validate()
+        };
+        for (edit, key) in [
+            (
+                (|s: &mut ChiSweep| s.processes = MAX_MERGED_PROCESSES as u64 + 1)
+                    as fn(&mut ChiSweep),
+                "processes",
+            ),
+            (
+                |s| s.nodes = (MAX_PROCESS_NODE_PAIRS / 8) as u64 + 1,
+                "process-node pairs",
+            ),
+            (|s| s.faults = u64::from(u32::MAX), "faults"),
+            (|s| s.faults = u64::from(u32::MAX) + 2, "faults"),
+            (|s| s.mu_ms = u64::MAX / 1000 + 1, "mu_ms"),
+            (
+                |s| s.chi_permille = vec![10, 400_000_000_000_000],
+                "chi_permille",
+            ),
+            (
+                |s| s.max_checkpoints = u64::from(u32::MAX) + 1,
+                "max_checkpoints",
+            ),
+            (
+                |s| s.faultsim_samples = MAX_FAULTSIM_SAMPLES + 1,
+                "faultsim_samples",
+            ),
+            (|s| s.seeds = MAX_SWEEP_JOBS, "seeds"),
+            (|s| s.seeds = u64::MAX, "seeds"),
+        ] {
+            let err = chi(edit).expect_err(key);
+            assert!(err.contains(key), "{key}: {err}");
+        }
+        // At the caps, the knobs pass.
+        assert!(chi(|s| {
+            s.faults = u64::from(FaultModel::MAX_K);
+            s.faultsim_samples = MAX_FAULTSIM_SAMPLES;
+        })
+        .is_ok());
+        let repair = SweepSpec::Repair(RepairSweep {
+            processes: 8,
+            comm_processes: MAX_MERGED_PROCESSES as u64 + 1,
+            nodes: 3,
+            faults: 1,
+            mu_ms: 5,
+            seeds: 1,
+            max_iterations: 4,
+        });
+        assert!(repair.validate().unwrap_err().contains("comm_processes"));
+        let mut wide = tiny_overhead();
+        wide.processes = vec![8; 3];
+        wide.faults = vec![1; 3];
+        wide.seeds = MAX_SWEEP_JOBS / 12 + 1;
+        assert!(SweepSpec::Overhead(wide)
+            .validate()
+            .unwrap_err()
+            .contains("seeds"));
+    }
+
+    #[test]
+    fn a_horizon_past_its_budget_fails_the_generate_job() {
+        // The largest µ that converts to microseconds passes
+        // validation, but k + 1 executions of every process at that µ
+        // overflow the horizon budget: the job fails instead of
+        // scheduling on a wrapped time.
+        let SweepSpec::Chi(mut s) = tiny_chi() else {
+            unreachable!()
+        };
+        s.mu_ms = u64::MAX / 1000;
+        let spec = SweepSpec::Chi(s);
+        spec.validate().expect("within every cap");
+        let generate = &spec.jobs()[0];
+        assert_eq!(generate.kind, "generate");
+        let err = SweepExec::new().execute(generate, &[]).unwrap_err();
+        assert!(err.contains("horizon"), "{err}");
+    }
+
+    #[test]
+    fn repair_sweep_verifies_every_repair() {
+        let spec = SweepSpec::Repair(RepairSweep {
+            processes: 8,
+            comm_processes: 6,
+            nodes: 3,
+            faults: 1,
+            mu_ms: 5,
+            seeds: 1,
+            max_iterations: 4,
+        });
+        let agg = &run_in_process(&spec);
         assert_eq!(agg["all_verified"], Value::Bool(true), "{agg:?}");
         let Value::Array(runs) = &agg["runs"] else {
             panic!("aggregate has no runs: {agg:?}");
@@ -865,9 +1485,8 @@ mod tests {
 
     #[test]
     fn validation_rejects_degenerate_sweeps() {
-        let mut bad = match tiny_chi() {
-            SweepSpec::Chi(s) => s,
-            SweepSpec::Repair(_) => unreachable!(),
+        let SweepSpec::Chi(mut bad) = tiny_chi() else {
+            unreachable!()
         };
         bad.chi_permille.clear();
         assert!(SweepSpec::Chi(bad.clone()).validate().is_err());

@@ -11,7 +11,8 @@
 
 use std::path::{Path, PathBuf};
 
-use ftdes_bench::jobs::{ChiSweep, RepairSweep, SweepExec, SweepSpec};
+use ftdes_bench::jobs::{ChiSweep, OverheadSweep, RepairSweep, SweepExec, SweepSpec};
+use ftdes_core::Strategy;
 use ftdes_serve::{
     drive, CrashMode, DriveError, Injector, SweepClock, SweepState, SweepStore, WorkerConfig,
     FAULT_POINTS,
@@ -165,13 +166,36 @@ fn repair_sweep_crash_resume_is_bit_identical() {
         seeds: 1,
         max_iterations: 2,
     });
-    let baseline = run_uncrashed(&spec, &tmp("repair-baseline.jsonl"));
+    crash_on_the_fourth_commit_and_resume(&spec, "repair");
+}
 
-    let path = tmp("repair-crash.jsonl");
+#[test]
+fn overhead_sweep_crash_resume_is_bit_identical() {
+    // Two rows, two seeds: the crash loses an optimize result, and the
+    // resumed aggregate must pair every strategy with its reference
+    // exactly as the uncrashed one did.
+    let spec = SweepSpec::Overhead(OverheadSweep {
+        processes: vec![6, 8],
+        nodes: vec![3],
+        faults: vec![1],
+        mu_ms: vec![5],
+        seeds: 2,
+        max_iterations: 2,
+        reference: Strategy::Nft,
+        strategies: vec![Strategy::Mxr, Strategy::Mr],
+    });
+    crash_on_the_fourth_commit_and_resume(&spec, "overhead");
+}
+
+/// Crashes `spec` on its 4th commit, deep enough that generates and
+/// an optimize have landed and an in-flight job's work is lost, then
+/// resumes it and compares the results with an uncrashed run.
+fn crash_on_the_fourth_commit_and_resume(spec: &SweepSpec, tag: &str) {
+    let baseline = run_uncrashed(spec, &tmp(&format!("{tag}-baseline.jsonl")));
+
+    let path = tmp(&format!("{tag}-crash.jsonl"));
     let (mut store, mut state) = SweepStore::create(&path, spec.name(), &spec.jobs()).unwrap();
     let clock = SweepClock::virtual_at(0);
-    // Crash on the 4th commit: deep enough that generates and an
-    // optimize have landed and an in-flight job's work is lost.
     let mut injector = Injector::at("done.before_append", 4, CrashMode::Error).unwrap();
     drive(
         &mut store,

@@ -216,8 +216,8 @@ pub fn bus_fingerprint(bus: &BusConfig) -> u64 {
 
 /// A stable 64-bit identity of a fault model — part of the cache key
 /// so one [`EvalCache`] can be shared across `optimize` calls with
-/// different fault hypotheses (Table 1b's `k` rows, fig10's NFT/SFX
-/// references) without aliasing their costs.
+/// different fault hypotheses (NFT and the SFX pre-pass solve at
+/// `k = 0`) without aliasing their costs.
 #[must_use]
 pub fn fault_fingerprint(fm: &FaultModel) -> u64 {
     let mut fp = Fingerprint::new(0xfa17);
@@ -347,7 +347,7 @@ impl<'p> Evaluator<'p> {
     }
 
     /// Creates an evaluator over a cache shared with other searches —
-    /// the table bins re-solve overlapping problems, and a shared
+    /// sweep jobs re-solve overlapping problems, and a shared
     /// cache lets them reuse each other's cost entries. Keys include
     /// the problem structure and fault model, so sharing across
     /// arbitrary problems is sound.

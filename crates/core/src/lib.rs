@@ -57,8 +57,6 @@
 //! | `FTDES_THREADS` | worker threads for candidate evaluation when [`SearchConfig::threads`] is `0` (default: available parallelism), clamped like explicit requests to [`parallel::MAX_THREADS`] (256). Throughput only — without a wall-clock limit, results are bit-identical for every thread count |
 //!
 //! Resolution order and details: [`parallel::effective_threads`].
-//! The benchmark harness (`ftdes-bench`) adds `FTDES_SEEDS` and
-//! `FTDES_TIME_MS` on top — documented in that crate.
 //!
 //! # Examples
 //!

@@ -118,10 +118,10 @@ pub fn optimize(
 
 /// [`optimize`] over a caller-owned [`EvalCache`], so the memoized
 /// candidate costs survive this call and serve the caller's next
-/// searches — the table bins and sweep jobs re-solve overlapping
-/// problems and reuse each other's entries. Keys cover the problem
-/// structure and the fault model, so sharing one cache across any mix
-/// of problems and strategies is sound.
+/// searches — the sweep jobs re-solve overlapping problems and reuse
+/// each other's entries. Keys cover the problem structure and the
+/// fault model, so sharing one cache across any mix of problems and
+/// strategies is sound.
 ///
 /// # Errors
 ///

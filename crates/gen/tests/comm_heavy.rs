@@ -1,8 +1,7 @@
 //! Property tests of the communication-heavy workload family: for
 //! arbitrary knob settings, [`ftdes_gen::comm_heavy`] must produce
 //! **connected DAGs** that honour the edge-density, message-size and
-//! msg:WCET-ratio knobs. (The family was previously only exercised
-//! indirectly through the perfgate and commtable bench bins.)
+//! msg:WCET-ratio knobs.
 
 use proptest::prelude::*;
 

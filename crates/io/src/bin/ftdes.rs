@@ -14,9 +14,11 @@
 //! ftdes sweep status --store <log.jsonl>
 //! ```
 //!
-//! `sweep` drives a whole experiment sweep (a χ trade-off table or a
-//! degrade-and-repair study — see [`ftdes_io::sweep`] for the spec
-//! format) as a crash-safe job DAG over an append-only event log
+//! `sweep` drives a whole experiment sweep (the paper's Table 1 and
+//! Fig. 10 overheads, a χ trade-off table or a degrade-and-repair
+//! study — see [`ftdes_io::sweep`] for the spec format and
+//! `crates/bench/sweeps/` for the committed specs) as a crash-safe
+//! job DAG over an append-only event log
 //! (`ftdes-serve`). `run` and `resume` lock the store, so a second
 //! driver on it exits 74; `status` only reads it. Kill the process at
 //! any instant and `sweep resume` continues from the log at once; the
@@ -994,6 +996,7 @@ fn sweep_usage() -> String {
      \x20                     [--workers N] [--max-attempts N]\n\
      \x20      ftdes sweep resume --store <log.jsonl> [--out results.json] [--workers N]\n\
      \x20      ftdes sweep status --store <log.jsonl>\n\
+     specs: `sweep overhead|chi|repair` files, e.g. crates/bench/sweeps/table1a.sweep\n\
      crash drills: FTDES_CRASH_AT=<fault-point>[:<n>] aborts the driver at a registered\n\
      durability boundary; `sweep resume` then continues from the log"
         .to_owned()

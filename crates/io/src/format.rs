@@ -27,6 +27,8 @@
 //! milliseconds). Each (process, node) pair takes one WCET: a second
 //! `wcet` line for a pair, by node name or through `*`, is rejected as
 //! [`ErrorKind::Duplicate`], like a repeated node or process name.
+//! Each process likewise takes at most one `fix_mapping` and one
+//! `fix_policy` line.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -108,19 +110,25 @@ impl ProblemSpec {
             };
             ParseProblemError::with_kind(0, ErrorKind::Structure, message)
         })?;
+        // Index the constraints by (graph, local process) once: every
+        // activation of a process inherits its template's, and a later
+        // entry for a process replaces an earlier one.
+        let mappings: HashMap<_, _> = (self.fixed_mappings.iter())
+            .map(|&(graph_index, local, node)| ((graph_index, local), node))
+            .collect();
+        let policies: HashMap<_, _> = (self.fixed_policies.iter())
+            .map(|&(graph_index, local, policy)| ((graph_index, local), policy))
+            .collect();
         let mut constraints = DesignConstraints::free(merged.process_count());
         for global in 0..merged.process_count() {
             let gid = ProcessId::new(global as u32);
             let origin = merged.origin(gid);
-            for &(graph_index, local, node) in &self.fixed_mappings {
-                if origin.graph_index == graph_index && origin.local == local {
-                    constraints.set_mapping(gid, MappingConstraint::Fixed(node));
-                }
+            let template = (origin.graph_index, origin.local);
+            if let Some(&node) = mappings.get(&template) {
+                constraints.set_mapping(gid, MappingConstraint::Fixed(node));
             }
-            for &(graph_index, local, policy) in &self.fixed_policies {
-                if origin.graph_index == graph_index && origin.local == local {
-                    constraints.set_policy(gid, policy);
-                }
+            if let Some(&policy) = policies.get(&template) {
+                constraints.set_policy(gid, policy);
             }
         }
         let problem = Problem::new(
@@ -619,15 +627,25 @@ impl<'a> Parser<'a> {
         }
         .map_err(|e| ParseProblemError::with_kind(0, ErrorKind::Structure, e.to_string()))?;
 
-        // Constraints.
-        let mut fixed_mappings = Vec::new();
+        // Constraints: a process takes one `fix_mapping` and one
+        // `fix_policy` line; a second is a duplicate rather than an
+        // override.
+        let mut first_lines = HashMap::new();
+        let mut fixed_mappings = Vec::with_capacity(self.fixed_mappings.len());
         for &(ln, process, node) in &self.fixed_mappings {
             let (gi, p) = self.resolve(ln, process)?;
+            if let Some(first) = first_lines.insert((gi, p), ln) {
+                return Err(duplicate_fix("fix_mapping", process, ln, first));
+            }
             fixed_mappings.push((gi, p, self.node(ln, node)?));
         }
-        let mut fixed_policies = Vec::new();
+        first_lines.clear();
+        let mut fixed_policies = Vec::with_capacity(self.fixed_policies.len());
         for &(ln, process, policy) in &self.fixed_policies {
             let (gi, p) = self.resolve(ln, process)?;
+            if let Some(first) = first_lines.insert((gi, p), ln) {
+                return Err(duplicate_fix("fix_policy", process, ln, first));
+            }
             let c = match policy {
                 "reexecution" => PolicyConstraint::Reexecution,
                 "replication" => PolicyConstraint::Replication,
@@ -658,6 +676,16 @@ impl<'a> Parser<'a> {
             fixed_policies,
         })
     }
+}
+
+/// A second `directive` line at `ln` for `process`, whose first is at
+/// line `first`.
+fn duplicate_fix(directive: &str, process: &str, ln: usize, first: usize) -> ParseProblemError {
+    ParseProblemError::with_kind(
+        ln,
+        ErrorKind::Duplicate,
+        format!("duplicate {directive} for process {process:?} (first at line {first})"),
+    )
 }
 
 fn split_kv(ln: usize, tok: &str) -> Result<(&str, &str), ParseProblemError> {

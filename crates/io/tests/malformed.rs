@@ -150,6 +150,33 @@ fn rejects_a_repeated_wcet_pair() {
 }
 
 #[test]
+fn rejects_a_repeated_fix_line() {
+    // One `fix_mapping` and one `fix_policy` line per process: a
+    // second is a duplicate, never an override. VALID ends at line 9.
+    for (fix, directive) in [
+        (
+            "fix_mapping x A\nfix_mapping y B\nfix_mapping x B\n",
+            "fix_mapping",
+        ),
+        (
+            "fix_policy x reexecution\nfix_mapping x A\nfix_policy x replication\n",
+            "fix_policy",
+        ),
+    ] {
+        let text = format!("{VALID}{fix}");
+        let err = parse_problem(&text).expect_err(&text);
+        assert_eq!(err.kind, ErrorKind::Duplicate, "{text}{err}");
+        assert_eq!(err.line, 12, "points at the second line: {err}");
+        assert!(
+            err.message
+                .contains(&format!("duplicate {directive} for process \"x\"")),
+            "names the directive and the process: {err}"
+        );
+        assert!(err.message.contains("line 10"), "names the first: {err}");
+    }
+}
+
+#[test]
 fn rejects_ambiguous_cross_graph_references() {
     let text = "
 architecture A

@@ -337,6 +337,41 @@ fn status_reports_progress_without_driving() {
 }
 
 #[test]
+fn out_of_range_knobs_exit_65_without_a_store() {
+    // Each value used to wrap or truncate into a different sweep that
+    // ran and exited 0: k = 1, µ = 384 µs, a wrapped χ.
+    for (line, key) in [
+        ("faults 4294967297", "faults"),
+        ("mu_ms 18446744073709552", "mu_ms"),
+        ("chi_permille 400000000000000", "chi_permille"),
+    ] {
+        let original = TINY_CHI
+            .lines()
+            .find(|l| l.starts_with(key))
+            .expect("the tiny sweep sets the key");
+        let spec = write_spec(
+            &format!("range-{key}.spec"),
+            &TINY_CHI.replace(original, line),
+        );
+        let store = fresh(&format!("range-{key}.jsonl"));
+        let out = ftdes(
+            &[
+                "sweep",
+                "run",
+                "--spec",
+                spec.to_str().expect("utf8 path"),
+                "--store",
+                store.to_str().expect("utf8 path"),
+            ],
+            None,
+        );
+        assert_eq!(out.status.code(), Some(65), "{line}: {}", stderr(&out));
+        assert!(stderr(&out).contains(key), "{line}: {}", stderr(&out));
+        assert!(!store.exists(), "{line}: the store is never created");
+    }
+}
+
+#[test]
 fn exit_codes_classify_failures() {
     // Usage errors: exit 2.
     for args in [

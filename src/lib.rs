@@ -31,9 +31,9 @@
 //!   an append-only event log with one locked driver, bounded retries
 //!   with quarantine, and a crash-injection harness whose contract is
 //!   *resume ≡ uncrashed, bit-identical*,
-//! * [`mod@bench`] — the experiment harness regenerating the paper's
-//!   tables, plus the sweep-job adapters that map χ and repair
-//!   sweeps onto [`serve`] job DAGs.
+//! * [`mod@bench`] — the experiment harness: the sweep-job adapters
+//!   that map the paper's tables and the χ and repair studies onto
+//!   [`serve`] job DAGs, and the problem generators perfgate shares.
 //!
 //! # Quickstart
 //!
