@@ -51,7 +51,7 @@
 
 use std::time::Duration;
 
-use ftdes_core::problem::MAX_PROCESS_NODE_PAIRS;
+use ftdes_core::problem::{MAX_CHECKPOINTS, MAX_PROCESS_NODE_PAIRS};
 use ftdes_core::repair::RepairBudget;
 use ftdes_core::{optimize_with_cache, CachePool, Problem, Strategy};
 use ftdes_faultsim::{degrade_and_repair_adversarial, length_distribution};
@@ -223,8 +223,9 @@ impl SweepSpec {
     /// wrapping a number or allocating without bound: processes to
     /// [`MAX_MERGED_PROCESSES`], processes × nodes to
     /// [`MAX_PROCESS_NODE_PAIRS`], faults to [`FaultModel::MAX_K`],
-    /// µ and χ to the `u64` microsecond range, the expanded job count
-    /// to [`MAX_SWEEP_JOBS`] and the faultsim samples to
+    /// µ and χ to the `u64` microsecond range, the checkpoint count to
+    /// [`MAX_CHECKPOINTS`], the expanded job count to
+    /// [`MAX_SWEEP_JOBS`] and the faultsim samples to
     /// [`MAX_FAULTSIM_SAMPLES`].
     ///
     /// # Errors
@@ -291,10 +292,9 @@ impl SweepSpec {
                         "chi_permille: {p} overflows a time in microseconds"
                     ));
                 }
-                if s.max_checkpoints == 0 || u32::try_from(s.max_checkpoints).is_err() {
+                if s.max_checkpoints == 0 || s.max_checkpoints > u64::from(MAX_CHECKPOINTS) {
                     return Err(format!(
-                        "max_checkpoints must be between 1 and {}, not {}",
-                        u32::MAX,
+                        "max_checkpoints must be between 1 and {MAX_CHECKPOINTS}, not {}",
                         s.max_checkpoints
                     ));
                 }
@@ -1400,6 +1400,10 @@ mod tests {
                 "chi_permille",
             ),
             (
+                |s| s.max_checkpoints = u64::from(MAX_CHECKPOINTS) + 1,
+                "max_checkpoints",
+            ),
+            (
                 |s| s.max_checkpoints = u64::from(u32::MAX) + 1,
                 "max_checkpoints",
             ),
@@ -1416,6 +1420,7 @@ mod tests {
         // At the caps, the knobs pass.
         assert!(chi(|s| {
             s.faults = u64::from(FaultModel::MAX_K);
+            s.max_checkpoints = u64::from(MAX_CHECKPOINTS);
             s.faultsim_samples = MAX_FAULTSIM_SAMPLES;
         })
         .is_ok());

@@ -2,8 +2,6 @@
 
 use std::time::Duration;
 
-use ftdes_sched::PriorityStrategy;
-
 /// What the search optimizes for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Goal {
@@ -31,9 +29,6 @@ pub struct SearchConfig {
     /// Tabu tenure (iterations a moved process stays tabu);
     /// `None` derives `max(2, √|Γ|)`.
     pub tabu_tenure: Option<usize>,
-    /// Enable the aspiration criterion (accept tabu moves that beat
-    /// the best-so-far, paper Fig. 9 line 9).
-    pub aspiration: bool,
     /// Enable diversification by waiting time (paper Fig. 9 line 12).
     pub diversification: bool,
     /// Upper bound on the moves evaluated per tabu iteration. Large
@@ -85,14 +80,6 @@ pub struct SearchConfig {
     /// the `(cost, move index)` total order behind them) are
     /// bit-identical either way.
     pub bounded: bool,
-    /// Ready-list priority strategy override for this search:
-    /// `Some(s)` re-derives the problem under strategy `s`
-    /// (partial-critical-path or mobility), `None` (the default)
-    /// inherits whatever the problem was built with
-    /// ([`crate::problem::Problem::with_priority_strategy`]). The
-    /// portfolio uses this to run a mobility-ordered worker beside
-    /// the tenure/window variants.
-    pub priority: Option<PriorityStrategy>,
 }
 
 impl SearchConfig {
@@ -122,7 +109,6 @@ impl Default for SearchConfig {
             time_limit: Some(Duration::from_secs(10)),
             max_tabu_iterations: 1_000,
             tabu_tenure: None,
-            aspiration: true,
             diversification: true,
             max_moves_per_iteration: 120,
             min_move_candidates: 8,
@@ -131,7 +117,6 @@ impl Default for SearchConfig {
             eval_cache: true,
             incremental: true,
             bounded: true,
-            priority: None,
         }
     }
 }
@@ -189,7 +174,7 @@ mod tests {
     fn default_is_deadline_goal() {
         let cfg = SearchConfig::default();
         assert_eq!(cfg.goal, Goal::MeetDeadline);
-        assert!(cfg.aspiration && cfg.diversification);
+        assert!(cfg.diversification);
     }
 
     #[test]

@@ -41,10 +41,9 @@
 //!   [`problem::Problem::with_suffix_splice`]) — every one of them
 //!   is a pure throughput knob, bit-identical by the workspace's
 //!   engine parity suite (`tests/engine_parity/`).
-//!   [`problem::Problem::with_priority_strategy`] (and
-//!   [`SearchConfig::priority`]) select the ready-list priority
-//!   function instead — a **search-space knob** whose strategies
-//!   legitimately reach different designs.
+//!   [`problem::Problem::with_priority_strategy`] selects the
+//!   ready-list priority function instead — a **search-space knob**
+//!   whose strategies legitimately reach different designs.
 //!
 //! # Environment variables
 //!
@@ -113,8 +112,7 @@ pub mod prelude {
     pub use crate::error::OptError;
     pub use crate::parallel::{effective_threads, WorkerPool, MAX_THREADS};
     pub use crate::portfolio::{
-        optimize_portfolio, optimize_portfolio_with_cache, PortfolioConfig, PortfolioOutcome,
-        WorkerSummary,
+        optimize_portfolio, PortfolioConfig, PortfolioOutcome, WorkerSummary,
     };
     pub use crate::problem::Problem;
     pub use crate::repair::{
@@ -132,10 +130,7 @@ pub use config::{Goal, SearchConfig, SearchStats};
 pub use error::OptError;
 pub use ftdes_sched::{OccupancyBackend, PriorityStrategy};
 pub use parallel::{effective_threads, WorkerPool, MAX_THREADS};
-pub use portfolio::{
-    optimize_portfolio, optimize_portfolio_with_cache, PortfolioConfig, PortfolioOutcome,
-    WorkerSummary,
-};
+pub use portfolio::{optimize_portfolio, PortfolioConfig, PortfolioOutcome, WorkerSummary};
 pub use problem::Problem;
 pub use repair::{
     apply_delta, project_design, repair, repair_with_cache, RepairBudget, RepairError,

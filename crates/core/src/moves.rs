@@ -10,6 +10,8 @@
 //! fastest other eligible nodes. [`MoveTable::window`] is the one
 //! neighbourhood enumerator the search phases use.
 
+use std::sync::OnceLock;
+
 use ftdes_model::design::{Design, ProcessDesign};
 use ftdes_model::ids::{NodeId, ProcessId};
 use ftdes_model::policy::{FtPolicy, MappingConstraint, PolicyConstraint};
@@ -119,28 +121,44 @@ pub struct MoveRef {
     pub decision: u32,
 }
 
-/// The precomputed neighbourhood structure of one search: every
-/// admissible decision per process.
+/// The neighbourhood structure of one search: every admissible
+/// decision per process, enumerated on first use.
 ///
 /// The admissible decisions of a process depend only on the problem
 /// and the policy space — not on the current design — so they are
-/// enumerated **once per search** instead of once per iteration
-/// (`candidate_decisions` allocates mapping vectors and sorts
-/// eligibility lists; at thousands of iterations per second that
-/// was a measurable share of the hot path).
+/// enumerated **at most once per search** instead of once per
+/// iteration (`candidate_decisions` allocates mapping vectors and
+/// sorts eligibility lists; at thousands of iterations per second
+/// that was a measurable share of the hot path). Only the processes a
+/// window visits are enumerated: a list holds levels × eligible nodes
+/// × checkpoint counts decisions, and a search visits the critical
+/// path, not all of Γ.
 #[derive(Debug, Clone)]
-pub struct MoveTable {
-    per_process: Vec<Vec<ProcessDesign>>,
+pub struct MoveTable<'p> {
+    problem: &'p Problem,
+    space: PolicySpace,
+    per_process: Vec<OnceLock<Vec<ProcessDesign>>>,
 }
 
-impl MoveTable {
-    /// Enumerates the admissible decisions of every process.
+impl<'p> MoveTable<'p> {
+    /// A table over `problem`'s processes in `space`; no process is
+    /// enumerated yet.
     #[must_use]
-    pub fn new(problem: &Problem, space: PolicySpace) -> Self {
-        let per_process = (0..problem.process_count())
-            .map(|i| candidate_decisions(problem, space, ProcessId::new(i as u32)))
-            .collect();
-        MoveTable { per_process }
+    pub fn new(problem: &'p Problem, space: PolicySpace) -> Self {
+        MoveTable {
+            problem,
+            space,
+            per_process: (0..problem.process_count())
+                .map(|_| OnceLock::new())
+                .collect(),
+        }
+    }
+
+    /// `process`'s admissible decisions in [`candidate_decisions`]
+    /// order, enumerated on the first call.
+    fn decisions(&self, process: ProcessId) -> &[ProcessDesign] {
+        self.per_process[process.index()]
+            .get_or_init(|| candidate_decisions(self.problem, self.space, process))
     }
 
     /// The decision a [`MoveRef`] stands for.
@@ -150,7 +168,7 @@ impl MoveTable {
     /// Panics on a reference from a different table.
     #[must_use]
     pub fn decision(&self, mv: MoveRef) -> &ProcessDesign {
-        &self.per_process[mv.process.index()][mv.decision as usize]
+        &self.decisions(mv.process)[mv.decision as usize]
     }
 
     /// Fills `out` with the neighbourhood of `design` for the
@@ -162,7 +180,7 @@ impl MoveTable {
         out.clear();
         for &p in critical_path {
             let current = design.decision(p);
-            for (i, decision) in self.per_process[p.index()].iter().enumerate() {
+            for (i, decision) in self.decisions(p).iter().enumerate() {
                 if decision != current {
                     out.push(MoveRef {
                         process: p,

@@ -2,14 +2,14 @@
 //! deterministic elite exchange.
 //!
 //! The tabu search is embarrassingly portfolio-parallel: several
-//! diversified searches (different tenures, window sizes,
-//! diversification settings and start perturbations) explore
-//! different basins, and periodically adopting the best solution
-//! found so far turns cores into solution quality. The hard part is
-//! doing that **without giving up the deterministic `(cost, move
-//! index)` selection contract** every parity test in this repo rests
-//! on — so the exchange protocol here is built from fixed-progress
-//! barriers, never from wall-clock arrival order:
+//! diversified searches (different priority orderings, tenures,
+//! window sizes, diversification settings and start perturbations)
+//! explore different basins, and periodically adopting the best
+//! solution found so far turns cores into solution quality. The
+//! exchange keeps the deterministic `(cost, move index)` selection
+//! contract every parity test in this repo rests on, because it is
+//! driven by fixed progress, never by wall-clock arrival order. The
+//! run is one bulk-synchronous loop on the calling thread:
 //!
 //! * Workers run in **epochs**: each worker executes a fixed
 //!   iteration quota per epoch, derived from
@@ -19,36 +19,35 @@
 //!   memoization cache the evaluation/hit/pruned split is racy across
 //!   workers, but the trajectory — and therefore the per-iteration
 //!   candidate count — is cache-invariant.
-//! * At the end of an epoch every worker publishes `(best cost,
-//!   schedulable, finished)` into its own slot and waits at a
-//!   [`std::sync::Barrier`]. Worker 0 then computes the **elite** —
-//!   the minimum over alive workers by the total order `(cost,
-//!   worker index)` — and the stop decision, both deterministic
-//!   functions of the published reports. A second barrier publishes
-//!   the decision, the elite worker clones its solution into the
-//!   exchange slot, and a third barrier releases the adopters: every
-//!   alive worker whose own best is *strictly worse* than the elite
-//!   adopts it (see [`crate::tabu::TabuSearch::inject`]).
-//! * A worker that panics or errors is marked dead but **keeps
-//!   participating in every barrier**, so siblings never deadlock;
-//!   the lowest-index panic payload is re-raised (and the
-//!   lowest-index error returned) on the calling thread once the
-//!   scope joins.
+//! * An epoch is one [`std::thread::scope`]. Each worker first adopts
+//!   the design it was handed (its perturbed start in the first
+//!   epoch, later the elite), then runs its quota. Worker 0 runs on
+//!   the calling thread and the others on scoped threads, so a
+//!   one-worker portfolio spawns nothing.
+//! * Between epochs the calling thread reads every worker's `(best
+//!   cost, schedulable, finished)` and derives the stop test and the
+//!   **elite** from them alone: the elite is the minimum by the total
+//!   order `(cost, worker index)`. Every worker whose own best is
+//!   *strictly worse* is handed a clone of the elite design to adopt
+//!   (see [`crate::tabu::TabuSearch::inject`]).
+//! * Failure is fail-fast. The first epoch in which a worker panics
+//!   or errors ends the run once its siblings finish that epoch: the
+//!   lowest-index panic is re-raised with its own payload, else the
+//!   lowest-index error is returned.
 //!
 //! The result is bit-identical for a fixed `(seed, workers,
 //! epoch_candidates)` configuration regardless of OS scheduling, core
-//! count or cache sharing — enforced by `tests/determinism_matrix.rs`.
-//! As everywhere else, a wall-clock `time_limit` is the one knob that
-//! trades that away (the cutoff lands wherever the machine got to).
+//! count or cache sharing — enforced by `tests/determinism_matrix.rs`
+//! and pinned by `tests/golden_portfolio.rs`. As everywhere else, a
+//! wall-clock `time_limit` is the one knob that trades that away (the
+//! cutoff lands wherever the machine got to).
 
-use std::borrow::Cow;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use ftdes_model::design::Design;
 use ftdes_model::ids::ProcessId;
-use ftdes_sched::{PriorityStrategy, Schedule, ScheduleCost};
+use ftdes_sched::{PriorityStrategy, ScheduleCost};
 
 use crate::cache::{EvalCache, Evaluator};
 use crate::config::{Goal, SearchConfig, SearchStats};
@@ -59,7 +58,7 @@ use crate::moves::candidate_decisions;
 use crate::parallel::{effective_threads, WorkerPool};
 use crate::problem::Problem;
 use crate::space::PolicySpace;
-use crate::strategy::{resolve_priority, Outcome};
+use crate::strategy::Outcome;
 use crate::tabu::{TabuPause, TabuSearch};
 
 /// Tunables of the portfolio engine.
@@ -93,7 +92,7 @@ impl Default for PortfolioConfig {
 pub struct WorkerSummary {
     /// Worker index (also its tie-break rank in the elite order).
     pub index: usize,
-    /// Human-readable variant description, e.g. `"tenure*2 +p2"`.
+    /// Human-readable variant description, e.g. `"w2:tenure*2+p2"`.
     pub label: String,
     /// Tabu iterations this worker performed.
     pub tabu_iterations: usize,
@@ -102,7 +101,7 @@ pub struct WorkerSummary {
     /// Bounded evaluations it pruned.
     pub pruned: usize,
     /// Best cost the worker itself reached (before final merge).
-    pub best: Option<ScheduleCost>,
+    pub best: ScheduleCost,
     /// Elite solutions the worker adopted across all epochs.
     pub adopted: usize,
 }
@@ -115,8 +114,8 @@ pub struct PortfolioOutcome {
     /// worker.
     pub outcome: Outcome,
     /// The ready-list priority strategy `outcome.schedule` was built
-    /// under: the elite worker's resolved strategy (a mobility-axis
-    /// worker schedules differently from the base problem). Replaying
+    /// under: the elite worker's strategy (a mobility-axis worker
+    /// schedules differently from the base problem). Replaying
     /// `outcome.design` through `list_schedule_with` under it
     /// reproduces `outcome.schedule`'s cost.
     pub priority: PriorityStrategy,
@@ -130,44 +129,88 @@ pub struct PortfolioOutcome {
     pub exchanges: usize,
 }
 
-/// What a worker publishes at the epoch barrier.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct EpochReport {
-    alive: bool,
-    finished: bool,
-    best: Option<(ScheduleCost, bool)>,
-}
-
-/// What worker 0 derives from the reports — a deterministic function
-/// of their contents, regardless of which thread computes it.
-#[derive(Debug, Clone, Copy, Default)]
-struct Decision {
-    stop: bool,
-    elite: Option<(ScheduleCost, usize)>,
-}
-
-/// What a worker leaves behind for the main thread.
-struct WorkerFinal {
-    label: String,
-    stats: SearchStats,
-    adopted: usize,
-    best: Option<(Design, Arc<Schedule>)>,
-    error: Option<OptError>,
-    panic: Option<Box<dyn std::any::Any + Send>>,
-}
-
-/// The per-worker plan computed up front on the calling thread (so
-/// worker threads start from fully deterministic inputs).
+/// The per-worker plan computed up front on the calling thread.
 struct WorkerPrep {
     cfg: SearchConfig,
     label: String,
     quota: usize,
     start: Design,
-    /// A re-derived problem when the worker's configuration overrides
-    /// the priority strategy (the mobility axis); `None` = the shared
-    /// problem. The shared cache stays sound either way — the
-    /// strategy participates in the evaluator's context fingerprint.
-    problem: Option<Problem>,
+    /// The ready-list ordering the worker schedules under.
+    priority: PriorityStrategy,
+}
+
+/// One tabu worker between epochs.
+struct Worker<'e, 'p> {
+    label: String,
+    quota: usize,
+    search: TabuSearch<'e, 'p>,
+    stats: SearchStats,
+    /// The design to adopt before the next quota: the perturbed start,
+    /// then each elite the worker is handed.
+    adopt: Option<Design>,
+    adopted: usize,
+    finished: bool,
+}
+
+impl Worker<'_, '_> {
+    /// One epoch: adopt the handed design, then run the quota.
+    fn epoch(&mut self, cutoff: Option<Instant>) -> Result<(), OptError> {
+        if let Some(design) = self.adopt.take() {
+            self.search.inject(design, &mut self.stats)?;
+        }
+        let pause = self.search.run(&mut self.stats, cutoff, Some(self.quota))?;
+        self.finished = pause == TabuPause::Finished;
+        Ok(())
+    }
+
+    /// `(best cost, schedulable, finished)`: everything the epoch
+    /// decision reads.
+    fn report(&self) -> (ScheduleCost, bool, bool) {
+        (
+            self.search.best_cost(),
+            self.search.best_is_schedulable(),
+            self.finished,
+        )
+    }
+}
+
+/// Runs `step` once on every worker, worker 0 on the calling thread
+/// and the others on scoped threads, and returns when all of them are
+/// done. A panic is re-raised with the payload of the lowest-index
+/// worker that panicked; without one, the lowest-index error is
+/// returned.
+fn run_epoch<W: Send, E: Send>(
+    workers: &mut [W],
+    step: impl Fn(&mut W) -> Result<(), E> + Sync,
+) -> Result<(), E> {
+    let Some((first, rest)) = workers.split_first_mut() else {
+        return Ok(());
+    };
+    let step = &step;
+    // A panic of worker 0 leaves the scope, with its own payload, only
+    // after every sibling finished its step.
+    let (first, rest) = std::thread::scope(|scope| {
+        let handles: Vec<_> = rest
+            .iter_mut()
+            .map(|w| scope.spawn(move || step(w)))
+            .collect();
+        let first = step(first);
+        (
+            first,
+            handles.into_iter().map(|h| h.join()).collect::<Vec<_>>(),
+        )
+    });
+    let mut error = first.err();
+    for result in rest {
+        match result {
+            Err(payload) => std::panic::resume_unwind(payload),
+            Ok(Err(e)) => {
+                error.get_or_insert(e);
+            }
+            Ok(Ok(())) => {}
+        }
+    }
+    error.map_or(Ok(()), Err)
 }
 
 /// The evaluator a portfolio participant runs on: the shared
@@ -248,13 +291,14 @@ fn worker_prep(
         staged_tabu: false,
         ..base.clone()
     };
+    let mut priority = problem.schedule_options().priority;
     let mut axis = "base";
     if w > 0 {
         match (w - 1) % 5 {
             0 => {
                 // First in the cycle so even a 2-worker portfolio
                 // fields a mobility-ordered search beside the base.
-                cfg.priority = Some(PriorityStrategy::Mobility);
+                priority = PriorityStrategy::Mobility;
                 axis = "mobility";
             }
             1 => {
@@ -281,16 +325,12 @@ fn worker_prep(
         let state = pcfg.seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         perturb(problem, space, &mut start, w, state);
     }
-    let problem_override = match resolve_priority(problem, &cfg) {
-        Cow::Owned(p) => Some(p),
-        Cow::Borrowed(_) => None,
-    };
     WorkerPrep {
         quota: (pcfg.epoch_candidates / cfg.max_moves_per_iteration.max(1)).max(1),
         label: format!("w{w}:{axis}+p{w}"),
         cfg,
         start,
-        problem: problem_override,
+        priority,
     }
 }
 
@@ -300,19 +340,21 @@ fn worker_prep(
 /// improvement, paper Fig. 6 steps 1–2) runs once; the portfolio then
 /// forks `workers` diversified tabu searches from the greedy solution
 /// and merges their results through the deterministic elite-exchange
-/// protocol described at the [module level](self).
+/// loop described at the [module level](self). The prologue and every
+/// worker memoize into (and serve from) one shared fingerprint-keyed
+/// cache; sharing changes *work*, never *results*.
 ///
 /// # Errors
 ///
 /// Returns [`OptError`] when no initial placement exists or a
 /// candidate cannot be scheduled (lowest worker index wins when
-/// several workers fail).
+/// several workers fail in the same epoch).
 ///
 /// # Panics
 ///
-/// Re-raises the first (lowest worker index) panic of any worker
-/// thread after all workers unwound or finished — the portfolio never
-/// deadlocks on a sibling's panic.
+/// Re-raises the lowest-index worker panic of the first epoch in
+/// which a worker panics, with its own payload, once every sibling
+/// finished that epoch.
 pub fn optimize_portfolio(
     problem: &Problem,
     space: PolicySpace,
@@ -320,32 +362,6 @@ pub fn optimize_portfolio(
     pcfg: &PortfolioConfig,
 ) -> Result<PortfolioOutcome, OptError> {
     let cache = Arc::new(EvalCache::default());
-    optimize_portfolio_with_cache(problem, space, cfg, pcfg, &cache)
-}
-
-/// [`optimize_portfolio`] over a caller-owned shared [`EvalCache`]:
-/// the prologue and every worker memoize into (and serve from) the
-/// same fingerprint-keyed cache. Sharing changes *work*, never
-/// *results* — the trajectory of each worker is cache-invariant, so
-/// the portfolio stays bit-identical (only the evaluation/hit/pruned
-/// split in the statistics shifts between runs).
-///
-/// # Errors
-///
-/// Same as [`optimize_portfolio`].
-#[allow(clippy::too_many_lines)]
-pub fn optimize_portfolio_with_cache(
-    problem: &Problem,
-    space: PolicySpace,
-    cfg: &SearchConfig,
-    pcfg: &PortfolioConfig,
-    cache: &Arc<EvalCache>,
-) -> Result<PortfolioOutcome, OptError> {
-    // A top-level priority override re-derives the shared problem
-    // once; the per-worker mobility axis re-derives again relative to
-    // this resolved base.
-    let resolved = resolve_priority(problem, cfg);
-    let problem = resolved.as_ref();
     let started = Instant::now();
     let cutoff = cfg.time_limit.map(|l| started + l);
     let workers = if pcfg.workers == 0 {
@@ -361,7 +377,7 @@ pub fn optimize_portfolio_with_cache(
     // greedy phases are identical for every worker anyway.
     let mut prologue_stats = SearchStats::default();
     let (greedy_design, greedy_schedule) = {
-        let evaluator = evaluator_for(problem, cache, cfg.eval_cache);
+        let evaluator = evaluator_for(problem, &cache, cfg.eval_cache);
         let pool = WorkerPool::new(effective_threads(cfg.threads));
         let initial = initial_mpa(problem, space)?;
         greedy_mpa_with(
@@ -402,290 +418,122 @@ pub fn optimize_portfolio_with_cache(
             )
         })
         .collect();
-
-    let greedy_schedule = Arc::new(greedy_schedule);
-    let barrier = Barrier::new(workers);
-    let reports: Vec<Mutex<EpochReport>> = (0..workers)
-        .map(|_| Mutex::new(EpochReport::default()))
+    // The mobility axis searches the problem re-derived under its
+    // ordering (its own evaluator context), the others the shared
+    // problem. The shared greedy start is a valid (design, schedule)
+    // pair for either: `inject` and every candidate evaluation
+    // re-score under the worker's own evaluator.
+    let derived: Vec<Option<Problem>> = preps
+        .iter()
+        .map(|prep| {
+            (prep.priority != problem.schedule_options().priority)
+                .then(|| problem.clone().with_priority_strategy(prep.priority))
+        })
         .collect();
-    let decision_slot: Mutex<Decision> = Mutex::new(Decision::default());
-    let elite_slot: Mutex<Option<(Design, Arc<Schedule>)>> = Mutex::new(None);
-    let tally: Mutex<(usize, usize)> = Mutex::new((0, 0)); // (epochs, exchanges)
-    let finals: Vec<Mutex<Option<WorkerFinal>>> = (0..workers).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for (w, prep) in preps.iter().enumerate() {
-            let (barrier, reports, decision_slot, elite_slot, tally, finals) = (
-                &barrier,
-                &reports,
-                &decision_slot,
-                &elite_slot,
-                &tally,
-                &finals,
-            );
-            let (greedy_design, greedy_schedule) = (&greedy_design, &greedy_schedule);
-            scope.spawn(move || {
-                let mut stats = SearchStats::default();
-                let mut error: Option<OptError> = None;
-                let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-                let mut adopted = 0usize;
-
-                // A mobility-axis worker searches its re-derived
-                // problem; the shared greedy start is still a valid
-                // (design, schedule) pair — `inject` and every
-                // candidate evaluation re-score under the worker's
-                // own evaluator.
-                let wproblem = prep.problem.as_ref().unwrap_or(problem);
-                let evaluator = evaluator_for(wproblem, cache, cfg.eval_cache);
-                let pool = WorkerPool::new(prep.cfg.threads);
-                // Build the worker's search: start from the shared
-                // greedy solution, then adopt the perturbed start (a
-                // no-op inject for worker 0, whose start IS greedy).
-                let mut search = match catch_unwind(AssertUnwindSafe(|| {
-                    let mut s = TabuSearch::new(
-                        &evaluator,
-                        &pool,
-                        space,
-                        (greedy_design.clone(), Arc::clone(greedy_schedule)),
-                        &prep.cfg,
-                    );
-                    if prep.start != *greedy_design {
-                        s.inject(prep.start.clone(), &mut stats)?;
-                    }
-                    Ok::<_, OptError>(s)
-                })) {
-                    Ok(Ok(s)) => Some(s),
-                    Ok(Err(e)) => {
-                        error = Some(e);
-                        None
-                    }
-                    Err(p) => {
-                        panic = Some(p);
-                        None
-                    }
-                };
-                let mut finished = false;
-                // Worker 0's previous-epoch report snapshot, for the
-                // fixed-point stop below.
-                let mut prev_snap: Vec<EpochReport> = Vec::new();
-
-                loop {
-                    // Phase A: run one epoch quota (dead workers skip
-                    // straight to the barrier so siblings never wait
-                    // on a corpse).
-                    let mut died = false;
-                    if let Some(s) = &mut search {
-                        match catch_unwind(AssertUnwindSafe(|| {
-                            s.run(&mut stats, cutoff, Some(prep.quota))
-                        })) {
-                            Ok(Ok(pause)) => finished = pause == TabuPause::Finished,
-                            Ok(Err(e)) => {
-                                error = Some(e);
-                                died = true;
-                            }
-                            Err(p) => {
-                                panic = Some(p);
-                                died = true;
-                            }
-                        }
-                    }
-                    if died {
-                        search = None;
-                    }
-                    *reports[w].lock().expect("epoch report") = EpochReport {
-                        alive: search.is_some(),
-                        finished,
-                        best: search
-                            .as_ref()
-                            .map(|s| (s.best_cost(), s.best_is_schedulable())),
-                    };
-                    barrier.wait();
-
-                    // Phase B: worker 0 derives the decision — a pure
-                    // function of the reports (any thread computing it
-                    // would produce the same bits).
-                    if w == 0 {
-                        let snap: Vec<EpochReport> = reports
-                            .iter()
-                            .map(|r| *r.lock().expect("epoch report"))
-                            .collect();
-                        let elite = snap
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, r)| r.alive)
-                            .filter_map(|(i, r)| r.best.map(|(c, _)| (c, i)))
-                            .min();
-                        let adopters = elite.map_or(0, |(ecost, ew)| {
-                            snap.iter()
-                                .enumerate()
-                                .filter(|&(i, r)| {
-                                    i != ew && r.alive && r.best.is_some_and(|(c, _)| c > ecost)
-                                })
-                                .count()
-                        });
-                        let elite_schedulable = elite.is_some_and(|(_, ew)| {
-                            snap[ew].best.is_some_and(|(_, schedulable)| schedulable)
-                        });
-                        let all_finished = snap.iter().filter(|r| r.alive).all(|r| r.finished);
-                        // Adoption can revive a search that finished on
-                        // an empty neighbourhood, so `all_finished`
-                        // alone is not a stop. But a worker on a
-                        // diversified priority axis re-scores the
-                        // shared elite under its *own* ordering, so it
-                        // may count as an adopter forever without ever
-                        // matching the elite's reported cost. The
-                        // fixed-point test catches that: if everyone is
-                        // finished and no report moved since the last
-                        // epoch, further adoption cannot change
-                        // anything observable either.
-                        let fixed_point = all_finished && snap == prev_snap;
-                        let mut t = tally.lock().expect("portfolio tally");
-                        t.0 += 1;
-                        let stop = elite.is_none()
-                            || cutoff.is_some_and(|c| Instant::now() >= c)
-                            || (cfg.goal == Goal::MeetDeadline && elite_schedulable)
-                            || (all_finished && adopters == 0)
-                            || fixed_point;
-                        if !stop {
-                            t.1 += adopters;
-                        }
-                        prev_snap = snap;
-                        *decision_slot.lock().expect("portfolio decision") =
-                            Decision { stop, elite };
-                    }
-                    barrier.wait();
-
-                    let decision = *decision_slot.lock().expect("portfolio decision");
-                    // The elite worker publishes its solution for the
-                    // adopters (skipped on stop — nobody will read it).
-                    if !decision.stop {
-                        if let (Some((_, ew)), Some(s)) = (decision.elite, &search) {
-                            if ew == w {
-                                *elite_slot.lock().expect("elite slot") = Some(s.best());
-                            }
-                        }
-                    }
-                    barrier.wait();
-
-                    // Phase C: adopt, then next epoch.
-                    if decision.stop {
-                        break;
-                    }
-                    let mut died = false;
-                    if let (Some((ecost, ew)), Some(s)) = (decision.elite, &mut search) {
-                        if ew != w && s.best_cost() > ecost {
-                            let elite = elite_slot.lock().expect("elite slot").clone();
-                            if let Some((design, _)) = elite {
-                                match catch_unwind(AssertUnwindSafe(|| {
-                                    s.inject(design, &mut stats)
-                                })) {
-                                    Ok(Ok(())) => adopted += 1,
-                                    Ok(Err(e)) => {
-                                        error = Some(e);
-                                        died = true;
-                                    }
-                                    Err(p) => {
-                                        panic = Some(p);
-                                        died = true;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if died {
-                        search = None;
-                    }
-                }
-
-                *finals[w].lock().expect("worker final") = Some(WorkerFinal {
-                    label: prep.label.clone(),
-                    stats,
-                    adopted,
-                    best: search.as_ref().map(TabuSearch::best),
-                    error,
-                    panic,
-                });
-            });
-        }
-    });
-
-    let mut collected: Vec<WorkerFinal> = Vec::with_capacity(workers);
-    for slot in &finals {
-        collected.push(
-            slot.lock()
-                .expect("worker final")
-                .take()
-                .expect("every worker publishes a final"),
-        );
-    }
-    // Lowest-index panic first (re-raised so the original message
-    // surfaces), then lowest-index error, then the merged elite.
-    for f in &mut collected {
-        if let Some(payload) = f.panic.take() {
-            std::panic::resume_unwind(payload);
-        }
-    }
-    for f in &mut collected {
-        if let Some(e) = f.error.take() {
-            return Err(e);
-        }
-    }
-
-    let (epochs, exchanges) = *tally.lock().expect("portfolio tally");
-    let elite = collected
+    let evaluators: Vec<Evaluator<'_>> = derived
         .iter()
-        .enumerate()
-        .filter_map(|(i, f)| f.best.as_ref().map(|(_, s)| (s.cost(), i)))
-        .min()
-        .map(|(_, i)| i)
-        .expect("at least one worker survived");
-    let (design, schedule) = collected[elite]
-        .best
-        .clone()
-        .expect("elite worker has a best");
-    // A worker's best is either the shared greedy start or a schedule
-    // its own evaluator built; the greedy start never wins for a
-    // worker on a different strategy, because worker 0 (base
-    // strategy, unperturbed start) is never worse and breaks the tie.
-    let priority = preps[elite]
-        .problem
-        .as_ref()
-        .unwrap_or(problem)
-        .schedule_options()
-        .priority;
-
-    let mut stats = prologue_stats;
-    for f in &collected {
-        stats.evaluations += f.stats.evaluations;
-        stats.cache_hits += f.stats.cache_hits;
-        stats.pruned += f.stats.pruned;
-        stats.greedy_steps += f.stats.greedy_steps;
-        stats.tabu_iterations += f.stats.tabu_iterations;
-    }
-    stats.elapsed = started.elapsed();
-
-    let summaries = collected
+        .map(|d| evaluator_for(d.as_ref().unwrap_or(problem), &cache, cfg.eval_cache))
+        .collect();
+    let pools: Vec<WorkerPool> = preps
         .iter()
-        .enumerate()
-        .map(|(i, f)| WorkerSummary {
-            index: i,
-            label: f.label.clone(),
-            tabu_iterations: f.stats.tabu_iterations,
-            lookups: f.stats.lookups(),
-            pruned: f.stats.pruned,
-            best: f.best.as_ref().map(|(_, s)| s.cost()),
-            adopted: f.adopted,
+        .map(|prep| WorkerPool::new(prep.cfg.threads))
+        .collect();
+    let greedy_schedule = Arc::new(greedy_schedule);
+    let mut team: Vec<Worker<'_, '_>> = preps
+        .iter()
+        .zip(evaluators.iter().zip(&pools))
+        .map(|(prep, (evaluator, pool))| Worker {
+            label: prep.label.clone(),
+            quota: prep.quota,
+            search: TabuSearch::new(
+                evaluator,
+                pool,
+                space,
+                (greedy_design.clone(), Arc::clone(&greedy_schedule)),
+                &prep.cfg,
+            ),
+            stats: SearchStats::default(),
+            adopt: (prep.start != greedy_design).then(|| prep.start.clone()),
+            adopted: 0,
+            finished: false,
         })
         .collect();
 
-    let schedule = Arc::try_unwrap(schedule).unwrap_or_else(|shared| (*shared).clone());
+    let mut epochs = 0usize;
+    let mut exchanges = 0usize;
+    let mut previous = Vec::new();
+    let elite = loop {
+        run_epoch(&mut team, |w| w.epoch(cutoff))?;
+        epochs += 1;
+        let reports: Vec<_> = team.iter().map(Worker::report).collect();
+        let (elite_cost, elite) = reports
+            .iter()
+            .enumerate()
+            .map(|(i, &(cost, _, _))| (cost, i))
+            .min()
+            .expect("a portfolio has a worker");
+        let adopters: Vec<usize> = (0..team.len())
+            .filter(|&i| i != elite && reports[i].0 > elite_cost)
+            .collect();
+        let (_, elite_schedulable, _) = reports[elite];
+        // Adoption can revive a search that finished on an empty
+        // neighbourhood, so finishing alone is not a stop. But a
+        // worker on a diversified priority axis re-scores the shared
+        // elite under its *own* ordering, so it may count as an
+        // adopter forever without ever matching the elite's reported
+        // cost. The fixed-point test catches that: if everyone is
+        // finished and no report moved since the last epoch, further
+        // adoption cannot change anything observable either.
+        let all_finished = reports.iter().all(|&(_, _, finished)| finished);
+        let stop = cutoff.is_some_and(|c| Instant::now() >= c)
+            || (cfg.goal == Goal::MeetDeadline && elite_schedulable)
+            || (all_finished && (adopters.is_empty() || reports == previous));
+        if stop {
+            break elite;
+        }
+        exchanges += adopters.len();
+        let (design, _) = team[elite].search.best();
+        for i in adopters {
+            team[i].adopt = Some(design.clone());
+            team[i].adopted += 1;
+        }
+        previous = reports;
+    };
+
+    let mut stats = prologue_stats;
+    for w in &team {
+        stats.evaluations += w.stats.evaluations;
+        stats.cache_hits += w.stats.cache_hits;
+        stats.pruned += w.stats.pruned;
+        stats.greedy_steps += w.stats.greedy_steps;
+        stats.tabu_iterations += w.stats.tabu_iterations;
+    }
+    stats.elapsed = started.elapsed();
+    let summaries = team
+        .iter()
+        .enumerate()
+        .map(|(index, w)| WorkerSummary {
+            index,
+            label: w.label.clone(),
+            tabu_iterations: w.stats.tabu_iterations,
+            lookups: w.stats.lookups(),
+            pruned: w.stats.pruned,
+            best: w.search.best_cost(),
+            adopted: w.adopted,
+        })
+        .collect();
+    // The elite's best is either the shared greedy start or a schedule
+    // its own evaluator built; the greedy start never wins for a
+    // worker on a different strategy, because worker 0 (base
+    // strategy, unperturbed start) is never worse and breaks the tie.
+    let (design, schedule) = team.swap_remove(elite).search.into_best();
     Ok(PortfolioOutcome {
         outcome: Outcome {
             design,
             schedule,
             stats,
         },
-        priority,
+        priority: preps[elite].priority,
         workers: summaries,
         epochs,
         exchanges,
@@ -757,9 +605,7 @@ mod tests {
         assert!(out.epochs >= 1);
         // The merged elite is no worse than any worker's own best.
         for w in &out.workers {
-            if let Some(b) = w.best {
-                assert!(out.outcome.schedule.cost() <= b, "{}", w.label);
-            }
+            assert!(out.outcome.schedule.cost() <= w.best, "{}", w.label);
         }
     }
 
@@ -874,5 +720,85 @@ mod tests {
         assert_ne!(a, base, "perturbation changes the design");
         // Different seeds *may* collide but should not on this space.
         assert_ne!(a, c, "different seed, different perturbation");
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Act {
+        Work,
+        Error,
+        Panic,
+    }
+
+    /// A toy epoch participant: works, errors or panics as told.
+    struct Toy {
+        index: usize,
+        act: Act,
+        done: bool,
+    }
+
+    /// A panic payload naming the worker that raised it.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Payload(usize);
+
+    fn toy_step(t: &mut Toy) -> Result<(), usize> {
+        match t.act {
+            Act::Work => {
+                t.done = true;
+                Ok(())
+            }
+            Act::Error => Err(t.index),
+            Act::Panic => std::panic::panic_any(Payload(t.index)),
+        }
+    }
+
+    /// Runs one epoch of toys on a thread of its own, so a re-raised
+    /// panic comes back as its payload; also returns which toys
+    /// finished their step.
+    fn toy_epoch(acts: &[Act]) -> (std::thread::Result<Result<(), usize>>, Vec<bool>) {
+        let mut toys: Vec<Toy> = acts
+            .iter()
+            .enumerate()
+            .map(|(index, &act)| Toy {
+                index,
+                act,
+                done: false,
+            })
+            .collect();
+        let result = std::thread::scope(|s| s.spawn(|| run_epoch(&mut toys, toy_step)).join());
+        (result, toys.iter().map(|t| t.done).collect())
+    }
+
+    #[test]
+    fn an_epoch_re_raises_the_lowest_panic_after_every_sibling_finishes() {
+        use Act::{Error, Panic, Work};
+        for acts in [
+            [Work, Error, Panic, Work],
+            [Panic, Error, Work, Work],
+            [Error, Work, Panic, Panic],
+        ] {
+            let (result, done) = toy_epoch(&acts);
+            let payload = result.expect_err("a panic outranks an error");
+            let first = acts.iter().position(|&a| a == Panic).unwrap();
+            assert_eq!(
+                payload.downcast_ref::<Payload>(),
+                Some(&Payload(first)),
+                "{acts:?}: the lowest-index panic keeps its own payload"
+            );
+            for (i, &act) in acts.iter().enumerate() {
+                assert_eq!(done[i], act == Work, "{acts:?}: worker {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_epoch_returns_the_lowest_index_error() {
+        use Act::{Error, Work};
+        let (result, done) = toy_epoch(&[Work, Error, Work, Error]);
+        assert_eq!(result.unwrap(), Err(1));
+        assert_eq!(done, [true, false, true, false]);
+        assert_eq!(toy_epoch(&[Error, Error]).0.unwrap(), Err(0));
+        let (result, done) = toy_epoch(&[Work]);
+        assert_eq!(result.unwrap(), Ok(()));
+        assert_eq!(done, [true]);
     }
 }

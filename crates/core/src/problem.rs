@@ -36,6 +36,19 @@ const DEFAULT_CHECKPOINT_LEVELS: u32 = 4;
 /// hundred MB.
 pub const MAX_PROCESS_NODE_PAIRS: usize = 1 << 20;
 
+/// The largest checkpoint count the search may assign to a process:
+/// 2²⁰. [`Problem::with_max_checkpoints`] clamps to it, and the CLI's
+/// `--max-checkpoints` and a sweep spec's `max_checkpoints` refuse a
+/// larger value. The move generators list one decision per count for
+/// every budgeted (level, primary node) pair, so one process's list
+/// is levels × eligible nodes × counts, and an unbounded count
+/// allocates without bound. More segments only pay up to the classic
+/// optimum √(k·C/χ) of a process with WCET `C`, and 2²⁰ covers it
+/// whenever k·C/χ is below 2⁴⁰ (at k = 1 and χ = 1 µs, a WCET of 12
+/// days). Within the cap, the horizon budget prices every count's
+/// saves.
+pub const MAX_CHECKPOINTS: u32 = 1 << 20;
+
 /// The largest worst-case schedule horizon, in microseconds, a problem
 /// may describe ([`Problem::fits_horizon_budget`]): a quarter of the
 /// `u64` range. The scheduler adds up to three horizon-sized times (a
@@ -119,11 +132,12 @@ impl Problem {
     /// neighbourhood (replication level × primary node × checkpoint
     /// count). `1` disables checkpoint moves. The default is derived
     /// from the fault model (`1` when `χ = 0`, since free checkpoints
-    /// degenerate the trade-off; 4 otherwise). **Search-space knob**,
-    /// set from the CLI by `--max-checkpoints`.
+    /// degenerate the trade-off; 4 otherwise). Values are clamped to
+    /// `1..=`[`MAX_CHECKPOINTS`]. **Search-space knob**, set from the
+    /// CLI by `--max-checkpoints`.
     #[must_use]
     pub fn with_max_checkpoints(mut self, max_checkpoints: u32) -> Self {
-        self.max_checkpoints = max_checkpoints.max(1);
+        self.max_checkpoints = max_checkpoints.clamp(1, MAX_CHECKPOINTS);
         self
     }
 
@@ -150,8 +164,8 @@ impl Problem {
     /// (paper §5.1, default) or mobility (ALAP − ASAP float).
     /// **Search-space knob** — strategies legitimately produce
     /// different (both valid) designs, and the strategy participates
-    /// in the evaluator's cache-context fingerprint.
-    /// [`crate::SearchConfig::priority`] overrides it per search.
+    /// in the evaluator's cache-context fingerprint. The portfolio's
+    /// mobility-axis worker searches a problem derived through it.
     #[must_use]
     pub fn with_priority_strategy(mut self, strategy: PriorityStrategy) -> Self {
         self.options.priority = strategy;

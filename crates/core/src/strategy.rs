@@ -135,30 +135,12 @@ pub fn optimize_with_cache(
     optimize_shared(problem, strategy, cfg, Some(Arc::clone(cache)))
 }
 
-/// Resolves the [`SearchConfig::priority`] override: `Some(s)` that
-/// differs from the problem's configured strategy re-derives the
-/// problem under `s` (the evaluator's cache context covers the
-/// strategy, so shared caches stay sound); otherwise the problem is
-/// borrowed as-is.
-pub(crate) fn resolve_priority<'p>(
-    problem: &'p Problem,
-    cfg: &SearchConfig,
-) -> std::borrow::Cow<'p, Problem> {
-    match cfg.priority {
-        Some(s) if s != problem.schedule_options().priority => {
-            std::borrow::Cow::Owned(problem.clone().with_priority_strategy(s))
-        }
-        _ => std::borrow::Cow::Borrowed(problem),
-    }
-}
-
 fn optimize_shared(
     problem: &Problem,
     strategy: Strategy,
     cfg: &SearchConfig,
     cache: Option<Arc<EvalCache>>,
 ) -> Result<Outcome, OptError> {
-    let problem = &*resolve_priority(problem, cfg);
     let started = Instant::now();
     let cutoff = cfg.time_limit.map(|l| started + l);
     let mut stats = SearchStats::default();

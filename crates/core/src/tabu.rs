@@ -62,7 +62,7 @@ fn select_candidate(
     n: usize,
 ) -> Option<usize> {
     let is_tabu = |c: &Candidate| tabu[c.mv.process.index()] > 0;
-    let aspirates = |c: &Candidate| cfg.aspiration && c.cost() < best_cost;
+    let aspirates = |c: &Candidate| c.cost() < best_cost;
     let is_waiting = |c: &Candidate| cfg.diversification && wait[c.mv.process.index()] > n;
     let admissible = |c: &Candidate| !is_tabu(c) || aspirates(c) || is_waiting(c);
     let best_of = |pred: &dyn Fn(&Candidate) -> bool| -> Option<usize> {
@@ -90,8 +90,8 @@ fn select_candidate(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TabuPause {
     /// The per-call iteration budget was consumed; the search can
-    /// continue from exactly where it stopped (this is the portfolio
-    /// engine's epoch barrier).
+    /// continue from exactly where it stopped (this is where a
+    /// portfolio epoch ends).
     Budget,
     /// The search is done: the goal was reached, the neighbourhood is
     /// empty, the iteration cap was hit, or the wall-clock cutoff
@@ -105,7 +105,7 @@ pub enum TabuPause {
 /// [`tabu_search_mpa`] runs it to completion in one call; the
 /// portfolio engine ([`crate::portfolio`]) instead interleaves
 /// bounded [`TabuSearch::run`] chunks with deterministic elite
-/// exchanges ([`TabuSearch::inject`]) at epoch barriers. All search
+/// exchanges ([`TabuSearch::inject`]) between epochs. All search
 /// state — tabu tenures, waiting times, the rotating neighbourhood
 /// window offset, the incremental placement checkpoints — survives
 /// across calls, so a sequence of budgeted `run` calls walks the
@@ -114,7 +114,7 @@ pub struct TabuSearch<'e, 'p> {
     evaluator: &'e Evaluator<'p>,
     pool: &'e WorkerPool,
     cfg: SearchConfig,
-    table: MoveTable,
+    table: MoveTable<'p>,
     tabu: Vec<usize>,
     wait: Vec<usize>,
     window: Vec<MoveRef>,
@@ -671,18 +671,14 @@ mod option_tests {
             ..SearchConfig::default()
         };
         let (full, _) = run(&base);
-        let (no_asp, _) = run(&SearchConfig {
-            aspiration: false,
-            ..base.clone()
-        });
         let (no_div, _) = run(&SearchConfig {
             diversification: false,
             ..base.clone()
         });
-        // All converge to something; soundness = deterministic,
+        // Both converge to something; soundness = deterministic,
         // comparable lengths (the richer machinery never loses by
         // more than it explores).
-        for v in [full, no_asp, no_div] {
+        for v in [full, no_div] {
             assert!(v > ftdes_model::time::Time::ZERO);
         }
     }

@@ -29,10 +29,10 @@
 //!
 //! Count flags have documented maxima: `--scenarios` 100000,
 //! `--portfolio` and `sweep --workers` 256 (the engine's thread
-//! maximum, `MAX_THREADS`), `--procs` 16384 (`MAX_MERGED_PROCESSES`)
-//! and `--procs` × `--nodes` 2²⁰ (`MAX_PROCESS_NODE_PAIRS`, which
-//! problem files are held to as well). A value past its maximum is a
-//! usage error.
+//! maximum, `MAX_THREADS`), `--procs` 16384 (`MAX_MERGED_PROCESSES`),
+//! `--procs` × `--nodes` 2²⁰ (`MAX_PROCESS_NODE_PAIRS`, which
+//! problem files are held to as well) and `--max-checkpoints` 2²⁰
+//! (`MAX_CHECKPOINTS`). A value past its maximum is a usage error.
 //!
 //! Exit codes are classified sysexits-style: `2` usage, `65` malformed
 //! input (problem file, sweep spec, or corrupt store — and any problem
@@ -70,7 +70,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use ftdes_bench::jobs::SweepExec;
-use ftdes_core::problem::MAX_PROCESS_NODE_PAIRS;
+use ftdes_core::problem::{MAX_CHECKPOINTS, MAX_PROCESS_NODE_PAIRS};
 use ftdes_core::repair::{repair, RepairBudget};
 use ftdes_core::{
     optimize, optimize_bus, optimize_portfolio, BusOptConfig, Goal, PolicySpace, PortfolioConfig,
@@ -384,11 +384,15 @@ impl Options {
                         parse_ms("--chi-ms", &value("--chi-ms")?)?;
                 }
                 "--max-checkpoints" => {
-                    o.max_checkpoints = Some(
-                        value("--max-checkpoints")?
-                            .parse()
-                            .map_err(|_| "invalid --max-checkpoints".to_owned())?,
-                    );
+                    let n: u32 = value("--max-checkpoints")?
+                        .parse()
+                        .map_err(|_| "invalid --max-checkpoints".to_owned())?;
+                    if n > MAX_CHECKPOINTS {
+                        return Err(format!(
+                            "invalid --max-checkpoints: {n} (at most {MAX_CHECKPOINTS})"
+                        ));
+                    }
+                    o.max_checkpoints = Some(n);
                 }
                 "--density" => {
                     o.family.get_or_insert_with(Default::default).density = value("--density")?
@@ -526,13 +530,7 @@ fn run(out: &mut impl Write, args: &[String]) -> Result<(), CliError> {
                     writeln!(
                         out,
                         "worker {} [{}]: best = {}, iterations = {}, lookups = {}, adopted = {}",
-                        w.index,
-                        w.label,
-                        w.best
-                            .map_or_else(|| "-".to_owned(), |c| format!("{}", c.length)),
-                        w.tabu_iterations,
-                        w.lookups,
-                        w.adopted
+                        w.index, w.label, w.best.length, w.tabu_iterations, w.lookups, w.adopted
                     )?;
                 }
                 writeln!(

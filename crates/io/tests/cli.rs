@@ -385,6 +385,34 @@ fn count_flags_past_their_maximum_are_usage_errors() {
         ],
         &format!("at most {pairs} process-node pairs"),
     );
+
+    // The search lists one move per checkpoint count, so a count past
+    // the cap would allocate without bound (the solve aborted at
+    // u32::MAX).
+    let checkpoints = ftdes_core::problem::MAX_CHECKPOINTS;
+    for v in [u64::from(checkpoints) + 1, u64::from(u32::MAX)] {
+        let v = v.to_string();
+        usage_error(
+            &[
+                "solve",
+                "--family",
+                "paper",
+                "--procs",
+                "10",
+                "--nodes",
+                "2",
+                "--k",
+                "1",
+                "--chi-ms",
+                "1",
+                "--max-checkpoints",
+                &v,
+                "--time-ms",
+                "200",
+            ],
+            &format!("invalid --max-checkpoints: {v} (at most {checkpoints})"),
+        );
+    }
 }
 
 #[test]
@@ -456,6 +484,32 @@ fn info_reads_the_largest_accepted_file_in_bounded_memory() {
     assert!(
         stdout.contains(&format!("processes: {processes}, edges: 0, nodes: {nodes}")),
         "stdout: {stdout}"
+    );
+}
+
+/// The largest generated instance: 16,384 processes on 64 nodes at
+/// k = 63, so every process admits 64 replication levels on each of
+/// its 64 primaries. `solve` must finish under a 4 GB address-space
+/// limit: the search enumerates the moves of the processes its windows
+/// visit, not of all 16,384. Run it in release:
+/// `cargo test --release -p ftdes-io --test cli -- --ignored`.
+#[test]
+#[ignore = "a 16,384-process solve; CI runs it in release"]
+fn solve_on_the_largest_generated_instance_runs_in_bounded_memory() {
+    let out = Command::new("sh")
+        .arg("-c")
+        .arg(
+            r#"ulimit -v 4000000; exec "$0" solve --family paper --procs 16384 --nodes 64 \
+               --k 63 --time-ms 500"#,
+        )
+        .arg(env!("CARGO_BIN_EXE_ftdes"))
+        .output()
+        .expect("shell runs");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
     );
 }
 

@@ -339,11 +339,13 @@ fn status_reports_progress_without_driving() {
 #[test]
 fn out_of_range_knobs_exit_65_without_a_store() {
     // Each value used to wrap or truncate into a different sweep that
-    // ran and exited 0: k = 1, µ = 384 µs, a wrapped χ.
+    // ran and exited 0 (k = 1, µ = 384 µs, a wrapped χ), or, for the
+    // checkpoint count, to list one move per count.
     for (line, key) in [
         ("faults 4294967297", "faults"),
         ("mu_ms 18446744073709552", "mu_ms"),
         ("chi_permille 400000000000000", "chi_permille"),
+        ("max_checkpoints 1048577", "max_checkpoints"),
     ] {
         let original = TINY_CHI
             .lines()

@@ -114,19 +114,15 @@ fn tabu_strategy_matrix_threads_and_repeats() {
 /// The mobility priority strategy rides the same contract: it is a
 /// search-space knob (different trajectories than PCP are expected
 /// and tested elsewhere), but under a *fixed* strategy the trajectory
-/// must stay bit-identical across thread counts and repeats, on both
-/// the config-override and problem-builder spellings.
+/// must stay bit-identical across thread counts and repeats.
 #[test]
 fn mobility_strategy_matrix_threads_and_repeats() {
     for (name, problem) in instances() {
-        let mobility_cfg = |threads| SearchConfig {
-            priority: Some(ftdes::core::PriorityStrategy::Mobility),
-            ..cfg(threads)
-        };
-        let reference = optimize(&problem, Strategy::Mxr, &mobility_cfg(1)).unwrap();
+        let problem = problem.with_priority_strategy(ftdes::core::PriorityStrategy::Mobility);
+        let reference = optimize(&problem, Strategy::Mxr, &cfg(1)).unwrap();
         for threads in THREAD_MATRIX {
             for repeat in 0..2 {
-                let run = optimize(&problem, Strategy::Mxr, &mobility_cfg(threads)).unwrap();
+                let run = optimize(&problem, Strategy::Mxr, &cfg(threads)).unwrap();
                 assert_outcomes_identical(
                     &format!("{name}/mobility t={threads} r={repeat}"),
                     &reference,
@@ -134,13 +130,6 @@ fn mobility_strategy_matrix_threads_and_repeats() {
                 );
             }
         }
-        // The problem-level builder is the same knob spelled
-        // differently — it must land on the identical trajectory.
-        let via_builder = problem
-            .clone()
-            .with_priority_strategy(ftdes::core::PriorityStrategy::Mobility);
-        let run = optimize(&via_builder, Strategy::Mxr, &cfg(1)).unwrap();
-        assert_outcomes_identical(&format!("{name}/mobility via-builder"), &reference, &run);
     }
 }
 

@@ -100,34 +100,23 @@ fn mobility_ordering_produces_valid_designs() {
     // The mobility priority strategy is a SEARCH-SPACE knob: it
     // reorders the ready list, so costs may differ from the
     // partial-critical-path default — but every design it yields must
-    // still be valid and reproducible, through both the config
-    // override and the problem-level builder.
+    // still be valid and reproducible.
     for seed in 0..3 {
-        let base = problem(10, 3, 2, seed);
-        let via_cfg = optimize(
-            &base,
-            Strategy::Mxr,
-            &SearchConfig {
-                priority: Some(PriorityStrategy::Mobility),
-                ..cfg()
-            },
-        )
-        .unwrap();
-        via_cfg
+        let mobility_problem =
+            problem(10, 3, 2, seed).with_priority_strategy(PriorityStrategy::Mobility);
+        let outcome = optimize(&mobility_problem, Strategy::Mxr, &cfg()).unwrap();
+        outcome
             .design
             .validate(
-                base.arch(),
-                base.wcet(),
-                base.fault_model(),
-                base.constraints(),
+                mobility_problem.arch(),
+                mobility_problem.wcet(),
+                mobility_problem.fault_model(),
+                mobility_problem.constraints(),
             )
             .unwrap_or_else(|e| panic!("seed {seed}: invalid mobility design: {e}"));
-        let mobility_problem = base
-            .clone()
-            .with_priority_strategy(PriorityStrategy::Mobility);
         assert_eq!(
-            mobility_problem.evaluate(&via_cfg.design).unwrap().length(),
-            via_cfg.length(),
+            mobility_problem.evaluate(&outcome.design).unwrap().length(),
+            outcome.length(),
             "seed {seed}: mobility cost not reproducible"
         );
     }
@@ -145,11 +134,10 @@ fn mobility_and_pcp_explore_genuinely_different_orderings() {
         let base = problem(14, 3, 2, seed);
         let run = |priority| {
             optimize(
-                &base,
+                &base.clone().with_priority_strategy(priority),
                 Strategy::Mxr,
                 &SearchConfig {
                     goal: Goal::MinimizeLength,
-                    priority,
                     time_limit: None,
                     max_tabu_iterations: 20,
                     ..SearchConfig::default()
@@ -157,8 +145,8 @@ fn mobility_and_pcp_explore_genuinely_different_orderings() {
             )
             .unwrap()
         };
-        let pcp = run(Some(PriorityStrategy::PartialCriticalPath));
-        let mobility = run(Some(PriorityStrategy::Mobility));
+        let pcp = run(PriorityStrategy::PartialCriticalPath);
+        let mobility = run(PriorityStrategy::Mobility);
         if pcp.design != mobility.design
             || pcp.stats.evaluations != mobility.stats.evaluations
             || pcp.stats.greedy_steps != mobility.stats.greedy_steps
