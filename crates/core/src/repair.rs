@@ -23,24 +23,31 @@
 //! | rung | effort | accepts when |
 //! |---|---|---|
 //! | 0 [`RepairRung::Revalidate`] | validate + one evaluation | projected design schedulable **and** nothing dirty |
-//! | 1 [`RepairRung::Localized`] | tabu over the dirty decisions only | converged to a schedulable local optimum in budget |
-//! | 2 [`RepairRung::Warm`] | full warm-started tabu | schedulable within its slice |
+//! | 1 [`RepairRung::Localized`] | [`TabuSearch`] drawing its windows from the dirty processes | converged, schedulable, before its slice ends |
+//! | 2 [`RepairRung::Warm`] | [`TabuSearch`] over the critical path | finished, schedulable, before its slice ends |
 //! | 3 [`RepairRung::Scratch`] | from-scratch [`optimize_with_cache`] | best effort (last resort) |
 //!
 //! Rung 0's acceptance returns immediately (nothing changed that the
-//! old design does not already answer). Rungs 1 and 2 form a
-//! progressive polish: an accepted localized repair is still handed
-//! to the warm tabu, whose slice widens the search to the clean
-//! decisions the delta's load shift may have invalidated in spirit if
-//! not in letter. Rung 3 runs only when no earlier rung accepted —
+//! old design does not already answer). Rungs 1 and 2 are the engine's
+//! one tabu search, started from the best design so far, and form a
+//! progressive polish. Rung 1 is [`TabuSearch::focused`] on the dirty
+//! processes: clean decisions never move, and it has converged once
+//! `max(2·|dirty|, 4)` iterations in a row bring no new best, or when
+//! the search finishes (goal met, empty or unselectable window,
+//! iteration cap). An accepted localized repair is still handed to
+//! rung 2, whose windows reach the clean decisions the delta's load
+//! shift may have invalidated in spirit if not in letter. Both share
+//! the iteration cap and end [`RungStatus::TimedOut`] when their
+//! slice ends first. Rung 3 runs only when no earlier rung accepted —
 //! it is the fallback, not a routine fourth pass.
 //!
 //! Every rung shares one [`Evaluator`] over one `Arc`-shared
 //! [`EvalCache`]: the cache keys mix the *post-delta* problem
 //! fingerprint, so entries from the pre-delta problem can never alias
 //! (soundness), while rungs 1–3 reuse each other's candidate costs
-//! (warmness). Rungs carry their best design forward, so escalation
-//! never loses quality already found.
+//! (warmness). One running record keeps every attempt, the summed
+//! statistics and the best design so far, so escalation never loses
+//! quality already found.
 
 use std::fmt;
 use std::sync::Arc;
@@ -54,7 +61,7 @@ use ftdes_model::policy::{FtPolicy, MappingConstraint};
 use ftdes_model::time::Time;
 use ftdes_sched::Schedule;
 
-use crate::cache::{EvalCache, EvalOutcome, Evaluator};
+use crate::cache::{EvalCache, Evaluator};
 use crate::config::{SearchConfig, SearchStats};
 use crate::error::OptError;
 use crate::moves::candidate_decisions;
@@ -62,7 +69,7 @@ use crate::parallel::{effective_threads, WorkerPool};
 use crate::problem::Problem;
 use crate::space::PolicySpace;
 use crate::strategy::{optimize_with_cache, Strategy};
-use crate::tabu::tabu_search_mpa_with;
+use crate::tabu::{TabuPause, TabuSearch};
 
 /// Builds the post-delta problem: the delta's graph and WCET table on
 /// the unchanged architecture and bus, with designer constraints
@@ -423,20 +430,52 @@ pub fn repair_with_cache(
     run_ladder(new_problem, projected, report, budget, cfg, cache)
 }
 
-/// Best-so-far carried between rungs.
-struct Carried {
-    design: Design,
-    schedule: Arc<Schedule>,
-    rung: RepairRung,
+/// The ladder's running record: every attempt so far, the search
+/// statistics summed over the rungs, and the best design found with
+/// the rung that produced it.
+#[derive(Default)]
+struct Ladder {
+    attempts: Vec<RungAttempt>,
+    stats: SearchStats,
+    best: Option<(Design, Arc<Schedule>, RepairRung)>,
 }
 
-impl Carried {
+impl Ladder {
+    /// Records how `rung`, started at `since`, ended.
+    fn record(
+        &mut self,
+        rung: RepairRung,
+        status: RungStatus,
+        since: Instant,
+        length: Option<Time>,
+    ) {
+        self.attempts.push(RungAttempt {
+            rung,
+            status,
+            elapsed: since.elapsed(),
+            length,
+        });
+    }
+
+    /// Keeps `design` when its cost (violation first, then length)
+    /// beats the best so far: escalation never loses quality.
     fn offer(&mut self, design: Design, schedule: Arc<Schedule>, rung: RepairRung) {
-        if schedule.cost() < self.schedule.cost() {
-            self.design = design;
-            self.schedule = schedule;
-            self.rung = rung;
+        if self
+            .best
+            .as_ref()
+            .is_none_or(|(_, best, _)| schedule.cost() < best.cost())
+        {
+            self.best = Some((design, schedule, rung));
         }
+    }
+
+    /// Whether some rung accepted: an accepted rung produced a
+    /// schedulable design, and `offer` keeps the cost minimum, so the
+    /// best so far is schedulable.
+    fn accepted(&self) -> bool {
+        self.attempts
+            .iter()
+            .any(|a| a.status == RungStatus::Accepted)
     }
 }
 
@@ -450,8 +489,7 @@ fn run_ladder(
 ) -> Result<RepairOutcome, RepairError> {
     let pool = WorkerPool::new(effective_threads(cfg.threads));
     let evaluator = Evaluator::with_shared_cache(&problem, Arc::clone(cache));
-    let mut stats = SearchStats::default();
-    let mut attempts = Vec::new();
+    let mut ladder = Ladder::default();
     let started = Instant::now();
 
     // Rung slices ignore cfg.time_limit: the ladder owns wall-clock.
@@ -462,419 +500,181 @@ fn run_ladder(
 
     // --- Rung 0: re-validate the projected design as-is. ---
     let t0 = Instant::now();
-    let projected_schedule = match projected.validate(
-        problem.arch(),
-        problem.wcet(),
-        problem.fault_model(),
-        problem.constraints(),
-    ) {
-        Ok(()) => match evaluator.schedule(&projected) {
-            Ok(schedule) => Some(schedule),
-            Err(e) => {
-                attempts.push(RungAttempt {
-                    rung: RepairRung::Revalidate,
-                    status: RungStatus::Rejected(format!(
-                        "projected design fails to schedule: {e}"
-                    )),
-                    elapsed: t0.elapsed(),
-                    length: None,
-                });
-                None
-            }
-        },
-        Err(e) => {
-            attempts.push(RungAttempt {
-                rung: RepairRung::Revalidate,
-                status: RungStatus::Rejected(format!("projected design invalid: {e}")),
-                elapsed: t0.elapsed(),
-                length: None,
-            });
-            None
-        }
-    };
-    let mut carried = match projected_schedule {
-        Some(schedule) => {
-            stats.evaluations += 1;
-            let schedulable = schedule.is_schedulable();
-            if schedulable && report.fully_compatible() {
-                attempts.push(RungAttempt {
-                    rung: RepairRung::Revalidate,
-                    status: RungStatus::Accepted,
-                    elapsed: t0.elapsed(),
-                    length: Some(schedule.length()),
-                });
-                stats.elapsed = started.elapsed();
-                return Ok(RepairOutcome {
-                    problem,
-                    design: projected,
-                    schedule: Arc::unwrap_or_clone(schedule),
-                    rung: RepairRung::Revalidate,
-                    attempts,
-                    report,
-                    stats,
-                });
-            }
-            attempts.push(RungAttempt {
-                rung: RepairRung::Revalidate,
-                status: RungStatus::Rejected(if schedulable {
-                    format!("{} dirty decision(s) to re-optimize", report.dirty().len())
-                } else {
-                    "projected design misses deadlines".to_string()
-                }),
-                elapsed: t0.elapsed(),
-                length: Some(schedule.length()),
-            });
-            Some(Carried {
-                design: projected.clone(),
-                schedule,
-                rung: RepairRung::Revalidate,
-            })
-        }
-        None => None,
-    };
-
-    // --- Rung 1: localized tabu over the dirty decisions. ---
-    let t1 = Instant::now();
-    let dirty: Vec<ProcessId> = report.dirty_processes().collect();
-    if dirty.is_empty() {
-        attempts.push(RungAttempt {
-            rung: RepairRung::Localized,
-            status: RungStatus::Skipped("no dirty decisions to search".into()),
-            elapsed: Duration::ZERO,
-            length: None,
+    let revalidated = projected
+        .validate(
+            problem.arch(),
+            problem.wcet(),
+            problem.fault_model(),
+            problem.constraints(),
+        )
+        .map_err(|e| format!("projected design invalid: {e}"))
+        .and_then(|()| {
+            evaluator
+                .schedule(&projected)
+                .map_err(|e| format!("projected design fails to schedule: {e}"))
         });
-    } else if let Some(base) = &carried {
-        let deadline = t1 + budget.localized;
-        match localized_tabu(
-            &evaluator,
-            &pool,
-            &dirty,
-            base.design.clone(),
-            &cfg,
-            deadline,
-            &mut stats,
-        ) {
-            Ok(local) => {
-                let accepted = local.converged && local.schedule.is_schedulable();
-                let length = local.schedule.length();
-                carried.as_mut().expect("base exists").offer(
-                    local.design,
-                    local.schedule,
-                    RepairRung::Localized,
-                );
-                // Accepted does not return yet: rung 2 polishes the
-                // localized optimum within its own slice (the
-                // localized neighborhood cannot move clean decisions,
-                // whose context the delta may have changed a lot).
-                attempts.push(RungAttempt {
-                    rung: RepairRung::Localized,
-                    status: if accepted {
-                        RungStatus::Accepted
-                    } else if local.converged {
-                        RungStatus::Rejected("local optimum misses deadlines".into())
-                    } else {
+    match revalidated {
+        Ok(schedule) => {
+            ladder.stats.evaluations += 1;
+            let status = if !schedule.is_schedulable() {
+                RungStatus::Rejected("projected design misses deadlines".into())
+            } else if !report.fully_compatible() {
+                RungStatus::Rejected(format!(
+                    "{} dirty decision(s) to re-optimize",
+                    report.dirty().len()
+                ))
+            } else {
+                RungStatus::Accepted
+            };
+            ladder.record(RepairRung::Revalidate, status, t0, Some(schedule.length()));
+            ladder.offer(projected, schedule, RepairRung::Revalidate);
+        }
+        Err(reason) => ladder.record(
+            RepairRung::Revalidate,
+            RungStatus::Rejected(reason),
+            t0,
+            None,
+        ),
+    }
+
+    // --- Rungs 1 and 2: the tabu search from the best so far, first
+    // over the dirty decisions, then over the whole design. Rung 0's
+    // acceptance returns at once (nothing changed that the old design
+    // does not already answer); an accepted rung 1 is still polished
+    // by rung 2, whose window reaches the clean decisions the delta's
+    // load shift may have invalidated in spirit if not in letter.
+    if !ladder.accepted() {
+        let dirty: Vec<ProcessId> = report.dirty_processes().collect();
+        let rungs = [
+            (RepairRung::Localized, budget.localized),
+            (RepairRung::Warm, budget.warm),
+        ];
+        for (rung, slice) in rungs {
+            let t = Instant::now();
+            let localized = rung == RepairRung::Localized;
+            let Some((design, schedule, _)) = &ladder.best else {
+                let reason = "no valid warm start to search from";
+                ladder.record(rung, RungStatus::Skipped(reason.into()), t, None);
+                continue;
+            };
+            if localized && dirty.is_empty() {
+                let reason = "no dirty decisions to search";
+                ladder.record(rung, RungStatus::Skipped(reason.into()), t, None);
+                continue;
+            }
+            let start = (design.clone(), Arc::clone(schedule));
+            let mut search = TabuSearch::new(&evaluator, &pool, PolicySpace::Mixed, start, &cfg);
+            // Rung 1 has converged once this many iterations in a row
+            // bring no new best.
+            let mut stall = None;
+            if localized {
+                search = search.focused(dirty.clone());
+                stall = Some((2 * dirty.len()).max(4));
+            }
+            match polish(&mut search, &mut ladder.stats, t + slice, stall) {
+                Ok(timed_out) => {
+                    let (design, schedule) = search.best();
+                    let status = if timed_out {
                         RungStatus::TimedOut
-                    },
-                    elapsed: t1.elapsed(),
-                    length: Some(length),
-                });
-            }
-            Err(e) => attempts.push(RungAttempt {
-                rung: RepairRung::Localized,
-                status: RungStatus::Rejected(format!("localized search failed: {e}")),
-                elapsed: t1.elapsed(),
-                length: None,
-            }),
-        }
-    } else {
-        attempts.push(RungAttempt {
-            rung: RepairRung::Localized,
-            status: RungStatus::Skipped("no valid warm start to search from".into()),
-            elapsed: Duration::ZERO,
-            length: None,
-        });
-    }
-
-    // --- Rung 2: full warm-started tabu. ---
-    let t2 = Instant::now();
-    if budget.warm.is_zero() {
-        // Warm tabu is an anytime search: with a cutoff already in the
-        // past it would hand back the start design unchanged, which
-        // must not count as this rung "producing" a repair.
-        attempts.push(RungAttempt {
-            rung: RepairRung::Warm,
-            status: RungStatus::TimedOut,
-            elapsed: Duration::ZERO,
-            length: None,
-        });
-    } else if let Some(base) = &carried {
-        let start = (base.design.clone(), (*base.schedule).clone());
-        let cutoff = Some(t2 + budget.warm);
-        match tabu_search_mpa_with(
-            &evaluator,
-            &pool,
-            PolicySpace::Mixed,
-            start,
-            &cfg,
-            cutoff,
-            &mut stats,
-        ) {
-            Ok((design, schedule)) => {
-                let schedule = Arc::new(schedule);
-                let length = schedule.length();
-                let accepted = schedule.is_schedulable();
-                carried.as_mut().expect("base exists").offer(
-                    design,
-                    Arc::clone(&schedule),
-                    RepairRung::Warm,
-                );
-                attempts.push(RungAttempt {
-                    rung: RepairRung::Warm,
-                    status: if accepted {
+                    } else if schedule.is_schedulable() {
                         RungStatus::Accepted
                     } else {
-                        RungStatus::Rejected("warm tabu result misses deadlines".into())
-                    },
-                    elapsed: t2.elapsed(),
-                    length: Some(length),
-                });
-            }
-            Err(e) => attempts.push(RungAttempt {
-                rung: RepairRung::Warm,
-                status: RungStatus::Rejected(format!("warm tabu failed: {e}")),
-                elapsed: t2.elapsed(),
-                length: None,
-            }),
-        }
-    } else {
-        attempts.push(RungAttempt {
-            rung: RepairRung::Warm,
-            status: RungStatus::Skipped("no valid warm start".into()),
-            elapsed: Duration::ZERO,
-            length: None,
-        });
-    }
-
-    // Rungs 1–2 are a progressive polish of the projected design;
-    // the from-scratch fallback only runs when neither of them (nor
-    // rung 0) *accepted* — a merely-schedulable carry (e.g. a dirty
-    // projection that happens to meet deadlines) is not endorsement,
-    // or the ladder could return unpolished designs whenever the
-    // earlier rungs time out.
-    let endorsed = attempts.iter().any(|a| a.status == RungStatus::Accepted);
-    if endorsed {
-        if let Some(best) = carried {
-            // An Accepted rung produced a zero-violation design and
-            // `offer` keeps the cost minimum (violation first), so
-            // the carried best is schedulable.
-            stats.elapsed = started.elapsed();
-            return Ok(RepairOutcome {
-                problem,
-                design: best.design,
-                schedule: Arc::unwrap_or_clone(best.schedule),
-                rung: best.rung,
-                attempts,
-                report,
-                stats,
-            });
-        }
-    }
-
-    // --- Rung 3: from scratch (shares the ladder's cache). ---
-    let t3 = Instant::now();
-    let scratch_cfg = SearchConfig {
-        time_limit: Some(budget.scratch),
-        ..cfg.clone()
-    };
-    match optimize_with_cache(&problem, Strategy::Mxr, &scratch_cfg, cache) {
-        Ok(outcome) => {
-            stats.evaluations += outcome.stats.evaluations;
-            stats.cache_hits += outcome.stats.cache_hits;
-            stats.pruned += outcome.stats.pruned;
-            stats.greedy_steps += outcome.stats.greedy_steps;
-            stats.tabu_iterations += outcome.stats.tabu_iterations;
-            let schedule = Arc::new(outcome.schedule);
-            let length = schedule.length();
-            attempts.push(RungAttempt {
-                rung: RepairRung::Scratch,
-                status: if schedule.is_schedulable() {
-                    RungStatus::Accepted
-                } else {
-                    RungStatus::Rejected("even from-scratch search misses deadlines".into())
-                },
-                elapsed: t3.elapsed(),
-                length: Some(length),
-            });
-            match carried.as_mut() {
-                Some(c) => c.offer(outcome.design, schedule, RepairRung::Scratch),
-                None => {
-                    carried = Some(Carried {
-                        design: outcome.design,
-                        schedule,
-                        rung: RepairRung::Scratch,
-                    });
+                        RungStatus::Rejected(format!("{rung} result misses deadlines"))
+                    };
+                    ladder.record(rung, status, t, Some(schedule.length()));
+                    ladder.offer(design, schedule, rung);
+                }
+                Err(e) => {
+                    let status = RungStatus::Rejected(format!("{rung} search failed: {e}"));
+                    ladder.record(rung, status, t, None);
                 }
             }
         }
-        Err(e) => {
-            attempts.push(RungAttempt {
-                rung: RepairRung::Scratch,
-                status: RungStatus::Rejected(format!("from-scratch search failed: {e}")),
-                elapsed: t3.elapsed(),
-                length: None,
-            });
+    }
+
+    // --- Rung 3: from scratch (shares the ladder's cache), when no
+    // rung accepted — a merely-schedulable carry (e.g. a dirty
+    // projection that happens to meet deadlines) is not endorsement,
+    // or the ladder could return unpolished designs whenever the
+    // earlier rungs time out. ---
+    if !ladder.accepted() {
+        let t3 = Instant::now();
+        let scratch_cfg = SearchConfig {
+            time_limit: Some(budget.scratch),
+            ..cfg
+        };
+        match optimize_with_cache(&problem, Strategy::Mxr, &scratch_cfg, cache) {
+            Ok(outcome) => {
+                let (stats, s) = (&mut ladder.stats, &outcome.stats);
+                stats.evaluations += s.evaluations;
+                stats.cache_hits += s.cache_hits;
+                stats.pruned += s.pruned;
+                stats.greedy_steps += s.greedy_steps;
+                stats.tabu_iterations += s.tabu_iterations;
+                let schedule = Arc::new(outcome.schedule);
+                let status = if schedule.is_schedulable() {
+                    RungStatus::Accepted
+                } else {
+                    RungStatus::Rejected("even from-scratch search misses deadlines".into())
+                };
+                ladder.record(RepairRung::Scratch, status, t3, Some(schedule.length()));
+                ladder.offer(outcome.design, schedule, RepairRung::Scratch);
+            }
+            // Nothing was carried, so nothing but this rung could
+            // have produced a design: its error is the repair's.
+            Err(e) if ladder.best.is_none() => return Err(RepairError::Opt(e)),
+            Err(e) => {
+                let status = RungStatus::Rejected(format!("from-scratch search failed: {e}"));
+                ladder.record(RepairRung::Scratch, status, t3, None);
+            }
         }
     }
 
+    let Ladder {
+        attempts,
+        mut stats,
+        best,
+    } = ladder;
+    let (design, schedule, rung) = best.expect("a design is carried or the scratch error returned");
     stats.elapsed = started.elapsed();
-    let best = carried.ok_or(RepairError::Opt(OptError::NoFeasiblePlacement {
-        process: ProcessId::new(0),
-    }))?;
     Ok(RepairOutcome {
         problem,
-        design: best.design,
-        schedule: Arc::unwrap_or_clone(best.schedule),
-        rung: best.rung,
+        design,
+        schedule: Arc::unwrap_or_clone(schedule),
+        rung,
         attempts,
         report,
         stats,
     })
 }
 
-/// The result of the localized search.
-struct LocalResult {
-    design: Design,
-    schedule: Arc<Schedule>,
-    /// `true` when the search reached a local optimum before its
-    /// deadline (as opposed to being cut off mid-descent).
-    converged: bool,
-}
-
-/// Tabu search restricted to the dirty decisions: the move set is the
-/// full decision neighbourhood of each dirty process (replication
-/// level × primary × checkpoints), clean processes are frozen. The
-/// trajectory is deterministic — candidates are enumerated in a fixed
-/// order and the winner is the `(cost, index)` minimum, exactly like
-/// the full tabu search.
-#[allow(clippy::too_many_arguments)]
-fn localized_tabu(
-    evaluator: &Evaluator<'_>,
-    pool: &WorkerPool,
-    dirty: &[ProcessId],
-    start: Design,
-    cfg: &SearchConfig,
-    deadline: Instant,
+/// Steps `search` until it finishes or, given a `stall` limit, until
+/// that many iterations in a row bring no new best (one iteration per
+/// `run` call, so the rule sees each). Returns `true` when the search
+/// finished with its slice over: the clock, not the search, ended it
+/// (a slice over before the first iteration ends it before its goal
+/// is looked at).
+fn polish(
+    search: &mut TabuSearch<'_, '_>,
     stats: &mut SearchStats,
-) -> Result<LocalResult, OptError> {
-    let problem = evaluator.problem();
-    // Fixed candidate table over the dirty set only.
-    let cands: Vec<(ProcessId, Vec<ProcessDesign>)> = dirty
-        .iter()
-        .map(|&p| (p, candidate_decisions(problem, PolicySpace::Mixed, p)))
-        .filter(|(_, c)| !c.is_empty())
-        .collect();
-
-    let mut now = start;
-    let (mut now_cost, _) = evaluator.evaluate(&now).map_err(OptError::from)?;
-    let mut best = now.clone();
-    let mut best_cost = now_cost;
-
-    // Tabu memory over dirty-process indices.
-    let tenure = (dirty.len() / 2).max(2);
-    let mut tabu_until = vec![0usize; cands.len()];
-    let stall_limit = (dirty.len() * 2).max(4);
-    let mut stall = 0usize;
-    let mut iter = 0usize;
-    let mut converged = false;
-    let max_iters = cfg.max_tabu_iterations.max(1);
-
-    while iter < max_iters {
-        if Instant::now() >= deadline {
-            break;
+    cutoff: Instant,
+    stall: Option<usize>,
+) -> Result<bool, OptError> {
+    let mut since_best = 0;
+    loop {
+        let before = search.best_cost();
+        if search.run(stats, Some(cutoff), stall.map(|_| 1))? == TabuPause::Finished {
+            return Ok(Instant::now() >= cutoff);
         }
-        iter += 1;
-        stats.tabu_iterations += 1;
-
-        // The window: every non-no-op candidate of every dirty
-        // process, in (process, candidate) order.
-        let mut window: Vec<(usize, ProcessId, &ProcessDesign)> = Vec::new();
-        for (ci, (p, decisions)) in cands.iter().enumerate() {
-            let current = now.decision(*p);
-            for d in decisions {
-                if d != current {
-                    window.push((ci, *p, d));
-                }
-            }
-        }
-        if window.is_empty() {
-            converged = true;
-            break;
-        }
-
-        let ceval = evaluator.candidate_eval(&now, None, None);
-        let scored = pool
-            .try_map_init(
-                &window,
-                || now.clone(),
-                |design, _, &(_, p, d)| {
-                    ceval
-                        .eval_move(design, p, d)
-                        .map(|(outcome, hit)| Some((outcome, hit)))
-                },
-            )
-            .map_err(OptError::from)?;
-
-        // Deterministic winner: (cost, window index) minimum over
-        // non-tabu candidates, with aspiration on the global best.
-        let mut winner: Option<(ftdes_sched::ScheduleCost, usize)> = None;
-        for (wi, slot) in scored.iter().enumerate() {
-            let Some((outcome, hit)) = slot else { continue };
-            if *hit {
-                stats.cache_hits += 1;
-            } else {
-                stats.evaluations += 1;
-            }
-            let cost = match outcome {
-                EvalOutcome::Exact(c) => *c,
-                EvalOutcome::LowerBound(c) => *c,
-            };
-            let (ci, _, _) = window[wi];
-            let is_tabu = tabu_until[ci] > iter && cost >= best_cost;
-            if is_tabu {
-                continue;
-            }
-            if winner.is_none_or(|(wc, wwi)| (cost, wi) < (wc, wwi)) {
-                winner = Some((cost, wi));
-            }
-        }
-        let Some((w_cost, wi)) = winner else {
-            converged = true;
-            break;
-        };
-        let (ci, p, d) = window[wi];
-        now.set_decision(p, d.clone());
-        now_cost = w_cost;
-        tabu_until[ci] = iter + tenure;
-
-        if now_cost < best_cost {
-            best = now.clone();
-            best_cost = now_cost;
-            stall = 0;
+        since_best = if search.best_cost() < before {
+            0
         } else {
-            stall += 1;
-            if stall >= stall_limit {
-                converged = true;
-                break;
-            }
+            since_best + 1
+        };
+        if stall.is_some_and(|limit| since_best >= limit) {
+            return Ok(false);
         }
     }
-
-    let schedule = evaluator.schedule(&best).map_err(OptError::from)?;
-    Ok(LocalResult {
-        design: best,
-        schedule,
-        converged,
-    })
 }
 
 #[cfg(test)]
@@ -964,6 +764,35 @@ mod tests {
         // The ladder recorded how it got there.
         assert!(!repaired.attempts.is_empty());
         assert!(repaired.attempts.iter().any(|a| a.rung == repaired.rung));
+    }
+
+    #[test]
+    fn localized_rung_keeps_the_clean_decisions() {
+        // Without a warm slice, the accepted localized repair is the
+        // outcome: only the dirty decisions may have moved.
+        let problem = small_problem(11);
+        let outcome = crate::optimize(&problem, Strategy::Mxr, &quick_cfg()).unwrap();
+        let delta = ProblemDelta::kill_node(NodeId::new(0));
+        let budget = RepairBudget {
+            localized: Duration::from_secs(60),
+            warm: Duration::ZERO,
+            scratch: Duration::from_secs(60),
+        };
+        let cfg = SearchConfig {
+            goal: crate::config::Goal::MinimizeLength,
+            ..quick_cfg()
+        };
+        let repaired = repair(&problem, &outcome.design, &delta, &budget, &cfg).unwrap();
+        let localized = &repaired.attempts[1];
+        assert_eq!(localized.rung, RepairRung::Localized);
+        assert_eq!(localized.status, RungStatus::Accepted);
+        assert_eq!(repaired.rung, RepairRung::Localized, "rung 1 improved");
+        let (new_problem, applied) = apply_delta(&problem, &delta).unwrap();
+        let projected = project_design(&outcome.design, &applied, &new_problem).unwrap();
+        assert!(!repaired.report.clean().is_empty());
+        for &p in repaired.report.clean() {
+            assert_eq!(repaired.design.decision(p), projected.decision(p), "{p}");
+        }
     }
 
     #[test]

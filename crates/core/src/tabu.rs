@@ -19,6 +19,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ftdes_model::design::Design;
+use ftdes_model::ids::ProcessId;
 use ftdes_sched::{PlacementCheckpoints, Schedule};
 
 use crate::cache::{EvalOutcome, Evaluator};
@@ -110,6 +111,11 @@ pub enum TabuPause {
 /// window offset, the incremental placement checkpoints — survives
 /// across calls, so a sequence of budgeted `run` calls walks the
 /// *identical* trajectory as one unbudgeted call.
+///
+/// [`TabuSearch::focused`] draws every window from a fixed process
+/// list instead of the critical path; its one caller is the repair
+/// ladder's localized rung ([`mod@crate::repair`]), which searches the
+/// decisions a problem delta dirtied.
 pub struct TabuSearch<'e, 'p> {
     evaluator: &'e Evaluator<'p>,
     pool: &'e WorkerPool,
@@ -130,6 +136,8 @@ pub struct TabuSearch<'e, 'p> {
     best_schedule: Arc<Schedule>,
     tenure: usize,
     n: usize,
+    /// The processes windows draw from instead of the critical path.
+    focus: Option<Vec<ProcessId>>,
 }
 
 impl std::fmt::Debug for TabuSearch<'_, '_> {
@@ -173,7 +181,17 @@ impl<'e, 'p> TabuSearch<'e, 'p> {
             now_schedule: start_schedule,
             tenure: cfg.tenure_for(n),
             n,
+            focus: None,
         }
+    }
+
+    /// Draws every window from `processes`, in their order, instead of
+    /// from the current solution's critical path: decisions of other
+    /// processes never move.
+    #[must_use]
+    pub fn focused(mut self, processes: Vec<ProcessId>) -> Self {
+        self.focus = Some(processes);
+        self
     }
 
     /// The cost of the best solution found so far.
@@ -281,11 +299,20 @@ impl<'e, 'p> TabuSearch<'e, 'p> {
         let (cfg, problem) = (&self.cfg, self.evaluator.problem());
         stats.tabu_iterations += 1;
 
-        // Line 7: moves for the critical path of the current solution.
-        let cp = self
-            .now_schedule
-            .move_candidates(problem.graph(), cfg.min_move_candidates);
-        self.table.window(&self.now_design, &cp, &mut self.window);
+        // Line 7: moves for the critical path of the current solution
+        // (or for the focused processes).
+        let cp;
+        let processes = match &self.focus {
+            Some(focus) => focus.as_slice(),
+            None => {
+                cp = self
+                    .now_schedule
+                    .move_candidates(problem.graph(), cfg.min_move_candidates);
+                &cp
+            }
+        };
+        self.table
+            .window(&self.now_design, processes, &mut self.window);
         if self.window.is_empty() {
             return Ok(false);
         }
@@ -553,6 +580,46 @@ mod tests {
         .unwrap();
         assert!(best.cost() <= start_cost);
         assert_eq!(stats.tabu_iterations, 30, "length goal runs to the limit");
+    }
+
+    #[test]
+    fn focused_search_moves_only_its_processes() {
+        let problem = fig8_problem();
+        let cfg = SearchConfig {
+            goal: Goal::MinimizeLength,
+            max_tabu_iterations: 30,
+            ..SearchConfig::default()
+        };
+        let evaluator = Evaluator::with_cache(&problem, true);
+        let pool = WorkerPool::new(1);
+        let start = initial_mpa(&problem, PolicySpace::Mixed).unwrap();
+        let start_schedule = evaluator.schedule(&start).unwrap();
+        let focus = vec![ProcessId::new(1), ProcessId::new(3)];
+        let mut search = TabuSearch::new(
+            &evaluator,
+            &pool,
+            PolicySpace::Mixed,
+            (start.clone(), Arc::clone(&start_schedule)),
+            &cfg,
+        )
+        .focused(focus.clone());
+        let mut stats = SearchStats::default();
+        assert_eq!(
+            search.run(&mut stats, None, None).unwrap(),
+            TabuPause::Finished
+        );
+        assert_eq!(stats.tabu_iterations, 30);
+        assert!(stats.candidates() > 0);
+        let (best, schedule) = search.into_best();
+        assert!(
+            schedule.cost() < start_schedule.cost(),
+            "the focus improves"
+        );
+        for (p, decision) in best.iter() {
+            if !focus.contains(&p) {
+                assert_eq!(decision, start.decision(p), "{p} is not focused");
+            }
+        }
     }
 
     #[test]

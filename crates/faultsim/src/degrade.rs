@@ -19,6 +19,7 @@
 //! kills the node carrying the most replicas — the worst structural
 //! loss the previous design can suffer.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -36,19 +37,25 @@ use ftdes_sched::Schedule;
 use crate::engine::simulate;
 use crate::scenario::{adversarial_scenario, random_scenarios};
 
-/// The node each replica of the previous design runs on, counted from
-/// the schedule's expanded instances. Returns the node hosting the
-/// most instances (primaries and replicas alike); ties break toward
-/// the lowest node id so callers stay deterministic.
-#[must_use]
-pub fn most_loaded_node(schedule: &Schedule) -> Option<NodeId> {
+/// The nodes the schedule's expanded instances run on, ordered by the
+/// instances each hosts (primaries and replicas alike), most first;
+/// ties break toward the lowest node id so callers stay deterministic.
+fn nodes_by_load(schedule: &Schedule) -> Vec<NodeId> {
     let mut load: HashMap<NodeId, usize> = HashMap::new();
     for inst in schedule.expanded().instances() {
         *load.entry(inst.node).or_insert(0) += 1;
     }
-    load.into_iter()
-        .min_by_key(|&(node, count)| (std::cmp::Reverse(count), node))
-        .map(|(node, _)| node)
+    let mut nodes: Vec<(NodeId, usize)> = load.into_iter().collect();
+    nodes.sort_unstable_by_key(|&(node, count)| (Reverse(count), node));
+    nodes.into_iter().map(|(node, _)| node).collect()
+}
+
+/// The node hosting the most of the schedule's expanded instances
+/// (primaries and replicas alike); ties break toward the lowest node
+/// id so callers stay deterministic.
+#[must_use]
+pub fn most_loaded_node(schedule: &Schedule) -> Option<NodeId> {
+    nodes_by_load(schedule).first().copied()
 }
 
 /// What [`degrade_and_repair`] verified about the repaired design.
@@ -219,24 +226,14 @@ pub fn degrade_and_repair_adversarial(
     random_count: usize,
     seed: u64,
 ) -> Result<DegradeReport, DegradeError> {
-    let mut load: HashMap<NodeId, usize> = HashMap::new();
-    for inst in prev_schedule.expanded().instances() {
-        *load.entry(inst.node).or_insert(0) += 1;
-    }
-    if load.is_empty() {
-        return Err(DegradeError::EmptySchedule);
-    }
-    let mut candidates: Vec<(NodeId, usize)> = load.into_iter().collect();
-    candidates.sort_by_key(|&(node, count)| (std::cmp::Reverse(count), node));
-
-    let mut last_err = None;
-    for (node, _) in candidates {
+    let mut last_err = DegradeError::EmptySchedule;
+    for node in nodes_by_load(prev_schedule) {
         match degrade_and_repair(problem, prev, node, budget, cfg, cache, random_count, seed) {
             Ok(report) => return Ok(report),
-            Err(e) => last_err = Some(e),
+            Err(e) => last_err = e,
         }
     }
-    Err(last_err.unwrap_or(DegradeError::EmptySchedule))
+    Err(last_err)
 }
 
 #[cfg(test)]

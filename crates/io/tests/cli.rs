@@ -676,6 +676,30 @@ wcet c * 1800000000000ms
 }
 
 #[test]
+fn failed_repair_names_its_cause() {
+    // Rescaled to 30000000 %, the pipeline's message needs TDMA round
+    // 1200000: no rung schedules anything, and the repair reports the
+    // from-scratch rung's own error, as `solve` on the rescaled file
+    // does, instead of an invented placement failure of P0.
+    let path = write_problem("repair-horizon-fail.ftd", PIPELINE);
+    let out = ftdes(&[
+        "repair",
+        path.to_str().unwrap(),
+        "--delta",
+        "rescale-wcet:30000000",
+        "--time-ms",
+        "300",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("past the booking horizon of 1048576 rounds"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("P0"), "stderr: {stderr}");
+}
+
+#[test]
 fn repair_rejects_malformed_delta() {
     let path = write_problem("repair-bad.ftd", THREE_NODE);
     let out = ftdes(&["repair", path.to_str().unwrap(), "--delta", "explode:N1"]);
