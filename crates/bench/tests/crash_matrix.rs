@@ -14,8 +14,7 @@ use std::path::{Path, PathBuf};
 use ftdes_bench::jobs::{ChiSweep, OverheadSweep, RepairSweep, SweepExec, SweepSpec};
 use ftdes_core::Strategy;
 use ftdes_serve::{
-    drive, CrashMode, DriveError, Injector, SweepClock, SweepState, SweepStore, WorkerConfig,
-    FAULT_POINTS,
+    drive, CrashMode, DriveError, Injector, SweepState, SweepStore, WorkerConfig, FAULT_POINTS,
 };
 
 fn tmp(name: &str) -> PathBuf {
@@ -46,8 +45,6 @@ fn cfg(worker: &str, workers: usize) -> WorkerConfig {
     WorkerConfig {
         worker: worker.into(),
         workers,
-        max_attempts: 2,
-        backoff_base_ms: 10,
     }
 }
 
@@ -70,12 +67,10 @@ fn results_bytes(state: &SweepState) -> String {
 
 fn run_uncrashed(spec: &SweepSpec, path: &Path) -> String {
     let (mut store, mut state) = SweepStore::create(path, spec.name(), &spec.jobs()).unwrap();
-    let clock = SweepClock::virtual_at(0);
     drive(
         &mut store,
         &mut state,
         &SweepExec::new(),
-        &clock,
         &mut Injector::none(),
         &cfg("base", 1),
     )
@@ -89,10 +84,10 @@ fn chi_sweep_resumes_bit_identically_after_every_crash_point() {
     let spec = tiny_chi();
     let baseline = run_uncrashed(&spec, &tmp("chi-baseline.jsonl"));
 
-    // No failing jobs in this sweep, so the fail/quarantine points
-    // never fire — drive then completes uncrashed, which is the
-    // correct degenerate case (crash-at-point ≡ no-crash when the
-    // point is never reached).
+    // No failing jobs in this sweep, so the quarantine point never
+    // fires — drive then completes uncrashed, which is the correct
+    // degenerate case (crash-at-point ≡ no-crash when the point is
+    // never reached).
     for workers in [1, 2] {
         for nth in [1, 2] {
             for &point in FAULT_POINTS {
@@ -103,21 +98,19 @@ fn chi_sweep_resumes_bit_identically_after_every_crash_point() {
                 ));
                 let (mut store, mut state) =
                     SweepStore::create(&path, spec.name(), &spec.jobs()).unwrap();
-                let clock = SweepClock::virtual_at(0);
                 let mut injector = Injector::at(point, nth, CrashMode::Error).unwrap();
                 let crashed = drive(
                     &mut store,
                     &mut state,
                     &SweepExec::new(),
-                    &clock,
                     &mut injector,
                     &cfg("victim", workers),
                 );
                 match crashed {
                     Err(DriveError::InjectedCrash { point: p }) => assert_eq!(p, point),
                     Ok(_) => assert!(
-                        point.starts_with("fail.") || point.starts_with("quarantine."),
-                        "{at} only failure points may go unfired on a healthy sweep"
+                        point.starts_with("quarantine."),
+                        "{at} only the quarantine point may go unfired on a healthy sweep"
                     ),
                     Err(other) => panic!("{at} unexpected error {other:?}"),
                 }
@@ -135,13 +128,11 @@ fn chi_sweep_resumes_bit_identically_after_every_crash_point() {
                     &mut store,
                     &mut state,
                     &SweepExec::new(),
-                    &clock,
                     &mut Injector::none(),
                     &cfg("rescuer", workers),
                 )
                 .unwrap();
                 assert!(state.is_complete(), "{at} resumed sweep completes");
-                assert_eq!(clock.now_ms(), 0, "{at} nothing waited on the clock");
                 assert_eq!(
                     results_bytes(&state),
                     baseline,
@@ -195,13 +186,11 @@ fn crash_on_the_fourth_commit_and_resume(spec: &SweepSpec, tag: &str) {
 
     let path = tmp(&format!("{tag}-crash.jsonl"));
     let (mut store, mut state) = SweepStore::create(&path, spec.name(), &spec.jobs()).unwrap();
-    let clock = SweepClock::virtual_at(0);
     let mut injector = Injector::at("done.before_append", 4, CrashMode::Error).unwrap();
     drive(
         &mut store,
         &mut state,
         &SweepExec::new(),
-        &clock,
         &mut injector,
         &cfg("victim", 1),
     )
@@ -213,7 +202,6 @@ fn crash_on_the_fourth_commit_and_resume(spec: &SweepSpec, tag: &str) {
         &mut store,
         &mut state,
         &SweepExec::new(),
-        &clock,
         &mut Injector::none(),
         &cfg("rescuer", 1),
     )

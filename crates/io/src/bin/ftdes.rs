@@ -9,7 +9,7 @@
 //!                            [--repair-ms N] [--strategy ...] [--scenarios N]
 //! ftdes info  <problem.ftd>
 //! ftdes sweep run    --spec <sweep.txt> --store <log.jsonl> [--out results.json]
-//!                    [--workers N] [--max-attempts N]
+//!                    [--workers N]
 //! ftdes sweep resume --store <log.jsonl> [--out results.json] [--workers N]
 //! ftdes sweep status --store <log.jsonl>
 //! ```
@@ -87,9 +87,7 @@ use ftdes_model::fault::FaultModel;
 use ftdes_model::merge::MAX_MERGED_PROCESSES;
 use ftdes_model::time::Time;
 use ftdes_sched::render::{render_gantt, render_medl, render_tables};
-use ftdes_serve::{
-    drive, Injector, JobStatus, StoreError, SweepClock, SweepState, SweepStore, WorkerConfig,
-};
+use ftdes_serve::{drive, Injector, JobStatus, StoreError, SweepState, SweepStore, WorkerConfig};
 use ftdes_ttp::config::BusConfig;
 use serde::Value;
 
@@ -728,7 +726,6 @@ struct SweepOptions {
     spec: Option<String>,
     out: Option<String>,
     workers: usize,
-    max_attempts: u32,
 }
 
 impl SweepOptions {
@@ -738,7 +735,6 @@ impl SweepOptions {
             spec: None,
             out: None,
             workers: 1,
-            max_attempts: 3,
         };
         let mut it = args.iter();
         while let Some(flag) = it.next() {
@@ -754,15 +750,6 @@ impl SweepOptions {
                 "--workers" => {
                     o.workers = parse_count("--workers", &value("--workers")?, MAX_THREADS)
                         .map_err(CliError::Usage)?;
-                }
-                "--max-attempts" => {
-                    let v = value("--max-attempts")?;
-                    let n = v
-                        .parse::<u64>()
-                        .map_err(|_| CliError::Usage(format!("invalid --max-attempts: {v:?}")))?;
-                    o.max_attempts = u32::try_from(n).map_err(|_| {
-                        CliError::Usage(format!("--max-attempts {n} exceeds {}", u32::MAX))
-                    })?;
                 }
                 other => {
                     return Err(CliError::Usage(format!(
@@ -785,8 +772,6 @@ impl SweepOptions {
         WorkerConfig {
             worker: format!("cli-{}", std::process::id()),
             workers: self.workers,
-            max_attempts: self.max_attempts,
-            ..WorkerConfig::default()
         }
     }
 }
@@ -861,26 +846,15 @@ fn drive_sweep(
 ) -> Result<(), CliError> {
     let mut injector = Injector::from_env().map_err(CliError::Usage)?;
     let cfg = o.worker_config();
-    let report = drive(
-        store,
-        state,
-        &SweepExec::new(),
-        &SweepClock::Wall,
-        &mut injector,
-        &cfg,
-    )
-    .map_err(|e| match e {
-        ftdes_serve::DriveError::Store(s) => store_err(s),
-        other => CliError::Other(other.to_string()),
-    })?;
+    let report =
+        drive(store, state, &SweepExec::new(), &mut injector, &cfg).map_err(|e| match e {
+            ftdes_serve::DriveError::Store(s) => store_err(s),
+            other => CliError::Other(other.to_string()),
+        })?;
     writeln!(
         out,
-        "drove sweep: {} executed, {} reclaimed, {} failed attempts, {} quarantined, {} blocked",
-        report.executed,
-        report.reclaimed,
-        report.failed_attempts,
-        report.quarantined,
-        report.blocked
+        "drove sweep: {} executed, {} reclaimed, {} quarantined, {} blocked",
+        report.executed, report.reclaimed, report.quarantined, report.blocked
     )?;
     Ok(())
 }
@@ -947,15 +921,13 @@ fn print_status(
     let c = state.counts();
     writeln!(
         out,
-        "sweep {} [fp {:016x}]: {} done, {} ready, {} waiting, {} claimed, {} failed, \
-         {} quarantined{}{}",
+        "sweep {} [fp {:016x}]: {} done, {} ready, {} waiting, {} claimed, {} quarantined{}{}",
         state.sweep,
         state.spec_fp,
         c.done,
         c.ready,
         c.waiting,
         c.claimed,
-        c.failed,
         c.quarantined,
         if events > 0 {
             format!(" ({events} events replayed)")
@@ -975,12 +947,8 @@ fn print_status(
             JobStatus::Claimed { worker, attempt } => {
                 format!("claimed by {worker} (attempt {attempt}, no outcome yet)")
             }
-            JobStatus::Failed { attempt, retry_ms } => {
-                format!("failed attempt {attempt}, retry at {retry_ms}")
-            }
             JobStatus::Quarantined => format!(
-                "quarantined after {} attempts: {}",
-                job.failures.len(),
+                "quarantined: {}",
                 job.failures.last().map_or("", String::as_str)
             ),
         };
@@ -991,7 +959,7 @@ fn print_status(
 
 fn sweep_usage() -> String {
     "usage: ftdes sweep run    --spec <sweep.txt> --store <log.jsonl> [--out results.json]\n\
-     \x20                     [--workers N] [--max-attempts N]\n\
+     \x20                     [--workers N]\n\
      \x20      ftdes sweep resume --store <log.jsonl> [--out results.json] [--workers N]\n\
      \x20      ftdes sweep status --store <log.jsonl>\n\
      specs: `sweep overhead|chi|repair` files, e.g. crates/bench/sweeps/table1a.sweep\n\

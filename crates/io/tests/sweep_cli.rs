@@ -13,7 +13,7 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use ftdes_serve::{SweepStore, FAULT_POINTS};
+use ftdes_serve::{Event, SweepStore, FAULT_POINTS};
 
 /// A sweep small enough for the full fault-point loop to run in
 /// seconds, with every job kind present.
@@ -130,12 +130,12 @@ fn killed_at_every_fault_point_resume_reproduces_the_baseline_bytes() {
                     Some(&format!("{point}:{nth}")),
                 );
                 if run.status.success() {
-                    // A healthy sweep never reaches the failure-path
-                    // points; completing uncrashed is the correct
+                    // A healthy sweep never reaches the quarantine
+                    // point; completing uncrashed is the correct
                     // degenerate case.
                     assert!(
-                        point.starts_with("fail.") || point.starts_with("quarantine."),
-                        "{at} only failure points may go unfired"
+                        point.starts_with("quarantine."),
+                        "{at} only the quarantine point may go unfired"
                     );
                 } else {
                     // SIGABRT, not a clean exit: the harness really
@@ -186,6 +186,109 @@ fn a_store_with_lease_expiries_resumes_to_the_baseline_bytes() {
     let text = String::from_utf8_lossy(&resumed.stdout).into_owned();
     assert!(text.contains("1 reclaimed"), "stdout: {text}");
     assert_eq!(std::fs::read(&out).expect("results"), want);
+}
+
+/// `TINY_CHI` over two seeds at the largest accepted µ: both generate
+/// jobs fail the horizon budget, and every other job depends on one.
+fn failing_chi() -> String {
+    TINY_CHI
+        .replace("mu_ms 5\n", "mu_ms 18446744073709551\n")
+        .replace("seeds 1\n", "seeds 2\n")
+}
+
+/// The store's complete lines, parsed.
+fn store_events(store: &Path) -> Vec<Event> {
+    std::fs::read_to_string(store)
+        .expect("read store")
+        .lines()
+        .map(|line| serde_json::from_str(line).expect("event line"))
+        .collect()
+}
+
+/// Every `Claim` and every `Quarantine` of the store, as job ids and
+/// error counts, and whether it holds any `Fail` line.
+fn claims_quarantines_fails(store: &Path) -> (Vec<u64>, Vec<(u64, usize)>, bool) {
+    let (mut claims, mut quarantines, mut fails) = (Vec::new(), Vec::new(), false);
+    for event in store_events(store) {
+        match event {
+            Event::Claim { id, .. } => claims.push(id),
+            Event::Quarantine { id, failures } => quarantines.push((id, failures.len())),
+            Event::Fail { .. } => fails = true,
+            _ => {}
+        }
+    }
+    (claims, quarantines, fails)
+}
+
+#[test]
+fn a_failing_job_is_quarantined_after_one_attempt() {
+    let spec = write_spec("failing.spec", &failing_chi());
+    let store = fresh("failing.jsonl");
+    let run = ftdes(
+        &[
+            "sweep",
+            "run",
+            "--spec",
+            utf8(&spec),
+            "--store",
+            utf8(&store),
+        ],
+        None,
+    );
+    assert_eq!(run.status.code(), Some(1), "{}", stderr(&run));
+    let text = String::from_utf8_lossy(&run.stdout).into_owned();
+    assert!(text.contains("2 quarantined, 11 blocked"), "stdout: {text}");
+
+    let status = ftdes(&["sweep", "status", "--store", utf8(&store)], None);
+    assert!(status.status.success(), "status: {}", stderr(&status));
+    let text = String::from_utf8_lossy(&status.stdout).into_owned();
+    assert!(
+        text.contains("gen/s0: quarantined: worst-case schedule horizon overflows its budget"),
+        "stdout: {text}"
+    );
+
+    // Generate jobs are 1 and 7: one claim and one single-error
+    // quarantine each, and no retry.
+    let (claims, quarantines, fails) = claims_quarantines_fails(&store);
+    assert_eq!(claims, vec![1, 7]);
+    assert_eq!(quarantines, vec![(1, 1), (7, 1)]);
+    assert!(!fails, "no Fail line");
+}
+
+#[test]
+fn a_store_with_retried_failures_resumes_with_one_attempt_per_job() {
+    // Written by the binary that retried failed jobs with backoff, on
+    // `failing_chi()` and killed at its first `quarantine.before_append`:
+    // five claims and four `Fail` lines, an `at_ms` on every one. A
+    // `Fail` replays as nothing, so both generate jobs are claimed.
+    let store = fresh("retry-era.jsonl");
+    std::fs::copy(
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/failures_with_backoff.jsonl"
+        ),
+        &store,
+    )
+    .expect("copy fixture");
+    let before = store_events(&store).len();
+    let (claims_before, _, _) = claims_quarantines_fails(&store);
+    let status = ftdes(&["sweep", "status", "--store", utf8(&store)], None);
+    assert!(status.status.success(), "status: {}", stderr(&status));
+    let text = String::from_utf8_lossy(&status.stdout).into_owned();
+    assert!(text.contains("2 claimed"), "stdout: {text}");
+
+    let resumed = resume(&store, &fresh("retry-era.json"));
+    assert_eq!(resumed.status.code(), Some(1), "{}", stderr(&resumed));
+    let text = String::from_utf8_lossy(&resumed.stdout).into_owned();
+    assert!(
+        text.contains("0 executed, 2 reclaimed, 2 quarantined, 11 blocked"),
+        "stdout: {text}"
+    );
+    // Two claims and two one-error quarantines appended, nothing else.
+    let (claims, quarantines, _) = claims_quarantines_fails(&store);
+    assert_eq!(claims[claims_before.len()..], [1, 7]);
+    assert_eq!(quarantines, vec![(1, 1), (7, 1)]);
+    assert_eq!(store_events(&store).len(), before + 4);
 }
 
 #[test]
@@ -381,7 +484,7 @@ fn exit_codes_classify_failures() {
         vec!["sweep", "conduct"],
         vec!["sweep", "run", "--warp-speed"],
         vec!["sweep", "run", "--store", "x.jsonl"], // missing --spec
-        // Past u32: rejected, not truncated to 0 attempts.
+        // A failed job is quarantined on its one attempt: no such flag.
         vec![
             "sweep",
             "run",
@@ -390,7 +493,7 @@ fn exit_codes_classify_failures() {
             "--store",
             "x.jsonl",
             "--max-attempts",
-            "4294967296",
+            "3",
         ],
     ] {
         let out = ftdes(&args, None);

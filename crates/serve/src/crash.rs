@@ -35,18 +35,15 @@ use crate::error::DriveError;
 ///   the torn line and behave exactly like `done.before_append`.
 /// * `done.after_append` — the result is durable; the crash costs
 ///   only the jobs that never started.
-/// * `fail.before_append` — a job failed and the driver died before
-///   recording it; the attempt is invisible and repeats on resume.
-/// * `quarantine.before_append` — the final failure was observed but
-///   the quarantine never committed; recovery re-runs the poison job
-///   once more and quarantines it then.
+/// * `quarantine.before_append` — a job failed but its quarantine
+///   never committed; recovery re-runs the job once more and
+///   quarantines it then.
 pub const FAULT_POINTS: &[&str] = &[
     "claim.before_append",
     "claim.after_append",
     "done.before_append",
     "done.torn_append",
     "done.after_append",
-    "fail.before_append",
     "quarantine.before_append",
 ];
 

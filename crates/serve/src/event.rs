@@ -54,8 +54,9 @@ pub enum Event {
     },
     /// A worker of the live driver started a job. A claim with no
     /// outcome after it belongs to a driver that is gone, and the next
-    /// driver re-runs the job. (Logs written before claims lost their
-    /// lease expiry carry an `expires_ms` field; replay ignores it.)
+    /// driver re-runs the job. (Logs written by older drivers also
+    /// carry a claim time and a lease expiry; replay ignores unknown
+    /// fields.)
     Claim {
         /// The claimed job.
         id: u64,
@@ -63,8 +64,6 @@ pub enum Event {
         worker: String,
         /// 1-based attempt number.
         attempt: u32,
-        /// Claim time (clock milliseconds; informational).
-        at_ms: u64,
     },
     /// A claimed job finished; `result` is the committed value its
     /// dependents (and the final aggregate) read.
@@ -73,34 +72,23 @@ pub enum Event {
         id: u64,
         /// The attempt that produced the result.
         attempt: u32,
-        /// Completion time (informational).
-        at_ms: u64,
         /// The job's result, verbatim.
         result: Value,
     },
-    /// A claimed job failed; it becomes claimable again once the
-    /// backoff elapses.
+    /// A failed attempt, as logged by drivers that retried failed
+    /// jobs. The worker never writes it: replay checks that it names a
+    /// declared job and otherwise ignores it, so the failed attempt's
+    /// claim is left without an outcome and the job runs once more.
     Fail {
         /// The failed job.
         id: u64,
-        /// The attempt that failed.
-        attempt: u32,
-        /// Failure time (informational).
-        at_ms: u64,
-        /// The error, for the failure chain.
-        error: String,
-        /// Absolute earliest re-claim time (exponential backoff).
-        retry_ms: u64,
     },
-    /// A job exhausted its attempts and is quarantined: it will never
-    /// be claimed again, and jobs depending on it are permanently
-    /// blocked. The full failure chain is preserved.
+    /// A job's executor failed: the job will never be claimed again,
+    /// and jobs depending on it are permanently blocked.
     Quarantine {
-        /// The poisoned job.
+        /// The failed job.
         id: u64,
-        /// Quarantine time (informational).
-        at_ms: u64,
-        /// Every recorded error, in attempt order.
+        /// The error (older logs hold one per attempt).
         failures: Vec<String>,
     },
 }
@@ -155,25 +143,16 @@ mod tests {
                 id: 1,
                 worker: "w0".into(),
                 attempt: 1,
-                at_ms: 10,
             },
             Event::Done {
                 id: 1,
                 attempt: 1,
-                at_ms: 20,
                 result: Value::U64(42),
             },
-            Event::Fail {
-                id: 1,
-                attempt: 1,
-                at_ms: 20,
-                error: "boom".into(),
-                retry_ms: 120,
-            },
+            Event::Fail { id: 1 },
             Event::Quarantine {
                 id: 1,
-                at_ms: 30,
-                failures: vec!["boom".into(), "boom again".into()],
+                failures: vec!["boom".into()],
             },
         ];
         for event in events {

@@ -7,7 +7,7 @@
 //! A **sweep** is a DAG of [`JobSpec`]s (generate → optimize →
 //! faultsim → aggregate; the domain adapters live in `ftdes-bench`).
 //! The DAG and everything that happens to it — claims, results,
-//! failures, quarantines — is an event stream in one JSONL file
+//! quarantines — is an event stream in one JSONL file
 //! ([`SweepStore`]), and all state is reconstructed by replay
 //! ([`SweepState`]): crash recovery is a no-op by construction, and a
 //! write torn mid-append is detected and dropped on the next open.
@@ -20,12 +20,11 @@
 //!   claim without an outcome in a replayed log belongs to a dead
 //!   driver and re-runs at once. [`drive`] runs one claim → execute →
 //!   commit loop for 1..N workers over the locked store;
-//! * **bounded retries with exponential backoff** — failures are
-//!   events too; after `max_attempts` the job is **quarantined** with
-//!   its full failure chain, and dependents are reported as
-//!   permanently blocked instead of spinning. Backoff takes explicit
-//!   `now` values from a [`SweepClock`], which tests drive as a
-//!   deterministic virtual clock;
+//! * **one attempt per job** — executors are deterministic, so a job
+//!   whose executor fails or panics would fail the same way again: it
+//!   is **quarantined** on that attempt with its error, and
+//!   dependents are reported as permanently blocked instead of
+//!   spinning. Nothing in this crate reads a clock;
 //! * **crash-injection harness** — every durability boundary of the
 //!   worker loop is a registered fault point ([`FAULT_POINTS`]);
 //!   [`Injector`] kills the driver there (for real via
@@ -42,7 +41,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod clock;
 pub mod crash;
 pub mod error;
 pub mod event;
@@ -50,7 +48,6 @@ pub mod state;
 pub mod store;
 pub mod worker;
 
-pub use clock::SweepClock;
 pub use crash::{CrashMode, Injector, CRASH_ENV, FAULT_POINTS};
 pub use error::{DriveError, StoreError};
 pub use event::{fingerprint, jobs_fingerprint, Event, JobSpec};

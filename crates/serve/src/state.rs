@@ -7,19 +7,16 @@
 //! ```text
 //!            claim                done
 //!   Ready ─────────► Claimed ──────────► Done (terminal, result kept)
-//!     ▲                │  │
-//!     │ driver died    │  │ fail (attempt < max)
-//!     └────────────────┘  ▼
-//!                       Failed ──► (backoff) ──► claimable again
-//!                          │
-//!                          │ fail (attempt = max)
-//!                          ▼
-//!                      Quarantined (terminal, failure chain kept)
+//!     ▲                │   │
+//!     │ driver died    │   │ executor failed
+//!     └────────────────┘   ▼
+//!                      Quarantined (terminal, error kept)
 //! ```
 //!
 //! The store lock admits one live driver, so a `Claimed` job that the
 //! driver is not running itself was left by a dead one and is
-//! claimable at once.
+//! claimable at once. Executors are deterministic, so a failed job is
+//! quarantined on its first attempt: a retry would fail the same way.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -46,26 +43,18 @@ pub enum JobStatus {
         /// The job's result, as logged.
         result: Value,
     },
-    /// Failed but retryable.
-    Failed {
-        /// The failed attempt number.
-        attempt: u32,
-        /// Absolute earliest re-claim time.
-        retry_ms: u64,
-    },
     /// Permanently out of the running.
     Quarantined,
 }
 
-/// One job with its replayed status and failure history.
+/// One job with its replayed status and errors.
 #[derive(Debug, Clone)]
 pub struct JobState {
     /// The job definition.
     pub spec: JobSpec,
     /// Current lifecycle position.
     pub status: JobStatus,
-    /// Every `Fail` error recorded so far, in attempt order (the
-    /// failure chain preserved into `Quarantine`).
+    /// The errors its `Quarantine` recorded; empty until then.
     pub failures: Vec<String>,
 }
 
@@ -77,23 +66,12 @@ impl JobState {
             failures: Vec::new(),
         }
     }
-
-    /// Attempts already claimed for this job (the next claim is
-    /// `attempts() + 1`).
-    #[must_use]
-    pub fn attempts(&self) -> u32 {
-        let from_status = match &self.status {
-            JobStatus::Claimed { attempt, .. } | JobStatus::Failed { attempt, .. } => *attempt,
-            _ => 0,
-        };
-        from_status.max(self.failures.len() as u32)
-    }
 }
 
 /// Aggregate job counts, for `status` displays.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatusCounts {
-    /// Jobs never claimed or awaiting retry with all deps done.
+    /// Jobs never claimed with all deps done.
     pub ready: usize,
     /// Jobs waiting on incomplete dependencies.
     pub waiting: usize,
@@ -101,8 +79,6 @@ pub struct StatusCounts {
     pub claimed: usize,
     /// Finished jobs.
     pub done: usize,
-    /// Failed-but-retryable jobs.
-    pub failed: usize,
     /// Quarantined jobs.
     pub quarantined: usize,
 }
@@ -150,7 +126,6 @@ impl SweepState {
                 id,
                 worker,
                 attempt,
-                ..
             } => {
                 let job = self.job_mut(*id)?;
                 // A Claim over Done would mean a worker raced a
@@ -173,35 +148,12 @@ impl SweepState {
                 }
                 Ok(())
             }
-            Event::Fail {
-                id,
-                attempt,
-                error,
-                retry_ms,
-                ..
-            } => {
+            // Written by drivers that retried failed jobs: the claim
+            // it followed stays without an outcome and re-runs.
+            Event::Fail { id } => self.job_mut(*id).map(drop),
+            Event::Quarantine { id, failures } => {
                 let job = self.job_mut(*id)?;
-                // A Fail raced by another worker's committed Done (or
-                // a stale Fail after Quarantine) is ignored entirely:
-                // recording it would inflate attempts() on later
-                // reclaims and pollute the quarantine failure chain.
-                if !matches!(job.status, JobStatus::Done { .. } | JobStatus::Quarantined) {
-                    job.failures.push(error.clone());
-                    job.status = JobStatus::Failed {
-                        attempt: *attempt,
-                        retry_ms: *retry_ms,
-                    };
-                }
-                Ok(())
-            }
-            Event::Quarantine { id, failures, .. } => {
-                let job = self.job_mut(*id)?;
-                if !failures.is_empty() {
-                    // The quarantine event carries the authoritative
-                    // chain (it may include a final error that never
-                    // got its own Fail event).
-                    job.failures = failures.clone();
-                }
+                job.failures = failures.clone();
                 job.status = JobStatus::Quarantined;
                 Ok(())
             }
@@ -227,36 +179,30 @@ impl SweepState {
                 ),
             });
         }
-        for job in self.jobs.values() {
+        // Kahn's algorithm over a dependents index built once, so the
+        // check costs O(jobs + deps) lookups.
+        let ids: Vec<u64> = self.jobs.keys().copied().collect();
+        let mut indegree = vec![0usize; ids.len()];
+        let mut dependents = vec![Vec::new(); ids.len()];
+        for (index, job) in self.jobs.values().enumerate() {
             for dep in &job.spec.deps {
-                if !self.jobs.contains_key(dep) {
+                let Ok(at) = ids.binary_search(dep) else {
                     return Err(StoreError::Invalid {
                         message: format!("job {} depends on unknown job {dep}", job.spec.id),
                     });
-                }
+                };
+                dependents[at].push(index);
+                indegree[index] += 1;
             }
         }
-        // Kahn's algorithm over the dependency edges.
-        let mut indegree: BTreeMap<u64, usize> = self
-            .jobs
-            .values()
-            .map(|j| (j.spec.id, j.spec.deps.len()))
-            .collect();
-        let mut queue: Vec<u64> = indegree
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(&id, _)| id)
-            .collect();
+        let mut queue: Vec<usize> = (0..ids.len()).filter(|&i| indegree[i] == 0).collect();
         let mut seen = 0usize;
-        while let Some(id) = queue.pop() {
+        while let Some(index) = queue.pop() {
             seen += 1;
-            for job in self.jobs.values() {
-                if job.spec.deps.contains(&id) {
-                    let d = indegree.entry(job.spec.id).or_default();
-                    *d -= 1;
-                    if *d == 0 {
-                        queue.push(job.spec.id);
-                    }
+            for &next in &dependents[index] {
+                indegree[next] -= 1;
+                if indegree[next] == 0 {
+                    queue.push(next);
                 }
             }
         }
@@ -316,37 +262,24 @@ impl SweepState {
         })
     }
 
-    /// The lowest-id job claimable at `now_ms`: dependencies done and
-    /// either never claimed, retry backoff elapsed, or claimed and not
-    /// in `in_flight` (the jobs the live driver is running) — a claim
-    /// left by a dead driver.
+    /// The lowest-id claimable job: dependencies done and either never
+    /// claimed, or claimed and not in `in_flight` (the jobs the live
+    /// driver is running) — a claim left by a dead driver. A job's
+    /// status is tested before its dependencies, so a finished job
+    /// costs O(1).
     #[must_use]
-    pub fn next_ready(&self, now_ms: u64, in_flight: &BTreeSet<u64>) -> Option<u64> {
+    pub fn next_ready(&self, in_flight: &BTreeSet<u64>) -> Option<u64> {
         self.jobs
             .values()
-            .filter(|job| self.deps_done(job.spec.id))
-            .find(|job| match &job.status {
-                JobStatus::Ready => true,
-                JobStatus::Claimed { .. } => !in_flight.contains(&job.spec.id),
-                JobStatus::Failed { retry_ms, .. } => *retry_ms <= now_ms,
-                JobStatus::Done { .. } | JobStatus::Quarantined => false,
+            .find(|job| {
+                let claimable = match &job.status {
+                    JobStatus::Ready => true,
+                    JobStatus::Claimed { .. } => !in_flight.contains(&job.spec.id),
+                    JobStatus::Done { .. } | JobStatus::Quarantined => false,
+                };
+                claimable && self.deps_done(job.spec.id)
             })
             .map(|job| job.spec.id)
-    }
-
-    /// The earliest future instant at which a job waiting out its
-    /// retry backoff becomes claimable, if any.
-    #[must_use]
-    pub fn next_wakeup(&self, now_ms: u64) -> Option<u64> {
-        self.jobs
-            .values()
-            .filter(|job| self.deps_done(job.spec.id))
-            .filter_map(|job| match &job.status {
-                JobStatus::Failed { retry_ms, .. } => Some(*retry_ms),
-                _ => None,
-            })
-            .filter(|&t| t > now_ms)
-            .min()
     }
 
     /// True when every job is in a terminal state (done or
@@ -383,10 +316,56 @@ impl SweepState {
                 }
                 JobStatus::Claimed { .. } => c.claimed += 1,
                 JobStatus::Done { .. } => c.done += 1,
-                JobStatus::Failed { .. } => c.failed += 1,
                 JobStatus::Quarantined => c.quarantined += 1,
             }
         }
         c
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A state holding `jobs`, as replay leaves it before validation.
+    fn state_of(jobs: Vec<JobSpec>) -> SweepState {
+        let mut state = SweepState::new("s".into(), 0, jobs.len() as u64);
+        for spec in jobs {
+            state.apply(&Event::Job { spec }).unwrap();
+        }
+        state
+    }
+
+    fn job(id: u64, deps: Vec<u64>) -> JobSpec {
+        JobSpec {
+            id,
+            name: format!("j{id}"),
+            kind: "noop".into(),
+            params: Value::Null,
+            deps,
+        }
+    }
+
+    #[test]
+    fn validation_is_linear_in_jobs_and_deps() {
+        // A chain of 2^16 - 1 jobs plus one job over every other: 2^16
+        // jobs and about 2^17 edges, which a scan of every job's deps
+        // per dequeued job would visit 2^16 times over.
+        let last = (1u64 << 16) - 1;
+        let graph = |close_cycle: bool| {
+            let mut jobs: Vec<JobSpec> = (0..last)
+                .map(|id| job(id, if id == 0 { vec![] } else { vec![id - 1] }))
+                .collect();
+            jobs.push(job(last, (0..last).collect()));
+            if close_cycle {
+                jobs[0].deps.push(last);
+            }
+            jobs
+        };
+        assert!(state_of(graph(false)).validate_graph().is_ok());
+        match state_of(graph(true)).validate_graph() {
+            Err(StoreError::Invalid { message }) => assert!(message.contains("cycle")),
+            other => panic!("expected a cycle, got {other:?}"),
+        }
     }
 }

@@ -314,7 +314,6 @@ mod tests {
                 &Event::Done {
                     id: 1,
                     attempt: 1,
-                    at_ms: 5,
                     result: Value::U64(9),
                 },
             )
@@ -336,7 +335,6 @@ mod tests {
             .append_torn(&Event::Done {
                 id: 1,
                 attempt: 1,
-                at_ms: 5,
                 result: Value::U64(9),
             })
             .unwrap();
@@ -353,7 +351,6 @@ mod tests {
                 &Event::Done {
                     id: 1,
                     attempt: 1,
-                    at_ms: 6,
                     result: Value::U64(10),
                 },
             )
@@ -372,7 +369,6 @@ mod tests {
             .append_torn(&Event::Done {
                 id: 1,
                 attempt: 1,
-                at_ms: 5,
                 result: Value::U64(9),
             })
             .unwrap();

@@ -1,20 +1,20 @@
-//! The worker loop: claim → execute → commit, with retries and crash
-//! points, for one worker or many.
+//! The worker loop: claim → execute → commit, with crash points, for
+//! one worker or many.
 //!
 //! A worker owns no state of its own — everything it decides is a
-//! function of the replayed [`SweepState`], the jobs in flight and the
-//! clock, and every decision becomes durable *before* it acts on it
-//! (claim before execute, done/fail after). Killing the driver at any
-//! instant therefore loses at most the work of its in-flight jobs,
-//! which the next driver re-runs at once: the store lock guarantees
-//! that a claim with no outcome belongs to a driver that is gone.
+//! function of the replayed [`SweepState`] and the jobs in flight, so
+//! it reads no clock. Every decision becomes durable *before* it acts
+//! on it (claim before execute, done or quarantine after). Killing
+//! the driver at any instant therefore loses at most the work of its
+//! in-flight jobs, which the next driver re-runs at once: the store
+//! lock guarantees that a claim with no outcome belongs to a driver
+//! that is gone.
 
 use std::collections::BTreeSet;
 use std::sync::{Condvar, Mutex};
 
 use serde::Value;
 
-use crate::clock::SweepClock;
 use crate::crash::Injector;
 use crate::error::DriveError;
 use crate::event::{Event, JobSpec};
@@ -39,12 +39,12 @@ pub struct DepResult {
 /// exactly when re-executing a job from the same spec and dependency
 /// results reproduces the same value.
 pub trait JobExec {
-    /// Runs one job. `Err` counts as a failed attempt (retried with
-    /// backoff, then quarantined).
+    /// Runs one job. `Err` (or a panic) quarantines the job on this
+    /// attempt: a deterministic job would fail the same way again.
     ///
     /// # Errors
     ///
-    /// The error string is preserved in the job's failure chain.
+    /// The error string is kept in the job's `Quarantine` event.
     fn execute(&self, spec: &JobSpec, deps: &[DepResult]) -> Result<Value, String>;
 }
 
@@ -58,10 +58,6 @@ pub struct WorkerConfig {
     /// Claims and commits serialize through the store; execution runs
     /// concurrently.
     pub workers: usize,
-    /// Attempts before a job is quarantined.
-    pub max_attempts: u32,
-    /// First retry backoff; doubles per failed attempt.
-    pub backoff_base_ms: u64,
 }
 
 impl Default for WorkerConfig {
@@ -69,8 +65,6 @@ impl Default for WorkerConfig {
         WorkerConfig {
             worker: "w".into(),
             workers: 1,
-            max_attempts: 3,
-            backoff_base_ms: 100,
         }
     }
 }
@@ -82,8 +76,6 @@ pub struct DriveReport {
     pub executed: usize,
     /// Claims re-run that a dead driver left without an outcome.
     pub reclaimed: usize,
-    /// Failed attempts recorded.
-    pub failed_attempts: usize,
     /// Jobs quarantined by this run.
     pub quarantined: usize,
     /// Jobs left permanently blocked behind quarantined dependencies.
@@ -106,8 +98,8 @@ struct Shared<'a> {
 
 /// Drives the sweep with `cfg.workers` workers until every job is
 /// settled (done, quarantined, or permanently blocked). Worker 0 runs
-/// on the calling thread. An executor panic counts as a failed
-/// attempt.
+/// on the calling thread. An executor that fails or panics
+/// quarantines its job.
 ///
 /// # Errors
 ///
@@ -119,7 +111,6 @@ pub fn drive(
     store: &mut SweepStore,
     state: &mut SweepState,
     exec: &(dyn JobExec + Sync),
-    clock: &SweepClock,
     injector: &mut Injector,
     cfg: &WorkerConfig,
 ) -> Result<DriveReport, DriveError> {
@@ -136,10 +127,10 @@ pub fn drive(
         let siblings: Vec<_> = (1..cfg.workers.max(1))
             .map(|w| {
                 let (shared, committed) = (&shared, &committed);
-                scope.spawn(move || worker_loop(shared, committed, exec, clock, cfg, w))
+                scope.spawn(move || worker_loop(shared, committed, exec, cfg, w))
             })
             .collect();
-        let first = worker_loop(&shared, &committed, exec, clock, cfg, 0);
+        let first = worker_loop(&shared, &committed, exec, cfg, 0);
         siblings
             .into_iter()
             .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
@@ -166,7 +157,6 @@ fn worker_loop(
     shared: &Mutex<Shared<'_>>,
     committed: &Condvar,
     exec: &dyn JobExec,
-    clock: &SweepClock,
     cfg: &WorkerConfig,
     w: usize,
 ) -> Result<(), DriveError> {
@@ -174,26 +164,19 @@ fn worker_loop(
     let lock = || shared.lock().expect(POISONED);
     let mut guard = lock();
     loop {
-        if guard.stopped || guard.state.is_settled() {
+        if guard.stopped {
             return Ok(());
         }
-        let now = clock.now_ms();
-        let Some(id) = guard.state.next_ready(now, &guard.in_flight) else {
-            if !guard.in_flight.is_empty() {
-                // A sibling's commit may make a job ready.
-                guard = committed.wait(guard).expect(POISONED);
-                continue;
+        let Some(id) = guard.state.next_ready(&guard.in_flight) else {
+            if guard.in_flight.is_empty() {
+                // Every job is done, quarantined or blocked behind one.
+                return Ok(());
             }
-            match guard.state.next_wakeup(now) {
-                // Nothing is in flight, so no sibling has an outcome
-                // to commit while this waits holding the lock.
-                Some(t) => clock.wait_until(t),
-                // Only quarantine-blocked jobs remain.
-                None => return Ok(()),
-            }
+            // A sibling's commit may make a job ready.
+            guard = committed.wait(guard).expect(POISONED);
             continue;
         };
-        let claimed = claim(&mut guard, &worker, id, now);
+        let claimed = claim(&mut guard, &worker, id);
         let (spec, attempt, deps) = stop_on_err(&mut guard, committed, claimed)?;
         drop(guard);
         let outcome =
@@ -204,8 +187,7 @@ fn worker_loop(
         if guard.stopped {
             return Ok(());
         }
-        let now = clock.now_ms();
-        let commit = commit_outcome(&mut guard, cfg, id, attempt, outcome, now);
+        let commit = commit_outcome(&mut guard, id, attempt, outcome);
         stop_on_err(&mut guard, committed, commit)?;
         committed.notify_all();
     }
@@ -231,12 +213,14 @@ fn claim(
     g: &mut Shared<'_>,
     worker: &str,
     id: u64,
-    now: u64,
 ) -> Result<(JobSpec, u32, Vec<DepResult>), DriveError> {
     let job = g.state.job(id).expect("next_ready returns existing jobs");
     let spec = job.spec.clone();
-    let attempt = job.attempts() + 1;
-    let reclaim = matches!(job.status, JobStatus::Claimed { .. });
+    // A claim without an outcome was left by a dead driver.
+    let (attempt, reclaim) = match job.status {
+        JobStatus::Claimed { attempt, .. } => (attempt + 1, true),
+        _ => (1, false),
+    };
     g.injector.hit("claim.before_append")?;
     g.store.append(
         g.state,
@@ -244,7 +228,6 @@ fn claim(
             id,
             worker: worker.to_owned(),
             attempt,
-            at_ms: now,
         },
     )?;
     if reclaim {
@@ -256,15 +239,13 @@ fn claim(
     Ok((spec, attempt, deps))
 }
 
-/// Appends the outcome of one executed attempt (done, retryable fail,
-/// or quarantine), passing its fault points, and tallies it.
+/// Appends the outcome of one executed attempt (done, or quarantine
+/// with its error), passing its fault points, and tallies it.
 fn commit_outcome(
     g: &mut Shared<'_>,
-    cfg: &WorkerConfig,
     id: u64,
     attempt: u32,
     outcome: Result<Value, String>,
-    now: u64,
 ) -> Result<(), DriveError> {
     match outcome {
         Ok(result) => {
@@ -272,7 +253,6 @@ fn commit_outcome(
             let done = Event::Done {
                 id,
                 attempt,
-                at_ms: now,
                 result,
             };
             if g.injector.fires("done.torn_append") {
@@ -283,40 +263,16 @@ fn commit_outcome(
             g.report.executed += 1;
             g.injector.hit("done.after_append")?;
         }
-        Err(error) if attempt >= cfg.max_attempts => {
+        Err(error) => {
             g.injector.hit("quarantine.before_append")?;
-            let mut failures = g
-                .state
-                .job(id)
-                .map(|j| j.failures.clone())
-                .unwrap_or_default();
-            failures.push(error);
             g.store.append(
                 g.state,
                 &Event::Quarantine {
                     id,
-                    at_ms: now,
-                    failures,
+                    failures: vec![error],
                 },
             )?;
             g.report.quarantined += 1;
-        }
-        Err(error) => {
-            g.injector.hit("fail.before_append")?;
-            let backoff = cfg
-                .backoff_base_ms
-                .saturating_mul(1u64 << (attempt - 1).min(16));
-            g.store.append(
-                g.state,
-                &Event::Fail {
-                    id,
-                    attempt,
-                    at_ms: now,
-                    error,
-                    retry_ms: now.saturating_add(backoff),
-                },
-            )?;
-            g.report.failed_attempts += 1;
         }
     }
     Ok(())
@@ -338,7 +294,7 @@ fn dep_results(state: &SweepState, spec: &JobSpec) -> Vec<DepResult> {
         .collect()
 }
 
-/// Renders a caught panic payload as a failure-chain message.
+/// Renders a caught panic payload as a quarantine error.
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     let message = payload
         .downcast_ref::<&str>()

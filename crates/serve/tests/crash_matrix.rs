@@ -8,13 +8,11 @@
 //! `ftdes-bench` crate repeats the matrix with the real optimizer
 //! jobs.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use ftdes_serve::{
     drive, CrashMode, DepResult, DriveError, Event, Injector, JobExec, JobSpec, JobStatus,
-    SweepClock, SweepState, SweepStore, WorkerConfig, FAULT_POINTS,
+    SweepState, SweepStore, WorkerConfig, FAULT_POINTS,
 };
 use serde::Value;
 
@@ -27,8 +25,7 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 /// The matrix DAG passes every fault point at least twice: three pure
-/// jobs, one transient failure (fails its first call per process), two
-/// poison jobs, and an aggregate over the survivors.
+/// jobs, two poison jobs, and an aggregate over the pure ones.
 fn matrix_jobs() -> Vec<JobSpec> {
     let mut jobs: Vec<JobSpec> = (1..=3)
         .map(|id| JobSpec {
@@ -39,14 +36,7 @@ fn matrix_jobs() -> Vec<JobSpec> {
             deps: vec![],
         })
         .collect();
-    jobs.push(JobSpec {
-        id: 4,
-        name: "flaky".into(),
-        kind: "fail:1".into(),
-        params: Value::U64(0),
-        deps: vec![],
-    });
-    for id in [5, 6] {
+    for id in [4, 5] {
         jobs.push(JobSpec {
             id,
             name: format!("poison-{id}"),
@@ -56,46 +46,28 @@ fn matrix_jobs() -> Vec<JobSpec> {
         });
     }
     jobs.push(JobSpec {
-        id: 7,
+        id: 6,
         name: "aggregate".into(),
         kind: "sum".into(),
         params: Value::Null,
-        deps: vec![1, 2, 3, 4],
+        deps: vec![1, 2, 3],
     });
     jobs
 }
 
-/// Deterministic-by-value executor: re-running any job with the same
-/// spec and dependency results yields the same `Ok` value, which is
-/// all the bit-identity contract requires. (The *number* of failures
-/// a transient job takes may differ across crashed runs — those are
-/// log-visible, not result-visible.)
-#[derive(Default)]
-struct Toy {
-    calls: Mutex<BTreeMap<u64, u32>>,
-}
+/// Deterministic executor: re-running any job with the same spec and
+/// dependency results yields the same outcome, which is all the
+/// bit-identity contract requires.
+struct Toy;
 
 impl JobExec for Toy {
     fn execute(&self, spec: &JobSpec, deps: &[DepResult]) -> Result<Value, String> {
-        let calls_so_far = {
-            let mut calls = self.calls.lock().unwrap();
-            let n = calls.entry(spec.id).or_insert(0);
-            *n += 1;
-            *n
-        };
         match spec.kind.as_str() {
             "double" => Ok(Value::U64(spec.params.as_u64().unwrap_or(0) * 2)),
             "sum" => Ok(Value::U64(
                 deps.iter().filter_map(|d| d.result.as_u64()).sum(),
             )),
-            "poison" => Err(format!("poison attempt {calls_so_far}")),
-            kind => match kind.strip_prefix("fail:") {
-                Some(n) if calls_so_far <= n.parse::<u32>().unwrap() => {
-                    Err(format!("transient failure {calls_so_far}"))
-                }
-                Some(_) => Ok(Value::U64(77)),
-                None => Err(format!("unknown kind {kind}")),
-            },
+            kind => Err(format!("{kind} {}", spec.id)),
         }
     }
 }
@@ -104,8 +76,6 @@ fn cfg(worker: &str, workers: usize) -> WorkerConfig {
     WorkerConfig {
         worker: worker.into(),
         workers,
-        max_attempts: 3,
-        backoff_base_ms: 50,
     }
 }
 
@@ -125,12 +95,10 @@ fn results_bytes(state: &SweepState) -> String {
 
 fn run_uncrashed(path: &Path) -> String {
     let (mut store, mut state) = SweepStore::create(path, "matrix", &matrix_jobs()).unwrap();
-    let clock = SweepClock::virtual_at(0);
     drive(
         &mut store,
         &mut state,
-        &Toy::default(),
-        &clock,
+        &Toy,
         &mut Injector::none(),
         &cfg("base", 1),
     )
@@ -160,7 +128,6 @@ fn events_of(path: &Path, point: &str) -> usize {
         .filter(|event| match point.split('.').next().unwrap() {
             "claim" => matches!(event, Event::Claim { .. }),
             "done" => matches!(event, Event::Done { .. }),
-            "fail" => matches!(event, Event::Fail { .. }),
             _ => matches!(event, Event::Quarantine { .. }),
         })
         .count()
@@ -169,7 +136,7 @@ fn events_of(path: &Path, point: &str) -> usize {
 #[test]
 fn resume_after_any_crash_is_bit_identical_to_the_uncrashed_run() {
     let baseline = run_uncrashed(&tmp("baseline.jsonl"));
-    assert!(baseline.contains("7="), "aggregate committed in baseline");
+    assert!(baseline.contains("6="), "aggregate committed in baseline");
 
     for workers in [1, 2] {
         for nth in [1, 2] {
@@ -181,17 +148,13 @@ fn resume_after_any_crash_is_bit_identical_to_the_uncrashed_run() {
                 ));
                 let (mut store, mut state) =
                     SweepStore::create(&path, "matrix", &matrix_jobs()).unwrap();
-                let clock = SweepClock::virtual_at(0);
 
-                // Crash exactly at the nth pass of `point`. Each
-                // simulated process gets a fresh Toy, like a real kill
-                // would.
+                // Crash exactly at the nth pass of `point`.
                 let mut injector = Injector::at(point, nth as u64, CrashMode::Error).unwrap();
                 let err = drive(
                     &mut store,
                     &mut state,
-                    &Toy::default(),
-                    &clock,
+                    &Toy,
                     &mut injector,
                     &cfg("victim", workers),
                 )
@@ -218,14 +181,13 @@ fn resume_after_any_crash_is_bit_identical_to_the_uncrashed_run() {
                 drive(
                     &mut store,
                     &mut state,
-                    &Toy::default(),
-                    &clock,
+                    &Toy,
                     &mut Injector::none(),
                     &cfg("rescuer", workers),
                 )
                 .unwrap();
                 assert!(state.is_settled(), "{at} resumed run settles");
-                for poison in [5, 6] {
+                for poison in [4, 5] {
                     assert!(
                         matches!(state.job(poison).unwrap().status, JobStatus::Quarantined),
                         "{at} the poison jobs still quarantine"
@@ -251,13 +213,12 @@ fn resume_after_any_crash_is_bit_identical_to_the_uncrashed_run() {
 #[test]
 fn repeated_crashes_on_the_same_store_still_converge() {
     // Crash at every point in sequence against ONE store — a worker
-    // that dies seven times in a row — then finish. The surviving log
+    // that dies six times in a row — then finish. The surviving log
     // must still produce the baseline results.
     let baseline = run_uncrashed(&tmp("multi-baseline.jsonl"));
     let path = tmp("multi-crash.jsonl");
     let (store, state) = SweepStore::create(&path, "matrix", &matrix_jobs()).unwrap();
     drop((store, state));
-    let clock = SweepClock::virtual_at(0);
 
     for &point in FAULT_POINTS {
         let (mut store, mut state, _report) = SweepStore::open(&path).unwrap();
@@ -270,8 +231,7 @@ fn repeated_crashes_on_the_same_store_still_converge() {
         let _ = drive(
             &mut store,
             &mut state,
-            &Toy::default(),
-            &clock,
+            &Toy,
             &mut injector,
             &cfg("victim", 1),
         );
@@ -281,8 +241,7 @@ fn repeated_crashes_on_the_same_store_still_converge() {
     drive(
         &mut store,
         &mut state,
-        &Toy::default(),
-        &clock,
+        &Toy,
         &mut Injector::none(),
         &cfg("rescuer", 1),
     )

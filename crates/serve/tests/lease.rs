@@ -1,10 +1,8 @@
-//! Claims, re-runs of dead claims, retry backoff and quarantine under
-//! the deterministic virtual clock, at one worker and at several.
+//! Claims, re-runs of dead claims and quarantine on a job's first
+//! failed attempt, at one worker and at several.
 //!
-//! No test here sleeps or reads the wall clock: the only
-//! time-dependent transition, retry backoff elapsing, is driven by
-//! explicit `SweepClock::virtual_at` advances, so the schedules below
-//! are exact and repeatable.
+//! No test here sleeps or reads a clock: nothing in the worker loop
+//! waits on time, so the schedules below are exact and repeatable.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -12,7 +10,7 @@ use std::sync::{Barrier, Mutex};
 
 use ftdes_serve::{
     drive, CrashMode, DepResult, DriveError, Event, Injector, JobExec, JobSpec, JobStatus,
-    SweepClock, SweepState, SweepStore, WorkerConfig,
+    SweepState, SweepStore, WorkerConfig,
 };
 use serde::Value;
 
@@ -35,8 +33,8 @@ fn job(id: u64, kind: &str, deps: Vec<u64>) -> JobSpec {
 }
 
 /// Deterministic toy executor: `double` returns 2·params, `sum` adds
-/// its dependencies, `fail:N` fails its first N calls (tracked
-/// internally), `poison` always fails.
+/// its dependencies, `poison` always fails (numbering its calls,
+/// which it tracks).
 #[derive(Default)]
 struct Toy {
     calls: Mutex<HashMap<u64, u32>>,
@@ -55,17 +53,7 @@ impl JobExec for Toy {
                 deps.iter().filter_map(|d| d.result.as_u64()).sum(),
             )),
             "poison" => Err(format!("poison attempt {calls_so_far}")),
-            kind => match kind.strip_prefix("fail:") {
-                Some(n) => {
-                    let threshold: u32 = n.parse().unwrap();
-                    if calls_so_far <= threshold {
-                        Err(format!("transient failure {calls_so_far}"))
-                    } else {
-                        Ok(Value::U64(77))
-                    }
-                }
-                None => Err(format!("unknown kind {kind}")),
-            },
+            kind => Err(format!("unknown kind {kind}")),
         }
     }
 }
@@ -74,8 +62,6 @@ fn worker(name: &str) -> WorkerConfig {
     WorkerConfig {
         worker: name.into(),
         workers: 1,
-        max_attempts: 3,
-        backoff_base_ms: 100,
     }
 }
 
@@ -88,13 +74,12 @@ fn pool(workers: usize) -> WorkerConfig {
 
 /// A claim with no outcome after it belongs to a driver that is gone
 /// (the store lock admits one live driver), so the next driver takes
-/// it over at once: it never waits on the clock.
+/// it over at once.
 #[test]
 fn takeover_reclaims_immediately_without_waiting_out_the_lease() {
     let path = tmp("takeover.jsonl");
     let jobs = vec![job(1, "double", vec![]), job(2, "sum", vec![1])];
     let (mut store, mut state) = SweepStore::create(&path, "lease", &jobs).unwrap();
-    let clock = SweepClock::virtual_at(0);
 
     // Driver A claims job 1 and "dies" right after the claim lands.
     let mut crash = Injector::at("claim.after_append", 1, CrashMode::Error).unwrap();
@@ -102,7 +87,6 @@ fn takeover_reclaims_immediately_without_waiting_out_the_lease() {
         &mut store,
         &mut state,
         &Toy::default(),
-        &clock,
         &mut crash,
         &worker("a"),
     )
@@ -122,14 +106,12 @@ fn takeover_reclaims_immediately_without_waiting_out_the_lease() {
         &mut store,
         &mut state,
         &Toy::default(),
-        &clock,
         &mut Injector::none(),
         &worker("b"),
     )
     .unwrap();
     assert_eq!(report.executed, 2);
     assert_eq!(report.reclaimed, 1, "job 1 was taken over from A");
-    assert_eq!(clock.now_ms(), 0, "nothing waited on the clock");
     assert_eq!(state.result(1), Some(&Value::U64(20)));
     assert_eq!(state.result(2), Some(&Value::U64(20)));
 
@@ -146,7 +128,6 @@ fn crashed_workers_lease_expires_and_job_is_reclaimed() {
     let path = tmp("reclaim.jsonl");
     let jobs = vec![job(1, "double", vec![]), job(2, "sum", vec![1])];
     let (mut store, mut state) = SweepStore::create(&path, "lease", &jobs).unwrap();
-    let clock = SweepClock::virtual_at(5_000);
 
     // Driver A finishes job 1, then dies right after its claim of
     // job 2 lands.
@@ -155,7 +136,6 @@ fn crashed_workers_lease_expires_and_job_is_reclaimed() {
         &mut store,
         &mut state,
         &Toy::default(),
-        &clock,
         &mut crash,
         &worker("a"),
     )
@@ -177,14 +157,12 @@ fn crashed_workers_lease_expires_and_job_is_reclaimed() {
         &mut store,
         &mut state,
         &toy,
-        &clock,
         &mut Injector::none(),
         &worker("b"),
     )
     .unwrap();
     assert_eq!(report.executed, 1, "only the dead claim re-runs");
     assert_eq!(report.reclaimed, 1, "job 2 was taken over from A");
-    assert_eq!(clock.now_ms(), 5_000, "nothing waited on the clock");
     assert_eq!(toy.calls.lock().unwrap().get(&1), None, "job 1 kept");
     assert_eq!(state.result(1), Some(&Value::U64(20)));
     assert_eq!(state.result(2), Some(&Value::U64(20)));
@@ -199,35 +177,6 @@ fn crashed_workers_lease_expires_and_job_is_reclaimed() {
 }
 
 #[test]
-fn transient_failures_retry_with_exponential_backoff() {
-    let path = tmp("backoff.jsonl");
-    let jobs = vec![job(1, "fail:2", vec![])];
-    let (mut store, mut state) = SweepStore::create(&path, "lease", &jobs).unwrap();
-    let clock = SweepClock::virtual_at(0);
-    let report = drive(
-        &mut store,
-        &mut state,
-        &Toy::default(),
-        &clock,
-        &mut Injector::none(),
-        &worker("w"),
-    )
-    .unwrap();
-    assert_eq!(report.failed_attempts, 2);
-    assert_eq!(report.executed, 1);
-    assert_eq!(state.result(1), Some(&Value::U64(77)));
-    // Backoffs: attempt 1 fails at t=0 → retry at 100; attempt 2
-    // fails at t=100 → retry at 100 + 200 = 300.
-    let retries = replay_retries(&path, 1);
-    assert_eq!(retries, vec![100, 300]);
-    assert_eq!(
-        clock.now_ms(),
-        300,
-        "the clock advanced exactly per backoff"
-    );
-}
-
-#[test]
 fn poison_jobs_quarantine_with_their_failure_chain_and_block_dependents() {
     let path = tmp("poison.jsonl");
     let jobs = vec![
@@ -237,12 +186,10 @@ fn poison_jobs_quarantine_with_their_failure_chain_and_block_dependents() {
         job(4, "sum", vec![2]),    // unaffected
     ];
     let (mut store, mut state) = SweepStore::create(&path, "lease", &jobs).unwrap();
-    let clock = SweepClock::virtual_at(0);
     let report = drive(
         &mut store,
         &mut state,
         &Toy::default(),
-        &clock,
         &mut Injector::none(),
         &worker("w"),
     )
@@ -256,20 +203,17 @@ fn poison_jobs_quarantine_with_their_failure_chain_and_block_dependents() {
     ));
     assert_eq!(
         state.job(1).unwrap().failures,
-        vec![
-            "poison attempt 1".to_owned(),
-            "poison attempt 2".to_owned(),
-            "poison attempt 3".to_owned(),
-        ],
-        "the full failure chain is preserved"
+        vec!["poison attempt 1".to_owned()],
+        "one attempt, its error kept"
     );
+    assert_eq!(replay_claims(&path, 1), vec![("w-0".into(), 1)]);
     assert!(state.blocked_forever(3));
     assert!(state.is_settled());
     assert!(!state.is_complete());
 
-    // The chain survives replay from the log alone.
+    // The error survives replay from the log alone.
     let (replayed, _r) = SweepStore::replay(&path).unwrap();
-    assert_eq!(replayed.job(1).unwrap().failures.len(), 3);
+    assert_eq!(replayed.job(1).unwrap().failures.len(), 1);
     assert!(matches!(
         replayed.job(1).unwrap().status,
         JobStatus::Quarantined
@@ -287,7 +231,6 @@ fn dead_claims(store: &mut SweepStore, state: &mut SweepState, ids: &[u64]) {
                     id,
                     worker: format!("dead-{w}"),
                     attempt: 1,
-                    at_ms: 0,
                 },
             )
             .unwrap();
@@ -304,18 +247,15 @@ fn takeover_covers_every_lease_left_by_the_dead_process() {
     drop(store);
 
     let (mut store, mut state, _) = SweepStore::open(&path).unwrap();
-    let clock = SweepClock::virtual_at(0);
     let report = drive(
         &mut store,
         &mut state,
         &Toy::default(),
-        &clock,
         &mut Injector::none(),
         &worker("b"),
     )
     .unwrap();
     assert_eq!(report.reclaimed, 2, "both dead claims taken over");
-    assert_eq!(clock.now_ms(), 0, "neither claim was waited out");
     assert_eq!(state.result(1), Some(&Value::U64(20)));
     assert_eq!(state.result(2), Some(&Value::U64(40)));
 }
@@ -331,32 +271,26 @@ fn stale_fail_after_done_is_ignored() {
             &Event::Done {
                 id: 1,
                 attempt: 1,
-                at_ms: 5,
                 result: Value::U64(20),
             },
         )
         .unwrap();
-    // A slow sibling's Fail lands after the committed Done: it must
-    // not pollute the failure chain or inflate attempts().
-    store
-        .append(
-            &mut state,
-            &Event::Fail {
-                id: 1,
-                attempt: 1,
-                at_ms: 6,
-                error: "stale".into(),
-                retry_ms: 106,
-            },
-        )
-        .unwrap();
-    assert!(matches!(
-        state.job(1).unwrap().status,
-        JobStatus::Done { .. }
-    ));
-    assert!(state.job(1).unwrap().failures.is_empty());
+    drop(store);
+    // A Fail line as a driver that retried failed jobs wrote it, after
+    // the committed Done: it names a declared job, so it replays, and
+    // changes nothing.
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes.extend_from_slice(
+        b"{\"Fail\":{\"id\":1,\"attempt\":1,\"at_ms\":6,\"error\":\"stale\",\"retry_ms\":106}}\n",
+    );
+    std::fs::write(&path, bytes).unwrap();
     let (replayed, _r) = SweepStore::replay(&path).unwrap();
+    assert_eq!(replayed.result(1), Some(&Value::U64(20)));
     assert!(replayed.job(1).unwrap().failures.is_empty());
+    assert!(
+        state.apply(&Event::Fail { id: 9 }).is_err(),
+        "a Fail must name a declared job"
+    );
 }
 
 #[test]
@@ -365,12 +299,10 @@ fn parallel_drive_settles_the_graph() {
     let mut jobs: Vec<JobSpec> = (1..=8).map(|i| job(i, "double", vec![])).collect();
     jobs.push(job(9, "sum", (1..=8).collect()));
     let (mut store, mut state) = SweepStore::create(&path, "lease", &jobs).unwrap();
-    let clock = SweepClock::virtual_at(0);
     let report = drive(
         &mut store,
         &mut state,
         &Toy::default(),
-        &clock,
         &mut Injector::none(),
         &pool(4),
     )
@@ -383,8 +315,7 @@ fn parallel_drive_settles_the_graph() {
 #[test]
 fn parallel_drive_counts_are_exact_across_repeated_runs() {
     // Regression: an idle worker once observed no job in flight before
-    // a finished job's outcome was committed, computed a wakeup from
-    // that stale view, leapt the virtual clock and re-executed the job
+    // a finished job's outcome was committed and re-executed the job
     // (executed 10 instead of 9, intermittently). Siblings never
     // re-claim each other's jobs: the counts must be exact every time.
     for round in 0..25 {
@@ -392,12 +323,10 @@ fn parallel_drive_counts_are_exact_across_repeated_runs() {
         let mut jobs: Vec<JobSpec> = (1..=8).map(|i| job(i, "double", vec![])).collect();
         jobs.push(job(9, "sum", (1..=8).collect()));
         let (mut store, mut state) = SweepStore::create(&path, "lease", &jobs).unwrap();
-        let clock = SweepClock::virtual_at(0);
         let report = drive(
             &mut store,
             &mut state,
             &Toy::default(),
-            &clock,
             &mut Injector::none(),
             &pool(4),
         )
@@ -407,7 +336,6 @@ fn parallel_drive_counts_are_exact_across_repeated_runs() {
             report.reclaimed, 0,
             "round {round}: no sibling's job was taken"
         );
-        assert_eq!(clock.now_ms(), 0, "round {round}: the clock never advanced");
         assert_eq!(state.result(9), Some(&Value::U64(720)));
     }
 }
@@ -423,27 +351,24 @@ fn parallel_takeover_covers_dead_leases_but_never_live_siblings() {
     drop(store);
 
     let (mut store, mut state, _) = SweepStore::open(&path).unwrap();
-    let clock = SweepClock::virtual_at(0);
     let report = drive(
         &mut store,
         &mut state,
         &Toy::default(),
-        &clock,
         &mut Injector::none(),
         &pool(2),
     )
     .unwrap();
     // Exactly the two dead claims are taken over; the workers never
-    // take each other's live claims, and nothing waits on the clock.
+    // take each other's live claims.
     assert_eq!(report.executed, 5);
     assert_eq!(report.reclaimed, 2);
-    assert_eq!(clock.now_ms(), 0);
     assert_eq!(state.result(5), Some(&Value::U64(200)));
 }
 
 /// Holds every job at a two-party barrier, so both workers are in
-/// flight when the first of them commits; `fail` jobs fail and
-/// `poison` jobs fail for good.
+/// flight when the first of them commits; every kind but `double`
+/// fails.
 struct Gate(Barrier);
 
 impl JobExec for Gate {
@@ -461,27 +386,21 @@ fn an_injected_crash_stops_the_sibling_in_flight() {
     // Two jobs in flight at once; the first commit crashes. The other
     // worker's outcome must never reach the log, at every commit-side
     // fault point.
-    for (point, kind, max_attempts, kept) in [
-        ("done.before_append", "double", 3, 0),
-        ("done.torn_append", "double", 3, 0),
-        ("done.after_append", "double", 3, 1),
-        ("fail.before_append", "fail", 3, 0),
-        ("quarantine.before_append", "poison", 1, 0),
+    for (point, kind, kept) in [
+        ("done.before_append", "double", 0),
+        ("done.torn_append", "double", 0),
+        ("done.after_append", "double", 1),
+        ("quarantine.before_append", "poison", 0),
     ] {
         let path = tmp(&format!("sibling-{}.jsonl", point.replace('.', "-")));
         let jobs = vec![job(1, kind, vec![]), job(2, kind, vec![])];
         let (mut store, mut state) = SweepStore::create(&path, "lease", &jobs).unwrap();
-        let cfg = WorkerConfig {
-            max_attempts,
-            ..pool(2)
-        };
         let err = drive(
             &mut store,
             &mut state,
             &Gate(Barrier::new(2)),
-            &SweepClock::virtual_at(0),
             &mut Injector::at(point, 1, CrashMode::Error).unwrap(),
-            &cfg,
+            &pool(2),
         )
         .unwrap_err();
         assert!(matches!(err, DriveError::InjectedCrash { .. }), "[{point}]");
@@ -507,22 +426,13 @@ fn an_injected_crash_stops_the_sibling_in_flight() {
     }
 }
 
-/// Panics on its first `boom` call, succeeds after — the panic must
-/// surface as a failed attempt, not hang the sibling workers.
-#[derive(Default)]
-struct Panicky {
-    calls: Mutex<u32>,
-}
+/// Panics on every `boom` call — the panic must quarantine the job,
+/// not hang the sibling workers.
+struct Panicky;
 
 impl JobExec for Panicky {
     fn execute(&self, spec: &JobSpec, _deps: &[DepResult]) -> Result<Value, String> {
-        if spec.kind == "boom" {
-            let mut calls = self.calls.lock().unwrap_or_else(|e| e.into_inner());
-            *calls += 1;
-            let first = *calls == 1;
-            drop(calls);
-            assert!(!first, "first boom call panics");
-        }
+        assert_ne!(spec.kind, "boom", "boom panics");
         Ok(Value::U64(spec.params.as_u64().unwrap_or(0) * 2))
     }
 }
@@ -536,21 +446,27 @@ fn parallel_panicking_executor_becomes_a_failed_attempt_not_a_hang() {
         let report = drive(
             &mut store,
             &mut state,
-            &Panicky::default(),
-            &SweepClock::virtual_at(0),
+            &Panicky,
             &mut Injector::none(),
             &pool(workers),
         )
         .unwrap();
         assert_eq!(
-            report.failed_attempts, 1,
-            "{workers} workers: the panic is one failed attempt"
+            report.quarantined, 1,
+            "{workers} workers: the panic quarantines its job"
         );
-        assert_eq!(report.executed, 2, "{workers} workers: both jobs complete");
-        assert_eq!(state.result(1), Some(&Value::U64(20)));
+        assert_eq!(
+            report.executed, 1,
+            "{workers} workers: the sibling completes"
+        );
+        assert!(matches!(
+            state.job(1).unwrap().status,
+            JobStatus::Quarantined
+        ));
+        assert_eq!(state.result(2), Some(&Value::U64(40)));
         assert!(
             state.job(1).unwrap().failures[0].contains("executor panicked"),
-            "panic text lands in the failure chain: {:?}",
+            "panic text lands in the quarantine: {:?}",
             state.job(1).unwrap().failures
         );
     }
@@ -566,22 +482,7 @@ fn replay_claims(path: &PathBuf, id: u64) -> Vec<(String, u32)> {
                 id: j,
                 worker,
                 attempt,
-                ..
             } if j == id => Some((worker, attempt)),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Replays the raw log, returning the `retry_ms` of each failure of
-/// `id`.
-fn replay_retries(path: &PathBuf, id: u64) -> Vec<u64> {
-    raw_events(path)
-        .into_iter()
-        .filter_map(|e| match e {
-            Event::Fail {
-                id: j, retry_ms, ..
-            } if j == id => Some(retry_ms),
             _ => None,
         })
         .collect()

@@ -28,8 +28,7 @@
 
 use ftdes::bench::jobs::{ChiSweep, SweepExec, SweepSpec};
 use ftdes::serve::{
-    drive, CrashMode, DriveError, Injector, SweepClock, SweepState, SweepStore, WorkerConfig,
-    FAULT_POINTS,
+    drive, CrashMode, DriveError, Injector, SweepState, SweepStore, WorkerConfig, FAULT_POINTS,
 };
 
 /// Serializes every committed result in job order — the identity two
@@ -77,11 +76,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         jobs.len()
     );
 
-    let clock = SweepClock::virtual_at(0);
     let cfg = |worker: &str| WorkerConfig {
         worker: worker.into(),
-        max_attempts: 2,
-        backoff_base_ms: 10,
         ..WorkerConfig::default()
     };
 
@@ -92,7 +88,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &mut store,
         &mut state,
         &SweepExec::new(),
-        &clock,
         &mut Injector::none(),
         &cfg("baseline"),
     )?;
@@ -109,13 +104,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &mut store,
             &mut state,
             &SweepExec::new(),
-            &clock,
             &mut injector,
             &cfg("victim"),
         );
         let fired = match outcome {
             Err(DriveError::InjectedCrash { .. }) => true,
-            Ok(_) => false, // failure-path points never fire on a healthy sweep
+            Ok(_) => false, // the quarantine point never fires on a healthy sweep
             Err(e) => return Err(format!("[{point}] unexpected error: {e}").into()),
         };
         drop(store); // the "process" dies here
@@ -130,7 +124,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &mut store,
             &mut state,
             &SweepExec::new(), // fresh executor: cold cache, no carried state
-            &clock,
             &mut Injector::none(),
             &cfg("rescuer"),
         )?;
