@@ -936,13 +936,11 @@ fn print_status(
         },
         if torn { ", torn line skipped" } else { "" },
     )?;
-    for job in state.jobs() {
+    for (job, blocked) in state.jobs().zip(state.blocked()) {
         let line = match &job.status {
             JobStatus::Done { .. } => continue,
             JobStatus::Ready if state.deps_done(job.spec.id) => "ready".to_owned(),
-            JobStatus::Ready if state.blocked_forever(job.spec.id) => {
-                "blocked (dependency quarantined)".to_owned()
-            }
+            JobStatus::Ready if blocked => "blocked (dependency quarantined)".to_owned(),
             JobStatus::Ready => "waiting on dependencies".to_owned(),
             JobStatus::Claimed { worker, attempt } => {
                 format!("claimed by {worker} (attempt {attempt}, no outcome yet)")

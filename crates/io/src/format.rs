@@ -206,6 +206,106 @@ pub fn parse_problem(input: &str) -> Result<ProblemSpec, ParseProblemError> {
     Parser::new().run(input)
 }
 
+/// How the scanner reads a character.
+#[derive(Debug, Clone, Copy)]
+enum Class {
+    /// Part of a token.
+    Token,
+    /// A separator: any [`char::is_whitespace`] character but `\n`.
+    Space,
+    /// `\n`, which ends a line.
+    Newline,
+    /// `#`, which ends a line's tokens.
+    Comment,
+}
+
+/// The class and byte width of the character at byte `at` of `input`
+/// (a character boundary), or `None` at the end. Only a byte ≥ 0x80
+/// decodes a `char`, so U+0085, U+00A0, U+2028, U+3000 and the other
+/// Unicode separators split tokens as they do for `split_whitespace`.
+/// An ASCII byte keeps an arm of its own, where the compiler can drop
+/// `is_whitespace`'s Unicode lookup.
+#[inline]
+fn class_at(input: &str, at: usize) -> Option<(Class, usize)> {
+    let class = |c: char| {
+        if c.is_whitespace() {
+            Class::Space
+        } else {
+            Class::Token
+        }
+    };
+    match *input.as_bytes().get(at)? {
+        b'\n' => Some((Class::Newline, 1)),
+        b'#' => Some((Class::Comment, 1)),
+        b if b.is_ascii() => Some((class(char::from(b)), 1)),
+        _ => {
+            let c = input[at..].chars().next()?;
+            Some((class(c), c.len_utf8()))
+        }
+    }
+}
+
+/// Splits a problem file into numbered lines of tokens in one forward
+/// pass over its bytes. It yields what `str::lines`, a cut at each
+/// line's first `#` and `split_whitespace` yield: a line ends at `\n`,
+/// and a `\r` before it is a separator like any other.
+struct Scanner<'a> {
+    input: &'a str,
+    /// The first byte not yet read.
+    at: usize,
+    /// The number of the line `at` is on, from 1.
+    line: usize,
+}
+
+impl<'a> Scanner<'a> {
+    fn new(input: &'a str) -> Self {
+        Scanner {
+            input,
+            at: 0,
+            line: 1,
+        }
+    }
+
+    /// Reads the next line that has any tokens: returns its number and
+    /// first token and fills `rest` with the others, or returns `None`
+    /// at the end of the input.
+    fn next_line(&mut self, rest: &mut Vec<&'a str>) -> Option<(usize, &'a str)> {
+        rest.clear();
+        let input = self.input;
+        let mut at = self.at;
+        let mut first = None;
+        while let Some((class, width)) = class_at(input, at) {
+            match class {
+                Class::Token => {
+                    let start = at;
+                    at += width;
+                    while let Some((Class::Token, width)) = class_at(input, at) {
+                        at += width;
+                    }
+                    let token = &input[start..at];
+                    match first {
+                        None => first = Some(token),
+                        Some(_) => rest.push(token),
+                    }
+                }
+                Class::Space => at += width,
+                Class::Comment => at = input[at..].find('\n').map_or(input.len(), |n| at + n),
+                Class::Newline => {
+                    at += 1;
+                    let line = self.line;
+                    self.line += 1;
+                    if let Some(first) = first {
+                        self.at = at;
+                        return Some((line, first));
+                    }
+                }
+            }
+        }
+        self.at = at;
+        first.map(|first| (self.line, first))
+    }
+}
+
 /// The names of a graph's processes map to their ids; every name and
 /// node reference the parser keeps borrows the input.
 struct GraphDraft<'a> {
@@ -250,15 +350,8 @@ impl<'a> Parser<'a> {
     fn run(mut self, input: &'a str) -> Result<ProblemSpec, ParseProblemError> {
         // One token buffer serves every line.
         let mut rest: Vec<&'a str> = Vec::new();
-        for (i, line) in input.lines().enumerate() {
-            let body = line.split_once('#').map_or(line, |(body, _)| body);
-            let mut tokens = body.split_whitespace();
-            let Some(directive) = tokens.next() else {
-                continue;
-            };
-            rest.clear();
-            rest.extend(tokens);
-            let ln = i + 1;
+        let mut scanner = Scanner::new(input);
+        while let Some((ln, directive)) = scanner.next_line(&mut rest) {
             match directive {
                 "architecture" => self.architecture(ln, &rest)?,
                 "fault_model" => self.fault_model(ln, &rest)?,
@@ -560,9 +653,12 @@ impl<'a> Parser<'a> {
         check_pairs(processes, arch.node_count())?;
 
         // WCET tables per graph. Writers group the lines of a process,
-        // so each run of lines naming one process resolves it once.
+        // so each run of lines naming one process resolves it once, and
+        // list its nodes in declaration order, so a line's node is
+        // first compared with the one after the previous line's.
         let mut wcet: Vec<WcetTable> = self.graphs.iter().map(|_| WcetTable::new()).collect();
         let mut resolved: Option<(&str, usize, ProcessId)> = None;
+        let mut last_node: Option<NodeId> = None;
         for &(ln, process, node, t) in &self.wcet_lines {
             let (gi, p) = match resolved {
                 Some((name, gi, p)) if name == process => (gi, p),
@@ -586,7 +682,15 @@ impl<'a> Parser<'a> {
             };
             match node {
                 Some(name) => {
-                    let n = self.node(ln, name)?;
+                    let next = NodeId::new(
+                        last_node.map_or(0, |n| (n.index() + 1) % arch.node_count()) as u32,
+                    );
+                    let n = if arch.node(next).name == name {
+                        next
+                    } else {
+                        self.node(ln, name)?
+                    };
+                    last_node = Some(n);
                     if wcet[gi].set(p, n, t).is_some() {
                         return Err(duplicate(n));
                     }
@@ -720,6 +824,79 @@ fn parse_time(ln: usize, value: &str) -> Result<Time, ParseProblemError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The pipeline the scanner replaced: `lines`, a cut at the first
+    /// `#` and `split_whitespace`, numbering lines from 1.
+    fn oracle(input: &str) -> Vec<(usize, Vec<&str>)> {
+        (input.lines().enumerate())
+            .filter_map(|(i, line)| {
+                let body = line.split_once('#').map_or(line, |(body, _)| body);
+                let tokens: Vec<&str> = body.split_whitespace().collect();
+                (!tokens.is_empty()).then_some((i + 1, tokens))
+            })
+            .collect()
+    }
+
+    fn scanned(input: &str) -> Vec<(usize, Vec<&str>)> {
+        let mut scanner = Scanner::new(input);
+        let mut rest = Vec::new();
+        let mut lines = Vec::new();
+        while let Some((ln, first)) = scanner.next_line(&mut rest) {
+            lines.push((ln, [&[first], rest.as_slice()].concat()));
+        }
+        lines
+    }
+
+    /// Directive words, names, comments, every line end, every
+    /// Unicode separator class and multi-byte letters, plus
+    /// characters that are not whitespace though they look like it
+    /// (U+001C, U+200B, U+FEFF).
+    const PIECES: &[&str] = &[
+        "architecture",
+        "wcet",
+        "edge",
+        "p1",
+        "N2",
+        "15ms",
+        "k=2",
+        "#",
+        "x#y",
+        "\n",
+        "\r\n",
+        "\r",
+        "\t",
+        " ",
+        "\u{b}",
+        "\u{c}",
+        "\u{1c}",
+        "\u{85}",
+        "\u{a0}",
+        "\u{1680}",
+        "\u{2003}",
+        "\u{2028}",
+        "\u{2029}",
+        "\u{202f}",
+        "\u{3000}",
+        "\u{200b}",
+        "\u{feff}",
+        "é",
+        "λ",
+        "名",
+        "😀",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        #[test]
+        fn scanner_matches_the_line_split_oracle(
+            picks in collection::vec(0..PIECES.len(), 0..80),
+        ) {
+            let input: String = picks.iter().map(|&i| PIECES[i]).collect();
+            prop_assert_eq!(scanned(&input), oracle(&input), "input {:?}", input);
+        }
+    }
 
     const SAMPLE: &str = r"
 # a tiny two-node system

@@ -555,6 +555,49 @@ fn bad_file_reports_line() {
     assert!(stderr.contains("line 2"), "stderr: {stderr}");
 }
 
+/// [`PIPELINE`] with CRLF line ends, a comment ending every line and
+/// U+00A0, U+000B and tab for separators.
+fn pipeline_with_unicode_separators() -> String {
+    let separators = ["\u{a0}", "\u{b}", "\t"];
+    (PIPELINE.lines().enumerate())
+        .map(|(i, line)| {
+            let tokens: Vec<&str> = line.split_whitespace().collect();
+            let separator = separators[i % separators.len()];
+            format!(
+                "{separator}{}{separator}# comment\r\n",
+                tokens.join(separator)
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn crlf_and_unicode_separators_read_like_the_plain_file() {
+    let plain = write_problem("plain.ftd", PIPELINE);
+    let spaced_text = pipeline_with_unicode_separators();
+    let spaced = write_problem("spaced.ftd", &spaced_text);
+    let expected = ftdes(&["info", plain.to_str().unwrap()]);
+    let out = ftdes(&["info", spaced.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(out.stdout, expected.stdout);
+
+    // A bad value on the last line is reported at that line.
+    let last = spaced_text.matches('\n').count();
+    let bad = write_problem("spaced-bad.ftd", &spaced_text.replace("30ms", "30xs"));
+    let out = ftdes(&["info", bad.to_str().unwrap()]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("line {last}:")),
+        "stderr: {stderr}"
+    );
+    assert!(stderr.contains("invalid time \"30xs\""), "stderr: {stderr}");
+}
+
 #[test]
 fn unknown_flag_rejected() {
     let path = write_problem("flags.ftd", PIPELINE);

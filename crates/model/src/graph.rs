@@ -140,6 +140,18 @@ impl ProcessGraph {
         }
     }
 
+    /// An empty graph with room for `processes` processes and `edges`
+    /// edges.
+    pub(crate) fn with_capacity(id: GraphId, processes: usize, edges: usize) -> Self {
+        ProcessGraph {
+            id,
+            processes: Vec::with_capacity(processes),
+            edges: Vec::with_capacity(edges),
+            successors: Vec::with_capacity(processes),
+            predecessors: Vec::with_capacity(processes),
+        }
+    }
+
     /// Returns the graph id.
     #[must_use]
     pub fn id(&self) -> GraphId {
@@ -167,6 +179,17 @@ impl ProcessGraph {
     ///
     /// Panics if `process.id` is not the next dense index.
     pub fn push_process(&mut self, process: Process) -> ProcessId {
+        self.push_process_sized(process, 0, 0)
+    }
+
+    /// [`ProcessGraph::push_process`] with room for `outgoing` and
+    /// `incoming` edges at the new process.
+    pub(crate) fn push_process_sized(
+        &mut self,
+        process: Process,
+        outgoing: usize,
+        incoming: usize,
+    ) -> ProcessId {
         assert_eq!(
             process.id.index(),
             self.processes.len(),
@@ -174,8 +197,8 @@ impl ProcessGraph {
         );
         let id = process.id;
         self.processes.push(process);
-        self.successors.push(Vec::new());
-        self.predecessors.push(Vec::new());
+        self.successors.push(Vec::with_capacity(outgoing));
+        self.predecessors.push(Vec::with_capacity(incoming));
         id
     }
 
@@ -205,12 +228,28 @@ impl ProcessGraph {
                 process: from,
             });
         }
-        if self.successors[from.index()]
-            .iter()
-            .any(|&e| self.edges[e.index()].to == to)
-        {
+        if self.connects(from, to) {
             return Err(ModelError::DuplicateEdge { from, to });
         }
+        Ok(self.push_edge(from, to, message))
+    }
+
+    /// True when an edge from `from` to `to` exists.
+    fn connects(&self, from: ProcessId, to: ProcessId) -> bool {
+        self.successors[from.index()]
+            .iter()
+            .any(|&e| self.edges[e.index()].to == to)
+    }
+
+    /// Appends an edge that the caller knows is valid: both endpoints
+    /// exist and differ, and no edge joins them yet. This is what
+    /// [`ProcessGraph::add_edge`] checks; here it is only
+    /// debug-asserted, for edges copied from a graph that held them.
+    pub(crate) fn push_edge(&mut self, from: ProcessId, to: ProcessId, message: Message) -> EdgeId {
+        debug_assert!(from.index() < self.processes.len() && to.index() < self.processes.len());
+        debug_assert_ne!(from, to, "self-loop");
+        debug_assert!(!self.connects(from, to), "duplicate edge");
+        let id = EdgeId::new(self.edges.len() as u32);
         self.edges.push(Edge {
             id,
             from,
@@ -219,7 +258,7 @@ impl ProcessGraph {
         });
         self.successors[from.index()].push(id);
         self.predecessors[to.index()].push(id);
-        Ok(id)
+        id
     }
 
     /// Number of processes.

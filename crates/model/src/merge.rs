@@ -75,6 +75,7 @@ impl MergedApplication {
         // by the cap, and the latest activation's offset plus the
         // latest release bounds every release the loop below adds.
         let mut count = 0usize;
+        let mut edges = 0usize;
         for spec in app.specs() {
             let activations = hyperperiod / spec.period;
             count = usize::try_from(activations)
@@ -85,6 +86,9 @@ impl MergedApplication {
                 .ok_or(ModelError::MergedGraphTooLarge {
                     limit: MAX_MERGED_PROCESSES,
                 })?;
+            // Within the cap, and a graph has fewer edges than
+            // processes squared, so this cannot overflow.
+            edges += activations as usize * spec.graph.edge_count();
             let latest_release = spec
                 .graph
                 .processes()
@@ -100,15 +104,17 @@ impl MergedApplication {
                 });
             }
         }
-        let mut graph = ProcessGraph::new(GraphId::new(u32::MAX));
-        let mut origins = Vec::new();
+        // Γ and every adjacency list are built at their final sizes.
+        let mut graph = ProcessGraph::with_capacity(GraphId::new(u32::MAX), count, edges);
+        let mut origins = Vec::with_capacity(count);
 
         for (graph_index, spec) in app.specs().iter().enumerate() {
             let activations = hyperperiod / spec.period;
             for activation in 0..activations {
                 let offset = spec.period * activation;
-                // Map local ids to fresh global ids for this activation.
-                let mut global = Vec::with_capacity(spec.graph.process_count());
+                // An activation's processes take consecutive global
+                // ids from `base`, in local order.
+                let base = graph.process_count();
                 for local in spec.graph.processes() {
                     let gid = ProcessId::new(graph.process_count() as u32);
                     origins.push(ProcessOrigin {
@@ -121,29 +127,31 @@ impl MergedApplication {
                     // activation; an individual deadline tightens it
                     // (one past the time range cannot).
                     let graph_dl = offset + spec.deadline;
-                    graph.push_process(Process {
-                        id: gid,
-                        name: if activations > 1 {
-                            format!("{}@{}", local.name, activation)
-                        } else {
-                            local.name.clone()
+                    graph.push_process_sized(
+                        Process {
+                            id: gid,
+                            name: if activations > 1 {
+                                format!("{}@{}", local.name, activation)
+                            } else {
+                                local.name.clone()
+                            },
+                            release: offset + local.release,
+                            deadline: Some(match local.deadline {
+                                Some(d) => {
+                                    offset.checked_add(d).map_or(graph_dl, |d| graph_dl.min(d))
+                                }
+                                None => graph_dl,
+                            }),
                         },
-                        release: offset + local.release,
-                        deadline: Some(match local.deadline {
-                            Some(d) => offset.checked_add(d).map_or(graph_dl, |d| graph_dl.min(d)),
-                            None => graph_dl,
-                        }),
-                    });
-                    global.push(gid);
+                        spec.graph.outgoing(local.id).len(),
+                        spec.graph.incoming(local.id).len(),
+                    );
                 }
+                // Copied from a graph that holds them, the edges
+                // cannot dangle, loop or repeat.
+                let global = |local: ProcessId| ProcessId::new((base + local.index()) as u32);
                 for edge in spec.graph.edges() {
-                    graph
-                        .add_edge(
-                            global[edge.from.index()],
-                            global[edge.to.index()],
-                            edge.message,
-                        )
-                        .expect("merged edge cannot duplicate or dangle");
+                    graph.push_edge(global(edge.from), global(edge.to), edge.message);
                 }
             }
         }

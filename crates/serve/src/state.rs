@@ -179,23 +179,24 @@ impl SweepState {
                 ),
             });
         }
+        let mut indegree = Vec::with_capacity(self.jobs.len());
+        for job in self.jobs.values() {
+            if let Some(dep) = job
+                .spec
+                .deps
+                .iter()
+                .find(|dep| !self.jobs.contains_key(dep))
+            {
+                return Err(StoreError::Invalid {
+                    message: format!("job {} depends on unknown job {dep}", job.spec.id),
+                });
+            }
+            indegree.push(job.spec.deps.len());
+        }
         // Kahn's algorithm over a dependents index built once, so the
         // check costs O(jobs + deps) lookups.
-        let ids: Vec<u64> = self.jobs.keys().copied().collect();
-        let mut indegree = vec![0usize; ids.len()];
-        let mut dependents = vec![Vec::new(); ids.len()];
-        for (index, job) in self.jobs.values().enumerate() {
-            for dep in &job.spec.deps {
-                let Ok(at) = ids.binary_search(dep) else {
-                    return Err(StoreError::Invalid {
-                        message: format!("job {} depends on unknown job {dep}", job.spec.id),
-                    });
-                };
-                dependents[at].push(index);
-                indegree[index] += 1;
-            }
-        }
-        let mut queue: Vec<usize> = (0..ids.len()).filter(|&i| indegree[i] == 0).collect();
+        let dependents = self.dependents();
+        let mut queue: Vec<usize> = (0..indegree.len()).filter(|&i| indegree[i] == 0).collect();
         let mut seen = 0usize;
         while let Some(index) = queue.pop() {
             seen += 1;
@@ -248,18 +249,51 @@ impl SweepState {
     }
 
     /// True when some (transitive) dependency of `id` is quarantined:
-    /// the job can never run.
+    /// the job can never run. This reads [`SweepState::blocked`], so
+    /// it costs O(jobs + deps); to ask it of every job, read that.
     #[must_use]
     pub fn blocked_forever(&self, id: u64) -> bool {
-        let Some(job) = self.jobs.get(&id) else {
-            return false;
-        };
-        job.spec.deps.iter().any(|dep| {
-            matches!(
-                self.jobs.get(dep).map(|d| &d.status),
-                Some(JobStatus::Quarantined)
-            ) || self.blocked_forever(*dep)
-        })
+        (self.jobs.keys().position(|&k| k == id)).is_some_and(|index| self.blocked()[index])
+    }
+
+    /// For every job, in id order (the order of [`SweepState::jobs`]),
+    /// whether some (transitive) dependency of it is quarantined, in
+    /// one pass over the jobs and their dependencies: blocking spreads
+    /// from each quarantined job to its dependents, and from each
+    /// blocked job to its own.
+    #[must_use]
+    pub fn blocked(&self) -> Vec<bool> {
+        let dependents = self.dependents();
+        let mut blocked = vec![false; self.jobs.len()];
+        let mut stack: Vec<usize> = (self.jobs.values().enumerate())
+            .filter(|(_, job)| matches!(job.status, JobStatus::Quarantined))
+            .map(|(index, _)| index)
+            .collect();
+        while let Some(index) = stack.pop() {
+            for &next in &dependents[index] {
+                if !blocked[next] {
+                    blocked[next] = true;
+                    stack.push(next);
+                }
+            }
+        }
+        blocked
+    }
+
+    /// For every job, in id order, the positions of the jobs that
+    /// depend on it directly. A dependency on an unknown job is
+    /// skipped.
+    fn dependents(&self) -> Vec<Vec<usize>> {
+        let ids: Vec<u64> = self.jobs.keys().copied().collect();
+        let mut dependents = vec![Vec::new(); ids.len()];
+        for (index, job) in self.jobs.values().enumerate() {
+            for dep in &job.spec.deps {
+                if let Ok(at) = ids.binary_search(dep) {
+                    dependents[at].push(index);
+                }
+            }
+        }
+        dependents
     }
 
     /// The lowest-id claimable job: dependencies done and either never
@@ -287,9 +321,8 @@ impl SweepState {
     /// dependency.
     #[must_use]
     pub fn is_settled(&self) -> bool {
-        self.jobs.values().all(|job| {
-            matches!(job.status, JobStatus::Done { .. } | JobStatus::Quarantined)
-                || self.blocked_forever(job.spec.id)
+        (self.jobs.values().zip(self.blocked())).all(|(job, blocked)| {
+            blocked || matches!(job.status, JobStatus::Done { .. } | JobStatus::Quarantined)
         })
     }
 
@@ -367,5 +400,34 @@ mod tests {
             Err(StoreError::Invalid { message }) => assert!(message.contains("cycle")),
             other => panic!("expected a cycle, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn blocking_is_linear_in_jobs_and_deps() {
+        // A ladder of 2^16 jobs, each on the two before it. With
+        // nothing quarantined, a walk without memory would visit the
+        // last job's dependencies a Fibonacci number of times; once
+        // the first job is quarantined, every other job is blocked.
+        let count = 1u64 << 16;
+        let mut state = state_of(
+            (0..count)
+                .map(|id| job(id, (id.saturating_sub(2)..id).collect()))
+                .collect(),
+        );
+        state.validate_graph().unwrap();
+        assert!(state.blocked().iter().all(|&b| !b));
+        assert!(!state.blocked_forever(count - 1));
+        state
+            .apply(&Event::Quarantine {
+                id: 0,
+                failures: vec!["boom".into()],
+            })
+            .unwrap();
+        let blocked = state.blocked();
+        assert!(!blocked[0], "a quarantined job is not blocked by itself");
+        assert!(blocked[1..].iter().all(|&b| b));
+        assert!(state.blocked_forever(count - 1));
+        assert!(!state.blocked_forever(0));
+        assert!(state.is_settled());
     }
 }

@@ -11,7 +11,9 @@
 //!   nothing;
 //! * every event is one line, appended with a single `write_all`
 //!   followed by `sync_data` — an acknowledged append survives a
-//!   process kill;
+//!   process kill. [`SweepStore::create`] writes the `Init` header and
+//!   every `Job` line with one `write_all` and one `sync_data`: replay
+//!   refuses a store with fewer job lines than its header declares;
 //! * a crash *during* an append leaves at most one torn final line
 //!   (a prefix of the intended bytes, missing its `\n` — the newline
 //!   is the last byte written, so a torn line can never carry one).
@@ -72,16 +74,22 @@ impl SweepStore {
             file,
         };
         let mut state = SweepState::new(sweep.to_owned(), spec_fp, jobs.len() as u64);
-        store.write_line(&Event::Init {
+        // The header and the job lines go out in one write and one
+        // sync: a store cut short of its header's job count does not
+        // replay, so syncing each line would buy nothing. A job that
+        // does not apply ends the buffer, as it ended the file.
+        let mut lines = encode_line(&Event::Init {
             sweep: sweep.to_owned(),
             spec_fp,
             jobs: jobs.len() as u64,
         })?;
-        for job in jobs {
+        let applied = jobs.iter().try_for_each(|job| {
             let event = Event::Job { spec: job.clone() };
-            store.write_line(&event)?;
-            state.apply(&event)?;
-        }
+            lines.push_str(&encode_line(&event)?);
+            state.apply(&event)
+        });
+        store.write_synced(lines.as_bytes())?;
+        applied?;
         state.validate_graph()?;
         Ok((store, state))
     }
@@ -143,7 +151,7 @@ impl SweepStore {
     /// [`StoreError::Io`] on write/sync failure; [`StoreError::Invalid`]
     /// when the event does not apply to the current state.
     pub fn append(&mut self, state: &mut SweepState, event: &Event) -> Result<(), StoreError> {
-        self.write_line(event)?;
+        self.write_synced(encode_line(event)?.as_bytes())?;
         state.apply(event)
     }
 
@@ -169,16 +177,22 @@ impl SweepStore {
         &self.path
     }
 
-    fn write_line(&mut self, event: &Event) -> Result<(), StoreError> {
-        let mut line = encode(event)?;
-        line.push('\n');
+    /// Appends `bytes` with one `write_all` and syncs them.
+    fn write_synced(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
         self.file
-            .write_all(line.as_bytes())
+            .write_all(bytes)
             .map_err(|e| io_err(&self.path, "append", &e))?;
         self.file
             .sync_data()
             .map_err(|e| io_err(&self.path, "sync", &e))
     }
+}
+
+/// `event`'s line, newline included.
+fn encode_line(event: &Event) -> Result<String, StoreError> {
+    let mut line = encode(event)?;
+    line.push('\n');
+    Ok(line)
 }
 
 fn encode(event: &Event) -> Result<String, StoreError> {

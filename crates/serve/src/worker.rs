@@ -138,10 +138,7 @@ pub fn drive(
     })?;
     let Shared { state, report, .. } = shared.into_inner().expect(POISONED);
     Ok(DriveReport {
-        blocked: state
-            .jobs()
-            .filter(|j| state.blocked_forever(j.spec.id))
-            .count(),
+        blocked: state.blocked().into_iter().filter(|&b| b).count(),
         ..report
     })
 }
