@@ -302,8 +302,6 @@ pub fn design_fingerprint(design: &Design, seed: u64) -> u128 {
 thread_local! {
     /// Per-thread scheduling buffers, reused across evaluations.
     static SCRATCH: RefCell<CostScratch> = RefCell::new(CostScratch::default());
-    /// Per-thread decision buffer of the candidate apply/undo swap.
-    static MOVE_BUF: RefCell<Option<ProcessDesign>> = const { RefCell::new(None) };
 }
 
 /// The result of one bounded candidate evaluation: the scheduler's
@@ -404,108 +402,13 @@ impl<'p> Evaluator<'p> {
         }
     }
 
-    /// The cost of `design` with `process`'s decision temporarily
-    /// replaced by `decision` — the apply/evaluate/undo primitive of
-    /// window evaluation — through the incremental + bounded engine.
-    /// The original decision is restored before returning (also on
-    /// error), so one worker-owned design serves a whole window
-    /// without per-candidate clones.
-    ///
-    /// * with recorded `ckpts` of the base design, a candidate whose
-    ///   order certificate holds re-places only its affected cone and
-    ///   splices the recording for everything else; any other
-    ///   candidate is placed from position 0 on its patched
-    ///   expansion;
-    /// * with an incumbent `bound`, a candidate provably worse than
-    ///   the incumbent aborts mid-placement and returns
-    ///   [`EvalOutcome::LowerBound`] with its certified lower bound.
-    ///
-    /// Pruned results are **not** cached (the lower bound is not the
-    /// cost); whether a given candidate prunes is a pure function of
-    /// `(base design, move, bound)`, so search trajectories stay
-    /// bit-identical across thread counts. Any bound is sound —
-    /// including ones below the base design's cost, as the resolution
-    /// pass uses (it bounds by the window winner) — the exact/pruned
-    /// classification is always "exact iff cost <= bound"; only the
-    /// carried lower-bound *value* of a spliced run may differ from a
-    /// from-scratch one (its spliced completions are charged before
-    /// the first placement).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SchedError`].
-    pub fn evaluate_move_incremental(
-        &self,
-        design: &mut Design,
-        process: ProcessId,
-        decision: &ProcessDesign,
-        base_key: Option<u128>,
-        ckpts: Option<&PlacementCheckpoints>,
-        bound: Option<ScheduleCost>,
-    ) -> Result<(EvalOutcome, bool), SchedError> {
-        debug_assert!(
-            ckpts.is_none_or(|c| c.tag == design_fingerprint(design, self.base_fp)),
-            "checkpoints must belong to the window's base design"
-        );
-        debug_assert!(
-            base_key.is_none_or(|k| k == design_fingerprint(design, self.base_fp)),
-            "base_key must be the window base design's key"
-        );
-        // O(1) candidate key: XOR the replaced decision's component
-        // out of the base key and the new one in.
-        let fast_key = match (&self.cache, base_key) {
-            (Some(_), Some(base)) => Some(
-                base ^ decision_fingerprint(self.base_fp, process, design.decision(process))
-                    ^ decision_fingerprint(self.base_fp, process, decision),
-            ),
-            _ => None,
-        };
-        // Apply the candidate decision through a reusable per-thread
-        // buffer: no allocation per candidate, and the swap back
-        // restores the base design exactly.
-        MOVE_BUF.with(|buf| {
-            let mut slot = buf.borrow_mut();
-            match slot.as_mut() {
-                Some(held) => {
-                    held.policy = decision.policy;
-                    held.mapping.clone_from(&decision.mapping);
-                }
-                None => *slot = Some(decision.clone()),
-            }
-            design.swap_decision(process, slot.as_mut().expect("just filled"));
-        });
-        let key = fast_key.or_else(|| self.key_of(design, None));
-        let result = self.evaluate_candidate(design, process, key, ckpts, bound);
-        MOVE_BUF.with(|buf| {
-            design.swap_decision(process, buf.borrow_mut().as_mut().expect("filled above"));
-        });
-        result
-    }
-
     /// The cache key of `design` under the problem's own bus — the
     /// once-per-window input of O(1) per-candidate keys in
-    /// [`Evaluator::evaluate_move_incremental`]. `None` when the
-    /// cache is disabled.
+    /// [`CandidateEval::eval_move_bounded`]. `None` when the cache is
+    /// disabled.
     #[must_use]
     pub fn design_key(&self, design: &Design) -> Option<u128> {
         self.key_of(design, None)
-    }
-
-    fn evaluate_candidate(
-        &self,
-        design: &Design,
-        moved: ProcessId,
-        key: Option<u128>,
-        ckpts: Option<&PlacementCheckpoints>,
-        bound: Option<ScheduleCost>,
-    ) -> Result<(EvalOutcome, bool), SchedError> {
-        debug_assert_eq!(key, self.key_of(design, None));
-        self.cached_bounded(key, |scratch| match ckpts {
-            Some(ckpts) if ckpts.is_valid() => self
-                .problem
-                .evaluate_cost_resumed(design, moved, scratch, ckpts, bound),
-            _ => self.problem.evaluate_cost_bounded(design, scratch, bound),
-        })
     }
 
     /// The shared cache-then-run skeleton of bounded evaluation: an
@@ -677,17 +580,14 @@ pub struct CandidateEval<'e, 'p> {
 }
 
 impl CandidateEval<'_, '_> {
-    /// The incumbent bound candidates are pruned against.
-    #[must_use]
-    pub fn bound(&self) -> Option<ScheduleCost> {
-        self.bound
-    }
-
-    /// Scores the single-move candidate `(process, decision)` against
-    /// the window base held in `design`, through the full evaluation
-    /// stack (cache → splice → bounded placement). The
-    /// design is restored before returning; the `bool` is `true` on a
-    /// cache hit.
+    /// Scores the single-move candidate that replaces `process`'s
+    /// decision by `decision` against the window base held in
+    /// `design`, through the full evaluation stack (cache → splice →
+    /// bounded placement). The candidate is swapped into `design` for
+    /// the run and back out before returning (also on error), so one
+    /// worker-owned design and decision buffer serve a whole window
+    /// without per-candidate copies. The `bool` is `true` on a cache
+    /// hit.
     ///
     /// # Errors
     ///
@@ -696,7 +596,7 @@ impl CandidateEval<'_, '_> {
         &self,
         design: &mut Design,
         process: ProcessId,
-        decision: &ProcessDesign,
+        decision: &mut ProcessDesign,
     ) -> Result<(EvalOutcome, bool), SchedError> {
         self.eval_move_bounded(design, process, decision, self.bound)
     }
@@ -706,6 +606,19 @@ impl CandidateEval<'_, '_> {
     /// pruned candidates against the would-be winner instead of the
     /// window incumbent.
     ///
+    /// With recorded checkpoints of the base design, a candidate whose
+    /// order certificate holds re-places only its affected cone and
+    /// splices the recording for everything else; any other candidate
+    /// is placed from position 0 on its patched expansion. A candidate
+    /// provably worse than `bound` aborts mid-placement and returns
+    /// [`EvalOutcome::LowerBound`] with its certified lower bound, not
+    /// cached. Whether it prunes is a pure function of `(base design,
+    /// move, bound)`, so trajectories stay bit-identical across thread
+    /// counts. Any bound is sound, including ones below the base
+    /// design's cost: the classification is always "exact iff cost <=
+    /// bound"; only the carried lower-bound *value* of a spliced run
+    /// may differ from a from-scratch one.
+    ///
     /// # Errors
     ///
     /// Propagates [`SchedError`].
@@ -713,17 +626,42 @@ impl CandidateEval<'_, '_> {
         &self,
         design: &mut Design,
         process: ProcessId,
-        decision: &ProcessDesign,
+        decision: &mut ProcessDesign,
         bound: Option<ScheduleCost>,
     ) -> Result<(EvalOutcome, bool), SchedError> {
-        self.evaluator.evaluate_move_incremental(
-            design,
-            process,
-            decision,
-            self.base_key,
-            self.ckpts,
-            bound,
-        )
+        let evaluator = self.evaluator;
+        debug_assert!(
+            self.ckpts
+                .is_none_or(|c| c.tag == design_fingerprint(design, evaluator.base_fp)),
+            "checkpoints must belong to the window's base design"
+        );
+        debug_assert!(
+            self.base_key
+                .is_none_or(|k| k == design_fingerprint(design, evaluator.base_fp)),
+            "base_key must be the window base design's key"
+        );
+        // O(1) candidate key: XOR the replaced decision's component
+        // out of the base key and the new one in.
+        let fast_key = match (&evaluator.cache, self.base_key) {
+            (Some(_), Some(base)) => Some(
+                base ^ decision_fingerprint(evaluator.base_fp, process, design.decision(process))
+                    ^ decision_fingerprint(evaluator.base_fp, process, decision),
+            ),
+            _ => None,
+        };
+        design.swap_decision(process, decision);
+        let key = fast_key.or_else(|| evaluator.key_of(design, None));
+        debug_assert_eq!(key, evaluator.key_of(design, None));
+        let result = evaluator.cached_bounded(key, |scratch| match self.ckpts {
+            Some(ckpts) => evaluator
+                .problem
+                .evaluate_cost_resumed(design, process, scratch, ckpts, bound),
+            None => evaluator
+                .problem
+                .evaluate_cost_bounded(design, scratch, bound),
+        });
+        design.swap_decision(process, decision);
+        result
     }
 }
 

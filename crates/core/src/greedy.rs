@@ -15,10 +15,15 @@ use ftdes_sched::{PlacementCheckpoints, Schedule};
 use crate::cache::{EvalOutcome, Evaluator};
 use crate::config::{Goal, SearchConfig, SearchStats};
 use crate::error::OptError;
-use crate::moves::{MoveRef, MoveTable};
+use crate::moves::{take_moves, MoveRef, MoveTable};
 use crate::parallel::{effective_threads, WorkerPool};
 use crate::problem::Problem;
 use crate::space::PolicySpace;
+
+/// The moves a greedy step scores per pool submission. Every
+/// benchmark window fits in one chunk; a larger window checks the
+/// cutoff between chunks.
+const CHUNK: u64 = 4096;
 
 /// Runs the greedy heuristic from `start`, returning the improved
 /// design and its schedule.
@@ -64,7 +69,7 @@ pub fn greedy_mpa_with(
 ) -> Result<(Design, Schedule), OptError> {
     let problem = evaluator.problem();
     let table = MoveTable::new(problem, space);
-    let mut window: Vec<MoveRef> = Vec::new();
+    let (mut spans, mut window) = (Vec::new(), Vec::new());
     let mut ckpts = PlacementCheckpoints::new();
     let mut design = start;
     // The start design's schedule is needed for its critical path:
@@ -85,7 +90,7 @@ pub fn greedy_mpa_with(
             break;
         }
         let cp = schedule.move_candidates(problem.graph(), cfg.min_move_candidates);
-        table.window(&design, &cp, &mut window);
+        let moves = table.neighbourhood(&design, &cp, &mut spans);
         let bound = if cfg.bounded {
             Some(schedule.cost())
         } else {
@@ -94,47 +99,50 @@ pub fn greedy_mpa_with(
         // The window's shared evaluation context (cache → splice →
         // bounded placement), one O(n) base key per window.
         let ceval = evaluator.candidate_eval(&design, cfg.incremental.then_some(&ckpts), bound);
-        let evaluated = pool
-            .try_map_init(
-                &window,
-                || design.clone(),
-                |cand, _, mv| {
-                    if cutoff.is_some_and(|c| Instant::now() >= c) {
-                        return Ok(None);
-                    }
-                    Ok(Some(ceval.eval_move(
-                        cand,
-                        mv.process,
-                        table.decision(*mv),
-                    )?))
-                },
-            )
-            .map_err(|e: ftdes_sched::SchedError| OptError::from(e))?;
-
         let mut best: Option<(MoveRef, ftdes_sched::ScheduleCost)> = None;
-        for (mv, slot) in window.iter().zip(evaluated) {
-            let Some((outcome, hit)) = slot else {
-                continue;
-            };
-            match outcome {
-                EvalOutcome::Exact(cost) => {
-                    stats.record_eval(hit);
-                    // Strict `<` keeps the earliest of equally-cheap
-                    // moves — the same winner the sequential loop
-                    // picked.
-                    if best.as_ref().is_none_or(|(_, c)| cost < *c) {
-                        best = Some((*mv, cost));
+        for start in (0..moves).step_by(CHUNK as usize) {
+            if cutoff.is_some_and(|c| Instant::now() >= c) {
+                break;
+            }
+            window.clear();
+            take_moves(&spans, start, CHUNK.min(moves - start), &mut window);
+            let evaluated = pool
+                .try_map_init(
+                    &window,
+                    || (design.clone(), table.decision(window[0])),
+                    |(cand, decision), _, mv| {
+                        if cutoff.is_some_and(|c| Instant::now() >= c) {
+                            return Ok(None);
+                        }
+                        table.decode(*mv, decision);
+                        Ok(Some(ceval.eval_move(cand, mv.process, decision)?))
+                    },
+                )
+                .map_err(|e: ftdes_sched::SchedError| OptError::from(e))?;
+            for (mv, slot) in window.iter().zip(evaluated) {
+                let Some((outcome, hit)) = slot else {
+                    continue;
+                };
+                match outcome {
+                    EvalOutcome::Exact(cost) => {
+                        stats.record_eval(hit);
+                        // Strict `<` keeps the earliest of equally-cheap
+                        // moves — the same winner the sequential loop
+                        // picked.
+                        if best.as_ref().is_none_or(|(_, c)| cost < *c) {
+                            best = Some((*mv, cost));
+                        }
                     }
+                    // A pruned candidate is certified worse than the
+                    // current solution; greedy's strict-improvement
+                    // acceptance can never pick it.
+                    EvalOutcome::LowerBound(_) => stats.pruned += 1,
                 }
-                // A pruned candidate is certified worse than the
-                // current solution; greedy's strict-improvement
-                // acceptance can never pick it.
-                EvalOutcome::LowerBound(_) => stats.pruned += 1,
             }
         }
         match best {
             Some((mv, cost)) if cost < schedule.cost() => {
-                design.set_decision(mv.process, table.decision(mv).clone());
+                design.set_decision(mv.process, table.decision(mv));
                 stats.evaluations += 1;
                 schedule = if cfg.incremental {
                     evaluator.schedule_recording(&design, &mut ckpts)?

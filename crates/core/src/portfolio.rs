@@ -54,7 +54,7 @@ use crate::config::{Goal, SearchConfig, SearchStats};
 use crate::error::OptError;
 use crate::greedy::greedy_mpa_with;
 use crate::initial::initial_mpa;
-use crate::moves::candidate_decisions;
+use crate::moves::{MoveRef, MoveTable};
 use crate::parallel::{effective_threads, WorkerPool};
 use crate::problem::Problem;
 use crate::space::PolicySpace;
@@ -232,9 +232,9 @@ fn lcg_next(state: &mut u64) -> u64 {
 }
 
 /// Applies `count` seeded decision changes to `design`, each on a
-/// distinct process, drawn from the same move-candidate enumeration
-/// the tabu neighbourhood uses. Processes without an alternative
-/// decision are skipped.
+/// distinct process, drawn from the same decision space the tabu
+/// neighbourhood uses. Processes without an alternative decision are
+/// skipped.
 fn perturb(
     problem: &Problem,
     space: PolicySpace,
@@ -246,6 +246,7 @@ fn perturb(
     if n == 0 {
         return;
     }
+    let table = MoveTable::new(problem, space);
     let mut used = vec![false; n];
     let mut applied = 0usize;
     let mut attempts = 0usize;
@@ -256,17 +257,16 @@ fn perturb(
             continue;
         }
         used[p] = true;
-        let pid = ProcessId::new(p as u32);
-        let current = design.decision(pid).clone();
-        let options: Vec<_> = candidate_decisions(problem, space, pid)
-            .into_iter()
-            .filter(|d| *d != current)
-            .collect();
-        if options.is_empty() {
+        let process = ProcessId::new(p as u32);
+        // Draw among the other decisions: step over the current one.
+        let current = table.index_of(process, design.decision(process));
+        let options = table.len(process) - u64::from(current.is_some());
+        if options == 0 {
             continue;
         }
-        let pick = (lcg_next(&mut state) as usize) % options.len();
-        design.set_decision(pid, options[pick].clone());
+        let mut decision = lcg_next(&mut state) % options;
+        decision += u64::from(current.is_some_and(|c| decision >= c));
+        design.set_decision(process, table.decision(MoveRef { process, decision }));
         applied += 1;
     }
 }

@@ -39,10 +39,10 @@ pub const MAX_PROCESS_NODE_PAIRS: usize = 1 << 20;
 /// The largest checkpoint count the search may assign to a process:
 /// 2²⁰. [`Problem::with_max_checkpoints`] clamps to it, and the CLI's
 /// `--max-checkpoints` and a sweep spec's `max_checkpoints` refuse a
-/// larger value. The move generators list one decision per count for
-/// every budgeted (level, primary node) pair, so one process's list
-/// is levels × eligible nodes × counts, and an unbounded count
-/// allocates without bound. More segments only pay up to the classic
+/// larger value. A process's moves are an index space of levels ×
+/// eligible nodes × counts (see [`crate::moves::MoveTable`]), and
+/// with [`MAX_PROCESS_NODE_PAIRS`] the cap keeps it below 2⁶⁰, so a
+/// move index fits a `u64`. More segments only pay up to the classic
 /// optimum √(k·C/χ) of a process with WCET `C`, and 2²⁰ covers it
 /// whenever k·C/χ is below 2⁴⁰ (at k = 1 and χ = 1 µs, a WCET of 12
 /// days). Within the cap, the horizon budget prices every count's

@@ -64,7 +64,7 @@ use ftdes_sched::Schedule;
 use crate::cache::{EvalCache, Evaluator};
 use crate::config::{SearchConfig, SearchStats};
 use crate::error::OptError;
-use crate::moves::candidate_decisions;
+use crate::moves::{MoveRef, MoveTable};
 use crate::parallel::{effective_threads, WorkerPool};
 use crate::problem::Problem;
 use crate::space::PolicySpace;
@@ -152,6 +152,7 @@ pub fn project_design(
     let fm = problem.fault_model();
     let wcet = problem.wcet();
     let n = problem.process_count();
+    let table = MoveTable::new(problem, PolicySpace::Mixed);
     let mut decisions = Vec::with_capacity(n);
     for i in 0..n {
         let q = ProcessId::new(i as u32);
@@ -169,8 +170,8 @@ pub fn project_design(
             if let MappingConstraint::Fixed(required) = problem.constraints().mapping(q) {
                 if surviving[0] != required {
                     // The primary moved off the pinned node: let the
-                    // fallback enumerate constraint-respecting
-                    // decisions instead of guessing here.
+                    // fallback pick a constraint-respecting decision
+                    // instead of guessing here.
                     return None;
                 }
             }
@@ -180,10 +181,16 @@ pub fn project_design(
                 rebuild_policy(q, r, d.policy.checkpoints(), fm, problem.max_checkpoints());
             ProcessDesign::new(policy, mapping).ok()
         });
-        match projected {
-            Some(d) => decisions.push(d),
-            None => decisions.push(fallback_decision(problem, q)?),
-        }
+        decisions.push(match projected {
+            Some(d) => d,
+            // The cheapest admissible decision: index 0 of the space
+            // (lowest replication level, fastest primary, one segment).
+            None if table.len(q) > 0 => table.decision(MoveRef {
+                process: q,
+                decision: 0,
+            }),
+            None => return Err(OptError::NoFeasiblePlacement { process: q }),
+        });
     }
     let design = Design::from_decisions(decisions);
     debug_assert!(design
@@ -211,16 +218,6 @@ fn rebuild_policy(
         .unwrap_or_else(|_| FtPolicy::reexecution(fm));
     let want = checkpoints.clamp(1, max_checkpoints.max(1));
     base.with_checkpoints(q, want, fm).unwrap_or(base)
-}
-
-/// The cheapest admissible decision for `q` — first entry of the
-/// deterministic candidate enumeration (lowest replication level,
-/// fastest primary, one segment).
-fn fallback_decision(problem: &Problem, q: ProcessId) -> Result<ProcessDesign, OptError> {
-    candidate_decisions(problem, PolicySpace::Mixed, q)
-        .into_iter()
-        .next()
-        .ok_or(OptError::NoFeasiblePlacement { process: q })
 }
 
 /// Per-rung wall-clock slices of a repair run. Rung 0 needs no slice

@@ -5,6 +5,8 @@
 //! `MXR` combines re-execution and replication, `MX` only
 //! re-executes, `MR` only replicates.
 
+use std::ops::RangeInclusive;
+
 use ftdes_model::fault::FaultModel;
 
 /// The admissible replication levels of a search.
@@ -24,15 +26,15 @@ impl PolicySpace {
     /// process with `nodes` eligible nodes. Replicas need distinct
     /// nodes, so every level is capped at `nodes`: a level above it
     /// falls back to the largest feasible one (re-executed replicas
-    /// make up the budget), and the list never outgrows the
+    /// make up the budget), and the range never outgrows the
     /// architecture, whatever `k`.
     #[must_use]
-    pub fn allowed_levels(self, fm: &FaultModel, nodes: u32) -> Vec<u32> {
+    pub fn allowed_levels(self, fm: &FaultModel, nodes: u32) -> RangeInclusive<u32> {
         let top = fm.max_replicas().min(nodes);
         match self {
-            PolicySpace::Mixed => (1..=top).collect(),
-            PolicySpace::ReexecutionOnly => vec![1],
-            PolicySpace::ReplicationOnly => vec![top],
+            PolicySpace::Mixed => 1..=top,
+            PolicySpace::ReexecutionOnly => 1..=1,
+            PolicySpace::ReplicationOnly => top..=top,
         }
     }
 
@@ -55,19 +57,19 @@ mod tests {
     #[test]
     fn levels_per_space() {
         let fm = FaultModel::new(2, Time::from_ms(5));
-        assert_eq!(PolicySpace::Mixed.allowed_levels(&fm, 4), vec![1, 2, 3]);
-        assert_eq!(PolicySpace::ReexecutionOnly.allowed_levels(&fm, 4), vec![1]);
-        assert_eq!(PolicySpace::ReplicationOnly.allowed_levels(&fm, 4), vec![3]);
+        assert_eq!(PolicySpace::Mixed.allowed_levels(&fm, 4), 1..=3);
+        assert_eq!(PolicySpace::ReexecutionOnly.allowed_levels(&fm, 4), 1..=1);
+        assert_eq!(PolicySpace::ReplicationOnly.allowed_levels(&fm, 4), 3..=3);
     }
 
     #[test]
     fn levels_are_bounded_by_the_node_count() {
         let fm = FaultModel::new(FaultModel::MAX_K, Time::from_ms(5));
-        assert_eq!(PolicySpace::Mixed.allowed_levels(&fm, 3), vec![1, 2, 3]);
-        assert_eq!(PolicySpace::ReplicationOnly.allowed_levels(&fm, 3), vec![3]);
+        assert_eq!(PolicySpace::Mixed.allowed_levels(&fm, 3), 1..=3);
+        assert_eq!(PolicySpace::ReplicationOnly.allowed_levels(&fm, 3), 3..=3);
         let fm = FaultModel::new(2, Time::from_ms(5));
-        assert_eq!(PolicySpace::Mixed.allowed_levels(&fm, 2), vec![1, 2]);
-        assert_eq!(PolicySpace::ReplicationOnly.allowed_levels(&fm, 1), vec![1]);
+        assert_eq!(PolicySpace::Mixed.allowed_levels(&fm, 2), 1..=2);
+        assert_eq!(PolicySpace::ReplicationOnly.allowed_levels(&fm, 1), 1..=1);
     }
 
     #[test]
@@ -80,7 +82,7 @@ mod tests {
     #[test]
     fn fault_free_degenerates() {
         let fm = FaultModel::none();
-        assert_eq!(PolicySpace::Mixed.allowed_levels(&fm, 4), vec![1]);
-        assert_eq!(PolicySpace::ReplicationOnly.allowed_levels(&fm, 4), vec![1]);
+        assert_eq!(PolicySpace::Mixed.allowed_levels(&fm, 4), 1..=1);
+        assert_eq!(PolicySpace::ReplicationOnly.allowed_levels(&fm, 4), 1..=1);
     }
 }

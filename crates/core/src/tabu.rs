@@ -25,7 +25,7 @@ use ftdes_sched::{PlacementCheckpoints, Schedule};
 use crate::cache::{EvalOutcome, Evaluator};
 use crate::config::{Goal, SearchConfig, SearchStats};
 use crate::error::OptError;
-use crate::moves::{MoveRef, MoveTable};
+use crate::moves::{take_moves, MoveRef, MoveTable, Span};
 use crate::parallel::{effective_threads, WorkerPool};
 use crate::problem::Problem;
 use crate::space::PolicySpace;
@@ -120,9 +120,12 @@ pub struct TabuSearch<'e, 'p> {
     evaluator: &'e Evaluator<'p>,
     pool: &'e WorkerPool,
     cfg: SearchConfig,
-    table: MoveTable<'p>,
+    table: MoveTable,
     tabu: Vec<usize>,
     wait: Vec<usize>,
+    spans: Vec<Span>,
+    /// The moves this iteration scores: at most
+    /// `max_moves_per_iteration` of the neighbourhood.
     window: Vec<MoveRef>,
     candidates: Vec<Candidate>,
     // The recorded placement of the current solution: empty
@@ -172,6 +175,7 @@ impl<'e, 'p> TabuSearch<'e, 'p> {
             table: MoveTable::new(problem, space),
             tabu: vec![0usize; n],
             wait: vec![0usize; n],
+            spans: Vec::new(),
             window: Vec::new(),
             candidates: Vec::new(),
             ckpts: PlacementCheckpoints::new(),
@@ -311,19 +315,23 @@ impl<'e, 'p> TabuSearch<'e, 'p> {
                 &cp
             }
         };
-        self.table
-            .window(&self.now_design, processes, &mut self.window);
-        if self.window.is_empty() {
+        let moves = self
+            .table
+            .neighbourhood(&self.now_design, processes, &mut self.spans);
+        if moves == 0 {
             return Ok(false);
         }
         // Bound the neighbourhood: rotate a deterministic window over
-        // the full move list so every move still gets its turn.
-        let cap = cfg.max_moves_per_iteration.max(1);
-        if self.window.len() > cap {
-            let offset = (stats.tabu_iterations.wrapping_sub(1) * cap) % self.window.len();
-            self.window.rotate_left(offset);
-            self.window.truncate(cap);
-        }
+        // the full move list so every move still gets its turn. Only
+        // the moves scored are decoded.
+        let cap = cfg.max_moves_per_iteration.max(1) as u64;
+        let offset = if moves > cap {
+            (stats.tabu_iterations.wrapping_sub(1) as u64 * cap) % moves
+        } else {
+            0
+        };
+        self.window.clear();
+        take_moves(&self.spans, offset, cap.min(moves), &mut self.window);
 
         // The incumbent bound: the current solution's exact cost. A
         // candidate that provably exceeds it aborts mid-placement.
@@ -346,23 +354,21 @@ impl<'e, 'p> TabuSearch<'e, 'p> {
 
         // Evaluate the window in parallel (cost-only); results stay
         // in move order. Each worker clones the base design once and
-        // applies/undoes one decision per candidate — no per-candidate
-        // design clone, no schedule materialization.
+        // decodes one candidate per move into its own decision buffer,
+        // which is swapped in and back out — no per-candidate design
+        // clone, no schedule materialization.
         let (window, table, now_design) = (&self.window, &self.table, &self.now_design);
         let evaluated = self
             .pool
             .try_map_init(
                 window,
-                || now_design.clone(),
-                |design, _, mv| {
+                || (now_design.clone(), table.decision(window[0])),
+                |(design, decision), _, mv| {
                     if cutoff.is_some_and(|c| Instant::now() >= c) {
                         return Ok(None);
                     }
-                    Ok(Some(ceval.eval_move(
-                        design,
-                        mv.process,
-                        table.decision(*mv),
-                    )?))
+                    table.decode(*mv, decision);
+                    Ok(Some(ceval.eval_move(design, mv.process, decision)?))
                 },
             )
             .map_err(|e: ftdes_sched::SchedError| OptError::from(e))?;
@@ -417,7 +423,7 @@ impl<'e, 'p> TabuSearch<'e, 'p> {
                     let (outcome, hit) = ceval.eval_move_bounded(
                         &mut self.now_design,
                         c.mv.process,
-                        self.table.decision(c.mv),
+                        &mut self.table.decision(c.mv),
                         resolve_bound,
                     )?;
                     if outcome.is_exact() {
@@ -440,7 +446,7 @@ impl<'e, 'p> TabuSearch<'e, 'p> {
 
         let chosen = self.candidates.swap_remove(selected);
         self.now_design
-            .set_decision(chosen.mv.process, self.table.decision(chosen.mv).clone());
+            .set_decision(chosen.mv.process, self.table.decision(chosen.mv));
         // Materialize the winner's schedule (the next iteration needs
         // its critical path); one full run per iteration, counted —
         // and the incremental engine records its checkpoints on it.

@@ -28,7 +28,7 @@
 //! `wcet` line for a pair, by node name or through `*`, is rejected as
 //! [`ErrorKind::Duplicate`], like a repeated node or process name.
 //! Each process likewise takes at most one `fix_mapping` and one
-//! `fix_policy` line.
+//! `fix_policy` line, and a file at most one `architecture` line.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -374,6 +374,13 @@ impl<'a> Parser<'a> {
     }
 
     fn architecture(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseProblemError> {
+        if self.arch.is_some() {
+            return Err(ParseProblemError::with_kind(
+                ln,
+                ErrorKind::Duplicate,
+                "duplicate architecture line",
+            ));
+        }
         if rest.is_empty() {
             return Err(ParseProblemError::new(
                 ln,

@@ -2,6 +2,7 @@
 
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn write_problem(name: &str, contents: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("ftdes-cli-tests");
@@ -490,8 +491,8 @@ fn info_reads_the_largest_accepted_file_in_bounded_memory() {
 /// The largest generated instance: 16,384 processes on 64 nodes at
 /// k = 63, so every process admits 64 replication levels on each of
 /// its 64 primaries. `solve` must finish under a 4 GB address-space
-/// limit: the search enumerates the moves of the processes its windows
-/// visit, not of all 16,384. Run it in release:
+/// limit: the move table holds O(eligible nodes) per process and
+/// decodes a move only when a window scores it. Run it in release:
 /// `cargo test --release -p ftdes-io --test cli -- --ignored`.
 #[test]
 #[ignore = "a 16,384-process solve; CI runs it in release"]
@@ -511,6 +512,48 @@ fn solve_on_the_largest_generated_instance_runs_in_bounded_memory() {
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+/// `ftdes solve --family paper <flags> --time-ms 200 --goal length`
+/// under a 2 GB address-space limit must exit 0 within 2 s: the
+/// budget plus slack for a loaded runner.
+fn solve_keeps_its_budget(flags: &str) {
+    let start = Instant::now();
+    let out = Command::new("sh")
+        .arg("-c")
+        .arg(format!(
+            r#"ulimit -v 2000000; exec "$0" solve --family paper {flags} --time-ms 200 --goal length"#
+        ))
+        .arg(env!("CARGO_BIN_EXE_ftdes"))
+        .output()
+        .expect("shell runs");
+    let elapsed = start.elapsed();
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(elapsed < Duration::from_secs(2), "took {elapsed:?}");
+}
+
+/// Two processes on 1,024 nodes at k = 1023: each admits 1,024
+/// replication levels on each of its 1,024 primaries, about half a
+/// billion replica placements if its decisions were listed. Run it in
+/// release, like the case above.
+#[test]
+#[ignore = "a solve under an address-space limit; CI runs it in release"]
+fn solve_with_a_replica_on_every_node_keeps_its_budget() {
+    solve_keeps_its_budget("--procs 2 --nodes 1024 --k 1023");
+}
+
+/// Ten processes at the checkpoint cap: a budgeted level takes 2²⁰
+/// checkpoint counts on each primary, two million decisions per
+/// process. Run it in release, like the case above.
+#[test]
+#[ignore = "a solve under an address-space limit; CI runs it in release"]
+fn solve_at_the_checkpoint_cap_keeps_its_budget() {
+    solve_keeps_its_budget("--procs 10 --nodes 2 --k 1 --chi-ms 1 --max-checkpoints 1048576");
 }
 
 #[test]

@@ -98,6 +98,22 @@ fn rejects_duplicate_node_ids() {
 }
 
 #[test]
+fn rejects_a_repeated_architecture_line() {
+    // One `architecture` line per file: a second is a duplicate, never
+    // a replacement that leaves the first line's node names behind.
+    for wcet in ["wcet x B 20ms\nwcet x B 20ms\n", "wcet x B 20ms\n"] {
+        let text = format!(
+            "architecture A B\narchitecture C\nfault_model k=1 mu=5ms\n\
+             graph period=500ms\nprocess x\n{wcet}"
+        );
+        let err = parse_problem(&text).expect_err(&text);
+        assert_eq!(err.kind, ErrorKind::Duplicate, "{text}{err}");
+        assert_eq!(err.line, 2, "points at the second line: {err}");
+        assert!(err.message.contains("architecture"), "{err}");
+    }
+}
+
+#[test]
 fn rejects_duplicate_process_ids() {
     let text = "
 architecture A

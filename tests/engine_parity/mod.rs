@@ -292,7 +292,7 @@ fn walk(
             let mut cand = design.clone();
             let decision = table.decision(*mv);
             tally.checkpoint_moves += usize::from(decision.policy.checkpoints() > 1);
-            cand.set_decision(mv.process, decision.clone());
+            cand.set_decision(mv.process, decision);
             let exact = problem.evaluate(&cand).unwrap().cost();
             exact_winner = exact_winner.min((exact, i));
             // Unbounded: one run. Bounded: the fixed bounds, then the
@@ -361,7 +361,7 @@ fn walk(
             }
         }
         let mv = window[rng.below(window.len())];
-        design.set_decision(mv.process, table.decision(mv).clone());
+        design.set_decision(mv.process, table.decision(mv));
     }
     tally
 }
