@@ -13,17 +13,17 @@
 //!
 //! Every candidate configuration is scored by scheduling the *given*
 //! design under it, so the pass composes with any strategy result.
-//! A slot-swap probe shifts slot timing globally, so it is placed
-//! from scratch ([`Evaluator::evaluate_with_bus_bounded`]), memoized
-//! per (design, bus) and bounded by the climbing incumbent.
-
-use std::sync::Arc;
+//! A slot swap shifts slot timing globally, so each probe is placed
+//! from scratch ([`ftdes_sched::schedule_cost_bounded`]) and bounded
+//! by the climbing incumbent. The design is fixed for the whole pass,
+//! so a probe's cost depends on the bus alone: exact costs are
+//! memoized in a private [`EvalCache`] keyed by [`bus_fingerprint`].
 
 use ftdes_model::design::Design;
-use ftdes_sched::Schedule;
+use ftdes_sched::{list_schedule_with, schedule_cost_bounded, CostScratch, SchedError, Schedule};
 use ftdes_ttp::config::BusConfig;
 
-use crate::cache::{EvalOutcome, Evaluator};
+use crate::cache::{bus_fingerprint, EvalCache, EvalOutcome};
 use crate::config::SearchStats;
 use crate::error::OptError;
 use crate::problem::Problem;
@@ -60,7 +60,8 @@ pub struct BusOptOutcome {
     pub bus: BusConfig,
     /// The schedule of `design` under that configuration.
     pub schedule: Schedule,
-    /// Evaluations performed.
+    /// Probes scored (a re-probed bus is a cache hit) plus the final
+    /// materialization.
     pub stats: SearchStats,
 }
 
@@ -81,27 +82,51 @@ pub fn optimize_bus(
     cfg: &BusOptConfig,
 ) -> Result<BusOptOutcome, OptError> {
     let mut stats = SearchStats::default();
-    // All probes share one memoized evaluator keyed by (design, bus):
-    // re-probing a configuration (e.g. swapping a pair back) is a
-    // cache hit, and no probe clones the problem or retains a
-    // schedule — costs drive the climb, the winning configuration is
-    // materialized once at the end.
-    let evaluator = Evaluator::new(problem);
+    // Re-probing a configuration (e.g. swapping a pair back) is a memo
+    // hit. A pruned probe's lower bound is not its cost, so it is not
+    // memoized. No probe retains a schedule: costs drive the climb,
+    // and the winning configuration is materialized once at the end.
+    let memo = EvalCache::default();
+    let mut scratch = CostScratch::default();
+    let mut probe = |bus: &BusConfig, bound| -> Result<(EvalOutcome, bool), SchedError> {
+        let key = u128::from(bus_fingerprint(bus));
+        if let Some(cost) = memo.get(key) {
+            return Ok((EvalOutcome::Exact(cost), true));
+        }
+        let outcome = schedule_cost_bounded(
+            problem.graph(),
+            problem.arch(),
+            problem.dense_wcet(),
+            problem.fault_model(),
+            bus,
+            design,
+            problem.schedule_options(),
+            &mut scratch,
+            bound,
+        )?;
+        if let EvalOutcome::Exact(cost) = outcome {
+            memo.insert(key, cost);
+        }
+        Ok((outcome, false))
+    };
     let base = problem.bus();
     let largest = problem.largest_message();
 
+    let (start, hit) = probe(base, None)?;
+    stats.record(start, hit);
     let mut best_bus = base.clone();
-    let (mut best_cost, start_hit) = evaluator.evaluate(design)?;
-    stats.record_eval(start_hit);
+    let mut best_cost = start.cost();
 
     for &multiple in &cfg.capacity_multiples {
         let capacity = largest.saturating_mul(multiple.max(1));
         let mut bus = BusConfig::with_order(base.slot_order().to_vec(), capacity, base.byte_time())
             .expect("base order stays valid");
 
-        // Evaluate the capacity change itself.
-        let mut current_cost = evaluator.schedule_with_bus(&bus, design)?.cost();
-        stats.record_eval(false);
+        // Score the capacity change itself; an unbounded probe is
+        // exact.
+        let (outcome, hit) = probe(&bus, None)?;
+        stats.record(outcome, hit);
+        let mut current_cost = outcome.cost();
         if current_cost < best_cost {
             best_bus = bus.clone();
             best_cost = current_cost;
@@ -120,23 +145,15 @@ pub fn optimize_bus(
             let mut improved = false;
             for &(a, b) in &pairs {
                 let cand_bus = bus.swap_slots(a, b);
-                let (outcome, hit) =
-                    evaluator.evaluate_with_bus_bounded(&cand_bus, design, Some(current_cost))?;
-                let c = match outcome {
-                    EvalOutcome::Exact(c) => {
-                        stats.record_eval(hit);
-                        c
+                let (outcome, hit) = probe(&cand_bus, Some(current_cost))?;
+                stats.record(outcome, hit);
+                // A pruned probe is certified worse than the incumbent.
+                if let EvalOutcome::Exact(c) = outcome {
+                    if c < current_cost {
+                        bus = cand_bus;
+                        current_cost = c;
+                        improved = true;
                     }
-                    // Certified worse than the incumbent.
-                    EvalOutcome::LowerBound(_) => {
-                        stats.pruned += 1;
-                        continue;
-                    }
-                };
-                if c < current_cost {
-                    bus = cand_bus;
-                    current_cost = c;
-                    improved = true;
                 }
             }
             if !improved {
@@ -151,8 +168,15 @@ pub fn optimize_bus(
 
     // Materialize the winning configuration's schedule.
     stats.evaluations += 1;
-    let schedule = evaluator.schedule_with_bus(&best_bus, design)?;
-    let schedule = Arc::try_unwrap(schedule).unwrap_or_else(|shared| (*shared).clone());
+    let schedule = list_schedule_with(
+        problem.graph(),
+        problem.arch(),
+        problem.dense_wcet(),
+        problem.fault_model(),
+        &best_bus,
+        design,
+        problem.schedule_options(),
+    )?;
     debug_assert_eq!(schedule.cost(), best_cost);
     Ok(BusOptOutcome {
         bus: best_bus,
@@ -232,5 +256,30 @@ mod tests {
         // With a single 4-byte message larger frames only stretch the
         // round: the minimum capacity must win.
         assert_eq!(outcome.bus.slot_bytes(), 4);
+    }
+
+    #[test]
+    fn repeated_capacity_pass_is_served_from_the_memo() {
+        let (problem, design) = skewed_problem();
+        let run = |capacity_multiples: Vec<u32>| {
+            let cfg = BusOptConfig {
+                capacity_multiples,
+                ..BusOptConfig::default()
+            };
+            optimize_bus(&problem, &design, &cfg).unwrap()
+        };
+        let (once, twice) = (run(vec![1]), run(vec![1, 1]));
+        assert_eq!(twice.bus, once.bus);
+        assert_eq!(twice.schedule.cost(), once.schedule.cost());
+        assert_eq!(
+            twice.stats.evaluations, once.stats.evaluations,
+            "the repeated pass schedules nothing"
+        );
+        assert!(
+            twice.stats.cache_hits > once.stats.cache_hits,
+            "the repeated pass is served from the memo: {:?} vs {:?}",
+            twice.stats,
+            once.stats
+        );
     }
 }

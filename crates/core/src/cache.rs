@@ -1,14 +1,16 @@
 //! Memoized design evaluation (the optimizer's cost-function cache).
 //!
-//! Every step of the search — greedy improvement, both tabu stages
-//! and the bus-access optimization — scores candidates with a full
-//! `ListScheduling` run. The searches revisit designs constantly:
-//! tabu moves undo each other, the rotating neighbourhood window
-//! re-proposes moves, and the bus optimizer probes the same design
-//! under handfuls of bus configurations. An [`Evaluator`] wraps a
-//! [`Problem`] with a concurrent, sharded cache keyed by a cheap
-//! 128-bit fingerprint of (per-process decisions, bus configuration),
-//! so a revisited candidate costs a hash instead of a schedule.
+//! Every step of the search — greedy improvement and both tabu
+//! stages — scores candidates with a full `ListScheduling` run. The
+//! searches revisit designs constantly: tabu moves undo each other
+//! and the rotating neighbourhood window re-proposes moves. An
+//! [`Evaluator`] wraps a [`Problem`] with a concurrent, sharded cache
+//! keyed by a cheap 128-bit fingerprint of the per-process decisions
+//! (seeded by the problem, fault model, scheduler switches and bus),
+//! so a revisited candidate costs a hash instead of a schedule. The
+//! bus-access optimization ([`crate::bus_opt`]) scores one fixed
+//! design under many buses and keeps those costs in an [`EvalCache`]
+//! of its own, keyed by [`bus_fingerprint`].
 //!
 //! The cache stores **costs, not schedules**: candidate selection
 //! only needs the `(violation, length)` pair, a hit therefore costs
@@ -27,6 +29,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use ftdes_model::design::{Design, ProcessDesign};
 use ftdes_model::fault::FaultModel;
@@ -36,6 +39,8 @@ use ftdes_sched::{
 };
 use ftdes_ttp::config::BusConfig;
 
+use crate::moves::{MoveRef, MoveTable};
+use crate::parallel::WorkerPool;
 use crate::problem::Problem;
 
 /// Entries per shard before the shard is reset. Bounds memory on
@@ -88,7 +93,9 @@ impl Hasher for FxHasher {
 type Shard = Mutex<HashMap<u128, ScheduleCost, BuildHasherDefault<FxHasher>>>;
 
 /// A sharded `fingerprint -> cost` cache shared across search phases
-/// and worker threads.
+/// and worker threads. Each shard resets when it reaches
+/// `SHARD_CAPACITY` entries, so the cache stays bounded however long
+/// the search runs.
 #[derive(Debug, Default)]
 pub struct EvalCache {
     shards: [Shard; SHARDS],
@@ -105,7 +112,7 @@ impl EvalCache {
         &self.shards[(key as usize) % SHARDS]
     }
 
-    fn get(&self, key: u128) -> Option<ScheduleCost> {
+    pub(crate) fn get(&self, key: u128) -> Option<ScheduleCost> {
         self.shard(key)
             .lock()
             .expect("cache shard")
@@ -113,7 +120,7 @@ impl EvalCache {
             .copied()
     }
 
-    fn insert(&self, key: u128, cost: ScheduleCost) {
+    pub(crate) fn insert(&self, key: u128, cost: ScheduleCost) {
         let mut shard = self.shard(key).lock().expect("cache shard");
         if shard.len() >= SHARD_CAPACITY {
             shard.clear();
@@ -202,7 +209,8 @@ impl Fingerprint {
 }
 
 /// A stable 64-bit identity of a bus configuration (slot order, slot
-/// capacity, byte time) used as the bus component of the cache key.
+/// capacity, byte time): the bus component of the evaluator's key
+/// seed, and the key of the bus-access optimization's probe memo.
 #[must_use]
 pub fn bus_fingerprint(bus: &BusConfig) -> u64 {
     let mut fp = Fingerprint::new(0xb05);
@@ -288,8 +296,8 @@ pub fn decision_fingerprint(
 }
 
 /// The cache key of evaluating `design` under the context identified
-/// by `seed` (problem + fault model + bus): the XOR of every
-/// per-process [`decision_fingerprint`].
+/// by `seed` (problem + fault model + scheduler switches + bus): the
+/// XOR of every per-process [`decision_fingerprint`].
 #[must_use]
 pub fn design_fingerprint(design: &Design, seed: u64) -> u128 {
     let mut acc = Fingerprint::new(seed).finish();
@@ -313,30 +321,22 @@ pub type EvalOutcome = CostOutcome;
 /// The memoized cost function: a [`Problem`] plus the shared
 /// [`EvalCache`].
 ///
-/// One evaluator is created per `optimize` / `optimize_bus` call and
-/// shared by every phase and worker thread of that search.
-/// [`Evaluator::evaluate`] answers the window question — *what would
-/// this design cost?* — through the cost-only scheduler and the
-/// cache; [`Evaluator::schedule`] materializes the full schedule of
-/// a candidate the search decided to keep.
+/// One evaluator is created per `optimize` call and shared by every
+/// phase and worker thread of that search. [`Evaluator::evaluate`]
+/// answers the window question — *what would this design cost?* —
+/// through the cost-only scheduler and the cache;
+/// [`Evaluator::schedule`] materializes the full schedule of a
+/// candidate the search decided to keep.
 #[derive(Debug)]
 pub struct Evaluator<'p> {
     problem: &'p Problem,
     cache: Option<Arc<EvalCache>>,
-    /// Combined problem + fault-model + default-bus key seed.
+    /// Combined problem + fault-model + scheduler-switch + bus key
+    /// seed.
     base_fp: u64,
-    /// Problem + fault-model seed without the bus (mixed with an
-    /// alternative bus fingerprint to key bus-configuration probes).
-    context_fp: u64,
 }
 
 impl<'p> Evaluator<'p> {
-    /// Creates a caching evaluator for `problem`.
-    #[must_use]
-    pub fn new(problem: &'p Problem) -> Self {
-        Evaluator::with_cache(problem, true)
-    }
-
     /// Creates an evaluator with the cache toggled — `false` gives the
     /// uncached reference behaviour (every call schedules).
     #[must_use]
@@ -366,14 +366,12 @@ impl<'p> Evaluator<'p> {
         // costs are bit-identical by contract.
         let opts = problem.schedule_options();
         ctx.mix(u64::from(opts.slack_sharing) | (opts.priority as u64) << 1);
-        let context_fp = ctx.finish() as u64;
-        let mut base = Fingerprint::new(context_fp);
+        let mut base = Fingerprint::new(ctx.finish() as u64);
         base.mix(bus_fingerprint(problem.bus()));
         Evaluator {
             problem,
             cache,
             base_fp: base.finish() as u64,
-            context_fp,
         }
     }
 
@@ -393,7 +391,7 @@ impl<'p> Evaluator<'p> {
     /// Propagates [`SchedError`] for designs inconsistent with the
     /// problem.
     pub fn evaluate(&self, design: &Design) -> Result<(ScheduleCost, bool), SchedError> {
-        let (outcome, hit) = self.cached_bounded(self.key_of(design, None), |scratch| {
+        let (outcome, hit) = self.cached_bounded(self.design_key(design), |scratch| {
             self.problem.evaluate_cost_bounded(design, scratch, None)
         })?;
         match outcome {
@@ -402,13 +400,14 @@ impl<'p> Evaluator<'p> {
         }
     }
 
-    /// The cache key of `design` under the problem's own bus — the
-    /// once-per-window input of O(1) per-candidate keys in
-    /// [`CandidateEval::eval_move_bounded`]. `None` when the cache is
-    /// disabled.
+    /// The cache key of `design` — the once-per-window input of O(1)
+    /// per-candidate keys in [`CandidateEval::eval_move_bounded`].
+    /// `None` when the cache is disabled.
     #[must_use]
     pub fn design_key(&self, design: &Design) -> Option<u128> {
-        self.key_of(design, None)
+        self.cache
+            .as_ref()
+            .map(|_| design_fingerprint(design, self.base_fp))
     }
 
     /// The shared cache-then-run skeleton of bounded evaluation: an
@@ -434,76 +433,33 @@ impl<'p> Evaluator<'p> {
     }
 
     /// Materializes the full schedule of `design` (the candidate the
-    /// search keeps). Reuses the thread-local scratch and feeds the
-    /// cost back into the cache.
+    /// search keeps) through the thread-local scratch and feeds its
+    /// cost back into the cache. Given `ckpts`, it also records the
+    /// placement into them and tags them with the design — the search
+    /// materializes each iteration's winner anyway, so the next
+    /// window's incremental evaluation gets its base recording for
+    /// free.
     ///
     /// # Errors
     ///
     /// Propagates [`SchedError`].
-    pub fn schedule(&self, design: &Design) -> Result<Arc<Schedule>, SchedError> {
-        self.schedule_keyed(design, None)
-    }
-
-    /// [`Evaluator::schedule`] that additionally records the
-    /// placement into `ckpts` — the search materializes each
-    /// iteration's winner anyway, so the next window's incremental
-    /// evaluation gets its base recording for free.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SchedError`].
-    pub fn schedule_recording(
+    pub fn schedule(
         &self,
         design: &Design,
-        ckpts: &mut PlacementCheckpoints,
+        mut ckpts: Option<&mut PlacementCheckpoints>,
     ) -> Result<Arc<Schedule>, SchedError> {
         let schedule = SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
-            let scratch = scratch.core_mut();
             self.problem
-                .evaluate_recording(design, scratch, Some(ckpts))
+                .evaluate_recording(design, scratch.core_mut(), ckpts.as_deref_mut())
         })?;
-        if let (Some(cache), Some(key)) = (self.cache.as_ref(), self.key_of(design, None)) {
+        if let (Some(cache), Some(key)) = (self.cache.as_ref(), self.design_key(design)) {
             cache.insert(key, schedule.cost());
         }
-        ckpts.tag = design_fingerprint(design, self.base_fp);
+        if let Some(ckpts) = ckpts {
+            ckpts.tag = design_fingerprint(design, self.base_fp);
+        }
         Ok(Arc::new(schedule))
-    }
-
-    /// [`Evaluator::schedule`] under an alternative bus configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SchedError`].
-    pub fn schedule_with_bus(
-        &self,
-        bus: &BusConfig,
-        design: &Design,
-    ) -> Result<Arc<Schedule>, SchedError> {
-        self.schedule_keyed(design, Some(bus))
-    }
-
-    /// The cost of `design` under the candidate bus configuration
-    /// `bus`, placed from scratch and cached under the (design, bus)
-    /// pair — the bus-access optimization's slot-swap probe. With an
-    /// incumbent `bound` a probe provably worse than the
-    /// hill-climbing incumbent aborts mid-placement with
-    /// [`EvalOutcome::LowerBound`] (not cached).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SchedError`], e.g. a message exceeding the
-    /// candidate slot capacity.
-    pub fn evaluate_with_bus_bounded(
-        &self,
-        bus: &BusConfig,
-        design: &Design,
-        bound: Option<ScheduleCost>,
-    ) -> Result<(EvalOutcome, bool), SchedError> {
-        self.cached_bounded(self.key_of(design, Some(bus)), |scratch| {
-            self.problem
-                .evaluate_cost_with_bus_bounded(bus, design, scratch, bound)
-        })
     }
 
     /// Opens the candidate-evaluation context of one neighbourhood
@@ -527,39 +483,6 @@ impl<'p> Evaluator<'p> {
             bound,
         }
     }
-
-    fn key_of(&self, design: &Design, bus: Option<&BusConfig>) -> Option<u128> {
-        self.cache.as_ref().map(|_| {
-            let seed = match bus {
-                None => self.base_fp,
-                Some(bus) => {
-                    let mut fp = Fingerprint::new(self.context_fp);
-                    fp.mix(bus_fingerprint(bus));
-                    fp.finish() as u64
-                }
-            };
-            design_fingerprint(design, seed)
-        })
-    }
-
-    fn schedule_keyed(
-        &self,
-        design: &Design,
-        bus: Option<&BusConfig>,
-    ) -> Result<Arc<Schedule>, SchedError> {
-        let schedule = SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            let scratch = scratch.core_mut();
-            match bus {
-                Some(bus) => self.problem.evaluate_with_bus_scratch(bus, design, scratch),
-                None => self.problem.evaluate_scratch(design, scratch),
-            }
-        })?;
-        if let (Some(cache), Some(key)) = (self.cache.as_ref(), self.key_of(design, bus)) {
-            cache.insert(key, schedule.cost());
-        }
-        Ok(Arc::new(schedule))
-    }
 }
 
 /// The per-window candidate-evaluation facade: one object carrying
@@ -580,6 +503,38 @@ pub struct CandidateEval<'e, 'p> {
 }
 
 impl CandidateEval<'_, '_> {
+    /// Scores every move of `window` against `base` on `pool`, in
+    /// move order: the window question of greedy and tabu. Each worker
+    /// clones `base` once and decodes each move into its own decision
+    /// buffer, which [`CandidateEval::eval_move`] swaps in and back
+    /// out — no per-candidate design clone, no schedule
+    /// materialization. A move reached after `cutoff` is skipped
+    /// (`None`).
+    ///
+    /// # Errors
+    ///
+    /// The [`SchedError`] of the lowest failing move.
+    pub fn score(
+        &self,
+        pool: &WorkerPool,
+        table: &MoveTable,
+        base: &Design,
+        window: &[MoveRef],
+        cutoff: Option<Instant>,
+    ) -> Result<Vec<Option<(EvalOutcome, bool)>>, SchedError> {
+        pool.try_map_init(
+            window,
+            || (base.clone(), table.decision(window[0])),
+            |(design, decision), _, mv| {
+                if cutoff.is_some_and(|c| Instant::now() >= c) {
+                    return Ok(None);
+                }
+                table.decode(*mv, decision);
+                Ok(Some(self.eval_move(design, mv.process, decision)?))
+            },
+        )
+    }
+
     /// Scores the single-move candidate that replaces `process`'s
     /// decision by `decision` against the window base held in
     /// `design`, through the full evaluation stack (cache → splice →
@@ -650,8 +605,8 @@ impl CandidateEval<'_, '_> {
             _ => None,
         };
         design.swap_decision(process, decision);
-        let key = fast_key.or_else(|| evaluator.key_of(design, None));
-        debug_assert_eq!(key, evaluator.key_of(design, None));
+        let key = fast_key.or_else(|| evaluator.design_key(design));
+        debug_assert_eq!(key, evaluator.design_key(design));
         let result = evaluator.cached_bounded(key, |scratch| match self.ckpts {
             Some(ckpts) => evaluator
                 .problem
@@ -704,7 +659,7 @@ mod tests {
     #[test]
     fn second_evaluation_hits_with_identical_cost() {
         let (problem, design) = tiny();
-        let eval = Evaluator::new(&problem);
+        let eval = Evaluator::with_cache(&problem, true);
         let (first, hit1) = eval.evaluate(&design).unwrap();
         let (second, hit2) = eval.evaluate(&design).unwrap();
         assert!(!hit1);
@@ -721,7 +676,7 @@ mod tests {
             0.into(),
             ProcessDesign::new(FtPolicy::reexecution(&fm), vec![NodeId::new(1)]).unwrap(),
         );
-        let eval = Evaluator::new(&problem);
+        let eval = Evaluator::with_cache(&problem, true);
         let (a, _) = eval.evaluate(&design).unwrap();
         let (b, hit) = eval.evaluate(&other).unwrap();
         assert!(!hit, "distinct design must miss");
@@ -731,23 +686,6 @@ mod tests {
         );
         assert_ne!(a.length, Time::ZERO);
         assert_ne!(b.length, Time::ZERO);
-    }
-
-    #[test]
-    fn bus_variants_are_keyed_separately() {
-        let (problem, design) = tiny();
-        let eval = Evaluator::new(&problem);
-        let swapped = problem.bus().swap_slots(0, 1);
-        let (_, hit0) = eval.evaluate(&design).unwrap();
-        let (_, hit1) = eval
-            .evaluate_with_bus_bounded(&swapped, &design, None)
-            .unwrap();
-        let (_, hit2) = eval
-            .evaluate_with_bus_bounded(&swapped, &design, None)
-            .unwrap();
-        assert!(!hit0 && !hit1, "different bus misses");
-        assert!(hit2, "same (design, bus) hits");
-        assert_ne!(bus_fingerprint(problem.bus()), bus_fingerprint(&swapped));
     }
 
     #[test]
@@ -798,12 +736,18 @@ mod tests {
     #[test]
     fn cost_only_matches_full_materialization() {
         let (problem, design) = tiny();
-        let eval = Evaluator::new(&problem);
+        let eval = Evaluator::with_cache(&problem, true);
         let (cost, _) = eval.evaluate(&design).unwrap();
-        let materialized = eval.schedule(&design).unwrap();
+        let materialized = eval.schedule(&design, None).unwrap();
         let direct = problem.evaluate(&design).unwrap();
         assert_eq!(cost, direct.cost(), "cost-only path must agree");
         assert_eq!(materialized.cost(), direct.cost());
         assert_eq!(materialized.length(), direct.length());
+        // Recording materializes the same schedule and tags the
+        // checkpoints with the design's key.
+        let mut ckpts = PlacementCheckpoints::new();
+        let recorded = eval.schedule(&design, Some(&mut ckpts)).unwrap();
+        assert_eq!(recorded.cost(), direct.cost());
+        assert_eq!(Some(ckpts.tag), eval.design_key(&design));
     }
 }

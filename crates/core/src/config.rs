@@ -2,6 +2,8 @@
 
 use std::time::Duration;
 
+use crate::cache::EvalOutcome;
+
 /// What the search optimizes for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Goal {
@@ -156,9 +158,12 @@ impl SearchStats {
         self.evaluations + self.cache_hits + self.pruned
     }
 
-    /// Records one evaluator result.
-    pub(crate) fn record_eval(&mut self, cache_hit: bool) {
-        if cache_hit {
+    /// Counts one scored candidate: a pruned one, a cache hit, or a
+    /// computed schedule.
+    pub(crate) fn record(&mut self, outcome: EvalOutcome, cache_hit: bool) {
+        if !outcome.is_exact() {
+            self.pruned += 1;
+        } else if cache_hit {
             self.cache_hits += 1;
         } else {
             self.evaluations += 1;

@@ -16,8 +16,7 @@ use crate::cache::{EvalOutcome, Evaluator};
 use crate::config::{Goal, SearchConfig, SearchStats};
 use crate::error::OptError;
 use crate::moves::{take_moves, MoveRef, MoveTable};
-use crate::parallel::{effective_threads, WorkerPool};
-use crate::problem::Problem;
+use crate::parallel::WorkerPool;
 use crate::space::PolicySpace;
 
 /// The moves a greedy step scores per pool submission. Every
@@ -25,28 +24,9 @@ use crate::space::PolicySpace;
 /// cutoff between chunks.
 const CHUNK: u64 = 4096;
 
-/// Runs the greedy heuristic from `start`, returning the improved
-/// design and its schedule.
-///
-/// # Errors
-///
-/// Propagates [`OptError::Sched`] when a candidate cannot be
-/// evaluated (inconsistent problem).
-pub fn greedy_mpa(
-    problem: &Problem,
-    space: PolicySpace,
-    start: Design,
-    cfg: &SearchConfig,
-    cutoff: Option<Instant>,
-    stats: &mut SearchStats,
-) -> Result<(Design, Schedule), OptError> {
-    let evaluator = Evaluator::with_cache(problem, cfg.eval_cache);
-    let pool = WorkerPool::new(effective_threads(cfg.threads));
-    greedy_mpa_with(&evaluator, &pool, space, start, cfg, cutoff, stats)
-}
-
-/// [`greedy_mpa`] sharing a caller-owned [`Evaluator`] and
-/// [`WorkerPool`] with the other search phases.
+/// Runs the greedy heuristic from `start` on a caller-owned
+/// [`Evaluator`] and [`WorkerPool`], shared with the other search
+/// phases, and returns the improved design and its schedule.
 ///
 /// Like the tabu search, the neighbourhood is evaluated in parallel
 /// and the winning move is selected by a total order on
@@ -57,7 +37,8 @@ pub fn greedy_mpa(
 ///
 /// # Errors
 ///
-/// Same as [`greedy_mpa`].
+/// Propagates [`OptError::Sched`] when a candidate cannot be
+/// evaluated (inconsistent problem).
 pub fn greedy_mpa_with(
     evaluator: &Evaluator<'_>,
     pool: &WorkerPool,
@@ -76,11 +57,7 @@ pub fn greedy_mpa_with(
     // materialize directly (one full run, counted once), recording
     // the incremental engine's base checkpoints along the way.
     stats.evaluations += 1;
-    let mut schedule = if cfg.incremental {
-        evaluator.schedule_recording(&design, &mut ckpts)?
-    } else {
-        evaluator.schedule(&design)?
-    };
+    let mut schedule = evaluator.schedule(&design, cfg.incremental.then_some(&mut ckpts))?;
 
     loop {
         if cfg.goal == Goal::MeetDeadline && schedule.is_schedulable() {
@@ -106,37 +83,21 @@ pub fn greedy_mpa_with(
             }
             window.clear();
             take_moves(&spans, start, CHUNK.min(moves - start), &mut window);
-            let evaluated = pool
-                .try_map_init(
-                    &window,
-                    || (design.clone(), table.decision(window[0])),
-                    |(cand, decision), _, mv| {
-                        if cutoff.is_some_and(|c| Instant::now() >= c) {
-                            return Ok(None);
-                        }
-                        table.decode(*mv, decision);
-                        Ok(Some(ceval.eval_move(cand, mv.process, decision)?))
-                    },
-                )
-                .map_err(|e: ftdes_sched::SchedError| OptError::from(e))?;
-            for (mv, slot) in window.iter().zip(evaluated) {
+            let scored = ceval.score(pool, &table, &design, &window, cutoff)?;
+            for (mv, slot) in window.iter().zip(scored) {
                 let Some((outcome, hit)) = slot else {
                     continue;
                 };
-                match outcome {
-                    EvalOutcome::Exact(cost) => {
-                        stats.record_eval(hit);
-                        // Strict `<` keeps the earliest of equally-cheap
-                        // moves — the same winner the sequential loop
-                        // picked.
-                        if best.as_ref().is_none_or(|(_, c)| cost < *c) {
-                            best = Some((*mv, cost));
-                        }
+                stats.record(outcome, hit);
+                // A pruned candidate is certified worse than the
+                // current solution; greedy's strict-improvement
+                // acceptance can never pick it. Strict `<` keeps the
+                // earliest of equally-cheap moves — the same winner
+                // the sequential loop picked.
+                if let EvalOutcome::Exact(cost) = outcome {
+                    if best.as_ref().is_none_or(|(_, c)| cost < *c) {
+                        best = Some((*mv, cost));
                     }
-                    // A pruned candidate is certified worse than the
-                    // current solution; greedy's strict-improvement
-                    // acceptance can never pick it.
-                    EvalOutcome::LowerBound(_) => stats.pruned += 1,
                 }
             }
         }
@@ -144,11 +105,7 @@ pub fn greedy_mpa_with(
             Some((mv, cost)) if cost < schedule.cost() => {
                 design.set_decision(mv.process, table.decision(mv));
                 stats.evaluations += 1;
-                schedule = if cfg.incremental {
-                    evaluator.schedule_recording(&design, &mut ckpts)?
-                } else {
-                    evaluator.schedule(&design)?
-                };
+                schedule = evaluator.schedule(&design, cfg.incremental.then_some(&mut ckpts))?;
                 stats.greedy_steps += 1;
             }
             _ => break, // local optimum
@@ -162,6 +119,7 @@ pub fn greedy_mpa_with(
 mod tests {
     use super::*;
     use crate::initial::initial_mpa;
+    use crate::problem::Problem;
     use ftdes_model::architecture::Architecture;
     use ftdes_model::fault::FaultModel;
     use ftdes_model::graph::{Message, ProcessGraph};
@@ -208,8 +166,18 @@ mod tests {
         let mut stats = SearchStats::default();
         let start = initial_mpa(&problem, PolicySpace::Mixed).unwrap();
         let start_cost = problem.evaluate(&start).unwrap().cost();
-        let (_, sched) =
-            greedy_mpa(&problem, PolicySpace::Mixed, start, &cfg, None, &mut stats).unwrap();
+        let evaluator = Evaluator::with_cache(&problem, cfg.eval_cache);
+        let pool = WorkerPool::new(1);
+        let (_, sched) = greedy_mpa_with(
+            &evaluator,
+            &pool,
+            PolicySpace::Mixed,
+            start,
+            &cfg,
+            None,
+            &mut stats,
+        )
+        .unwrap();
         assert!(sched.cost() <= start_cost, "greedy never worsens");
         assert!(stats.evaluations > 1, "neighbourhood explored");
     }
@@ -233,8 +201,18 @@ mod tests {
         let cfg = SearchConfig::default();
         let mut stats = SearchStats::default();
         let start = initial_mpa(&problem, PolicySpace::Mixed).unwrap();
-        let (_, sched) =
-            greedy_mpa(&problem, PolicySpace::Mixed, start, &cfg, None, &mut stats).unwrap();
+        let evaluator = Evaluator::with_cache(&problem, cfg.eval_cache);
+        let pool = WorkerPool::new(1);
+        let (_, sched) = greedy_mpa_with(
+            &evaluator,
+            &pool,
+            PolicySpace::Mixed,
+            start,
+            &cfg,
+            None,
+            &mut stats,
+        )
+        .unwrap();
         assert!(sched.is_schedulable());
         assert_eq!(
             stats.evaluations, 1,

@@ -13,8 +13,8 @@
 //! deadlines — without extra hardware.
 //!
 //! The search is the paper's three-step strategy (Fig. 6):
-//! [`initial::initial_mpa`] → [`greedy::greedy_mpa`] →
-//! [`tabu::tabu_search_mpa`], exposed through
+//! [`initial::initial_mpa`] → [`greedy::greedy_mpa_with`] →
+//! [`tabu::tabu_search_mpa_with`], exposed through
 //! [`strategy::optimize`] with the policy spaces
 //! MXR / MX / MR and the SFX / NFT baselines.
 //!
@@ -29,9 +29,12 @@
 //!   keyed by XOR-decomposable design fingerprints, shareable across
 //!   `optimize` calls via [`strategy::optimize_with_cache`]),
 //!   incremental evaluation against the winner's recorded placement
-//!   (the suffix splice), bounded early-exit runs, and the
-//!   from-scratch bounded bus-swap probes of
-//!   [`bus_opt::optimize_bus`].
+//!   (the suffix splice) and bounded early-exit runs. Greedy and tabu
+//!   score each window through one call,
+//!   [`cache::CandidateEval::score`].
+//! * [`bus_opt::optimize_bus`] scores one fixed design under candidate
+//!   buses: it calls the scheduler itself, bounded by the climbing
+//!   incumbent, and memoizes probe costs by bus.
 //! * [`parallel::WorkerPool`] — deterministic window parallelism:
 //!   results indexed by input position plus `(cost, move index)`
 //!   selection make parallel runs bit-identical to sequential ones.

@@ -3,7 +3,10 @@
 //! Bundles everything that stays fixed during a search: the merged
 //! application graph, the architecture, the WCET table, the fault
 //! model, the bus configuration and the designer constraints
-//! (`PX`, `PR`, `PM`).
+//! (`PX`, `PR`, `PM`). Its `evaluate*` methods schedule a design under
+//! the problem's own bus; the bus-access optimization
+//! ([`crate::bus_opt`]) calls the scheduler under its candidate buses
+//! itself.
 
 use ftdes_model::architecture::Architecture;
 use ftdes_model::design::{Design, DesignConstraints};
@@ -13,10 +16,9 @@ use ftdes_model::ids::ProcessId;
 use ftdes_model::time::Time;
 use ftdes_model::wcet::{DenseWcet, WcetTable};
 use ftdes_sched::{
-    list_schedule_recording, list_schedule_scratch, list_schedule_with, schedule_cost_bounded,
-    schedule_cost_resumed, CostOutcome, CostScratch, OccupancyBackend, PlacementCheckpoints,
-    PriorityStrategy, SchedError, SchedScratch, Schedule, ScheduleCost, ScheduleOptions,
-    BOOKING_HORIZON_ROUNDS,
+    list_schedule_recording, list_schedule_with, schedule_cost_bounded, schedule_cost_resumed,
+    CostOutcome, CostScratch, OccupancyBackend, PlacementCheckpoints, PriorityStrategy, SchedError,
+    SchedScratch, Schedule, ScheduleCost, ScheduleOptions, BOOKING_HORIZON_ROUNDS,
 };
 use ftdes_ttp::config::BusConfig;
 
@@ -294,25 +296,10 @@ impl Problem {
         )
     }
 
-    /// [`Problem::evaluate`] reusing caller-owned scheduling buffers —
-    /// the allocation-light entry point of the optimizer's hot path
-    /// (see [`crate::cache::Evaluator`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Problem::evaluate`].
-    pub fn evaluate_scratch(
-        &self,
-        design: &Design,
-        scratch: &mut SchedScratch,
-    ) -> Result<Schedule, SchedError> {
-        self.evaluate_recording(design, scratch, None)
-    }
-
-    /// [`Problem::evaluate_scratch`] that additionally records the
-    /// placement into `ckpts` — the base recording the incremental
-    /// engine scores single-move candidates against (see
-    /// [`ftdes_sched::incremental`]).
+    /// [`Problem::evaluate`] reusing caller-owned scheduling buffers,
+    /// recording the placement into `ckpts` when given — the base
+    /// recording the incremental engine scores single-move candidates
+    /// against (see [`ftdes_sched::incremental`]).
     ///
     /// # Errors
     ///
@@ -333,31 +320,6 @@ impl Problem {
             self.options,
             scratch,
             ckpts,
-        )
-    }
-
-    /// Evaluates `design` under an alternative bus configuration
-    /// without cloning the problem (the bus-access optimization probes
-    /// many configurations per design).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Problem::evaluate`].
-    pub fn evaluate_with_bus_scratch(
-        &self,
-        bus: &BusConfig,
-        design: &Design,
-        scratch: &mut SchedScratch,
-    ) -> Result<Schedule, SchedError> {
-        list_schedule_scratch(
-            &self.graph,
-            &self.arch,
-            &self.dense_wcet,
-            &self.fault_model,
-            bus,
-            design,
-            self.options,
-            scratch,
         )
     }
 
@@ -435,33 +397,6 @@ impl Problem {
             self.options,
             scratch,
             ckpts,
-            bound,
-        )
-    }
-
-    /// [`Problem::evaluate_cost_bounded`] under an alternative bus
-    /// configuration (the bus-access optimization scores its slot-swap
-    /// probes this way and prunes losing ones with the bound).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Problem::evaluate`].
-    pub fn evaluate_cost_with_bus_bounded(
-        &self,
-        bus: &BusConfig,
-        design: &Design,
-        scratch: &mut CostScratch,
-        bound: Option<ScheduleCost>,
-    ) -> Result<CostOutcome, SchedError> {
-        schedule_cost_bounded(
-            &self.graph,
-            &self.arch,
-            &self.dense_wcet,
-            &self.fault_model,
-            bus,
-            design,
-            self.options,
-            scratch,
             bound,
         )
     }

@@ -507,7 +507,7 @@ fn run_ladder(
         .map_err(|e| format!("projected design invalid: {e}"))
         .and_then(|()| {
             evaluator
-                .schedule(&projected)
+                .schedule(&projected, None)
                 .map_err(|e| format!("projected design fails to schedule: {e}"))
         });
     match revalidated {

@@ -26,8 +26,7 @@ use crate::cache::{EvalOutcome, Evaluator};
 use crate::config::{Goal, SearchConfig, SearchStats};
 use crate::error::OptError;
 use crate::moves::{take_moves, MoveRef, MoveTable, Span};
-use crate::parallel::{effective_threads, WorkerPool};
-use crate::problem::Problem;
+use crate::parallel::WorkerPool;
 use crate::space::PolicySpace;
 
 /// An evaluated neighbour.
@@ -103,7 +102,7 @@ pub enum TabuPause {
 
 /// A resumable tabu search (paper Fig. 9) over one policy space.
 ///
-/// [`tabu_search_mpa`] runs it to completion in one call; the
+/// [`tabu_search_mpa_with`] runs it to completion in one call; the
 /// portfolio engine ([`crate::portfolio`]) instead interleaves
 /// bounded [`TabuSearch::run`] chunks with deterministic elite
 /// exchanges ([`TabuSearch::inject`]) between epochs. All search
@@ -244,12 +243,9 @@ impl<'e, 'p> TabuSearch<'e, 'p> {
     /// Propagates [`OptError::Sched`] when the design cannot be
     /// scheduled.
     pub fn inject(&mut self, design: Design, stats: &mut SearchStats) -> Result<(), OptError> {
-        let schedule = if self.cfg.incremental {
-            self.evaluator
-                .schedule_recording(&design, &mut self.ckpts)?
-        } else {
-            self.evaluator.schedule(&design)?
-        };
+        let schedule = self
+            .evaluator
+            .schedule(&design, self.cfg.incremental.then_some(&mut self.ckpts))?;
         stats.evaluations += 1;
         if schedule.cost() < self.best_schedule.cost() {
             self.best_design = design.clone();
@@ -353,33 +349,18 @@ impl<'e, 'p> TabuSearch<'e, 'p> {
         );
 
         // Evaluate the window in parallel (cost-only); results stay
-        // in move order. Each worker clones the base design once and
-        // decodes one candidate per move into its own decision buffer,
-        // which is swapped in and back out — no per-candidate design
-        // clone, no schedule materialization.
-        let (window, table, now_design) = (&self.window, &self.table, &self.now_design);
-        let evaluated = self
-            .pool
-            .try_map_init(
-                window,
-                || (now_design.clone(), table.decision(window[0])),
-                |(design, decision), _, mv| {
-                    if cutoff.is_some_and(|c| Instant::now() >= c) {
-                        return Ok(None);
-                    }
-                    table.decode(*mv, decision);
-                    Ok(Some(ceval.eval_move(design, mv.process, decision)?))
-                },
-            )
-            .map_err(|e: ftdes_sched::SchedError| OptError::from(e))?;
+        // in move order.
+        let evaluated = ceval.score(
+            self.pool,
+            &self.table,
+            &self.now_design,
+            &self.window,
+            cutoff,
+        )?;
         self.candidates.clear();
         for (index, (mv, slot)) in self.window.iter().zip(evaluated).enumerate() {
             if let Some((outcome, hit)) = slot {
-                if outcome.is_exact() {
-                    stats.record_eval(hit);
-                } else {
-                    stats.pruned += 1;
-                }
+                stats.record(outcome, hit);
                 self.candidates.push(Candidate {
                     index,
                     mv: *mv,
@@ -426,11 +407,7 @@ impl<'e, 'p> TabuSearch<'e, 'p> {
                         &mut self.table.decision(c.mv),
                         resolve_bound,
                     )?;
-                    if outcome.is_exact() {
-                        stats.record_eval(hit);
-                    } else {
-                        stats.pruned += 1;
-                    }
+                    stats.record(outcome, hit);
                     debug_assert!(outcome.is_exact() || outcome.cost() > w_cost);
                     c.outcome = outcome;
                     resolved_any = true;
@@ -451,12 +428,9 @@ impl<'e, 'p> TabuSearch<'e, 'p> {
         // its critical path); one full run per iteration, counted —
         // and the incremental engine records its checkpoints on it.
         stats.evaluations += 1;
-        self.now_schedule = if cfg.incremental {
-            self.evaluator
-                .schedule_recording(&self.now_design, &mut self.ckpts)?
-        } else {
-            self.evaluator.schedule(&self.now_design)?
-        };
+        self.now_schedule = self
+            .evaluator
+            .schedule(&self.now_design, cfg.incremental.then_some(&mut self.ckpts))?;
         debug_assert_eq!(self.now_schedule.cost(), chosen.cost());
 
         // Lines 23–25: best-so-far and history updates.
@@ -477,7 +451,11 @@ impl<'e, 'p> TabuSearch<'e, 'p> {
 }
 
 /// Runs the tabu search from `start` until the goal is reached or
-/// the limits are exhausted, returning the best design found.
+/// the limits are exhausted, returning the best design found. The
+/// caller-owned [`Evaluator`] and [`WorkerPool`] span the greedy
+/// phase, both staged tabu passes and any further evaluation the
+/// caller performs, so the memoization cache and the worker threads
+/// are shared.
 ///
 /// Candidate evaluation is parallel (see [`SearchConfig::threads`])
 /// and memoized (see [`SearchConfig::eval_cache`]); both are pure
@@ -489,27 +467,6 @@ impl<'e, 'p> TabuSearch<'e, 'p> {
 ///
 /// Propagates [`OptError::Sched`] when a candidate cannot be
 /// evaluated.
-pub fn tabu_search_mpa(
-    problem: &Problem,
-    space: PolicySpace,
-    start: (Design, Schedule),
-    cfg: &SearchConfig,
-    cutoff: Option<Instant>,
-    stats: &mut SearchStats,
-) -> Result<(Design, Schedule), OptError> {
-    let evaluator = Evaluator::with_cache(problem, cfg.eval_cache);
-    let pool = WorkerPool::new(effective_threads(cfg.threads));
-    tabu_search_mpa_with(&evaluator, &pool, space, start, cfg, cutoff, stats)
-}
-
-/// [`tabu_search_mpa`] sharing a caller-owned [`Evaluator`] and
-/// [`WorkerPool`], so the memoization cache and the worker threads
-/// span the greedy phase, both staged tabu passes and any further
-/// evaluation the caller performs.
-///
-/// # Errors
-///
-/// Same as [`tabu_search_mpa`].
 pub fn tabu_search_mpa_with(
     evaluator: &Evaluator<'_>,
     pool: &WorkerPool,
@@ -535,6 +492,7 @@ pub fn tabu_search_mpa_with(
 mod tests {
     use super::*;
     use crate::initial::initial_mpa;
+    use crate::problem::Problem;
     use ftdes_model::architecture::Architecture;
     use ftdes_model::fault::FaultModel;
     use ftdes_model::graph::{Message, ProcessGraph};
@@ -563,6 +521,28 @@ mod tests {
         Problem::new(g, arch, wcet, FaultModel::new(1, ms(10)), bus)
     }
 
+    /// The mixed-space tabu search from `start` on an evaluator and a
+    /// one-thread pool of its own.
+    pub(super) fn tabu_search(
+        problem: &Problem,
+        start: (Design, Schedule),
+        cfg: &SearchConfig,
+        stats: &mut SearchStats,
+    ) -> (Design, Schedule) {
+        let evaluator = Evaluator::with_cache(problem, cfg.eval_cache);
+        let pool = WorkerPool::new(1);
+        tabu_search_mpa_with(
+            &evaluator,
+            &pool,
+            PolicySpace::Mixed,
+            start,
+            cfg,
+            None,
+            stats,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn tabu_never_returns_worse_than_start() {
         let problem = fig8_problem();
@@ -575,15 +555,7 @@ mod tests {
         let start = initial_mpa(&problem, PolicySpace::Mixed).unwrap();
         let start_sched = problem.evaluate(&start).unwrap();
         let start_cost = start_sched.cost();
-        let (_, best) = tabu_search_mpa(
-            &problem,
-            PolicySpace::Mixed,
-            (start, start_sched),
-            &cfg,
-            None,
-            &mut stats,
-        )
-        .unwrap();
+        let (_, best) = tabu_search(&problem, (start, start_sched), &cfg, &mut stats);
         assert!(best.cost() <= start_cost);
         assert_eq!(stats.tabu_iterations, 30, "length goal runs to the limit");
     }
@@ -599,7 +571,7 @@ mod tests {
         let evaluator = Evaluator::with_cache(&problem, true);
         let pool = WorkerPool::new(1);
         let start = initial_mpa(&problem, PolicySpace::Mixed).unwrap();
-        let start_schedule = evaluator.schedule(&start).unwrap();
+        let start_schedule = evaluator.schedule(&start, None).unwrap();
         let focus = vec![ProcessId::new(1), ProcessId::new(3)];
         let mut search = TabuSearch::new(
             &evaluator,
@@ -640,12 +612,22 @@ mod tests {
         };
         let mut stats = SearchStats::default();
         let start = initial_mpa(&problem, PolicySpace::Mixed).unwrap();
-        let (gd, gs) =
-            crate::greedy::greedy_mpa(&problem, PolicySpace::Mixed, start, &cfg, None, &mut stats)
-                .unwrap();
+        let evaluator = Evaluator::with_cache(&problem, cfg.eval_cache);
+        let pool = WorkerPool::new(1);
+        let (gd, gs) = crate::greedy::greedy_mpa_with(
+            &evaluator,
+            &pool,
+            PolicySpace::Mixed,
+            start,
+            &cfg,
+            None,
+            &mut stats,
+        )
+        .unwrap();
         let greedy_cost = gs.cost();
-        let (_, ts) = tabu_search_mpa(
-            &problem,
+        let (_, ts) = tabu_search_mpa_with(
+            &evaluator,
+            &pool,
             PolicySpace::Mixed,
             (gd, gs),
             &cfg,
@@ -675,15 +657,7 @@ mod tests {
         let mut stats = SearchStats::default();
         let start = initial_mpa(&problem, PolicySpace::Mixed).unwrap();
         let sched = problem.evaluate(&start).unwrap();
-        let (_, best) = tabu_search_mpa(
-            &problem,
-            PolicySpace::Mixed,
-            (start, sched),
-            &cfg,
-            None,
-            &mut stats,
-        )
-        .unwrap();
+        let (_, best) = tabu_search(&problem, (start, sched), &cfg, &mut stats);
         assert!(best.is_schedulable());
         assert_eq!(stats.tabu_iterations, 0, "already schedulable at entry");
     }
@@ -693,6 +667,7 @@ mod tests {
 mod option_tests {
     use super::*;
     use crate::initial::initial_mpa;
+    use crate::problem::Problem;
     use ftdes_model::architecture::Architecture;
     use ftdes_model::fault::FaultModel;
     use ftdes_model::graph::{Message, ProcessGraph};
@@ -723,15 +698,7 @@ mod option_tests {
         let start = initial_mpa(&problem, PolicySpace::Mixed).unwrap();
         let sched = problem.evaluate(&start).unwrap();
         stats.evaluations += 1;
-        let (_, best) = tabu_search_mpa(
-            &problem,
-            PolicySpace::Mixed,
-            (start, sched),
-            cfg,
-            None,
-            &mut stats,
-        )
-        .unwrap();
+        let (_, best) = super::tests::tabu_search(&problem, (start, sched), cfg, &mut stats);
         (best.length(), stats)
     }
 

@@ -32,7 +32,9 @@
 //! maximum, `MAX_THREADS`), `--procs` 16384 (`MAX_MERGED_PROCESSES`),
 //! `--procs` × `--nodes` 2²⁰ (`MAX_PROCESS_NODE_PAIRS`, which
 //! problem files are held to as well) and `--max-checkpoints` 2²⁰
-//! (`MAX_CHECKPOINTS`). A value past its maximum is a usage error.
+//! (`MAX_CHECKPOINTS`). `--density` and `--msg-wcet-ratio` take
+//! finite, non-negative values, and `round(--density × --procs)` is
+//! at most 2²⁰ edges. A value past its maximum is a usage error.
 //!
 //! Exit codes are classified sysexits-style: `2` usage, `65` malformed
 //! input (problem file, sweep spec, or corrupt store — and any problem
@@ -175,6 +177,11 @@ fn main() -> ExitCode {
 /// The most fault scenarios `inject` and `repair` replay
 /// (`--scenarios`); they are drawn up front, one allocation each.
 const MAX_SCENARIOS: usize = 100_000;
+
+/// The most edges `--density` may ask of the comm-heavy generator,
+/// `round(density × procs)`: 2²⁰. Past it the generator's densify
+/// loop runs in proportion to the target, not to the graph it builds.
+const MAX_GENERATED_EDGES: f64 = (1u64 << 20) as f64;
 
 /// Parses a count for `flag`, refusing one past `max`.
 fn parse_count(flag: &str, v: &str, max: usize) -> Result<usize, String> {
@@ -412,6 +419,22 @@ impl Options {
                     "invalid --procs {} with --nodes {}: at most {MAX_PROCESS_NODE_PAIRS} \
                      process-node pairs",
                     f.procs, f.nodes
+                ));
+            }
+            for (flag, v) in [
+                ("--density", f.density),
+                ("--msg-wcet-ratio", f.msg_wcet_ratio),
+            ] {
+                if !(v.is_finite() && v >= 0.0) {
+                    return Err(format!(
+                        "invalid {flag}: {v} (must be finite and non-negative)"
+                    ));
+                }
+            }
+            if (f.density * f.procs as f64).round() > MAX_GENERATED_EDGES {
+                return Err(format!(
+                    "invalid --density {} with --procs {}: at most {MAX_GENERATED_EDGES} edges",
+                    f.density, f.procs
                 ));
             }
         }
@@ -978,6 +1001,7 @@ fn usage() -> String {
      generated instances: --family comm-heavy|paper  --procs N (at most {MAX_MERGED_PROCESSES})\n\
      \x20      --nodes N (procs × nodes at most {MAX_PROCESS_NODE_PAIRS})  --k N  --mu-ms N\n\
      \x20      --chi-ms N (checkpoint overhead)  --max-checkpoints N (move axis cap)\n\
-     \x20      comm-heavy knobs: --density F (mean edges/process)  --msg-wcet-ratio F"
+     \x20      comm-heavy knobs, finite and non-negative: --density F (mean edges/process;\n\
+     \x20      density × procs at most {MAX_GENERATED_EDGES} edges)  --msg-wcet-ratio F"
     )
 }

@@ -342,6 +342,46 @@ fn family_millisecond_flags_past_the_time_range_are_usage_errors() {
 }
 
 #[test]
+fn family_float_flags_are_usage_errors() {
+    // NaN and negative values first: without the check they exit 0 on
+    // a silently changed input, while an infinite density makes the
+    // generator's densify loop run without end.
+    let comm_info = |args: &[&str]| {
+        let mut all = vec![
+            "info",
+            "--family",
+            "comm-heavy",
+            "--procs",
+            "8",
+            "--nodes",
+            "2",
+            "--k",
+            "1",
+        ];
+        all.extend_from_slice(args);
+        ftdes(&all)
+    };
+    let usage_error = |args: &[&str], expected: &str| {
+        let out = comm_info(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {stderr}");
+        assert!(stderr.contains(expected), "{args:?}: stderr: {stderr}");
+    };
+    for v in ["nan", "-1", "inf", "-inf"] {
+        for flag in ["--density", "--msg-wcet-ratio"] {
+            usage_error(&[flag, v], &format!("invalid {flag}: "));
+        }
+    }
+    // Finite densities past 2^20 edges: at 1e30 the generator's edge
+    // target saturates at usize::MAX.
+    usage_error(&["--density", "1e30"], "at most 1048576 edges");
+    usage_error(
+        &["--procs", "4", "--density", "262144.25"],
+        "invalid --density 262144.25 with --procs 4: at most 1048576 edges",
+    );
+}
+
+#[test]
 fn count_flags_past_their_maximum_are_usage_errors() {
     // Each maximum + 1 only: a missing check must not be able to
     // allocate without bound or spawn thousands of threads.
@@ -387,9 +427,8 @@ fn count_flags_past_their_maximum_are_usage_errors() {
         &format!("at most {pairs} process-node pairs"),
     );
 
-    // The search lists one move per checkpoint count, so a count past
-    // the cap would allocate without bound (the solve aborted at
-    // u32::MAX).
+    // The search indexes one move per checkpoint count; the cap keeps
+    // every move index within a u64.
     let checkpoints = ftdes_core::problem::MAX_CHECKPOINTS;
     for v in [u64::from(checkpoints) + 1, u64::from(u32::MAX)] {
         let v = v.to_string();

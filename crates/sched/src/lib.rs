@@ -122,8 +122,8 @@ pub mod occ_bench {
 pub use incremental::{schedule_cost_resumed, schedule_cost_spliced, PlacementCheckpoints};
 pub use instance::{ExpandedDesign, Instance, InstanceId};
 pub use list::{
-    list_schedule, list_schedule_recording, list_schedule_scratch, list_schedule_with,
-    schedule_cost, schedule_cost_bounded, CostOutcome, CostScratch, SchedScratch, ScheduleOptions,
+    list_schedule, list_schedule_recording, list_schedule_with, schedule_cost,
+    schedule_cost_bounded, CostOutcome, CostScratch, SchedScratch, ScheduleOptions,
 };
 pub use occupancy::{OccupancyBackend, BOOKING_HORIZON_ROUNDS};
 pub use priority::PriorityStrategy;

@@ -363,32 +363,23 @@ pub fn list_schedule_with<W: WcetLookup + ?Sized>(
     options: ScheduleOptions,
 ) -> Result<Schedule, SchedError> {
     let mut scratch = SchedScratch::default();
-    list_schedule_scratch(graph, arch, wcet, fm, bus, design, options, &mut scratch)
+    list_schedule_recording(
+        graph,
+        arch,
+        wcet,
+        fm,
+        bus,
+        design,
+        options,
+        &mut scratch,
+        None,
+    )
 }
 
-/// [`list_schedule_with`] reusing caller-owned working memory.
-///
-/// # Errors
-///
-/// Same as [`list_schedule`].
-#[allow(clippy::too_many_arguments)]
-pub fn list_schedule_scratch<W: WcetLookup + ?Sized>(
-    graph: &ProcessGraph,
-    arch: &Architecture,
-    wcet: &W,
-    fm: &FaultModel,
-    bus: &BusConfig,
-    design: &Design,
-    options: ScheduleOptions,
-    scratch: &mut SchedScratch,
-) -> Result<Schedule, SchedError> {
-    list_schedule_recording(graph, arch, wcet, fm, bus, design, options, scratch, None)
-}
-
-/// [`list_schedule_scratch`] that additionally records the placement
-/// into `ckpts` (when given) — the base recording the incremental
-/// evaluation engine scores single-move candidates against (see
-/// [`crate::incremental`]).
+/// [`list_schedule_with`] reusing caller-owned working memory that
+/// additionally records the placement into `ckpts` (when given) — the
+/// base recording the incremental evaluation engine scores
+/// single-move candidates against (see [`crate::incremental`]).
 ///
 /// # Errors
 ///

@@ -17,11 +17,12 @@
 //! strategy must still be bit-identical across threads and repeats,
 //! and the ≥ 2-worker portfolio must always field the mobility axis.
 
-use ftdes::core::greedy::greedy_mpa;
+use ftdes::core::greedy::greedy_mpa_with;
 use ftdes::core::initial::initial_mpa;
 use ftdes::core::{
-    optimize, optimize_bus, optimize_portfolio, BusOptConfig, Goal, Outcome, PolicySpace,
-    PortfolioConfig, PortfolioOutcome, Problem, SearchConfig, SearchStats, Strategy,
+    effective_threads, optimize, optimize_bus, optimize_portfolio, BusOptConfig, Evaluator, Goal,
+    Outcome, PolicySpace, PortfolioConfig, PortfolioOutcome, Problem, SearchConfig, SearchStats,
+    Strategy, WorkerPool,
 };
 use ftdes::gen::{comm_heavy, paper_workload, CommHeavyParams};
 use ftdes::model::prelude::*;
@@ -140,12 +141,16 @@ fn greedy_matrix_threads_and_repeats() {
         let mut reference = None;
         for threads in THREAD_MATRIX {
             for repeat in 0..2 {
+                let config = cfg(threads);
+                let evaluator = Evaluator::with_cache(&problem, config.eval_cache);
+                let pool = WorkerPool::new(effective_threads(config.threads));
                 let mut stats = SearchStats::default();
-                let (design, schedule) = greedy_mpa(
-                    &problem,
+                let (design, schedule) = greedy_mpa_with(
+                    &evaluator,
+                    &pool,
                     PolicySpace::Mixed,
                     start.clone(),
-                    &cfg(threads),
+                    &config,
                     None,
                     &mut stats,
                 )

@@ -3,8 +3,8 @@
 //! its patched expansion, or spliced, bounded or not, costs what
 //! from-scratch `list_schedule` says (on the paper's Table 1 instance
 //! too), and whole searches walk one trajectory under a covering array
-//! of the throughput knobs. `optimize_bus`'s cached, bounded hill
-//! climb ends where an uncached, unbounded one does. The oracle lives
+//! of the throughput knobs. `optimize_bus`'s memoized, bounded hill
+//! climb ends where an unmemoized, unbounded one does. The oracle lives
 //! in `tests/engine_parity`.
 
 pub mod engine_parity;
@@ -18,7 +18,7 @@ use ftdes::core::{
 };
 use ftdes::gen::CommHeavyParams;
 use ftdes::model::prelude::*;
-use ftdes::sched::{CostOutcome, CostScratch, ScheduleCost};
+use ftdes::sched::{schedule_cost_bounded, CostOutcome, CostScratch, ScheduleCost};
 use ftdes::ttp::BusConfig;
 
 #[test]
@@ -62,9 +62,18 @@ fn knob_rows_cover_every_pair() {
 /// The exact cost of `design` under `bus`, placed from scratch.
 fn scratch_cost(problem: &Problem, bus: &BusConfig, design: &Design) -> ScheduleCost {
     let mut scratch = CostScratch::default();
-    match problem
-        .evaluate_cost_with_bus_bounded(bus, design, &mut scratch, None)
-        .unwrap()
+    match schedule_cost_bounded(
+        problem.graph(),
+        problem.arch(),
+        problem.dense_wcet(),
+        problem.fault_model(),
+        bus,
+        design,
+        problem.schedule_options(),
+        &mut scratch,
+        None,
+    )
+    .unwrap()
     {
         CostOutcome::Exact(c) => c,
         CostOutcome::LowerBound(_) => unreachable!("unbounded runs are exact"),
@@ -121,10 +130,10 @@ fn from_scratch_climb(
 
 #[test]
 fn bus_opt_matches_a_from_scratch_climb() {
-    // `optimize_bus` scores slot-swap probes through the evaluator's
-    // cache and bounds each by the climbing incumbent; a stale cache
-    // entry, or a probe pruned when it improves, changes the climb
-    // and shows up here as a different bus or cost.
+    // `optimize_bus` memoizes probe costs by bus and bounds each
+    // probe by the climbing incumbent; a stale or aliased memo entry,
+    // or a probe pruned when it improves, changes the climb and shows
+    // up here as a different bus or cost.
     let cfg = BusOptConfig::default();
     let search = SearchConfig {
         max_tabu_iterations: 10,
