@@ -19,6 +19,8 @@
 //! so a probe's cost depends on the bus alone: exact costs are
 //! memoized in a private [`EvalCache`] keyed by [`bus_fingerprint`].
 
+use std::time::{Duration, Instant};
+
 use ftdes_model::design::Design;
 use ftdes_sched::{list_schedule_with, schedule_cost_bounded, CostScratch, SchedError, Schedule};
 use ftdes_ttp::config::BusConfig;
@@ -28,29 +30,25 @@ use crate::config::SearchStats;
 use crate::error::OptError;
 use crate::problem::Problem;
 
+/// Hill-climbing rounds over slot swaps, per capacity.
+pub const MAX_ROUNDS: usize = 8;
+
+/// Capacity multiples of the largest message the pass tries (1 = the
+/// minimum legal slot, the paper's initial configuration).
+pub const CAPACITY_MULTIPLES: [u32; 2] = [1, 2];
+
 /// Limits of the bus-access optimization.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BusOptConfig {
-    /// Hill-climbing rounds over slot swaps.
-    pub max_rounds: usize,
-    /// Capacity multiples of the largest message to try (1 = minimum
-    /// legal slot, the paper's initial configuration).
-    pub capacity_multiples: Vec<u32>,
+    /// Wall-clock budget of the pass (`None`: unlimited). Once it has
+    /// passed, no further probe runs, and the best bus found so far is
+    /// materialized.
+    pub time_limit: Option<Duration>,
     /// Unused: the slot-swap sweep is sequential, because each
     /// probe is bounded by the incumbent the previous accepted swap
     /// set. Kept so existing configurations still compile; every
     /// value gives the same result.
     pub threads: usize,
-}
-
-impl Default for BusOptConfig {
-    fn default() -> Self {
-        BusOptConfig {
-            max_rounds: 8,
-            capacity_multiples: vec![1, 2],
-            threads: 0,
-        }
-    }
 }
 
 /// The result of the bus-access optimization.
@@ -66,7 +64,9 @@ pub struct BusOptOutcome {
 }
 
 /// Optimizes the TDMA slot order and slot capacity for a fixed
-/// `design`, starting from the problem's current bus configuration.
+/// `design`, starting from the problem's current bus configuration:
+/// [`MAX_ROUNDS`] rounds of slot swaps at each of the
+/// [`CAPACITY_MULTIPLES`], within `cfg.time_limit`.
 ///
 /// Returns the best configuration found (possibly the original).
 ///
@@ -80,6 +80,19 @@ pub fn optimize_bus(
     problem: &Problem,
     design: &Design,
     cfg: &BusOptConfig,
+) -> Result<BusOptOutcome, OptError> {
+    let cutoff = cfg.time_limit.and_then(|l| Instant::now().checked_add(l));
+    climb(problem, design, &CAPACITY_MULTIPLES, MAX_ROUNDS, cutoff)
+}
+
+/// [`optimize_bus`] over the given capacity multiples and rounds,
+/// probing nothing past `cutoff`.
+fn climb(
+    problem: &Problem,
+    design: &Design,
+    multiples: &[u32],
+    rounds: usize,
+    cutoff: Option<Instant>,
 ) -> Result<BusOptOutcome, OptError> {
     let mut stats = SearchStats::default();
     // Re-probing a configuration (e.g. swapping a pair back) is a memo
@@ -96,7 +109,7 @@ pub fn optimize_bus(
         let outcome = schedule_cost_bounded(
             problem.graph(),
             problem.arch(),
-            problem.dense_wcet(),
+            problem.wcet(),
             problem.fault_model(),
             bus,
             design,
@@ -109,6 +122,7 @@ pub fn optimize_bus(
         }
         Ok((outcome, false))
     };
+    let expired = || cutoff.is_some_and(|c| Instant::now() >= c);
     let base = problem.bus();
     let largest = problem.largest_message();
 
@@ -117,7 +131,10 @@ pub fn optimize_bus(
     let mut best_bus = base.clone();
     let mut best_cost = start.cost();
 
-    for &multiple in &cfg.capacity_multiples {
+    for &multiple in multiples {
+        if expired() {
+            break;
+        }
         let capacity = largest.saturating_mul(multiple.max(1));
         let mut bus = BusConfig::with_order(base.slot_order().to_vec(), capacity, base.byte_time())
             .expect("base order stays valid");
@@ -138,21 +155,24 @@ pub fn optimize_bus(
         // climbing incumbent and aborts as soon as it provably cannot
         // improve on it.
         let slots = bus.slots_per_round();
-        let pairs: Vec<(usize, usize)> = (0..slots)
-            .flat_map(|a| ((a + 1)..slots).map(move |b| (a, b)))
-            .collect();
-        for _ in 0..cfg.max_rounds {
+        'rounds: for _ in 0..rounds {
             let mut improved = false;
-            for &(a, b) in &pairs {
-                let cand_bus = bus.swap_slots(a, b);
-                let (outcome, hit) = probe(&cand_bus, Some(current_cost))?;
-                stats.record(outcome, hit);
-                // A pruned probe is certified worse than the incumbent.
-                if let EvalOutcome::Exact(c) = outcome {
-                    if c < current_cost {
-                        bus = cand_bus;
-                        current_cost = c;
-                        improved = true;
+            for a in 0..slots {
+                for b in (a + 1)..slots {
+                    if expired() {
+                        break 'rounds;
+                    }
+                    let cand_bus = bus.swap_slots(a, b);
+                    let (outcome, hit) = probe(&cand_bus, Some(current_cost))?;
+                    stats.record(outcome, hit);
+                    // A pruned probe is certified worse than the
+                    // incumbent.
+                    if let EvalOutcome::Exact(c) = outcome {
+                        if c < current_cost {
+                            bus = cand_bus;
+                            current_cost = c;
+                            improved = true;
+                        }
                     }
                 }
             }
@@ -171,7 +191,7 @@ pub fn optimize_bus(
     let schedule = list_schedule_with(
         problem.graph(),
         problem.arch(),
-        problem.dense_wcet(),
+        problem.wcet(),
         problem.fault_model(),
         &best_bus,
         design,
@@ -247,12 +267,7 @@ mod tests {
     #[test]
     fn capacity_sweep_considers_larger_frames() {
         let (problem, design) = skewed_problem();
-        let cfg = BusOptConfig {
-            max_rounds: 0,
-            capacity_multiples: vec![1, 4],
-            ..BusOptConfig::default()
-        };
-        let outcome = optimize_bus(&problem, &design, &cfg).unwrap();
+        let outcome = climb(&problem, &design, &[1, 4], 0, None).unwrap();
         // With a single 4-byte message larger frames only stretch the
         // round: the minimum capacity must win.
         assert_eq!(outcome.bus.slot_bytes(), 4);
@@ -261,14 +276,9 @@ mod tests {
     #[test]
     fn repeated_capacity_pass_is_served_from_the_memo() {
         let (problem, design) = skewed_problem();
-        let run = |capacity_multiples: Vec<u32>| {
-            let cfg = BusOptConfig {
-                capacity_multiples,
-                ..BusOptConfig::default()
-            };
-            optimize_bus(&problem, &design, &cfg).unwrap()
-        };
-        let (once, twice) = (run(vec![1]), run(vec![1, 1]));
+        let run =
+            |multiples: &[u32]| climb(&problem, &design, multiples, MAX_ROUNDS, None).unwrap();
+        let (once, twice) = (run(&[1]), run(&[1, 1]));
         assert_eq!(twice.bus, once.bus);
         assert_eq!(twice.schedule.cost(), once.schedule.cost());
         assert_eq!(
@@ -280,6 +290,24 @@ mod tests {
             "the repeated pass is served from the memo: {:?} vs {:?}",
             twice.stats,
             once.stats
+        );
+    }
+
+    #[test]
+    fn a_spent_time_limit_keeps_the_problem_bus() {
+        let (problem, design) = skewed_problem();
+        let cfg = BusOptConfig {
+            time_limit: Some(Duration::ZERO),
+            ..BusOptConfig::default()
+        };
+        let outcome = optimize_bus(&problem, &design, &cfg).unwrap();
+        // The problem's own bus is probed, then materialized: the
+        // improving swap is never tried.
+        assert_eq!(&outcome.bus, problem.bus());
+        assert_eq!(outcome.stats.candidates(), 2);
+        assert_eq!(
+            outcome.schedule.cost(),
+            problem.evaluate(&design).unwrap().cost()
         );
     }
 }

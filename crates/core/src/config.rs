@@ -158,6 +158,16 @@ impl SearchStats {
         self.evaluations + self.cache_hits + self.pruned
     }
 
+    /// Adds `other`'s counters to these; the elapsed time is left as
+    /// it is.
+    pub fn add_counts(&mut self, other: &SearchStats) {
+        self.evaluations += other.evaluations;
+        self.cache_hits += other.cache_hits;
+        self.pruned += other.pruned;
+        self.greedy_steps += other.greedy_steps;
+        self.tabu_iterations += other.tabu_iterations;
+    }
+
     /// Counts one scored candidate: a pruned one, a cache hit, or a
     /// computed schedule.
     pub(crate) fn record(&mut self, outcome: EvalOutcome, cache_hit: bool) {
@@ -192,6 +202,35 @@ mod tests {
             ..SearchConfig::default()
         };
         assert_eq!(fixed.tenure_for(100), 7);
+    }
+
+    #[test]
+    fn add_counts_sums_every_counter_but_the_time() {
+        let mut total = SearchStats {
+            evaluations: 1,
+            cache_hits: 2,
+            pruned: 3,
+            greedy_steps: 4,
+            tabu_iterations: 5,
+            elapsed: Duration::from_millis(7),
+        };
+        total.add_counts(&SearchStats {
+            evaluations: 10,
+            cache_hits: 20,
+            pruned: 30,
+            greedy_steps: 40,
+            tabu_iterations: 50,
+            elapsed: Duration::from_secs(1),
+        });
+        let want = SearchStats {
+            evaluations: 11,
+            cache_hits: 22,
+            pruned: 33,
+            greedy_steps: 44,
+            tabu_iterations: 55,
+            elapsed: Duration::from_millis(7),
+        };
+        assert_eq!(total, want);
     }
 
     #[test]

@@ -502,11 +502,7 @@ pub fn optimize_portfolio(
 
     let mut stats = prologue_stats;
     for w in &team {
-        stats.evaluations += w.stats.evaluations;
-        stats.cache_hits += w.stats.cache_hits;
-        stats.pruned += w.stats.pruned;
-        stats.greedy_steps += w.stats.greedy_steps;
-        stats.tabu_iterations += w.stats.tabu_iterations;
+        stats.add_counts(&w.stats);
     }
     stats.elapsed = started.elapsed();
     let summaries = team

@@ -14,7 +14,7 @@ use ftdes_model::fault::FaultModel;
 use ftdes_model::graph::ProcessGraph;
 use ftdes_model::ids::ProcessId;
 use ftdes_model::time::Time;
-use ftdes_model::wcet::{DenseWcet, WcetTable};
+use ftdes_model::wcet::WcetTable;
 use ftdes_sched::{
     list_schedule_recording, list_schedule_with, schedule_cost_bounded, schedule_cost_resumed,
     CostOutcome, CostScratch, OccupancyBackend, PlacementCheckpoints, PriorityStrategy, SchedError,
@@ -30,9 +30,10 @@ use ftdes_ttp::config::BusConfig;
 const DEFAULT_CHECKPOINT_LEVELS: u32 = 4;
 
 /// The largest processes × nodes product a problem file or a
-/// generated instance may describe: 2²⁰. [`Problem::new`] builds a
-/// dense processes × nodes WCET matrix, so the parser and the CLI
-/// refuse larger inputs before allocating it. With
+/// generated instance may describe: 2²⁰. The parser and the CLI
+/// refuse larger inputs, which bounds the WCET table and, with
+/// [`MAX_CHECKPOINTS`], a process's move index space (levels ×
+/// eligible nodes × counts, see [`crate::moves::MoveTable`]). With
 /// [`ftdes_model::merge::MAX_MERGED_PROCESSES`], it keeps an edgeless
 /// graph at both caps (2¹⁴ processes on 64 nodes) solvable in a few
 /// hundred MB.
@@ -82,11 +83,9 @@ pub const HORIZON_HEADROOM_US: u64 = u64::MAX / 4;
 pub struct Problem {
     graph: ProcessGraph,
     arch: Architecture,
+    /// The WCET table, restricted to the graph's processes × the
+    /// architecture's nodes.
     wcet: WcetTable,
-    /// Dense `n_processes × n_nodes` front-end of `wcet`, built once:
-    /// the expansion hot path does a multiply-add load per replica
-    /// instead of a `BTreeMap` walk.
-    dense_wcet: DenseWcet,
     fault_model: FaultModel,
     bus: BusConfig,
     constraints: DesignConstraints,
@@ -101,22 +100,23 @@ pub struct Problem {
 
 impl Problem {
     /// Creates a problem without designer constraints (all processes
-    /// in `P+` and `P*`).
+    /// in `P+` and `P*`). WCET entries outside the graph's processes ×
+    /// the architecture's nodes are dropped, so every reader of
+    /// [`Problem::wcet`] sees the same table.
     #[must_use]
     pub fn new(
         graph: ProcessGraph,
         arch: Architecture,
-        wcet: WcetTable,
+        mut wcet: WcetTable,
         fault_model: FaultModel,
         bus: BusConfig,
     ) -> Self {
         let n = graph.process_count();
-        let dense_wcet = DenseWcet::from_table(&wcet, n, arch.node_count());
+        wcet.restrict_to(n, arch.node_count());
         Problem {
             graph,
             arch,
             wcet,
-            dense_wcet,
             fault_model,
             bus,
             constraints: DesignConstraints::free(n),
@@ -233,10 +233,11 @@ impl Problem {
         &self.wcet
     }
 
-    /// The dense WCET front-end (same entries as [`Problem::wcet`]).
+    /// [`Problem::wcet`] under its former name, kept for the
+    /// benchmark's trace.
     #[must_use]
-    pub fn dense_wcet(&self) -> &DenseWcet {
-        &self.dense_wcet
+    pub fn dense_wcet(&self) -> &WcetTable {
+        &self.wcet
     }
 
     /// The fault model.
@@ -288,7 +289,7 @@ impl Problem {
         list_schedule_with(
             &self.graph,
             &self.arch,
-            &self.dense_wcet,
+            &self.wcet,
             &self.fault_model,
             &self.bus,
             design,
@@ -313,7 +314,7 @@ impl Problem {
         list_schedule_recording(
             &self.graph,
             &self.arch,
-            &self.dense_wcet,
+            &self.wcet,
             &self.fault_model,
             &self.bus,
             design,
@@ -359,7 +360,7 @@ impl Problem {
         schedule_cost_bounded(
             &self.graph,
             &self.arch,
-            &self.dense_wcet,
+            &self.wcet,
             &self.fault_model,
             &self.bus,
             design,
@@ -389,7 +390,7 @@ impl Problem {
         schedule_cost_resumed(
             &self.graph,
             &self.arch,
-            &self.dense_wcet,
+            &self.wcet,
             &self.fault_model,
             &self.bus,
             design,
@@ -465,6 +466,9 @@ mod tests {
     use ftdes_model::ids::NodeId;
     use ftdes_model::policy::FtPolicy;
 
+    use crate::config::SearchConfig;
+    use crate::strategy::Strategy;
+
     fn tiny_problem() -> Problem {
         let mut g = ProcessGraph::new(0.into());
         let a = g.add_process();
@@ -499,6 +503,49 @@ mod tests {
     fn largest_message_and_scale() {
         let p = tiny_problem();
         assert_eq!(p.largest_message(), 3);
+    }
+
+    #[test]
+    fn wcet_entries_outside_the_grid_are_dropped() {
+        // Two processes on two nodes; the padded table adds an entry on
+        // a node the architecture lacks and one for a process the
+        // graph lacks.
+        let build = |padded: bool| {
+            let mut g = ProcessGraph::new(0.into());
+            let a = g.add_process();
+            let b = g.add_process();
+            g.add_edge(a, b, Message::new(3)).unwrap();
+            let mut wcet: WcetTable = [
+                (a, NodeId::new(0), Time::from_ms(10)),
+                (a, NodeId::new(1), Time::from_ms(12)),
+                (b, NodeId::new(0), Time::from_ms(20)),
+                (b, NodeId::new(1), Time::from_ms(15)),
+            ]
+            .into_iter()
+            .collect();
+            if padded {
+                wcet.set(a, NodeId::new(5), Time::from_ms(1));
+                wcet.set(ProcessId::new(7), NodeId::new(0), Time::from_ms(1));
+            }
+            let arch = Architecture::with_node_count(2);
+            let fm = FaultModel::new(1, Time::from_ms(5));
+            let bus = BusConfig::initial(&arch, 3, Time::from_ms(1)).unwrap();
+            Problem::new(g, arch, wcet, fm, bus)
+        };
+        let (clean, padded) = (build(false), build(true));
+        assert_eq!(padded.wcet().get(ProcessId::new(0), NodeId::new(5)), None);
+        assert_eq!(padded.wcet(), clean.wcet());
+        // Every reader sees the restricted table: the search runs as
+        // if the entries were never given.
+        let cfg = SearchConfig {
+            time_limit: None,
+            max_tabu_iterations: 20,
+            ..SearchConfig::default()
+        };
+        let got = crate::optimize(&padded, Strategy::Mxr, &cfg).unwrap();
+        let want = crate::optimize(&clean, Strategy::Mxr, &cfg).unwrap();
+        assert_eq!(got.design, want.design);
+        assert_eq!(got.schedule.cost(), want.schedule.cost());
     }
 
     #[test]

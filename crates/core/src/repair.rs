@@ -602,12 +602,7 @@ fn run_ladder(
         };
         match optimize_with_cache(&problem, Strategy::Mxr, &scratch_cfg, cache) {
             Ok(outcome) => {
-                let (stats, s) = (&mut ladder.stats, &outcome.stats);
-                stats.evaluations += s.evaluations;
-                stats.cache_hits += s.cache_hits;
-                stats.pruned += s.pruned;
-                stats.greedy_steps += s.greedy_steps;
-                stats.tabu_iterations += s.tabu_iterations;
+                ladder.stats.add_counts(&outcome.stats);
                 let schedule = Arc::new(outcome.schedule);
                 let status = if schedule.is_schedulable() {
                     RungStatus::Accepted

@@ -34,8 +34,7 @@ use ftdes_model::design::Design;
 use ftdes_model::ids::NodeId;
 use ftdes_sched::Schedule;
 
-use crate::engine::simulate;
-use crate::scenario::{adversarial_scenario, random_scenarios};
+use crate::engine::replay_scenarios;
 
 /// The nodes the schedule's expanded instances run on, ordered by the
 /// instances each hosts (primaries and replicas alike), most first;
@@ -128,7 +127,8 @@ impl From<RepairError> for DegradeError {
 /// scenarios (seeded by `seed`, so runs are reproducible) under the
 /// residual fault model.
 ///
-/// Verification failures (a process missing its deadline under some
+/// Verification failures (a repaired design that misses a deadline
+/// analytically, an instance overrunning its bound under some
 /// scenario, an instance still placed on the dead node, ...) are
 /// *reported*, not raised: the caller gets a [`DegradeReport`] with
 /// `verified == false` and the reasons, mirroring how the ladder
@@ -172,32 +172,16 @@ pub fn degrade_and_repair(
         }
     }
 
-    // Replay: the adversarial scenario first (it maximizes recovery
-    // work on the critical path), then the random batch.
-    let mut scenarios = vec![adversarial_scenario(repaired, fm)];
-    scenarios.extend(random_scenarios(repaired, fm, random_count, seed));
-    let scenarios_replayed = scenarios.len();
-    for (i, scenario) in scenarios.iter().enumerate() {
-        let report = simulate(repaired, graph, fm, scenario);
-        if !report.all_processes_complete() {
-            violations.push(format!("scenario {i}: not all processes complete"));
-        }
-        if let Some((id, by)) = report.max_overrun() {
-            violations.push(format!(
-                "scenario {i}: instance {id} overran its analytic bound by {by}"
-            ));
-        }
-        if let Some((p, finish, deadline)) = report.deadline_misses().first() {
-            violations.push(format!(
-                "scenario {i}: {p} finished {finish} past deadline {deadline}"
-            ));
-        }
-    }
+    // No realized finish passes its analytic bound, and an analytically
+    // schedulable design bounds every process by its deadline: the
+    // replay needs no deadline check of its own.
+    let replay = replay_scenarios(repaired, graph, fm, random_count, seed);
+    violations.extend(replay.violations);
 
     Ok(DegradeReport {
         killed: node,
         verified: violations.is_empty(),
-        scenarios_replayed,
+        scenarios_replayed: replay.scenarios,
         violations,
         outcome,
     })

@@ -35,7 +35,7 @@ use ftdes_model::time::Time;
 use ftdes_sched::{InstanceId, Schedule};
 
 use crate::report::{InstanceOutcome, SimulationReport};
-use crate::scenario::FaultScenario;
+use crate::scenario::{adversarial_scenario, random_scenarios, FaultScenario};
 
 /// Replays `schedule` under `scenario`.
 ///
@@ -177,6 +177,56 @@ pub fn simulate(
     )
 }
 
+/// What [`replay_scenarios`] found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Replay {
+    /// Scenarios replayed: the adversarial one plus the random ones.
+    pub scenarios: usize,
+    /// The longest realized schedule length over every scenario.
+    pub worst_length: Time,
+    /// One line per failed check: a scenario in which some process
+    /// did not complete, or an instance overran its analytic bound.
+    /// Empty when the schedule held.
+    pub violations: Vec<String>,
+}
+
+/// Replays the adversarial scenario of `schedule` (it maximizes the
+/// recovery work on the critical path), then `random` random
+/// admissible scenarios seeded by `seed`, and checks in each that
+/// every process completes and no instance finishes past its analytic
+/// worst-case bound.
+#[must_use]
+pub fn replay_scenarios(
+    schedule: &Schedule,
+    graph: &ProcessGraph,
+    fm: &FaultModel,
+    random: usize,
+    seed: u64,
+) -> Replay {
+    let mut scenarios = vec![adversarial_scenario(schedule, fm)];
+    scenarios.extend(random_scenarios(schedule, fm, random, seed));
+    let mut replay = Replay {
+        scenarios: scenarios.len(),
+        worst_length: Time::ZERO,
+        violations: Vec::new(),
+    };
+    for (i, scenario) in scenarios.iter().enumerate() {
+        let report = simulate(schedule, graph, fm, scenario);
+        if !report.all_processes_complete() {
+            replay
+                .violations
+                .push(format!("scenario {i}: not all processes complete"));
+        }
+        if let Some((id, by)) = report.max_overrun() {
+            replay.violations.push(format!(
+                "scenario {i}: instance {id} overran its analytic bound by {by}"
+            ));
+        }
+        replay.worst_length = replay.worst_length.max(report.realized_length());
+    }
+    replay
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,5 +331,15 @@ mod tests {
         assert_eq!(report.outcome(b0).finish, Some(ms(120)));
         assert!(report.max_overrun().is_none(), "within analytic bound");
         assert!(report.all_processes_complete());
+    }
+
+    #[test]
+    fn replay_of_a_sound_schedule_stays_within_its_bound() {
+        let (g, sched, fm) = chain_setup();
+        let replay = replay_scenarios(&sched, &g, &fm, 8, 3);
+        assert_eq!(replay.scenarios, 9, "the adversarial scenario plus 8");
+        assert!(replay.violations.is_empty(), "{:?}", replay.violations);
+        assert!(replay.worst_length > sched.makespan_fault_free());
+        assert!(replay.worst_length <= sched.length());
     }
 }

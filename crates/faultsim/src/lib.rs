@@ -52,7 +52,7 @@ pub use degrade::{
     degrade_and_repair, degrade_and_repair_adversarial, most_loaded_node, DegradeError,
     DegradeReport,
 };
-pub use engine::simulate;
+pub use engine::{replay_scenarios, simulate, Replay};
 pub use montecarlo::{length_distribution, LengthDistribution};
 pub use report::{InstanceOutcome, SimulationReport};
 pub use scenario::{

@@ -44,6 +44,9 @@
 //! A reader that closes stdout early (`ftdes solve ... | head`) ends
 //! the run quietly with `0`.
 //!
+//! `solve --bus-opt` then optimizes the TDMA slot order and capacity
+//! for the design found, within a second `--time-ms` budget.
+//!
 //! `repair` optimizes the intact problem, applies the composite
 //! delta (`kill-node:N1`, `degrade-node:N1:150`, `rescale-wcet:120`,
 //! `remove-process:P2`, `add-process:w:N0=10ms,...` — see
@@ -78,7 +81,7 @@ use ftdes_core::{
     optimize, optimize_bus, optimize_portfolio, BusOptConfig, Goal, PolicySpace, PortfolioConfig,
     Problem, SearchConfig, Strategy, MAX_THREADS,
 };
-use ftdes_faultsim::{adversarial_scenario, random_scenarios, simulate};
+use ftdes_faultsim::replay_scenarios;
 use ftdes_gen::{comm_heavy, paper_workload, CommHeavyParams};
 use ftdes_io::delta::parse_delta_with;
 use ftdes_io::format::{check_horizon, parse_problem};
@@ -568,8 +571,13 @@ fn run(out: &mut impl Write, args: &[String]) -> Result<(), CliError> {
                     .map_err(|e| e.to_string())?
             };
             if options.bus_opt {
-                let bused = optimize_bus(&problem, &outcome.design, &BusOptConfig::default())
-                    .map_err(|e| e.to_string())?;
+                // The pass gets the budget the search had.
+                let bus_cfg = BusOptConfig {
+                    time_limit: Some(Duration::from_millis(options.time_ms)),
+                    ..BusOptConfig::default()
+                };
+                let bused =
+                    optimize_bus(&problem, &outcome.design, &bus_cfg).map_err(|e| e.to_string())?;
                 if bused.schedule.cost() < outcome.schedule.cost() {
                     writeln!(
                         out,
@@ -609,30 +617,21 @@ fn run(out: &mut impl Write, args: &[String]) -> Result<(), CliError> {
         "inject" => {
             let outcome = optimize(&problem, options.strategy, &options.search_config())
                 .map_err(|e| e.to_string())?;
-            let schedule = &outcome.schedule;
-            let fm = problem.fault_model();
-            let mut scenarios = random_scenarios(schedule, fm, options.scenarios, options.seed);
-            scenarios.push(adversarial_scenario(schedule, fm));
-            let mut worst = ftdes_model::time::Time::ZERO;
-            for scenario in &scenarios {
-                let report = simulate(schedule, problem.graph(), fm, scenario);
-                if !report.all_processes_complete() {
-                    return Err(CliError::Other(format!(
-                        "a process died under {scenario:?}"
-                    )));
-                }
-                if let Some(over) = report.max_overrun() {
-                    return Err(CliError::Other(format!(
-                        "worst-case bound violated: {over:?}"
-                    )));
-                }
-                worst = worst.max(report.realized_length());
+            let replay = replay_scenarios(
+                &outcome.schedule,
+                problem.graph(),
+                problem.fault_model(),
+                options.scenarios,
+                options.seed,
+            );
+            if let Some(violation) = replay.violations.first() {
+                return Err(CliError::Other(violation.clone()));
             }
             writeln!(
                 out,
                 "{} scenarios replayed: worst realized length {} <= bound {}",
-                scenarios.len(),
-                worst,
+                replay.scenarios,
+                replay.worst_length,
                 outcome.length()
             )?;
             Ok(())
@@ -705,27 +704,20 @@ fn run(out: &mut impl Write, args: &[String]) -> Result<(), CliError> {
                 ));
             }
             let post = &repaired.problem;
-            let fm = post.fault_model();
-            let mut scenarios =
-                random_scenarios(&repaired.schedule, fm, options.scenarios, options.seed);
-            scenarios.push(adversarial_scenario(&repaired.schedule, fm));
-            for scenario in &scenarios {
-                let report = simulate(&repaired.schedule, post.graph(), fm, scenario);
-                if !report.all_processes_complete() {
-                    return Err(CliError::Other(format!(
-                        "a process died under {scenario:?}"
-                    )));
-                }
-                if let Some(over) = report.max_overrun() {
-                    return Err(CliError::Other(format!(
-                        "worst-case bound violated: {over:?}"
-                    )));
-                }
+            let replay = replay_scenarios(
+                &repaired.schedule,
+                post.graph(),
+                post.fault_model(),
+                options.scenarios,
+                options.seed,
+            );
+            if let Some(violation) = replay.violations.first() {
+                return Err(CliError::Other(violation.clone()));
             }
             writeln!(
                 out,
                 "{} scenarios replayed against the repaired schedule: all complete in bound",
-                scenarios.len()
+                replay.scenarios
             )?;
             if options.gantt {
                 write!(

@@ -165,7 +165,6 @@ pub fn solution_report(
         .collect();
 
     let medl = schedule
-        .bus()
         .medl()
         .into_iter()
         .map(|e| FrameReport {

@@ -595,6 +595,40 @@ fn solve_at_the_checkpoint_cap_keeps_its_budget() {
     solve_keeps_its_budget("--procs 10 --nodes 2 --k 1 --chi-ms 1 --max-checkpoints 1048576");
 }
 
+/// `--bus-opt` keeps to `--time-ms` as well: on 1,024 nodes its
+/// slot-swap climb has over half a million slot pairs per round, so
+/// the pass must stop probing when its budget is spent. Run it in
+/// release, like the cases above.
+#[test]
+#[ignore = "a timed solve; CI runs it in release"]
+fn bus_opt_keeps_the_time_budget() {
+    let start = Instant::now();
+    let out = ftdes(&[
+        "solve",
+        "--family",
+        "paper",
+        "--procs",
+        "2",
+        "--nodes",
+        "1024",
+        "--k",
+        "1",
+        "--time-ms",
+        "50",
+        "--goal",
+        "length",
+        "--bus-opt",
+    ]);
+    let elapsed = start.elapsed();
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(elapsed < Duration::from_secs(1), "took {elapsed:?}");
+}
+
 #[test]
 fn family_instances_are_held_to_the_horizon_budget() {
     // A representable χ whose saves overflow the budget: generated

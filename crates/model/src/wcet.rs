@@ -152,6 +152,16 @@ impl WcetTable {
         self.eligible_nodes(process).min_by_key(|&(_, t)| t)
     }
 
+    /// Drops every entry outside the `processes × nodes` grid: the
+    /// rows of processes `processes` and up, and the entries on nodes
+    /// `nodes` and up.
+    pub fn restrict_to(&mut self, processes: usize, nodes: usize) {
+        self.rows.truncate(processes);
+        for row in &mut self.rows {
+            row.truncate(row.partition_point(|&(n, _)| n.index() < nodes));
+        }
+    }
+
     /// Number of entries in the table.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -214,82 +224,6 @@ impl Extend<(ProcessId, NodeId, Time)> for WcetTable {
         for (p, n, t) in iter {
             self.set(p, n, t);
         }
-    }
-}
-
-/// Read access to WCET entries — the interface the scheduler's
-/// expansion hot path compiles against.
-///
-/// Implemented by the sparse [`WcetTable`] (the mutable, serializable
-/// store) and by the dense [`DenseWcet`] matrix (the branch-free
-/// front-end the optimizer queries thousands of times per candidate
-/// evaluation).
-pub trait WcetLookup {
-    /// The WCET of `process` on `node`, or `None` when the process
-    /// cannot run there.
-    fn lookup(&self, process: ProcessId, node: NodeId) -> Option<Time>;
-}
-
-impl WcetLookup for WcetTable {
-    fn lookup(&self, process: ProcessId, node: NodeId) -> Option<Time> {
-        self.get(process, node)
-    }
-}
-
-/// A dense `n_processes × n_nodes` WCET matrix.
-///
-/// [`WcetTable`] stores one sparse node-sorted row per process — ideal
-/// for mutation and ordered iteration, but every lookup searches a
-/// row. Design expansion asks for one entry per replica instance on
-/// the optimizer's hot path, so the search front-loads the table into
-/// this row-major matrix once per problem: a lookup becomes one
-/// multiply-add and one load.
-///
-/// Entries outside the matrix dimensions (processes or nodes the
-/// problem does not know) answer `None`, exactly like a missing
-/// sparse entry.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DenseWcet {
-    processes: usize,
-    nodes: usize,
-    cells: Vec<Option<Time>>,
-}
-
-impl DenseWcet {
-    /// Densifies `table` over a `processes × nodes` grid.
-    #[must_use]
-    pub fn from_table(table: &WcetTable, processes: usize, nodes: usize) -> Self {
-        let mut cells = vec![None; processes * nodes];
-        for (cells, row) in cells.chunks_exact_mut(nodes.max(1)).zip(&table.rows) {
-            for &(n, t) in row {
-                if n.index() < nodes {
-                    cells[n.index()] = Some(t);
-                }
-            }
-        }
-        DenseWcet {
-            processes,
-            nodes,
-            cells,
-        }
-    }
-
-    /// The WCET of `process` on `node`, or `None` if ineligible or
-    /// out of range.
-    #[inline]
-    #[must_use]
-    pub fn get(&self, process: ProcessId, node: NodeId) -> Option<Time> {
-        if process.index() >= self.processes || node.index() >= self.nodes {
-            return None;
-        }
-        self.cells[process.index() * self.nodes + node.index()]
-    }
-}
-
-impl WcetLookup for DenseWcet {
-    #[inline]
-    fn lookup(&self, process: ProcessId, node: NodeId) -> Option<Time> {
-        self.get(process, node)
     }
 }
 
@@ -365,36 +299,21 @@ mod tests {
     }
 
     #[test]
-    fn dense_matches_sparse() {
+    fn restricted_table_drops_entries_outside_its_grid() {
         let t = fig5_table();
-        let dense = DenseWcet::from_table(&t, 4, 2);
-        for p in 0..5u32 {
-            for n in 0..3u32 {
-                assert_eq!(
-                    dense.get(ProcessId::new(p), NodeId::new(n)),
-                    t.get(ProcessId::new(p), NodeId::new(n)),
-                    "P{p}/N{n} dense front-end diverged"
-                );
-                assert_eq!(
-                    dense.lookup(ProcessId::new(p), NodeId::new(n)),
-                    t.lookup(ProcessId::new(p), NodeId::new(n))
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn dense_out_of_range_is_ineligible() {
-        let t = fig5_table();
-        // Densified over a grid smaller than the table: dropped
-        // entries read as ineligible, never as stale values.
-        let dense = DenseWcet::from_table(&t, 2, 1);
+        let mut small = t.clone();
+        small.restrict_to(2, 1);
+        // Inside the grid: kept. Outside it: ineligible, never stale.
         assert_eq!(
-            dense.get(ProcessId::new(1), NodeId::new(0)),
+            small.get(ProcessId::new(1), NodeId::new(0)),
             t.get(ProcessId::new(1), NodeId::new(0))
         );
-        assert_eq!(dense.get(ProcessId::new(1), NodeId::new(1)), None);
-        assert_eq!(dense.get(ProcessId::new(3), NodeId::new(1)), None);
+        assert_eq!(small.get(ProcessId::new(1), NodeId::new(1)), None);
+        assert_eq!(small.get(ProcessId::new(3), NodeId::new(1)), None);
+        assert_eq!(small.len(), 2);
+        let mut same = t.clone();
+        same.restrict_to(4, 2);
+        assert_eq!(same, t, "a grid covering every entry keeps them all");
     }
 
     #[test]

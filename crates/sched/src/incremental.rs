@@ -34,7 +34,7 @@ use ftdes_model::design::Design;
 use ftdes_model::fault::FaultModel;
 use ftdes_model::graph::ProcessGraph;
 use ftdes_model::ids::ProcessId;
-use ftdes_model::wcet::WcetLookup;
+use ftdes_model::wcet::WcetTable;
 use ftdes_ttp::config::BusConfig;
 
 use crate::error::SchedError;
@@ -517,10 +517,10 @@ impl PlacementCheckpoints {
 ///
 /// Debug builds assert `ckpts.is_valid()`.
 #[allow(clippy::too_many_arguments)]
-pub fn schedule_cost_resumed<W: WcetLookup + ?Sized>(
+pub fn schedule_cost_resumed(
     graph: &ProcessGraph,
     arch: &Architecture,
-    wcet: &W,
+    wcet: &WcetTable,
     fm: &FaultModel,
     bus: &BusConfig,
     design: &Design,
@@ -584,9 +584,9 @@ pub fn schedule_cost_resumed<W: WcetLookup + ?Sized>(
 ///
 /// The caller owns the unpatch.
 #[allow(clippy::too_many_arguments)]
-fn prepare_candidate<W: WcetLookup + ?Sized>(
+fn prepare_candidate(
     graph: &ProcessGraph,
-    wcet: &W,
+    wcet: &WcetTable,
     fm: &FaultModel,
     bus: &BusConfig,
     design: &Design,
@@ -697,10 +697,10 @@ fn splice_candidate(
 ///
 /// Debug builds assert `ckpts.is_valid()`.
 #[allow(clippy::too_many_arguments)]
-pub fn schedule_cost_spliced<W: WcetLookup + ?Sized>(
+pub fn schedule_cost_spliced(
     graph: &ProcessGraph,
     arch: &Architecture,
-    wcet: &W,
+    wcet: &WcetTable,
     fm: &FaultModel,
     bus: &BusConfig,
     design: &Design,

@@ -15,7 +15,7 @@ use ftdes_model::fault::FaultModel;
 use ftdes_model::graph::ProcessGraph;
 use ftdes_model::ids::{NodeId, ProcessId};
 use ftdes_model::time::Time;
-use ftdes_model::wcet::WcetLookup;
+use ftdes_model::wcet::WcetTable;
 
 use crate::error::SchedError;
 
@@ -156,10 +156,10 @@ impl ExpandedDesign {
     /// not cover exactly the graph's processes, and
     /// [`SchedError::IneligibleMapping`] when a replica sits on a
     /// node without a WCET entry.
-    pub fn expand<W: WcetLookup + ?Sized>(
+    pub fn expand(
         graph: &ProcessGraph,
         design: &Design,
-        wcet: &W,
+        wcet: &WcetTable,
         fm: &FaultModel,
     ) -> Result<Self, SchedError> {
         let mut out = ExpandedDesign::default();
@@ -174,11 +174,11 @@ impl ExpandedDesign {
     /// # Errors
     ///
     /// Same as [`ExpandedDesign::expand`].
-    pub fn expand_into<W: WcetLookup + ?Sized>(
+    pub fn expand_into(
         &mut self,
         graph: &ProcessGraph,
         design: &Design,
-        wcet: &W,
+        wcet: &WcetTable,
         fm: &FaultModel,
     ) -> Result<(), SchedError> {
         if design.process_count() != graph.process_count() {
@@ -198,7 +198,7 @@ impl ExpandedDesign {
                 "designs are validated against the fault model before scheduling"
             );
             for (replica, &node) in decision.mapping.iter().enumerate() {
-                let Some(c) = wcet.lookup(process, node) else {
+                let Some(c) = wcet.get(process, node) else {
                     return Err(SchedError::IneligibleMapping { process, node });
                 };
                 let id = InstanceId::new(self.instances.len() as u32);
@@ -231,11 +231,11 @@ impl ExpandedDesign {
     ///
     /// Returns [`SchedError::IneligibleMapping`] (before any
     /// mutation) when a replica of `decision` has no WCET entry.
-    pub fn patch_in_place<W: WcetLookup + ?Sized>(
+    pub fn patch_in_place(
         &mut self,
         process: ProcessId,
         decision: &ProcessDesign,
-        wcet: &W,
+        wcet: &WcetTable,
         fm: &FaultModel,
         saved: &mut Vec<Instance>,
     ) -> Result<(), SchedError> {
@@ -245,7 +245,7 @@ impl ExpandedDesign {
         );
         // Validate before mutating, so an error leaves `self` intact.
         for &node in &decision.mapping {
-            if wcet.lookup(process, node).is_none() {
+            if wcet.get(process, node).is_none() {
                 return Err(SchedError::IneligibleMapping { process, node });
             }
         }
@@ -268,13 +268,13 @@ impl ExpandedDesign {
         self.fix_tail(process, start + saved.len(), delta);
     }
 
-    fn replace_range<W: WcetLookup + ?Sized>(
+    fn replace_range(
         &mut self,
         process: ProcessId,
         start: usize,
         end: usize,
         decision: &ProcessDesign,
-        wcet: &W,
+        wcet: &WcetTable,
         fm: &FaultModel,
     ) {
         let new_len = decision.mapping.len();
@@ -287,7 +287,7 @@ impl ExpandedDesign {
                     process,
                     replica as u32,
                     node,
-                    wcet.lookup(process, node).expect("validated above"),
+                    wcet.get(process, node).expect("validated above"),
                     &decision.policy,
                     fm,
                 )

@@ -21,9 +21,9 @@
 //! placement code, so they cannot diverge — guarded by parity tests
 //! in `ftdes-core`):
 //!
-//! * [`list_schedule`] — full materialization: tables, bus bookings,
-//!   MEDL. Used for the winner of each search iteration and anything
-//!   user-facing.
+//! * [`list_schedule`] — full materialization: tables and bus
+//!   bookings, from which [`Schedule::medl`] groups the MEDL. Used for
+//!   the winner of each search iteration and anything user-facing.
 //! * [`schedule_cost`] — the cost-only front-end: identical
 //!   placement, no-op sink, allocation-free via a caller-owned
 //!   [`CostScratch`]. The window-evaluation workhorse.
@@ -48,6 +48,11 @@
 //! A bus-configuration probe (a slot swap of the bus-access
 //! optimization) shifts slot timing globally, so it runs
 //! [`schedule_cost_bounded`] from scratch under the candidate bus.
+//!
+//! Every entry point takes the problem's
+//! [`WcetTable`](ftdes_model::wcet::WcetTable) and reads it directly:
+//! an expansion looks each replica's WCET up in its process's
+//! node-sorted row.
 //!
 //! Bus bookings go through a selectable [`OccupancyBackend`]
 //! ([`list::ScheduleOptions::occupancy`]): bit-packed per-(node,

@@ -27,11 +27,11 @@
 //! second, but only ever *keeps* the schedule of the winning
 //! candidate. The placement algorithm therefore runs behind a
 //! `PlacementSink`: [`list_schedule`] materializes the full
-//! [`Schedule`] (tables, bookings, MEDL), while [`schedule_cost`]
-//! runs the identical placement with a no-op sink and allocation-free
-//! scratch buffers, returning just the [`ScheduleCost`]. Both paths
-//! share every line of placement logic, so their costs cannot
-//! diverge.
+//! [`Schedule`] (tables and bookings, which give the MEDL), while
+//! [`schedule_cost`] runs the identical placement with a no-op sink
+//! and allocation-free scratch buffers, returning just the
+//! [`ScheduleCost`]. Both paths share every line of placement
+//! logic, so their costs cannot diverge.
 //!
 //! # Adjacency in O(1)
 //!
@@ -46,10 +46,10 @@ use ftdes_model::fault::FaultModel;
 use ftdes_model::graph::ProcessGraph;
 use ftdes_model::ids::{EdgeId, NodeId, ProcessId};
 use ftdes_model::time::Time;
-use ftdes_model::wcet::WcetLookup;
+use ftdes_model::wcet::WcetTable;
 use ftdes_ttp::config::BusConfig;
 use ftdes_ttp::error::TtpError;
-use ftdes_ttp::medl::{BookedMessage, BusSchedule, MessageTag};
+use ftdes_ttp::medl::{BookedMessage, MessageTag};
 
 use crate::error::SchedError;
 use crate::incremental::PlacementCheckpoints;
@@ -298,12 +298,11 @@ impl PlacementSink for CostOnly {
     fn message_booked(&mut self, _edge: EdgeId, _sender: InstanceId, _booked: BookedMessage) {}
 }
 
-/// Full materialization: schedule tables, booking table and MEDL.
+/// Full materialization: schedule tables and booking table.
 struct Materialize {
     slots: Vec<Option<ScheduledInstance>>,
     node_order: Vec<Vec<InstanceId>>,
     bookings: Bookings,
-    bus_bookings: Vec<BookedMessage>,
 }
 
 impl PlacementSink for Materialize {
@@ -314,7 +313,6 @@ impl PlacementSink for Materialize {
 
     fn message_booked(&mut self, edge: EdgeId, sender: InstanceId, booked: BookedMessage) {
         self.bookings.insert(edge, sender, booked);
-        self.bus_bookings.push(booked);
     }
 }
 
@@ -328,10 +326,10 @@ impl PlacementSink for Materialize {
 /// Returns [`SchedError`] when the graph is cyclic, the design does
 /// not match the graph, a replica is mapped on an ineligible node, or
 /// a message exceeds the slot capacity.
-pub fn list_schedule<W: WcetLookup + ?Sized>(
+pub fn list_schedule(
     graph: &ProcessGraph,
     arch: &Architecture,
-    wcet: &W,
+    wcet: &WcetTable,
     fm: &FaultModel,
     bus: &BusConfig,
     design: &Design,
@@ -353,10 +351,10 @@ pub fn list_schedule<W: WcetLookup + ?Sized>(
 ///
 /// Same as [`list_schedule`].
 #[allow(clippy::too_many_arguments)]
-pub fn list_schedule_with<W: WcetLookup + ?Sized>(
+pub fn list_schedule_with(
     graph: &ProcessGraph,
     arch: &Architecture,
-    wcet: &W,
+    wcet: &WcetTable,
     fm: &FaultModel,
     bus: &BusConfig,
     design: &Design,
@@ -385,10 +383,10 @@ pub fn list_schedule_with<W: WcetLookup + ?Sized>(
 ///
 /// Same as [`list_schedule`].
 #[allow(clippy::too_many_arguments)]
-pub fn list_schedule_recording<W: WcetLookup + ?Sized>(
+pub fn list_schedule_recording(
     graph: &ProcessGraph,
     arch: &Architecture,
-    wcet: &W,
+    wcet: &WcetTable,
     fm: &FaultModel,
     bus: &BusConfig,
     design: &Design,
@@ -411,7 +409,6 @@ pub fn list_schedule_recording<W: WcetLookup + ?Sized>(
         slots: vec![None; expanded.len()],
         node_order: vec![Vec::new(); arch.node_count()],
         bookings: Bookings::for_instances(expanded.len()),
-        bus_bookings: Vec::new(),
     };
     init_placement(graph, fm, arch.node_count(), &expanded, scratch);
     let outcome = drive_placement(
@@ -435,13 +432,11 @@ pub fn list_schedule_recording<W: WcetLookup + ?Sized>(
         .into_iter()
         .map(|s| s.expect("all instances placed"))
         .collect();
-    let bus_schedule = BusSchedule::from_bookings(bus.clone(), sink.bus_bookings);
     Ok(Schedule::new(
         expanded,
         slots,
         sink.node_order,
         sink.bookings,
-        bus_schedule,
         graph,
     ))
 }
@@ -455,10 +450,10 @@ pub fn list_schedule_recording<W: WcetLookup + ?Sized>(
 ///
 /// Same as [`list_schedule`].
 #[allow(clippy::too_many_arguments)]
-pub fn schedule_cost<W: WcetLookup + ?Sized>(
+pub fn schedule_cost(
     graph: &ProcessGraph,
     arch: &Architecture,
-    wcet: &W,
+    wcet: &WcetTable,
     fm: &FaultModel,
     bus: &BusConfig,
     design: &Design,
@@ -517,10 +512,10 @@ impl CostOutcome {
 ///
 /// Same as [`list_schedule`].
 #[allow(clippy::too_many_arguments)]
-pub fn schedule_cost_bounded<W: WcetLookup + ?Sized>(
+pub fn schedule_cost_bounded(
     graph: &ProcessGraph,
     arch: &Architecture,
-    wcet: &W,
+    wcet: &WcetTable,
     fm: &FaultModel,
     bus: &BusConfig,
     design: &Design,
@@ -1126,6 +1121,7 @@ mod tests {
     use ftdes_model::ids::NodeId;
     use ftdes_model::policy::FtPolicy;
     use ftdes_model::wcet::WcetTable;
+    use ftdes_ttp::medl::BusSchedule;
 
     fn ms(v: u64) -> Time {
         Time::from_ms(v)

@@ -42,7 +42,7 @@ pub fn render_tables(schedule: &Schedule, graph: &ProcessGraph, arch: &Architect
 #[must_use]
 pub fn render_medl(schedule: &Schedule, arch: &Architecture) -> String {
     let mut out = String::new();
-    for entry in schedule.bus().medl() {
+    for entry in schedule.medl() {
         let msgs: Vec<String> = entry
             .messages
             .iter()
@@ -111,7 +111,7 @@ pub fn render_gantt(
     }
     // Bus row: frames marked with '='.
     let mut row = vec![b'.'; width];
-    for entry in schedule.bus().medl() {
+    for entry in schedule.medl() {
         let (a, b) = (col(entry.start), col(entry.end).min(width));
         for cell in &mut row[a..b.max(a + 1).min(width)] {
             *cell = b'=';

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use ftdes_model::graph::ProcessGraph;
 use ftdes_model::ids::{EdgeId, NodeId, ProcessId};
 use ftdes_model::time::Time;
-use ftdes_ttp::medl::{BookedMessage, BusSchedule};
+use ftdes_ttp::medl::{frames, BookedMessage, MedlEntry};
 
 use crate::instance::{ExpandedDesign, Instance, InstanceId};
 
@@ -173,7 +173,6 @@ pub struct Schedule {
     node_order: Vec<Vec<InstanceId>>,
     /// Booked bus message per (edge, sender instance).
     bookings: Bookings,
-    bus: BusSchedule,
     /// Worst-case completion per process (max over replicas).
     completion: Vec<Time>,
     cost: ScheduleCost,
@@ -185,7 +184,6 @@ impl Schedule {
         slots: Vec<ScheduledInstance>,
         node_order: Vec<Vec<InstanceId>>,
         bookings: Bookings,
-        bus: BusSchedule,
         graph: &ProcessGraph,
     ) -> Self {
         let process_count = graph.process_count();
@@ -210,7 +208,6 @@ impl Schedule {
             slots,
             node_order,
             bookings,
-            bus,
             completion,
             cost: ScheduleCost { violation, length },
         }
@@ -268,10 +265,19 @@ impl Schedule {
         &self.bookings
     }
 
-    /// The bus schedule (occupancy + MEDL).
+    /// The bus MEDL: one entry per occupied frame, in time order, with
+    /// its messages in booking order. Every instance books its messages
+    /// when it is placed, so walking each node table in placement order
+    /// yields each node's bookings in booking order.
     #[must_use]
-    pub fn bus(&self) -> &BusSchedule {
-        &self.bus
+    pub fn medl(&self) -> Vec<MedlEntry> {
+        frames(
+            self.node_order
+                .iter()
+                .flatten()
+                .flat_map(|sid| &self.bookings.per_instance[sid.index()])
+                .map(|(_, booked)| booked),
+        )
     }
 
     /// Worst-case completion of a process (max over its replicas).

@@ -102,23 +102,6 @@ impl BusSchedule {
         &self.config
     }
 
-    /// Reconstructs a bus schedule from already-placed bookings (the
-    /// list scheduler books against its own reusable occupancy table
-    /// and materializes the `BusSchedule` once per kept schedule).
-    /// The occupancy accounting is rebuilt from the bookings.
-    #[must_use]
-    pub fn from_bookings(config: BusConfig, bookings: Vec<BookedMessage>) -> Self {
-        let mut occupancy = BTreeMap::new();
-        for b in &bookings {
-            *occupancy.entry((b.round, b.slot)).or_insert(0) += b.size;
-        }
-        BusSchedule {
-            config,
-            occupancy,
-            bookings,
-        }
-    }
-
     /// Books `size` bytes from `sender` into the earliest slot
     /// occurrence starting at or after `earliest` with spare frame
     /// capacity, and returns the booking.
@@ -199,24 +182,32 @@ impl BusSchedule {
     /// with the packed message tags.
     #[must_use]
     pub fn medl(&self) -> Vec<MedlEntry> {
-        let mut frames: BTreeMap<(u64, usize), MedlEntry> = BTreeMap::new();
-        for b in &self.bookings {
-            let entry = frames
-                .entry((b.round, b.slot))
-                .or_insert_with(|| MedlEntry {
-                    round: b.round,
-                    slot: b.slot,
-                    sender: b.sender,
-                    start: b.start,
-                    end: b.arrival,
-                    messages: Vec::new(),
-                    used_bytes: 0,
-                });
-            entry.messages.push(b.tag);
-            entry.used_bytes += b.size;
-        }
-        frames.into_values().collect()
+        frames(&self.bookings)
     }
+}
+
+/// Groups bookings into MEDL frames: one entry per occupied slot
+/// occurrence, in time order, each listing its messages in the order
+/// `bookings` yields them. A frame belongs to one sender node, so
+/// bookings that come in booking order per node suffice.
+pub fn frames<'a>(bookings: impl IntoIterator<Item = &'a BookedMessage>) -> Vec<MedlEntry> {
+    let mut frames: BTreeMap<(u64, usize), MedlEntry> = BTreeMap::new();
+    for b in bookings {
+        let entry = frames
+            .entry((b.round, b.slot))
+            .or_insert_with(|| MedlEntry {
+                round: b.round,
+                slot: b.slot,
+                sender: b.sender,
+                start: b.start,
+                end: b.arrival,
+                messages: Vec::new(),
+                used_bytes: 0,
+            });
+        entry.messages.push(b.tag);
+        entry.used_bytes += b.size;
+    }
+    frames.into_values().collect()
 }
 
 /// One frame of the MEDL: a slot occurrence with its packed messages.

@@ -86,7 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\nbus MEDL:");
-    for entry in schedule.bus().medl() {
+    for entry in schedule.medl() {
         println!(
             "  round {:2} slot {} ({}): {} message(s), [{} .. {}]",
             entry.round,

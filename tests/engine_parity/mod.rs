@@ -174,7 +174,7 @@ impl Engine {
         schedule_cost_spliced(
             p.graph(),
             p.arch(),
-            p.dense_wcet(),
+            p.wcet(),
             p.fault_model(),
             p.bus(),
             cand,

@@ -17,6 +17,9 @@
 //! segment counts) and an all-replicated (MR) set on the comm-heavy
 //! instance (multi-replica deliveries and their contingencies).
 //!
+//! Each design's MEDL is pinned too, as a digest of every frame's
+//! round, slot, sender, times, bytes and message tags in order.
+//!
 //! The constants were recorded with an earlier placement core; a
 //! change that moves one is a change of the scheduler's semantics,
 //! not a refactoring.
@@ -27,7 +30,7 @@ use rand::{Rng, SeedableRng};
 use ftdes::gen::{comm_heavy, paper_workload, CommHeavyParams, Workload};
 use ftdes::model::prelude::*;
 use ftdes::sched::{list_schedule, schedule_cost, CostScratch, ScheduleOptions};
-use ftdes::ttp::BusConfig;
+use ftdes::ttp::{BusConfig, MedlEntry};
 
 /// Designs drawn per set.
 const DESIGNS: usize = 32;
@@ -138,19 +141,46 @@ fn random_design(inst: &Instance, policies: Policies, rng: &mut StdRng) -> Desig
     Design::from_decisions(decisions)
 }
 
+/// FNV-1a over every field of every MEDL frame, in order.
+fn medl_digest(medl: &[MedlEntry]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    let mut eat = |v: u64| {
+        for b in v.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for f in medl {
+        for v in [
+            f.round,
+            f.slot as u64,
+            f.sender.index() as u64,
+            f.start.as_us(),
+            f.end.as_us(),
+            u64::from(f.used_bytes),
+            f.messages.len() as u64,
+        ] {
+            eat(v);
+        }
+        for m in &f.messages {
+            eat(m.edge.index() as u64);
+            eat(u64::from(m.sender_replica));
+        }
+    }
+    h
+}
+
 /// The `(violation, length)` pairs in µs of `DESIGNS` seeded random
-/// designs, asserting that `list_schedule` and `schedule_cost` agree
-/// on each.
-fn costs(inst: &Instance, policies: Policies, seed: u64) -> Vec<(u64, u64)> {
+/// designs and the digests of their MEDLs, asserting that
+/// `list_schedule` and `schedule_cost` agree on each cost.
+fn costs(inst: &Instance, policies: Policies, seed: u64) -> (Vec<(u64, u64)>, Vec<u64>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut scratch = CostScratch::default();
     let w = &inst.workload;
     (0..DESIGNS)
         .map(|i| {
             let design = random_design(inst, policies, &mut rng);
-            let full = list_schedule(&w.graph, &inst.arch, &w.wcet, &inst.fm, &inst.bus, &design)
-                .unwrap()
-                .cost();
+            let full =
+                list_schedule(&w.graph, &inst.arch, &w.wcet, &inst.fm, &inst.bus, &design).unwrap();
             let cost = schedule_cost(
                 &w.graph,
                 &inst.arch,
@@ -162,29 +192,55 @@ fn costs(inst: &Instance, policies: Policies, seed: u64) -> Vec<(u64, u64)> {
                 &mut scratch,
             )
             .unwrap();
-            assert_eq!(full, cost, "design {i}: list_schedule vs schedule_cost");
-            (cost.violation.as_us(), cost.length.as_us())
+            assert_eq!(
+                full.cost(),
+                cost,
+                "design {i}: list_schedule vs schedule_cost"
+            );
+            (
+                (cost.violation.as_us(), cost.length.as_us()),
+                medl_digest(&full.medl()),
+            )
         })
-        .collect()
+        .unzip()
 }
 
-fn assert_golden(set: &str, got: &[(u64, u64)], golden: &[(u64, u64)]) {
+fn assert_golden(
+    set: &str,
+    (got, medls): (Vec<(u64, u64)>, Vec<u64>),
+    golden: &[(u64, u64)],
+    golden_medls: &[u64],
+) {
     assert_eq!(got.len(), golden.len(), "{set}: design count");
     for (i, (g, want)) in got.iter().zip(golden).enumerate() {
         assert_eq!(g, want, "{set}: design {i} (violation, length) in µs");
+    }
+    assert_eq!(medls.len(), golden_medls.len(), "{set}: MEDL count");
+    for (i, (g, want)) in medls.iter().zip(golden_medls).enumerate() {
+        assert_eq!(g, want, "{set}: design {i} MEDL digest");
     }
 }
 
 #[test]
 fn paper_40_4_3_costs_are_pinned() {
     let inst = paper_instance(40, 4, FaultModel::new(3, Time::from_ms(5)), 17, 1_200);
-    assert_golden("paper", &costs(&inst, Policies::Mixed, 1), &GOLDEN_PAPER);
+    assert_golden(
+        "paper",
+        costs(&inst, Policies::Mixed, 1),
+        &GOLDEN_PAPER,
+        &MEDL_PAPER,
+    );
 }
 
 #[test]
 fn comm_heavy_costs_are_pinned() {
     let inst = comm_instance();
-    assert_golden("comm", &costs(&inst, Policies::Mixed, 2), &GOLDEN_COMM);
+    assert_golden(
+        "comm",
+        costs(&inst, Policies::Mixed, 2),
+        &GOLDEN_COMM,
+        &MEDL_COMM,
+    );
 }
 
 #[test]
@@ -193,8 +249,9 @@ fn checkpointed_costs_are_pinned() {
     let inst = paper_instance(24, 3, fm, 9, 500);
     assert_golden(
         "checkpointed",
-        &costs(&inst, Policies::Checkpointed, 3),
+        costs(&inst, Policies::Checkpointed, 3),
         &GOLDEN_CHECKPOINTED,
+        &MEDL_CHECKPOINTED,
     );
 }
 
@@ -203,8 +260,9 @@ fn all_replicated_costs_are_pinned() {
     let inst = comm_instance();
     assert_golden(
         "replicated",
-        &costs(&inst, Policies::Replicated, 4),
+        costs(&inst, Policies::Replicated, 4),
         &GOLDEN_REPLICATED,
+        &MEDL_REPLICATED,
     );
 }
 
@@ -343,4 +401,140 @@ const GOLDEN_REPLICATED: [(u64, u64); DESIGNS] = [
     (11445126, 23469307),
     (11190442, 23300671),
     (11109126, 23214608),
+];
+const MEDL_PAPER: [u64; DESIGNS] = [
+    0x171e8fd794582c1d,
+    0x0c02ee2e4ddbcdf2,
+    0x0ca78c85f57a0c1f,
+    0x498b1fb81ab37a15,
+    0xf3714977259c33fd,
+    0x82b8935c7f2722da,
+    0xf930af9149ce2b52,
+    0xcc6bad6e116de1ef,
+    0xa5bcfafe09189b96,
+    0x9eadf6d469a651a1,
+    0x86b5ea541ec5a08d,
+    0xa6f1234b0a7273c3,
+    0xedf502a5c96e3d76,
+    0x5b99c63768ac2412,
+    0xfb3cdb05d9894ded,
+    0x80b97a80475b6c0d,
+    0xfc5fd49f0c07b157,
+    0xb3d5c50758a8a17e,
+    0xdefb7d2e9fa9f69d,
+    0xf84ff01e8b5951f4,
+    0x39bb6c1862ce7d00,
+    0x2236a13a037c7334,
+    0xdb093730a9060407,
+    0x3b8c34d19ef8c923,
+    0xe946f3c71534caf7,
+    0xa108ba7ed754cb4d,
+    0xbd0fae4ee57b0f1c,
+    0x861b061369d5de33,
+    0xdd333d966ad6052e,
+    0x0792c049ae7a1087,
+    0xfd98556bdf8774e3,
+    0x8aa677b9886d0385,
+];
+const MEDL_COMM: [u64; DESIGNS] = [
+    0x48e95cb98e7c3bf3,
+    0xcfa705245b3553ad,
+    0x06a351d705bc7f89,
+    0xdb6bc89825a2eb08,
+    0x58aa378c90c14970,
+    0x4e6937a5bd305e8f,
+    0x352e5244542eb768,
+    0x3f45fad0d12f390f,
+    0x6b0a329361b56026,
+    0x53eaa45ae451c2fa,
+    0x6ebdf5e72c2aaebb,
+    0x61511870ec461cdd,
+    0x9e56c29514996980,
+    0x43f9762f2c6f91d7,
+    0x1dcebb7906341c1c,
+    0xe8e209163644d682,
+    0xc9f63ab2303fda9e,
+    0xcd773482681dad44,
+    0x694d69ccb040c1fc,
+    0xd08f37104dc139bc,
+    0x7633e845722aa153,
+    0x491fddd8bb7946ce,
+    0xbcf269ea288beb6f,
+    0x25d8b578241ac099,
+    0xbbec52f3ac7058ab,
+    0xcfb500744204a100,
+    0x782a190473fe191b,
+    0xaacf88d43cb5fedb,
+    0xd6885c38d25e6380,
+    0xe31bd9fe8c95e60a,
+    0x5509cf163475b0a0,
+    0xc7ea41a84fcbaead,
+];
+const MEDL_CHECKPOINTED: [u64; DESIGNS] = [
+    0xa42b2804e91032aa,
+    0xfd5d3241f1510261,
+    0x3e0997abb74bbd3e,
+    0xb120fae1d62d705f,
+    0xca98a267a2ac16b9,
+    0xd88b8fc92a26bc03,
+    0x252937e4b3d59926,
+    0x3c848bcf3d7933c5,
+    0x53494fb546399d3e,
+    0xe2e470b46e6144cd,
+    0x5a5e9bca7034f4e6,
+    0xc868d97889a6f9ab,
+    0x3f13b4b5aafeaffa,
+    0x37906448af00bdc5,
+    0x3b60e3b38f30a578,
+    0x56fa6b9aaf851285,
+    0x30e39e21a3d97d53,
+    0x5c4b45165ccc7697,
+    0x03344f76dd18cf1c,
+    0x8ca42d9c1e790467,
+    0x848759c6fa40fa6e,
+    0x162ee0c928396bff,
+    0x41b36d930ac3d333,
+    0xa689b0b5fbf1a0d2,
+    0x0b744d1ac15ca211,
+    0x80d6a961af936eab,
+    0x0c5f5e2099cba839,
+    0x007d383b5c950ee7,
+    0xa090d5e72545b123,
+    0x172c1dd7fce898eb,
+    0xfa3a28afc1110c84,
+    0x4e3d7f85a124bbc3,
+];
+const MEDL_REPLICATED: [u64; DESIGNS] = [
+    0x2c0b5e6f1db9cfef,
+    0x25bc90ed8efe92be,
+    0xce3788512a579d79,
+    0x98064d78a37bbb28,
+    0xe651bd42aa0e3aa1,
+    0x0f6f1ff5943aa64a,
+    0xe30dd55668bc9589,
+    0xca5a48ea0f55485f,
+    0xbf33cf6097681c64,
+    0x149bc06c732b899d,
+    0x76c61e81d2c7bc77,
+    0x8568c41e840d3528,
+    0x315f6deb3ecd835a,
+    0x16c713f798b57dd4,
+    0xd5ddf0d73e9040e0,
+    0x77341cb9694d1f4f,
+    0x3d81ed283619c946,
+    0xccb7c8847214626c,
+    0x6f0a9932c3534f63,
+    0xe5e7808c25c60ff8,
+    0x216f4a6afa5e331b,
+    0x80148a84347fcfb5,
+    0xf774e99707a4cf07,
+    0xaee142bfd82d8ae7,
+    0xe68ffec2a1242970,
+    0x7648f2952b733add,
+    0xccc22399af7e450e,
+    0x1335c8f5a37c2448,
+    0x8efdaa515eceb08d,
+    0xa21832ab5b8d8e8e,
+    0x0f0d498611eb94f8,
+    0x325d8e1c440fc7b1,
 ];

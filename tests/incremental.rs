@@ -12,6 +12,7 @@ pub mod engine_parity;
 use engine_parity::{
     comm_family, covering_array_agrees, gate, paper_family, walk_all, Pass, KNOB_ROWS,
 };
+use ftdes::core::bus_opt::{CAPACITY_MULTIPLES, MAX_ROUNDS};
 use ftdes::core::initial::initial_mpa;
 use ftdes::core::{
     optimize, optimize_bus, BusOptConfig, PolicySpace, Problem, SearchConfig, Strategy,
@@ -65,7 +66,7 @@ fn scratch_cost(problem: &Problem, bus: &BusConfig, design: &Design) -> Schedule
     match schedule_cost_bounded(
         problem.graph(),
         problem.arch(),
-        problem.dense_wcet(),
+        problem.wcet(),
         problem.fault_model(),
         bus,
         design,
@@ -83,16 +84,12 @@ fn scratch_cost(problem: &Problem, bus: &BusConfig, design: &Design) -> Schedule
 /// `optimize_bus`'s hill climb with every probe scored from scratch:
 /// no cache, no resume, no bound. Returns the winning bus, its cost
 /// and the number of accepted swaps.
-fn from_scratch_climb(
-    problem: &Problem,
-    design: &Design,
-    cfg: &BusOptConfig,
-) -> (BusConfig, ScheduleCost, usize) {
+fn from_scratch_climb(problem: &Problem, design: &Design) -> (BusConfig, ScheduleCost, usize) {
     let base = problem.bus();
     let mut best_bus = base.clone();
     let mut best_cost = scratch_cost(problem, base, design);
     let mut accepted = 0;
-    for &multiple in &cfg.capacity_multiples {
+    for multiple in CAPACITY_MULTIPLES {
         let capacity = problem.largest_message() * multiple.max(1);
         let mut bus =
             BusConfig::with_order(base.slot_order().to_vec(), capacity, base.byte_time()).unwrap();
@@ -102,7 +99,7 @@ fn from_scratch_climb(
             best_cost = current;
         }
         let slots = bus.slots_per_round();
-        for _ in 0..cfg.max_rounds {
+        for _ in 0..MAX_ROUNDS {
             let mut improved = false;
             for a in 0..slots {
                 for b in (a + 1)..slots {
@@ -155,7 +152,7 @@ fn bus_opt_matches_a_from_scratch_climb() {
         let searched = optimize(&problem, Strategy::Mxr, &search).unwrap().design;
         for (design, which) in [(initial, "initial"), (searched, "mxr")] {
             let out = optimize_bus(&problem, &design, &cfg).unwrap();
-            let (bus, cost, swaps) = from_scratch_climb(&problem, &design, &cfg);
+            let (bus, cost, swaps) = from_scratch_climb(&problem, &design);
             assert_eq!(out.bus, bus, "{label} {which}: optimized bus differs");
             assert_eq!(out.schedule.cost(), cost, "{label} {which}: cost differs");
             accepted += swaps;
