@@ -65,9 +65,8 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use ftdes_bench::{comm_heavy_problem_with, iteration_config, synthetic_problem};
+use ftdes_bench::{iteration_config, Family, InstanceRequest};
 use ftdes_core::{optimize, OccupancyBackend, Outcome, Problem, SearchConfig, Strategy};
-use ftdes_gen::CommHeavyParams;
 use ftdes_model::time::Time;
 
 /// Solves of every seed under both arms per gate.
@@ -75,46 +74,34 @@ const REPETITIONS: usize = 5;
 /// Instances per gate (seeds `0..SEEDS`).
 const SEEDS: u64 = 3;
 
-/// A gate's instances: the paper family, or the comm-heavy family
-/// (dense defaults) at `comm_density` edges per process.
-#[derive(Debug, Clone, Copy)]
-struct Workload {
-    processes: usize,
-    nodes: usize,
-    k: u32,
-    comm_density: Option<f64>,
+/// A gate's instance of `seed`, at µ = 5 ms.
+fn instance(family: Family, processes: usize, nodes: usize, k: u64, seed: u64) -> InstanceRequest {
+    InstanceRequest::new(family, processes, nodes, k, Time::from_ms(5), seed)
 }
 
-impl Workload {
-    fn instance(self, seed: u64) -> Problem {
-        let (p, n, k, mu) = (self.processes, self.nodes, self.k, Time::from_ms(5));
-        match self.comm_density {
-            None => synthetic_problem(p, n, k, mu, seed),
-            Some(d) => {
-                comm_heavy_problem_with(&CommHeavyParams::dense(p).with_density(d), n, k, mu, seed)
-            }
-        }
-    }
-
-    fn json(self) -> String {
-        let family = match self.comm_density {
-            None => "\"paper\"".to_owned(),
-            Some(d) => format!(
-                "\"comm_heavy\", \"edge_density\": {d}, \"msg_wcet_ratio\": {}",
-                CommHeavyParams::dense(self.processes).msg_wcet_ratio
-            ),
-        };
-        format!(
-            "\"family\": {family}, \"processes\": {}, \"nodes\": {}, \"k\": {}",
-            self.processes, self.nodes, self.k
-        )
-    }
+/// A gate workload's description in `BENCH_tabu.json`.
+fn workload_json(r: &InstanceRequest) -> String {
+    let knobs = match r.family {
+        Family::Paper => String::new(),
+        Family::CommHeavy => format!(
+            ", \"edge_density\": {}, \"msg_wcet_ratio\": {}",
+            r.edge_density, r.msg_wcet_ratio
+        ),
+    };
+    format!(
+        "\"family\": \"{}\"{knobs}, \"processes\": {}, \"nodes\": {}, \"k\": {}",
+        r.family.key(),
+        r.processes,
+        r.nodes,
+        r.k
+    )
 }
 
 /// One row of the gate table: the engine against one ablation of it.
 struct Gate {
     name: &'static str,
-    workload: Workload,
+    /// The gate's instance of a seed.
+    workload: fn(u64) -> InstanceRequest,
     /// Tabu iterations of every solve.
     iterations: usize,
     /// The reference arm's name in `BENCH_tabu.json`.
@@ -128,12 +115,7 @@ struct Gate {
 const GATES: [Gate; 3] = [
     Gate {
         name: "paper",
-        workload: Workload {
-            processes: 40,
-            nodes: 4,
-            k: 3,
-            comm_density: None,
-        },
+        workload: |seed| instance(Family::Paper, 40, 4, 3, seed),
         iterations: 300,
         reference: "scratch",
         ablate: |problem, cfg| {
@@ -147,23 +129,16 @@ const GATES: [Gate; 3] = [
     },
     Gate {
         name: "splice",
-        workload: Workload {
-            processes: 96,
-            nodes: 12,
-            k: 3,
-            comm_density: None,
-        },
+        workload: |seed| instance(Family::Paper, 96, 12, 3, seed),
         iterations: 40,
         reference: "splice_off",
         ablate: |problem, cfg| (problem.with_suffix_splice(false), cfg),
     },
     Gate {
         name: "comm",
-        workload: Workload {
-            processes: 50,
-            nodes: 4,
-            k: 2,
-            comm_density: Some(5.0),
+        workload: |seed| InstanceRequest {
+            edge_density: 5.0,
+            ..instance(Family::CommHeavy, 50, 4, 2, seed)
         },
         iterations: 80,
         reference: "flat",
@@ -247,17 +222,19 @@ fn run_gate(gate: &Gate) -> Result<String, String> {
     };
     // Per seed: the engine's problem, and the reference arm's problem
     // and configuration.
-    let arms: Vec<_> = (0..SEEDS)
+    let arms = (0..SEEDS)
         .map(|seed| {
-            let problem = gate.workload.instance(seed);
+            let problem = (gate.workload)(seed)
+                .build()
+                .map_err(|e| format!("gate '{}', seed {seed}: {e}", gate.name))?;
             let reference = (gate.ablate)(problem.clone(), engine_cfg.clone());
-            (problem, reference)
+            Ok((problem, reference))
         })
-        .collect();
+        .collect::<Result<Vec<_>, String>>()?;
+    let workload = workload_json(&(gate.workload)(0));
     println!(
-        "perfgate {}: {{{}}}, {SEEDS} seeds, {} iterations, engine vs {}, {REPETITIONS} repetitions",
+        "perfgate {}: {{{workload}}}, {SEEDS} seeds, {} iterations, engine vs {}, {REPETITIONS} repetitions",
         gate.name,
-        gate.workload.json(),
         gate.iterations,
         gate.reference
     );
@@ -313,7 +290,7 @@ fn run_gate(gate: &Gate) -> Result<String, String> {
          \"{}\": {{\"median_s\": {:.4}, \"min_s\": {:.4}}},\n    \
          \"ratio\": {{\"median\": {:.2}, \"min\": {:.2}, \"max\": {:.2}}}\n  }}",
         gate.name,
-        gate.workload.json(),
+        workload,
         gate.iterations,
         engine.median,
         engine.min,
@@ -420,7 +397,7 @@ mod tests {
     }
 
     fn outcome(seed: u64) -> Outcome {
-        let problem = synthetic_problem(8, 2, 1, Time::from_ms(5), seed);
+        let problem = instance(Family::Paper, 8, 2, 1, seed).build().unwrap();
         let cfg = SearchConfig {
             threads: 1,
             ..iteration_config(3)
@@ -459,6 +436,64 @@ mod tests {
                 if other_field != field {
                     assert!(!err.contains(other_field), "{field}: {err}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn gate_workloads_repeat_their_recorded_fingerprints_and_descriptions() {
+        use ftdes_core::cache::{bus_fingerprint, fault_fingerprint, problem_fingerprint};
+        // Recorded with the problem constructors the request replaced.
+        let expected: [(u64, [u64; 3], &str); 3] = [
+            (
+                0xb4a7_940a_f042_0768,
+                [
+                    0xe202_ea41_f2ff_4d09,
+                    0x22cf_bd19_5f9d_7735,
+                    0x0fba_40c8_8f66_6d50,
+                ],
+                "\"family\": \"paper\", \"processes\": 40, \"nodes\": 4, \"k\": 3",
+            ),
+            (
+                0x2448_a018_c29d_c0c1,
+                [
+                    0x2041_dbee_01ec_1d84,
+                    0x3345_2863_2e7b_8e2c,
+                    0xa218_b998_400b_db55,
+                ],
+                "\"family\": \"paper\", \"processes\": 96, \"nodes\": 12, \"k\": 3",
+            ),
+            (
+                0xfddd_bdd7_b0e4_5949,
+                [
+                    0x4012_aae2_69b4_5b4a,
+                    0x65d0_336c_1e84_3448,
+                    0x4691_0ab5_024f_8a5a,
+                ],
+                "\"family\": \"comm_heavy\", \"edge_density\": 5, \"msg_wcet_ratio\": 0.5, \
+                 \"processes\": 50, \"nodes\": 4, \"k\": 2",
+            ),
+        ];
+        let faults = [
+            0x8329_f978_69f5_a8d4,
+            0x8329_f978_69f5_a8d4,
+            0xcf33_d970_0881_b214,
+        ];
+        for ((gate, (bus, problems, json)), fault) in GATES.iter().zip(expected).zip(faults) {
+            assert_eq!(workload_json(&(gate.workload)(0)), json, "{}", gate.name);
+            for (seed, problem_fp) in (0..SEEDS).zip(problems) {
+                let p = (gate.workload)(seed).build().unwrap();
+                assert_eq!(
+                    (
+                        problem_fingerprint(&p),
+                        bus_fingerprint(p.bus()),
+                        fault_fingerprint(p.fault_model()),
+                        p.max_checkpoints()
+                    ),
+                    (problem_fp, bus, fault, 1),
+                    "gate {}, seed {seed}",
+                    gate.name
+                );
             }
         }
     }

@@ -51,21 +51,19 @@
 
 use std::time::Duration;
 
-use ftdes_core::problem::{MAX_CHECKPOINTS, MAX_PROCESS_NODE_PAIRS};
+use ftdes_core::problem::MAX_CHECKPOINTS;
 use ftdes_core::repair::RepairBudget;
 use ftdes_core::{optimize_with_cache, CachePool, Problem, Strategy};
 use ftdes_faultsim::{degrade_and_repair_adversarial, length_distribution};
-use ftdes_gen::{CommHeavyParams, WorkloadParams};
+use ftdes_gen::WorkloadParams;
 use ftdes_model::design::{Design, ProcessDesign};
-use ftdes_model::fault::FaultModel;
 use ftdes_model::ids::NodeId;
-use ftdes_model::merge::MAX_MERGED_PROCESSES;
 use ftdes_model::policy::FtPolicy;
 use ftdes_model::time::Time;
 use ftdes_serve::{DepResult, JobExec, JobSpec};
 use serde::Value;
 
-use crate::{comm_heavy_problem_with, iteration_config, synthetic_problem, PolicyMix};
+use crate::{iteration_config, Family, FieldNames, InstanceRequest, PolicyMix};
 
 /// The most jobs one sweep may expand into. The store writes one `Job`
 /// event per job and replays them all into memory, so
@@ -220,13 +218,11 @@ impl SweepSpec {
     }
 
     /// Checks every knob, so that each job builds its problem without
-    /// wrapping a number or allocating without bound: processes to
-    /// [`MAX_MERGED_PROCESSES`], processes × nodes to
-    /// [`MAX_PROCESS_NODE_PAIRS`], faults to [`FaultModel::MAX_K`],
-    /// µ and χ to the `u64` microsecond range, the checkpoint count to
-    /// [`MAX_CHECKPOINTS`], the expanded job count to
-    /// [`MAX_SWEEP_JOBS`] and the faultsim samples to
-    /// [`MAX_FAULTSIM_SAMPLES`].
+    /// wrapping a number or allocating without bound: each workload
+    /// through [`InstanceRequest::validate`], µ and χ to the `u64`
+    /// microsecond range, the checkpoint count to [`MAX_CHECKPOINTS`],
+    /// the expanded job count to [`MAX_SWEEP_JOBS`] and the faultsim
+    /// samples to [`MAX_FAULTSIM_SAMPLES`].
     ///
     /// # Errors
     ///
@@ -258,12 +254,19 @@ impl SweepSpec {
                         return Err(format!(
                             "strategies: {} is solved twice (as the reference or an \
                              earlier strategy)",
-                            strategy_key(strategy)
+                            strategy.key()
                         ));
                     }
                 }
                 for (i, row) in rows.iter().enumerate() {
-                    check_workload("processes", row.processes, row.nodes, row.faults, row.mu_ms)?;
+                    workload(
+                        Family::Paper,
+                        row.processes,
+                        row.nodes,
+                        row.faults,
+                        row.mu_ms,
+                    )?
+                    .validate(&spec_names("processes"))?;
                     // Pure replication needs k + 1 distinct nodes.
                     if row.faults >= row.nodes && s.solved().any(|st| st == Strategy::Mr) {
                         return Err(format!(
@@ -279,7 +282,8 @@ impl SweepSpec {
                 (s.seeds, s.max_iterations, per_seed)
             }
             SweepSpec::Chi(s) => {
-                check_workload("processes", s.processes, s.nodes, s.faults, s.mu_ms)?;
+                workload(Family::Paper, s.processes, s.nodes, s.faults, s.mu_ms)?
+                    .validate(&spec_names("processes"))?;
                 if s.chi_permille.is_empty() {
                     return Err("chi_permille needs at least one value".into());
                 }
@@ -310,14 +314,13 @@ impl SweepSpec {
                 (s.seeds, s.max_iterations, per_seed.map(|cells| cells + 4))
             }
             SweepSpec::Repair(s) => {
-                check_workload("processes", s.processes, s.nodes, s.faults, s.mu_ms)?;
-                check_workload(
-                    "comm_processes",
-                    s.comm_processes,
-                    s.nodes,
-                    s.faults,
-                    s.mu_ms,
-                )?;
+                for (family, processes, key) in [
+                    (Family::Paper, s.processes, "processes"),
+                    (Family::CommHeavy, s.comm_processes, "comm_processes"),
+                ] {
+                    workload(family, processes, s.nodes, s.faults, s.mu_ms)?
+                        .validate(&spec_names(key))?;
+                }
                 // Per seed and family: a generate, an optimize and a
                 // repair.
                 (s.seeds, s.max_iterations, Some(6))
@@ -352,42 +355,39 @@ impl SweepSpec {
     }
 }
 
-/// Holds one workload's knobs to what a generated problem can take:
-/// `processes_key` names the process count in messages.
-fn check_workload(
-    processes_key: &str,
+/// The request of one sweep workload, at seed 0 and without χ.
+///
+/// # Errors
+///
+/// A µ past the `u64` microsecond range, naming `mu_ms`.
+fn workload(
+    family: Family,
     processes: u64,
     nodes: u64,
     faults: u64,
     mu_ms: u64,
-) -> Result<(), String> {
-    if processes == 0 || processes > MAX_MERGED_PROCESSES as u64 {
-        return Err(format!(
-            "{processes_key} must be between 1 and {MAX_MERGED_PROCESSES}, not {processes}"
-        ));
+) -> Result<InstanceRequest, String> {
+    let mu =
+        ms_time(mu_ms).ok_or_else(|| format!("mu_ms: {mu_ms} overflows a time in microseconds"))?;
+    let count = |v: u64| usize::try_from(v).unwrap_or(usize::MAX);
+    Ok(InstanceRequest::new(
+        family,
+        count(processes),
+        count(nodes),
+        faults,
+        mu,
+        0,
+    ))
+}
+
+/// The sweep's names of a request's fields: its spec keys and job
+/// parameters, with `processes` the key of the process count.
+fn spec_names(processes: &'static str) -> FieldNames {
+    FieldNames {
+        processes,
+        k: "faults",
+        ..FieldNames::default()
     }
-    if nodes == 0 {
-        return Err("nodes must be at least 1".into());
-    }
-    if processes
-        .checked_mul(nodes)
-        .is_none_or(|pairs| pairs > MAX_PROCESS_NODE_PAIRS as u64)
-    {
-        return Err(format!(
-            "nodes: {processes} {processes_key} on {nodes} nodes exceed the cap of \
-             {MAX_PROCESS_NODE_PAIRS} process-node pairs"
-        ));
-    }
-    if u32::try_from(faults).map_or(true, |k| k > FaultModel::MAX_K) {
-        return Err(format!(
-            "faults must be at most {}, not {faults}",
-            FaultModel::MAX_K
-        ));
-    }
-    if ms_time(mu_ms).is_none() {
-        return Err(format!("mu_ms: {mu_ms} overflows a time in microseconds"));
-    }
-    Ok(())
 }
 
 /// `ms` milliseconds, or `None` past the `u64` microsecond range
@@ -402,12 +402,6 @@ fn chi_us(processes: u64, permille: u64) -> Option<u64> {
     let p = WorkloadParams::paper(usize::try_from(processes).ok()?);
     let mean_wcet_us = (p.wcet_min.as_us() + p.wcet_max.as_us()) / 2;
     Some(mean_wcet_us.checked_mul(permille)? / 1000)
-}
-
-/// The spec and job-parameter spelling of a strategy, which
-/// [`parse_strategy`] reads back.
-fn strategy_key(strategy: Strategy) -> String {
-    strategy.name().to_ascii_lowercase()
 }
 
 fn obj(entries: Vec<(&str, Value)>) -> Value {
@@ -444,7 +438,7 @@ impl DagBuilder {
 /// The common workload parameters every job of a sweep carries, so
 /// each job is executable from its own spec alone.
 fn workload_params(
-    family: &str,
+    family: Family,
     seed: u64,
     processes: u64,
     nodes: u64,
@@ -452,7 +446,7 @@ fn workload_params(
     mu_ms: u64,
 ) -> Vec<(&'static str, Value)> {
     vec![
-        ("family", Value::Str(family.to_owned())),
+        ("family", Value::Str(family.key().to_owned())),
         ("seed", Value::U64(seed)),
         ("processes", Value::U64(processes)),
         ("nodes", Value::U64(nodes)),
@@ -494,7 +488,7 @@ fn overhead_jobs(spec: &OverheadSweep) -> Vec<JobSpec> {
     for (r, row) in rows.iter().enumerate() {
         for seed in 0..spec.seeds {
             let base = workload_params(
-                "paper",
+                Family::Paper,
                 seed,
                 row.processes,
                 row.nodes,
@@ -508,7 +502,7 @@ fn overhead_jobs(spec: &OverheadSweep) -> Vec<JobSpec> {
                 vec![],
             );
             for strategy in spec.solved() {
-                let key = strategy_key(strategy);
+                let key = strategy.key();
                 let params = optimize_params(
                     &base,
                     &overhead_role(r, &key),
@@ -543,13 +537,13 @@ fn overhead_jobs(spec: &OverheadSweep) -> Vec<JobSpec> {
         obj(vec![
             ("sweep", Value::Str("overhead".into())),
             ("seeds", Value::U64(spec.seeds)),
-            ("reference", Value::Str(strategy_key(spec.reference))),
+            ("reference", Value::Str(spec.reference.key())),
             (
                 "strategies",
                 Value::Array(
                     spec.strategies
                         .iter()
-                        .map(|&s| Value::Str(strategy_key(s)))
+                        .map(|&s| Value::Str(s.key()))
                         .collect(),
                 ),
             ),
@@ -565,7 +559,7 @@ fn chi_jobs(spec: &ChiSweep) -> Vec<JobSpec> {
     let mut agg_deps = Vec::new();
     for seed in 0..spec.seeds {
         let base = workload_params(
-            "paper",
+            Family::Paper,
             seed,
             spec.processes,
             spec.nodes,
@@ -628,14 +622,13 @@ fn repair_jobs(spec: &RepairSweep) -> Vec<JobSpec> {
     let mut dag = DagBuilder::new();
     let mut agg_deps = Vec::new();
     for seed in 0..spec.seeds {
-        for family in ["paper", "comm_heavy"] {
-            let processes = if family == "paper" {
-                spec.processes
-            } else {
-                spec.comm_processes
-            };
+        for (family, processes) in [
+            (Family::Paper, spec.processes),
+            (Family::CommHeavy, spec.comm_processes),
+        ] {
             let base =
                 workload_params(family, seed, processes, spec.nodes, spec.faults, spec.mu_ms);
+            let family = family.key();
             let gen = dag.push(
                 format!("gen/{family}/s{seed}"),
                 "generate",
@@ -710,65 +703,26 @@ fn get_usize(params: &Value, key: &str) -> Result<usize, String> {
 /// Rebuilds the problem a job's parameters describe. Generation is
 /// deterministic per seed, so every job of a seed reconstructs the
 /// identical workload — the generate job's fingerprint pins that down.
-///
-/// A problem whose worst-case horizon overflows its budget
-/// ([`Problem::fits_horizon_budget`]) fails the job instead of
-/// scheduling on a wrapped [`Time`].
+/// A problem whose worst-case horizon overflows its budget fails the
+/// job instead of scheduling on a wrapped [`Time`].
 fn build_problem(params: &Value) -> Result<Problem, String> {
-    let family = get_str(params, "family")?;
-    let seed = get_u64(params, "seed")?;
-    let processes = get_usize(params, "processes")?;
-    let nodes = get_usize(params, "nodes")?;
-    let faults = u32::try_from(get_u64(params, "faults")?)
-        .map_err(|_| "job field \"faults\" exceeds u32".to_owned())?;
-    let mu_ms = get_u64(params, "mu_ms")?;
-    let mu =
-        ms_time(mu_ms).ok_or_else(|| format!("mu_ms {mu_ms} overflows a time in microseconds"))?;
-    let base = match family {
-        "paper" => synthetic_problem(processes, nodes, faults, mu, seed),
-        "comm_heavy" => {
-            comm_heavy_problem_with(&CommHeavyParams::dense(processes), nodes, faults, mu, seed)
-        }
-        other => return Err(format!("unknown workload family {other:?}")),
+    let field = |key: &str| params.get(key).and_then(Value::as_u64);
+    let request = InstanceRequest {
+        seed: get_u64(params, "seed")?,
+        chi: Time::from_us(field("chi_us").unwrap_or(0)),
+        max_checkpoints: Some(
+            u32::try_from(field("max_checkpoints").unwrap_or(1))
+                .map_err(|_| "job field \"max_checkpoints\" exceeds u32".to_owned())?,
+        ),
+        ..workload(
+            get_str(params, "family")?.parse()?,
+            get_u64(params, "processes")?,
+            get_u64(params, "nodes")?,
+            get_u64(params, "faults")?,
+            get_u64(params, "mu_ms")?,
+        )?
     };
-    let chi = Time::from_us(params.get("chi_us").and_then(Value::as_u64).unwrap_or(0));
-    let ckpts = u32::try_from(
-        params
-            .get("max_checkpoints")
-            .and_then(Value::as_u64)
-            .unwrap_or(1),
-    )
-    .map_err(|_| "job field \"max_checkpoints\" exceeds u32".to_owned())?;
-    let fm = base.fault_model().with_checkpoint_overhead(chi);
-    let problem = base.with_fault_model(fm).with_max_checkpoints(ckpts);
-    if !problem.fits_horizon_budget(Time::ZERO) {
-        return Err(format!(
-            "worst-case schedule horizon overflows its budget: {processes} processes, \
-             k + 1 = {} executions of each at mu = {mu_ms} ms and chi = {} us",
-            u64::from(faults) + 1,
-            chi.as_us()
-        ));
-    }
-    Ok(problem)
-}
-
-/// Reads a strategy name as specs and job parameters spell it:
-/// `mxr`, `mx`, `mr`, `sfx` or `nft`.
-///
-/// # Errors
-///
-/// A message naming an unknown strategy.
-pub fn parse_strategy(name: &str) -> Result<Strategy, String> {
-    match name {
-        "mxr" => Ok(Strategy::Mxr),
-        "mx" => Ok(Strategy::Mx),
-        "mr" => Ok(Strategy::Mr),
-        "sfx" => Ok(Strategy::Sfx),
-        "nft" => Ok(Strategy::Nft),
-        other => Err(format!(
-            "unknown strategy {other:?} (mxr | mx | mr | sfx | nft)"
-        )),
-    }
+    request.build()
 }
 
 /// Serializes a design as `[[replicas, checkpoints, [nodes...]], ...]`
@@ -862,7 +816,7 @@ impl SweepExec {
 
     fn run_optimize(&self, params: &Value) -> Result<Value, String> {
         let problem = build_problem(params)?;
-        let strategy = parse_strategy(get_str(params, "strategy")?)?;
+        let strategy: Strategy = get_str(params, "strategy")?.parse()?;
         let cfg = iteration_config(get_usize(params, "max_iterations")?);
         let cache = self.pool.for_problem(&problem);
         let outcome = optimize_with_cache(&problem, strategy, &cfg, &cache)
@@ -1196,6 +1150,10 @@ fn aggregate_repair(deps: &[DepResult]) -> Result<Value, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftdes_core::cache::{bus_fingerprint, fault_fingerprint, problem_fingerprint};
+    use ftdes_core::problem::MAX_PROCESS_NODE_PAIRS;
+    use ftdes_model::fault::FaultModel;
+    use ftdes_model::merge::MAX_MERGED_PROCESSES;
     use ftdes_serve::jobs_fingerprint;
 
     fn tiny_chi() -> SweepSpec {
@@ -1503,7 +1461,8 @@ mod tests {
 
     #[test]
     fn designs_roundtrip_through_job_results() {
-        let problem = synthetic_problem(6, 2, 1, Time::from_ms(5), 3);
+        let request = InstanceRequest::new(Family::Paper, 6, 2, 1, Time::from_ms(5), 3);
+        let problem = request.build().unwrap();
         let cache = self::CachePool::new().for_problem(&problem);
         let outcome =
             optimize_with_cache(&problem, Strategy::Mxr, &iteration_config(3), &cache).unwrap();
@@ -1513,6 +1472,70 @@ mod tests {
             problem.evaluate(&decoded).unwrap().length(),
             outcome.length(),
             "decoded design evaluates identically"
+        );
+    }
+
+    /// A problem's fingerprints: structure, bus and fault model, plus
+    /// its checkpoint cap.
+    fn fingerprints(problem: &Problem) -> (u64, u64, u64, u32) {
+        (
+            problem_fingerprint(problem),
+            bus_fingerprint(problem.bus()),
+            fault_fingerprint(problem.fault_model()),
+            problem.max_checkpoints(),
+        )
+    }
+
+    #[test]
+    fn generated_problems_repeat_their_recorded_fingerprints() {
+        // Recorded with the problem constructors the request
+        // replaced: the CLI's `--family` defaults, and the jobs' paper
+        // and comm-heavy parameters with χ > 0.
+        let cli = InstanceRequest::default();
+        let comm = InstanceRequest {
+            family: Family::CommHeavy,
+            ..cli.clone()
+        };
+        assert_eq!(
+            fingerprints(&cli.build().unwrap()),
+            (
+                0x3fb7_99af_54f9_5d3a,
+                0xb4a7_940a_f042_0768,
+                0xcf33_d970_0881_b214,
+                1
+            )
+        );
+        assert_eq!(
+            fingerprints(&comm.build().unwrap()),
+            (
+                0xdee8_e713_0b13_0e4a,
+                0xfddd_bdd7_b0e4_5949,
+                0xcf33_d970_0881_b214,
+                1
+            )
+        );
+        let job = |family: &str, processes, nodes, faults, seed, chi_us, ckpts| {
+            let base = workload_params(family.parse().unwrap(), seed, processes, nodes, faults, 5);
+            let params = optimize_params(&base, "mcx", "mx", chi_us, ckpts, 1);
+            fingerprints(&build_problem(&params).unwrap())
+        };
+        assert_eq!(
+            job("paper", 24, 4, 2, 1, 13_750, 4),
+            (
+                0xf95b_4737_5eb6_3e05,
+                0xb4a7_940a_f042_0768,
+                0xc0b4_0932_c7d3_475a,
+                4
+            )
+        );
+        assert_eq!(
+            job("comm_heavy", 12, 4, 1, 2, 500, 3),
+            (
+                0x194e_f232_2aa8_9c02,
+                0xfddd_bdd7_b0e4_5949,
+                0x5060_ff17_f6fb_6445,
+                3
+            )
         );
     }
 }

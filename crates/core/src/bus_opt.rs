@@ -97,8 +97,8 @@ fn climb(
     let mut stats = SearchStats::default();
     // Re-probing a configuration (e.g. swapping a pair back) is a memo
     // hit. A pruned probe's lower bound is not its cost, so it is not
-    // memoized. No probe retains a schedule: costs drive the climb,
-    // and the winning configuration is materialized once at the end.
+    // memoized. No later probe retains a schedule: costs drive the
+    // climb, and the winning configuration is materialized at the end.
     let memo = EvalCache::default();
     let mut scratch = CostScratch::default();
     let mut probe = |bus: &BusConfig, bound| -> Result<(EvalOutcome, bool), SchedError> {
@@ -126,8 +126,25 @@ fn climb(
     let base = problem.bus();
     let largest = problem.largest_message();
 
-    let (start, hit) = probe(base, None)?;
-    stats.record(start, hit);
+    // The start configuration is scheduled in full: its bookings name
+    // the nodes that send. Whether a message crosses the bus depends on
+    // the mapping alone, and the design is fixed for the pass, so the
+    // same nodes send under every probed bus.
+    let start = list_schedule_with(
+        problem.graph(),
+        problem.arch(),
+        problem.wcet(),
+        problem.fault_model(),
+        base,
+        design,
+        problem.schedule_options(),
+    )?;
+    let mut sends = vec![false; problem.arch().node_count()];
+    for (_, _, booked) in start.bookings().iter() {
+        sends[booked.sender.index()] = true;
+    }
+    stats.record(EvalOutcome::Exact(start.cost()), false);
+    memo.insert(u128::from(bus_fingerprint(base)), start.cost());
     let mut best_bus = base.clone();
     let mut best_cost = start.cost();
 
@@ -153,12 +170,18 @@ fn climb(
         // improving pair and re-enters the scan from the next pair
         // against the updated bus. Each probe is bounded by the
         // climbing incumbent and aborts as soon as it provably cannot
-        // improve on it.
+        // improve on it. All slots have one length, so a swap moves
+        // only its own two slots: between two nodes that send nothing
+        // it leaves every booking, and the cost, where they were.
         let slots = bus.slots_per_round();
         'rounds: for _ in 0..rounds {
             let mut improved = false;
             for a in 0..slots {
                 for b in (a + 1)..slots {
+                    let order = bus.slot_order();
+                    if !sends[order[a].index()] && !sends[order[b].index()] {
+                        continue;
+                    }
                     if expired() {
                         break 'rounds;
                     }

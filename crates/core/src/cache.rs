@@ -357,15 +357,14 @@ impl<'p> Evaluator<'p> {
     fn build(problem: &'p Problem, cache: Option<Arc<EvalCache>>) -> Self {
         let mut ctx = Fingerprint::new(problem_fingerprint(problem));
         ctx.mix(fault_fingerprint(problem.fault_model()));
-        // Cost-affecting scheduler switches join the context: two
-        // problems differing only in priority strategy or slack
-        // sharing produce different costs for the same design, so a
-        // shared cache (sweeps, the portfolio's diversified workers)
-        // must never alias their entries. Pure throughput knobs
-        // (occupancy backend, splicing) deliberately stay out — their
-        // costs are bit-identical by contract.
-        let opts = problem.schedule_options();
-        ctx.mix(u64::from(opts.slack_sharing) | (opts.priority as u64) << 1);
+        // The cost-affecting scheduler switch joins the context: two
+        // problems differing only in priority strategy produce
+        // different costs for the same design, so a shared cache
+        // (sweeps, the portfolio's diversified workers) must never
+        // alias their entries. Pure throughput knobs (occupancy
+        // backend, splicing) deliberately stay out — their costs are
+        // bit-identical by contract.
+        ctx.mix(problem.schedule_options().priority as u64);
         let mut base = Fingerprint::new(ctx.finish() as u64);
         base.mix(bus_fingerprint(problem.bus()));
         Evaluator {

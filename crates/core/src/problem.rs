@@ -90,7 +90,7 @@ pub struct Problem {
     bus: BusConfig,
     constraints: DesignConstraints,
     /// Scheduler switches every evaluation of this problem runs with
-    /// (slack sharing, the occupancy backend, …).
+    /// (the occupancy backend, the priority strategy, the splice).
     options: ScheduleOptions,
     /// Largest checkpoint count the move generators may assign to a
     /// re-executable process (the third move axis). `1` disables the

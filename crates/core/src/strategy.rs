@@ -68,6 +68,38 @@ impl Strategy {
             Strategy::Nft => "NFT",
         }
     }
+
+    /// The lowercase key sweep specs, job parameters and the CLI
+    /// spell the strategy with, which [`str::parse`] reads back.
+    #[must_use]
+    pub fn key(self) -> String {
+        self.name().to_ascii_lowercase()
+    }
+
+    /// The policy space the strategy's three-step search runs in, or
+    /// `None` for the SFX and NFT baselines, which search the mixed
+    /// space under a fault model of their own.
+    #[must_use]
+    pub fn space(self) -> Option<PolicySpace> {
+        match self {
+            Strategy::Mxr => Some(PolicySpace::Mixed),
+            Strategy::Mx => Some(PolicySpace::ReexecutionOnly),
+            Strategy::Mr => Some(PolicySpace::ReplicationOnly),
+            Strategy::Sfx | Strategy::Nft => None,
+        }
+    }
+}
+
+impl std::str::FromStr for Strategy {
+    type Err = String;
+
+    /// Reads a [`Strategy::key`].
+    fn from_str(key: &str) -> Result<Self, Self::Err> {
+        Strategy::ALL
+            .into_iter()
+            .find(|s| s.key() == key)
+            .ok_or_else(|| format!("unknown strategy {key:?} (mxr | mx | mr | sfx | nft)"))
+    }
 }
 
 impl std::fmt::Display for Strategy {
@@ -155,15 +187,13 @@ fn optimize_shared(
         cache,
     };
 
-    let outcome = match strategy {
-        Strategy::Mxr => three_step(problem, PolicySpace::Mixed, &ctx, &mut stats)?,
-        Strategy::Mx => three_step(problem, PolicySpace::ReexecutionOnly, &ctx, &mut stats)?,
-        Strategy::Mr => three_step(problem, PolicySpace::ReplicationOnly, &ctx, &mut stats)?,
-        Strategy::Nft => {
+    let outcome = match strategy.space() {
+        Some(space) => three_step(problem, space, &ctx, &mut stats)?,
+        None if strategy == Strategy::Sfx => sfx(problem, &ctx, &mut stats)?,
+        None => {
             let nft = problem.with_fault_model(FaultModel::none());
             three_step(&nft, PolicySpace::Mixed, &ctx, &mut stats)?
         }
-        Strategy::Sfx => sfx(problem, &ctx, &mut stats)?,
     };
 
     let (design, schedule) = outcome;
@@ -453,5 +483,12 @@ mod tests {
     fn strategy_names() {
         assert_eq!(Strategy::Mxr.to_string(), "MXR");
         assert_eq!(Strategy::ALL.len(), 5);
+        for s in Strategy::ALL {
+            assert_eq!(s.key().parse(), Ok(s));
+        }
+        let err = "MXR".parse::<Strategy>().unwrap_err();
+        assert!(err.contains("unknown strategy \"MXR\""), "{err}");
+        assert_eq!(Strategy::Mx.space(), Some(PolicySpace::ReexecutionOnly));
+        assert_eq!(Strategy::Nft.space(), None);
     }
 }

@@ -29,12 +29,16 @@
 //!
 //! Count flags have documented maxima: `--scenarios` 100000,
 //! `--portfolio` and `sweep --workers` 256 (the engine's thread
-//! maximum, `MAX_THREADS`), `--procs` 16384 (`MAX_MERGED_PROCESSES`),
-//! `--procs` × `--nodes` 2²⁰ (`MAX_PROCESS_NODE_PAIRS`, which
-//! problem files are held to as well) and `--max-checkpoints` 2²⁰
-//! (`MAX_CHECKPOINTS`). `--density` and `--msg-wcet-ratio` take
-//! finite, non-negative values, and `round(--density × --procs)` is
-//! at most 2²⁰ edges. A value past its maximum is a usage error.
+//! maximum, `MAX_THREADS`) and `--max-checkpoints` 2²⁰
+//! (`MAX_CHECKPOINTS`). The family flags fill one
+//! `ftdes_bench::InstanceRequest`, whose validation the sweep specs
+//! share: `--procs` 1 to 16384 (`MAX_MERGED_PROCESSES`), `--nodes` at
+//! least 1, `--procs` × `--nodes` at most 2²⁰
+//! (`MAX_PROCESS_NODE_PAIRS`, which problem files are held to as
+//! well), `--k` at most 2³² − 2 (`FaultModel::MAX_K`), `--density` and
+//! `--msg-wcet-ratio` finite and non-negative, and
+//! `round(--density × --procs)` at most 2²⁰ edges. A value outside its
+//! range, or an unknown `--family`, is a usage error naming the flag.
 //!
 //! Exit codes are classified sysexits-style: `2` usage, `65` malformed
 //! input (problem file, sweep spec, or corrupt store — and any problem
@@ -55,7 +59,8 @@
 //! replays fault scenarios against the repaired schedule.
 //!
 //! Instead of a problem file, every command also accepts a generated
-//! instance: `--family comm-heavy|paper` with `--procs N`, `--nodes N`,
+//! instance: `--family comm-heavy|paper` (`comm_heavy` reads as
+//! `comm-heavy`) with `--procs N`, `--nodes N`,
 //! `--k N`, `--mu-ms N`, `--chi-ms N` (checkpointing overhead χ;
 //! non-zero values open the optimizer's checkpoint move axis, capped
 //! by `--max-checkpoints N`), `--seed S` and (comm-heavy only) the
@@ -75,25 +80,22 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use ftdes_bench::jobs::SweepExec;
+use ftdes_bench::{Family, FieldNames, InstanceRequest, MAX_GENERATED_EDGES};
 use ftdes_core::problem::{MAX_CHECKPOINTS, MAX_PROCESS_NODE_PAIRS};
 use ftdes_core::repair::{repair, RepairBudget};
 use ftdes_core::{
-    optimize, optimize_bus, optimize_portfolio, BusOptConfig, Goal, PolicySpace, PortfolioConfig,
-    Problem, SearchConfig, Strategy, MAX_THREADS,
+    optimize, optimize_bus, optimize_portfolio, BusOptConfig, Goal, PortfolioConfig, SearchConfig,
+    Strategy, MAX_THREADS,
 };
 use ftdes_faultsim::replay_scenarios;
-use ftdes_gen::{comm_heavy, paper_workload, CommHeavyParams};
 use ftdes_io::delta::parse_delta_with;
 use ftdes_io::format::{check_horizon, parse_problem};
 use ftdes_io::report::{solution_report, to_json};
 use ftdes_io::sweep::parse_sweep;
-use ftdes_model::architecture::Architecture;
-use ftdes_model::fault::FaultModel;
 use ftdes_model::merge::MAX_MERGED_PROCESSES;
 use ftdes_model::time::Time;
 use ftdes_sched::render::{render_gantt, render_medl, render_tables};
 use ftdes_serve::{drive, Injector, JobStatus, StoreError, SweepState, SweepStore, WorkerConfig};
-use ftdes_ttp::config::BusConfig;
 use serde::Value;
 
 /// A classified CLI failure. The variant picks the process exit code
@@ -181,14 +183,23 @@ fn main() -> ExitCode {
 /// (`--scenarios`); they are drawn up front, one allocation each.
 const MAX_SCENARIOS: usize = 100_000;
 
-/// The most edges `--density` may ask of the comm-heavy generator,
-/// `round(density × procs)`: 2²⁰. Past it the generator's densify
-/// loop runs in proportion to the target, not to the graph it builds.
-const MAX_GENERATED_EDGES: f64 = (1u64 << 20) as f64;
+/// The flags that name an [`InstanceRequest`]'s fields.
+const FLAGS: FieldNames = FieldNames {
+    processes: "--procs",
+    nodes: "--nodes",
+    k: "--k",
+    edge_density: "--density",
+    msg_wcet_ratio: "--msg-wcet-ratio",
+};
+
+/// Parses `v` as the value of `flag`.
+fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("invalid {flag}"))
+}
 
 /// Parses a count for `flag`, refusing one past `max`.
 fn parse_count(flag: &str, v: &str, max: usize) -> Result<usize, String> {
-    let n: usize = v.parse().map_err(|_| format!("invalid {flag}"))?;
+    let n = number(flag, v)?;
     if n > max {
         return Err(format!("invalid {flag}: {n} (at most {max})"));
     }
@@ -198,75 +209,13 @@ fn parse_count(flag: &str, v: &str, max: usize) -> Result<usize, String> {
 /// Parses a whole number of milliseconds for `flag`, refusing one
 /// past the microsecond [`Time`] range.
 fn parse_ms(flag: &str, v: &str) -> Result<Time, String> {
-    let ms: u64 = v.parse().map_err(|_| format!("invalid {flag}"))?;
+    let ms: u64 = number(flag, v)?;
     ms.checked_mul(1_000).map(Time::from_us).ok_or_else(|| {
         format!(
             "invalid {flag}: {ms} ms overflows the {} us time range",
             u64::MAX
         )
     })
-}
-
-/// A generated-instance request (`--family …`) in place of a problem
-/// file.
-struct FamilyOptions {
-    family: String,
-    procs: usize,
-    nodes: usize,
-    k: u32,
-    mu: Time,
-    chi: Time,
-    density: f64,
-    msg_wcet_ratio: f64,
-}
-
-impl Default for FamilyOptions {
-    fn default() -> Self {
-        let dense = CommHeavyParams::dense(50);
-        FamilyOptions {
-            family: String::new(),
-            procs: 50,
-            nodes: 4,
-            k: 2,
-            mu: Time::from_ms(5),
-            chi: Time::ZERO,
-            density: dense.edge_density,
-            msg_wcet_ratio: dense.msg_wcet_ratio,
-        }
-    }
-}
-
-impl FamilyOptions {
-    /// Builds the generated problem instance.
-    fn into_problem(self, seed: u64) -> Result<Problem, String> {
-        let arch = Architecture::with_node_count(self.nodes);
-        let fm = FaultModel::new(self.k, self.mu).with_checkpoint_overhead(self.chi);
-        let (workload, byte_time) = match self.family.as_str() {
-            "comm-heavy" => {
-                let params = CommHeavyParams::dense(self.procs)
-                    .with_density(self.density)
-                    .with_ratio(self.msg_wcet_ratio);
-                (comm_heavy(&params, &arch, seed), params.byte_time())
-            }
-            // The paper's synthetic family: 1–4 byte messages over the
-            // experiments' 2.5 ms/byte bus.
-            "paper" => (
-                paper_workload(self.procs, &arch, seed),
-                Time::from_us(2_500),
-            ),
-            other => return Err(format!("unknown family {other:?} (comm-heavy | paper)")),
-        };
-        let largest = workload
-            .graph
-            .edges()
-            .iter()
-            .map(|e| e.message.size)
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        let bus = BusConfig::initial(&arch, largest, byte_time).map_err(|e| e.to_string())?;
-        Ok(Problem::new(workload.graph, arch, workload.wcet, fm, bus))
-    }
 }
 
 struct Options {
@@ -278,7 +227,11 @@ struct Options {
     bus_opt: bool,
     scenarios: usize,
     seed: u64,
-    family: Option<FamilyOptions>,
+    /// `--family`: a generated instance in place of a problem file.
+    family: Option<Family>,
+    /// What the generator flags (`--procs`, `--nodes`, …) set, over
+    /// the CLI's defaults; `None` when none is given.
+    instance: Option<InstanceRequest>,
     max_checkpoints: Option<u32>,
     deltas: Vec<String>,
     repair_ms: u64,
@@ -298,6 +251,7 @@ impl Options {
             scenarios: 100,
             seed: 0,
             family: None,
+            instance: None,
             max_checkpoints: None,
             deltas: Vec::new(),
             repair_ms: 500,
@@ -306,142 +260,61 @@ impl Options {
         };
         let mut it = args.iter();
         while let Some(flag) = it.next() {
-            let mut value = |name: &str| {
+            let flag = flag.as_str();
+            let mut value = || {
                 it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{name} needs a value"))
+                    .map(String::as_str)
+                    .ok_or_else(|| format!("{flag} needs a value"))
             };
-            match flag.as_str() {
-                "--strategy" => {
-                    o.strategy = match value("--strategy")?.to_lowercase().as_str() {
-                        "mxr" => Strategy::Mxr,
-                        "mx" => Strategy::Mx,
-                        "mr" => Strategy::Mr,
-                        "sfx" => Strategy::Sfx,
-                        "nft" => Strategy::Nft,
-                        other => return Err(format!("unknown strategy {other:?}")),
-                    };
-                }
-                "--time-ms" => {
-                    o.time_ms = value("--time-ms")?
-                        .parse()
-                        .map_err(|_| "invalid --time-ms".to_owned())?;
-                }
+            match flag {
+                "--strategy" => o.strategy = value()?.to_lowercase().parse()?,
+                "--time-ms" => o.time_ms = number(flag, value()?)?,
                 "--goal" => {
-                    o.goal = match value("--goal")?.as_str() {
+                    o.goal = match value()? {
                         "deadline" => Goal::MeetDeadline,
                         "length" => Goal::MinimizeLength,
                         other => return Err(format!("unknown goal {other:?}")),
                     };
                 }
-                "--json" => o.json = Some(value("--json")?),
-                "--delta" => o.deltas.push(value("--delta")?),
-                "--repair-ms" => {
-                    o.repair_ms = value("--repair-ms")?
-                        .parse()
-                        .map_err(|_| "invalid --repair-ms".to_owned())?;
-                }
+                "--json" => o.json = Some(value()?.to_owned()),
+                "--delta" => o.deltas.push(value()?.to_owned()),
+                "--repair-ms" => o.repair_ms = number(flag, value()?)?,
                 "--gantt" => o.gantt = true,
                 "--bus-opt" => o.bus_opt = true,
-                "--portfolio" => {
-                    o.portfolio = parse_count("--portfolio", &value("--portfolio")?, MAX_THREADS)?;
-                }
+                "--portfolio" => o.portfolio = parse_count(flag, value()?, MAX_THREADS)?,
                 "--epoch-candidates" => {
-                    o.epoch_candidates = value("--epoch-candidates")?
-                        .parse::<usize>()
-                        .map_err(|_| "invalid --epoch-candidates".to_owned())?
-                        .max(1);
+                    o.epoch_candidates = number::<usize>(flag, value()?)?.max(1);
                 }
-                "--scenarios" => {
-                    o.scenarios =
-                        parse_count("--scenarios", &value("--scenarios")?, MAX_SCENARIOS)?;
-                }
-                "--seed" => {
-                    o.seed = value("--seed")?
-                        .parse()
-                        .map_err(|_| "invalid --seed".to_owned())?;
-                }
+                "--scenarios" => o.scenarios = parse_count(flag, value()?, MAX_SCENARIOS)?,
+                "--seed" => o.seed = number(flag, value()?)?,
                 "--family" => {
-                    let mut fam = o.family.take().unwrap_or_default();
-                    fam.family = value("--family")?.to_lowercase();
-                    o.family = Some(fam);
-                }
-                "--procs" => {
-                    o.family.get_or_insert_with(Default::default).procs =
-                        parse_count("--procs", &value("--procs")?, MAX_MERGED_PROCESSES)?;
-                }
-                "--nodes" => {
-                    o.family.get_or_insert_with(Default::default).nodes =
-                        parse_count("--nodes", &value("--nodes")?, MAX_PROCESS_NODE_PAIRS)?;
-                }
-                "--k" => {
-                    let k: u32 = value("--k")?
-                        .parse()
-                        .map_err(|_| "invalid --k".to_owned())?;
-                    if k > FaultModel::MAX_K {
-                        return Err(format!("invalid --k: {k} (at most {})", FaultModel::MAX_K));
-                    }
-                    o.family.get_or_insert_with(Default::default).k = k;
-                }
-                "--mu-ms" => {
-                    o.family.get_or_insert_with(Default::default).mu =
-                        parse_ms("--mu-ms", &value("--mu-ms")?)?;
-                }
-                "--chi-ms" => {
-                    o.family.get_or_insert_with(Default::default).chi =
-                        parse_ms("--chi-ms", &value("--chi-ms")?)?;
+                    let family = value()?.to_lowercase().parse();
+                    o.family = Some(family.map_err(|e| format!("{flag}: {e}"))?);
                 }
                 "--max-checkpoints" => {
-                    let n: u32 = value("--max-checkpoints")?
-                        .parse()
-                        .map_err(|_| "invalid --max-checkpoints".to_owned())?;
+                    let n: u32 = number(flag, value()?)?;
                     if n > MAX_CHECKPOINTS {
-                        return Err(format!(
-                            "invalid --max-checkpoints: {n} (at most {MAX_CHECKPOINTS})"
-                        ));
+                        return Err(format!("invalid {flag}: {n} (at most {MAX_CHECKPOINTS})"));
                     }
                     o.max_checkpoints = Some(n);
                 }
-                "--density" => {
-                    o.family.get_or_insert_with(Default::default).density = value("--density")?
-                        .parse()
-                        .map_err(|_| "invalid --density".to_owned())?;
-                }
-                "--msg-wcet-ratio" => {
-                    o.family.get_or_insert_with(Default::default).msg_wcet_ratio =
-                        value("--msg-wcet-ratio")?
-                            .parse()
-                            .map_err(|_| "invalid --msg-wcet-ratio".to_owned())?;
-                }
+                "--procs" => o.generated().processes = number(flag, value()?)?,
+                "--nodes" => o.generated().nodes = number(flag, value()?)?,
+                "--k" => o.generated().k = number(flag, value()?)?,
+                "--mu-ms" => o.generated().mu = parse_ms(flag, value()?)?,
+                "--chi-ms" => o.generated().chi = parse_ms(flag, value()?)?,
+                "--density" => o.generated().edge_density = number(flag, value()?)?,
+                "--msg-wcet-ratio" => o.generated().msg_wcet_ratio = number(flag, value()?)?,
                 other => return Err(format!("unknown flag {other:?}")),
             }
         }
-        if let Some(f) = &o.family {
-            if f.procs.saturating_mul(f.nodes) > MAX_PROCESS_NODE_PAIRS {
-                return Err(format!(
-                    "invalid --procs {} with --nodes {}: at most {MAX_PROCESS_NODE_PAIRS} \
-                     process-node pairs",
-                    f.procs, f.nodes
-                ));
-            }
-            for (flag, v) in [
-                ("--density", f.density),
-                ("--msg-wcet-ratio", f.msg_wcet_ratio),
-            ] {
-                if !(v.is_finite() && v >= 0.0) {
-                    return Err(format!(
-                        "invalid {flag}: {v} (must be finite and non-negative)"
-                    ));
-                }
-            }
-            if (f.density * f.procs as f64).round() > MAX_GENERATED_EDGES {
-                return Err(format!(
-                    "invalid --density {} with --procs {}: at most {MAX_GENERATED_EDGES} edges",
-                    f.density, f.procs
-                ));
-            }
-        }
         Ok(o)
+    }
+
+    /// The instance the generator flags set, at the CLI's defaults
+    /// until the first of them.
+    fn generated(&mut self) -> &mut InstanceRequest {
+        self.instance.get_or_insert_with(InstanceRequest::default)
     }
 
     fn search_config(&self) -> SearchConfig {
@@ -463,46 +336,49 @@ fn run(out: &mut impl Write, args: &[String]) -> Result<(), CliError> {
         Some((p, tail)) if !p.starts_with("--") => (Some(p.as_str()), tail),
         _ => (None, rest),
     };
-    let mut options = Options::parse(flags).map_err(CliError::Usage)?;
-    let (problem, node_names, hyperperiod) = match (path, options.family.take()) {
-        (Some(path), None) => {
+    let options = Options::parse(flags).map_err(CliError::Usage)?;
+    let (problem, node_names) = match (path, options.family, &options.instance) {
+        (Some(path), None, None) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| CliError::Io(format!("reading {path}: {e}")))?;
-            let spec = parse_problem(&text).map_err(|e| CliError::Parse(format!("{path}: {e}")))?;
+            let parse_err = |e| CliError::Parse(format!("{path}: {e}"));
+            let spec = parse_problem(&text).map_err(parse_err)?;
             let names: Vec<String> = spec.arch.nodes().iter().map(|n| n.name.clone()).collect();
-            let (problem, merged) = spec
-                .into_problem()
-                .map_err(|e| CliError::Parse(format!("{path}: {e}")))?;
-            (problem, names, merged.hyperperiod())
-        }
-        (None, Some(family)) => {
-            if family.family.is_empty() {
-                return Err(CliError::Usage(
-                    "generator knobs need --family comm-heavy|paper".to_owned(),
-                ));
+            let (mut problem, merged) = spec.into_problem().map_err(parse_err)?;
+            if let Some(n) = options.max_checkpoints {
+                // The budget again, at the checkpoint levels the flag
+                // raises.
+                problem = problem.with_max_checkpoints(n);
+                check_horizon(&problem, merged.hyperperiod()).map_err(parse_err)?;
             }
-            let problem = family.into_problem(options.seed)?;
+            (problem, names)
+        }
+        (None, Some(family), instance) => {
+            let request = InstanceRequest {
+                family,
+                seed: options.seed,
+                max_checkpoints: options.max_checkpoints,
+                ..instance.clone().unwrap_or_default()
+            };
+            request.validate(&FLAGS).map_err(CliError::Usage)?;
+            let problem = request.build().map_err(CliError::Parse)?;
             let names = (0..problem.arch().node_count())
                 .map(|i| format!("N{i}"))
                 .collect();
-            (problem, names, Time::ZERO)
+            (problem, names)
         }
-        (Some(_), Some(_)) => {
+        (None, None, Some(_)) => {
+            return Err(CliError::Usage(
+                "generator knobs need --family comm-heavy|paper".to_owned(),
+            ))
+        }
+        (Some(_), _, _) => {
             return Err(CliError::Usage(
                 "pass either a problem file or --family, not both".to_owned(),
             ))
         }
-        (None, None) => return Err(CliError::Usage(usage())),
+        (None, None, None) => return Err(CliError::Usage(usage())),
     };
-    let problem = match options.max_checkpoints {
-        Some(n) => problem.with_max_checkpoints(n),
-        None => problem,
-    };
-    // The budget again, on the problem the commands actually run:
-    // `--max-checkpoints` raises the checkpoint levels it bounds, and
-    // generated instances never passed it.
-    check_horizon(&problem, hyperperiod).map_err(|e| CliError::Parse(e.to_string()))?;
-    let options = options;
 
     match command.as_str() {
         "info" => {
@@ -533,16 +409,9 @@ fn run(out: &mut impl Write, args: &[String]) -> Result<(), CliError> {
                 // The portfolio diversifies the tabu phase of one
                 // policy space; the SFX/NFT baselines have no tabu
                 // phase worth diversifying.
-                let space = match options.strategy {
-                    Strategy::Mxr => PolicySpace::Mixed,
-                    Strategy::Mx => PolicySpace::ReexecutionOnly,
-                    Strategy::Mr => PolicySpace::ReplicationOnly,
-                    Strategy::Sfx | Strategy::Nft => {
-                        return Err(CliError::Usage(
-                            "--portfolio needs --strategy mxr|mx|mr".to_owned(),
-                        ))
-                    }
-                };
+                let space = options.strategy.space().ok_or_else(|| {
+                    CliError::Usage("--portfolio needs --strategy mxr|mx|mr".to_owned())
+                })?;
                 let pcfg = PortfolioConfig {
                     workers: options.portfolio,
                     epoch_candidates: options.epoch_candidates,
@@ -608,7 +477,8 @@ fn run(out: &mut impl Write, args: &[String]) -> Result<(), CliError> {
                     &node_names,
                     &outcome,
                 );
-                std::fs::write(path, to_json(&report))
+                let json = to_json(&report).map_err(|e| format!("encoding the report: {e}"))?;
+                std::fs::write(path, json)
                     .map_err(|e| CliError::Io(format!("writing {path}: {e}")))?;
                 writeln!(out, "report written to {path}")?;
             }
@@ -990,10 +860,11 @@ fn usage() -> String {
      \x20      --epoch-candidates N (candidates per worker between elite exchanges)\n\
      repair: --delta kill-node:N1|degrade-node:N1:150|rescale-wcet:120|remove-process:P2\n\
      \x20      --delta add-process:name:N0=10ms,...  (repeatable)  --repair-ms N\n\
-     generated instances: --family comm-heavy|paper  --procs N (at most {MAX_MERGED_PROCESSES})\n\
-     \x20      --nodes N (procs × nodes at most {MAX_PROCESS_NODE_PAIRS})  --k N  --mu-ms N\n\
+     generated instances: --family comm-heavy|paper  --procs N (1 to {MAX_MERGED_PROCESSES})\n\
+     \x20      --nodes N (at least 1; procs × nodes at most {MAX_PROCESS_NODE_PAIRS})  --k N  --mu-ms N\n\
      \x20      --chi-ms N (checkpoint overhead)  --max-checkpoints N (move axis cap)\n\
      \x20      comm-heavy knobs, finite and non-negative: --density F (mean edges/process;\n\
-     \x20      density × procs at most {MAX_GENERATED_EDGES} edges)  --msg-wcet-ratio F"
+     \x20      density × procs at most {MAX_GENERATED_EDGES} edges)  --msg-wcet-ratio F\n\
+     \x20      a value out of range, or an unknown family, exits 2 naming the flag"
     )
 }

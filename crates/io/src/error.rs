@@ -1,4 +1,4 @@
-//! Error type for problem-file parsing.
+//! The one error type of the problem-file and sweep-spec parsers.
 
 use std::error::Error;
 use std::fmt;
@@ -40,8 +40,9 @@ impl fmt::Display for ErrorKind {
 
 /// A parse error with its line number and classification.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseProblemError {
-    /// 1-based line where the error occurred (0 = end of input).
+pub struct ParseError {
+    /// 1-based line where the error occurred (0 = end of input, or the
+    /// whole file or spec).
     pub line: usize,
     /// Why the input was rejected.
     pub kind: ErrorKind,
@@ -49,9 +50,9 @@ pub struct ParseProblemError {
     pub message: String,
 }
 
-impl ParseProblemError {
+impl ParseError {
     pub(crate) fn new(line: usize, message: impl Into<String>) -> Self {
-        ParseProblemError {
+        ParseError {
             line,
             kind: ErrorKind::Syntax,
             message: message.into(),
@@ -59,7 +60,7 @@ impl ParseProblemError {
     }
 
     pub(crate) fn with_kind(line: usize, kind: ErrorKind, message: impl Into<String>) -> Self {
-        ParseProblemError {
+        ParseError {
             line,
             kind,
             message: message.into(),
@@ -67,13 +68,13 @@ impl ParseProblemError {
     }
 }
 
-impl fmt::Display for ParseProblemError {
+impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "line {}: {}", self.line, self.message)
     }
 }
 
-impl Error for ParseProblemError {}
+impl Error for ParseError {}
 
 #[cfg(test)]
 mod tests {
@@ -81,18 +82,18 @@ mod tests {
 
     #[test]
     fn carries_line_numbers() {
-        let e = ParseProblemError::new(7, "unknown directive");
+        let e = ParseError::new(7, "unknown directive");
         assert_eq!(e.to_string(), "line 7: unknown directive");
         assert_eq!(e.kind, ErrorKind::Syntax);
         fn assert_error<E: Error + Send + Sync + 'static>() {}
-        assert_error::<ParseProblemError>();
+        assert_error::<ParseError>();
     }
 
     #[test]
     fn kinds_are_displayable() {
         assert_eq!(ErrorKind::Overflow.to_string(), "overflow");
         assert_eq!(
-            ParseProblemError::with_kind(2, ErrorKind::Duplicate, "dup").kind,
+            ParseError::with_kind(2, ErrorKind::Duplicate, "dup").kind,
             ErrorKind::Duplicate
         );
     }

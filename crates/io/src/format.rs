@@ -48,7 +48,7 @@ use ftdes_model::wcet::WcetTable;
 use ftdes_sched::BOOKING_HORIZON_ROUNDS;
 use ftdes_ttp::config::BusConfig;
 
-use crate::error::{ErrorKind, ParseProblemError};
+use crate::error::{ErrorKind, ParseError};
 
 /// A fully parsed problem file, before graph merging.
 #[derive(Debug, Clone)]
@@ -75,7 +75,7 @@ impl ProblemSpec {
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseProblemError`] at line 0: kind
+    /// Returns a [`ParseError`] at line 0: kind
     /// [`ErrorKind::Structure`] when the model is structurally
     /// invalid (cyclic graphs, deadline beyond period, or a process
     /// with no WCET entry on any node), kind [`ErrorKind::Overflow`]
@@ -85,7 +85,7 @@ impl ProblemSpec {
     /// processes × nodes would exceed [`MAX_PROCESS_NODE_PAIRS`], or the
     /// worst-case schedule horizon exceeds [`HORIZON_HEADROOM_US`] (see
     /// [`check_horizon`]).
-    pub fn into_problem(self) -> Result<(Problem, MergedApplication), ParseProblemError> {
+    pub fn into_problem(self) -> Result<(Problem, MergedApplication), ParseError> {
         let merged = MergedApplication::merge(&self.application).map_err(|e| {
             let kind = match e {
                 ModelError::HyperperiodOverflow
@@ -93,7 +93,7 @@ impl ProblemSpec {
                 | ModelError::ReleaseOverflow { .. } => ErrorKind::Overflow,
                 _ => ErrorKind::Structure,
             };
-            ParseProblemError::with_kind(0, kind, e.to_string())
+            ParseError::with_kind(0, kind, e.to_string())
         })?;
         check_pairs(merged.process_count(), self.arch.node_count())?;
         let wcet = merged.remap_wcet(&self.wcet);
@@ -108,7 +108,7 @@ impl ProblemSpec {
                 ),
                 other => other.to_string(),
             };
-            ParseProblemError::with_kind(0, ErrorKind::Structure, message)
+            ParseError::with_kind(0, ErrorKind::Structure, message)
         })?;
         // Index the constraints by (graph, local process) once: every
         // activation of a process inherits its template's, and a later
@@ -158,11 +158,11 @@ impl ProblemSpec {
 ///
 /// # Errors
 ///
-/// A [`ParseProblemError`] of kind [`ErrorKind::Overflow`] at line 0
+/// A [`ParseError`] of kind [`ErrorKind::Overflow`] at line 0
 /// when the bound exceeds the budget or overflows `u64` itself.
-pub fn check_horizon(problem: &Problem, hyperperiod: Time) -> Result<(), ParseProblemError> {
+pub fn check_horizon(problem: &Problem, hyperperiod: Time) -> Result<(), ParseError> {
     if !problem.fits_horizon_budget(hyperperiod) {
-        return Err(ParseProblemError::with_kind(
+        return Err(ParseError::with_kind(
             0,
             ErrorKind::Overflow,
             format!(
@@ -178,14 +178,14 @@ pub fn check_horizon(problem: &Problem, hyperperiod: Time) -> Result<(), ParsePr
 
 /// Refuses `processes` × `nodes` past [`MAX_PROCESS_NODE_PAIRS`],
 /// before anything dense is built over them.
-fn check_pairs(processes: usize, nodes: usize) -> Result<(), ParseProblemError> {
+fn check_pairs(processes: usize, nodes: usize) -> Result<(), ParseError> {
     if processes
         .checked_mul(nodes)
         .is_some_and(|pairs| pairs <= MAX_PROCESS_NODE_PAIRS)
     {
         return Ok(());
     }
-    Err(ParseProblemError::with_kind(
+    Err(ParseError::with_kind(
         0,
         ErrorKind::Overflow,
         format!(
@@ -199,10 +199,10 @@ fn check_pairs(processes: usize, nodes: usize) -> Result<(), ParseProblemError> 
 ///
 /// # Errors
 ///
-/// Returns a [`ParseProblemError`] pointing at the offending line, or
+/// Returns a [`ParseError`] pointing at the offending line, or
 /// at line 0 (kind [`ErrorKind::Overflow`]) when the graphs' processes
 /// × nodes exceed [`MAX_PROCESS_NODE_PAIRS`].
-pub fn parse_problem(input: &str) -> Result<ProblemSpec, ParseProblemError> {
+pub fn parse_problem(input: &str) -> Result<ProblemSpec, ParseError> {
     Parser::new().run(input)
 }
 
@@ -245,11 +245,11 @@ fn class_at(input: &str, at: usize) -> Option<(Class, usize)> {
     }
 }
 
-/// Splits a problem file into numbered lines of tokens in one forward
-/// pass over its bytes. It yields what `str::lines`, a cut at each
+/// Splits a problem file or a sweep spec into numbered lines of tokens
+/// in one forward pass over its bytes. It yields what `str::lines`, a cut at each
 /// line's first `#` and `split_whitespace` yield: a line ends at `\n`,
 /// and a `\r` before it is a separator like any other.
-struct Scanner<'a> {
+pub(crate) struct Scanner<'a> {
     input: &'a str,
     /// The first byte not yet read.
     at: usize,
@@ -258,7 +258,7 @@ struct Scanner<'a> {
 }
 
 impl<'a> Scanner<'a> {
-    fn new(input: &'a str) -> Self {
+    pub(crate) fn new(input: &'a str) -> Self {
         Scanner {
             input,
             at: 0,
@@ -269,7 +269,7 @@ impl<'a> Scanner<'a> {
     /// Reads the next line that has any tokens: returns its number and
     /// first token and fills `rest` with the others, or returns `None`
     /// at the end of the input.
-    fn next_line(&mut self, rest: &mut Vec<&'a str>) -> Option<(usize, &'a str)> {
+    pub(crate) fn next_line(&mut self, rest: &mut Vec<&'a str>) -> Option<(usize, &'a str)> {
         rest.clear();
         let input = self.input;
         let mut at = self.at;
@@ -347,7 +347,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn run(mut self, input: &'a str) -> Result<ProblemSpec, ParseProblemError> {
+    fn run(mut self, input: &'a str) -> Result<ProblemSpec, ParseError> {
         // One token buffer serves every line.
         let mut rest: Vec<&'a str> = Vec::new();
         let mut scanner = Scanner::new(input);
@@ -362,27 +362,22 @@ impl<'a> Parser<'a> {
                 "wcet" => self.wcet(ln, &rest)?,
                 "fix_mapping" => self.fix_mapping(ln, &rest)?,
                 "fix_policy" => self.fix_policy(ln, &rest)?,
-                other => {
-                    return Err(ParseProblemError::new(
-                        ln,
-                        format!("unknown directive {other:?}"),
-                    ))
-                }
+                other => return Err(ParseError::new(ln, format!("unknown directive {other:?}"))),
             }
         }
         self.finish()
     }
 
-    fn architecture(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseProblemError> {
+    fn architecture(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseError> {
         if self.arch.is_some() {
-            return Err(ParseProblemError::with_kind(
+            return Err(ParseError::with_kind(
                 ln,
                 ErrorKind::Duplicate,
                 "duplicate architecture line",
             ));
         }
         if rest.is_empty() {
-            return Err(ParseProblemError::new(
+            return Err(ParseError::new(
                 ln,
                 "architecture needs at least one node name",
             ));
@@ -393,7 +388,7 @@ impl<'a> Parser<'a> {
                 .insert(name, NodeId::new(i as u32))
                 .is_some()
             {
-                return Err(ParseProblemError::with_kind(
+                return Err(ParseError::with_kind(
                     ln,
                     ErrorKind::Duplicate,
                     format!("duplicate node name {name:?}"),
@@ -404,7 +399,7 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn fault_model(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseProblemError> {
+    fn fault_model(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseError> {
         let mut k = None;
         let mut mu = None;
         let mut chi = None;
@@ -418,7 +413,7 @@ impl<'a> Parser<'a> {
                             .ok()
                             .filter(|&k| k <= FaultModel::MAX_K)
                             .ok_or_else(|| {
-                                ParseProblemError::with_kind(
+                                ParseError::with_kind(
                                     ln,
                                     ErrorKind::InvalidValue,
                                     format!(
@@ -431,24 +426,24 @@ impl<'a> Parser<'a> {
                 }
                 "mu" => mu = Some(parse_time(ln, value)?),
                 "chi" => chi = Some(parse_time(ln, value)?),
-                _ => return Err(ParseProblemError::new(ln, format!("unknown key {key:?}"))),
+                _ => return Err(ParseError::new(ln, format!("unknown key {key:?}"))),
             }
         }
-        let k = k.ok_or_else(|| ParseProblemError::new(ln, "fault_model needs k="))?;
-        let mu = mu.ok_or_else(|| ParseProblemError::new(ln, "fault_model needs mu="))?;
+        let k = k.ok_or_else(|| ParseError::new(ln, "fault_model needs k="))?;
+        let mu = mu.ok_or_else(|| ParseError::new(ln, "fault_model needs mu="))?;
         // chi is optional: pre-checkpointing problem files stay valid.
         self.fault_model =
             Some(FaultModel::new(k, mu).with_checkpoint_overhead(chi.unwrap_or_default()));
         Ok(())
     }
 
-    fn bus(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseProblemError> {
+    fn bus(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseError> {
         for tok in rest {
             let (key, value) = split_kv(ln, tok)?;
             match key {
                 "slot_bytes" => {
                     self.bus_slot_bytes = value.parse().map_err(|_| {
-                        ParseProblemError::with_kind(
+                        ParseError::with_kind(
                             ln,
                             ErrorKind::InvalidValue,
                             format!("invalid slot_bytes {value:?}"),
@@ -463,13 +458,13 @@ impl<'a> Parser<'a> {
                         .collect::<Result<Vec<_>, _>>()?;
                     self.bus_order = Some(order);
                 }
-                _ => return Err(ParseProblemError::new(ln, format!("unknown key {key:?}"))),
+                _ => return Err(ParseError::new(ln, format!("unknown key {key:?}"))),
             }
         }
         Ok(())
     }
 
-    fn graph(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseProblemError> {
+    fn graph(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseError> {
         let mut period = None;
         let mut deadline = None;
         for tok in rest {
@@ -477,10 +472,10 @@ impl<'a> Parser<'a> {
             match key {
                 "period" => period = Some(parse_time(ln, value)?),
                 "deadline" => deadline = Some(parse_time(ln, value)?),
-                _ => return Err(ParseProblemError::new(ln, format!("unknown key {key:?}"))),
+                _ => return Err(ParseError::new(ln, format!("unknown key {key:?}"))),
             }
         }
-        let period = period.ok_or_else(|| ParseProblemError::new(ln, "graph needs period="))?;
+        let period = period.ok_or_else(|| ParseError::new(ln, "graph needs period="))?;
         let deadline = deadline.unwrap_or(period);
         self.graphs.push(GraphDraft {
             graph: ProcessGraph::new(GraphId::new(self.graphs.len() as u32)),
@@ -491,15 +486,15 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn current_graph(&mut self, ln: usize) -> Result<&mut GraphDraft<'a>, ParseProblemError> {
+    fn current_graph(&mut self, ln: usize) -> Result<&mut GraphDraft<'a>, ParseError> {
         self.graphs
             .last_mut()
-            .ok_or_else(|| ParseProblemError::new(ln, "directive before any graph"))
+            .ok_or_else(|| ParseError::new(ln, "directive before any graph"))
     }
 
-    fn process(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseProblemError> {
+    fn process(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseError> {
         let Some((&name, opts)) = rest.split_first() else {
-            return Err(ParseProblemError::new(ln, "process needs a name"));
+            return Err(ParseError::new(ln, "process needs a name"));
         };
         let mut release = Time::ZERO;
         let mut deadline = None;
@@ -508,12 +503,12 @@ impl<'a> Parser<'a> {
             match key {
                 "release" => release = parse_time(ln, value)?,
                 "deadline" => deadline = Some(parse_time(ln, value)?),
-                _ => return Err(ParseProblemError::new(ln, format!("unknown key {key:?}"))),
+                _ => return Err(ParseError::new(ln, format!("unknown key {key:?}"))),
             }
         }
         let draft = self.current_graph(ln)?;
         let Entry::Vacant(slot) = draft.names.entry(name) else {
-            return Err(ParseProblemError::with_kind(
+            return Err(ParseError::with_kind(
                 ln,
                 ErrorKind::Duplicate,
                 format!("duplicate process {name:?}"),
@@ -530,9 +525,9 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn edge(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseProblemError> {
+    fn edge(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseError> {
         let [from, to, opts @ ..] = rest else {
-            return Err(ParseProblemError::new(ln, "edge needs <from> <to>"));
+            return Err(ParseError::new(ln, "edge needs <from> <to>"));
         };
         let mut bytes = 1u32;
         for tok in opts {
@@ -540,26 +535,26 @@ impl<'a> Parser<'a> {
             match key {
                 "bytes" => {
                     bytes = value.parse().map_err(|_| {
-                        ParseProblemError::with_kind(
+                        ParseError::with_kind(
                             ln,
                             ErrorKind::InvalidValue,
                             format!("invalid bytes {value:?}"),
                         )
                     })?;
                 }
-                _ => return Err(ParseProblemError::new(ln, format!("unknown key {key:?}"))),
+                _ => return Err(ParseError::new(ln, format!("unknown key {key:?}"))),
             }
         }
         let draft = self.current_graph(ln)?;
         let f = *draft.names.get(*from).ok_or_else(|| {
-            ParseProblemError::with_kind(
+            ParseError::with_kind(
                 ln,
                 ErrorKind::UnknownReference,
                 format!("unknown process {from:?}"),
             )
         })?;
         let t = *draft.names.get(*to).ok_or_else(|| {
-            ParseProblemError::with_kind(
+            ParseError::with_kind(
                 ln,
                 ErrorKind::UnknownReference,
                 format!("unknown process {to:?}"),
@@ -568,16 +563,13 @@ impl<'a> Parser<'a> {
         draft
             .graph
             .add_edge(f, t, Message::new(bytes))
-            .map_err(|e| ParseProblemError::with_kind(ln, ErrorKind::Structure, e.to_string()))?;
+            .map_err(|e| ParseError::with_kind(ln, ErrorKind::Structure, e.to_string()))?;
         Ok(())
     }
 
-    fn wcet(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseProblemError> {
+    fn wcet(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseError> {
         let &[process, node, time] = rest else {
-            return Err(ParseProblemError::new(
-                ln,
-                "wcet needs <process> <node|*> <time>",
-            ));
+            return Err(ParseError::new(ln, "wcet needs <process> <node|*> <time>"));
         };
         let t = parse_time(ln, time)?;
         let node = (node != "*").then_some(node);
@@ -585,31 +577,25 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn fix_mapping(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseProblemError> {
+    fn fix_mapping(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseError> {
         let &[process, node] = rest else {
-            return Err(ParseProblemError::new(
-                ln,
-                "fix_mapping needs <process> <node>",
-            ));
+            return Err(ParseError::new(ln, "fix_mapping needs <process> <node>"));
         };
         self.fixed_mappings.push((ln, process, node));
         Ok(())
     }
 
-    fn fix_policy(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseProblemError> {
+    fn fix_policy(&mut self, ln: usize, rest: &[&'a str]) -> Result<(), ParseError> {
         let &[process, policy] = rest else {
-            return Err(ParseProblemError::new(
-                ln,
-                "fix_policy needs <process> <policy>",
-            ));
+            return Err(ParseError::new(ln, "fix_policy needs <process> <policy>"));
         };
         self.fixed_policies.push((ln, process, policy));
         Ok(())
     }
 
-    fn node(&self, ln: usize, name: &str) -> Result<NodeId, ParseProblemError> {
+    fn node(&self, ln: usize, name: &str) -> Result<NodeId, ParseError> {
         self.node_names.get(name).copied().ok_or_else(|| {
-            ParseProblemError::with_kind(
+            ParseError::with_kind(
                 ln,
                 ErrorKind::UnknownReference,
                 format!("unknown node {name:?}"),
@@ -618,12 +604,12 @@ impl<'a> Parser<'a> {
     }
 
     /// Finds the unique graph declaring `name`.
-    fn resolve(&self, ln: usize, name: &str) -> Result<(usize, ProcessId), ParseProblemError> {
+    fn resolve(&self, ln: usize, name: &str) -> Result<(usize, ProcessId), ParseError> {
         let mut found = None;
         for (gi, draft) in self.graphs.iter().enumerate() {
             if let Some(&p) = draft.names.get(name) {
                 if found.is_some() {
-                    return Err(ParseProblemError::with_kind(
+                    return Err(ParseError::with_kind(
                         ln,
                         ErrorKind::Duplicate,
                         format!("process name {name:?} is ambiguous across graphs"),
@@ -633,7 +619,7 @@ impl<'a> Parser<'a> {
             }
         }
         found.ok_or_else(|| {
-            ParseProblemError::with_kind(
+            ParseError::with_kind(
                 ln,
                 ErrorKind::UnknownReference,
                 format!("unknown process {name:?}"),
@@ -641,16 +627,16 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn finish(mut self) -> Result<ProblemSpec, ParseProblemError> {
+    fn finish(mut self) -> Result<ProblemSpec, ParseError> {
         let arch = self
             .arch
             .take()
-            .ok_or_else(|| ParseProblemError::new(0, "missing architecture directive"))?;
+            .ok_or_else(|| ParseError::new(0, "missing architecture directive"))?;
         let fault_model = self
             .fault_model
-            .ok_or_else(|| ParseProblemError::new(0, "missing fault_model directive"))?;
+            .ok_or_else(|| ParseError::new(0, "missing fault_model directive"))?;
         if self.graphs.is_empty() {
-            return Err(ParseProblemError::new(0, "missing graph directive"));
+            return Err(ParseError::new(0, "missing graph directive"));
         }
 
         // A `wcet <process> *` line fills a row of every node: bound
@@ -678,7 +664,7 @@ impl<'a> Parser<'a> {
             // A pair gets one WCET: a second line for it, by name or
             // through `*`, is a duplicate rather than an override.
             let duplicate = |n: NodeId| {
-                ParseProblemError::with_kind(
+                ParseError::with_kind(
                     ln,
                     ErrorKind::Duplicate,
                     format!(
@@ -736,7 +722,7 @@ impl<'a> Parser<'a> {
             Some(order) => BusConfig::with_order(order, slot_bytes, byte_time),
             None => BusConfig::initial(&arch, slot_bytes, byte_time),
         }
-        .map_err(|e| ParseProblemError::with_kind(0, ErrorKind::Structure, e.to_string()))?;
+        .map_err(|e| ParseError::with_kind(0, ErrorKind::Structure, e.to_string()))?;
 
         // Constraints: a process takes one `fix_mapping` and one
         // `fix_policy` line; a second is a duplicate rather than an
@@ -761,7 +747,7 @@ impl<'a> Parser<'a> {
                 "reexecution" => PolicyConstraint::Reexecution,
                 "replication" => PolicyConstraint::Replication,
                 other => {
-                    return Err(ParseProblemError::with_kind(
+                    return Err(ParseError::with_kind(
                         ln,
                         ErrorKind::InvalidValue,
                         format!("unknown policy {other:?} (use reexecution or replication)"),
@@ -791,20 +777,20 @@ impl<'a> Parser<'a> {
 
 /// A second `directive` line at `ln` for `process`, whose first is at
 /// line `first`.
-fn duplicate_fix(directive: &str, process: &str, ln: usize, first: usize) -> ParseProblemError {
-    ParseProblemError::with_kind(
+fn duplicate_fix(directive: &str, process: &str, ln: usize, first: usize) -> ParseError {
+    ParseError::with_kind(
         ln,
         ErrorKind::Duplicate,
         format!("duplicate {directive} for process {process:?} (first at line {first})"),
     )
 }
 
-fn split_kv(ln: usize, tok: &str) -> Result<(&str, &str), ParseProblemError> {
+fn split_kv(ln: usize, tok: &str) -> Result<(&str, &str), ParseError> {
     tok.split_once('=')
-        .ok_or_else(|| ParseProblemError::new(ln, format!("expected key=value, got {tok:?}")))
+        .ok_or_else(|| ParseError::new(ln, format!("expected key=value, got {tok:?}")))
 }
 
-fn parse_time(ln: usize, value: &str) -> Result<Time, ParseProblemError> {
+fn parse_time(ln: usize, value: &str) -> Result<Time, ParseError> {
     let (digits, scale) = if let Some(v) = value.strip_suffix("us") {
         (v, 1u64)
     } else if let Some(v) = value.strip_suffix("ms") {
@@ -816,14 +802,14 @@ fn parse_time(ln: usize, value: &str) -> Result<Time, ParseProblemError> {
     // "NaN", "inf") outright; the multiply is checked so a hostile
     // magnitude is an error, not a wrap-around.
     let n: u64 = digits.parse().map_err(|_| {
-        ParseProblemError::with_kind(
+        ParseError::with_kind(
             ln,
             ErrorKind::InvalidValue,
             format!("invalid time {value:?}"),
         )
     })?;
     let us = n.checked_mul(scale).ok_or_else(|| {
-        ParseProblemError::with_kind(ln, ErrorKind::Overflow, format!("time {value:?} overflows"))
+        ParseError::with_kind(ln, ErrorKind::Overflow, format!("time {value:?} overflows"))
     })?;
     Ok(Time::from_us(us))
 }

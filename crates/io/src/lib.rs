@@ -48,8 +48,8 @@ pub mod write;
 pub use delta::{
     parse_delta, parse_delta_op, parse_delta_op_with, parse_delta_with, DeltaNames, ParseDeltaError,
 };
-pub use error::{ErrorKind, ParseProblemError};
+pub use error::{ErrorKind, ParseError};
 pub use format::{parse_problem, ProblemSpec};
 pub use report::{solution_report, to_json, SolutionReport};
-pub use sweep::{parse_sweep, ParseSweepError};
+pub use sweep::parse_sweep;
 pub use write::write_problem;

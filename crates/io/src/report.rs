@@ -200,12 +200,12 @@ pub fn solution_report(
 
 /// Serializes a report to pretty JSON.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Never panics: the report contains no non-string map keys.
-#[must_use]
-pub fn to_json(report: &SolutionReport) -> String {
-    serde_json::to_string_pretty(report).expect("report serializes")
+/// The serializer's error; a report has only string map keys, so
+/// none is expected.
+pub fn to_json(report: &SolutionReport) -> Result<String, serde_json::Error> {
+    serde_json::to_string_pretty(report)
 }
 
 #[cfg(test)]
@@ -246,7 +246,7 @@ mod tests {
         assert_eq!(report.strategy, "MXR");
         assert_eq!(report.processes.len(), 2);
         assert_eq!(report.node_tables.len(), 2);
-        let json = to_json(&report);
+        let json = to_json(&report).unwrap();
         assert!(json.contains("\"acq\""));
         assert!(json.contains("\"ECU1\""));
         // The JSON parses back as a generic value.

@@ -33,9 +33,11 @@
 //! χ and repair sweeps CI publishes as `BENCH_cptable.json` and
 //! `BENCH_repair.json`.
 //!
-//! Malformed input comes back as a structured [`ParseSweepError`]
-//! carrying the same [`ErrorKind`] taxonomy as the problem-file
-//! parser — never a panic, never a silently defaulted knob:
+//! A spec reads like a problem file: the same scanner splits it into
+//! tokens, so `#` starts a comment anywhere on a line. Malformed input
+//! comes back as the problem-file parser's [`ParseError`], with the
+//! same [`ErrorKind`] taxonomy — never a panic, never a silently
+//! defaulted knob:
 //!
 //! * unknown key / missing value / missing header — [`ErrorKind::Syntax`],
 //! * a value that does not parse as an unsigned integer or a
@@ -66,45 +68,14 @@
 //! // Per row: one generate and one optimize each for NFT and MXR;
 //! // plus the aggregate.
 //! assert_eq!(spec.jobs().len(), 3 * 3 + 1);
-//! # Ok::<(), ftdes_io::sweep::ParseSweepError>(())
+//! # Ok::<(), ftdes_io::ParseError>(())
 //! ```
 
-use std::error::Error;
-use std::fmt;
-
-use ftdes_bench::jobs::{parse_strategy, ChiSweep, OverheadSweep, RepairSweep, SweepSpec};
+use ftdes_bench::jobs::{ChiSweep, OverheadSweep, RepairSweep, SweepSpec};
 use ftdes_core::Strategy;
 
-use crate::error::ErrorKind;
-
-/// A sweep-spec parse error with its line number and classification.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseSweepError {
-    /// 1-based line where the error occurred (0 = whole file).
-    pub line: usize,
-    /// Why the input was rejected.
-    pub kind: ErrorKind,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl ParseSweepError {
-    fn new(line: usize, kind: ErrorKind, message: impl Into<String>) -> Self {
-        ParseSweepError {
-            line,
-            kind,
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for ParseSweepError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl Error for ParseSweepError {}
+use crate::error::{ErrorKind, ParseError};
+use crate::format::Scanner;
 
 /// The `sweep overhead` defaults: one row of 20 processes on 2 nodes
 /// with k = 3 and µ = 5 ms (Table 1a's first row), five seeds, and
@@ -175,42 +146,28 @@ const KINDS: [(&str, &str); 3] = [
 ///
 /// # Errors
 ///
-/// A [`ParseSweepError`] with the offending line and an
-/// [`ErrorKind`] classification (see the module docs for the
-/// taxonomy).
-pub fn parse_sweep(text: &str) -> Result<SweepSpec, ParseSweepError> {
-    let mut lines = content_lines(text);
-    let Some((header_no, header)) = lines.next() else {
-        return Err(ParseSweepError::new(
-            0,
-            ErrorKind::Syntax,
-            "empty spec: expected a `sweep overhead|chi|repair` header",
-        ));
+/// A [`ParseError`] with the offending line and an [`ErrorKind`]
+/// classification (see the module docs for the taxonomy).
+pub fn parse_sweep(text: &str) -> Result<SweepSpec, ParseError> {
+    let mut scanner = Scanner::new(text);
+    let mut values = Vec::new();
+    let header = scanner.next_line(&mut values);
+    let (header_no, kind) = match (header, values.as_slice()) {
+        (Some((no, "sweep")), &[kind]) => (no, kind),
+        (header, _) => {
+            return Err(ParseError::with_kind(
+                header.map_or(0, |(no, _)| no),
+                ErrorKind::Syntax,
+                "expected a `sweep overhead|chi|repair` header first",
+            ))
+        }
     };
-    let mut header_tokens = header.split_whitespace();
-    if header_tokens.next() != Some("sweep") {
-        return Err(ParseSweepError::new(
-            header_no,
-            ErrorKind::Syntax,
-            format!("expected `sweep overhead|chi|repair` header, found {header:?}"),
-        ));
-    }
-    let kind = header_tokens.next().ok_or_else(|| {
-        ParseSweepError::new(header_no, ErrorKind::Syntax, "`sweep` needs a kind")
-    })?;
-    if header_tokens.next().is_some() {
-        return Err(ParseSweepError::new(
-            header_no,
-            ErrorKind::Syntax,
-            "`sweep` takes exactly one kind",
-        ));
-    }
     let mut spec = match kind {
         "overhead" => SweepSpec::Overhead(default_overhead()),
         "chi" => SweepSpec::Chi(default_chi()),
         "repair" => SweepSpec::Repair(default_repair()),
         other => {
-            return Err(ParseSweepError::new(
+            return Err(ParseError::with_kind(
                 header_no,
                 ErrorKind::InvalidValue,
                 format!("unknown sweep kind {other:?} (overhead | chi | repair)"),
@@ -218,39 +175,28 @@ pub fn parse_sweep(text: &str) -> Result<SweepSpec, ParseSweepError> {
         }
     };
 
-    let mut seen: Vec<String> = Vec::new();
-    for (no, line) in lines {
-        let mut tokens = line.split_whitespace();
-        let Some(key) = tokens.next() else { continue };
-        let values: Vec<&str> = tokens.collect();
+    let mut seen: Vec<&str> = Vec::new();
+    while let Some((no, key)) = scanner.next_line(&mut values) {
         check_key(spec.name(), key, no)?;
-        if seen.iter().any(|s| s == key) {
-            return Err(ParseSweepError::new(
+        if seen.contains(&key) {
+            return Err(ParseError::with_kind(
                 no,
                 ErrorKind::Duplicate,
                 format!("key {key:?} given twice"),
             ));
         }
-        seen.push(key.to_owned());
+        seen.push(key);
         apply_key(&mut spec, key, &values, no)?;
     }
 
     spec.validate()
-        .map_err(|message| ParseSweepError::new(0, ErrorKind::Structure, message))?;
+        .map_err(|message| ParseError::with_kind(0, ErrorKind::Structure, message))?;
     Ok(spec)
-}
-
-/// Numbered non-blank, non-comment lines.
-fn content_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
-    text.lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, l.trim()))
-        .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'))
 }
 
 /// Rejects keys the spec kind does not have, distinguishing "belongs
 /// to another sweep kind" from "no sweep has this".
-fn check_key(kind: &str, key: &str, no: usize) -> Result<(), ParseSweepError> {
+fn check_key(kind: &str, key: &str, no: usize) -> Result<(), ParseError> {
     let has_key = |keys: &str| keys.split_whitespace().any(|k| k == key);
     let own = KINDS
         .iter()
@@ -265,13 +211,13 @@ fn check_key(kind: &str, key: &str, no: usize) -> Result<(), ParseSweepError> {
         .map(|(name, _)| format!("`sweep {name}`"))
         .collect();
     if !others.is_empty() {
-        return Err(ParseSweepError::new(
+        return Err(ParseError::with_kind(
             no,
             ErrorKind::UnknownReference,
             format!("key {key:?} only applies to {}", others.join(" or ")),
         ));
     }
-    Err(ParseSweepError::new(
+    Err(ParseError::with_kind(
         no,
         ErrorKind::Syntax,
         format!("unknown key {key:?} (expected one of: {own})"),
@@ -283,7 +229,7 @@ fn apply_key(
     key: &str,
     values: &[&str],
     no: usize,
-) -> Result<(), ParseSweepError> {
+) -> Result<(), ParseError> {
     let slot = match spec {
         SweepSpec::Overhead(s) => match key {
             "processes" => return set_list(&mut s.processes, key, values, no),
@@ -333,9 +279,9 @@ fn apply_key(
 }
 
 /// The values of a list key: one or more.
-fn list<'v>(key: &str, values: &'v [&'v str], no: usize) -> Result<&'v [&'v str], ParseSweepError> {
+fn list<'v>(key: &str, values: &'v [&'v str], no: usize) -> Result<&'v [&'v str], ParseError> {
     if values.is_empty() {
-        return Err(ParseSweepError::new(
+        return Err(ParseError::with_kind(
             no,
             ErrorKind::Syntax,
             format!("{key} needs at least one value"),
@@ -345,9 +291,9 @@ fn list<'v>(key: &str, values: &'v [&'v str], no: usize) -> Result<&'v [&'v str]
 }
 
 /// The value of a single-valued key.
-fn one<'v>(key: &str, values: &[&'v str], no: usize) -> Result<&'v str, ParseSweepError> {
+fn one<'v>(key: &str, values: &[&'v str], no: usize) -> Result<&'v str, ParseError> {
     let &[value] = values else {
-        return Err(ParseSweepError::new(
+        return Err(ParseError::with_kind(
             no,
             ErrorKind::Syntax,
             format!("key {key:?} expects exactly one value"),
@@ -357,12 +303,7 @@ fn one<'v>(key: &str, values: &[&'v str], no: usize) -> Result<&'v str, ParseSwe
 }
 
 /// Parses an integer list key into `slot`.
-fn set_list(
-    slot: &mut Vec<u64>,
-    key: &str,
-    values: &[&str],
-    no: usize,
-) -> Result<(), ParseSweepError> {
+fn set_list(slot: &mut Vec<u64>, key: &str, values: &[&str], no: usize) -> Result<(), ParseError> {
     *slot = list(key, values, no)?
         .iter()
         .map(|v| parse_u64(v, key, no))
@@ -370,23 +311,24 @@ fn set_list(
     Ok(())
 }
 
-fn strategy(token: &str, key: &str, no: usize) -> Result<Strategy, ParseSweepError> {
-    parse_strategy(token)
-        .map_err(|e| ParseSweepError::new(no, ErrorKind::InvalidValue, format!("{key}: {e}")))
+fn strategy(token: &str, key: &str, no: usize) -> Result<Strategy, ParseError> {
+    token
+        .parse()
+        .map_err(|e| ParseError::with_kind(no, ErrorKind::InvalidValue, format!("{key}: {e}")))
 }
 
 /// `u64` with the Overflow/InvalidValue distinction: a pure digit
 /// string that fails to parse can only have overflowed.
-fn parse_u64(token: &str, key: &str, no: usize) -> Result<u64, ParseSweepError> {
+fn parse_u64(token: &str, key: &str, no: usize) -> Result<u64, ParseError> {
     token.parse::<u64>().map_err(|_| {
         if !token.is_empty() && token.bytes().all(|b| b.is_ascii_digit()) {
-            ParseSweepError::new(
+            ParseError::with_kind(
                 no,
                 ErrorKind::Overflow,
                 format!("{key}: value {token:?} overflows u64"),
             )
         } else {
-            ParseSweepError::new(
+            ParseError::with_kind(
                 no,
                 ErrorKind::InvalidValue,
                 format!("{key}: expected an unsigned integer, found {token:?}"),
@@ -419,6 +361,17 @@ mod tests {
             panic!("wrong kind")
         };
         assert_eq!(s.seeds, 2);
+    }
+
+    #[test]
+    fn a_comment_may_end_any_line() {
+        let spec =
+            parse_sweep("sweep chi # the χ table\nseeds 1 # one seed\nchi_permille 10 20#x\n")
+                .expect("parses");
+        let SweepSpec::Chi(s) = spec else {
+            panic!("wrong kind")
+        };
+        assert_eq!((s.seeds, s.chi_permille), (1, vec![10, 20]));
     }
 
     #[test]

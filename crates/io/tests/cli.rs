@@ -382,6 +382,51 @@ fn family_float_flags_are_usage_errors() {
 }
 
 #[test]
+fn family_flags_below_their_minimum_are_usage_errors() {
+    // An empty application or architecture, and an unknown family,
+    // are refused naming the flag instead of aborting the generator.
+    for command in ["info", "solve"] {
+        for family in ["paper", "comm-heavy"] {
+            for (flag, value, expected) in [
+                ("--procs", "0", "invalid --procs: 0 (at least 1)"),
+                ("--nodes", "0", "invalid --nodes: 0 (at least 1)"),
+            ] {
+                let out = ftdes(&[
+                    command,
+                    "--family",
+                    family,
+                    "--procs",
+                    "4",
+                    "--nodes",
+                    "2",
+                    flag,
+                    value,
+                    "--time-ms",
+                    "50",
+                ]);
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(
+                    out.status.code(),
+                    Some(2),
+                    "{command} {family} {flag}: {stderr}"
+                );
+                assert!(stderr.contains(expected), "{command} {family}: {stderr}");
+            }
+        }
+        let out = ftdes(&[command, "--family", "foo", "--procs", "4"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command}: {stderr}");
+        assert!(
+            stderr.contains("--family: unknown family \"foo\""),
+            "{command}: {stderr}"
+        );
+    }
+    // Both spellings of the comm-heavy family read the same instance.
+    let info = |family| ftdes(&["info", "--family", family, "--procs", "8"]).stdout;
+    assert_eq!(info("comm-heavy"), info("comm_heavy"));
+}
+
+#[test]
 fn count_flags_past_their_maximum_are_usage_errors() {
     // Each maximum + 1 only: a missing check must not be able to
     // allocate without bound or spawn thousands of threads.

@@ -1,11 +1,11 @@
 //! Malformed-input matrix for the problem-file parser.
 //!
 //! Every case here is hostile or corrupt input that must come back as
-//! a structured [`ParseProblemError`] — never a panic, never a
+//! a structured [`ParseError`] — never a panic, never a
 //! silently wrong model. Cases assert the error *kind* so regressions
 //! in classification are caught, not just rejection.
 
-use ftdes_io::{parse_problem, ErrorKind};
+use ftdes_io::{parse_problem, ErrorKind, ParseError};
 
 /// A valid prefix that cases below corrupt one line at a time.
 const VALID: &str = "
@@ -19,7 +19,7 @@ wcet x * 1ms
 wcet y * 1ms
 ";
 
-fn parse_err(text: &str) -> ftdes_io::ParseProblemError {
+fn parse_err(text: &str) -> ParseError {
     match parse_problem(text) {
         Err(e) => e,
         Ok(spec) => match spec.into_problem() {
@@ -416,13 +416,13 @@ fn errors_carry_the_offending_line() {
 
 // ---------------------------------------------------------------
 // Sweep-spec parser: the same contract, the same taxonomy. Hostile
-// sweep specs come back as structured `ParseSweepError`s — never a
+// sweep specs come back as the same structured `ParseError` — never a
 // panic, never a silently defaulted knob.
 // ---------------------------------------------------------------
 
-use ftdes_io::sweep::{parse_sweep, ParseSweepError};
+use ftdes_io::sweep::parse_sweep;
 
-fn sweep_err(text: &str) -> ParseSweepError {
+fn sweep_err(text: &str) -> ParseError {
     match parse_sweep(text) {
         Err(e) => e,
         Ok(spec) => panic!("malformed sweep spec accepted as {spec:?}:\n{text}"),

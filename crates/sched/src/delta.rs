@@ -463,7 +463,7 @@ pub(crate) fn execute(
             order[t as usize]
         };
         if affected[p.index()] {
-            place_process(p, graph, cand, bus, k, mu, options, core, &mut CostOnly)?;
+            place_process(p, graph, cand, bus, k, mu, core, &mut CostOnly)?;
             if let Some(b) = bound {
                 for &sid in cand.of_process(p) {
                     let inst = cand.instance(sid);

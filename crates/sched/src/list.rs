@@ -99,12 +99,6 @@ impl NodeScratch {
 /// Scheduler switches, mainly for ablation studies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduleOptions {
-    /// Share one re-execution slack region per node between all its
-    /// processes (paper Fig. 3b). Disabling it makes every process
-    /// reserve its own full recovery window — the naive baseline the
-    /// paper improves on; worst-case lengths grow, soundness is
-    /// preserved.
-    pub slack_sharing: bool,
     /// The bus-slot booking structure: the legacy flat tail scan
     /// (PR 2) or the bit-packed saturation bitmap (default) — see
     /// [`OccupancyBackend`]. Pure throughput knob — both backends
@@ -138,7 +132,6 @@ pub struct ScheduleOptions {
 impl Default for ScheduleOptions {
     fn default() -> Self {
         ScheduleOptions {
-            slack_sharing: true,
             occupancy: OccupancyBackend::default(),
             priority: PriorityStrategy::default(),
             suffix_splice: true,
@@ -317,7 +310,7 @@ impl PlacementSink for Materialize {
 }
 
 /// Builds the static fault-tolerant schedule for `design` with the
-/// default options (slack sharing on — the paper's scheduler).
+/// default options.
 ///
 /// This is the `ListScheduling` of the paper's Fig. 6/9.
 ///
@@ -667,7 +660,7 @@ pub(crate) fn drive_placement<S: PlacementSink>(
 
     while let Some(pos) = select_best(&scratch.ready, priorities) {
         let p = scratch.ready.swap_remove(pos);
-        place_process(p, graph, expanded, bus, k, mu, options, scratch, sink)?;
+        place_process(p, graph, expanded, bus, k, mu, scratch, sink)?;
         scheduled += 1;
         for s in graph.successors_of(p) {
             scratch.remaining_preds[s.index()] -= 1;
@@ -916,17 +909,9 @@ pub(crate) fn place_process<S: PlacementSink>(
     bus: &BusConfig,
     k: u32,
     mu: Time,
-    options: ScheduleOptions,
     scratch: &mut SchedScratch,
     sink: &mut S,
 ) -> Result<(), SchedError> {
-    let delay = |slack: &SlackAccount, budget: u32| {
-        if options.slack_sharing {
-            slack.worst_delay_surviving(budget, mu)
-        } else {
-            slack.unshared_delay_surviving(budget, mu)
-        }
-    };
     let release = graph.process(p).release;
     for &sid in expanded.of_process(p) {
         let inst = *expanded.instance(sid);
@@ -1027,7 +1012,7 @@ pub(crate) fn place_process<S: PlacementSink>(
 
         // --- Worst-case finish. ---
         ns.slack.register(sid, inst.recovery, inst.budget);
-        let dk = delay(&ns.slack, k);
+        let dk = ns.slack.worst_delay_surviving(k, mu);
         ns.delay_k = dk;
         let mut f_wc = f_ff + dk;
         let mut wc_binding = WcBinding::Local;
@@ -1035,7 +1020,7 @@ pub(crate) fn place_process<S: PlacementSink>(
 
         for sc in &scratch.scenarios {
             let raw = sc.time.max(s_ff + sc.local_kill_delay) + inst.exec;
-            let value = raw + delay(&ns.slack, k - sc.spent);
+            let value = raw + ns.slack.worst_delay_surviving(k - sc.spent, mu);
             if value > f_wc {
                 f_wc = value;
                 wc_binding = WcBinding::Scenario {
@@ -1052,7 +1037,7 @@ pub(crate) fn place_process<S: PlacementSink>(
         }
         for entry in &ns.frontier {
             let raw = entry.finish.max(s_ff) + inst.exec;
-            let value = raw + delay(&ns.slack, k - entry.spent);
+            let value = raw + ns.slack.worst_delay_surviving(k - entry.spent, mu);
             if value > f_wc {
                 f_wc = value;
                 wc_binding = WcBinding::Chained;

@@ -115,28 +115,6 @@ impl SlackAccount {
         delay + mu * remaining.min(self.instance_count.saturating_sub(1))
     }
 
-    /// The worst-case delay *without* slack sharing: every instance
-    /// in the account reserves its own full recovery window —
-    /// `min(e, k)` re-runs plus its death overhead — regardless of
-    /// the global fault budget. This is the naive per-process slack
-    /// the paper's Fig. 3b improves upon; it always dominates
-    /// [`SlackAccount::worst_delay`], so schedules built with it stay
-    /// sound (just longer).
-    #[must_use]
-    pub fn unshared_delay_surviving(&self, k: u32, mu: Time) -> Time {
-        if k == 0 {
-            return Time::ZERO;
-        }
-        let mut delay = Time::ZERO;
-        // Re-executable instances: own re-runs, each capped by k.
-        for &(c, e, _) in &self.entries {
-            delay += (c + mu) * u64::from(e.min(k));
-        }
-        // Every *other* instance additionally reserves its death
-        // overhead (the surviving instance cannot die).
-        delay + mu * self.instance_count.saturating_sub(1)
-    }
-
     /// The instance contributing the largest per-fault cost — a prime
     /// candidate for optimization moves on the critical path.
     #[must_use]
@@ -231,27 +209,6 @@ mod tests {
         // fewer.
         assert_eq!(acc.worst_delay_surviving(3, ms(5)), ms(30));
         assert_eq!(acc.worst_delay_surviving(9, ms(5)), ms(30));
-    }
-
-    #[test]
-    fn unshared_reserve_dominates_shared() {
-        let mut acc = SlackAccount::new();
-        acc.register(id(0), ms(40), 1);
-        acc.register(id(1), ms(60), 1);
-        acc.register(id(2), ms(100), 0);
-        for k in 0..5 {
-            assert!(
-                acc.unshared_delay_surviving(k, ms(10)) >= acc.worst_delay_surviving(k, ms(10)),
-                "k = {k}"
-            );
-        }
-        // k = 1, sharing: one slack of 60 + 10 covers everything.
-        assert_eq!(acc.worst_delay_surviving(1, ms(10)), ms(70));
-        // Without sharing: both re-executables reserve their own
-        // window (50 + 70) plus two foreign death overheads.
-        assert_eq!(acc.unshared_delay_surviving(1, ms(10)), ms(50 + 70 + 20));
-        // k = 0 reserves nothing either way.
-        assert_eq!(acc.unshared_delay_surviving(0, ms(10)), Time::ZERO);
     }
 
     #[test]

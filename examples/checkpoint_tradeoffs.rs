@@ -26,9 +26,7 @@ use std::time::Duration;
 use ftdes::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let arch = Architecture::with_node_count(3);
-    let workload = paper_workload(20, &arch, 11);
-    let bus = BusConfig::initial(&arch, 4, Time::from_us(2_500))?;
+    let request = InstanceRequest::new(Family::Paper, 20, 3, 2, Time::from_ms(5), 11);
     let cfg = SearchConfig {
         goal: Goal::MinimizeLength,
         time_limit: Some(Duration::from_millis(150)),
@@ -44,15 +42,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // χ = 0 disables the axis (free checkpoints would degenerate the
     // trade-off); the reference row is the paper's original mix.
     for chi_ms in [0u64, 1, 5, 25] {
-        let fm =
-            FaultModel::new(2, Time::from_ms(5)).with_checkpoint_overhead(Time::from_ms(chi_ms));
-        let problem = Problem::new(
-            workload.graph.clone(),
-            arch.clone(),
-            workload.wcet.clone(),
-            fm,
-            bus.clone(),
-        );
+        let problem = InstanceRequest {
+            chi: Time::from_ms(chi_ms),
+            ..request.clone()
+        }
+        .build()?;
         let outcome = optimize(&problem, Strategy::Mxr, &cfg)?;
         let (mut rex, mut cp, mut rep, mut mixed) = (0, 0, 0, 0);
         for (_, d) in outcome.design.iter() {

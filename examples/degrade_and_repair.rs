@@ -22,19 +22,7 @@ use std::time::Duration;
 use ftdes::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let arch = Architecture::with_node_count(4);
-    let workload = paper_workload(12, &arch, 42);
-    let largest = workload
-        .graph
-        .edges()
-        .iter()
-        .map(|e| e.message.size)
-        .max()
-        .unwrap_or(1)
-        .max(1);
-    let bus = BusConfig::initial(&arch, largest, Time::from_us(2_500))?;
-    let fm = FaultModel::new(1, Time::from_ms(5));
-    let problem = Problem::new(workload.graph, arch, workload.wcet, fm, bus);
+    let problem = InstanceRequest::new(Family::Paper, 12, 4, 1, Time::from_ms(5), 42).build()?;
 
     let cfg = SearchConfig {
         goal: Goal::MinimizeLength,

@@ -12,9 +12,7 @@
 use ftdes::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let arch = Architecture::with_node_count(3);
-    let workload = paper_workload(18, &arch, 11);
-    let bus = BusConfig::initial(&arch, 4, Time::from_us(2_500))?;
+    let problem = |k| InstanceRequest::new(Family::Paper, 18, 3, k, Time::from_ms(5), 11).build();
 
     let cfg = SearchConfig {
         goal: Goal::MinimizeLength,
@@ -22,14 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // NFT reference is independent of k.
-    let nft_problem = Problem::new(
-        workload.graph.clone(),
-        arch.clone(),
-        workload.wcet.clone(),
-        FaultModel::none(),
-        bus.clone(),
-    );
-    let nft = optimize(&nft_problem, Strategy::Mxr, &cfg)?;
+    let nft = optimize(&problem(0)?, Strategy::Nft, &cfg)?;
     println!("NFT reference delay: {}\n", nft.length());
     println!(
         "{:>2} | {:>10} | {:>9} | {:>12} | {:>10}",
@@ -37,15 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("{}", "-".repeat(56));
 
-    for k in 0..=4u32 {
-        let fm = FaultModel::new(k, Time::from_ms(5));
-        let problem = Problem::new(
-            workload.graph.clone(),
-            arch.clone(),
-            workload.wcet.clone(),
-            fm,
-            bus.clone(),
-        );
+    for k in 0..=4 {
+        let problem = problem(k)?;
         let outcome = optimize(&problem, Strategy::Mxr, &cfg)?;
         let pure_rex = outcome
             .design

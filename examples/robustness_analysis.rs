@@ -15,11 +15,7 @@ use ftdes::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 16-process application on three nodes tolerating two faults.
-    let arch = Architecture::with_node_count(3);
-    let workload = paper_workload(16, &arch, 42);
-    let fm = FaultModel::new(2, Time::from_ms(5));
-    let bus = BusConfig::initial(&arch, 4, Time::from_us(2_500))?;
-    let problem = Problem::new(workload.graph.clone(), arch, workload.wcet, fm, bus);
+    let problem = InstanceRequest::new(Family::Paper, 16, 3, 2, Time::from_ms(5), 42).build()?;
 
     let outcome = optimize(
         &problem,

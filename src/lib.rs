@@ -33,7 +33,9 @@
 //!   *resume ≡ uncrashed, bit-identical*,
 //! * [`mod@bench`] — the experiment harness: the sweep-job adapters
 //!   that map the paper's tables and the χ and repair studies onto
-//!   [`serve`] job DAGs, and the problem generators perfgate shares.
+//!   [`serve`] job DAGs, and the one generated-instance request
+//!   (`InstanceRequest`) the CLI, the sweep jobs and perfgate build
+//!   their problems through.
 //!
 //! # Quickstart
 //!
@@ -77,6 +79,7 @@ pub use ftdes_ttp as ttp;
 
 /// One-stop imports for applications using the library.
 pub mod prelude {
+    pub use ftdes_bench::{Family, InstanceRequest};
     pub use ftdes_core::prelude::*;
     pub use ftdes_faultsim::{
         adversarial_scenario, degrade_and_repair, degrade_and_repair_adversarial,

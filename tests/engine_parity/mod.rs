@@ -36,7 +36,7 @@
 //! `tests/occupancy_parity.rs` (booking backend, portfolio); the
 //! paper's Table 1 instance rides along in the incremental walks.
 
-use ftdes::bench::{comm_heavy_problem_with, synthetic_problem};
+use ftdes::bench::{Family, InstanceRequest};
 use ftdes::core::initial::initial_mpa;
 use ftdes::core::moves::MoveTable;
 use ftdes::core::{
@@ -59,7 +59,9 @@ const PRIORITIES: [PriorityStrategy; 2] = [
 
 /// A paper-family instance with µ = 5 ms.
 pub fn paper(processes: usize, nodes: usize, k: u32, seed: u64) -> Problem {
-    synthetic_problem(processes, nodes, k, MU, seed)
+    InstanceRequest::new(Family::Paper, processes, nodes, k.into(), MU, seed)
+        .build()
+        .unwrap()
 }
 
 /// A paper instance with χ = 2 ms and the checkpoint move axis open:
@@ -73,9 +75,23 @@ fn checkpointed(processes: usize, nodes: usize, k: u32, seed: u64) -> Problem {
     problem.with_fault_model(fm).with_max_checkpoints(3)
 }
 
-/// A communication-heavy instance with µ = 5 ms.
+/// A communication-heavy instance with µ = 5 ms, at the edge density
+/// and message/WCET ratio of `params`.
 pub fn comm(params: &CommHeavyParams, nodes: usize, k: u32, seed: u64) -> Problem {
-    comm_heavy_problem_with(params, nodes, k, MU, seed)
+    InstanceRequest {
+        edge_density: params.edge_density,
+        msg_wcet_ratio: params.msg_wcet_ratio,
+        ..InstanceRequest::new(
+            Family::CommHeavy,
+            params.processes,
+            nodes,
+            k.into(),
+            MU,
+            seed,
+        )
+    }
+    .build()
+    .unwrap()
 }
 
 /// A labelled instance and the number of applied moves its candidate

@@ -21,12 +21,11 @@
 
 use std::time::Duration;
 
-use ftdes::bench::{comm_heavy_problem_with, iteration_config, synthetic_problem};
+use ftdes::bench::{iteration_config, Family, InstanceRequest};
 use ftdes::core::cache::design_fingerprint;
 use ftdes::core::repair::{repair, RepairBudget, RepairOutcome, RungStatus};
 use ftdes::core::{optimize, Goal, Problem, SearchConfig, Strategy};
 use ftdes::faultsim::most_loaded_node;
-use ftdes::gen::CommHeavyParams;
 use ftdes::model::delta::ProblemDelta;
 use ftdes::model::prelude::*;
 
@@ -128,9 +127,13 @@ fn deltas(heaviest: NodeId) -> [(&'static str, ProblemDelta); 4] {
 #[test]
 fn repair_outcomes_are_pinned() {
     let mu = Time::from_ms(5);
-    let paper = synthetic_problem(14, 4, 1, mu, 2);
+    let paper = InstanceRequest::new(Family::Paper, 14, 4, 1, mu, 2)
+        .build()
+        .unwrap();
     let tight = with_deadline(&paper, Time::from_ms(DEADLINE_MS));
-    let comm = comm_heavy_problem_with(&CommHeavyParams::dense(10), 4, 1, mu, 2);
+    let comm = InstanceRequest::new(Family::CommHeavy, 10, 4, 1, mu, 2)
+        .build()
+        .unwrap();
     let instances = [
         ("paper", &paper, Goal::MinimizeLength),
         ("paper-deadline", &tight, Goal::MeetDeadline),

@@ -12,6 +12,7 @@ pub mod engine_parity;
 use engine_parity::{
     comm_family, covering_array_agrees, gate, paper_family, walk_all, Pass, KNOB_ROWS,
 };
+use ftdes::bench::{Family, InstanceRequest};
 use ftdes::core::bus_opt::{CAPACITY_MULTIPLES, MAX_ROUNDS};
 use ftdes::core::initial::initial_mpa;
 use ftdes::core::{
@@ -162,4 +163,58 @@ fn bus_opt_matches_a_from_scratch_climb() {
         accepted > 0,
         "no swap was accepted: the climb went untested"
     );
+}
+
+/// The two-process paper instance on `nodes` nodes (seed 1, k = 1) and
+/// MXR's design for it after 20 tabu iterations.
+fn two_process_instance(nodes: usize) -> (Problem, Design) {
+    let problem = InstanceRequest::new(Family::Paper, 2, nodes, 1, Time::from_ms(5), 1)
+        .build()
+        .unwrap();
+    let search = SearchConfig {
+        max_tabu_iterations: 20,
+        ..engine_parity::search_config()
+    };
+    let design = optimize(&problem, Strategy::Mxr, &search).unwrap().design;
+    (problem, design)
+}
+
+/// The nodes that send a message under `design`, from its schedule.
+fn senders(problem: &Problem, design: &Design) -> Vec<NodeId> {
+    let schedule = problem.evaluate(design).unwrap();
+    let mut nodes: Vec<NodeId> = schedule
+        .bookings()
+        .iter()
+        .map(|(_, _, b)| b.sender)
+        .collect();
+    nodes.sort();
+    nodes.dedup();
+    nodes
+}
+
+#[test]
+fn bus_opt_probes_no_swap_of_two_silent_nodes() {
+    // With no message on the bus, no swap can move a booking: the pass
+    // scores the start and the two capacities, and materializes one.
+    let (problem, design) = two_process_instance(256);
+    assert_eq!(senders(&problem, &design), []);
+    let out = optimize_bus(&problem, &design, &BusOptConfig::default()).unwrap();
+    assert_eq!(out.stats.candidates(), 2 + CAPACITY_MULTIPLES.len());
+    let (bus, cost, _) = from_scratch_climb(&problem, &design);
+    assert_eq!((out.bus, out.schedule.cost()), (bus, cost));
+
+    // With one sender on 64 nodes (a replica of the producer away from
+    // the consumer), only the 63 swaps that move its slot can matter in
+    // a round.
+    let (problem, design) = two_process_instance(64);
+    assert_eq!(senders(&problem, &design).len(), 1);
+    let out = optimize_bus(&problem, &design, &BusOptConfig::default()).unwrap();
+    let rounds = CAPACITY_MULTIPLES.len() * MAX_ROUNDS;
+    assert!(
+        out.stats.candidates() <= 2 + CAPACITY_MULTIPLES.len() + 63 * rounds,
+        "{:?}",
+        out.stats
+    );
+    let (bus, cost, _) = from_scratch_climb(&problem, &design);
+    assert_eq!((out.bus, out.schedule.cost()), (bus, cost));
 }

@@ -92,6 +92,31 @@ fn fig3_chain_slack_sharing() {
     }
 }
 
+/// Fig. 3b at length: eight 20 ms processes chained on one node share
+/// one slack of the largest re-run, 8 · 20 + (20 + 5) = 185 ms.
+#[test]
+fn fig3_long_chain_shares_one_slack() {
+    let mut g = ProcessGraph::new(0.into());
+    let ps = g.add_processes(8);
+    for w in ps.windows(2) {
+        g.add_edge(w[0], w[1], Message::new(1)).unwrap();
+    }
+    let mut wcet = WcetTable::new();
+    for &p in &ps {
+        wcet.set(p, 0.into(), ms(20));
+    }
+    let fm = FaultModel::new(1, ms(5));
+    let design = Design::from_decisions(
+        ps.iter()
+            .map(|_| ProcessDesign::new(FtPolicy::reexecution(&fm), vec![0.into()]).unwrap())
+            .collect(),
+    );
+    let arch = Architecture::with_node_count(1);
+    let bus = BusConfig::initial(&arch, 1, Time::from_ms(1)).unwrap();
+    let s = list_schedule(&g, &arch, &wcet, &fm, &bus, &design).unwrap();
+    assert_eq!(s.length(), ms(185));
+}
+
 /// Paper Fig. 4: combining re-execution (P2–P4) with replication of
 /// P1 beats pure re-execution because message m2 no longer has to be
 /// delayed for transparency.
