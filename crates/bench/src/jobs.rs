@@ -44,16 +44,16 @@
 //! limits anywhere — and job results carry no timestamps or machine
 //! state, so a job re-executed after a crash commits exactly the
 //! bytes the uncrashed run would have. That is the property the
-//! crash-matrix suites assert. Evaluation caches are shared through a
-//! [`CachePool`] keyed by problem fingerprint: re-runs and sibling
-//! jobs of the same workload warm-start each other (the cache changes
-//! only *speed*, never results).
+//! crash-matrix suites assert. Each search memoizes in an evaluation
+//! cache of its own, dropped when the job returns, so the executor
+//! holds no state between jobs and a job's result cannot depend on
+//! which jobs ran before it in the same process.
 
 use std::time::Duration;
 
 use ftdes_core::problem::MAX_CHECKPOINTS;
 use ftdes_core::repair::RepairBudget;
-use ftdes_core::{optimize_with_cache, CachePool, Problem, Strategy};
+use ftdes_core::{optimize, Problem, Strategy};
 use ftdes_faultsim::{degrade_and_repair_adversarial, length_distribution};
 use ftdes_gen::WorkloadParams;
 use ftdes_model::design::{Design, ProcessDesign};
@@ -391,7 +391,8 @@ fn spec_names(processes: &'static str) -> FieldNames {
 }
 
 /// `ms` milliseconds, or `None` past the `u64` microsecond range
-/// ([`Time::from_ms`] wraps there in release builds).
+/// (where [`Time`]'s unchecked arithmetic would wrap in release
+/// builds).
 fn ms_time(ms: u64) -> Option<Time> {
     ms.checked_mul(1_000).map(Time::from_us)
 }
@@ -667,20 +668,10 @@ fn repair_jobs(spec: &RepairSweep) -> Vec<JobSpec> {
     dag.jobs
 }
 
-/// Executes sweep jobs against the deterministic optimizer, sharing
-/// evaluation caches across jobs through a [`CachePool`].
+/// Executes sweep jobs against the deterministic optimizer. It holds
+/// no state: every job builds its problem and searches it afresh.
 #[derive(Debug, Default)]
-pub struct SweepExec {
-    pool: CachePool,
-}
-
-impl SweepExec {
-    /// A fresh executor with an empty cache pool.
-    #[must_use]
-    pub fn new() -> Self {
-        SweepExec::default()
-    }
-}
+pub struct SweepExec;
 
 fn get_u64(params: &Value, key: &str) -> Result<u64, String> {
     params
@@ -818,8 +809,7 @@ impl SweepExec {
         let problem = build_problem(params)?;
         let strategy: Strategy = get_str(params, "strategy")?.parse()?;
         let cfg = iteration_config(get_usize(params, "max_iterations")?);
-        let cache = self.pool.for_problem(&problem);
-        let outcome = optimize_with_cache(&problem, strategy, &cfg, &cache)
+        let outcome = optimize(&problem, strategy, &cfg)
             .map_err(|e| format!("{strategy} search failed: {e}"))?;
         let mut mix = PolicyMix::default();
         mix.add_design(&outcome.design);
@@ -893,21 +883,18 @@ impl SweepExec {
             warm: UNLIMITED,
             scratch: UNLIMITED,
         };
-        let cache = self.pool.for_problem(&problem);
         let report = degrade_and_repair_adversarial(
             &problem,
             &design,
             &schedule,
             &budget,
             &cfg,
-            &cache,
             REPAIR_SCENARIOS,
             seed,
         )
         .map_err(|e| e.to_string())?;
         let repaired = &report.outcome;
-        let scratch_cache = self.pool.for_problem(&repaired.problem);
-        let scratch = optimize_with_cache(&repaired.problem, Strategy::Mxr, &cfg, &scratch_cache)
+        let scratch = optimize(&repaired.problem, Strategy::Mxr, &cfg)
             .map_err(|e| format!("scratch re-solve failed: {e}"))?;
         let repair_len = repaired.length().as_us();
         let scratch_len = scratch.length().as_us();
@@ -1207,7 +1194,7 @@ mod tests {
     /// the aggregate's result.
     fn run_in_process(spec: &SweepSpec) -> Value {
         // The DAG lists every job after its dependencies.
-        let exec = SweepExec::new();
+        let exec = SweepExec;
         let mut done: Vec<DepResult> = Vec::new();
         for job in spec.jobs() {
             let deps: Vec<DepResult> = done
@@ -1416,7 +1403,7 @@ mod tests {
         spec.validate().expect("within every cap");
         let generate = &spec.jobs()[0];
         assert_eq!(generate.kind, "generate");
-        let err = SweepExec::new().execute(generate, &[]).unwrap_err();
+        let err = SweepExec.execute(generate, &[]).unwrap_err();
         assert!(err.contains("horizon"), "{err}");
     }
 
@@ -1463,9 +1450,7 @@ mod tests {
     fn designs_roundtrip_through_job_results() {
         let request = InstanceRequest::new(Family::Paper, 6, 2, 1, Time::from_ms(5), 3);
         let problem = request.build().unwrap();
-        let cache = self::CachePool::new().for_problem(&problem);
-        let outcome =
-            optimize_with_cache(&problem, Strategy::Mxr, &iteration_config(3), &cache).unwrap();
+        let outcome = optimize(&problem, Strategy::Mxr, &iteration_config(3)).unwrap();
         let encoded = encode_design(&outcome.design);
         let decoded = decode_design(&encoded, &problem).unwrap();
         assert_eq!(

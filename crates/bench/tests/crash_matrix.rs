@@ -70,7 +70,7 @@ fn run_uncrashed(spec: &SweepSpec, path: &Path) -> String {
     drive(
         &mut store,
         &mut state,
-        &SweepExec::new(),
+        &SweepExec,
         &mut Injector::none(),
         &cfg("base", 1),
     )
@@ -102,7 +102,7 @@ fn chi_sweep_resumes_bit_identically_after_every_crash_point() {
                 let crashed = drive(
                     &mut store,
                     &mut state,
-                    &SweepExec::new(),
+                    &SweepExec,
                     &mut injector,
                     &cfg("victim", workers),
                 );
@@ -127,7 +127,7 @@ fn chi_sweep_resumes_bit_identically_after_every_crash_point() {
                 drive(
                     &mut store,
                     &mut state,
-                    &SweepExec::new(),
+                    &SweepExec,
                     &mut Injector::none(),
                     &cfg("rescuer", workers),
                 )
@@ -190,7 +190,7 @@ fn crash_on_the_fourth_commit_and_resume(spec: &SweepSpec, tag: &str) {
     drive(
         &mut store,
         &mut state,
-        &SweepExec::new(),
+        &SweepExec,
         &mut injector,
         &cfg("victim", 1),
     )
@@ -201,7 +201,7 @@ fn crash_on_the_fourth_commit_and_resume(spec: &SweepSpec, tag: &str) {
     drive(
         &mut store,
         &mut state,
-        &SweepExec::new(),
+        &SweepExec,
         &mut Injector::none(),
         &cfg("rescuer", 1),
     )

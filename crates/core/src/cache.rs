@@ -129,59 +129,6 @@ impl EvalCache {
     }
 }
 
-/// A pool of [`EvalCache`]s shared across independent solver runs,
-/// keyed by [`problem_fingerprint`] — the cache-sharing seam of the
-/// sweep-orchestration layer.
-///
-/// Sweep jobs that re-solve the same problem under different fault
-/// hypotheses or strategies (the `ftdes sweep` χ and repair studies)
-/// fetch their cache through one pool, so a re-run — in particular a
-/// job re-executed after a crash — warm-starts from every evaluation
-/// its siblings already paid for. Cost entries are keyed by problem
-/// *and* fault model inside the cache, so pooling by problem alone is
-/// sound; pooling by fingerprint (not object identity) means two
-/// structurally identical problems built independently — e.g. by a
-/// re-run generate job — share as well.
-#[derive(Debug, Default)]
-pub struct CachePool {
-    caches: Mutex<HashMap<u64, Arc<EvalCache>>>,
-}
-
-impl CachePool {
-    /// An empty pool.
-    #[must_use]
-    pub fn new() -> Self {
-        CachePool::default()
-    }
-
-    /// The shared cache for `problem`, created on first request.
-    /// Structurally identical problems (same [`problem_fingerprint`])
-    /// return clones of the same `Arc`.
-    #[must_use]
-    pub fn for_problem(&self, problem: &Problem) -> Arc<EvalCache> {
-        self.for_fingerprint(problem_fingerprint(problem))
-    }
-
-    /// [`CachePool::for_problem`] by precomputed fingerprint.
-    #[must_use]
-    pub fn for_fingerprint(&self, fingerprint: u64) -> Arc<EvalCache> {
-        let mut caches = self.caches.lock().expect("cache pool");
-        Arc::clone(caches.entry(fingerprint).or_default())
-    }
-
-    /// Number of distinct problems the pool holds caches for.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.caches.lock().expect("cache pool").len()
-    }
-
-    /// True when no cache has been requested yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// One running accumulator of the 128-bit fingerprint (two
 /// independently-seeded 64-bit streams).
 #[derive(Clone, Copy)]
@@ -222,17 +169,17 @@ pub fn bus_fingerprint(bus: &BusConfig) -> u64 {
     fp.finish() as u64
 }
 
-/// A stable 64-bit identity of a fault model — part of the cache key
-/// so one [`EvalCache`] can be shared across `optimize` calls with
-/// different fault hypotheses (NFT and the SFX pre-pass solve at
-/// `k = 0`) without aliasing their costs.
+/// A stable 64-bit identity of a fault model — part of the evaluator's
+/// key seed, so evaluators sharing one [`EvalCache`] under different
+/// fault hypotheses (NFT and the SFX pre-pass solve at `k = 0`) never
+/// alias their costs.
 #[must_use]
 pub fn fault_fingerprint(fm: &FaultModel) -> u64 {
     let mut fp = Fingerprint::new(0xfa17);
     fp.mix(u64::from(fm.k()));
     fp.mix(fm.mu().as_us());
     // χ changes every checkpointed design's cost; omitting it would
-    // alias the rows of a checkpoint-overhead sweep sharing one cache.
+    // alias two χ values of one problem sharing a cache.
     fp.mix(fm.chi().as_us());
     fp.finish() as u64
 }
@@ -344,11 +291,11 @@ impl<'p> Evaluator<'p> {
         Evaluator::build(problem, enabled.then(|| Arc::new(EvalCache::default())))
     }
 
-    /// Creates an evaluator over a cache shared with other searches —
-    /// sweep jobs re-solve overlapping problems, and a shared
-    /// cache lets them reuse each other's cost entries. Keys include
-    /// the problem structure and fault model, so sharing across
-    /// arbitrary problems is sound.
+    /// Creates an evaluator over a cache shared with the other
+    /// evaluators of one search — the portfolio's workers and the
+    /// repair ladder's rungs reuse each other's cost entries. Keys
+    /// include the problem structure, fault model, priority strategy
+    /// and bus, so sharing across problems is sound.
     #[must_use]
     pub fn with_shared_cache(problem: &'p Problem, cache: Arc<EvalCache>) -> Self {
         Evaluator::build(problem, Some(cache))
@@ -360,8 +307,8 @@ impl<'p> Evaluator<'p> {
         // The cost-affecting scheduler switch joins the context: two
         // problems differing only in priority strategy produce
         // different costs for the same design, so a shared cache
-        // (sweeps, the portfolio's diversified workers) must never
-        // alias their entries. Pure throughput knobs (occupancy
+        // (the portfolio's diversified workers) must never alias
+        // their entries. Pure throughput knobs (occupancy
         // backend, splicing) deliberately stay out — their costs are
         // bit-identical by contract.
         ctx.mix(problem.schedule_options().priority as u64);
@@ -503,12 +450,12 @@ pub struct CandidateEval<'e, 'p> {
 
 impl CandidateEval<'_, '_> {
     /// Scores every move of `window` against `base` on `pool`, in
-    /// move order: the window question of greedy and tabu. Each worker
-    /// clones `base` once and decodes each move into its own decision
-    /// buffer, which [`CandidateEval::eval_move`] swaps in and back
-    /// out — no per-candidate design clone, no schedule
-    /// materialization. A move reached after `cutoff` is skipped
-    /// (`None`).
+    /// move order and under the window's bound: the window question of
+    /// greedy and tabu. Each worker clones `base` once and decodes each
+    /// move into its own decision buffer, which
+    /// [`CandidateEval::eval_move_bounded`] swaps in and back out — no
+    /// per-candidate design clone, no schedule materialization. A move
+    /// reached after `cutoff` is skipped (`None`).
     ///
     /// # Errors
     ///
@@ -529,7 +476,8 @@ impl CandidateEval<'_, '_> {
                     return Ok(None);
                 }
                 table.decode(*mv, decision);
-                Ok(Some(self.eval_move(design, mv.process, decision)?))
+                self.eval_move_bounded(design, mv.process, decision, self.bound)
+                    .map(Some)
             },
         )
     }
@@ -537,28 +485,14 @@ impl CandidateEval<'_, '_> {
     /// Scores the single-move candidate that replaces `process`'s
     /// decision by `decision` against the window base held in
     /// `design`, through the full evaluation stack (cache → splice →
-    /// bounded placement). The candidate is swapped into `design` for
-    /// the run and back out before returning (also on error), so one
-    /// worker-owned design and decision buffer serve a whole window
-    /// without per-candidate copies. The `bool` is `true` on a cache
-    /// hit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SchedError`].
-    pub fn eval_move(
-        &self,
-        design: &mut Design,
-        process: ProcessId,
-        decision: &mut ProcessDesign,
-    ) -> Result<(EvalOutcome, bool), SchedError> {
-        self.eval_move_bounded(design, process, decision, self.bound)
-    }
-
-    /// [`CandidateEval::eval_move`] under an explicit bound override —
-    /// the tabu search's winner-bounded resolution pass re-evaluates
-    /// pruned candidates against the would-be winner instead of the
-    /// window incumbent.
+    /// bounded placement), under `bound`: [`CandidateEval::score`]
+    /// passes the window incumbent, and the tabu search's
+    /// winner-bounded resolution pass re-evaluates pruned candidates
+    /// against the would-be winner. The candidate is swapped into
+    /// `design` for the run and back out before returning (also on
+    /// error), so one worker-owned design and decision buffer serve a
+    /// whole window without per-candidate copies. The `bool` is `true`
+    /// on a cache hit.
     ///
     /// With recorded checkpoints of the base design, a candidate whose
     /// order certificate holds re-places only its affected cone and
@@ -707,29 +641,14 @@ mod tests {
     }
 
     #[test]
-    fn pool_shares_caches_by_problem_structure() {
+    fn evaluators_over_one_cache_share_entries() {
         let (problem, design) = tiny();
-        let pool = CachePool::new();
-        assert!(pool.is_empty());
-        let cache_a = pool.for_problem(&problem);
-        let cache_b = pool.for_problem(&problem);
-        assert!(Arc::ptr_eq(&cache_a, &cache_b), "same problem, same cache");
-        assert_eq!(pool.len(), 1);
-
-        // A solve through one handle warms the other: the second
-        // evaluator's very first evaluation is already a hit.
-        let eval_a = Evaluator::with_shared_cache(&problem, cache_a);
-        let (cost_a, hit_a) = eval_a.evaluate(&design).unwrap();
-        assert!(!hit_a);
-        let eval_b = Evaluator::with_shared_cache(&problem, cache_b);
-        let (cost_b, hit_b) = eval_b.evaluate(&design).unwrap();
-        assert!(hit_b, "pooled cache shares entries across evaluators");
-        assert_eq!(cost_a, cost_b);
-
-        // A different fingerprint gets its own cache.
-        let other = pool.for_fingerprint(problem_fingerprint(&problem) ^ 1);
-        assert_eq!(pool.len(), 2);
-        assert!(!Arc::ptr_eq(&other, &pool.for_problem(&problem)));
+        let cache = Arc::new(EvalCache::default());
+        let first = Evaluator::with_shared_cache(&problem, Arc::clone(&cache));
+        let (cost, hit) = first.evaluate(&design).unwrap();
+        assert!(!hit);
+        let second = Evaluator::with_shared_cache(&problem, cache);
+        assert_eq!(second.evaluate(&design).unwrap(), (cost, true));
     }
 
     #[test]

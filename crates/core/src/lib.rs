@@ -26,12 +26,11 @@
 //!
 //! * [`cache::Evaluator`] — the single entry point the search phases
 //!   score candidates through: memoization (48-byte cost entries
-//!   keyed by XOR-decomposable design fingerprints, shareable across
-//!   `optimize` calls via [`strategy::optimize_with_cache`]),
-//!   incremental evaluation against the winner's recorded placement
-//!   (the suffix splice) and bounded early-exit runs. Greedy and tabu
-//!   score each window through one call,
-//!   [`cache::CandidateEval::score`].
+//!   keyed by XOR-decomposable design fingerprints, living as long as
+//!   the one search that fills them), incremental evaluation against
+//!   the winner's recorded placement (the suffix splice) and bounded
+//!   early-exit runs. Greedy and tabu score each window through one
+//!   call, [`cache::CandidateEval::score`].
 //! * [`bus_opt::optimize_bus`] scores one fixed design under candidate
 //!   buses: it calls the scheduler itself, bounded by the climbing
 //!   incumbent, and memoizes probe costs by bus.
@@ -110,7 +109,7 @@ pub mod tabu;
 /// Convenience re-exports of the optimization entry points.
 pub mod prelude {
     pub use crate::bus_opt::{optimize_bus, BusOptConfig, BusOptOutcome};
-    pub use crate::cache::{CachePool, CandidateEval, EvalCache, EvalOutcome, Evaluator};
+    pub use crate::cache::{CandidateEval, EvalCache, EvalOutcome, Evaluator};
     pub use crate::config::{Goal, SearchConfig, SearchStats};
     pub use crate::error::OptError;
     pub use crate::parallel::{effective_threads, WorkerPool, MAX_THREADS};
@@ -119,16 +118,16 @@ pub mod prelude {
     };
     pub use crate::problem::Problem;
     pub use crate::repair::{
-        apply_delta, project_design, repair, repair_with_cache, RepairBudget, RepairError,
-        RepairOutcome, RepairRung, RungAttempt, RungStatus,
+        apply_delta, project_design, repair, RepairBudget, RepairError, RepairOutcome, RepairRung,
+        RungAttempt, RungStatus,
     };
     pub use crate::space::PolicySpace;
-    pub use crate::strategy::{optimize, optimize_with_cache, overhead_percent, Outcome, Strategy};
+    pub use crate::strategy::{optimize, overhead_percent, Outcome, Strategy};
     pub use crate::{OccupancyBackend, PriorityStrategy};
 }
 
 pub use bus_opt::{optimize_bus, BusOptConfig, BusOptOutcome};
-pub use cache::{CachePool, CandidateEval, EvalCache, EvalOutcome, Evaluator};
+pub use cache::{CandidateEval, EvalCache, EvalOutcome, Evaluator};
 pub use config::{Goal, SearchConfig, SearchStats};
 pub use error::OptError;
 pub use ftdes_sched::{OccupancyBackend, PriorityStrategy};
@@ -136,8 +135,8 @@ pub use parallel::{effective_threads, WorkerPool, MAX_THREADS};
 pub use portfolio::{optimize_portfolio, PortfolioConfig, PortfolioOutcome, WorkerSummary};
 pub use problem::Problem;
 pub use repair::{
-    apply_delta, project_design, repair, repair_with_cache, RepairBudget, RepairError,
-    RepairOutcome, RepairRung, RungAttempt, RungStatus,
+    apply_delta, project_design, repair, RepairBudget, RepairError, RepairOutcome, RepairRung,
+    RungAttempt, RungStatus,
 };
 pub use space::PolicySpace;
-pub use strategy::{optimize, optimize_with_cache, overhead_percent, Outcome, Strategy};
+pub use strategy::{optimize, overhead_percent, Outcome, Strategy};

@@ -25,7 +25,7 @@
 //! | 0 [`RepairRung::Revalidate`] | validate + one evaluation | projected design schedulable **and** nothing dirty |
 //! | 1 [`RepairRung::Localized`] | [`TabuSearch`] drawing its windows from the dirty processes | converged, schedulable, before its slice ends |
 //! | 2 [`RepairRung::Warm`] | [`TabuSearch`] over the critical path | finished, schedulable, before its slice ends |
-//! | 3 [`RepairRung::Scratch`] | from-scratch [`optimize_with_cache`] | best effort (last resort) |
+//! | 3 [`RepairRung::Scratch`] | from-scratch MXR [`optimize`](crate::strategy::optimize) | best effort (last resort) |
 //!
 //! Rung 0's acceptance returns immediately (nothing changed that the
 //! old design does not already answer). Rungs 1 and 2 are the engine's
@@ -41,11 +41,10 @@
 //! slice ends first. Rung 3 runs only when no earlier rung accepted —
 //! it is the fallback, not a routine fourth pass.
 //!
-//! Every rung shares one [`Evaluator`] over one `Arc`-shared
-//! [`EvalCache`]: the cache keys mix the *post-delta* problem
-//! fingerprint, so entries from the pre-delta problem can never alias
-//! (soundness), while rungs 1–3 reuse each other's candidate costs
-//! (warmness). One running record keeps every attempt, the summed
+//! Every rung reads one [`EvalCache`], created by [`repair`] and
+//! dropped when it returns: rungs 0–2 share one [`Evaluator`] over it
+//! and rung 3's search reads it too, so rungs 1–3 reuse each other's
+//! candidate costs. One running record keeps every attempt, the summed
 //! statistics and the best design so far, so escalation never loses
 //! quality already found.
 
@@ -68,7 +67,7 @@ use crate::moves::{MoveRef, MoveTable};
 use crate::parallel::{effective_threads, WorkerPool};
 use crate::problem::Problem;
 use crate::space::PolicySpace;
-use crate::strategy::{optimize_with_cache, Strategy};
+use crate::strategy::{optimize_shared, Strategy};
 use crate::tabu::{TabuPause, TabuSearch};
 
 /// Builds the post-delta problem: the delta's graph and WCET table on
@@ -378,26 +377,8 @@ impl From<OptError> for RepairError {
     }
 }
 
-/// Repairs `prev` after `delta` with a fresh evaluation cache. See
-/// [`repair_with_cache`].
-///
-/// # Errors
-///
-/// Same as [`repair_with_cache`].
-pub fn repair(
-    problem: &Problem,
-    prev: &Design,
-    delta: &ProblemDelta,
-    budget: &RepairBudget,
-    cfg: &SearchConfig,
-) -> Result<RepairOutcome, RepairError> {
-    let cache = Arc::new(EvalCache::default());
-    repair_with_cache(problem, prev, delta, budget, cfg, &cache)
-}
-
 /// Repairs `prev` — a design for `problem` — after `delta`, running
-/// the escalation ladder described in the module docs over the shared
-/// `cache`.
+/// the escalation ladder described in the module docs.
 ///
 /// `cfg` supplies the search knobs (goal, tenure, window sizes,
 /// iteration caps); its `time_limit` is ignored — the rung slices of
@@ -413,18 +394,17 @@ pub fn repair(
 /// reports `is_schedulable() == false` and the attempts record why
 /// every rung fell through — callers decide whether a degraded-mode
 /// (deadline-missing) design is acceptable.
-pub fn repair_with_cache(
+pub fn repair(
     problem: &Problem,
     prev: &Design,
     delta: &ProblemDelta,
     budget: &RepairBudget,
     cfg: &SearchConfig,
-    cache: &Arc<EvalCache>,
 ) -> Result<RepairOutcome, RepairError> {
     let (new_problem, applied) = apply_delta(problem, delta)?;
     let report = applied.compatibility(prev, new_problem.fault_model());
     let projected = project_design(prev, &applied, &new_problem)?;
-    run_ladder(new_problem, projected, report, budget, cfg, cache)
+    run_ladder(new_problem, projected, report, budget, cfg)
 }
 
 /// The ladder's running record: every attempt so far, the search
@@ -482,10 +462,10 @@ fn run_ladder(
     report: CompatibilityReport,
     budget: &RepairBudget,
     cfg: &SearchConfig,
-    cache: &Arc<EvalCache>,
 ) -> Result<RepairOutcome, RepairError> {
     let pool = WorkerPool::new(effective_threads(cfg.threads));
-    let evaluator = Evaluator::with_shared_cache(&problem, Arc::clone(cache));
+    let cache = Arc::new(EvalCache::default());
+    let evaluator = Evaluator::with_shared_cache(&problem, Arc::clone(&cache));
     let mut ladder = Ladder::default();
     let started = Instant::now();
 
@@ -600,7 +580,7 @@ fn run_ladder(
             time_limit: Some(budget.scratch),
             ..cfg
         };
-        match optimize_with_cache(&problem, Strategy::Mxr, &scratch_cfg, cache) {
+        match optimize_shared(&problem, Strategy::Mxr, &scratch_cfg, Some(cache)) {
             Ok(outcome) => {
                 ladder.stats.add_counts(&outcome.stats);
                 let schedule = Arc::new(outcome.schedule);

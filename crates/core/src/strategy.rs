@@ -148,26 +148,11 @@ pub fn optimize(
     optimize_shared(problem, strategy, cfg, None)
 }
 
-/// [`optimize`] over a caller-owned [`EvalCache`], so the memoized
-/// candidate costs survive this call and serve the caller's next
-/// searches — the sweep jobs re-solve overlapping problems and reuse
-/// each other's entries. Keys cover the problem structure and the
-/// fault model, so sharing one cache across any mix of problems and
-/// strategies is sound.
-///
-/// # Errors
-///
-/// Same as [`optimize`].
-pub fn optimize_with_cache(
-    problem: &Problem,
-    strategy: Strategy,
-    cfg: &SearchConfig,
-    cache: &Arc<EvalCache>,
-) -> Result<Outcome, OptError> {
-    optimize_shared(problem, strategy, cfg, Some(Arc::clone(cache)))
-}
-
-fn optimize_shared(
+/// [`optimize`] over `cache`, when given: the repair ladder's
+/// from-scratch rung reads the cache its earlier rungs filled. Without
+/// one, the search memoizes in a cache of its own, dropped when it
+/// returns.
+pub(crate) fn optimize_shared(
     problem: &Problem,
     strategy: Strategy,
     cfg: &SearchConfig,
@@ -424,17 +409,16 @@ mod tests {
     }
 
     /// Table 1b/1c's study in miniature: MXR under each fault model
-    /// against one NFT reference, every solve over one shared cache.
+    /// against one NFT reference.
     fn overhead_sweep(models: &[FaultModel]) -> (Outcome, Vec<(Outcome, f64)>) {
         let problem = problem();
         let cfg = fast_cfg();
-        let cache = Arc::new(EvalCache::default());
-        let nft = optimize_with_cache(&problem, Strategy::Nft, &cfg, &cache).unwrap();
+        let nft = optimize(&problem, Strategy::Nft, &cfg).unwrap();
         let points = models
             .iter()
             .map(|&fm| {
                 let p = problem.with_fault_model(fm);
-                let mxr = optimize_with_cache(&p, Strategy::Mxr, &cfg, &cache).unwrap();
+                let mxr = optimize(&p, Strategy::Mxr, &cfg).unwrap();
                 let overhead = overhead_percent(&mxr, &nft);
                 (mxr, overhead)
             })

@@ -5,15 +5,13 @@
 //! search is a performance device — it must never change what a
 //! design *scores*.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
 
-use ftdes_core::cache::EvalCache;
 use ftdes_core::config::SearchConfig;
 use ftdes_core::problem::Problem;
-use ftdes_core::repair::{apply_delta, repair_with_cache, RepairBudget};
+use ftdes_core::repair::{apply_delta, repair, RepairBudget};
 use ftdes_core::strategy::Strategy;
 use ftdes_gen::paper_workload;
 use ftdes_model::architecture::Architecture;
@@ -140,8 +138,7 @@ proptest! {
         which in 0u32..16,
     ) {
         let problem = small_problem(processes, nodes, seed);
-        let cache = Arc::new(EvalCache::default());
-        let intact = ftdes_core::optimize_with_cache(&problem, Strategy::Mxr, &cfg(), &cache)
+        let intact = ftdes_core::optimize(&problem, Strategy::Mxr, &cfg())
             .expect("intact problem solves");
 
         let delta = make_delta(kind, processes, nodes, pct, which);
@@ -149,9 +146,7 @@ proptest! {
         // A delta can make the problem unsolvable (e.g. removing the
         // only process); the bit-identity property applies to repairs
         // that produce a design at all.
-        let Ok(outcome) = repair_with_cache(
-            &problem, &intact.design, &delta, &budget, &cfg(), &cache,
-        ) else {
+        let Ok(outcome) = repair(&problem, &intact.design, &delta, &budget, &cfg()) else {
             continue;
         };
 

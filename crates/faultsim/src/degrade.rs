@@ -23,12 +23,10 @@ use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 
-use ftdes_core::cache::EvalCache;
 use ftdes_core::config::SearchConfig;
 use ftdes_core::problem::Problem;
-use ftdes_core::repair::{repair_with_cache, RepairBudget, RepairError, RepairOutcome};
+use ftdes_core::repair::{repair, RepairBudget, RepairError, RepairOutcome};
 use ftdes_model::delta::ProblemDelta;
 use ftdes_model::design::Design;
 use ftdes_model::ids::NodeId;
@@ -138,19 +136,17 @@ impl From<RepairError> for DegradeError {
 ///
 /// [`DegradeError::Repair`] when the delta cannot be applied or no
 /// design exists on the degraded platform.
-#[allow(clippy::too_many_arguments)]
 pub fn degrade_and_repair(
     problem: &Problem,
     prev: &Design,
     node: NodeId,
     budget: &RepairBudget,
     cfg: &SearchConfig,
-    cache: &Arc<EvalCache>,
     random_count: usize,
     seed: u64,
 ) -> Result<DegradeReport, DegradeError> {
     let delta = ProblemDelta::kill_node(node);
-    let outcome = repair_with_cache(problem, prev, &delta, budget, cfg, cache)?;
+    let outcome = repair(problem, prev, &delta, budget, cfg)?;
 
     let mut violations = Vec::new();
     let repaired = &outcome.schedule;
@@ -199,20 +195,18 @@ pub fn degrade_and_repair(
 /// [`DegradeError::EmptySchedule`] when `prev_schedule` has no
 /// instances; otherwise the last [`DegradeError::Repair`] when every
 /// candidate node is load-bearing beyond repair.
-#[allow(clippy::too_many_arguments)]
 pub fn degrade_and_repair_adversarial(
     problem: &Problem,
     prev: &Design,
     prev_schedule: &Schedule,
     budget: &RepairBudget,
     cfg: &SearchConfig,
-    cache: &Arc<EvalCache>,
     random_count: usize,
     seed: u64,
 ) -> Result<DegradeReport, DegradeError> {
     let mut last_err = DegradeError::EmptySchedule;
     for node in nodes_by_load(prev_schedule) {
-        match degrade_and_repair(problem, prev, node, budget, cfg, cache, random_count, seed) {
+        match degrade_and_repair(problem, prev, node, budget, cfg, random_count, seed) {
             Ok(report) => return Ok(report),
             Err(e) => last_err = e,
         }
@@ -273,10 +267,7 @@ mod tests {
     #[test]
     fn degrade_and_repair_verifies_the_repaired_design() {
         let problem = small_problem(10, 3, 11);
-        let cache = Arc::new(EvalCache::default());
-        let outcome =
-            ftdes_core::optimize_with_cache(&problem, Strategy::Mxr, &quick_cfg(), &cache)
-                .expect("opt");
+        let outcome = ftdes_core::optimize(&problem, Strategy::Mxr, &quick_cfg()).expect("opt");
         let victim = most_loaded_node(&outcome.schedule).expect("non-empty");
         let budget = RepairBudget::from_total(Duration::from_millis(400));
         let report = degrade_and_repair(
@@ -285,7 +276,6 @@ mod tests {
             victim,
             &budget,
             &quick_cfg(),
-            &cache,
             8,
             0xDE6A,
         )
@@ -298,10 +288,7 @@ mod tests {
     #[test]
     fn adversarial_mode_kills_the_most_loaded_node_first() {
         let problem = small_problem(10, 4, 3);
-        let cache = Arc::new(EvalCache::default());
-        let outcome =
-            ftdes_core::optimize_with_cache(&problem, Strategy::Mxr, &quick_cfg(), &cache)
-                .expect("opt");
+        let outcome = ftdes_core::optimize(&problem, Strategy::Mxr, &quick_cfg()).expect("opt");
         let heaviest = most_loaded_node(&outcome.schedule).expect("non-empty");
         let budget = RepairBudget::from_total(Duration::from_millis(400));
         let report = degrade_and_repair_adversarial(
@@ -310,7 +297,6 @@ mod tests {
             &outcome.schedule,
             &budget,
             &quick_cfg(),
-            &cache,
             4,
             1,
         )

@@ -3,10 +3,8 @@
 //! on both generator families (the paper's random workloads and the
 //! communication-heavy family), deterministically.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use ftdes_core::cache::EvalCache;
 use ftdes_core::config::SearchConfig;
 use ftdes_core::problem::Problem;
 use ftdes_core::repair::{RepairBudget, RepairRung, RungStatus};
@@ -64,9 +62,8 @@ fn cfg() -> SearchConfig {
 }
 
 fn kill_and_verify(problem: Problem, seed: u64) {
-    let cache = Arc::new(EvalCache::default());
-    let outcome = ftdes_core::optimize_with_cache(&problem, Strategy::Mxr, &cfg(), &cache)
-        .expect("baseline optimization");
+    let outcome =
+        ftdes_core::optimize(&problem, Strategy::Mxr, &cfg()).expect("baseline optimization");
     let budget = RepairBudget::from_total(Duration::from_millis(500));
     let report = degrade_and_repair_adversarial(
         &problem,
@@ -74,7 +71,6 @@ fn kill_and_verify(problem: Problem, seed: u64) {
         &outcome.schedule,
         &budget,
         &cfg(),
-        &cache,
         8,
         seed,
     )
@@ -112,8 +108,7 @@ fn kill_node_scenario_comm_heavy_family() {
 fn kill_node_scenario_is_deterministic() {
     let run = || {
         let problem = paper_problem(12, 4, 7);
-        let cache = Arc::new(EvalCache::default());
-        let outcome = ftdes_core::optimize_with_cache(
+        let outcome = ftdes_core::optimize(
             &problem,
             Strategy::Mxr,
             &SearchConfig {
@@ -121,7 +116,6 @@ fn kill_node_scenario_is_deterministic() {
                 time_limit: None,
                 ..SearchConfig::default()
             },
-            &cache,
         )
         .expect("baseline");
         let victim = most_loaded_node(&outcome.schedule).expect("non-empty");
@@ -139,7 +133,6 @@ fn kill_node_scenario_is_deterministic() {
                 time_limit: None,
                 ..SearchConfig::default()
             },
-            &cache,
             8,
             9,
         )

@@ -731,11 +731,10 @@ fn drive_sweep(
 ) -> Result<(), CliError> {
     let mut injector = Injector::from_env().map_err(CliError::Usage)?;
     let cfg = o.worker_config();
-    let report =
-        drive(store, state, &SweepExec::new(), &mut injector, &cfg).map_err(|e| match e {
-            ftdes_serve::DriveError::Store(s) => store_err(s),
-            other => CliError::Other(other.to_string()),
-        })?;
+    let report = drive(store, state, &SweepExec, &mut injector, &cfg).map_err(|e| match e {
+        ftdes_serve::DriveError::Store(s) => store_err(s),
+        other => CliError::Other(other.to_string()),
+    })?;
     writeln!(
         out,
         "drove sweep: {} executed, {} reclaimed, {} quarantined, {} blocked",

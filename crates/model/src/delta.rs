@@ -110,8 +110,8 @@ pub enum DeltaOp {
     },
     /// A process is added to the application.
     AddProcess(Box<NewProcess>),
-    /// A process is retired. Its edges are dropped (recorded in the
-    /// [`AppliedDelta`]) and ids above it shift down by one.
+    /// A process is retired. Its edges are dropped (its surviving
+    /// neighbors turn dirty) and ids above it shift down by one.
     RemoveProcess {
         /// The retired process, in pre-delta ids.
         process: ProcessId,
@@ -256,16 +256,6 @@ impl fmt::Display for ProblemDelta {
     }
 }
 
-/// An edge dropped by the delta (an endpoint was removed). Endpoints
-/// are post-delta ids; `None` marks the removed endpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DroppedEdge {
-    /// Sender, `None` if the sender itself was removed.
-    pub from: Option<ProcessId>,
-    /// Receiver, `None` if the receiver itself was removed.
-    pub to: Option<ProcessId>,
-}
-
 /// The result of applying a [`ProblemDelta`]: post-delta model parts
 /// plus the bookkeeping repair needs to translate the old design and
 /// decide what to re-optimize.
@@ -279,8 +269,6 @@ pub struct AppliedDelta {
     remap: Vec<Option<ProcessId>>,
     /// Post-delta id -> pre-delta id (`None` = added by the delta).
     origin: Vec<Option<ProcessId>>,
-    /// Processes the delta added, in post-delta ids.
-    added: Vec<ProcessId>,
     /// Permanently failed nodes.
     killed_nodes: Vec<NodeId>,
     /// Slowed-down nodes.
@@ -290,8 +278,6 @@ pub struct AppliedDelta {
     /// Survivors that lost a neighbor (removed process or dropped
     /// edge), post-delta ids.
     orphaned: Vec<ProcessId>,
-    /// Edges dropped by process removals.
-    dropped_edges: Vec<DroppedEdge>,
 }
 
 impl AppliedDelta {
@@ -309,28 +295,10 @@ impl AppliedDelta {
         self.origin.get(new.index()).copied().flatten()
     }
 
-    /// Processes added by the delta, in post-delta ids.
-    #[must_use]
-    pub fn added_processes(&self) -> &[ProcessId] {
-        &self.added
-    }
-
     /// Nodes that failed permanently.
     #[must_use]
     pub fn killed_nodes(&self) -> &[NodeId] {
         &self.killed_nodes
-    }
-
-    /// Nodes whose WCETs were scaled.
-    #[must_use]
-    pub fn degraded_nodes(&self) -> &[NodeId] {
-        &self.degraded_nodes
-    }
-
-    /// Edges dropped because an endpoint was removed.
-    #[must_use]
-    pub fn dropped_edges(&self) -> &[DroppedEdge] {
-        &self.dropped_edges
     }
 
     /// Classifies every decision of the pre-delta design against the
@@ -392,7 +360,6 @@ impl AppliedDelta {
             dirty,
             clean,
             removed,
-            dropped_edges: self.dropped_edges.clone(),
         }
     }
 }
@@ -461,7 +428,6 @@ pub struct CompatibilityReport {
     dirty: Vec<DirtyDecision>,
     clean: Vec<ProcessId>,
     removed: Vec<ProcessId>,
-    dropped_edges: Vec<DroppedEdge>,
 }
 
 impl CompatibilityReport {
@@ -488,29 +454,11 @@ impl CompatibilityReport {
         &self.removed
     }
 
-    /// Edges dropped by removals.
-    #[must_use]
-    pub fn dropped_edges(&self) -> &[DroppedEdge] {
-        &self.dropped_edges
-    }
-
     /// Returns `true` when every surviving decision is clean and
     /// nothing was added — the previous design carries over verbatim.
     #[must_use]
     pub fn fully_compatible(&self) -> bool {
         self.dirty.is_empty()
-    }
-
-    /// Fraction of post-delta processes whose decision survives, in
-    /// `0.0..=1.0` (1.0 on an empty problem).
-    #[must_use]
-    pub fn survival_ratio(&self) -> f64 {
-        let total = self.dirty.len() + self.clean.len();
-        if total == 0 {
-            1.0
-        } else {
-            self.clean.len() as f64 / total as f64
-        }
     }
 }
 
@@ -538,10 +486,8 @@ struct DeltaState {
     /// Pre-delta id -> current id.
     remap: Vec<Option<ProcessId>>,
     /// Current-id bookkeeping.
-    added: Vec<ProcessId>,
     rescaled: BTreeSet<ProcessId>,
     orphaned: BTreeSet<ProcessId>,
-    dropped_edges: Vec<(Option<ProcessId>, Option<ProcessId>)>,
     killed_nodes: Vec<NodeId>,
     degraded_nodes: Vec<NodeId>,
 }
@@ -554,10 +500,8 @@ impl DeltaState {
             remap: (0..graph.process_count())
                 .map(|i| Some(ProcessId::new(i as u32)))
                 .collect(),
-            added: Vec::new(),
             rescaled: BTreeSet::new(),
             orphaned: BTreeSet::new(),
-            dropped_edges: Vec::new(),
             killed_nodes: Vec::new(),
             degraded_nodes: Vec::new(),
         }
@@ -698,7 +642,6 @@ impl DeltaState {
         for (node, t) in live {
             self.wcet.set(q, node, t);
         }
-        self.added.push(q);
         Ok(())
     }
 
@@ -728,7 +671,6 @@ impl DeltaState {
         }
         // Survivor ids inserted below are already post-shift, so they
         // must not run through the bookkeeping remap again.
-        let mut new_dropped = Vec::new();
         let mut new_orphans = Vec::new();
         for edge in self.graph.edges() {
             match (shift(edge.from), shift(edge.to)) {
@@ -737,12 +679,7 @@ impl DeltaState {
                         .add_edge(from, to, edge.message)
                         .expect("surviving edges of a valid graph stay valid");
                 }
-                (from, to) => {
-                    new_dropped.push((from, to));
-                    if let Some(s) = from.or(to) {
-                        new_orphans.push(s);
-                    }
-                }
+                (from, to) => new_orphans.extend(from.or(to)),
             }
         }
         self.graph = graph;
@@ -758,15 +695,9 @@ impl DeltaState {
         for slot in &mut self.remap {
             *slot = slot.and_then(shift);
         }
-        self.added = self.added.iter().copied().filter_map(shift).collect();
         self.rescaled = self.rescaled.iter().copied().filter_map(shift).collect();
         self.orphaned = self.orphaned.iter().copied().filter_map(shift).collect();
-        for (from, to) in &mut self.dropped_edges {
-            *from = from.and_then(shift);
-            *to = to.and_then(shift);
-        }
         self.orphaned.extend(new_orphans);
-        self.dropped_edges.extend(new_dropped);
     }
 
     fn finish(self, arch: &Architecture) -> Result<AppliedDelta, ModelError> {
@@ -784,16 +715,10 @@ impl DeltaState {
             wcet: self.wcet,
             remap: self.remap,
             origin,
-            added: self.added,
             killed_nodes: self.killed_nodes,
             degraded_nodes: self.degraded_nodes,
             rescaled: self.rescaled.into_iter().collect(),
             orphaned: self.orphaned.into_iter().collect(),
-            dropped_edges: self
-                .dropped_edges
-                .into_iter()
-                .map(|(from, to)| DroppedEdge { from, to })
-                .collect(),
         })
     }
 }
@@ -858,7 +783,6 @@ mod tests {
         let report = applied.compatibility(&on_live, &fm);
         assert!(report.fully_compatible());
         assert_eq!(report.clean().len(), 4);
-        assert!((report.survival_ratio() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -942,7 +866,6 @@ mod tests {
         assert_eq!(applied.map_process(3.into()), Some(ProcessId::new(2)));
         assert_eq!(applied.origin_of(2.into()), Some(ProcessId::new(3)));
         // Edges P0->P1 and P1->P3 dropped; P0->P2 and P2->P3 survive.
-        assert_eq!(applied.dropped_edges().len(), 2);
         assert_eq!(applied.graph.edges().len(), 2);
         // WCET remapped with the ids.
         assert!(applied.wcet.is_eligible(2.into(), 0.into()));
@@ -971,7 +894,7 @@ mod tests {
             .apply(&g, &arch, &wcet)
             .unwrap();
         assert_eq!(applied.graph.process_count(), 5);
-        assert_eq!(applied.added_processes(), &[ProcessId::new(4)]);
+        assert_eq!(applied.origin_of(4.into()), None, "P4 has no pre-delta id");
         assert!(applied.wcet.is_eligible(4.into(), 0.into()));
         assert_eq!(applied.graph.edges().len(), 5);
         let report = applied.compatibility(&all_primary_design(4, 0.into(), &fm), &fm);

@@ -438,14 +438,6 @@ impl ProcessGraph {
         self.topological_order().map(|_| ())
     }
 
-    /// Returns `true` when the graph is *polar*: exactly one source
-    /// and one sink (the paper's graphs are polar; the algorithms do
-    /// not require it).
-    #[must_use]
-    pub fn is_polar(&self) -> bool {
-        self.sources().len() == 1 && self.sinks().len() == 1
-    }
-
     /// Returns the length (vertex count) of the longest path.
     ///
     /// Useful for characterising generated workloads.
@@ -487,7 +479,6 @@ mod tests {
         assert_eq!(g.edge_count(), 4);
         assert_eq!(g.sources(), vec![ProcessId::new(0)]);
         assert_eq!(g.sinks(), vec![ProcessId::new(3)]);
-        assert!(g.is_polar());
         assert_eq!(g.depth().unwrap(), 3);
         let succ: Vec<_> = g.successors_of(ProcessId::new(0)).collect();
         assert_eq!(succ, vec![ProcessId::new(1), ProcessId::new(2)]);
@@ -562,12 +553,5 @@ mod tests {
         assert_eq!(p.name, "brake");
         assert_eq!(p.release, Time::from_ms(5));
         assert_eq!(p.deadline, Some(Time::from_ms(100)));
-    }
-
-    #[test]
-    fn non_polar_detected() {
-        let mut g = ProcessGraph::new(GraphId::new(0));
-        g.add_processes(2); // two isolated processes: two sources, two sinks
-        assert!(!g.is_polar());
     }
 }

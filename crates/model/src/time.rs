@@ -19,6 +19,13 @@ use serde::{Deserialize, Serialize};
 /// the arithmetic is the same and the paper does not distinguish them
 /// either.
 ///
+/// The arithmetic is unchecked: `+`, `-` and `*` (and
+/// [`Time::from_ms`]) panic on overflow in debug builds and wrap in
+/// release builds. The optimizer's horizon budget keeps every time the
+/// scheduler computes in range, and code converting untrusted values
+/// checks first ([`Time::checked_add`], or `u64::checked_mul` before
+/// [`Time::from_us`]).
+///
 /// # Examples
 ///
 /// ```
@@ -48,12 +55,8 @@ impl Time {
         Time(us)
     }
 
-    /// Creates a time from integer milliseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ms * 1000` overflows `u64` (i.e. absurdly large
-    /// inputs only).
+    /// Creates a time from integer milliseconds, unchecked like the
+    /// rest of the arithmetic (see [`Time`]).
     #[must_use]
     pub const fn from_ms(ms: u64) -> Self {
         Time(ms * 1_000)

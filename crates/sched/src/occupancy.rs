@@ -24,8 +24,8 @@
 //!   rounds for free). No tail scan, no insert memmove; growth is
 //!   chunked so long horizons amortize.
 //!   The transfer from the BEE instruction scheduler's `FixedBitSet`
-//!   port-busyness maps (see ROADMAP item 3), generalized from unit
-//!   ports to byte-capacity slots.
+//!   port-busyness maps, generalized from unit ports to byte-capacity
+//!   slots.
 //!
 //! Bookings go through a [`SlotTable`]: one slot of the table with
 //! its backend resolved, opened once per sender instance by the

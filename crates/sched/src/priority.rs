@@ -12,8 +12,8 @@
 //!   critical path" function of Eles et al., sharpened by laxity
 //!   against the tightest downstream deadline.
 //! * **Mobility**: the ALAP − ASAP float of the process under the
-//!   same estimates — the ordering of the BEE instruction scheduler
-//!   (ROADMAP item 3), where zero mobility marks the critical path.
+//!   same estimates — the ordering of the BEE instruction scheduler,
+//!   where zero mobility marks the critical path.
 //!   Equivalent rank information arranged front-to-back instead of
 //!   back-only, it explores a genuinely different schedule
 //!   neighborhood and rides the portfolio's worker-diversification

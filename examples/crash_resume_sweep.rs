@@ -87,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     drive(
         &mut store,
         &mut state,
-        &SweepExec::new(),
+        &SweepExec,
         &mut Injector::none(),
         &cfg("baseline"),
     )?;
@@ -103,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let outcome = drive(
             &mut store,
             &mut state,
-            &SweepExec::new(),
+            &SweepExec,
             &mut injector,
             &cfg("victim"),
         );
@@ -123,7 +123,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let resumed = drive(
             &mut store,
             &mut state,
-            &SweepExec::new(), // fresh executor: cold cache, no carried state
+            &SweepExec, // executors carry no state between jobs
             &mut Injector::none(),
             &cfg("rescuer"),
         )?;

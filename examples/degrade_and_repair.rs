@@ -16,7 +16,6 @@
 //!
 //! Run with: `cargo run --release --example degrade_and_repair`
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use ftdes::prelude::*;
@@ -29,8 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         time_limit: Some(Duration::from_millis(300)),
         ..SearchConfig::default()
     };
-    let cache = Arc::new(EvalCache::default());
-    let intact = optimize_with_cache(&problem, Strategy::Mxr, &cfg, &cache)?;
+    let intact = optimize(&problem, Strategy::Mxr, &cfg)?;
     println!("intact design: delta = {}", intact.length());
 
     // --- Act 1: adversarial node loss -----------------------------
@@ -41,7 +39,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &intact.schedule,
         &budget,
         &cfg,
-        &cache,
         16,
         0xD15A57E5,
     )?;
@@ -86,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         percent: 115,
     });
     println!("\napplying composite delta: {delta}");
-    let outcome = repair_with_cache(&problem, &intact.design, &delta, &budget, &cfg, &cache)?;
+    let outcome = repair(&problem, &intact.design, &delta, &budget, &cfg)?;
     assert!(outcome.is_schedulable(), "composite repair must schedule");
 
     // Bit-identity: the schedule the ladder hands back is exactly

@@ -28,9 +28,9 @@
 //! * [`gen`] — synthetic workload generation and the 32-process
 //!   cruise-controller case study,
 //! * [`serve`] — crash-safe sweep orchestration: experiment DAGs over
-//!   an append-only event log with one locked driver, bounded retries
-//!   with quarantine, and a crash-injection harness whose contract is
-//!   *resume ≡ uncrashed, bit-identical*,
+//!   an append-only event log with one locked driver, quarantine of a
+//!   failing job on its first attempt, and a crash-injection harness
+//!   whose contract is *resume ≡ uncrashed, bit-identical*,
 //! * [`mod@bench`] — the experiment harness: the sweep-job adapters
 //!   that map the paper's tables and the χ and repair studies onto
 //!   [`serve`] job DAGs, and the one generated-instance request
